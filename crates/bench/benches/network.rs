@@ -36,8 +36,8 @@ fn run_uniform_sharded(spec: FatTreeSpec, sim_us: u64, cc: bool, shards: usize) 
 /// on the 100 µs sampler + flight recorder, `trace` traces every flow
 /// into node 0, `profile` arms the per-subsystem self-profiler. The
 /// events/s ratio against the matching plain bench *is* the overhead
-/// the BENCH_CORE.json envelope documents (and, for telemetry,
-/// tools/bench_gate.py gates).
+/// the BENCH_CORE.json envelope documents and tools/bench_gate.py
+/// gates.
 fn run_uniform_observed(
     spec: FatTreeSpec,
     sim_us: u64,
@@ -111,11 +111,10 @@ fn network_benches(c: &mut Criterion) {
     }
     // Observability overhead on the CC-on workload, both observing the
     // identical event stream (byte-identity is pinned in
-    // tests/determinism.rs). `fat8_telemetry_on` is the gated number:
-    // sampler + flight recorder only, the always-affordable layer.
-    // `fat8_obs_on` piles on per-flow tracing and the self-profiler —
-    // the full diagnostic stack you turn on when chasing a bug, where
-    // the two clock reads per event dominate.
+    // tests/determinism.rs). `fat8_telemetry_on` is the sampler +
+    // flight recorder only; `fat8_obs_on` piles on per-flow tracing
+    // and the self-profiler — the full diagnostic stack. Both are
+    // ratio-gated against `fat8_cc_on` (BENCH_CORE.json).
     for (name, trace, profile) in [("fat8_telemetry_on", false, false), ("fat8_obs_on", true, true)]
     {
         let events = run_uniform_observed(FatTreeSpec::TEST_8, 200, true, true, trace, profile);

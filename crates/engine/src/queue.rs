@@ -113,6 +113,24 @@ const MAX_STRIDE_SHIFT: u32 = 6;
 /// Hard cap on `buckets × stride` so a retune can never ask for an
 /// unbounded slot array.
 const MAX_SLOTS: u64 = 1 << 18;
+/// Pending-event distances a retune samples (about this many, by
+/// decimation) to estimate the population's spread.
+const RETUNE_SAMPLES: usize = 4096;
+
+/// Hysteresis for one log2 shape parameter. `want` is rounded from a
+/// noisy sample, so a population near a rounding boundary would flip
+/// between two adjacent values on every retune. Of two adjacent values
+/// the one that makes the slot array smaller is taken at once — the
+/// targets carry more than a power of two of headroom, and the smaller
+/// array is the cache-friendlier one — while a move that grows the
+/// array waits until `want` is more than one power of two away.
+fn settle(cur: u32, want: u32, grows_array: Ordering) -> u32 {
+    if want.cmp(&cur) == grows_array && want.abs_diff(cur) <= 1 {
+        cur
+    } else {
+        want
+    }
+}
 
 /// A deterministic future-event list (bucketed calendar queue).
 pub struct CalendarQueue<E> {
@@ -159,6 +177,9 @@ pub struct CalendarQueue<E> {
     /// enough to trip the 25 % threshold) still converges to the right
     /// shape eventually.
     halvings: u32,
+    /// Retunes that changed the geometry (each one redistributed every
+    /// pending entry).
+    retunes: u64,
     seq: u64,
     now: Time,
     processed: u64,
@@ -211,11 +232,19 @@ impl<E> CalendarQueue<E> {
             retune_scratch: Vec::new(),
             redist_scratch: Vec::new(),
             halvings: 0,
+            retunes: 0,
             seq: 0,
             now: Time::ZERO,
             processed: 0,
             last_pop: None,
         }
+    }
+
+    /// How many times the wheel changed shape (width, bucket count or
+    /// stride) since construction. A steady workload settles after a
+    /// few; a count that keeps climbing means the geometry is thrashing.
+    pub fn retunes(&self) -> u64 {
+        self.retunes
     }
 
     /// Current simulation time: the timestamp of the last popped event.
@@ -376,9 +405,13 @@ impl<E> CalendarQueue<E> {
         // the densest near-future band of a bimodal population (data
         // churn vs far-out recovery timers) and reduces to the plain
         // span estimate when the population is unimodal.
-        let step = (total / 4096).max(1);
+        let step = (total / RETUNE_SAMPLES).max(1);
         let mut dists = std::mem::take(&mut self.retune_scratch);
         dists.clear();
+        // `total / step` stays below twice the target for every
+        // `total`; reserving that bound once means no later check can
+        // grow the buffer, whatever the population is when it runs.
+        dists.reserve(2 * RETUNE_SAMPLES);
         let mut c = 0usize;
         for e in self.spill.iter() {
             if c.is_multiple_of(step) {
@@ -404,24 +437,31 @@ impl<E> CalendarQueue<E> {
         // Width target: ~1 event per slot across the near-future bulk;
         // when events are denser than one per picosecond the width
         // bottoms out and the stride grows to hold the pile-ups inline.
+        //
+        // Every target goes through [`settle`]; the later ones are
+        // derived from the settled earlier ones, so the shape stays
+        // consistent.
         let per_event = spread / total as u64;
-        let width_shift = if per_event >= 2 {
+        let width_target = if per_event >= 2 {
             per_event.next_power_of_two().trailing_zeros()
         } else {
             0
         };
+        let width_shift = settle(self.width_shift, width_target, Ordering::Less);
         let slots_needed = (spread >> width_shift).max(1);
         let per_bucket4 = ((total as u64 * 4) / slots_needed).max(1);
-        let stride_shift = per_bucket4
-            .next_power_of_two()
-            .trailing_zeros()
+        let stride_target = per_bucket4.next_power_of_two().trailing_zeros();
+        let stride_shift = settle(self.stride_shift, stride_target, Ordering::Greater)
             .clamp(MIN_STRIDE_SHIFT, MAX_STRIDE_SHIFT);
         let max_n = ((MAX_SLOTS >> stride_shift) as usize).max(MIN_BUCKETS);
-        let n = slots_needed
-            .saturating_mul(2)
-            .next_power_of_two()
-            .clamp(MIN_BUCKETS as u64, MAX_BUCKETS as u64) as usize;
-        let n = n.min(max_n);
+        let n_target = slots_needed.saturating_mul(2).next_power_of_two();
+        let n_shift = settle(
+            (self.mask + 1).trailing_zeros(),
+            n_target.trailing_zeros(),
+            Ordering::Greater,
+        );
+        let n = 1usize << n_shift;
+        let n = n.clamp(MIN_BUCKETS, MAX_BUCKETS).min(max_n);
 
         // A retune that cannot change the geometry (e.g. a pile of
         // simultaneous events already at minimum width and maximum
@@ -435,6 +475,7 @@ impl<E> CalendarQueue<E> {
             return;
         }
         self.cooldown = total.max(256);
+        self.retunes += 1;
 
         // Drain into the reusable buffer; `spill.drain()` keeps the
         // heap's allocation alive (unlike take + into_vec, which would
@@ -1170,6 +1211,49 @@ mod tests {
             popped += 1;
         }
         assert_eq!(popped, 20_000);
+    }
+
+    #[test]
+    fn steady_hold_pattern_settles_on_one_geometry() {
+        // The classic hold model at a fixed depth — pop one, schedule
+        // one — with the shape of a fabric's event population: near-
+        // future churn plus a 1-in-16 trickle of far-out timers, whose
+        // misfits are what keep retune checks coming. Before the
+        // hysteresis, a mean spacing whose width target sat near a
+        // power-of-two boundary (400, 500, 800 ns here) flipped between
+        // two adjacent shapes a dozen times or more over the steady
+        // half of this run; the means in between settled by luck.
+        const DEPTH: usize = 5_500;
+        const OPS: usize = 2_000_000;
+        for mean_ns in [300u64, 400, 500, 600, 800, 1_000] {
+            let mut rng = crate::rng::Rng::new(7);
+            let mut draw = |now: u64| {
+                let scale = if rng.next_below(16) == 0 { 200.0 } else { 1.0 };
+                let gap = -rng.next_f64().max(1e-12).ln() * (mean_ns * 1_000) as f64 * scale;
+                Time(now + 1 + gap as u64)
+            };
+            let mut q = CalendarQueue::with_capacity(DEPTH);
+            for i in 0..DEPTH {
+                q.schedule(draw(0), i);
+            }
+            let mut warm = 0;
+            let mut last = Time::ZERO;
+            for i in 0..OPS {
+                let (t, _) = q.pop().expect("the depth is held");
+                assert!(t >= last, "geometry must never reorder pops");
+                last = t;
+                q.schedule(draw(t.0), i);
+                if i == OPS / 2 {
+                    warm = q.retunes();
+                }
+            }
+            assert!(warm >= 1, "mean {mean_ns} ns: the wheel adapted at all");
+            assert!(
+                q.retunes() - warm <= 3,
+                "mean {mean_ns} ns: {} geometry changes after warm-up ({warm} before)",
+                q.retunes() - warm
+            );
+        }
     }
 
     #[test]

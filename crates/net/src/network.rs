@@ -566,8 +566,9 @@ impl Network {
     }
 
     /// Turn the engine self-profiler on: every subsequent dispatched
-    /// event, queue pop, telemetry sample and audit pass is binned by
-    /// subsystem with its wall-clock cost. Byte-identical simulation
+    /// event, queue pop, telemetry sample and audit pass is counted in
+    /// its subsystem's bin, and a fixed one-in-N sample of batches is
+    /// timed (see [`crate::profile`]). Byte-identical simulation
     /// outputs — the profiler only reads the monotonic clock.
     pub fn enable_profile(&mut self) {
         if self.prof.is_none() {
@@ -703,13 +704,16 @@ impl Network {
         // force serial (shared RNG stream in global CNP-arrival order);
         // that is decided once in `set_shards`.
         if self.shards.is_some() {
-            return self.run_until_sharded(t);
+            self.profiling(EngineProfiler::wall_begin);
+            self.run_until_sharded(t);
+            return self.profiling(EngineProfiler::run_end);
         }
+        self.profiling(EngineProfiler::run_begin);
         if !self.primed {
             self.prime();
         }
         let mut batch = std::mem::take(&mut self.batch);
-        while let Some(at) = self.pop_batch_timed(t, &mut batch) {
+        while let Some(at) = self.pop_batch(t, &mut batch) {
             for i in 0..batch.len() {
                 let (seq, ev) = batch[i];
                 self.queue.note_dispatched(at, seq);
@@ -723,9 +727,9 @@ impl Network {
                     self.telemetry_sample(at, false);
                     self.batch_undispatched = 0;
                 }
-                self.dispatch_timed(at, ev);
+                self.dispatch_profiled(at, ev);
                 if self.audit_due() {
-                    self.audit_timed();
+                    self.timed(Subsystem::Audit, |net| net.audit_checked().raise());
                 }
             }
             batch.clear();
@@ -735,6 +739,7 @@ impl Network {
         if matches!(&self.telemetry, Some(tel) if tel.due_at(t)) {
             self.telemetry_sample(t, true);
         }
+        self.profiling(EngineProfiler::run_end);
     }
 
     /// The sampler's read-only view of this network (serial path).
@@ -750,63 +755,60 @@ impl Network {
     /// Take/restore dance around `&mut telemetry` + `&self` sampling.
     /// Samples boundaries `< at` (or `≤ at` when `inclusive`).
     fn telemetry_sample(&mut self, at: Time, inclusive: bool) {
-        if let Some(mut tel) = self.telemetry.take() {
-            let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-            while if inclusive {
-                tel.due_at(at)
-            } else {
-                tel.due_before(at)
-            } {
-                let b = tel.pop_boundary();
-                tel.sample(b, &self.fabric_view());
+        self.timed(Subsystem::Telemetry, |net| {
+            if let Some(mut tel) = net.telemetry.take() {
+                while if inclusive {
+                    tel.due_at(at)
+                } else {
+                    tel.due_before(at)
+                } {
+                    let b = tel.pop_boundary();
+                    tel.sample(b, &net.fabric_view());
+                }
+                net.telemetry = Some(tel);
             }
-            if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-                p.record(Subsystem::Telemetry, t0.elapsed().as_nanos() as u64);
-            }
-            self.telemetry = Some(tel);
+        });
+    }
+
+    /// Tell the profiler, when there is one.
+    #[inline]
+    pub(crate) fn profiling(&mut self, f: impl FnOnce(&mut EngineProfiler)) {
+        if let Some(p) = self.prof.as_deref_mut() {
+            f(p);
         }
     }
 
-    /// `pop_batch_until`, attributed to [`Subsystem::QueuePop`] when
-    /// profiling.
+    /// Run `f`, as an always-timed region of `s` when profiling: the
+    /// rare, long paths (telemetry sample, audit pass) that a one-in-N
+    /// sample would mostly miss.
+    fn timed(&mut self, s: Subsystem, f: impl FnOnce(&mut Self)) {
+        let t0 = self.prof.as_deref_mut().map(|p| p.start());
+        f(self);
+        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
+            p.stop(s, t0);
+        }
+    }
+
+    /// `pop_batch_until`; when profiling, opens the batch on the
+    /// profiler (which decides whether this batch is timed) and closes
+    /// the pop into [`Subsystem::QueuePop`].
     #[inline]
-    fn pop_batch_timed(&mut self, t: Time, batch: &mut Vec<(u64, Event)>) -> Option<Time> {
-        if self.prof.is_none() {
+    fn pop_batch(&mut self, t: Time, batch: &mut Vec<(u64, Event)>) -> Option<Time> {
+        let Some(p) = self.prof.as_deref_mut() else {
             return self.queue.pop_batch_until(t, batch);
-        }
-        let t0 = std::time::Instant::now();
+        };
+        p.begin_batch();
         let r = self.queue.pop_batch_until(t, batch);
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.record(Subsystem::QueuePop, ns);
-        }
+        p.lap(Subsystem::QueuePop);
         r
     }
 
-    /// `dispatch`, attributed to the event kind's subsystem when
+    /// `dispatch`, closed into the event kind's subsystem when
     /// profiling. The off cost is one branch.
     #[inline]
-    pub(crate) fn dispatch_timed(&mut self, at: Time, ev: Event) {
-        if self.prof.is_none() {
-            return self.dispatch(at, ev);
-        }
-        let s = Network::subsystem_of(&ev);
-        let t0 = std::time::Instant::now();
+    pub(crate) fn dispatch_profiled(&mut self, at: Time, ev: Event) {
         self.dispatch(at, ev);
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.record(s, ns);
-        }
-    }
-
-    /// A due periodic audit pass, attributed to [`Subsystem::Audit`]
-    /// when profiling.
-    fn audit_timed(&mut self) {
-        let t0 = self.prof.as_ref().map(|_| std::time::Instant::now());
-        self.audit_checked().raise();
-        if let (Some(t0), Some(p)) = (t0, self.prof.as_deref_mut()) {
-            p.record(Subsystem::Audit, t0.elapsed().as_nanos() as u64);
-        }
+        self.profiling(|p| p.lap(Network::subsystem_of(&ev)));
     }
 
     /// Run until the workload drains (every class finished, every
@@ -817,9 +819,10 @@ impl Network {
         if !self.primed {
             self.prime();
         }
+        self.profiling(EngineProfiler::run_begin);
         let mut last = self.queue.now();
         let mut batch = std::mem::take(&mut self.batch);
-        while let Some(at) = self.pop_batch_timed(Time::MAX, &mut batch) {
+        while let Some(at) = self.pop_batch(Time::MAX, &mut batch) {
             // Lazily sampled before the first event actually dispatched
             // at `at` — a batch of nothing but dropped ticks samples
             // nothing, exactly like the one-pop loop did.
@@ -841,9 +844,9 @@ impl Network {
                     }
                     sampled = true;
                 }
-                self.dispatch_timed(at, ev);
+                self.dispatch_profiled(at, ev);
                 if self.audit_due() {
-                    self.audit_timed();
+                    self.timed(Subsystem::Audit, |net| net.audit_checked().raise());
                 }
                 if !is_tick {
                     last = at;
@@ -859,6 +862,7 @@ impl Network {
         if matches!(&self.telemetry, Some(tel) if tel.due_at(last)) {
             self.telemetry_sample(last, true);
         }
+        self.profiling(EngineProfiler::run_end);
         last
     }
 
@@ -1622,5 +1626,77 @@ impl Network {
             ),
             (Dev::Hca(_), _) => unreachable!("HCA fed directly by an HCA"),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen::DestPattern;
+    use crate::profile::N_SUBSYSTEMS;
+    use ibsim_topo::FatTreeSpec;
+
+    /// The 8-node fat tree under uniform traffic, CC on.
+    fn fat8_cc_on() -> Network {
+        let topo = FatTreeSpec::TEST_8.build();
+        let mut net = Network::new(&topo, NetConfig::paper());
+        for n in 0..topo.num_hcas as NodeId {
+            net.set_classes(
+                n,
+                vec![TrafficClass::new(100, DestPattern::UniformExceptSelf, 4096)],
+            );
+        }
+        net
+    }
+
+    /// The profiler's counts are exact, not sampled: against the same
+    /// fabric driven by hand with the profiler off, every dispatch bin
+    /// holds exactly the events of its kinds, the dispatch bins add up
+    /// to `events_processed()`, and the pop bin holds every batch (plus
+    /// the one empty pop that ends a `run_until`).
+    #[test]
+    fn profiler_counts_every_pop_and_dispatch_exactly() {
+        let t = Time::from_us(200);
+        let mut net = fat8_cc_on();
+        net.enable_profile();
+        net.run_until(t);
+        let report = net.profile_report().expect("profiling is on");
+
+        let mut plain = fat8_cc_on();
+        plain.prime();
+        let mut batches = 0u64;
+        let mut by_bin = [0u64; N_SUBSYSTEMS];
+        let mut batch = Vec::new();
+        while let Some(at) = plain.queue.pop_batch_until(t, &mut batch) {
+            batches += 1;
+            for (seq, ev) in batch.drain(..) {
+                plain.queue.note_dispatched(at, seq);
+                by_bin[Network::subsystem_of(&ev) as usize] += 1;
+                plain.dispatch(at, ev);
+            }
+        }
+        assert!(batches > 1_000, "the run did real work");
+        assert_eq!(plain.events_processed(), net.events_processed());
+
+        assert_eq!(report.events, net.events_processed());
+        let mut dispatched = 0;
+        for (bin, s) in report.bins.iter().zip(Subsystem::ALL) {
+            assert_eq!(bin.subsystem, s.name());
+            assert!(bin.timed_calls <= bin.calls);
+            if s == Subsystem::QueuePop {
+                assert_eq!(bin.calls, batches + 1, "one pop per batch, one empty");
+            } else {
+                assert_eq!(bin.calls, by_bin[s as usize], "{} calls", s.name());
+                dispatched += bin.calls;
+            }
+        }
+        assert_eq!(dispatched, net.events_processed());
+        // Every SAMPLE_PERIOD-th batch was timed.
+        let pops = &report.bins[Subsystem::QueuePop as usize];
+        assert_eq!(
+            pops.timed_calls,
+            pops.calls / crate::profile::SAMPLE_PERIOD as u64
+        );
+        assert!(report.wall_ns > 0 && report.total_ns > 0);
     }
 }

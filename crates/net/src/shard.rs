@@ -503,7 +503,7 @@ impl Network {
                 .as_ref()
                 .map(|t| Tracer::for_flows(t.flows().iter().copied()));
             sh.obs_buf = self.telemetry.as_ref().map(|_| Box::new(ObsBuf::new()));
-            sh.prof = self.prof.as_ref().map(|_| Box::new(EngineProfiler::new()));
+            sh.prof = self.prof.as_ref().map(|p| Box::new(p.fork()));
             let installed: Vec<(Time, u64, Event)> = entries
                 .into_iter()
                 .map(|(at, seq, es)| (at, seq, es.install(&mut sh.pool)))
@@ -689,6 +689,7 @@ impl Network {
             .as_mut()
             .expect("windows run on shards")
             .w_end = w_end;
+        self.profiling(EngineProfiler::run_begin);
         loop {
             let tm = self.queue.peek_time();
             let tw = self
@@ -711,7 +712,7 @@ impl Network {
             // the two per-queue batches is already in key order —
             // pre-window events first, window-local events after, just
             // as serial seq assignment orders them.
-            let p0 = self.prof.as_ref().map(|_| std::time::Instant::now());
+            self.profiling(EngineProfiler::begin_batch);
             if tm == Some(t) {
                 self.queue.pop_batch_until(t, batch);
             }
@@ -722,12 +723,7 @@ impl Network {
                     .win
                     .pop_batch_until(t, batch);
             }
-            if let Some(t0) = p0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                if let Some(p) = self.prof.as_deref_mut() {
-                    p.record(Subsystem::QueuePop, ns);
-                }
-            }
+            self.profiling(|p| p.lap(Subsystem::QueuePop));
             if let Some(b) = self.obs_buf.as_deref_mut() {
                 // Flight notes recorded during these dispatches must
                 // carry the batch time — the shard's main-queue clock
@@ -738,7 +734,7 @@ impl Network {
                 let before = self.shard_route.as_ref().expect("shard").prov;
                 let tr0 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
                 let fl0 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
-                self.dispatch_timed(t, ev);
+                self.dispatch_profiled(t, ev);
                 let tr1 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
                 let fl1 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 let r = self.shard_route.as_mut().expect("shard");
@@ -751,6 +747,7 @@ impl Network {
                 });
             }
         }
+        self.profiling(EngineProfiler::run_end);
     }
 }
 
@@ -862,13 +859,10 @@ fn coordinate_timed(
     flow: &mut Flow,
     obs: &mut MasterObs<'_>,
 ) -> Option<Time> {
-    let t0 = obs.prof.as_ref().map(|_| std::time::Instant::now());
+    let t0 = obs.prof.as_mut().map(|p| p.start());
     let next = coordinate(nets, cursors, owners, lookahead_ps, t, flow, obs);
-    if let Some(t0) = t0 {
-        let ns = t0.elapsed().as_nanos() as u64;
-        if let Some(p) = obs.prof.as_mut() {
-            p.record(Subsystem::Barrier, ns);
-        }
+    if let (Some(t0), Some(p)) = (t0, obs.prof.as_mut()) {
+        p.stop(Subsystem::Barrier, t0);
     }
     next
 }

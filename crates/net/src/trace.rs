@@ -120,17 +120,21 @@ impl TraceRecord {
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     flows: HashSet<(NodeId, NodeId)>,
+    /// `flows` as the per-hop filter reads it: the traced destinations
+    /// in ascending order, each with its traced sources in ascending
+    /// order. Most packets are bound for no traced destination and
+    /// leave after a short search over the few that are; nothing is
+    /// hashed on the hot path. Rebuilt whenever `flows` changes.
+    by_dst: Vec<(NodeId, Vec<NodeId>)>,
     records: Vec<TraceRecord>,
     by_packet: HashMap<(NodeId, NodeId, u32), Vec<u32>>,
 }
 
 impl Tracer {
     pub fn for_flows(flows: impl IntoIterator<Item = (NodeId, NodeId)>) -> Self {
-        Tracer {
-            flows: flows.into_iter().collect(),
-            records: Vec::new(),
-            by_packet: HashMap::new(),
-        }
+        let mut t = Tracer::default();
+        t.add_flows(flows);
+        t
     }
 
     /// Widen the traced flow set, keeping records already collected.
@@ -138,6 +142,15 @@ impl Tracer {
     /// relative to other `enable_*`/`install_*` calls never matters.
     pub fn add_flows(&mut self, flows: impl IntoIterator<Item = (NodeId, NodeId)>) {
         self.flows.extend(flows);
+        let mut pairs: Vec<(NodeId, NodeId)> = self.flows.iter().map(|&(s, d)| (d, s)).collect();
+        pairs.sort_unstable();
+        self.by_dst.clear();
+        for (d, s) in pairs {
+            match self.by_dst.last_mut() {
+                Some((last, srcs)) if *last == d => srcs.push(s),
+                _ => self.by_dst.push((d, vec![s])),
+            }
+        }
     }
 
     /// The traced (src, dst) set, for cloning a filter onto shards.
@@ -147,7 +160,9 @@ impl Tracer {
 
     #[inline]
     pub fn wants(&self, src: NodeId, dst: NodeId) -> bool {
-        self.flows.contains(&(src, dst))
+        self.by_dst
+            .binary_search_by_key(&dst, |e| e.0)
+            .is_ok_and(|i| self.by_dst[i].1.binary_search(&src).is_ok())
     }
 
     /// Flow-set check with CNP reversal: a CNP for traced flow
@@ -277,6 +292,28 @@ mod tests {
         assert_eq!(t.records()[0].vl, 0);
         assert_eq!(t.records()[0].voq, 3);
         assert_eq!(t.records()[0].credit, 8);
+    }
+
+    #[test]
+    fn flow_filter_agrees_with_the_flow_set_however_it_was_built() {
+        // Several destinations, shared sources, duplicates, and a second
+        // widening call: the sorted index must answer exactly what set
+        // membership answers, for every pair in a box around the ids.
+        let first = [(9, 2), (1, 2), (5, 7), (1, 7), (1, 2)];
+        let second = [(3, 2), (0, 0), (9, 2)];
+        let mut t = Tracer::for_flows(first);
+        t.add_flows(second);
+        let mut u = Tracer::for_flows(second);
+        u.add_flows(first);
+        assert_eq!(t.flows().len(), 6, "duplicates collapse");
+        for src in 0..12 {
+            for dst in 0..12 {
+                let want = t.flows().contains(&(src, dst));
+                assert_eq!(t.wants(src, dst), want, "({src}, {dst})");
+                assert_eq!(u.wants(src, dst), want, "order-irrelevant ({src}, {dst})");
+            }
+        }
+        assert!(!Tracer::default().wants(0, 0));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! leaks into results.
 
 use ibsim::prelude::*;
-use ibsim_net::{records_csv, NetworkState, TelemetryConfig};
+use ibsim_net::{records_csv, NetworkState, ProfileReport, Subsystem, TelemetryConfig};
 use ibsim_state::diff_values;
 use proptest::prelude::*;
 use serde::Serialize;
@@ -362,17 +362,29 @@ fn observation_streams_match_serial_across_shard_counts() {
 }
 
 /// The self-profiler under sharding: per-shard bins fold into the
-/// master at merge, so a sharded profiled run still accounts events to
-/// subsystems (and the barrier bin is populated — only the coordinator
-/// records it).
+/// master at merge, and because the profiler counts every call (only
+/// the timing is sampled), the counts are a pin, not a smoke test.
+/// Every dispatch bin holds exactly the serial run's count at every
+/// shard count — the shards dispatch the same events, just elsewhere.
+/// The remaining bins count what the executor physically did, which is
+/// its own shape: shards pop their own batches (two shards holding
+/// events for the same instant pop twice where the serial loop pops
+/// once), and the coordinator samples telemetry and steps the audit
+/// cadence inside its barriers, so those land in the barrier bin.
 #[test]
 fn sharded_profile_report_accounts_subsystems() {
+    let dispatch_bins: Vec<&str> = Subsystem::ALL
+        .iter()
+        .filter(|&&s| !s.always_timed() && s != Subsystem::QueuePop)
+        .map(|s| s.name())
+        .collect();
     let topo = FatTreeSpec::TEST_8.build();
-    let mut net = observed_net(&topo, 4);
-    net.run_until(us(400));
-    let report = net.profile_report().expect("profiling is on");
-    assert!(report.events > 0);
-    let bin = |name: &str| {
+    let report_at = |n: usize| {
+        let mut net = observed_net(&topo, n);
+        net.run_until(us(400));
+        net.profile_report().expect("profiling is on")
+    };
+    let calls = |report: &ProfileReport, name: &str| {
         report
             .bins
             .iter()
@@ -380,8 +392,34 @@ fn sharded_profile_report_accounts_subsystems() {
             .unwrap_or_else(|| panic!("report has a {name} bin"))
             .calls
     };
-    assert!(bin("queue_pop") > 0, "shard-side pops fold into the master");
-    assert!(bin("barrier") > 0, "the coordinator times its barriers");
+
+    let serial = report_at(1);
+    assert!(serial.events > 0);
+    let dispatched: u64 = dispatch_bins.iter().map(|b| calls(&serial, b)).sum();
+    assert_eq!(dispatched, serial.events, "every event is in a bin");
+    assert!(calls(&serial, "telemetry") > 0 && calls(&serial, "audit") > 0);
+    assert_eq!(calls(&serial, "barrier"), 0);
+
+    for n in [2, 4] {
+        let sharded = report_at(n);
+        assert_eq!(sharded.events, serial.events);
+        for &name in &dispatch_bins {
+            assert_eq!(
+                calls(&sharded, name),
+                calls(&serial, name),
+                "shards={n}: {name} calls differ from serial"
+            );
+        }
+        assert!(
+            calls(&sharded, "queue_pop") > 0,
+            "shard-side pops fold into the master"
+        );
+        assert!(
+            calls(&sharded, "barrier") > 0,
+            "the coordinator times its barriers"
+        );
+        assert!(sharded.bins.iter().all(|b| b.timed_calls <= b.calls));
+    }
 }
 
 // ---------------------------------------------------------------------
