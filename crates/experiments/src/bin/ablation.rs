@@ -118,13 +118,7 @@ fn cells_for(param: &str, base: &NetConfig) -> Vec<Cell> {
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let preset = args.preset();
     let param = args.get("param").unwrap_or("threshold").to_string();
     let topo = preset.topology();
@@ -147,7 +141,7 @@ fn main() {
     let results = parallel_map_progress(
         &cells,
         args.threads(),
-        |cell| run_scenario(&topo, cell.cfg.clone(), roles, dur, None),
+        |cell| opts.run_scenario(&topo, cell.cfg.clone(), roles, dur, None, true, None),
         |d, t| eprintln!("  cell {d}/{t}"),
     );
 
@@ -177,7 +171,7 @@ fn main() {
         )
     );
 
-    let out = args.out_dir();
+    let out = &opts.out;
     let csv: Vec<Vec<String>> = cells
         .iter()
         .zip(&results)

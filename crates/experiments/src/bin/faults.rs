@@ -17,7 +17,7 @@
 //! sanctioned BECN drops are expected and merely ledgered.
 
 use ibsim::prelude::*;
-use ibsim_experiments::{f2, f3, Args};
+use ibsim_experiments::{f2, f3, or_exit, Args};
 use ibsim_traffic::RoleSpec;
 
 /// One stalled victim link plus lossy BECN delivery, both clearing
@@ -27,13 +27,9 @@ const DEFAULT_SPEC: &str = "flap:link=hca:1,at=3ms,dur=1ms,factor=stall;\
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    // The drill's per-bin meter restarts are not checkpointable state.
+    let opts = args.run_options();
+    let opts = or_exit(opts.without(&["checkpoint_at", "resume_from"], "the fault drill"));
     let preset = args.preset();
     let spec = args.get("faults").unwrap_or(DEFAULT_SPEC);
     let schedule = FaultSchedule::from_spec(spec, args.seed())
@@ -62,7 +58,7 @@ fn main() {
         bin.as_ps() / 1_000_000
     );
 
-    let (report, audit) = run_drill_floor(&topo, cfg, roles, dur, bin, &schedule, floor);
+    let (report, audit) = opts.run_drill(&topo, cfg, roles, dur, bin, &schedule, floor);
 
     // ---- per-bin timeline -------------------------------------------------
     let rows: Vec<Vec<String>> = report
@@ -119,7 +115,7 @@ fn main() {
     );
 
     // ---- artifact + verdict ----------------------------------------------
-    let out = args.out_dir();
+    let out = &opts.out;
     let path = out.join("faults_recovery.json");
     write_json(&path, &report).expect("write json");
     eprintln!("wrote {}", path.display());

@@ -22,13 +22,7 @@ struct Case {
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let dur = RunDurations::new_ms(2, 4);
 
     let cases = vec![
@@ -78,7 +72,7 @@ fn main() {
             c_pct_of_rest: 80,
         };
         let cfg = NetConfig::paper().with_seed(args.seed());
-        let pair = run_cc_pair(&case.topo, &cfg, roles, dur, None);
+        let pair = opts.run_cc_pair(&case.topo, &cfg, roles, dur, None, None);
         rows.push(vec![
             case.name.clone(),
             f3(pair.off.non_hotspot_rx),
@@ -115,7 +109,7 @@ fn main() {
          hotspot-utilisation cost and lower fairness than on the fat tree."
     );
 
-    let out = args.out_dir();
+    let out = &opts.out;
     write_csv(
         &out.join("futurework.csv"),
         &[

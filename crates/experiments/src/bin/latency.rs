@@ -12,23 +12,21 @@
 //! ```
 
 use ibsim::prelude::*;
-use ibsim_experiments::{f2, Args};
-use ibsim_net::Network;
+use ibsim_experiments::{f2, or_exit, Args};
 
 struct Point {
     load_pct: u32,
     cc: bool,
 }
 
-fn run_point(topo: &Topology, cfg: &NetConfig, p: &Point, measure: TimeDelta) -> (f64, f64, f64) {
+/// One point's fabric, armed by the one arm like every other run:
+/// uniform traffic at `p.load_pct` from every node.
+fn point_network(opts: &RunOptions, topo: &Topology, cfg: &NetConfig, p: &Point) -> Network {
     let mut c = cfg.clone();
     if !p.cc {
         c.cc = None;
     }
-    let mut net = Network::new(topo, c);
-    ibsim::audit::arm(&mut net);
-    ibsim::trace::arm(&mut net);
-    ibsim::profile::arm(&mut net);
+    let mut net = opts.network(topo, c, None);
     for n in 0..topo.num_hcas as u32 {
         net.set_classes(
             n,
@@ -39,13 +37,23 @@ fn run_point(topo: &Topology, cfg: &NetConfig, p: &Point, measure: TimeDelta) ->
             )],
         );
     }
+    net
+}
+
+fn run_point(
+    opts: &RunOptions,
+    topo: &Topology,
+    cfg: &NetConfig,
+    p: &Point,
+    measure: TimeDelta,
+) -> (f64, f64, f64) {
+    let mut net = point_network(opts, topo, cfg, p);
     net.run_until(Time::ZERO + measure); // warmup = one window
     net.start_measurement();
     net.run_until(Time::ZERO + measure + measure);
     net.stop_measurement();
-    ibsim::trace::finish(&net, if p.cc { "cc_on" } else { "cc_off" });
-    ibsim::profile::finish(&net, if p.cc { "cc_on" } else { "cc_off" });
-    net.audit_now().raise();
+    let hint = if p.cc { "cc_on" } else { "cc_off" };
+    opts.finish(&mut net, hint, &[]).audit.raise();
     let lat = net.latency_histogram();
     let rx: f64 = (0..topo.num_hcas as u32)
         .map(|n| net.rx_gbps(n))
@@ -57,13 +65,10 @@ fn run_point(topo: &Topology, cfg: &NetConfig, p: &Point, measure: TimeDelta) ->
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    // A point is not a labelled scenario: there is no checkpoint file
+    // name for it to save under or resume from.
+    let opts = args.run_options();
+    let opts = or_exit(opts.without(&["checkpoint_at", "resume_from"], "the latency sweep"));
     let preset = args.preset();
     let topo = preset.topology();
     let cfg = preset.net_config().with_seed(args.seed());
@@ -89,7 +94,7 @@ fn main() {
         topo.num_hcas, loads
     );
     let results = parallel_map(&points, args.threads(), |p| {
-        run_point(&topo, &cfg, p, measure)
+        run_point(&opts, &topo, &cfg, p, measure)
     });
 
     let mut rows = Vec::new();
@@ -116,7 +121,7 @@ fn main() {
         )
     );
 
-    let out = args.out_dir();
+    let out = &opts.out;
     write_csv(
         &out.join("latency.csv"),
         &["load_pct", "cc", "rx_gbps", "p50_us", "p99_us"],
@@ -124,4 +129,31 @@ fn main() {
     )
     .expect("csv");
     eprintln!("wrote {}", out.join("latency.csv").display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--shards` (and every other run option) reaches a latency point:
+    /// it used to be parsed and dropped.
+    #[test]
+    fn a_sharded_point_is_sharded_and_reports_the_serial_row() {
+        let topo = FatTreeSpec::TEST_8.build();
+        let cfg = NetConfig::paper();
+        let p = Point {
+            load_pct: 70,
+            cc: true,
+        };
+        let sharded = RunOptions {
+            shards: 4,
+            audit: Some(20_000),
+            ..RunOptions::default()
+        };
+        assert!(point_network(&sharded, &topo, &cfg, &p).shard_count() > 1);
+        let measure = TimeDelta::from_us(200);
+        let serial = run_point(&RunOptions::default(), &topo, &cfg, &p, measure);
+        assert!(serial.0 > 0.0);
+        assert_eq!(serial, run_point(&sharded, &topo, &cfg, &p, measure));
+    }
 }

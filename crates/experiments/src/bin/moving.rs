@@ -20,13 +20,7 @@ use ibsim_experiments::{f2, f3, Args};
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let preset = args.preset();
     let windy = args.get_flag("b");
     let (roles_desc, roles) = if windy {
@@ -75,7 +69,7 @@ fn main() {
     let pairs = parallel_map_progress(
         &lifetimes,
         args.threads(),
-        |&life| run_cc_pair_faults(&topo, &cfg, roles, dur, Some(life), faults.as_ref()),
+        |&life| opts.run_cc_pair(&topo, &cfg, roles, dur, Some(life), faults.as_ref()),
         |done, total| eprintln!("  cell {done}/{total}"),
     );
 
@@ -124,7 +118,7 @@ fn main() {
     println!("average receive rate vs decreasing hotspot lifetime");
     println!("{}", ascii_plot(&series, 60, 14));
 
-    let out = args.out_dir();
+    let out = &opts.out;
     let csv: Vec<Vec<String>> = lifetimes
         .iter()
         .zip(&pairs)

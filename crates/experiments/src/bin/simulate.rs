@@ -1,4 +1,4 @@
-//! Run any hotspot scenario from a JSON specification — the
+//! Run any hotspot scenario or workload from a JSON specification — the
 //! config-file front door a downstream user reaches for first.
 //!
 //! ```text
@@ -10,25 +10,22 @@
 //! as JSON on stdout (`--json` for JSON only).
 
 use ibsim::prelude::*;
-use ibsim_experiments::spec::SimSpec;
-use ibsim_experiments::{f2, f3, Args};
+use ibsim_experiments::spec::{SimResult, SimSpec};
+use ibsim_experiments::{f2, f3, or_exit, print_workload, Args};
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
     let Some(path) = args.positionals.first() else {
-        eprintln!("usage: simulate <spec.json> [--json]");
+        eprintln!("usage: simulate <spec.json> [--json] [run options]");
         std::process::exit(2);
     };
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    let spec = SimSpec::from_json(&text).unwrap_or_else(|e| panic!("bad spec: {e}"));
-    let (on, off) = spec.run().unwrap_or_else(|e| panic!("run failed: {e}"));
+    let text =
+        or_exit(std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}")));
+    let mut spec = or_exit(SimSpec::from_json(&text).map_err(|e| format!("bad spec {path}: {e}")));
+    // Spec `options` < IBSIM_* < flags, resolved before anything runs.
+    spec.options = or_exit(args.try_run_options(spec.options.clone()));
+    let nodes = spec.topology.build().num_hcas;
+    let (on, off) = or_exit(spec.run().map_err(|e| format!("run failed: {e}")));
 
     if args.get_flag("json") {
         println!(
@@ -39,21 +36,23 @@ fn main() {
     }
 
     let mut rows = vec![];
-    let mut push = |r: &ScenarioResult| {
-        rows.push(vec![
-            if r.cc { "on" } else { "off" }.to_string(),
-            f3(r.hotspot_rx),
-            f3(r.non_hotspot_rx),
-            f3(r.all_rx),
-            f2(r.total_rx),
-            format!("{:.1}", r.latency_p50_us),
-            format!("{:.1}", r.latency_p99_us),
-            r.fairness.map(|f| format!("{f:.3}")).unwrap_or_default(),
-        ]);
-    };
-    push(&on);
-    if let Some(off) = &off {
-        push(off);
+    for r in [Some(&on), off.as_ref()].into_iter().flatten() {
+        match r {
+            SimResult::Workload(r) => print_workload(r, nodes),
+            SimResult::Scenario(r) => rows.push(vec![
+                if r.cc { "on" } else { "off" }.to_string(),
+                f3(r.hotspot_rx),
+                f3(r.non_hotspot_rx),
+                f3(r.all_rx),
+                f2(r.total_rx),
+                format!("{:.1}", r.latency_p50_us),
+                format!("{:.1}", r.latency_p99_us),
+                r.fairness.map(|f| format!("{f:.3}")).unwrap_or_default(),
+            ]),
+        }
+    }
+    if rows.is_empty() {
+        return;
     }
     println!(
         "{}",

@@ -19,13 +19,7 @@ use ibsim_experiments::{f2, f3, run_workload_cli, Args};
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let preset = args.preset();
     let topo = preset.topology();
     let cfg = preset.net_config().with_seed(args.seed());
@@ -34,7 +28,7 @@ fn main() {
     // `--workload SPEC` swaps the silent forest for a production-shaped
     // workload on the same preset fabric and exits.
     if let Some(wl) = args.workload() {
-        run_workload_cli(&args, &topo, cfg, &wl, dur);
+        run_workload_cli(&opts, &topo, cfg, &wl, dur);
         return;
     }
     let roles = RoleSpec {
@@ -65,7 +59,7 @@ fn main() {
         if !cc {
             c.cc = None;
         }
-        run_scenario_opts(&topo, c, roles, dur, None, active)
+        opts.run_scenario(&topo, c, roles, dur, None, active, None)
     });
     let (base_off, base_on, hs_off, hs_on) = (&results[0], &results[1], &results[2], &results[3]);
 
@@ -149,8 +143,9 @@ fn main() {
             if !cc {
                 c.cc = None;
             }
+            let threads = args.threads();
             let rep =
-                ibsim::run_scenario_replicated(&topo, &c, roles, dur, None, &seeds, args.threads());
+                ibsim::run_scenario_replicated(&opts, &topo, &c, roles, dur, None, &seeds, threads);
             println!(
                 "  CC {}: hotspot {}  non-hotspot {}  total {}",
                 if cc { "on " } else { "off" },
@@ -161,7 +156,7 @@ fn main() {
         }
     }
 
-    let out = args.out_dir();
+    let out = &opts.out;
     let csv_rows: Vec<Vec<String>> = vec![
         vec!["no_hotspots_no_cc_all".into(), f3(base_off.all_rx)],
         vec!["no_hotspots_cc_all".into(), f3(base_on.all_rx)],
@@ -182,20 +177,25 @@ fn main() {
     // --backend-compare: re-run the hotspot CC-on cell under each
     // congestion-control backend (IB CC and DCQCN/PFC) against the
     // shared CC-off baseline already computed above, and emit a
-    // side-by-side CSV. Serial per backend: the selector is process
-    // global.
+    // side-by-side CSV. The backend is a field of the options each
+    // cell is handed, so both cells share one parallel map.
     if args.get_flag("backend-compare") {
-        let mut rows = Vec::new();
-        rows.push(vec![
+        let backends = [ibsim_cc::CcBackend::IbCc, ibsim_cc::CcBackend::Dcqcn];
+        let cells = parallel_map(&backends, args.threads(), |&b| {
+            let opts = RunOptions {
+                cc_backend: Some(b),
+                ..opts.clone()
+            };
+            opts.run_scenario(&topo, cfg.clone(), roles, dur, None, true, None)
+        });
+        let mut rows = vec![vec![
             "none".into(),
             f3(hs_off.hotspot_rx),
             f3(hs_off.non_hotspot_rx),
             f3(hs_off.total_rx),
             "1.00".into(),
-        ]);
-        for b in [ibsim_cc::CcBackend::IbCc, ibsim_cc::CcBackend::Dcqcn] {
-            ibsim::backend::force(b);
-            let r = run_scenario_opts(&topo, cfg.clone(), roles, dur, None, true);
+        ]];
+        for (b, r) in backends.iter().zip(&cells) {
             rows.push(vec![
                 b.name().into(),
                 f3(r.hotspot_rx),
@@ -204,8 +204,6 @@ fn main() {
                 f2(r.total_rx / hs_off.total_rx),
             ]);
         }
-        ibsim::backend::clear();
-        args.apply_cc_backend();
         let name = "table2_backend_compare.csv";
         write_csv(
             &out.join(name),

@@ -24,13 +24,7 @@ struct Candidate {
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let preset = args.preset();
     let topo = preset.topology();
     let dur = preset.durations();
@@ -71,7 +65,7 @@ fn main() {
             p.ccti_timer = c.timer;
             p.cct = Cct::populate(128, CctShape::Linear { step: c.step });
             cfg.cc = Some(p);
-            run_scenario(&topo, cfg, roles, dur, None)
+            opts.run_scenario(&topo, cfg, roles, dur, None, true, None)
         },
         |d, t| {
             if d % 9 == 0 || d == t {
@@ -131,7 +125,7 @@ fn main() {
         candidates.len()
     );
 
-    let out = args.out_dir();
+    let out = &opts.out;
     write_csv(
         &out.join("tune.csv"),
         &["candidate", "victims", "hotspot", "total", "pareto", "note"],

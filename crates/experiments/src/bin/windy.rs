@@ -20,13 +20,7 @@ use ibsim_experiments::{f2, f3, run_workload_cli, Args};
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let preset = args.preset();
     let x = args.get_u32("x", 25);
     assert!(x <= 100, "--x is a percentage");
@@ -43,7 +37,7 @@ fn main() {
     // `--workload SPEC` swaps the hotspot forest for a production-shaped
     // workload on the same preset fabric and exits.
     if let Some(wl) = args.workload() {
-        run_workload_cli(&args, &topo, cfg, &wl, dur);
+        run_workload_cli(&opts, &topo, cfg, &wl, dur);
         return;
     }
     let p_values = preset.p_values();
@@ -55,19 +49,20 @@ fn main() {
         p_values
     );
 
+    let run_pair = |opts: &RunOptions, p: u32| {
+        let roles = RoleSpec {
+            num_nodes: topo.num_hcas,
+            num_hotspots: preset.num_hotspots(),
+            b_pct: x,
+            b_p: p,
+            c_pct_of_rest: 80,
+        };
+        opts.run_cc_pair(&topo, &cfg, roles, dur, None, faults.as_ref())
+    };
     let pairs = parallel_map_progress(
         &p_values,
         args.threads(),
-        |&p| {
-            let roles = RoleSpec {
-                num_nodes: topo.num_hcas,
-                num_hotspots: preset.num_hotspots(),
-                b_pct: x,
-                b_p: p,
-                c_pct_of_rest: 80,
-            };
-            run_cc_pair_faults(&topo, &cfg, roles, dur, None, faults.as_ref())
-        },
+        |&p| run_pair(&opts, p),
         |done, total| eprintln!("  cell {done}/{total}"),
     );
 
@@ -164,7 +159,7 @@ fn main() {
     println!("{}", ascii_plot(&series_c, 60, 12));
 
     // ---- files ------------------------------------------------------------
-    let out = args.out_dir();
+    let out = &opts.out;
     let csv: Vec<Vec<String>> = p_values
         .iter()
         .zip(&pairs)
@@ -204,38 +199,35 @@ fn main() {
 
     // --backend-compare: sweep the same p ladder under each
     // congestion-control backend (IB CC and DCQCN/PFC) and emit one
-    // long-format CSV. Backends run serially — the selector is process
-    // global — but each ladder still parallelises over p.
+    // long-format CSV. The backend is a field of the options each cell
+    // is handed, so both ladders share one parallel map.
     if args.get_flag("backend-compare") {
+        let cells: Vec<(ibsim_cc::CcBackend, u32)> =
+            [ibsim_cc::CcBackend::IbCc, ibsim_cc::CcBackend::Dcqcn]
+                .into_iter()
+                .flat_map(|b| p_values.iter().map(move |&p| (b, p)))
+                .collect();
+        let bpairs = parallel_map(&cells, args.threads(), |&(b, p)| {
+            let opts = RunOptions {
+                cc_backend: Some(b),
+                ..opts.clone()
+            };
+            run_pair(&opts, p)
+        });
         let mut rows = Vec::new();
-        for b in [ibsim_cc::CcBackend::IbCc, ibsim_cc::CcBackend::Dcqcn] {
-            ibsim::backend::force(b);
-            let bpairs = parallel_map(&p_values, args.threads(), |&p| {
-                let roles = RoleSpec {
-                    num_nodes: topo.num_hcas,
-                    num_hotspots: preset.num_hotspots(),
-                    b_pct: x,
-                    b_p: p,
-                    c_pct_of_rest: 80,
-                };
-                run_cc_pair_faults(&topo, &cfg, roles, dur, None, faults.as_ref())
-            });
-            for (p, c) in p_values.iter().zip(&bpairs) {
-                rows.push(vec![
-                    p.to_string(),
-                    b.name().into(),
-                    f3(c.off.non_hotspot_rx),
-                    f3(c.on.non_hotspot_rx),
-                    f3(c.off.hotspot_rx),
-                    f3(c.on.hotspot_rx),
-                    f3(c.off.total_rx),
-                    f3(c.on.total_rx),
-                    f3(c.improvement()),
-                ]);
-            }
+        for (&(b, p), c) in cells.iter().zip(&bpairs) {
+            rows.push(vec![
+                p.to_string(),
+                b.name().into(),
+                f3(c.off.non_hotspot_rx),
+                f3(c.on.non_hotspot_rx),
+                f3(c.off.hotspot_rx),
+                f3(c.on.hotspot_rx),
+                f3(c.off.total_rx),
+                f3(c.on.total_rx),
+                f3(c.improvement()),
+            ]);
         }
-        ibsim::backend::clear();
-        args.apply_cc_backend();
         let name = format!("windy_x{x}_backend_compare.csv");
         write_csv(
             &out.join(&name),

@@ -54,13 +54,7 @@ fn ladder(nodes: usize) -> Vec<WorkloadSpec> {
 
 fn main() {
     let args = Args::parse();
-    args.apply_audit();
-    args.apply_cc_backend();
-    args.apply_shards();
-    args.apply_telemetry();
-    args.apply_trace();
-    args.apply_profile();
-    args.apply_checkpoint();
+    let opts = args.run_options();
     let topo = fabric(args.get("fabric").unwrap_or("fat8"));
     let cfg = args.preset().net_config().with_seed(args.seed());
     let dur = RunDurations {
@@ -87,7 +81,7 @@ fn main() {
     );
     let mut summary = Vec::new();
     for spec in &specs {
-        let r = run_workload_cli(&args, &topo, cfg.clone(), spec, dur);
+        let r = run_workload_cli(&opts, &topo, cfg.clone(), spec, dur);
         summary.push((spec.name(), r.total_rx, r.drained));
     }
     if summary.len() > 1 {

@@ -3,8 +3,17 @@
 
 pub mod spec;
 
-use ibsim::Preset;
+use ibsim::{OptionsError, Preset, RunOptions};
 use std::collections::HashMap;
+
+/// Unwrap a start-up result or print the error and exit 2 — how every
+/// binary reports a bad option.
+pub fn or_exit<T>(r: Result<T, impl std::fmt::Display>) -> T {
+    r.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
 
 /// Parsed `--key value` arguments plus positionals.
 #[derive(Debug, Default)]
@@ -84,11 +93,6 @@ impl Args {
         self.get_u64("threads", 0) as usize
     }
 
-    /// The shared `--out DIR` flag.
-    pub fn out_dir(&self) -> std::path::PathBuf {
-        std::path::PathBuf::from(self.get("out").unwrap_or("results"))
-    }
-
     /// The shared `--faults SPEC` flag: compile the fault-schedule spec
     /// (see `ibsim_faults::spec` / README for the grammar) against the
     /// run seed. `None` when the flag is absent; panics, naming the
@@ -101,134 +105,20 @@ impl Args {
         })
     }
 
-    /// Apply the shared `--audit` flag: force the fabric invariant
-    /// oracle on for every run this process performs. Without the flag
-    /// the environment (`IBSIM_AUDIT`) still decides, so the CI audit
-    /// leg covers binaries that were launched without it.
-    pub fn apply_audit(&self) {
-        if self.get_flag("audit") {
-            ibsim::audit::force(true);
-        }
+    /// The shared run options (`--audit --cc-backend --shards
+    /// --telemetry[=US] --telemetry-det --trace-flows --profile --out
+    /// --checkpoint-at --checkpoint-dir --resume-from`), resolved once:
+    /// defaults, then `IBSIM_<KEY>`, then the flags. A bad value prints
+    /// the error — naming key and value — and exits 2.
+    pub fn run_options(&self) -> RunOptions {
+        or_exit(self.try_run_options(RunOptions::default()))
     }
 
-    /// Apply the shared `--cc-backend {ibcc,dcqcn}` flag: select the
-    /// congestion-control backend every CC-enabled run this process
-    /// performs uses. `ibcc` (also the flag's absence under a clean
-    /// environment) is byte-identical to builds predating the backend
-    /// split; `dcqcn` swaps in PFC pause frames plus CNP-driven rate
-    /// control. Without the flag the environment (`IBSIM_CC_BACKEND`)
-    /// still decides, so the CI dcqcn leg covers binaries launched
-    /// without it.
-    pub fn apply_cc_backend(&self) {
-        if let Some(s) = self.get("cc-backend") {
-            let b = ibsim_cc::CcBackend::parse(s)
-                .unwrap_or_else(|| panic!("unknown cc backend {s:?}; try ibcc|dcqcn"));
-            ibsim::backend::force(b);
-        }
-    }
-
-    /// Apply the shared `--shards N` flag: run every simulation this
-    /// process performs on `N` parallel shards. Results are
-    /// byte-identical to the serial engine for every `N`; the flag only
-    /// buys wall-clock time. Without the flag the environment
-    /// (`IBSIM_SHARDS`) still decides, so the CI parallel leg covers
-    /// binaries launched without it.
-    pub fn apply_shards(&self) {
-        if let Some(n) = self.get("shards") {
-            let n: usize = n
-                .parse()
-                .unwrap_or_else(|_| panic!("--shards wants a count, got {n:?}"));
-            assert!(n > 0, "--shards must be positive");
-            ibsim::shards::force(n);
-        }
-    }
-
-    /// Apply the shared checkpoint/resume flags:
-    ///
-    /// * `--checkpoint-at US` — save a full-state checkpoint of every
-    ///   run this process performs when its clock reaches `US` µs;
-    /// * `--checkpoint-dir DIR` — where the files land (default
-    ///   `checkpoints/`, or `IBSIM_CKPT_DIR`);
-    /// * `--resume-from DIR` — fast-forward each run from its matching
-    ///   checkpoint in `DIR`, when one exists.
-    ///
-    /// Without the flags the environment (`IBSIM_CKPT_AT`,
-    /// `IBSIM_RESUME`) still decides, so the CI resume leg covers
-    /// binaries launched without them.
-    pub fn apply_checkpoint(&self) {
-        if let Some(us) = self.get("checkpoint-at") {
-            let us: u64 = us
-                .parse()
-                .unwrap_or_else(|_| panic!("--checkpoint-at wants microseconds, got {us:?}"));
-            assert!(us > 0, "--checkpoint-at must be positive");
-            ibsim::checkpoint::force_at(Some(ibsim_engine::time::Time::from_us(us)));
-        }
-        if let Some(dir) = self.get("checkpoint-dir") {
-            ibsim::checkpoint::set_dir(dir);
-        }
-        if let Some(dir) = self.get("resume-from") {
-            ibsim::checkpoint::force_resume(Some(dir.into()));
-        }
-    }
-
-    /// The shared `--telemetry[=EVERY_US]` flag: `None` when absent (or
-    /// `--telemetry=false`), the default 100 µs period for the bare
-    /// flag, or an explicit sampling period in microseconds.
-    pub fn telemetry(&self) -> Option<ibsim_engine::time::TimeDelta> {
-        match self.get("telemetry") {
-            None | Some("false") => None,
-            Some("true") => Some(ibsim::telemetry::default_every()),
-            Some(us) => {
-                let us: u64 = us
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--telemetry wants a period in µs, got {us:?}"));
-                assert!(us > 0, "--telemetry period must be positive");
-                Some(ibsim_engine::time::TimeDelta::from_us(us))
-            }
-        }
-    }
-
-    /// Apply the shared `--telemetry` flag: force the sampler + flight
-    /// recorder on for every run this process performs, landing the
-    /// `telemetry_*.csv` / `flight_*.json` / `figure_*.csv` artifacts
-    /// in the `--out` directory. Without the flag the environment
-    /// (`IBSIM_TELEMETRY`) still decides.
-    pub fn apply_telemetry(&self) {
-        if let Some(every) = self.telemetry() {
-            ibsim::telemetry::force(Some(every));
-            ibsim::telemetry::set_out_dir(self.out_dir());
-        }
-    }
-
-    /// Apply the shared `--trace-flows SRC:DST[,SRC:DST…]` flag (or
-    /// `--trace-flows hotspots` to trace every flow into the run's
-    /// seed-drawn hotspots): trace those flows hop by hop in every run
-    /// this process performs, exporting `trace_*.json` (Perfetto) and
-    /// `trace_*.csv` to `--trace-out` (default: the `--out`
-    /// directory). Tracing never changes simulation output — it only
-    /// observes. Without the flag the environment
-    /// (`IBSIM_TRACE_FLOWS`) still decides.
-    pub fn apply_trace(&self) {
-        if let Some(spec) = self.get("trace-flows") {
-            let flows =
-                ibsim::trace::parse_flows(spec).unwrap_or_else(|e| panic!("--trace-flows: {e}"));
-            ibsim::trace::force(Some(flows));
-            match self.get("trace-out") {
-                Some(dir) => ibsim::trace::set_out_dir(dir),
-                None => ibsim::trace::set_out_dir(self.out_dir()),
-            }
-        }
-    }
-
-    /// Apply the shared `--profile` flag: bin every run's hot-path time
-    /// by engine subsystem and write `profile_*.json` to the `--out`
-    /// directory. Purely observational. Without the flag the
-    /// environment (`IBSIM_PROFILE`) still decides.
-    pub fn apply_profile(&self) {
-        if self.get_flag("profile") {
-            ibsim::profile::force(true);
-            ibsim::profile::set_out_dir(self.out_dir());
-        }
+    /// As [`Args::run_options`], layered over `base` (a spec file's
+    /// `options`) and returning the error instead of exiting.
+    pub fn try_run_options(&self, base: RunOptions) -> Result<RunOptions, OptionsError> {
+        base.overlay_env()?
+            .overlay(|key| self.get(&key.replace('_', "-")).map(String::from))
     }
 
     /// The shared `--workload SPEC` flag: a production-shaped workload
@@ -247,36 +137,16 @@ impl Args {
 /// the `workloads` bin and the `--workload` escape hatch on the
 /// scenario binaries (`windy`, `table2`).
 pub fn run_workload_cli(
-    args: &Args,
+    opts: &RunOptions,
     topo: &ibsim_topo::Topology,
     cfg: ibsim_net::NetConfig,
     spec: &ibsim_traffic::WorkloadSpec,
     dur: ibsim::RunDurations,
 ) -> ibsim::WorkloadResult {
-    let r = ibsim::run_workload(topo, cfg, spec, dur);
-    let mut rows: Vec<Vec<String>> = r
-        .category_rx
-        .iter()
-        .map(|(name, gbps)| vec![name.clone(), f3(*gbps)])
-        .collect();
-    rows.push(vec!["total".into(), f3(r.total_rx)]);
-    println!("workload {} on {} nodes:", r.workload, topo.num_hcas);
-    println!(
-        "{}",
-        ibsim::prelude::ascii_table(&["category", "avg rx (Gbit/s)"], &rows)
-    );
-    println!(
-        "  p50 {:.2} us  p99 {:.2} us  fecn {}  becn {}  max_ccti {}  drained {} ({:.1} us)",
-        r.latency_p50_us,
-        r.latency_p99_us,
-        r.fecn_marks,
-        r.becns,
-        r.max_ccti,
-        r.drained,
-        r.drained_at_us
-    );
-    let out = args.out_dir();
-    std::fs::create_dir_all(&out).expect("create out dir");
+    let r = opts.run_workload(topo, cfg, spec, dur);
+    print_workload(&r, topo.num_hcas);
+    let out = &opts.out;
+    std::fs::create_dir_all(out).expect("create out dir");
     let csv_rows: Vec<Vec<String>> = r
         .category_rx
         .iter()
@@ -309,6 +179,32 @@ pub fn run_workload_cli(
     )
     .expect("write workload csv");
     r
+}
+
+/// The stdout summary of one workload run: per-category receive rates
+/// plus the latency / marking / drain line.
+pub fn print_workload(r: &ibsim::WorkloadResult, nodes: usize) {
+    let mut rows: Vec<Vec<String>> = r
+        .category_rx
+        .iter()
+        .map(|(name, gbps)| vec![name.clone(), f3(*gbps)])
+        .collect();
+    rows.push(vec!["total".into(), f3(r.total_rx)]);
+    println!("workload {} on {} nodes:", r.workload, nodes);
+    println!(
+        "{}",
+        ibsim::prelude::ascii_table(&["category", "avg rx (Gbit/s)"], &rows)
+    );
+    println!(
+        "  p50 {:.2} us  p99 {:.2} us  fecn {}  becn {}  max_ccti {}  drained {} ({:.1} us)",
+        r.latency_p50_us,
+        r.latency_p99_us,
+        r.fecn_marks,
+        r.becns,
+        r.max_ccti,
+        r.drained,
+        r.drained_at_us
+    );
 }
 
 /// Format a float with 3 decimals for tables.
@@ -344,7 +240,6 @@ mod tests {
         assert_eq!(a.preset(), Preset::Quick);
         assert_eq!(a.get_u64("nope", 7), 7);
         assert!(!a.get_flag("missing"));
-        assert_eq!(a.out_dir(), std::path::PathBuf::from("results"));
     }
 
     #[test]

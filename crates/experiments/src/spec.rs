@@ -54,6 +54,29 @@ pub struct SimSpec {
     /// replay.
     #[serde(default)]
     pub workload: Option<ibsim_traffic::WorkloadSpec>,
+    /// How to execute and observe the run — everything the shared
+    /// flags can say (`{"shards": 4, "audit": 20000, "out": "o"}`).
+    /// Environment and flags layer over it.
+    #[serde(default)]
+    pub options: RunOptions,
+}
+
+/// What one run of a [`SimSpec`] reports: a hotspot-scenario summary,
+/// or a workload summary when the spec carries a `workload`.
+/// Serialises as the inner result, untagged.
+#[derive(Clone, Debug)]
+pub enum SimResult {
+    Scenario(ScenarioResult),
+    Workload(WorkloadResult),
+}
+
+impl Serialize for SimResult {
+    fn to_value(&self) -> serde::Value {
+        match self {
+            SimResult::Scenario(r) => r.to_value(),
+            SimResult::Workload(r) => r.to_value(),
+        }
+    }
 }
 
 fn default_warmup_ms() -> u64 {
@@ -68,20 +91,18 @@ impl SimSpec {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// Resolve, validate, and run. Returns the CC-configured result and,
-    /// when `compare_cc_off`, the CC-off twin. Specs carrying a
-    /// `workload` belong to [`run_workload`](Self::run_workload).
-    pub fn run(&self) -> Result<(ScenarioResult, Option<ScenarioResult>), String> {
-        if self.workload.is_some() {
-            return Err("spec carries a workload; use run_workload()".into());
-        }
+    /// Resolve, validate, and run under `self.options`: the hotspot
+    /// scenario, or the `workload` when the spec carries one (`roles`
+    /// is then ignored). Returns the CC-configured result and, when
+    /// `compare_cc_off`, the CC-off twin.
+    pub fn run(&self) -> Result<(SimResult, Option<SimResult>), String> {
         let topo = self.topology.build();
         topo.validate()?;
         let mut roles = self.roles;
         if roles.num_nodes == 0 {
             roles.num_nodes = topo.num_hcas;
         }
-        if roles.num_nodes != topo.num_hcas {
+        if self.workload.is_none() && roles.num_nodes != topo.num_hcas {
             return Err(format!(
                 "roles.num_nodes {} != topology nodes {}",
                 roles.num_nodes, topo.num_hcas
@@ -90,35 +111,19 @@ impl SimSpec {
         self.net.validate()?;
         let dur = RunDurations::new_ms(self.warmup_ms, self.measure_ms);
         let life = self.hotspot_lifetime_us.map(TimeDelta::from_us);
-        let main = run_scenario(&topo, self.net.clone(), roles, dur, life);
-        let off = if self.compare_cc_off {
+        let opts = &self.options;
+        let one = |cfg: NetConfig| match &self.workload {
+            Some(wl) => SimResult::Workload(opts.run_workload(&topo, cfg, wl, dur)),
+            None => {
+                SimResult::Scenario(opts.run_scenario(&topo, cfg, roles, dur, life, true, None))
+            }
+        };
+        let main = one(self.net.clone());
+        let off = self.compare_cc_off.then(|| {
             let mut cfg = self.net.clone();
             cfg.cc = None;
-            Some(run_scenario(&topo, cfg, roles, dur, life))
-        } else {
-            None
-        };
-        Ok((main, off))
-    }
-
-    /// Run the spec's production workload (and, when `compare_cc_off`,
-    /// its CC-off twin) on the declared topology.
-    pub fn run_workload(&self) -> Result<(WorkloadResult, Option<WorkloadResult>), String> {
-        let Some(wl) = &self.workload else {
-            return Err("spec has no workload; use run()".into());
-        };
-        let topo = self.topology.build();
-        topo.validate()?;
-        self.net.validate()?;
-        let dur = RunDurations::new_ms(self.warmup_ms, self.measure_ms);
-        let main = run_workload(&topo, self.net.clone(), wl, dur);
-        let off = if self.compare_cc_off {
-            let mut cfg = self.net.clone();
-            cfg.cc = None;
-            Some(run_workload(&topo, cfg, wl, dur))
-        } else {
-            None
-        };
+            one(cfg)
+        });
         Ok((main, off))
     }
 }
@@ -138,6 +143,9 @@ mod tests {
     fn minimal_spec_parses_and_runs() {
         let spec = SimSpec::from_json(MINIMAL).unwrap();
         let (r, off) = spec.run().unwrap();
+        let SimResult::Scenario(r) = r else {
+            panic!("no workload in the spec, got {r:?}");
+        };
         assert!(r.cc);
         assert!(off.is_none());
         assert!(r.hotspot_rx > 5.0, "{r:?}");
@@ -148,7 +156,7 @@ mod tests {
         let mut spec = SimSpec::from_json(MINIMAL).unwrap();
         spec.compare_cc_off = true;
         let (_, off) = spec.run().unwrap();
-        assert!(!off.unwrap().cc);
+        assert!(matches!(off, Some(SimResult::Scenario(r)) if !r.cc));
     }
 
     #[test]

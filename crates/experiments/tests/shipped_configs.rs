@@ -1,7 +1,7 @@
 //! The JSON scenario files shipped in `configs/` must stay parseable
 //! and runnable as the spec format evolves.
 
-use ibsim_experiments::spec::SimSpec;
+use ibsim_experiments::spec::{SimResult, SimSpec};
 
 fn configs_dir() -> std::path::PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -41,7 +41,9 @@ fn silent_forest_config_runs_end_to_end() {
     spec.warmup_ms = 1;
     spec.measure_ms = 1;
     let (on, off) = spec.run().unwrap();
-    let off = off.expect("config requests a CC-off twin");
+    let (SimResult::Scenario(on), Some(SimResult::Scenario(off))) = (on, off) else {
+        panic!("config requests a CC-off twin of a hotspot scenario");
+    };
     assert!(
         on.total_rx > off.total_rx,
         "CC must win on the silent forest"

@@ -1,106 +1,30 @@
-//! Process-wide checkpoint/resume switchboard for experiment runs.
+//! Naming, saving and loading the checkpoint files of experiment runs.
 //!
-//! Experiment binaries (and CI) drive state capture without threading
-//! parameters through every runner, mirroring [`crate::audit`] and
-//! [`crate::telemetry`]:
-//!
-//! * `--checkpoint-at US` / `IBSIM_CKPT_AT=US` — every run this process
-//!   performs saves a full-state checkpoint when its simulated clock
-//!   first reaches `US` microseconds;
-//! * `--checkpoint-dir DIR` / `IBSIM_CKPT_DIR=DIR` — where checkpoint
-//!   files land (default `checkpoints/`);
-//! * `--resume-from DIR` / `IBSIM_RESUME=DIR` — before running, each
-//!   run looks for its own checkpoint in `DIR` and fast-forwards the
-//!   fabric to the saved state. Runs with no matching file start from
-//!   scratch, so a multi-run binary (Table II's four cells, a CC pair)
-//!   resumes exactly the cells that were checkpointed.
+//! *Whether* a run checkpoints or resumes is decided by its
+//! [`RunOptions`] (`checkpoint_at`, `checkpoint_dir`, `resume_from`);
+//! this module only names and moves the files.
 //!
 //! One file per run: the name encodes the topology digest (switch /
 //! HCA / channel counts, VLs, seed, CC on/off) *and* a workload label
 //! (role split, durations, hotspot lifetime, fault count), because a
 //! single binary runs many scenarios over the same fabric and seed.
-//! Resuming against a file whose header digest disagrees with the live
-//! fabric fails loudly, naming the first mismatching field — the
-//! format- and topology-validation layer lives in `ibsim-state`.
+//! Runs with no matching file start from scratch, so a multi-run binary
+//! (Table II's four cells, a CC pair) resumes exactly the cells that
+//! were checkpointed. Resuming against a file whose header digest
+//! disagrees with the live fabric fails loudly, naming the first
+//! mismatching field — the format- and topology-validation layer lives
+//! in `ibsim-state`.
 
-use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
+use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{FaultSchedule, Network, NetworkState};
 use ibsim_state::{CheckpointHeader, TopoDigest};
 use ibsim_traffic::RoleSpec;
 use serde::Deserialize;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use crate::experiment::RunDurations;
-
-/// 0 = defer to the environment, `u64::MAX` = forced off, anything
-/// else = forced checkpoint time in picoseconds.
-static FORCE_AT: AtomicU64 = AtomicU64::new(0);
-static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
-static RESUME: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Force a checkpoint time for every subsequent run in this process
-/// (`Some(t)`) or force checkpointing off (`None`), overriding
-/// `IBSIM_CKPT_AT`.
-pub fn force_at(at: Option<Time>) {
-    let v = match at {
-        None => u64::MAX,
-        Some(t) => t.as_ps().max(1),
-    };
-    FORCE_AT.store(v, Ordering::Relaxed);
-}
-
-/// The checkpoint time currently in effect, if any.
-pub fn save_at() -> Option<Time> {
-    match FORCE_AT.load(Ordering::Relaxed) {
-        0 => env_at(),
-        u64::MAX => None,
-        ps => Some(Time(ps)),
-    }
-}
-
-fn env_at() -> Option<Time> {
-    static CACHE: OnceLock<Option<u64>> = OnceLock::new();
-    CACHE
-        .get_or_init(|| {
-            let us = std::env::var("IBSIM_CKPT_AT").ok()?;
-            let us: u64 = us
-                .parse()
-                .unwrap_or_else(|_| panic!("IBSIM_CKPT_AT wants microseconds, got {us:?}"));
-            (us > 0).then_some(us * PS_PER_US)
-        })
-        .map(Time)
-}
-
-/// Override the checkpoint output directory (`--checkpoint-dir`).
-pub fn set_dir(dir: impl Into<PathBuf>) {
-    *DIR.lock().unwrap() = Some(dir.into());
-}
-
-/// The directory checkpoint files are written to.
-pub fn dir() -> PathBuf {
-    if let Some(d) = DIR.lock().unwrap().clone() {
-        return d;
-    }
-    std::env::var("IBSIM_CKPT_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("checkpoints"))
-}
-
-/// Force a resume directory (`--resume-from`), overriding
-/// `IBSIM_RESUME`. `None` reverts to the environment.
-pub fn force_resume(dir: Option<PathBuf>) {
-    *RESUME.lock().unwrap() = dir;
-}
-
-/// The directory runs resume from, if resuming is requested at all.
-pub fn resume_dir() -> Option<PathBuf> {
-    if let Some(d) = RESUME.lock().unwrap().clone() {
-        return Some(d);
-    }
-    std::env::var("IBSIM_RESUME").ok().map(PathBuf::from)
-}
+use crate::options::RunOptions;
 
 /// The live fabric's identity, embedded in every checkpoint header and
 /// re-validated on resume.
@@ -166,15 +90,14 @@ pub fn file_name(d: &TopoDigest, label: &str) -> String {
     )
 }
 
-/// Save a checkpoint of `net` into [`dir`], returning the path.
+/// Save a checkpoint of `net` into `dir`, returning the path.
 /// Panics on I/O failure: a silently missing checkpoint would turn a
 /// later resume into a silent from-scratch rerun.
-pub fn save(net: &Network, label: &str) -> PathBuf {
+pub fn save_in(dir: &Path, net: &Network, label: &str) -> PathBuf {
     let d = digest(net);
-    let out = dir();
-    std::fs::create_dir_all(&out)
-        .unwrap_or_else(|e| panic!("checkpoint: cannot create {}: {e}", out.display()));
-    let path = out.join(file_name(&d, label));
+    std::fs::create_dir_all(dir)
+        .unwrap_or_else(|e| panic!("checkpoint: cannot create {}: {e}", dir.display()));
+    let path = dir.join(file_name(&d, label));
     let header = CheckpointHeader::new(net.now().as_ps(), net.events_processed(), d);
     ibsim_state::save(&path, &header, &net.checkpoint())
         .unwrap_or_else(|e| panic!("checkpoint: {e}"));
@@ -187,16 +110,14 @@ pub fn save(net: &Network, label: &str) -> PathBuf {
     path
 }
 
-/// Look for this run's checkpoint in the resume directory. Returns the
-/// saved clock and decoded state, or `None` when resuming is off or no
-/// matching file exists. A file that exists but fails format, topology
-/// or payload validation panics with the structured `ibsim-state`
-/// error — resuming from the wrong checkpoint must never degrade into
-/// a silent cold start.
-pub fn load_for(net: &Network, label: &str) -> Option<(Time, NetworkState)> {
-    let from = resume_dir()?;
+/// Look for this run's checkpoint in `dir`. Returns the saved clock
+/// and decoded state, or `None` when no matching file exists. A file
+/// that exists but fails format, topology or payload validation panics
+/// with the structured `ibsim-state` error — resuming from the wrong
+/// checkpoint must never degrade into a silent cold start.
+pub fn load_from(dir: &Path, net: &Network, label: &str) -> Option<(Time, NetworkState)> {
     let d = digest(net);
-    let path = from.join(file_name(&d, label));
+    let path = dir.join(file_name(&d, label));
     if !path.exists() {
         return None;
     }
@@ -214,4 +135,84 @@ pub fn load_for(net: &Network, label: &str) -> Option<(Time, NetworkState)> {
         header.events_processed
     );
     Some((Time(header.at_ps), state))
+}
+
+/// One run's checkpoint plumbing: resume on entry, then split each
+/// `run_until` segment at the pending capture time, if one falls
+/// inside it — run to the capture instant, save, finish the segment.
+/// Capture therefore happens *before* boundary actions (starting
+/// measurement, moving hotspots, feeding a trace) at the same instant,
+/// and the resume path re-executes those actions.
+pub(crate) struct CkptHook<'a> {
+    opts: &'a RunOptions,
+    label: String,
+    pending: Option<Time>,
+}
+
+impl<'a> CkptHook<'a> {
+    /// The hook for the run `label` names, plus the clock and state to
+    /// restore when `resume_from` holds that run's checkpoint. A
+    /// resumed run never re-saves a capture point it is at or beyond —
+    /// the file it came from already holds that state.
+    pub(crate) fn resume(
+        opts: &'a RunOptions,
+        net: &Network,
+        label: String,
+    ) -> (Self, Option<(Time, NetworkState)>) {
+        let resumed = opts
+            .resume_from
+            .as_deref()
+            .and_then(|dir| load_from(dir, net, &label));
+        let pending = opts
+            .checkpoint_at
+            .map(Time::from_us)
+            .filter(|&at| resumed.as_ref().is_none_or(|(r, _)| at > *r));
+        let hook = CkptHook {
+            opts,
+            label,
+            pending,
+        };
+        (hook, resumed)
+    }
+
+    pub(crate) fn run_until(&mut self, net: &mut Network, to: Time) {
+        if let Some(at) = self.pending.filter(|&at| at <= to) {
+            net.run_until(at);
+            save_in(&self.opts.checkpoint_dir, net, &self.label);
+            self.pending = None;
+        }
+        net.run_until(to);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Compat block: the four functions `benchmark/README.md` lists as its
+// contract. No runner reads these two statics — runs are configured by
+// `RunOptions` — and the block goes when a benchmark-only change moves
+// the driver onto `save_in` / `load_from`.
+// ---------------------------------------------------------------------
+
+static DIR: Mutex<Option<PathBuf>> = Mutex::new(None);
+static RESUME: Mutex<Option<PathBuf>> = Mutex::new(None);
+
+/// Compat: the directory [`save`] writes to (default `checkpoints`).
+pub fn set_dir(dir: impl Into<PathBuf>) {
+    *DIR.lock().expect("no panic holds this lock") = Some(dir.into());
+}
+
+/// Compat: the directory [`load_for`] reads (`None` = it finds nothing).
+pub fn force_resume(dir: Option<PathBuf>) {
+    *RESUME.lock().expect("no panic holds this lock") = dir;
+}
+
+/// Compat: [`save_in`] the [`set_dir`] directory.
+pub fn save(net: &Network, label: &str) -> PathBuf {
+    let dir = DIR.lock().expect("no panic holds this lock").clone();
+    save_in(&dir.unwrap_or_else(|| "checkpoints".into()), net, label)
+}
+
+/// Compat: [`load_from`] the [`force_resume`] directory.
+pub fn load_for(net: &Network, label: &str) -> Option<(Time, NetworkState)> {
+    let dir = RESUME.lock().expect("no panic holds this lock").clone();
+    load_from(&dir?, net, label)
 }

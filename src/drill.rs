@@ -4,9 +4,10 @@
 //! floor, CCTI decay) via [`ibsim_faults::RecoveryMetrics`].
 
 use crate::experiment::RunDurations;
+use crate::options::RunOptions;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_faults::{FaultStats, RecoveryMetrics, Sample};
-use ibsim_net::{FaultSchedule, FlightKind, NetConfig, Network};
+use ibsim_net::{FaultSchedule, FlightKind, NetConfig};
 use ibsim_topo::Topology;
 use ibsim_traffic::{RoleSpec, Scenario};
 use serde::Serialize;
@@ -14,6 +15,8 @@ use serde::Serialize;
 /// Everything one drill run reports — serialised as the CI artifact.
 #[derive(Clone, Debug, Serialize)]
 pub struct DrillReport {
+    /// The CC backend the drill ran under (`ibcc` / `dcqcn`).
+    pub cc_backend: String,
     /// Spec echo: when the first transition fires / the last clears, µs.
     pub fault_start_us: f64,
     pub fault_clear_us: f64,
@@ -36,12 +39,8 @@ pub struct DrillReport {
     pub floor_breaches: usize,
 }
 
-/// Run `roles` on `topo` for `dur.total()`, with `schedule` installed,
-/// sampling the non-hotspot receive rate every `bin`. The measurement
-/// meters restart per bin, so each [`Sample`] is an independent window
-/// average; warmup bins are sampled too (the recovery baseline needs
-/// pre-fault bins). Panics on an unsanctioned audit violation *after*
-/// serialising the report — callers get the artifact either way.
+/// Run a fault drill under the ambient options (see
+/// [`RunOptions::run_drill`]) with no victim-throughput floor.
 pub fn run_drill(
     topo: &Topology,
     cfg: NetConfig,
@@ -53,12 +52,7 @@ pub fn run_drill(
     run_drill_floor(topo, cfg, roles, dur, bin, schedule, None)
 }
 
-/// As [`run_drill`], with an optional victim-throughput floor in
-/// Gbit/s. Every bin below the floor is counted and recorded as a
-/// `FloorBreach` flight event; the first breach dumps the flight
-/// window (events + current metric sample) to
-/// `flight_breach_drill.json` in the telemetry out dir — the same
-/// automatic-dump contract an unsanctioned audit violation has.
+/// As [`run_drill`], with an optional victim-throughput floor.
 #[allow(clippy::too_many_arguments)]
 pub fn run_drill_floor(
     topo: &Topology,
@@ -69,76 +63,102 @@ pub fn run_drill_floor(
     schedule: &FaultSchedule,
     floor_gbps: Option<f64>,
 ) -> (DrillReport, ibsim_check::AuditReport) {
-    assert!(!bin.is_zero(), "drill bin must be positive");
-    let mut net = Network::new(topo, cfg);
-    crate::audit::arm(&mut net);
-    crate::telemetry::arm(&mut net);
-    crate::trace::arm(&mut net);
-    crate::profile::arm(&mut net);
-    net.install_faults(schedule.clone());
-    let sc = Scenario::install_opts(roles, &mut net, ibsim_net::PAPER_MSG_BYTES, true);
-    crate::trace::arm_hotspots(&mut net, &sc.assignment.hotspots, topo.num_hcas);
+    RunOptions::ambient().run_drill(topo, cfg, roles, dur, bin, schedule, floor_gbps)
+}
 
-    let t_end = Time::ZERO + dur.total();
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut floor_breaches = 0usize;
-    let mut t = Time::ZERO;
-    while t < t_end {
-        let stop = (t + bin).min(t_end);
-        net.start_measurement();
-        net.run_until(stop);
-        net.stop_measurement();
-        let s = Sample {
-            t_us: stop.as_ps() as f64 / 1e6,
-            gbps: sc.non_hotspot_avg_rx(&net),
-            max_ccti: net.max_ccti(),
-        };
-        if floor_gbps.is_some_and(|floor| s.gbps < floor) {
-            floor_breaches += 1;
-            net.flight_note(
-                FlightKind::FloorBreach,
-                "drill",
-                format!(
-                    "bin ending {:.0}µs: victims {:.3} Gbit/s < floor {:.3}",
-                    s.t_us,
-                    s.gbps,
-                    floor_gbps.unwrap()
-                ),
-            );
-            if floor_breaches == 1 {
-                if let Some(doc) = net.flight_dump_json("drill floor breach") {
-                    let dir = crate::telemetry::out_dir();
-                    std::fs::create_dir_all(&dir).expect("create telemetry out dir");
-                    std::fs::write(dir.join("flight_breach_drill.json"), doc)
-                        .expect("write breach dump");
+impl RunOptions {
+    /// Run `roles` on `topo` for `dur.total()`, with `schedule`
+    /// installed, sampling the non-hotspot receive rate every `bin`.
+    /// The measurement meters restart per bin, so each [`Sample`] is an
+    /// independent window average; warmup bins are sampled too (the
+    /// recovery baseline needs pre-fault bins). The audit report is
+    /// returned, not raised — callers get the artifact either way.
+    ///
+    /// With a `floor_gbps`, every bin below it is counted and recorded
+    /// as a `FloorBreach` flight event; the first breach dumps the
+    /// flight window (events + current metric sample) to
+    /// `flight_breach_drill.json` in `out` — the same automatic-dump
+    /// contract an unsanctioned audit violation has.
+    ///
+    /// The per-bin meter restarts are not checkpointable state, so a
+    /// drill ignores `checkpoint_at` / `resume_from`; the `faults`
+    /// binary refuses them by name.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_drill(
+        &self,
+        topo: &Topology,
+        cfg: NetConfig,
+        roles: RoleSpec,
+        dur: RunDurations,
+        bin: TimeDelta,
+        schedule: &FaultSchedule,
+        floor_gbps: Option<f64>,
+    ) -> (DrillReport, ibsim_check::AuditReport) {
+        assert!(!bin.is_zero(), "drill bin must be positive");
+        let mut net = self.network(topo, cfg, Some(schedule));
+        let sc = Scenario::install_opts(roles, &mut net, ibsim_net::PAPER_MSG_BYTES, true);
+        self.trace_hotspots(&mut net, &sc.assignment.hotspots);
+
+        let t_end = Time::ZERO + dur.total();
+        let mut samples: Vec<Sample> = Vec::new();
+        let mut floor_breaches = 0usize;
+        let mut t = Time::ZERO;
+        while t < t_end {
+            let stop = (t + bin).min(t_end);
+            net.start_measurement();
+            net.run_until(stop);
+            net.stop_measurement();
+            let s = Sample {
+                t_us: stop.as_ps() as f64 / 1e6,
+                gbps: sc.non_hotspot_avg_rx(&net),
+                max_ccti: net.max_ccti(),
+            };
+            if floor_gbps.is_some_and(|floor| s.gbps < floor) {
+                floor_breaches += 1;
+                net.flight_note(
+                    FlightKind::FloorBreach,
+                    "drill",
+                    format!(
+                        "bin ending {:.0}µs: victims {:.3} Gbit/s < floor {:.3}",
+                        s.t_us,
+                        s.gbps,
+                        floor_gbps.unwrap()
+                    ),
+                );
+                if floor_breaches == 1 {
+                    if let Some(doc) = net.flight_dump_json("drill floor breach") {
+                        std::fs::create_dir_all(&self.out).expect("create out dir");
+                        std::fs::write(self.out.join("flight_breach_drill.json"), doc)
+                            .expect("write breach dump");
+                    }
                 }
             }
+            samples.push(s);
+            t = stop;
         }
-        samples.push(s);
-        t = stop;
-    }
 
-    let (start, clear) = schedule
-        .span()
-        .map(|(s, c)| (s.as_ps() as f64 / 1e6, c.as_ps() as f64 / 1e6))
-        .unwrap_or((0.0, 0.0));
-    let recovery = RecoveryMetrics::compute(&samples, start, clear);
-    crate::telemetry::finish(&net, "drill", &sc.assignment.hotspots);
-    crate::trace::finish(&net, "drill");
-    crate::profile::finish(&net, "drill");
-    let audit = net.audit_checked();
-    let report = DrillReport {
-        fault_start_us: start,
-        fault_clear_us: clear,
-        samples,
-        recovery,
-        fault_stats: net.fault_stats().copied().unwrap_or_default(),
-        audited_sanctioned_drops: audit.sanctioned_drops,
-        unsanctioned_violations: audit.unsanctioned().count(),
-        floor_gbps,
-        floor_breaches,
-    };
-    (report, audit)
+        let (start, clear) = schedule
+            .span()
+            .map(|(s, c)| (s.as_ps() as f64 / 1e6, c.as_ps() as f64 / 1e6))
+            .unwrap_or((0.0, 0.0));
+        let recovery = RecoveryMetrics::compute(&samples, start, clear);
+        let audit = self
+            .finish(&mut net, "drill", &sc.assignment.hotspots)
+            .audit;
+        let report = DrillReport {
+            cc_backend: net.cc_backend().name().to_string(),
+            fault_start_us: start,
+            fault_clear_us: clear,
+            samples,
+            recovery,
+            fault_stats: net.fault_stats().copied().unwrap_or_default(),
+            audited_sanctioned_drops: audit.sanctioned_drops,
+            unsanctioned_violations: audit.unsanctioned().count(),
+            floor_gbps,
+            floor_breaches,
+        };
+        (report, audit)
+    }
 }
 
 #[cfg(test)]

@@ -2,6 +2,8 @@
 //! warm up, measure, and summarise — the common skeleton of every
 //! table and figure in the paper.
 
+use crate::checkpoint::CkptHook;
+use crate::options::RunOptions;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{FaultSchedule, NetConfig, Network};
 use ibsim_topo::Topology;
@@ -68,45 +70,9 @@ pub struct ScenarioResult {
     pub events: u64,
 }
 
-/// Splits each `run_until` segment at the pending checkpoint time, if
-/// one falls inside it: run to the capture instant, save, then finish
-/// the segment. Capture therefore happens *before* boundary actions
-/// (starting measurement, moving hotspots) at the same instant, and
-/// the resume path re-executes those actions.
-struct CkptHook {
-    pending: Option<Time>,
-    label: String,
-}
-
-impl CkptHook {
-    fn new(label: String, resumed_at: Option<Time>) -> Self {
-        let mut pending = crate::checkpoint::save_at();
-        // A resumed run never re-saves a capture point it is at or
-        // beyond — the file it came from already holds that state.
-        if let (Some(at), Some(r)) = (pending, resumed_at) {
-            if at <= r {
-                pending = None;
-            }
-        }
-        CkptHook { pending, label }
-    }
-
-    fn run_until(&mut self, net: &mut Network, to: Time) {
-        if let Some(at) = self.pending {
-            if at <= to {
-                net.run_until(at);
-                crate::checkpoint::save(net, &self.label);
-                self.pending = None;
-            }
-        }
-        net.run_until(to);
-    }
-}
-
-/// Run one hotspot scenario. `hotspot_lifetime = None` keeps hotspots
-/// fixed (silent/windy forests); `Some(L)` moves every hotspot each `L`
-/// of simulated time (the stormy forests of §V-C), starting during
-/// warmup so the measured window sees steady-state churn.
+/// Run one hotspot scenario under the ambient options (see
+/// [`RunOptions::run_scenario`]) with contributors active and no
+/// faults.
 pub fn run_scenario(
     topo: &Topology,
     cfg: NetConfig,
@@ -127,153 +93,139 @@ pub fn run_scenario_opts(
     hotspot_lifetime: Option<TimeDelta>,
     contributors_active: bool,
 ) -> ScenarioResult {
-    run_scenario_faults(
-        topo,
-        cfg,
-        roles,
-        dur,
-        hotspot_lifetime,
-        contributors_active,
-        None,
-    )
+    let (life, active) = (hotspot_lifetime, contributors_active);
+    RunOptions::ambient().run_scenario(topo, cfg, roles, dur, life, active, None)
 }
 
-/// As [`run_scenario_opts`], with a fault schedule installed before the
-/// first event. `None` (or an empty schedule) is bit-identical to the
-/// plain runners. End-of-run audits tolerate sanctioned drops but still
-/// fail on any unsanctioned ledger violation.
-#[allow(clippy::too_many_arguments)]
-pub fn run_scenario_faults(
-    topo: &Topology,
-    cfg: NetConfig,
-    roles: RoleSpec,
-    dur: RunDurations,
-    hotspot_lifetime: Option<TimeDelta>,
-    contributors_active: bool,
-    faults: Option<&FaultSchedule>,
-) -> ScenarioResult {
-    let inj = cfg.inj_rate;
-    let mut cfg = cfg;
-    crate::backend::apply(&mut cfg);
-    let mut net = Network::new(topo, cfg);
-    crate::audit::arm(&mut net);
-    crate::telemetry::arm(&mut net);
-    crate::trace::arm(&mut net);
-    crate::profile::arm(&mut net);
-    if let Some(schedule) = faults {
-        net.install_faults(schedule.clone());
-    }
-    crate::shards::arm(&mut net, topo);
-    let mut sc = Scenario::install_opts(
-        roles,
-        &mut net,
-        ibsim_net::PAPER_MSG_BYTES,
-        contributors_active,
-    );
-    // `--trace-flows hotspots` resolves against the drawn assignment.
-    crate::trace::arm_hotspots(&mut net, &sc.assignment.hotspots, topo.num_hcas);
-    let t_end = Time::ZERO + dur.total();
+impl RunOptions {
+    /// Run one hotspot scenario. `hotspot_lifetime = None` keeps
+    /// hotspots fixed (silent/windy forests); `Some(L)` moves every
+    /// hotspot each `L` of simulated time (the stormy forests of §V-C),
+    /// starting during warmup so the measured window sees steady-state
+    /// churn. `contributors_active = false` silences the contributor
+    /// nodes (Table II's "no hotspots" rows). `faults` is installed
+    /// before the first event; `None` (or an empty schedule) is
+    /// bit-identical to a fault-free run. The end-of-run audit
+    /// tolerates sanctioned drops but fails the run on any
+    /// unsanctioned ledger violation.
+    #[allow(clippy::too_many_arguments)]
+    pub fn run_scenario(
+        &self,
+        topo: &Topology,
+        cfg: NetConfig,
+        roles: RoleSpec,
+        dur: RunDurations,
+        hotspot_lifetime: Option<TimeDelta>,
+        contributors_active: bool,
+        faults: Option<&FaultSchedule>,
+    ) -> ScenarioResult {
+        let inj = cfg.inj_rate;
+        let mut net = self.network(topo, cfg, faults);
+        let mut sc = Scenario::install_opts(
+            roles,
+            &mut net,
+            ibsim_net::PAPER_MSG_BYTES,
+            contributors_active,
+        );
+        self.trace_hotspots(&mut net, &sc.assignment.hotspots);
+        let t_end = Time::ZERO + dur.total();
 
-    // Optional resume: fast-forward the freshly configured (but not yet
-    // primed) fabric from this run's checkpoint, if one exists. Hotspot
-    // moves the saved run performed before the capture are replayed
-    // first — retargeting rewires class *configuration*, which the
-    // checkpoint deliberately does not carry. The move scheduled at the
-    // capture instant itself (if any) fired after the save, so it is
-    // left to the resumed epoch loop below.
-    let label = crate::checkpoint::run_label(
-        &roles,
-        &dur,
-        hotspot_lifetime,
-        contributors_active,
-        faults,
-    );
-    let mut resumed_at = None;
-    if let Some((at, state)) = crate::checkpoint::load_for(&net, &label) {
-        if let Some(life) = hotspot_lifetime {
-            let mut m = Time::ZERO + life;
-            while m < at {
-                sc.move_hotspots(&mut net);
-                m += life;
-            }
-        }
-        net.restore(&state)
-            .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
-        resumed_at = Some(at);
-    }
-    let mut ck = CkptHook::new(label, resumed_at);
-
-    match hotspot_lifetime {
-        None => {
-            ck.run_until(&mut net, Time::ZERO + dur.warmup);
-            if !net.is_measuring() {
-                net.start_measurement();
-            }
-            ck.run_until(&mut net, t_end);
-        }
-        Some(life) => {
-            assert!(!life.is_zero(), "hotspot lifetime must be positive");
-            let mut t = Time::ZERO;
-            if let Some(at) = resumed_at {
-                // Re-enter the epoch loop at the last boundary strictly
-                // before the capture, so a move scheduled exactly at the
-                // capture instant still fires.
-                while t + life < at {
-                    t += life;
-                }
-            }
-            let mut measuring = net.is_measuring();
-            while t < t_end {
-                let next_move = t + life;
-                let warmup_end = Time::ZERO + dur.warmup;
-                if !measuring && warmup_end <= next_move.min(t_end) {
-                    ck.run_until(&mut net, warmup_end);
-                    if !net.is_measuring() {
-                        net.start_measurement();
-                    }
-                    measuring = true;
-                }
-                let stop = next_move.min(t_end);
-                ck.run_until(&mut net, stop);
-                t = stop;
-                if t < t_end {
+        // Optional resume: fast-forward the freshly configured (but not yet
+        // primed) fabric from this run's checkpoint, if one exists. Hotspot
+        // moves the saved run performed before the capture are replayed
+        // first — retargeting rewires class *configuration*, which the
+        // checkpoint deliberately does not carry. The move scheduled at the
+        // capture instant itself (if any) fired after the save, so it is
+        // left to the resumed epoch loop below.
+        let label = crate::checkpoint::run_label(
+            &roles,
+            &dur,
+            hotspot_lifetime,
+            contributors_active,
+            faults,
+        );
+        let (mut ck, resumed) = CkptHook::resume(self, &net, label);
+        let resumed_at = resumed.as_ref().map(|(at, _)| *at);
+        if let Some((at, state)) = resumed {
+            if let Some(life) = hotspot_lifetime {
+                let mut m = Time::ZERO + life;
+                while m < at {
                     sc.move_hotspots(&mut net);
+                    m += life;
                 }
             }
-            if !measuring && !net.is_measuring() {
-                net.start_measurement();
+            net.restore(&state)
+                .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
+        }
+
+        match hotspot_lifetime {
+            None => {
+                ck.run_until(&mut net, Time::ZERO + dur.warmup);
+                if !net.is_measuring() {
+                    net.start_measurement();
+                }
+                ck.run_until(&mut net, t_end);
+            }
+            Some(life) => {
+                assert!(!life.is_zero(), "hotspot lifetime must be positive");
+                let mut t = Time::ZERO;
+                if let Some(at) = resumed_at {
+                    // Re-enter the epoch loop at the last boundary strictly
+                    // before the capture, so a move scheduled exactly at the
+                    // capture instant still fires.
+                    while t + life < at {
+                        t += life;
+                    }
+                }
+                let mut measuring = net.is_measuring();
+                while t < t_end {
+                    let next_move = t + life;
+                    let warmup_end = Time::ZERO + dur.warmup;
+                    if !measuring && warmup_end <= next_move.min(t_end) {
+                        ck.run_until(&mut net, warmup_end);
+                        if !net.is_measuring() {
+                            net.start_measurement();
+                        }
+                        measuring = true;
+                    }
+                    let stop = next_move.min(t_end);
+                    ck.run_until(&mut net, stop);
+                    t = stop;
+                    if t < t_end {
+                        sc.move_hotspots(&mut net);
+                    }
+                }
+                if !measuring && !net.is_measuring() {
+                    net.start_measurement();
+                }
             }
         }
-    }
-    net.stop_measurement();
-    // Drain telemetry to disk before the audit pass: if the ledger is
-    // broken, the artifacts (and the violation-context flight dump the
-    // checked pass writes) survive the ensuing panic.
-    let cc_hint = if net.cc_enabled() { "cc_on" } else { "cc_off" };
-    crate::telemetry::finish(&net, cc_hint, &sc.assignment.hotspots);
-    crate::trace::finish(&net, cc_hint);
-    crate::profile::finish(&net, cc_hint);
-    // End-of-run invariant pass (no-op when auditing is off): a broken
-    // ledger fails the run rather than reporting corrupt numbers.
-    net.audit_checked().raise();
+        net.stop_measurement();
+        // A broken ledger fails the run rather than reporting corrupt
+        // numbers (a no-op pass when auditing is off).
+        let hint = cc_hint(&net);
+        self.finish(&mut net, hint, &sc.assignment.hotspots)
+            .audit
+            .raise();
 
-    let lat = net.latency_histogram();
-    let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);
-    ScenarioResult {
-        cc: net.cc_enabled(),
-        hotspot_rx: sc.hotspot_avg_rx(&net),
-        non_hotspot_rx: sc.non_hotspot_avg_rx(&net),
-        all_rx: sc.all_avg_rx(&net),
-        total_rx: net.total_rx_gbps(),
-        tmax: sc.tmax_gbps(inj),
-        fecn_marks: net.total_fecn_marks(),
-        becns: net.total_becns(),
-        max_ccti: net.max_ccti(),
-        latency_p50_us: to_us(lat.quantile(0.5)),
-        latency_p99_us: to_us(lat.quantile(0.99)),
-        fairness: sc.hotspot_fairness(&net),
-        sanctioned_becn_drops: net.sanctioned_becn_drops(),
-        events: net.events_processed(),
+        let lat = net.latency_histogram();
+        let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);
+        ScenarioResult {
+            cc: net.cc_enabled(),
+            hotspot_rx: sc.hotspot_avg_rx(&net),
+            non_hotspot_rx: sc.non_hotspot_avg_rx(&net),
+            all_rx: sc.all_avg_rx(&net),
+            total_rx: net.total_rx_gbps(),
+            tmax: sc.tmax_gbps(inj),
+            fecn_marks: net.total_fecn_marks(),
+            becns: net.total_becns(),
+            max_ccti: net.max_ccti(),
+            latency_p50_us: to_us(lat.quantile(0.5)),
+            latency_p99_us: to_us(lat.quantile(0.99)),
+            fairness: sc.hotspot_fairness(&net),
+            sanctioned_becn_drops: net.sanctioned_becn_drops(),
+            events: net.events_processed(),
+        }
     }
 }
 
@@ -296,7 +248,7 @@ impl CcComparison {
     }
 }
 
-/// Run the same scenario with CC off and on.
+/// Run the same scenario with CC off and on under the ambient options.
 pub fn run_cc_pair(
     topo: &Topology,
     base_cfg: &NetConfig,
@@ -307,9 +259,7 @@ pub fn run_cc_pair(
     run_cc_pair_faults(topo, base_cfg, roles, dur, hotspot_lifetime, None)
 }
 
-/// As [`run_cc_pair`], injecting the same fault schedule into both the
-/// CC-off and CC-on runs (so the comparison isolates what CC buys — or
-/// costs — under identical degradation).
+/// As [`run_cc_pair`], injecting the same fault schedule into both runs.
 pub fn run_cc_pair_faults(
     topo: &Topology,
     base_cfg: &NetConfig,
@@ -318,14 +268,40 @@ pub fn run_cc_pair_faults(
     hotspot_lifetime: Option<TimeDelta>,
     faults: Option<&FaultSchedule>,
 ) -> CcComparison {
-    let mut cfg_off = base_cfg.clone();
-    cfg_off.cc = None;
-    let mut cfg_on = base_cfg.clone();
-    if cfg_on.cc.is_none() {
-        cfg_on.cc = Some(ibsim_cc::CcParams::paper_table1());
+    RunOptions::ambient().run_cc_pair(topo, base_cfg, roles, dur, hotspot_lifetime, faults)
+}
+
+impl RunOptions {
+    /// Run the same scenario with CC off and on, injecting the same
+    /// fault schedule (if any) into both — so the comparison isolates
+    /// what CC buys, or costs, under identical degradation.
+    pub fn run_cc_pair(
+        &self,
+        topo: &Topology,
+        base_cfg: &NetConfig,
+        roles: RoleSpec,
+        dur: RunDurations,
+        hotspot_lifetime: Option<TimeDelta>,
+        faults: Option<&FaultSchedule>,
+    ) -> CcComparison {
+        let mut cfg_off = base_cfg.clone();
+        cfg_off.cc = None;
+        let mut cfg_on = base_cfg.clone();
+        if cfg_on.cc.is_none() {
+            cfg_on.cc = Some(ibsim_cc::CcParams::paper_table1());
+        }
+        CcComparison {
+            off: self.run_scenario(topo, cfg_off, roles, dur, hotspot_lifetime, true, faults),
+            on: self.run_scenario(topo, cfg_on, roles, dur, hotspot_lifetime, true, faults),
+        }
     }
-    CcComparison {
-        off: run_scenario_faults(topo, cfg_off, roles, dur, hotspot_lifetime, true, faults),
-        on: run_scenario_faults(topo, cfg_on, roles, dur, hotspot_lifetime, true, faults),
+}
+
+/// The artifact-label hint of a finished run: which half of a CC pair.
+pub(crate) fn cc_hint(net: &Network) -> &'static str {
+    if net.cc_enabled() {
+        "cc_on"
+    } else {
+        "cc_off"
     }
 }

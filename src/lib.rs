@@ -41,30 +41,26 @@
 //! assert!(pair.improvement() > 0.9);
 //! ```
 
-pub mod audit;
-pub mod backend;
 pub mod bisect;
 pub mod checkpoint;
 pub mod drill;
 pub mod experiment;
 pub mod figures;
+pub mod options;
 pub mod preset;
-pub mod profile;
 pub mod replicas;
 pub mod report;
-pub mod shards;
 pub mod sweep;
-pub mod telemetry;
-pub mod trace;
 pub mod workload;
 
 pub use bisect::{bisect_divergence, perturb_cc, Divergence};
 pub use drill::{run_drill, run_drill_floor, DrillReport};
 pub use figures::{FigureRow, FigureSeries};
 pub use experiment::{
-    run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_faults, run_scenario_opts,
-    CcComparison, RunDurations, ScenarioResult,
+    run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_opts, CcComparison, RunDurations,
+    ScenarioResult,
 };
+pub use options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
 pub use preset::Preset;
 pub use replicas::{run_scenario_replicated, Estimate, ReplicatedResult};
 pub use sweep::{parallel_map, parallel_map_progress};
@@ -75,9 +71,10 @@ pub mod prelude {
     pub use crate::drill::{run_drill, run_drill_floor, DrillReport};
     pub use crate::figures::{FigureRow, FigureSeries};
     pub use crate::experiment::{
-        run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_faults, run_scenario_opts,
-        CcComparison, RunDurations, ScenarioResult,
+        run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_opts, CcComparison,
+        RunDurations, ScenarioResult,
     };
+    pub use crate::options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
     pub use crate::preset::Preset;
     pub use crate::replicas::{run_scenario_replicated, Estimate, ReplicatedResult};
     pub use crate::report::{ascii_plot, ascii_table, write_csv, write_json, PlotSeries};

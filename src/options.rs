@@ -1,0 +1,459 @@
+//! One value configures a run: [`RunOptions`].
+//!
+//! Everything that shapes *how* a scenario is executed and observed —
+//! the invariant oracle, the CC backend override, sharding, telemetry,
+//! flow tracing, profiling, the artifact directory and
+//! checkpoint/resume — is a field of this struct, and there is exactly
+//! one of each mechanism around it:
+//!
+//! * **one parser** — [`RunOptions::set`], fed key by key (see
+//!   [`KEYS`]) from a spec file's `options` object, then `IBSIM_<KEY>`,
+//!   then `--<key>`, and validated before any network is built;
+//! * **one arm** — [`RunOptions::network`] builds the [`Network`] and
+//!   applies the options in a fixed order;
+//! * **one finish** — [`RunOptions::finish`] draws one run label,
+//!   writes every artifact under it and runs the end-of-run audit.
+//!
+//! The runners ([`RunOptions::run_scenario`],
+//! [`RunOptions::run_workload`], [`RunOptions::run_drill`]) take the
+//! value by reference; nothing here is a process-wide toggle, so two
+//! threads can run differently configured cells side by side.
+
+use ibsim_cc::CcBackend;
+use ibsim_check::AuditReport;
+use ibsim_engine::time::{TimeDelta, PS_PER_US};
+use ibsim_net::{
+    chrome_trace_json, records_csv, FaultSchedule, NetConfig, Network, NodeId, TelemetryConfig,
+};
+use ibsim_topo::Topology;
+use serde::{Deserialize, Serialize, Value};
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// Events between oracle passes when `audit` is just switched on.
+pub const DEFAULT_AUDIT_EVERY: u64 = 50_000;
+/// Sampling period (µs) when `telemetry` is just switched on.
+pub const DEFAULT_TELEMETRY_US: u64 = 100;
+
+/// The key table: every run option, spelt as the spec-file field. The
+/// flag is `--<key>` with `-` for `_`, the variable `IBSIM_<KEY>`.
+pub const KEYS: [&str; 11] = [
+    "audit",
+    "cc_backend",
+    "shards",
+    "telemetry",
+    "telemetry_det",
+    "trace_flows",
+    "profile",
+    "out",
+    "checkpoint_at",
+    "checkpoint_dir",
+    "resume_from",
+];
+
+/// The CI audit leg's spelling of `audit=<n>`: retunes the cadence of
+/// an oracle that is on, does nothing to one that is off. Not a value
+/// of its own — `audit=20000` says both at once.
+const AUDIT_EVERY_ALIAS: &str = "audit_every";
+
+/// What `trace_flows` asked for.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum FlowSpec {
+    /// Explicit `SRC:DST` pairs.
+    Flows(Vec<(NodeId, NodeId)>),
+    /// The `hotspots` keyword: every flow *into* the run's hotspots.
+    /// Hotspot locations are drawn from the scenario RNG, so
+    /// [`RunOptions::network`] arms nothing for this variant and the
+    /// runner calls [`RunOptions::trace_hotspots`] once roles exist.
+    Hotspots,
+}
+
+impl FlowSpec {
+    /// Parse `hotspots` or a `SRC:DST[,SRC:DST…]` list (`0:3,5:3`).
+    pub fn parse(spec: &str) -> Result<FlowSpec, String> {
+        if spec.trim() == "hotspots" {
+            return Ok(FlowSpec::Hotspots);
+        }
+        let flows = spec
+            .split(',')
+            .filter(|part| !part.trim().is_empty())
+            .map(|part| {
+                let (s, d) = part.split_once(':').ok_or_else(|| {
+                    format!("flow {part:?} wants SRC:DST or the keyword hotspots")
+                })?;
+                let node = |n: &str| n.trim().parse().map_err(|_| format!("bad node {n:?}"));
+                Ok((node(s)?, node(d)?))
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        if flows.is_empty() {
+            return Err("wants SRC:DST[,SRC:DST…] or the keyword hotspots".into());
+        }
+        Ok(FlowSpec::Flows(flows))
+    }
+}
+
+/// Serialises as the string [`FlowSpec::parse`] reads.
+impl Serialize for FlowSpec {
+    fn to_value(&self) -> Value {
+        Value::Str(match self {
+            FlowSpec::Hotspots => "hotspots".into(),
+            FlowSpec::Flows(flows) => {
+                let parts: Vec<String> = flows.iter().map(|(s, d)| format!("{s}:{d}")).collect();
+                parts.join(",")
+            }
+        })
+    }
+}
+
+/// A rejected option: which key, the offending value, and why.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct OptionsError {
+    pub key: String,
+    pub value: String,
+    pub reason: String,
+}
+
+impl std::fmt::Display for OptionsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let OptionsError { key, value, reason } = self;
+        write!(
+            f,
+            "option `{key}` (--{} / IBSIM_{} / spec options.{key}): {reason}, got {value:?}",
+            key.replace('_', "-"),
+            key.to_uppercase(),
+        )
+    }
+}
+
+impl std::error::Error for OptionsError {}
+
+/// How one run is executed and observed. `Default` is everything off,
+/// serial, artifacts under `results/`, checkpoints under
+/// `checkpoints/`. Field names are the [`KEYS`].
+#[derive(Clone, Debug, PartialEq, Eq, Serialize)]
+pub struct RunOptions {
+    /// Invariant oracle: events between periodic passes (`None` = off).
+    pub audit: Option<u64>,
+    /// Run CC-on configurations under this backend instead of the one
+    /// their `NetConfig` names. CC-off configurations are left alone:
+    /// they are the baseline both backends are compared against.
+    pub cc_backend: Option<CcBackend>,
+    /// Parallel shards (1 = the serial engine). Byte-invisible.
+    pub shards: usize,
+    /// Telemetry sampling period in µs (`None` = off). Writes
+    /// `telemetry_*.csv`, `flight_*.json`, `figure_*.csv`.
+    pub telemetry: Option<u64>,
+    /// Zero the two wall-clock telemetry columns, so sharded CSVs can
+    /// be diffed against serial ones.
+    pub telemetry_det: bool,
+    /// Flows to trace hop by hop. Writes `trace_*.json` / `trace_*.csv`.
+    pub trace_flows: Option<FlowSpec>,
+    /// Bin hot-path time by subsystem. Writes `profile_*.json`.
+    pub profile: bool,
+    /// Where every artifact above lands.
+    pub out: PathBuf,
+    /// Save a checkpoint when the clock first reaches this many µs.
+    pub checkpoint_at: Option<u64>,
+    /// Where checkpoints are written.
+    pub checkpoint_dir: PathBuf,
+    /// Fast-forward each run from its matching checkpoint in this
+    /// directory; runs with no matching file start cold.
+    pub resume_from: Option<PathBuf>,
+}
+
+impl Default for RunOptions {
+    fn default() -> Self {
+        RunOptions {
+            audit: None,
+            cc_backend: None,
+            shards: 1,
+            telemetry: None,
+            telemetry_det: false,
+            trace_flows: None,
+            profile: false,
+            out: PathBuf::from("results"),
+            checkpoint_at: None,
+            checkpoint_dir: PathBuf::from("checkpoints"),
+            resume_from: None,
+        }
+    }
+}
+
+/// What [`RunOptions::finish`] produced.
+#[derive(Debug)]
+#[must_use = "the audit report decides whether the run's numbers can be trusted"]
+pub struct RunArtifacts {
+    /// `runNNN_<hint>`, shared by every file of this run; `None` when
+    /// no observer was armed and nothing was written.
+    pub label: Option<String>,
+    pub files: Vec<PathBuf>,
+    /// The end-of-run oracle pass (clean and empty when audit is off).
+    pub audit: AuditReport,
+}
+
+impl RunOptions {
+    /// The one parser: set `key` from its textual `value`. Switches
+    /// take `true|on|1` / `false|off|0`; `audit` and `telemetry` also
+    /// take their number. Never panics — a bad key or value comes back
+    /// as an [`OptionsError`] naming both.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), OptionsError> {
+        let v = value.trim();
+        let bad = |reason: &str| OptionsError {
+            key: key.to_string(),
+            value: value.to_string(),
+            reason: reason.to_string(),
+        };
+        let switch = || match v {
+            "1" | "true" | "on" => Ok(true),
+            "0" | "false" | "off" => Ok(false),
+            _ => Err(bad("wants true|false")),
+        };
+        let count = |max: u64, what: &str| {
+            let n = v.parse::<u64>().ok().filter(|n| (1..=max).contains(n));
+            n.ok_or_else(|| bad(what))
+        };
+        // Microseconds that still fit the picosecond clock.
+        let micros = || {
+            count(
+                u64::MAX / PS_PER_US,
+                "wants a positive number of microseconds",
+            )
+        };
+        let dir = || match v {
+            "" => Err(bad("wants a directory")),
+            _ => Ok(PathBuf::from(v)),
+        };
+        match key {
+            "audit" => {
+                self.audit = match switch() {
+                    Ok(true) => Some(self.audit.unwrap_or(DEFAULT_AUDIT_EVERY)),
+                    Ok(false) => None,
+                    Err(_) => Some(count(
+                        u64::MAX,
+                        "wants true|false or the events between passes",
+                    )?),
+                }
+            }
+            AUDIT_EVERY_ALIAS => {
+                let every = count(u64::MAX, "wants the events between passes")?;
+                self.audit = self.audit.map(|_| every);
+            }
+            "cc_backend" => {
+                let b = CcBackend::parse(&v.to_ascii_lowercase())
+                    .ok_or_else(|| bad("wants ibcc|dcqcn"))?;
+                self.cc_backend = Some(b);
+            }
+            "shards" => {
+                self.shards = count(u32::MAX as u64, "wants a positive shard count")? as usize;
+            }
+            "telemetry" => {
+                self.telemetry = match v {
+                    "true" | "on" => Some(DEFAULT_TELEMETRY_US),
+                    "false" | "off" => None,
+                    _ => Some(micros()?),
+                }
+            }
+            "telemetry_det" => self.telemetry_det = switch()?,
+            "trace_flows" => {
+                self.trace_flows = match v {
+                    "false" | "off" => None,
+                    _ => Some(FlowSpec::parse(v).map_err(|e| bad(&e))?),
+                }
+            }
+            "profile" => self.profile = switch()?,
+            "out" => self.out = dir()?,
+            "checkpoint_at" => self.checkpoint_at = Some(micros()?),
+            "checkpoint_dir" => self.checkpoint_dir = dir()?,
+            "resume_from" => self.resume_from = Some(dir()?),
+            _ => {
+                return Err(bad(&format!(
+                    "unknown option; the keys are {}",
+                    KEYS.join(", ")
+                )))
+            }
+        }
+        Ok(())
+    }
+
+    /// Layer one source over `self`: for every key in the table, the
+    /// value `lookup(key)` returns (if any) goes through [`Self::set`].
+    pub fn overlay(
+        mut self,
+        lookup: impl Fn(&str) -> Option<String>,
+    ) -> Result<Self, OptionsError> {
+        for key in KEYS.into_iter().chain([AUDIT_EVERY_ALIAS]) {
+            if let Some(v) = lookup(key) {
+                self.set(key, &v)?;
+            }
+        }
+        Ok(self)
+    }
+
+    /// Layer the process environment (`IBSIM_<KEY>`, empty = unset)
+    /// over `self`.
+    pub fn overlay_env(self) -> Result<Self, OptionsError> {
+        self.overlay(|key| {
+            std::env::var(format!("IBSIM_{}", key.to_uppercase()))
+                .ok()
+                .filter(|v| !v.is_empty())
+        })
+    }
+
+    /// The options of a process that was handed none: the defaults
+    /// under the environment, resolved once and immutable thereafter.
+    /// The signature-stable runners (`run_scenario`, `run_workload`, …)
+    /// run under this, which is what lets `IBSIM_AUDIT=1 cargo test`
+    /// and `IBSIM_SHARDS=4 cargo test` cover the whole suite. Panics,
+    /// naming key and value, if the environment holds a bad value.
+    pub fn ambient() -> &'static RunOptions {
+        static AMBIENT: OnceLock<RunOptions> = OnceLock::new();
+        AMBIENT.get_or_init(|| {
+            RunOptions::default()
+                .overlay_env()
+                .unwrap_or_else(|e| panic!("{e}"))
+        })
+    }
+
+    /// Refuse options a runner cannot honour: `Err` names the first of
+    /// `keys` that differs from its default.
+    pub fn without(self, keys: &[&str], who: &str) -> Result<Self, OptionsError> {
+        let (mine, default) = (self.to_value(), RunOptions::default().to_value());
+        match keys.iter().find(|k| mine.get(k) != default.get(k)) {
+            None => Ok(self),
+            Some(key) => Err(OptionsError {
+                key: key.to_string(),
+                value: value_text(&mine[*key]),
+                reason: format!("{who} cannot honour this option"),
+            }),
+        }
+    }
+
+    /// The one arm: build the network for `cfg` and apply the options.
+    /// The order — backend, `Network::new`, audit, telemetry, trace,
+    /// profile, faults, shards — is part of the byte-identity contract
+    /// (the oracle and sampler must see an empty fabric, the shard
+    /// split must see the installed fault schedule).
+    pub fn network(
+        &self,
+        topo: &Topology,
+        mut cfg: NetConfig,
+        faults: Option<&FaultSchedule>,
+    ) -> Network {
+        if let (Some(backend), true) = (self.cc_backend, cfg.cc.is_some()) {
+            cfg.cc_backend = backend;
+        }
+        let mut net = Network::new(topo, cfg);
+        if let Some(every) = self.audit {
+            net.enable_audit(every);
+        }
+        if let Some(us) = self.telemetry {
+            let mut tel = TelemetryConfig::every(TimeDelta::from_us(us));
+            tel.deterministic_wall = self.telemetry_det;
+            net.enable_telemetry(tel);
+        }
+        if let Some(FlowSpec::Flows(flows)) = &self.trace_flows {
+            net.enable_trace(flows.iter().copied());
+        }
+        if self.profile {
+            net.enable_profile();
+        }
+        if let Some(schedule) = faults {
+            net.install_faults(schedule.clone());
+        }
+        if self.shards > 1 {
+            // Fabrics or schedules the executor cannot split (one leaf
+            // group, BECN-loss faults) silently stay serial.
+            net.set_shards(topo, self.shards);
+        }
+        net
+    }
+
+    /// Resolve the `hotspots` trace keyword against a drawn role
+    /// assignment: trace every flow from any end node into any
+    /// hotspot. A no-op for every other `trace_flows` value.
+    pub fn trace_hotspots(&self, net: &mut Network, hotspots: &[NodeId]) {
+        if self.trace_flows != Some(FlowSpec::Hotspots) {
+            return;
+        }
+        let nodes = net.hcas.len() as NodeId;
+        for &h in hotspots {
+            net.enable_trace((0..nodes).filter(|&n| n != h).map(move |n| (n, h)));
+        }
+    }
+
+    /// The one finish: draw one `runNNN_<hint>` label, write every
+    /// armed observer's artifacts under it into `out`, then run the
+    /// end-of-run oracle pass. Artifacts go to disk *before* the audit
+    /// so they survive the caller raising on a broken ledger.
+    /// `hotspots` groups the `figure_*.csv` series.
+    pub fn finish(&self, net: &mut Network, hint: &str, hotspots: &[NodeId]) -> RunArtifacts {
+        /// Per-process run counter: parallel sweeps never clobber each
+        /// other's artifacts, and all files of one run share a label.
+        static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
+        let armed = net.telemetry_enabled() || net.tracer().is_some() || net.profile_enabled();
+        let label =
+            armed.then(|| format!("run{:03}_{hint}", RUN_SEQ.fetch_add(1, Ordering::Relaxed)));
+        let mut files = Vec::new();
+        let mut put = |kind: &str, ext: &str, body: String| {
+            let label = label.as_deref().expect("an observer is armed");
+            let path = self.out.join(format!("{kind}_{label}.{ext}"));
+            std::fs::write(&path, body)
+                .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+            files.push(path);
+        };
+        if armed {
+            std::fs::create_dir_all(&self.out)
+                .unwrap_or_else(|e| panic!("cannot create {}: {e}", self.out.display()));
+        }
+        if let Some(tel) = net.telemetry() {
+            put("telemetry", "csv", tel.table().to_csv());
+            let flight = net.flight_dump_json("end of run");
+            put("flight", "json", flight.expect("telemetry is armed"));
+            let figure = crate::figures::FigureSeries::from_table(tel.table(), hotspots);
+            put("figure", "csv", figure.to_csv());
+        }
+        if let Some(tracer) = net.tracer() {
+            let doc = chrome_trace_json(tracer.records());
+            let json = serde_json::to_string_pretty(&doc).expect("trace doc serialises");
+            put("trace", "json", json);
+            put("trace", "csv", records_csv(tracer.records()));
+        }
+        if let Some(report) = net.profile_report() {
+            let json = serde_json::to_string_pretty(&report).expect("profile report serialises");
+            put("profile", "json", json);
+        }
+        RunArtifacts {
+            label,
+            files,
+            audit: net.audit_checked(),
+        }
+    }
+}
+
+/// A serialised option value as the text [`RunOptions::set`] reads.
+fn value_text(v: &Value) -> String {
+    match v {
+        Value::Str(s) => s.clone(),
+        other => serde_json::to_string(other).unwrap_or_default(),
+    }
+}
+
+/// A spec file's `options` object goes through the same parser as
+/// flags and environment, so a misspelt key or a bad value is rejected
+/// by name (and a serialised `RunOptions` reads back as itself).
+impl Deserialize for RunOptions {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        let pairs = v.as_object().ok_or_else(|| {
+            serde::Error::custom(format!("options: expected an object, got {v:?}"))
+        })?;
+        let mut opts = RunOptions::default();
+        for (key, value) in pairs {
+            if *value != Value::Null {
+                opts.set(key, &value_text(value))
+                    .map_err(serde::Error::custom)?;
+            }
+        }
+        Ok(opts)
+    }
+}

@@ -2,7 +2,8 @@
 //! and report mean ± confidence interval, so experiment outputs carry
 //! statistical weight rather than single-draw noise.
 
-use crate::experiment::{run_scenario, RunDurations, ScenarioResult};
+use crate::experiment::{RunDurations, ScenarioResult};
+use crate::options::RunOptions;
 use crate::sweep::parallel_map;
 use ibsim_engine::time::TimeDelta;
 use ibsim_net::NetConfig;
@@ -68,8 +69,11 @@ pub struct ReplicatedResult {
     pub replicas: Vec<ScenarioResult>,
 }
 
-/// Run `run_scenario` once per seed (in parallel) and aggregate.
+/// Run the scenario once per seed (in parallel) under `opts` and
+/// aggregate.
+#[allow(clippy::too_many_arguments)]
 pub fn run_scenario_replicated(
+    opts: &RunOptions,
     topo: &Topology,
     cfg: &NetConfig,
     roles: RoleSpec,
@@ -79,13 +83,8 @@ pub fn run_scenario_replicated(
     threads: usize,
 ) -> ReplicatedResult {
     let replicas = parallel_map(seeds, threads, |&seed| {
-        run_scenario(
-            topo,
-            cfg.clone().with_seed(seed),
-            roles,
-            dur,
-            hotspot_lifetime,
-        )
+        let cfg = cfg.clone().with_seed(seed);
+        opts.run_scenario(topo, cfg, roles, dur, hotspot_lifetime, true, None)
     });
     let pick = |f: fn(&ScenarioResult) -> f64| {
         Estimate::from_samples(&replicas.iter().map(f).collect::<Vec<_>>())
@@ -150,6 +149,7 @@ mod tests {
             c_pct_of_rest: 80,
         };
         let r = run_scenario_replicated(
+            RunOptions::ambient(),
             &topo,
             &NetConfig::paper(),
             roles,

@@ -1,9 +1,8 @@
 //! One-call runner for the production-shaped workloads: build a
 //! network, install a [`WorkloadSpec`], stream its trace (if any),
 //! measure, drain, and summarise per category — the workload twin of
-//! [`crate::experiment::run_scenario_faults`], sharing every
-//! process-wide switchboard (audit, telemetry, trace, profile, CC
-//! backend, shards, checkpoint/resume).
+//! [`RunOptions::run_scenario`], under the same [`RunOptions`] (audit,
+//! telemetry, trace, profile, CC backend, shards, checkpoint/resume).
 //!
 //! The run is segmented on a fixed 100 µs clock. Segment boundaries are
 //! where the trace feeder installs the next look-ahead window of
@@ -12,7 +11,9 @@
 //! what keeps `--shards N` and `--resume-from` byte-identical for every
 //! generator.
 
-use crate::experiment::RunDurations;
+use crate::checkpoint::CkptHook;
+use crate::experiment::{cc_hint, RunDurations};
+use crate::options::RunOptions;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{NetConfig, Network};
 use ibsim_topo::Topology;
@@ -57,111 +58,115 @@ pub struct WorkloadResult {
     pub events: u64,
 }
 
-/// Run one workload on `topo`. Warmup/measure windows come from `dur`;
-/// after `dur.total()` the run keeps going (unmeasured) until the
-/// workload drains or a cap of four extra `dur.total()` passes.
+/// Run one workload on `topo` under the ambient options (see
+/// [`RunOptions::run_workload`]).
 pub fn run_workload(
     topo: &Topology,
     cfg: NetConfig,
     spec: &WorkloadSpec,
     dur: RunDurations,
 ) -> WorkloadResult {
-    let mut cfg = cfg;
-    crate::backend::apply(&mut cfg);
-    let mut net = Network::new(topo, cfg);
-    crate::audit::arm(&mut net);
-    crate::telemetry::arm(&mut net);
-    crate::trace::arm(&mut net);
-    crate::profile::arm(&mut net);
-    crate::shards::arm(&mut net, topo);
-    let mut wl = spec
-        .install(&mut net)
-        .unwrap_or_else(|e| panic!("workload install: {e}"));
+    RunOptions::ambient().run_workload(topo, cfg, spec, dur)
+}
 
-    // Optional resume: restore runtime state, then fast-forward the
-    // trace reader past the records the restored scripts already carry.
-    let label = crate::checkpoint::workload_label(spec, &dur);
-    let mut resumed_at = None;
-    if let Some((at, state)) = crate::checkpoint::load_for(&net, &label) {
-        net.restore(&state)
-            .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
-        if let Some(feeder) = wl.feeder.as_mut() {
-            let fed: u64 = (0..feeder.nodes()).map(|v| net.script_fed(v, 0)).sum();
-            feeder
-                .skip_fed(fed)
-                .unwrap_or_else(|e| panic!("resume: trace re-read failed: {e}"));
-        }
-        resumed_at = Some(at);
-    }
-    let mut ck = CkptSegments::new(label, resumed_at);
+impl RunOptions {
+    /// Run one workload on `topo`. Warmup/measure windows come from
+    /// `dur`; after `dur.total()` the run keeps going (unmeasured)
+    /// until the workload drains or a cap of four extra `dur.total()`
+    /// passes.
+    pub fn run_workload(
+        &self,
+        topo: &Topology,
+        cfg: NetConfig,
+        spec: &WorkloadSpec,
+        dur: RunDurations,
+    ) -> WorkloadResult {
+        let mut net = self.network(topo, cfg, None);
+        let mut wl = spec
+            .install(&mut net)
+            .unwrap_or_else(|e| panic!("workload install: {e}"));
 
-    let warmup_end = Time::ZERO + dur.warmup;
-    let t_end = Time::ZERO + dur.total();
-    // CC-throttled workloads (incast especially) drain far slower than
-    // the offered-bytes arithmetic suggests — sources back off under
-    // BECN. Allow four extra run-lengths before giving up.
-    let drain_cap = t_end + TimeDelta(4 * dur.total().0);
-
-    // Segment cursor. A resumed run re-enters at the boundary its
-    // capture segment started on; the feeder's `skip_fed` makes the
-    // replayed boundary feeds no-ops, so the schedule every class sees
-    // is identical to the uninterrupted run.
-    let mut s = Time::ZERO;
-    if let Some(at) = resumed_at {
-        while s + SEGMENT <= at {
-            s += SEGMENT;
-        }
-    }
-    if warmup_end == Time::ZERO && resumed_at.is_none() && !net.is_measuring() {
-        net.start_measurement();
-    }
-    let mut drained_at = None;
-    while s < drain_cap {
-        let next = (s + SEGMENT).min(drain_cap);
-        if let Some(feeder) = wl.feeder.as_mut() {
-            feeder
-                .feed_until(&mut net, next + SEGMENT)
-                .unwrap_or_else(|e| panic!("trace feed: {e}"));
-        }
-        // Measurement edges may fall inside a segment; split the run
-        // there so the window opens and closes exactly where `dur`
-        // says. (`run_until` leaves the clock at the last event, so
-        // the toggles key off the segment plan, never off `now()`.)
-        for edge in [warmup_end, t_end] {
-            if s < edge && edge <= next {
-                ck.run_until(&mut net, edge);
-                if edge == warmup_end && !net.is_measuring() {
-                    net.start_measurement();
-                } else if edge == t_end && net.is_measuring() {
-                    net.stop_measurement();
-                }
+        // Optional resume: restore runtime state, then fast-forward the
+        // trace reader past the records the restored scripts already carry.
+        let label = crate::checkpoint::workload_label(spec, &dur);
+        let (mut ck, resumed) = CkptHook::resume(self, &net, label);
+        let resumed_at = resumed.as_ref().map(|(at, _)| *at);
+        if let Some((_, state)) = resumed {
+            net.restore(&state)
+                .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
+            if let Some(feeder) = wl.feeder.as_mut() {
+                let fed: u64 = (0..feeder.nodes()).map(|v| net.script_fed(v, 0)).sum();
+                feeder
+                    .skip_fed(fed)
+                    .unwrap_or_else(|e| panic!("resume: trace re-read failed: {e}"));
             }
         }
-        ck.run_until(&mut net, next);
-        s = next;
-        let fed_done = wl.feeder.as_ref().map_or(true, |f| f.done());
-        if drained_at.is_none() && fed_done && net.workload_drained() {
-            drained_at = Some(s);
-            if s >= t_end {
+
+        let warmup_end = Time::ZERO + dur.warmup;
+        let t_end = Time::ZERO + dur.total();
+        // CC-throttled workloads (incast especially) drain far slower than
+        // the offered-bytes arithmetic suggests — sources back off under
+        // BECN. Allow four extra run-lengths before giving up.
+        let drain_cap = t_end + TimeDelta(4 * dur.total().0);
+
+        // Segment cursor. A resumed run re-enters at the boundary its
+        // capture segment started on; the feeder's `skip_fed` makes the
+        // replayed boundary feeds no-ops, so the schedule every class sees
+        // is identical to the uninterrupted run.
+        let mut s = Time::ZERO;
+        if let Some(at) = resumed_at {
+            while s + SEGMENT <= at {
+                s += SEGMENT;
+            }
+        }
+        if warmup_end == Time::ZERO && resumed_at.is_none() && !net.is_measuring() {
+            net.start_measurement();
+        }
+        let mut drained_at = None;
+        while s < drain_cap {
+            let next = (s + SEGMENT).min(drain_cap);
+            if let Some(feeder) = wl.feeder.as_mut() {
+                feeder
+                    .feed_until(&mut net, next + SEGMENT)
+                    .unwrap_or_else(|e| panic!("trace feed: {e}"));
+            }
+            // Measurement edges may fall inside a segment; split the run
+            // there so the window opens and closes exactly where `dur`
+            // says. (`run_until` leaves the clock at the last event, so
+            // the toggles key off the segment plan, never off `now()`.)
+            for edge in [warmup_end, t_end] {
+                if s < edge && edge <= next {
+                    ck.run_until(&mut net, edge);
+                    if edge == warmup_end && !net.is_measuring() {
+                        net.start_measurement();
+                    } else if edge == t_end && net.is_measuring() {
+                        net.stop_measurement();
+                    }
+                }
+            }
+            ck.run_until(&mut net, next);
+            s = next;
+            let fed_done = wl.feeder.as_ref().map_or(true, |f| f.done());
+            if drained_at.is_none() && fed_done && net.workload_drained() {
+                drained_at = Some(s);
+                if s >= t_end {
+                    break;
+                }
+            }
+            if s >= t_end && drained_at.is_some() {
                 break;
             }
         }
-        if s >= t_end && drained_at.is_some() {
-            break;
+        if net.is_measuring() {
+            net.stop_measurement();
         }
-    }
-    if net.is_measuring() {
-        net.stop_measurement();
-    }
 
-    let cc_hint = if net.cc_enabled() { "cc_on" } else { "cc_off" };
-    crate::telemetry::finish(&net, cc_hint, &[]);
-    crate::trace::finish(&net, cc_hint);
-    crate::profile::finish(&net, cc_hint);
-    net.audit_checked().raise();
+        let hint = cc_hint(&net);
+        self.finish(&mut net, hint, &[]).audit.raise();
 
-    let records_fed = wl.feeder.as_ref().map_or(0, |f| f.records_fed());
-    summarize(&net, &wl, drained_at, records_fed)
+        let records_fed = wl.feeder.as_ref().map_or(0, |f| f.records_fed());
+        summarize(&net, &wl, drained_at, records_fed)
+    }
 }
 
 fn summarize(
@@ -187,36 +192,5 @@ fn summarize(
         offered_bytes: wl.offered_bytes,
         records_fed,
         events: net.events_processed(),
-    }
-}
-
-/// Splits each `run_until` segment at the pending checkpoint instant —
-/// the workload runner's copy of the experiment runner's hook, kept
-/// local because the segment loop also owns feeding.
-struct CkptSegments {
-    pending: Option<Time>,
-    label: String,
-}
-
-impl CkptSegments {
-    fn new(label: String, resumed_at: Option<Time>) -> Self {
-        let mut pending = crate::checkpoint::save_at();
-        if let (Some(at), Some(r)) = (pending, resumed_at) {
-            if at <= r {
-                pending = None;
-            }
-        }
-        CkptSegments { pending, label }
-    }
-
-    fn run_until(&mut self, net: &mut Network, to: Time) {
-        if let Some(at) = self.pending {
-            if at <= to {
-                net.run_until(at);
-                crate::checkpoint::save(net, &self.label);
-                self.pending = None;
-            }
-        }
-        net.run_until(to);
     }
 }

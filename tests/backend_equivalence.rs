@@ -1,27 +1,31 @@
 //! The congestion-control backend differential layer.
 //!
 //! The `CongestionControl` refactor moved the IB CC machinery behind
-//! `ibsim_cc::SourceCc` and added a process-wide backend selector
-//! (`ibsim::backend`). These tests prove the refactor is invisible:
-//! `--cc-backend ibcc` — and the flag's absence — reproduce the
+//! `ibsim_cc::SourceCc` and added a backend override
+//! (`RunOptions::cc_backend`). These tests prove the refactor is
+//! invisible: `--cc-backend ibcc` — and the flag's absence — reproduce the
 //! pre-refactor byte streams exactly (the same literal CSV pin
 //! `tests/determinism.rs` guards), across seeds, fabrics, fault
 //! schedules and shard counts. The DCQCN half then runs the paper's
 //! scenario ladder under the new backend with the invariant oracle
-//! armed: `run_scenario_faults` ends every run with
-//! `audit_checked().raise()`, so a single unsanctioned violation —
-//! including `PauseLosslessness` — panics the test.
+//! armed: `RunOptions::run_scenario` ends every run by raising the
+//! end-of-run audit, so a single unsanctioned violation — including
+//! `PauseLosslessness` — panics the test.
 //!
-//! The backend selector is process-global; every test that touches a
-//! toggle holds [`TOGGLES`] for its whole body.
+//! Tests that follow the CI legs start from `RunOptions::ambient()`;
+//! tests that pin a value start from `RunOptions::default()`.
 
 use ibsim::prelude::*;
 use ibsim_cc::CcBackend;
 use proptest::prelude::*;
-use std::sync::Mutex;
 
-/// One test at a time may own the process-wide toggles.
-static TOGGLES: Mutex<()> = Mutex::new(());
+/// `base` with the backend override set (`None` = flag omitted).
+fn with_backend(base: &RunOptions, backend: Option<CcBackend>) -> RunOptions {
+    RunOptions {
+        cc_backend: backend,
+        ..base.clone()
+    }
+}
 
 fn tiny_roles(topo: &Topology) -> RoleSpec {
     RoleSpec {
@@ -41,7 +45,13 @@ fn tiny_dur() -> RunDurations {
 }
 
 /// The `table2` CSV exactly as `tests/determinism.rs` builds it.
-fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDurations) -> String {
+fn table2_csv(
+    opts: &RunOptions,
+    topo: &Topology,
+    cfg: &NetConfig,
+    roles: RoleSpec,
+    dur: RunDurations,
+) -> String {
     let f3 = |x: f64| format!("{x:.3}");
     let cells = [(false, false), (true, false), (false, true), (true, true)];
     let results: Vec<ScenarioResult> = cells
@@ -51,7 +61,7 @@ fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDuratio
             if !cc {
                 c.cc = None;
             }
-            run_scenario_opts(topo, c, roles, dur, None, active)
+            opts.run_scenario(topo, c, roles, dur, None, active, None)
         })
         .collect();
     let (base_off, base_on, hs_off, hs_on) = (&results[0], &results[1], &results[2], &results[3]);
@@ -89,19 +99,30 @@ const TINY_TABLE2_PIN: &str = "metric,gbps\n\
 
 #[test]
 fn forced_ibcc_and_flag_absence_reproduce_the_pre_refactor_pin() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
+    let ambient = RunOptions::ambient();
 
-    ibsim::backend::clear(); // flag omitted
-    let bare = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
+    let opts = with_backend(ambient, None); // flag omitted
+    let bare = table2_csv(
+        &opts,
+        &topo,
+        &NetConfig::paper(),
+        tiny_roles(&topo),
+        tiny_dur(),
+    );
     assert_eq!(
         bare, TINY_TABLE2_PIN,
         "the backend refactor shifted the default (flag-omitted) output"
     );
 
-    ibsim::backend::force(CcBackend::IbCc);
-    let forced = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    ibsim::backend::clear();
+    let opts = with_backend(ambient, Some(CcBackend::IbCc));
+    let forced = table2_csv(
+        &opts,
+        &topo,
+        &NetConfig::paper(),
+        tiny_roles(&topo),
+        tiny_dur(),
+    );
     assert_eq!(
         forced, TINY_TABLE2_PIN,
         "--cc-backend ibcc diverged from the pre-refactor pin"
@@ -110,6 +131,7 @@ fn forced_ibcc_and_flag_absence_reproduce_the_pre_refactor_pin() {
 
 /// One scenario run summarised to a comparable byte string.
 fn run_digest(
+    opts: &RunOptions,
     topo: &Topology,
     roles: RoleSpec,
     seed: u64,
@@ -120,7 +142,7 @@ fn run_digest(
         warmup: TimeDelta::from_us(100),
         measure: TimeDelta::from_us(200),
     };
-    let r = run_scenario_faults(topo, cfg, roles, dur, None, true, faults);
+    let r = opts.run_scenario(topo, cfg, roles, dur, None, true, faults);
     serde_json::to_string(&r).expect("serialise result")
 }
 
@@ -139,7 +161,6 @@ proptest! {
         shard_pick in 0usize..3,
     ) {
         let shards = [1usize, 2, 4][shard_pick];
-        let _guard = TOGGLES.lock().unwrap();
         let topo = if big_fabric {
             FatTreeSpec::TEST_8.build()
         } else {
@@ -155,13 +176,10 @@ proptest! {
             None
         };
 
-        ibsim::shards::force(shards);
-        ibsim::backend::clear();
-        let bare = run_digest(&topo, roles, seed, faults);
-        ibsim::backend::force(CcBackend::IbCc);
-        let forced = run_digest(&topo, roles, seed, faults);
-        ibsim::backend::clear();
-        ibsim::shards::force(1);
+        let bare = RunOptions { shards, ..RunOptions::ambient().clone() };
+        let forced = with_backend(&bare, Some(CcBackend::IbCc));
+        let bare = run_digest(&bare, &topo, roles, seed, faults);
+        let forced = run_digest(&forced, &topo, roles, seed, faults);
 
         prop_assert_eq!(
             bare, forced,
@@ -172,27 +190,35 @@ proptest! {
     }
 }
 
+/// The dcqcn backend with the invariant oracle armed, serial.
+fn dcqcn_audited() -> RunOptions {
+    RunOptions {
+        cc_backend: Some(CcBackend::Dcqcn),
+        audit: Some(ibsim::options::DEFAULT_AUDIT_EVERY),
+        ..RunOptions::default()
+    }
+}
+
 /// The DCQCN backend runs the paper's scenario ladder — silent, windy
 /// and moving (stormy) hotspot forests — with the invariant oracle
-/// armed. `run_scenario_faults` raises on any unsanctioned violation,
+/// armed. `RunOptions::run_scenario` raises on any unsanctioned violation,
 /// so this test passing means zero credit-ledger, packet-conservation
 /// and `PauseLosslessness` violations under the new backend.
 #[test]
 fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
-    ibsim::backend::force(CcBackend::Dcqcn);
-    ibsim::audit::force(true);
+    let opts = dcqcn_audited();
 
     // Silent forest (fixed hotspots) and the no-hotspot baseline.
     for active in [true, false] {
-        let r = run_scenario_opts(
+        let r = opts.run_scenario(
             &topo,
             NetConfig::paper(),
             tiny_roles(&topo),
             tiny_dur(),
             None,
             active,
+            None,
         );
         assert!(r.total_rx > 0.0, "dcqcn run moved no traffic");
     }
@@ -205,22 +231,28 @@ fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
             b_p: p,
             c_pct_of_rest: 80,
         };
-        let r = run_scenario(&topo, NetConfig::paper(), roles, tiny_dur(), None);
+        let r = opts.run_scenario(
+            &topo,
+            NetConfig::paper(),
+            roles,
+            tiny_dur(),
+            None,
+            true,
+            None,
+        );
         assert!(r.total_rx > 0.0);
     }
     // Stormy forest: hotspots move every 200 µs.
-    let r = run_scenario(
+    let r = opts.run_scenario(
         &topo,
         NetConfig::paper(),
         tiny_roles(&topo),
         tiny_dur(),
         Some(TimeDelta::from_us(200)),
+        true,
+        None,
     );
     assert!(r.total_rx > 0.0);
-
-    ibsim::audit::force(false);
-    ibsim::backend::force(CcBackend::IbCc);
-    ibsim::backend::clear();
 }
 
 /// DCQCN under audit + faults (CNP-loss windows where the fault layer
@@ -228,15 +260,16 @@ fn dcqcn_runs_the_scenario_ladder_clean_under_audit() {
 /// and sharding must not change a byte of the summary.
 #[test]
 fn dcqcn_with_faults_and_shards_is_clean_and_shard_invariant() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
-    ibsim::backend::force(CcBackend::Dcqcn);
-    ibsim::audit::force(true);
     let schedule =
         FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", 0x1B51_C0DE).expect("valid spec");
 
-    let run = || {
-        let r = run_scenario_faults(
+    let run = |shards: usize| {
+        let opts = RunOptions {
+            shards,
+            ..dcqcn_audited()
+        };
+        let r = opts.run_scenario(
             &topo,
             NetConfig::paper(),
             tiny_roles(&topo),
@@ -247,18 +280,13 @@ fn dcqcn_with_faults_and_shards_is_clean_and_shard_invariant() {
         );
         serde_json::to_string(&r).expect("serialise result")
     };
-    let serial = run();
-    ibsim::shards::force(4);
-    let sharded = run();
-    ibsim::shards::force(1);
+    let serial = run(1);
+    let sharded = run(4);
 
     assert_eq!(
         serial, sharded,
         "4-shard dcqcn run diverged from the serial engine"
     );
-
-    ibsim::audit::force(false);
-    ibsim::backend::clear();
 }
 
 /// The dcqcn backend must actually exercise its new machinery on the

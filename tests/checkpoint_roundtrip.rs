@@ -23,12 +23,6 @@ use ibsim_state::{
 use ibsim_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::Mutex;
-
-/// Serialises tests that flip the process-wide checkpoint toggles
-/// (`ibsim::checkpoint::force_at` & co.); the cargo test harness runs
-/// tests of one binary on parallel threads.
-static TOGGLES: Mutex<()> = Mutex::new(());
 
 const FAULT_SPEC: &str = "becnloss:link=hcas,p=0.5;flap:link=hca:1,at=300us,dur=100us,factor=stall";
 
@@ -375,8 +369,8 @@ fn corrupt_telemetry_cadence_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Harness-level resume: the run_scenario_* entry points save at
-// --checkpoint-at and resume from --resume-from with byte-identical
+// Harness-level resume: `RunOptions::run_scenario` saves at
+// `checkpoint_at` and resumes from `resume_from` with byte-identical
 // results, across plain, measured and moving-hotspot runs.
 // ---------------------------------------------------------------------
 
@@ -397,9 +391,13 @@ fn tiny_dur() -> RunDurations {
     }
 }
 
-fn scenario_json(lifetime: Option<TimeDelta>, faults: Option<&FaultSchedule>) -> String {
+fn scenario_json(
+    opts: &RunOptions,
+    lifetime: Option<TimeDelta>,
+    faults: Option<&FaultSchedule>,
+) -> String {
     let topo = FatTreeSpec::TEST_8.build();
-    let r = run_scenario_faults(
+    let r = opts.run_scenario(
         &topo,
         NetConfig::paper(),
         tiny_roles(&topo),
@@ -412,7 +410,6 @@ fn scenario_json(lifetime: Option<TimeDelta>, faults: Option<&FaultSchedule>) ->
 }
 
 fn assert_harness_resume(ck_us: u64, lifetime: Option<TimeDelta>, faults: Option<&FaultSchedule>) {
-    let _guard = TOGGLES.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join(format!(
         "ibsim_ckpt_rt_{}_{ck_us}_{}",
         std::process::id(),
@@ -420,14 +417,21 @@ fn assert_harness_resume(ck_us: u64, lifetime: Option<TimeDelta>, faults: Option
     ));
     std::fs::remove_dir_all(&dir).ok();
 
-    ibsim::checkpoint::force_at(None);
-    ibsim::checkpoint::force_resume(None);
-    let baseline = scenario_json(lifetime, faults);
+    // Follow the CI legs (audit, shards) but pin the checkpoint keys.
+    let cold = RunOptions {
+        checkpoint_at: None,
+        resume_from: None,
+        ..RunOptions::ambient().clone()
+    };
+    let baseline = scenario_json(&cold, lifetime, faults);
 
     // Pass 1: save a checkpoint mid-run (the save must not perturb).
-    ibsim::checkpoint::set_dir(&dir);
-    ibsim::checkpoint::force_at(Some(Time::from_us(ck_us)));
-    let saving = scenario_json(lifetime, faults);
+    let save = RunOptions {
+        checkpoint_at: Some(ck_us),
+        checkpoint_dir: dir.clone(),
+        ..cold.clone()
+    };
+    let saving = scenario_json(&save, lifetime, faults);
     assert_eq!(saving, baseline, "saving a checkpoint perturbed the run");
     assert_eq!(
         std::fs::read_dir(&dir).expect("checkpoint dir").count(),
@@ -436,12 +440,13 @@ fn assert_harness_resume(ck_us: u64, lifetime: Option<TimeDelta>, faults: Option
     );
 
     // Pass 2: resume from it.
-    ibsim::checkpoint::force_at(None);
-    ibsim::checkpoint::force_resume(Some(dir.clone()));
-    let resumed = scenario_json(lifetime, faults);
+    let resume = RunOptions {
+        resume_from: Some(dir.clone()),
+        ..cold
+    };
+    let resumed = scenario_json(&resume, lifetime, faults);
     assert_eq!(resumed, baseline, "resumed run diverged from baseline");
 
-    ibsim::checkpoint::force_resume(None);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -10,11 +10,11 @@
 //!   `Network` to `t`, restoring the cached prefix when one matches
 //!   (topology digest + caller key + instant), else simulating and
 //!   saving it for next time;
-//! * [`enable_harness`] — process-wide: arm the `ibsim::checkpoint`
-//!   toggles so every `run_scenario_*` call in the test binary saves at
-//!   its warmup end on the first-ever invocation and resumes from the
-//!   cache afterwards (checkpoint file names already encode fabric +
-//!   workload, so distinct tests never collide).
+//! * [`enable_harness`] — runner-level: the [`RunOptions`] under which
+//!   every `run_scenario` call saves at its warmup end on the
+//!   first-ever invocation and resumes from the cache afterwards
+//!   (checkpoint file names already encode fabric + workload, so
+//!   distinct tests never collide).
 //!
 //! Round trips are byte-identical (pinned by `checkpoint_roundtrip.rs`),
 //! so cached runs produce exactly the numbers a cold run would — as
@@ -28,7 +28,6 @@ use ibsim::prelude::*;
 use ibsim_state::CheckpointHeader;
 use serde::Deserialize;
 use std::path::PathBuf;
-use std::sync::Once;
 
 pub fn warm_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -63,18 +62,23 @@ pub fn warm_until(net: &mut Network, key: &str, t: Time) {
     let _ = ibsim_state::save(&path, &header, &net.checkpoint());
 }
 
-static HARNESS: Once = Once::new();
-
-/// Arm the process-wide checkpoint toggles for this test binary: every
-/// `run_scenario_*` call saves its state at `warmup_us` into the shared
-/// cache and resumes from it when the file already exists. Call from
-/// each test that goes through the experiment runners; the underlying
-/// toggles are set once.
-pub fn enable_harness(warmup_us: u64) {
-    HARNESS.call_once(|| {
-        let dir = warm_dir();
-        ibsim::checkpoint::set_dir(&dir);
-        ibsim::checkpoint::force_resume(Some(dir));
-        ibsim::checkpoint::force_at(Some(Time::from_us(warmup_us)));
+/// The options the paper-shape tests run under: the ambient ones (so
+/// the CI audit and shard legs still reach them) plus the warm cache —
+/// every `run_scenario` under them saves its state at `warmup_us` into
+/// the shared cache and resumes from it when the file already exists.
+pub fn enable_harness(warmup_us: u64) -> RunOptions {
+    let ambient = RunOptions::ambient();
+    // Audited checkpoints carry ledgers an unaudited run cannot
+    // restore (and vice versa): one cache per audit setting.
+    let dir = warm_dir().join(if ambient.audit.is_some() {
+        "audited"
+    } else {
+        "plain"
     });
+    RunOptions {
+        checkpoint_at: Some(warmup_us),
+        checkpoint_dir: dir.clone(),
+        resume_from: Some(dir),
+        ..ambient.clone()
+    }
 }

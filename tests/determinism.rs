@@ -14,14 +14,17 @@ use ibsim::prelude::*;
 
 /// Build the exact CSV the `table2` binary writes (same cells, same
 /// row labels, same 3-decimal formatting, same serialisation).
+/// Runs under the ambient options, so the CI audit and shard legs
+/// reach every pin built on it.
 fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDurations) -> String {
-    table2_csv_faults(topo, cfg, roles, dur, None)
+    table2_csv_under(RunOptions::ambient(), topo, cfg, roles, dur, None)
 }
 
-/// As [`table2_csv`], threading a fault schedule into every cell — the
-/// zero-fault byte-identity pin runs the same code path the fault
-/// drills use.
-fn table2_csv_faults(
+/// As [`table2_csv`] under explicit options, threading a fault schedule
+/// into every cell — the zero-fault byte-identity pin runs the same
+/// code path the fault drills use.
+fn table2_csv_under(
+    opts: &RunOptions,
     topo: &Topology,
     cfg: &NetConfig,
     roles: RoleSpec,
@@ -38,7 +41,7 @@ fn table2_csv_faults(
             if !cc {
                 c.cc = None;
             }
-            run_scenario_faults(topo, c, roles, dur, None, active, faults)
+            opts.run_scenario(topo, c, roles, dur, None, active, faults)
         })
         .collect();
     let (base_off, base_on, hs_off, hs_on) = (&results[0], &results[1], &results[2], &results[3]);
@@ -119,6 +122,12 @@ fn tiny_dur() -> RunDurations {
     }
 }
 
+/// The tiny Table II CSV under explicit options.
+fn tiny_csv_under(opts: &RunOptions, topo: &Topology) -> String {
+    let (roles, dur) = (tiny_roles(topo), tiny_dur());
+    table2_csv_under(opts, topo, &NetConfig::paper(), roles, dur, None)
+}
+
 /// A compiled *zero-fault* schedule must be invisible: the run through
 /// the fault-aware entry point reproduces the pinned CSV byte for byte.
 /// An empty spec installing anything at all — an extra event, a
@@ -130,7 +139,8 @@ fn zero_fault_schedule_is_byte_identical() {
     let topo = FatTreeSpec::TEST_8.build();
     let empty = FaultSchedule::from_spec("", 0x1B51_C0DE).expect("empty spec");
     assert!(empty.is_empty());
-    let with = table2_csv_faults(
+    let with = table2_csv_under(
+        RunOptions::ambient(),
         &topo,
         &NetConfig::paper(),
         tiny_roles(&topo),
@@ -154,7 +164,7 @@ fn faulted_runs_replay_identically() {
             seed,
         )
         .expect("valid spec");
-        let r = run_scenario_faults(
+        let r = RunOptions::ambient().run_scenario(
             &topo,
             NetConfig::paper(),
             tiny_roles(&topo),
@@ -173,19 +183,19 @@ fn faulted_runs_replay_identically() {
 /// through the same runner reproduces the pinned CSV byte for byte.
 /// The sampler piggybacks on the event loop — no scheduled events, no
 /// RNG draws — so turning it on must not shift a single number. (This
-/// extends the pin `tiny_table2_csv_is_pinned` guards; the whole test
-/// binary runs single-process, so forcing the process-wide toggle here
-/// is safe: this is the only test in the file that touches it.)
+/// extends the pin `tiny_table2_csv_is_pinned` guards.)
 #[test]
 fn telemetry_on_is_byte_identical() {
     let topo = FatTreeSpec::TEST_8.build();
     let without = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
 
     let dir = std::env::temp_dir().join(format!("ibsim_det_tel_{}", std::process::id()));
-    ibsim::telemetry::set_out_dir(&dir);
-    ibsim::telemetry::force(Some(TimeDelta::from_us(100)));
-    let with = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    ibsim::telemetry::force(None);
+    let opts = RunOptions {
+        telemetry: Some(100),
+        out: dir.clone(),
+        ..RunOptions::default()
+    };
+    let with = tiny_csv_under(&opts, &topo);
 
     assert_eq!(
         with, without,
@@ -202,30 +212,26 @@ fn telemetry_on_is_byte_identical() {
                 .starts_with("telemetry_")
         })
         .count();
-    // Other tests in this binary may run while the toggle is held and
-    // contribute artifacts of their own, so lower-bound rather than pin.
-    assert!(n_csv >= 4, "one sample CSV per Table II cell, got {n_csv}");
+    assert_eq!(n_csv, 4, "one sample CSV per Table II cell");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Flow tracing is purely observational: tracing every node's flow
 /// toward node 0 through the same runner reproduces the pinned CSV
 /// byte for byte. The trace hooks read state the dispatch already
-/// computed — no scheduled events, no RNG draws, no reordering. (This
-/// test owns the process-wide trace toggle; no other test in this
-/// binary touches it.)
+/// computed — no scheduled events, no RNG draws, no reordering.
 #[test]
 fn trace_on_is_byte_identical() {
     let topo = FatTreeSpec::TEST_8.build();
     let without = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
 
     let dir = std::env::temp_dir().join(format!("ibsim_det_trc_{}", std::process::id()));
-    ibsim::trace::set_out_dir(&dir);
-    ibsim::trace::force(Some(ibsim::trace::FlowSpec::Flows(
-        (1..8).map(|n| (n, 0)).collect(),
-    )));
-    let with = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    ibsim::trace::force(None);
+    let opts = RunOptions {
+        trace_flows: Some(FlowSpec::Flows((1..8).map(|n| (n, 0)).collect())),
+        out: dir.clone(),
+        ..RunOptions::default()
+    };
+    let with = tiny_csv_under(&opts, &topo);
 
     assert_eq!(with, without, "trace-on run diverged from the traced-off pin");
     // The runs did record: a Perfetto export per Table II cell landed.
@@ -237,25 +243,25 @@ fn trace_on_is_byte_identical() {
             name.starts_with("trace_") && name.ends_with(".json")
         })
         .count();
-    assert!(n_json >= 4, "one Perfetto doc per Table II cell, got {n_json}");
+    assert_eq!(n_json, 4, "one Perfetto doc per Table II cell");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The self-profiler is purely observational: it reads the monotonic
 /// clock around work the engine already does, so a profiled run
-/// reproduces the pinned CSV byte for byte. (This test owns the
-/// process-wide profile toggle; no other test in this binary touches
-/// it.)
+/// reproduces the pinned CSV byte for byte.
 #[test]
 fn profile_on_is_byte_identical() {
     let topo = FatTreeSpec::TEST_8.build();
     let without = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
 
     let dir = std::env::temp_dir().join(format!("ibsim_det_prof_{}", std::process::id()));
-    ibsim::profile::set_out_dir(&dir);
-    ibsim::profile::force(true);
-    let with = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    ibsim::profile::force(false);
+    let opts = RunOptions {
+        profile: true,
+        out: dir.clone(),
+        ..RunOptions::default()
+    };
+    let with = tiny_csv_under(&opts, &topo);
 
     assert_eq!(
         with, without,
@@ -271,24 +277,24 @@ fn profile_on_is_byte_identical() {
                 .starts_with("profile_")
         })
         .count();
-    assert!(n_json >= 4, "one breakdown per Table II cell, got {n_json}");
+    assert_eq!(n_json, 4, "one breakdown per Table II cell");
     std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The sharded executor reproduces the pinned CSV byte for byte at
 /// every shard count — the same literal string `tiny_table2_csv_is_pinned`
 /// guards, so any parallel-only drift in event order, RNG draws, or
-/// formatting fails against the published numbers directly. (Forcing
-/// the process-wide shard count is safe concurrently: sharding is
-/// byte-invisible, so other tests in this binary see identical results
-/// whichever toggle state they observe.)
+/// formatting fails against the published numbers directly.
 #[test]
 fn sharded_tiny_table2_csv_is_pinned() {
     let topo = FatTreeSpec::TEST_8.build();
     let expected = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
     for n in [2, 4, 8, 1] {
-        ibsim::shards::force(n);
-        let csv = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
+        let opts = RunOptions {
+            shards: n,
+            ..RunOptions::default()
+        };
+        let csv = tiny_csv_under(&opts, &topo);
         assert_eq!(
             csv, expected,
             "--shards {n} shifted the tiny table2 CSV — the parallel \
@@ -337,9 +343,11 @@ fn quick_preset_table2_csv_hash_is_pinned_sharded() {
         b_p: 0,
         c_pct_of_rest: 80,
     };
-    ibsim::shards::force(4);
-    let csv = table2_csv(&topo, &cfg, roles, preset.durations());
-    ibsim::shards::force(1);
+    let opts = RunOptions {
+        shards: 4,
+        ..RunOptions::default()
+    };
+    let csv = table2_csv_under(&opts, &topo, &cfg, roles, preset.durations(), None);
     assert_eq!(
         fnv1a(csv.as_bytes()),
         0x9abd_45e6_1b8e_c195,

@@ -2,12 +2,19 @@
 //! schedule degrades the fabric. Sanctioned BECN drops appear in the
 //! audit report as bookkeeping (and only as bookkeeping); any *other*
 //! ledger imbalance — here an injected credit leak — still fails the
-//! run. These tests share one binary because they force the
-//! process-wide audit switch on.
+//! run.
 
 use ibsim::prelude::*;
 use ibsim_check::LedgerKind;
 use ibsim_traffic::{RoleSpec, Scenario};
+
+/// Every test here pins the oracle on (serial, nothing else armed).
+fn audited() -> RunOptions {
+    RunOptions {
+        audit: Some(ibsim::options::DEFAULT_AUDIT_EVERY),
+        ..RunOptions::default()
+    }
+}
 
 fn windy_roles(topo: &Topology) -> RoleSpec {
     RoleSpec {
@@ -24,7 +31,6 @@ fn windy_roles(topo: &Topology) -> RoleSpec {
 /// entries account for exactly the CNPs the schedule swallowed.
 #[test]
 fn windy_run_under_faults_audits_clean_except_sanctioned() {
-    ibsim::audit::force(true);
     let topo = FatTreeSpec::TEST_8.build();
     let schedule = FaultSchedule::from_spec(
         "becnloss:link=hcas,p=0.5;flap:link=hca:2,at=300us,dur=150us,factor=stall",
@@ -35,13 +41,14 @@ fn windy_run_under_faults_audits_clean_except_sanctioned() {
         warmup: TimeDelta::from_us(200),
         measure: TimeDelta::from_us(800),
     };
-    let (report, audit) = ibsim::run_drill(
+    let (report, audit) = audited().run_drill(
         &topo,
         NetConfig::paper(),
         windy_roles(&topo),
         dur,
         TimeDelta::from_us(100),
         &schedule,
+        None,
     );
     assert!(
         !audit.has_unsanctioned(),
@@ -79,7 +86,6 @@ fn windy_run_under_faults_audits_clean_except_sanctioned() {
 /// fault schedule runs.
 #[test]
 fn workload_ladder_audits_clean_on_fattree3() {
-    ibsim::audit::force(true);
     let topo = FatTree3Spec::QUICK_54.build();
     let fanin = 8;
     for spec in [
@@ -87,8 +93,7 @@ fn workload_ladder_audits_clean_on_fattree3() {
         format!("eb:frag=4096,fanin={fanin},shifts=4,slot_us=40"),
     ] {
         let spec = ibsim_traffic::WorkloadSpec::parse(&spec).unwrap();
-        let mut net = Network::new(&topo, NetConfig::paper());
-        ibsim::audit::arm(&mut net);
+        let mut net = audited().network(&topo, NetConfig::paper(), None);
         let wl = spec.install(&mut net).expect("workload install");
         assert!(wl.offered_bytes > 0);
         net.run_until(Time::from_us(400));
@@ -112,13 +117,11 @@ fn workload_ladder_audits_clean_on_fattree3() {
 /// vacuous.
 #[test]
 fn workload_audit_catches_a_silent_drop() {
-    ibsim::audit::force(true);
     let topo = FatTree3Spec::QUICK_54.build();
     let spec =
         ibsim_traffic::WorkloadSpec::parse("incast:dst=0,fanin=8,bytes=16384,msgs=8,stagger_ns=500")
             .unwrap();
-    let mut net = Network::new(&topo, NetConfig::paper());
-    ibsim::audit::arm(&mut net);
+    let mut net = audited().network(&topo, NetConfig::paper(), None);
     spec.install(&mut net).expect("workload install");
     net.run_until(Time::from_us(100));
     // Discard the head packet of the first occupied switch queue —
@@ -143,13 +146,9 @@ fn workload_audit_catches_a_silent_drop() {
 /// leak: sanctioned bookkeeping must not blunt the oracle.
 #[test]
 fn unsanctioned_leak_trips_the_oracle_despite_faults() {
-    ibsim::audit::force(true);
     let topo = FatTreeSpec::TEST_8.build();
-    let mut net = Network::new(&topo, NetConfig::paper());
-    ibsim::audit::arm(&mut net);
-    net.install_faults(
-        FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", 11).expect("valid spec"),
-    );
+    let schedule = FaultSchedule::from_spec("becnloss:link=hcas,p=0.5", 11).expect("valid spec");
+    let mut net = audited().network(&topo, NetConfig::paper(), Some(&schedule));
     let _sc = Scenario::install_opts(windy_roles(&topo), &mut net, PAPER_MSG_BYTES, true);
     net.run_until(Time::from_us(500));
     // Eat 2 credit blocks on a leaf switch uplink — corruption no fault
@@ -168,4 +167,32 @@ fn unsanctioned_leak_trips_the_oracle_despite_faults() {
         "{}",
         report.render()
     );
+}
+
+/// The drill goes through the one arm: a backend override and a
+/// shard count are honoured (both were silently dropped before),
+/// and sharding stays byte-invisible across the per-bin meters.
+#[test]
+fn drill_honours_the_backend_and_shard_options() {
+    let topo = FatTreeSpec::TEST_8.build();
+    let schedule =
+        FaultSchedule::from_spec("flap:link=hca:2,at=400us,dur=200us,factor=stall", 7).unwrap();
+    let run = |opts: &RunOptions| {
+        let dur = RunDurations::new_ms(0, 1);
+        let bin = TimeDelta::from_us(250);
+        let (cfg, roles) = (NetConfig::paper(), windy_roles(&topo));
+        let (report, _) = opts.run_drill(&topo, cfg, roles, dur, bin, &schedule, None);
+        serde_json::to_string(&report).unwrap()
+    };
+    let mut opts = RunOptions {
+        cc_backend: Some(ibsim_cc::CcBackend::Dcqcn),
+        audit: Some(20_000),
+        ..RunOptions::default()
+    };
+    let serial = run(&opts);
+    assert!(serial.contains(r#""cc_backend":"dcqcn""#), "{serial}");
+    let ibcc = run(&RunOptions::default());
+    assert_ne!(serial, ibcc, "the backend must matter");
+    opts.shards = 4;
+    assert_eq!(serial, run(&opts), "--shards must not change the drill");
 }

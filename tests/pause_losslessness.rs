@@ -11,10 +11,6 @@
 use ibsim::prelude::*;
 use ibsim_cc::CcBackend;
 use ibsim_check::LedgerKind;
-use std::sync::Mutex;
-
-/// One test at a time may own the process-wide toggles.
-static TOGGLES: Mutex<()> = Mutex::new(());
 
 fn hotspot_net(xoff: u32, xon: u32) -> (Network, Topology) {
     let topo = FatTreeSpec::TEST_8.build();
@@ -118,7 +114,6 @@ fn clean_dcqcn_run_pairs_every_pause() {
 /// byte-identical results to an unaudited one.
 #[test]
 fn dcqcn_audit_on_equals_audit_off() {
-    let _guard = TOGGLES.lock().unwrap();
     let topo = FatTreeSpec::TEST_8.build();
     let roles = RoleSpec {
         num_nodes: topo.num_hcas,
@@ -131,15 +126,16 @@ fn dcqcn_audit_on_equals_audit_off() {
         warmup: TimeDelta::from_us(200),
         measure: TimeDelta::from_us(500),
     };
-    ibsim::backend::force(CcBackend::Dcqcn);
-    let run = |audit: bool| {
-        ibsim::audit::force(audit);
-        let r = run_scenario(&topo, NetConfig::paper(), roles, dur, None);
+    let run = |audit: Option<u64>| {
+        let opts = RunOptions {
+            cc_backend: Some(CcBackend::Dcqcn),
+            audit,
+            ..RunOptions::default()
+        };
+        let r = opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true, None);
         serde_json::to_string(&r).expect("serialise result")
     };
-    let with = run(true);
-    let without = run(false);
-    ibsim::audit::force(false);
-    ibsim::backend::clear();
+    let with = run(Some(ibsim::options::DEFAULT_AUDIT_EVERY));
+    let without = run(None);
     assert_eq!(with, without, "the oracle must be observational under dcqcn");
 }
