@@ -22,7 +22,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use queue::{EventQueue, QueueSnapshot};
+pub use queue::{EventQueue, LaneStats, QueueSnapshot};
 pub use rng::Rng;
 pub use stats::{
     Histogram, HistogramState, RateMeter, RateMeterState, RunLap, RunMeter, Series,

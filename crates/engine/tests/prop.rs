@@ -1,10 +1,169 @@
 //! Property-based tests for the DES kernel.
 
-use ibsim_engine::queue::{CalendarQueue, EventQueue, HeapQueue};
+use ibsim_engine::queue::{EventQueue, HeapQueue, LaneQueue};
 use ibsim_engine::rng::Rng;
 use ibsim_engine::stats::{Histogram, TimeWeightedGauge};
 use ibsim_engine::time::{Bandwidth, Time, TimeDelta};
 use proptest::prelude::*;
+
+/// How [`run_differential`] slants its inserts at the lane policy.
+#[derive(Clone, Copy)]
+struct Bias {
+    /// The delays most inserts draw from.
+    deltas: &'static [u64],
+    /// Percentage of pops among the operations: the fewer, the deeper
+    /// the queue and the more ties at one timestamp.
+    pops: u64,
+}
+
+const BIASES: [Bias; 4] = [
+    // (a) A fabric's handful of constants, the far-out timer included.
+    Bias {
+        deltas: &[0, 50, 100, 150, 819, 153_600],
+        pops: 45,
+    },
+    // (b) More hot delays than lanes: exhaustion and recycling.
+    Bias {
+        deltas: &DENSE,
+        pops: 45,
+    },
+    // (c) The clock barely moves: same-timestamp ties spread over
+    // several lanes and the heap.
+    Bias {
+        deltas: &[0, 0, 1, 2],
+        pops: 15,
+    },
+    // (d) Two delays and many keyed inserts that undercut them.
+    Bias {
+        deltas: &[40, 900],
+        pops: 35,
+    },
+];
+
+const DENSE: [u64; 40] = {
+    let mut d = [0; 40];
+    let mut i = 0;
+    while i < 40 {
+        d[i] = 10 * (i as u64 + 1);
+        i += 1;
+    }
+    d
+};
+
+/// Explicit keys start far above any counter value, as the sharded
+/// executor's provisional keys do.
+const KEY_BASE: u64 = 1 << 40;
+
+/// Drive a [`LaneQueue`] and a [`HeapQueue`] through `ops` in lockstep,
+/// comparing every observable after every step. `ops` are
+/// `(kind, a, b)` triples: `kind` picks the operation, `a` and `b`
+/// parameterise it. Returns how many inserts the lane queue put in a
+/// lane over the whole case.
+fn run_differential(bias: Bias, ops: &[(u64, u64, u64)]) -> Result<u64, TestCaseError> {
+    let mut lanes: LaneQueue<u64> = LaneQueue::new();
+    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut lane_inserts = 0;
+    let mut keyed = 0u64;
+    for (i, &(kind, a, b)) in ops.iter().enumerate() {
+        let id = i as u64;
+        let now = lanes.now().0;
+        let delta = bias.deltas[a as usize % bias.deltas.len()];
+        // Unique explicit keys, ascending on even draws and descending
+        // on odd ones (a descending key undercuts its lane's back).
+        keyed += 1;
+        let descending = (1 << 30) - 2 * keyed + 1;
+        let key = KEY_BASE + if b % 2 == 0 { 2 * keyed } else { descending };
+        // A key below one already popped may not come due at the very
+        // instant it was popped at.
+        let soon = Time(now + 1);
+        match kind {
+            // The biased bulk: a repeated delay from the clock.
+            0..=39 => {
+                lanes.schedule(Time(now + delta), id);
+                heap.schedule(Time(now + delta), id);
+            }
+            // An arbitrary distance, occasionally far beyond the rest.
+            40..=44 => {
+                let at = Time(now + b * if a == 0 { 1_000_000 } else { 1 });
+                lanes.schedule(at, id);
+                heap.schedule(at, id);
+            }
+            // Keyed, naming no stream.
+            45..=49 => {
+                lanes.schedule_keyed(Time(now + delta).max(soon), key, id);
+                heap.schedule_keyed(Time(now + delta).max(soon), key, id);
+            }
+            // Keyed under a stream hint — the delay itself (sharing
+            // `schedule`'s lane) or a tagged one — and sometimes earlier
+            // than the stream's last insert.
+            50..=64 => {
+                let at = Time(now + delta.saturating_sub(b % 3 * (b % 7))).max(soon);
+                let hint = delta | (a % 3) << 48;
+                lanes.schedule_keyed_hint(at, key, hint, id);
+                heap.schedule_keyed_hint(at, key, hint, id);
+            }
+            // A batch up to a limit, acknowledged event by event.
+            65..=79 => {
+                let limit = Time(now + b % 256);
+                let (mut l, mut h) = (Vec::new(), Vec::new());
+                let t = lanes.pop_batch_until(limit, &mut l);
+                prop_assert_eq!(t, heap.pop_batch_until(limit, &mut h));
+                prop_assert_eq!(&l, &h);
+                prop_assert!(l.windows(2).all(|w| w[0].0 < w[1].0), "batch in seq order");
+                for &(seq, _) in &l {
+                    lanes.note_dispatched(t.unwrap(), seq);
+                    heap.note_dispatched(t.unwrap(), seq);
+                }
+            }
+            // Each restored from the *other* implementation's snapshot.
+            80 | 81 => {
+                let (l, h) = (lanes.snapshot(), heap.snapshot());
+                prop_assert_eq!(&l, &h);
+                lane_inserts += lanes.lane_stats().lane_inserts;
+                lanes = LaneQueue::from_snapshot(h);
+                heap = HeapQueue::from_snapshot(l);
+            }
+            // Drained (any order, same multiset), then refilled under
+            // the same keys, shuffled.
+            82 | 83 => {
+                let (mut l, mut h) = (Vec::new(), Vec::new());
+                lanes.drain(|at, seq, ev| l.push((at, seq, ev)));
+                heap.drain(|at, seq, ev| h.push((at, seq, ev)));
+                prop_assert!(lanes.is_empty() && heap.is_empty());
+                l.sort_unstable();
+                h.sort_unstable();
+                prop_assert_eq!(&l, &h);
+                Rng::new(b).shuffle(&mut l);
+                for (at, seq, ev) in l {
+                    lanes.schedule_keyed_hint(at, seq, at.0 - now, ev);
+                    heap.schedule_keyed(at, seq, ev);
+                }
+            }
+            84 if a < 8 => {
+                lane_inserts += lanes.lane_stats().lane_inserts;
+                lanes.reset();
+                heap.reset();
+            }
+            _ if kind < 100 - bias.pops => {}
+            _ => prop_assert_eq!(lanes.pop(), heap.pop(), "diverged at op {}", i),
+        }
+        prop_assert_eq!(lanes.peek_time(), heap.peek_time());
+        prop_assert_eq!(lanes.pending(), heap.pending());
+        prop_assert_eq!(lanes.is_empty(), heap.is_empty());
+        prop_assert_eq!(lanes.now(), heap.now());
+        prop_assert_eq!(lanes.processed(), heap.processed());
+        prop_assert_eq!(lanes.last_pop(), heap.last_pop());
+    }
+    // Drain both to the end: every remaining event must match too.
+    loop {
+        let (l, h) = (lanes.pop(), heap.pop());
+        prop_assert_eq!(&l, &h);
+        if l.is_none() {
+            break;
+        }
+    }
+    Ok(lane_inserts + lanes.lane_stats().lane_inserts)
+}
 
 proptest! {
     /// Events pop in nondecreasing time order regardless of insertion
@@ -28,63 +187,43 @@ proptest! {
         }
     }
 
-    /// Differential determinism: the calendar queue and the reference
-    /// binary-heap queue emit byte-identical `(time, event)` streams —
-    /// including peeks and pending counts — under arbitrary
-    /// interleavings of ties, near-future churn, and far-future timers
-    /// (the CCTI-tick pattern that exercises the overflow heap and
-    /// window jumps).
+    /// Differential determinism: the lane queue and the reference
+    /// binary-heap queue agree on every observable — pops, batches,
+    /// peeks, counts, the pop-order ledger, snapshots, drains — under
+    /// arbitrary interleavings of every entry point, with the insert
+    /// mix biased four ways at the lane policy (see [`Bias`]).
     #[test]
-    fn calendar_queue_matches_heap_reference(
-        ops in prop::collection::vec((0u64..100, 0u64..3_000, prop::bool::ANY), 1..400)
+    fn lane_queue_matches_heap_reference(
+        bias in 0usize..4,
+        ops in prop::collection::vec((0u64..100, 0u64..64, 0u64..4_096), 1..600)
     ) {
-        let mut cal = CalendarQueue::new();
-        let mut heap = HeapQueue::new();
-        for (i, &(kind, delta, do_pop)) in ops.iter().enumerate() {
-            let delta = match kind {
-                0..=9 => 0,                    // exact tie with `now`
-                10..=19 => 200_000_000 + delta, // far beyond any window
-                _ => delta,                     // ns-scale churn
-            };
-            let at = Time(cal.now().0 + delta);
-            cal.schedule(at, i);
-            heap.schedule(at, i);
-            prop_assert_eq!(cal.peek_time(), heap.peek_time());
-            if do_pop {
-                prop_assert_eq!(cal.pop(), heap.pop(), "diverged at op {}", i);
-            }
-            prop_assert_eq!(cal.pending(), heap.pending());
-            prop_assert_eq!(cal.now(), heap.now());
+        let lane_inserts = run_differential(BIASES[bias], &ops)?;
+        // Vacuity guard: a long case whose inserts repeat their deltas
+        // must have used the lanes, or this test pins heap against heap.
+        let repeats = ops.iter().filter(|op| op.0 < 40).count();
+        if !cfg!(ibsim_heap_queue) && repeats >= 16 * BIASES[bias].deltas.len() {
+            prop_assert!(lane_inserts > 0, "no insert of {} found a lane", ops.len());
         }
-        // Drain both to the end: every remaining event must match too.
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            prop_assert_eq!(&c, &h);
-            if c.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.processed(), heap.processed());
     }
 
     /// `pop_until` agrees between the implementations for arbitrary
-    /// limits (the main-loop primitive of `Network::run_until`).
+    /// limits.
     #[test]
-    fn calendar_pop_until_matches_heap(
+    fn lane_pop_until_matches_heap(
         times in prop::collection::vec(0u64..10_000, 1..200),
         limits in prop::collection::vec(0u64..12_000, 1..50)
     ) {
-        let mut cal = CalendarQueue::new();
+        let mut lanes = LaneQueue::new();
         let mut heap = HeapQueue::new();
         for (i, &t) in times.iter().enumerate() {
-            cal.schedule(Time(t), i);
+            lanes.schedule(Time(t), i);
             heap.schedule(Time(t), i);
         }
         let mut limits = limits.clone();
         limits.sort_unstable();
         for &l in &limits {
             loop {
-                let (c, h) = (cal.pop_until(Time(l)), heap.pop_until(Time(l)));
+                let (c, h) = (lanes.pop_until(Time(l)), heap.pop_until(Time(l)));
                 prop_assert_eq!(&c, &h);
                 if c.is_none() {
                     break;

@@ -29,7 +29,7 @@
 //! The pipeline: a spec string (see [`spec`]) parses into
 //! [`FaultDecl`]s, [`schedule::FaultSchedule::compile`] turns them into
 //! absolute-time `(time, seq)`-ordered [`schedule::TimedFault`]s which
-//! the network puts on its calendar queue, and
+//! the network puts on its event queue, and
 //! [`schedule::FaultState`] is the runtime state machine the network
 //! consults on its hot paths (one `Option` branch when no faults are
 //! installed). [`metrics`] computes per-fault recovery metrics

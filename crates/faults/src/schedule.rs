@@ -3,7 +3,7 @@
 //! [`FaultSchedule::compile`] turns parsed [`FaultDecl`]s into a flat,
 //! `(time, seq)`-ordered list of [`TimedFault`] transitions — one *open*
 //! and (for windowed faults) one *close* per declaration — that the
-//! network schedules verbatim on its calendar queue. [`FaultState`] is
+//! network schedules verbatim on its event queue. [`FaultState`] is
 //! the object the network consults at dispatch time: it resolves link
 //! selectors to concrete channel ids once at install time, owns the
 //! dedicated RNG stream for probabilistic BECN loss, and accumulates

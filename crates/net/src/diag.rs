@@ -64,7 +64,7 @@ pub struct NetworkSnapshot {
     pub at_ps: u64,
     pub switches: Vec<SwitchSnapshot>,
     pub hcas: Vec<HcaSnapshot>,
-    /// Events pending on the calendar queue.
+    /// Events pending on the event queue.
     pub pending_events: usize,
     /// Credit-return blocks currently in flight (scheduled `SwCredit` /
     /// `HcaCredit` events not yet delivered). Invisible to every

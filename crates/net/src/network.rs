@@ -375,7 +375,7 @@ impl Network {
         self.telemetry.as_deref()
     }
 
-    /// Events currently scheduled on the calendar queue (plus, during a
+    /// Events currently scheduled on the event queue (plus, during a
     /// mid-batch telemetry sample, batch events not yet dispatched).
     pub fn queue_depth(&self) -> usize {
         self.queue.pending() + self.batch_undispatched
@@ -412,7 +412,7 @@ impl Network {
 
     /// Install a compiled fault schedule, resolving its link selectors
     /// against this fabric. Must run before [`Network::prime`] so the
-    /// transitions land on the calendar queue with the initial events.
+    /// transitions land on the event queue with the initial events.
     /// An **empty** schedule installs nothing at all — the run is then
     /// bit-identical to one that never called this.
     ///
@@ -582,7 +582,8 @@ impl Network {
 
     /// The per-run profile breakdown (`None` when profiling is off).
     pub fn profile_report(&self) -> Option<ProfileReport> {
-        self.prof.as_ref().map(|p| p.report(self.queue.processed()))
+        let p = self.prof.as_ref()?;
+        Some(p.report(self.queue.processed(), self.queue.lane_stats()))
     }
 
     #[inline]
@@ -632,7 +633,7 @@ impl Network {
                 }
             }
         }
-        // Fault transitions go on the same calendar queue as everything
+        // Fault transitions go on the same event queue as everything
         // else: they are ordinary events, totally ordered by (time, seq).
         if let Some(f) = &self.faults {
             let transitions: Vec<(Time, u32)> = f
@@ -1007,20 +1008,22 @@ impl Network {
             Some(r) => {
                 let prov = r.prov;
                 r.prov += 1;
+                let delta = at.0 - r.now.0;
                 let target = r.owner_of(&ev);
                 if target == r.my {
                     if at > r.w_end {
                         // Cannot pop before the barrier: skip the queue,
                         // wait for relabelling as a plain list entry.
-                        r.later.push((at, prov, ev));
+                        r.later.push((at, prov, delta, ev));
                     } else {
-                        r.win
-                            .schedule_keyed(at, crate::shard::PROV_BASE + prov, ev);
+                        let key = crate::shard::PROV_BASE + prov;
+                        r.win.schedule_keyed_hint(at, key, delta, ev);
                     }
                 } else {
                     let es = crate::state::EventState::capture(ev, &self.pool);
                     r.outbox.push(crate::shard::OutMsg {
                         at,
+                        delta,
                         prov,
                         target,
                         ev: es,
@@ -1090,11 +1093,14 @@ impl Network {
             Event::SinkDone { hca } => self.on_sink_done(now, hca),
             Event::CctiTick { hca } => {
                 let h = &mut self.hcas[hca as usize];
-                let before = h.cc.max_ccti();
-                h.cc.on_timer();
                 if let Some(a) = &mut self.audit {
-                    let after = self.hcas[hca as usize].cc.max_ccti();
-                    a.note_timer(hca, now, before, after);
+                    // `max_ccti` walks the whole flow table; only the
+                    // ledger reads it.
+                    let before = h.cc.max_ccti();
+                    h.cc.on_timer();
+                    a.note_timer(hca, now, before, h.cc.max_ccti());
+                } else {
+                    h.cc.on_timer();
                 }
                 if self.cc_params.is_some() {
                     // Per-HCA period: parameter drift may have re-tuned

@@ -54,13 +54,14 @@
 //! byte-identical to a profile-off run for every simulation output.
 //! When off it costs one `Option` branch per event.
 
+use ibsim_engine::queue::LaneStats;
 use serde::Serialize;
 use std::time::Instant;
 
 /// The engine subsystems the profiler attributes time to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Subsystem {
-    /// Calendar-queue batch extraction (`pop_batch_until`).
+    /// Event-queue batch extraction (`pop_batch_until`).
     QueuePop,
     /// Switch ingress: routing + VoQ enqueue (`SwArrive`).
     Routing,
@@ -179,6 +180,10 @@ pub struct EngineProfiler<C: Clock = Monotonic> {
     run_mark: u64,
     /// Host time spent inside `run_until` calls.
     wall_ns: u64,
+    /// Insert counts of event queues that are gone: a sharded run's
+    /// shard and window queues, and the master queue each merge
+    /// replaces.
+    queue: LaneStats,
 }
 
 impl EngineProfiler<Monotonic> {
@@ -214,6 +219,7 @@ impl<C: Clock> EngineProfiler<C> {
             loop_reads: 0,
             run_mark: 0,
             wall_ns: 0,
+            queue: LaneStats::default(),
         }
     }
 
@@ -317,6 +323,11 @@ impl<C: Clock> EngineProfiler<C> {
         self.loop_reads += other.loop_reads;
     }
 
+    /// Keep the insert counts of a queue about to be reset or replaced.
+    pub fn absorb_queue(&mut self, stats: LaneStats) {
+        self.queue.absorb(stats);
+    }
+
     pub fn calls(&self, s: Subsystem) -> u64 {
         self.calls[s as usize]
     }
@@ -365,8 +376,11 @@ impl<C: Clock> EngineProfiler<C> {
 
     /// Build the serializable breakdown. `events` is the engine's
     /// processed-event count for the run, so the report can state an
-    /// overall ns/event next to the per-subsystem shares.
-    pub fn report(&self, events: u64) -> ProfileReport {
+    /// overall ns/event next to the per-subsystem shares; `queue` is
+    /// the live event queue's insert counts, reported together with
+    /// those absorbed from queues that are gone.
+    pub fn report(&self, events: u64, mut queue: LaneStats) -> ProfileReport {
+        queue.absorb(self.queue);
         let overhead = self.region_overhead_ns();
         let ns = Subsystem::ALL.map(|s| self.ns_with(s, overhead));
         let total_ns: u64 = ns.iter().sum();
@@ -401,6 +415,7 @@ impl<C: Clock> EngineProfiler<C> {
             coverage: ratio(total_ns, self.wall_ns),
             ns_per_event: ratio(total_ns, events),
             bins,
+            queue,
         }
     }
 }
@@ -441,6 +456,12 @@ pub struct ProfileReport {
     pub coverage: f64,
     pub ns_per_event: f64,
     pub bins: Vec<ProfileBin>,
+    /// Exact event-queue insert counts over every queue the run used
+    /// (a sharded run files an event twice: window list, then the
+    /// shard's queue): how many were appended to a FIFO lane, how many
+    /// took the fallback heap, and the most lanes any one queue had
+    /// claimed. All zero under `--cfg ibsim_heap_queue`.
+    pub queue: LaneStats,
 }
 
 #[cfg(test)]
@@ -503,7 +524,7 @@ mod tests {
             batch(&mut p, 3);
         }
         p.run_end();
-        let r = p.report(batches * 6);
+        let r = p.report(batches * 6, LaneStats::default());
         // Counts are exact; every 61st batch was timed.
         assert_eq!(bin(&r, "queue_pop").calls, batches);
         assert_eq!(bin(&r, "queue_pop").timed_calls, 10);
@@ -596,7 +617,7 @@ mod tests {
         assert_eq!(master.calls(Subsystem::Routing), 5 * n);
         assert_eq!(master.region_overhead_ns(), 10.0);
         assert_eq!(master.ns(Subsystem::Routing), 5 * n * ROUTE);
-        let r = master.report(0);
+        let r = master.report(0, LaneStats::default());
         assert_eq!(r.total_ns, 3 * n * POP + 5 * n * (ROUTE + ARB));
     }
 
@@ -608,7 +629,7 @@ mod tests {
             batch(&mut p, 1);
         }
         p.run_end();
-        let r = p.report(10);
+        let r = p.report(10, LaneStats::default());
         let sum: f64 = r.bins.iter().map(|b| b.share).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         assert_eq!(r.bins.len(), N_SUBSYSTEMS);
@@ -617,7 +638,7 @@ mod tests {
         // that never ran.
         let fault = bin(&r, "fault");
         assert_eq!((fault.calls, fault.ns, fault.ns_per_call), (0, 0, 0.0));
-        let idle = fake(5).report(0);
+        let idle = fake(5).report(0, LaneStats::default());
         assert_eq!((idle.coverage, idle.ns_per_event), (0.0, 0.0));
         // Serialises (the harness writes this as profile_{label}.json).
         let doc = serde_json::to_string(&r).unwrap();

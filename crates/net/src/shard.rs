@@ -138,6 +138,9 @@ impl OwnerMap {
 /// any, leaves the sender's arena and re-allocates in the receiver's).
 pub(crate) struct OutMsg {
     pub at: Time,
+    /// `at` minus the time of the dispatch that scheduled the event:
+    /// the lane hint the receiving queue files it under.
+    pub delta: u64,
     /// The provisional index the sender allocated; the coordinator
     /// resolves it to the true sequence number before delivery.
     pub prov: u64,
@@ -206,12 +209,19 @@ pub(crate) struct ShardRoute {
     pub win: EventQueue<Event>,
     /// Window-local events due *after* the current window end: they
     /// cannot pop before the barrier, so they skip the queue and wait
-    /// here for relabelling — one Vec push instead of a calendar insert
+    /// here for relabelling — one Vec push instead of a queue insert
     /// and drain, and it is most of the event traffic (anything a link
     /// latency or more out lands past the window by construction).
-    pub later: Vec<(Time, u64, Event)>,
+    /// `(at, provisional index, at − dispatch time, event)`.
+    pub later: Vec<(Time, u64, u64, Event)>,
     /// End of the window currently running, the `win`/`later` boundary.
     pub w_end: Time,
+    /// Timestamp of the batch currently dispatching, pinned by
+    /// [`Network::run_window`] like [`ObsBuf::now`]. An event's distance
+    /// from it is the model delay that produced the event, and travels
+    /// with the provisional key as the lane hint: by the time the true
+    /// key is known the queue's own clock says nothing about it.
+    pub now: Time,
     /// Next provisional index (reset every window).
     pub prov: u64,
     pub outbox: Vec<OutMsg>,
@@ -219,9 +229,16 @@ pub(crate) struct ShardRoute {
     /// Provisional index → true sequence number, written by the
     /// coordinator's replay of this window's logs.
     pub map: Vec<u64>,
-    /// Cross-shard arrivals under their true keys, installed at the
-    /// next window prologue.
-    pub inbox: Vec<(Time, u64, EventState)>,
+    /// Cross-shard arrivals `(at, true key, lane hint, event)`,
+    /// installed at the next window prologue.
+    pub inbox: Vec<(Time, u64, u64, EventState)>,
+}
+
+/// Lane hint of a cross-shard arrival: each sender's events of one
+/// delay are a monotone stream, two senders' interleaved are not, so
+/// the sender is part of the hint (deltas stay far below 2^48 ps).
+fn foreign_hint(delta: u64, from: usize) -> u64 {
+    delta | (from as u64 + 1) << 48
 }
 
 impl ShardRoute {
@@ -400,6 +417,7 @@ impl Network {
                 win: EventQueue::with_capacity(256),
                 later: Vec::new(),
                 w_end: Time(0),
+                now: Time(0),
                 prov: 0,
                 outbox: Vec::new(),
                 log: Vec::new(),
@@ -596,6 +614,10 @@ impl Network {
                 "shard {s} leaked {} packet slot(s) across the merge",
                 sh.pool.live()
             );
+            if let Some(m) = self.prof.as_deref_mut() {
+                m.absorb_queue(sh.queue.lane_stats());
+                m.absorb_queue(sh.shard_route.as_ref().expect("shard").win.lane_stats());
+            }
             sh.queue.reset();
             if let (Some(m), Some(f), Some(base)) =
                 (merged_stats.as_mut(), &sh.faults, &flow.split_stats)
@@ -627,6 +649,9 @@ impl Network {
             .into_iter()
             .map(|(at, seq, es)| (at, seq, es.install(&mut self.pool)))
             .collect();
+        if let Some(m) = self.prof.as_deref_mut() {
+            m.absorb_queue(self.queue.lane_stats());
+        }
         self.queue = EventQueue::from_snapshot(QueueSnapshot {
             now: flow.now,
             seq: flow.gseq,
@@ -658,20 +683,18 @@ impl Network {
     /// install cross-shard arrivals, and reset the window counters.
     pub(crate) fn window_prologue(&mut self) {
         let mut r = self.shard_route.take().expect("prologue runs on shards");
-        if !r.win.is_empty() {
-            let snap = r.win.snapshot();
-            for (at, key, ev) in snap.entries {
-                let true_seq = r.map[(key - PROV_BASE) as usize];
-                self.queue.schedule_keyed(at, true_seq, ev);
-            }
-            r.win.reset();
+        let map = &r.map;
+        r.win.drain(|at, key, ev| {
+            let true_seq = map[(key - PROV_BASE) as usize];
+            self.queue.schedule_keyed(at, true_seq, ev);
+        });
+        for (at, prov, delta, ev) in r.later.drain(..) {
+            let true_seq = map[prov as usize];
+            self.queue.schedule_keyed_hint(at, true_seq, delta, ev);
         }
-        for (at, prov, ev) in r.later.drain(..) {
-            self.queue.schedule_keyed(at, r.map[prov as usize], ev);
-        }
-        for (at, seq, es) in r.inbox.drain(..) {
+        for (at, seq, hint, es) in r.inbox.drain(..) {
             let ev = es.install(&mut self.pool);
-            self.queue.schedule_keyed(at, seq, ev);
+            self.queue.schedule_keyed_hint(at, seq, hint, ev);
         }
         r.map.clear();
         r.log.clear();
@@ -724,10 +747,11 @@ impl Network {
                     .pop_batch_until(t, batch);
             }
             self.profiling(|p| p.lap(Subsystem::QueuePop));
+            // What these dispatches schedule and note is measured from
+            // and stamped with the batch time — the shard's main-queue
+            // clock is stale for window-queue pops.
+            self.shard_route.as_mut().expect("checked above").now = t;
             if let Some(b) = self.obs_buf.as_deref_mut() {
-                // Flight notes recorded during these dispatches must
-                // carry the batch time — the shard's main-queue clock
-                // is stale for window-queue pops.
                 b.now = t;
             }
             for &(key, ev) in batch.iter() {
@@ -1010,7 +1034,7 @@ fn coordinate(
                 .as_mut()
                 .expect("shard")
                 .inbox
-                .push((m.at, seq, m.ev));
+                .push((m.at, seq, foreign_hint(m.delta, s), m.ev));
         }
     }
 

@@ -1,5 +1,5 @@
 //! Fault injection against the assembled network: the schedule fires on
-//! the calendar queue, degradation is graceful (lossless invariants
+//! the event queue, degradation is graceful (lossless invariants
 //! hold), sanctioned BECN drops are ledgered but never raised, and an
 //! unsanctioned leak is still caught with faults active.
 

@@ -1,7 +1,7 @@
 //! The steady-state hot path must not touch the global allocator.
 //!
 //! The arena packet pool, the reusable dispatch batch and the
-//! pre-sized calendar queue exist so that once a workload reaches
+//! event queue's lanes exist so that once a workload reaches
 //! steady state, simulating more virtual time costs zero heap traffic:
 //! every packet lives in a recycled pool slot and every queue structure
 //! has plateaued at its high-water capacity. This test pins that down
@@ -69,7 +69,7 @@ fn steady_state_window_performs_zero_allocations() {
     }
 
     // Warm-up: long enough that every growable structure — packet
-    // pool, calendar buckets and spill heap, dispatch batch, VoQ and
+    // pool, event-queue lanes and fallback heap, dispatch batch, VoQ and
     // sink queues — has seen its high-water mark. The run is seeded
     // and fully deterministic, so this bound is exact, not flaky.
     net.run_until(Time::from_us(1000));

@@ -17,7 +17,7 @@
 //!   without the producing build, which is what the golden-snapshot CI
 //!   leg and the divergence bisector are built on.
 //! * **Geometry-free.** Nothing in the format depends on in-memory
-//!   layout (calendar-queue shape, hash order); a checkpoint taken under
+//!   layout (event-queue shape, hash order); a checkpoint taken under
 //!   one event-queue implementation restores under the other.
 
 use serde::{Deserialize, Serialize, Value};

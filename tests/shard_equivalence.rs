@@ -423,6 +423,87 @@ fn sharded_profile_report_accounts_subsystems() {
 }
 
 // ---------------------------------------------------------------------
+// Uniform traffic: every shard hears from every other, and the event
+// queue's lanes carry it.
+// ---------------------------------------------------------------------
+
+/// Un-congested all-to-all traffic on every HCA of the fat-8 fabric,
+/// instrumented like [`observed_net`]. With one leaf per shard at
+/// `n = 4`, each shard's inbox interleaves arrivals from three senders
+/// in every window — streams of equal delay that must not share a lane.
+fn uniform_net(topo: &Topology, n: usize) -> Network {
+    let mut net = Network::new(topo, NetConfig::paper().with_seed(0x1B51_C0DE));
+    net.enable_audit(10_000);
+    let mut cfg = TelemetryConfig::every(TimeDelta::from_us(50));
+    cfg.deterministic_wall = true;
+    net.enable_telemetry(cfg);
+    net.enable_profile();
+    for node in 0..topo.num_hcas as u32 {
+        let class = TrafficClass::new(100, DestPattern::UniformExceptSelf, PAPER_MSG_BYTES);
+        net.set_classes(node, vec![class]);
+    }
+    net.set_shards(topo, n);
+    assert_eq!(net.shard_count(), n);
+    net
+}
+
+/// Serial ≡ sharded under telemetry on the uniform fabric — state,
+/// sample table and flight window at every capture, shard counts 2 and
+/// 4 — and the lane-coverage vacuity guard: nearly every insert of
+/// these runs has a model constant for its delay, so nearly every one
+/// must land in a lane, serial and sharded (where the delay travels
+/// with the provisional key across the barrier). A change that quietly
+/// sends everything to the fallback heap keeps every byte identical and
+/// fails here, not in a benchmark.
+#[test]
+fn uniform_traffic_matches_serial_and_rides_the_lanes() {
+    let topo = FatTreeSpec::TEST_8.build();
+    let captures = [us(120), us(300)];
+    let run = |n: usize| {
+        let mut net = uniform_net(&topo, n);
+        let seen: Vec<_> = captures
+            .iter()
+            .map(|&t| {
+                net.run_until(t);
+                let tel = net.telemetry().expect("telemetry is on").table().to_csv();
+                let flight = net.flight_dump_json("uniform pin").unwrap();
+                (tel, flight, net.checkpoint())
+            })
+            .collect();
+        (seen, net.profile_report().expect("profiling is on").queue)
+    };
+    let (want, serial_queue) = run(1);
+    let events = want[1].2.events_processed;
+    assert!(events > 20_000, "a loaded fabric, not {events} events");
+    for n in [2, 4] {
+        let (got, queue) = run(n);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(g.0, w.0, "shards={n} telemetry diverged at capture {i}");
+            assert_eq!(g.1, w.1, "shards={n} flight window diverged at capture {i}");
+            if g.2 != w.2 {
+                let diffs = diff_values(&w.2.to_value(), &g.2.to_value(), 10);
+                panic!(
+                    "shards={n} state diverged at capture {i}:\n{}",
+                    ibsim_state::render_diff(&diffs)
+                );
+            }
+        }
+        if !cfg!(ibsim_heap_queue) {
+            // Each of a run's queues (per shard and segment, one for
+            // the windows and one behind them) pays SIGHTINGS misses a
+            // hint before it lanes, which at four shards is a visible
+            // share of so short a run.
+            let floor = if n == 2 { 0.95 } else { 0.90 };
+            assert!(queue.coverage() >= floor, "shards={n}: {queue:?}");
+            assert!(queue.lanes_live >= 8, "shards={n}: {queue:?}");
+        }
+    }
+    if !cfg!(ibsim_heap_queue) {
+        assert!(serial_queue.coverage() >= 0.95, "serial: {serial_queue:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Thread-schedule jitter: same seed, many repetitions, one answer.
 // ---------------------------------------------------------------------
 
