@@ -5,6 +5,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::rng::Rng;
 use ibsim_engine::time::{Time, TimeDelta};
+use ibsim_net::{Ev, Event};
 
 /// The `at − now` mix of a 648-node fabric run, as `(delay in ps,
 /// weight)`: link, pipeline and credit latencies, MTU and CNP
@@ -53,11 +54,17 @@ fn queue_benches(c: &mut Criterion) {
         g.bench_function(format!("fabric_mix_depth_{depth}"), |b| {
             // The engine's own traffic: same-timestamp batches out,
             // one successor per event in, at the delays a fabric
-            // schedules with — nearly all of it lane appends.
+            // schedules with — nearly all of it lane appends — and
+            // carrying the fabric's payload, so each entry is the 32
+            // bytes the engine's are.
             let mut q = EventQueue::new();
             let mut rng = Rng::new(7);
-            for i in 0..depth as u64 {
-                q.schedule(Time(rng.next_below(1_000_000)), i);
+            for i in 0..depth as u32 {
+                let ev = Ev::pack(Event::SwTxDone {
+                    sw: i,
+                    port: (i % 36) as u16,
+                });
+                q.schedule(Time(rng.next_below(1_000_000)), ev);
             }
             let mut batch = Vec::new();
             b.iter(|| {

@@ -55,6 +55,13 @@ impl<E> Entry<E> {
     }
 }
 
+/// Bytes one pending event of payload `E` occupies in a queue — the
+/// unit every insert writes and every pop copies. Public so the crate
+/// that picks the payload can pin it at compile time.
+pub const fn entry_size<E>() -> usize {
+    std::mem::size_of::<Entry<E>>()
+}
+
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.key() == other.key()
@@ -381,7 +388,14 @@ impl<E> LaneQueue<E> {
     /// Panics in debug builds if `at` lies in the past; scheduling *at*
     /// the current instant is allowed and pops after everything already
     /// queued for that instant.
-    #[inline]
+    ///
+    /// Force-inlined down to [`Self::append`], like
+    /// [`Self::schedule_keyed_hint`]: the entry is then assembled in
+    /// registers and stored once, into its lane slot. Left to the
+    /// inliner, it is built on the caller's stack and copied from there
+    /// with wider loads than the stores that wrote it — a failed
+    /// store-to-load forward on every insert.
+    #[inline(always)]
     pub fn schedule(&mut self, at: Time, event: E) {
         let seq = self.ledger.key(at, None);
         let hint = at.0.wrapping_sub(self.ledger.now.0);
@@ -397,13 +411,13 @@ impl<E> LaneQueue<E> {
     /// two monotone streams do not interleave in one lane. Any `u64`
     /// but `u64::MAX` (no stream) is a hint; a wrong one only costs
     /// the lane.
-    #[inline]
+    #[inline(always)]
     pub fn schedule_keyed_hint(&mut self, at: Time, seq: u64, hint: u64, event: E) {
         let seq = self.ledger.key(at, Some(seq));
         self.insert(Entry { at, seq, event }, hint);
     }
 
-    #[inline]
+    #[inline(always)]
     fn insert(&mut self, e: Entry<E>, hint: u64) {
         let slot = slot_of(hint);
         let mut lane = self.memo[slot] as usize;
@@ -421,7 +435,7 @@ impl<E> LaneQueue<E> {
 
     /// Append `e` to `lane` if that keeps the lane sorted, else divert
     /// it to the heap.
-    #[inline]
+    #[inline(always)]
     fn append(&mut self, lane: usize, e: Entry<E>) {
         let q = &mut self.lanes[lane];
         match q.back() {

@@ -271,7 +271,7 @@ impl NetAudit {
             } as i64;
             for vl in 0..self.n_vls {
                 let sender = match ch.from {
-                    (Dev::Switch(s), port) => net.switches[s as usize].credits_of(port)[vl],
+                    (Dev::Switch(s), port) => net.switches[s as usize].credit(port, vl as Vl),
                     (Dev::Hca(h), _) => net.hcas[h as usize].credits[vl],
                 } as i64;
                 let wire = self.on_wire_blocks[id * self.n_vls + vl];

@@ -101,7 +101,7 @@ impl NetworkSnapshot {
                     stalled += sw.ports[p].xmit_wait;
                     per_port.push(sw.ports[p].xmit_wait);
                     cursors.push(sw.vlarb_cursor(p as u16));
-                    credits.push(sw.credits_of(p as u16).iter().map(|&c| c as u64).sum());
+                    credits.push(sw.credits_of(p as u16).map(u64::from).sum());
                 }
                 SwitchSnapshot {
                     switch: i,
@@ -138,9 +138,9 @@ impl NetworkSnapshot {
         let mut credit_events = 0usize;
         let snap = net.queue.snapshot();
         for (_, _, ev) in &snap.entries {
-            match ev {
+            match ev.unpack() {
                 Event::SwCredit { blocks, .. } | Event::HcaCredit { blocks, .. } => {
-                    credit_blocks += *blocks as u64;
+                    credit_blocks += blocks as u64;
                     credit_events += 1;
                 }
                 _ => {}

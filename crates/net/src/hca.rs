@@ -31,6 +31,20 @@ pub struct PendingCnp {
     pub sl: u8,
 }
 
+/// What an HCA keeps about one other node, as sender to it and as
+/// receiver from it: one record, so that a send and a delivery each
+/// touch one line of the dense per-peer table.
+#[derive(Clone, Copy, Debug, Default)]
+struct Peer {
+    /// Sequence number of the last packet injected toward this node.
+    tx_seq: u32,
+    /// Sequence number of the last packet delivered from this node
+    /// (ordering check).
+    last_seq: u32,
+    /// Bytes received from this node inside the measurement window.
+    rx_bytes: u64,
+}
+
 /// One end node: generator, sink, and CC agent.
 #[derive(Clone, Debug)]
 pub struct Hca {
@@ -53,8 +67,9 @@ pub struct Hca {
     rr_class: usize,
     /// CA-side congestion control state (IB CC or DCQCN, per backend).
     pub cc: SourceCc,
-    /// Per-destination injection sequence numbers, indexed by node id.
-    seqs: Vec<u32>,
+    /// Per-node sequence numbers and receive accounting, indexed by
+    /// node id.
+    peers: Vec<Peer>,
     // ---- ingress --------------------------------------------------------
     /// Channel from the fabric into this HCA.
     pub in_channel: u32,
@@ -66,13 +81,6 @@ pub struct Hca {
     /// in-flight one finishes), so arriving packets pile up in the
     /// sink queue and backpressure the fabric through held credits.
     sink_paused: bool,
-    /// Per-source last delivered sequence number (ordering check),
-    /// indexed by node id.
-    last_seq: Vec<u32>,
-    /// Bytes received per source inside the measurement window, indexed
-    /// by node id (zero = nothing received) — feeds per-flow fairness
-    /// metrics.
-    pub rx_by_src: Vec<u64>,
     // ---- statistics ------------------------------------------------------
     pub rx_meter: ibsim_engine::RateMeter,
     pub tx_meter: ibsim_engine::RateMeter,
@@ -90,7 +98,7 @@ pub struct Hca {
 }
 
 impl Hca {
-    /// `num_nodes` sizes the dense per-peer tables (sequence numbers,
+    /// `num_nodes` sizes the dense per-peer table (sequence numbers,
     /// ordering checks, per-source receive accounting).
     pub fn new(id: NodeId, num_nodes: u32, n_vls: u8, cc: SourceCc) -> Self {
         Hca {
@@ -104,7 +112,7 @@ impl Hca {
             classes: Vec::new(),
             rr_class: 0,
             cc,
-            seqs: vec![0; num_nodes as usize],
+            peers: vec![Peer::default(); num_nodes as usize],
             in_channel: u32::MAX,
             draining: None,
             // Pre-sized so steady-state receive stays allocation-free:
@@ -112,8 +120,6 @@ impl Hca {
             // and costs 256 B per HCA.
             sink_queue: VecDeque::with_capacity(64),
             sink_paused: false,
-            last_seq: vec![0; num_nodes as usize],
-            rx_by_src: vec![0; num_nodes as usize],
             rx_meter: ibsim_engine::RateMeter::new(),
             tx_meter: ibsim_engine::RateMeter::new(),
             latency: ibsim_engine::Histogram::new(),
@@ -207,7 +213,7 @@ impl Hca {
             let sl = class.sl;
             let vlv = class.vl;
             let seq = {
-                let s = &mut self.seqs[dst as usize];
+                let s = &mut self.peers[dst as usize].tx_seq;
                 *s += 1;
                 *s
             };
@@ -319,23 +325,23 @@ impl Hca {
             PacketKind::Data { .. } => {
                 self.delivered_packets += 1;
                 self.rx_bytes_total += pkt.bytes as u64;
+                let from = &mut self.peers[pkt.src as usize];
                 if self.rx_meter.is_open(now) {
-                    self.rx_by_src[pkt.src as usize] += pkt.bytes as u64;
+                    from.rx_bytes += pkt.bytes as u64;
                 }
                 self.rx_meter.record(now, pkt.bytes as u64);
                 self.latency
                     .record(now.saturating_since(pkt.injected_at).as_ps());
                 // Deterministic routing + FIFO queueing must preserve
                 // per-(src,dst) ordering.
-                let last = &mut self.last_seq[pkt.src as usize];
                 debug_assert!(
-                    pkt.seq > *last,
+                    pkt.seq > from.last_seq,
                     "out-of-order delivery from {}: {} after {}",
                     pkt.src,
                     pkt.seq,
-                    *last
+                    from.last_seq
                 );
-                *last = pkt.seq;
+                from.last_seq = pkt.seq;
             }
         }
         pkt
@@ -361,6 +367,21 @@ impl Hca {
 
     pub fn sink_paused(&self) -> bool {
         self.sink_paused
+    }
+
+    /// Bytes received from each node inside the measurement window,
+    /// by node id (zero = nothing received) — feeds per-flow fairness
+    /// metrics.
+    pub fn rx_by_src(&self) -> impl Iterator<Item = u64> + '_ {
+        self.peers.iter().map(|p| p.rx_bytes)
+    }
+
+    /// Forget the per-source receive counts (a measurement window
+    /// opens).
+    pub fn clear_rx_by_src(&mut self) {
+        for p in &mut self.peers {
+            p.rx_bytes = 0;
+        }
     }
 
     pub fn pending_cnps(&self) -> usize {
@@ -402,12 +423,12 @@ impl Hca {
             classes: self.classes.iter().map(|c| c.state()).collect(),
             rr_class: self.rr_class as u32,
             cc: self.cc.state(),
-            seqs: self.seqs.clone(),
+            seqs: self.peers.iter().map(|p| p.tx_seq).collect(),
             draining: self.draining.map(|h| *pool.get(h)),
             sink_queue: self.sink_queue.iter().map(|&h| *pool.get(h)).collect(),
             sink_paused: self.sink_paused,
-            last_seq: self.last_seq.clone(),
-            rx_by_src: self.rx_by_src.clone(),
+            last_seq: self.peers.iter().map(|p| p.last_seq).collect(),
+            rx_by_src: self.rx_by_src().collect(),
             rx_meter: self.rx_meter.state(),
             tx_meter: self.tx_meter.state(),
             latency: self.latency.state(),
@@ -446,10 +467,11 @@ impl Hca {
                 self.classes.len()
             ));
         }
+        let n = self.peers.len();
         if s.credits.len() != self.credits.len()
-            || s.seqs.len() != self.seqs.len()
-            || s.last_seq.len() != self.last_seq.len()
-            || s.rx_by_src.len() != self.rx_by_src.len()
+            || s.seqs.len() != n
+            || s.last_seq.len() != n
+            || s.rx_by_src.len() != n
         {
             return Err(format!("hca {}: per-VL or per-peer table width mismatch", self.id));
         }
@@ -465,12 +487,16 @@ impl Hca {
         self.cc
             .restore_state(&s.cc)
             .map_err(|e| format!("hca {}: {e}", self.id))?;
-        self.seqs = s.seqs.clone();
+        for (i, p) in self.peers.iter_mut().enumerate() {
+            *p = Peer {
+                tx_seq: s.seqs[i],
+                last_seq: s.last_seq[i],
+                rx_bytes: s.rx_by_src[i],
+            };
+        }
         self.draining = s.draining.map(|p| pool.alloc(p));
         self.sink_queue = s.sink_queue.iter().map(|&p| pool.alloc(p)).collect();
         self.sink_paused = s.sink_paused;
-        self.last_seq = s.last_seq.clone();
-        self.rx_by_src = s.rx_by_src.clone();
         self.rx_meter = ibsim_engine::RateMeter::from_state(s.rx_meter.clone());
         self.tx_meter = ibsim_engine::RateMeter::from_state(s.tx_meter.clone());
         self.latency = ibsim_engine::Histogram::from_state(s.latency.clone());
@@ -770,6 +796,70 @@ mod tests {
         h.finish_drain(Time::from_us(1), true, &mut pool);
         h.start_drain(&cfg, &pool);
         h.finish_drain(Time::from_us(2), true, &mut pool); // seq 1 after 2: assert
+    }
+
+    /// The per-peer table against the three vectors it replaced, kept
+    /// by hand beside it: the exported state holds the same numbers,
+    /// field for field, and restores into the same table.
+    #[test]
+    fn peer_table_exports_the_three_vectors() {
+        let (mut h, cfg) = hca();
+        for dst in [7, 9] {
+            add_class(&mut h, 50, DestPattern::Fixed(dst));
+        }
+        let (mut seqs, mut last_seq, mut rx_by_src) =
+            (vec![0u32; 16], vec![0u32; 16], vec![0u64; 16]);
+        let mut now = Time::from_us(10);
+        for _ in 0..5 {
+            if let NextSend::Packet(p) = h.next_packet(now, 16, &cfg, false) {
+                h.note_sent(&p, now, &cfg, false);
+                seqs[p.dst as usize] = p.seq;
+            }
+            now += TimeDelta::from_us(5);
+        }
+        assert!(seqs[7] > 0 && seqs[9] > 0, "both classes sent");
+        // Deliveries before the window opens set the ordering mark
+        // only; inside it they are counted per source as well.
+        let mut pool = PacketPool::new();
+        let mut deliver = |h: &mut Hca, src: u32, seq: u32, bytes: u32, now: Time| {
+            let pkt = Packet {
+                src,
+                dst: 3,
+                bytes,
+                vl: 0,
+                sl: 0,
+                kind: PacketKind::Data { class: 0 },
+                fecn: false,
+                seq,
+                injected_at: Time::ZERO,
+            };
+            h.receive(pool.alloc(pkt), &pool, false);
+            h.start_drain(&cfg, &pool).expect("the sink was idle");
+            h.finish_drain(now, false, &mut pool);
+        };
+        deliver(&mut h, 5, 1, 2048, now);
+        last_seq[5] = 1;
+        h.rx_meter.start_window(now);
+        for (src, seq, bytes) in [(5, 2, 2048), (15, 1, 64), (5, 3, 1000), (0, 4, 1)] {
+            deliver(&mut h, src, seq, bytes, now);
+            last_seq[src as usize] = seq;
+            rx_by_src[src as usize] += bytes as u64;
+        }
+        let state = h.state(&pool);
+        assert_eq!(
+            (&state.seqs, &state.last_seq, &state.rx_by_src),
+            (&seqs, &last_seq, &rx_by_src)
+        );
+        assert_eq!(h.rx_by_src().collect::<Vec<_>>(), rx_by_src);
+
+        let (mut h2, _) = hca();
+        h2.classes = h.classes.clone();
+        h2.restore_state(&state, &mut pool).unwrap();
+        assert_eq!(h2.state(&pool), state);
+        h2.clear_rx_by_src();
+        let cleared = h2.state(&pool);
+        assert_eq!((&cleared.seqs, &cleared.last_seq), (&seqs, &last_seq));
+        assert!(cleared.rx_by_src.iter().all(|&b| b == 0));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub use config::NetConfig;
 pub use diag::NetworkSnapshot;
 pub use gen::{ClassState, DestPattern, Script, ScriptSend, TrafficClass, PAPER_MSG_BYTES};
 pub use hca::{Hca, HcaState};
-pub use network::{Dev, Event, Network};
+pub use network::{Dev, Ev, Event, Network};
 pub use pool::{PacketPool, PktHandle};
 pub use state::{EventState, NetworkState};
 pub use switch::{SwPortState, Switch, SwitchState};

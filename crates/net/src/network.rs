@@ -35,10 +35,11 @@ pub struct Channel {
     pub reverse: u32,
 }
 
-/// Simulation events. Packet payloads are arena handles
-/// ([`PktHandle`]) into the network's [`PacketPool`], keeping every
-/// event `Copy` and 16 bytes or less; checkpoints persist the resolved
-/// packets via [`crate::state::EventState`] instead.
+/// Simulation events, as the dispatch path reads them. Packet payloads
+/// are arena handles ([`PktHandle`]) into the network's [`PacketPool`];
+/// checkpoints persist the resolved packets via
+/// [`crate::state::EventState`] instead. The queues never hold this
+/// enum: they hold its packed form, [`Ev`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Event {
     /// Packet head reaches the receiving end of `ch` (switch ingress).
@@ -82,10 +83,97 @@ pub enum Event {
     PfcHca { hca: u32, vl: Vl, xoff: bool },
 }
 
+/// An [`Event`] as every queue holds it — the main queue, the dispatch
+/// batch, a shard's window queue and a [`QueueSnapshot`]'s entries:
+/// two words, `tag | x << 32` (`x` the event's channel, device or fault
+/// index) and `lo | hi << 32` (`lo` a packet handle or `port | vl << 16
+/// | xoff << 24`, `hi` a credit's blocks).
+///
+/// Two words rather than the enum because of how each is written. The
+/// enum is stored field by field — a one-byte tag, a two-byte port, a
+/// four-byte device — and the queue then copies it with eight-byte
+/// loads, which the store buffer cannot forward from narrower stores:
+/// every insert and every pop stalled until those stores retired. The
+/// words are assembled in registers and stored whole, so every later
+/// copy reads what one store wrote. Packed once where an event is
+/// scheduled, unpacked once where it is dispatched.
+///
+/// [`QueueSnapshot`]: ibsim_engine::QueueSnapshot
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Ev(u64, u64);
+
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+const _: () = assert!(ibsim_engine::queue::entry_size::<Ev>() == 32);
+
+impl Ev {
+    #[inline(always)]
+    pub fn pack(ev: Event) -> Ev {
+        let w = |tag: u64, x: u32, lo: u32, hi: u32| {
+            Ev(tag | (x as u64) << 32, lo as u64 | (hi as u64) << 32)
+        };
+        let sub =
+            |port: u16, vl: Vl, xoff: bool| port as u32 | (vl as u32) << 16 | (xoff as u32) << 24;
+        match ev {
+            Event::SwArrive { ch, h } => w(0, ch, h.bits(), 0),
+            Event::HcaArrive { ch, h } => w(1, ch, h.bits(), 0),
+            Event::SwTxDone { sw, port } => w(2, sw, sub(port, 0, false), 0),
+            Event::SwTryArb { sw, port } => w(3, sw, sub(port, 0, false), 0),
+            Event::SwCredit {
+                sw,
+                port,
+                vl,
+                blocks,
+            } => w(4, sw, sub(port, vl, false), blocks),
+            Event::HcaTxDone { hca } => w(5, hca, 0, 0),
+            Event::HcaTrySend { hca } => w(6, hca, 0, 0),
+            Event::HcaCredit { hca, vl, blocks } => w(7, hca, sub(0, vl, false), blocks),
+            Event::SinkDone { hca } => w(8, hca, 0, 0),
+            Event::CctiTick { hca } => w(9, hca, 0, 0),
+            Event::Fault { idx } => w(10, idx, 0, 0),
+            Event::PfcSw { sw, port, vl, xoff } => w(11, sw, sub(port, vl, xoff), 0),
+            Event::PfcHca { hca, vl, xoff } => w(12, hca, sub(0, vl, xoff), 0),
+        }
+    }
+
+    #[inline(always)]
+    pub fn unpack(self) -> Event {
+        let x = (self.0 >> 32) as u32;
+        let (lo, blocks) = (self.1 as u32, (self.1 >> 32) as u32);
+        let h = PktHandle::from_bits(lo);
+        let (port, vl, xoff) = (lo as u16, (lo >> 16) as Vl, lo >> 24 != 0);
+        match self.0 as u32 {
+            0 => Event::SwArrive { ch: x, h },
+            1 => Event::HcaArrive { ch: x, h },
+            2 => Event::SwTxDone { sw: x, port },
+            3 => Event::SwTryArb { sw: x, port },
+            4 => Event::SwCredit {
+                sw: x,
+                port,
+                vl,
+                blocks,
+            },
+            5 => Event::HcaTxDone { hca: x },
+            6 => Event::HcaTrySend { hca: x },
+            7 => Event::HcaCredit { hca: x, vl, blocks },
+            8 => Event::SinkDone { hca: x },
+            9 => Event::CctiTick { hca: x },
+            10 => Event::Fault { idx: x },
+            11 => Event::PfcSw {
+                sw: x,
+                port,
+                vl,
+                xoff,
+            },
+            12 => Event::PfcHca { hca: x, vl, xoff },
+            tag => unreachable!("packed event with tag {tag}"),
+        }
+    }
+}
+
 /// The fully-wired simulator for one network.
 pub struct Network {
     pub cfg: NetConfig,
-    pub(crate) queue: EventQueue<Event>,
+    pub(crate) queue: EventQueue<Ev>,
     /// Arena of every packet currently alive in the fabric (queued in a
     /// VoQ or sink, or riding a scheduled event). Handle-indexed with
     /// free-list recycling: the steady-state event loop allocates
@@ -93,7 +181,7 @@ pub struct Network {
     pub(crate) pool: PacketPool,
     /// Reusable scratch for same-timestamp batch dispatch; empty
     /// between `run_*` calls.
-    batch: Vec<(u64, Event)>,
+    batch: Vec<(u64, Ev)>,
     /// Batch events extracted from the queue but not yet dispatched at
     /// the instant a telemetry sample runs — logically still pending,
     /// so [`Network::queue_depth`] adds them back and reads exactly
@@ -215,6 +303,10 @@ impl Network {
                 }
                 Dev::Hca(h) => hcas[h as usize].in_channel = id,
             }
+        }
+
+        for sw in switches.iter_mut() {
+            sw.wire(&channels);
         }
 
         // Initial credits: the downstream input buffer size, per VL.
@@ -617,7 +709,7 @@ impl Network {
             if !self.hcas[i].classes.is_empty() {
                 self.hcas[i].wakeup_at = Time::ZERO;
                 self.queue
-                    .schedule(Time::ZERO, Event::HcaTrySend { hca: i as u32 });
+                    .schedule(Time::ZERO, Ev::pack(Event::HcaTrySend { hca: i as u32 }));
                 if let Some(p) = &self.cc_params {
                     // Stagger each HCA's recovery-timer phase with a
                     // deterministic offset. Real adapters boot at
@@ -628,7 +720,7 @@ impl Network {
                         .next_below(p.timer_period_ps());
                     self.queue.schedule(
                         Time(p.timer_period_ps() + phase),
-                        Event::CctiTick { hca: i as u32 },
+                        Ev::pack(Event::CctiTick { hca: i as u32 }),
                     );
                 }
             }
@@ -645,7 +737,7 @@ impl Network {
                 .map(|(i, tf)| (tf.at, i as u32))
                 .collect();
             for (at, idx) in transitions {
-                self.queue.schedule(at, Event::Fault { idx });
+                self.queue.schedule(at, Ev::pack(Event::Fault { idx }));
             }
         }
     }
@@ -794,7 +886,7 @@ impl Network {
     /// profiler (which decides whether this batch is timed) and closes
     /// the pop into [`Subsystem::QueuePop`].
     #[inline]
-    fn pop_batch(&mut self, t: Time, batch: &mut Vec<(u64, Event)>) -> Option<Time> {
+    fn pop_batch(&mut self, t: Time, batch: &mut Vec<(u64, Ev)>) -> Option<Time> {
         let Some(p) = self.prof.as_deref_mut() else {
             return self.queue.pop_batch_until(t, batch);
         };
@@ -805,11 +897,12 @@ impl Network {
     }
 
     /// `dispatch`, closed into the event kind's subsystem when
-    /// profiling. The off cost is one branch.
-    #[inline]
-    pub(crate) fn dispatch_profiled(&mut self, at: Time, ev: Event) {
-        self.dispatch(at, ev);
-        self.profiling(|p| p.lap(Network::subsystem_of(&ev)));
+    /// profiling. The off cost is one branch. Never inlined: the three
+    /// run loops share this one copy of the dispatch body.
+    #[inline(never)]
+    pub(crate) fn dispatch_profiled(&mut self, at: Time, ev: Ev) {
+        self.dispatch(at, ev.unpack());
+        self.profiling(|p| p.lap(Network::subsystem_of(&ev.unpack())));
     }
 
     /// Run until the workload drains (every class finished, every
@@ -831,7 +924,7 @@ impl Network {
             for i in 0..batch.len() {
                 let (seq, ev) = batch[i];
                 self.queue.note_dispatched(at, seq);
-                let is_tick = matches!(ev, Event::CctiTick { .. });
+                let is_tick = matches!(ev.unpack(), Event::CctiTick { .. });
                 if is_tick && self.workload_drained() {
                     // Drop the perpetual recovery timer once nothing can
                     // ever send again; the heap then drains and we stop.
@@ -877,11 +970,11 @@ impl Network {
                 Dev::Switch(_) => self.cfg.switch_ibuf_blocks,
                 Dev::Hca(_) => self.cfg.hca_ibuf_blocks,
             };
-            let have: &[u32] = match ch.from {
-                (Dev::Switch(sw), port) => self.switches[sw as usize].credits_of(port),
-                (Dev::Hca(h), _) => &self.hcas[h as usize].credits,
-            };
-            for (vl, &c) in have.iter().enumerate() {
+            for vl in 0..self.cfg.n_vls {
+                let c = match ch.from {
+                    (Dev::Switch(sw), port) => self.switches[sw as usize].credit(port, vl),
+                    (Dev::Hca(h), _) => self.hcas[h as usize].credits[vl as usize],
+                };
                 if c != expect {
                     return Err(format!(
                         "channel {id} VL {vl}: {c} credits at rest, expected {expect}"
@@ -917,7 +1010,7 @@ impl Network {
         for h in &mut self.hcas {
             h.rx_meter.start_window(now);
             h.tx_meter.start_window(now);
-            h.rx_by_src.fill(0);
+            h.clear_rx_by_src();
         }
     }
 
@@ -1004,7 +1097,7 @@ impl Network {
     #[inline]
     pub(crate) fn sched(&mut self, at: Time, ev: Event) {
         match &mut self.shard_route {
-            None => self.queue.schedule(at, ev),
+            None => self.queue.schedule(at, Ev::pack(ev)),
             Some(r) => {
                 let prov = r.prov;
                 r.prov += 1;
@@ -1014,10 +1107,10 @@ impl Network {
                     if at > r.w_end {
                         // Cannot pop before the barrier: skip the queue,
                         // wait for relabelling as a plain list entry.
-                        r.later.push((at, prov, delta, ev));
+                        r.later.push((at, prov, delta, Ev::pack(ev)));
                     } else {
                         let key = crate::shard::PROV_BASE + prov;
-                        r.win.schedule_keyed_hint(at, key, delta, ev);
+                        r.win.schedule_keyed_hint(at, key, delta, Ev::pack(ev));
                     }
                 } else {
                     let es = crate::state::EventState::capture(ev, &self.pool);
@@ -1056,6 +1149,10 @@ impl Network {
         }
     }
 
+    /// Inlined into [`Self::dispatch_profiled`] so that the unpacked
+    /// event is never materialised: the match on the packed tag and
+    /// this match on the enum fold into one.
+    #[inline(always)]
     pub(crate) fn dispatch(&mut self, now: Time, ev: Event) {
         match ev {
             Event::SwArrive { ch, h } => self.on_sw_arrive(now, ch, h),
@@ -1328,35 +1425,30 @@ impl Network {
         // Transmitter done → next arbitration.
         self.sched(now + ser, Event::SwTxDone { sw: si, port });
 
-        // Hand the packet to the peer.
-        let out_ch = self.switches[si as usize].ports[port as usize]
-            .out_channel
-            .expect("grant on uncabled port");
-        let channel = self.channels[out_ch as usize];
-        match channel.to.0 {
-            Dev::Switch(_) => self.sched(now + channel.delay, Event::SwArrive { ch: out_ch, h }),
+        // Hand the packet to the peer, over the granting port's cable.
+        let sw = &self.switches[si as usize];
+        let (out, back) = (sw.link(port), sw.link(in_port));
+        match out.peer.0 {
+            Dev::Switch(_) => self.sched(now + out.delay, Event::SwArrive { ch: out.out_ch, h }),
             Dev::Hca(_) => self.sched(
-                now + channel.delay + ser,
-                Event::HcaArrive { ch: out_ch, h },
+                now + out.delay + ser,
+                Event::HcaArrive { ch: out.out_ch, h },
             ),
         }
 
-        // Return credits upstream once the tail has left this ibuf.
-        let in_ch = self.switches[si as usize].ports[in_port as usize]
-            .in_channel
-            .expect("packet arrived on uncabled port");
+        // Return credits upstream, over the cable the packet came in
+        // on, once the tail has left this ibuf.
         if let Some(a) = &mut self.audit {
-            a.note_grant(out_ch, in_ch, vl, blocks);
+            a.note_grant(out.out_ch, back.in_ch, vl, blocks);
         }
-        let rev = self.channels[self.channels[in_ch as usize].reverse as usize];
-        let at = now + ser + rev.delay + self.cfg.credit_latency;
+        let at = now + ser + back.delay + self.cfg.credit_latency;
         // A flapped link returns its credits late (degraded rate) or at
         // window end (stall); losslessness is preserved exactly.
         let at = match &mut self.faults {
-            Some(f) => f.credit_release(in_ch, at, ser),
+            Some(f) => f.credit_release(back.in_ch, at, ser),
             None => at,
         };
-        match self.channels[in_ch as usize].from {
+        match back.peer {
             (Dev::Switch(up), up_port) => self.sched(
                 at,
                 Event::SwCredit {
@@ -1641,6 +1733,53 @@ mod tests {
     use crate::gen::DestPattern;
     use crate::profile::N_SUBSYSTEMS;
     use ibsim_topo::FatTreeSpec;
+    use proptest::prelude::*;
+
+    /// A field value: its type's extremes half the time (`port =
+    /// u16::MAX`, `vl = 15`, `blocks = u32::MAX`, a handle with every
+    /// generation bit set), anything else otherwise.
+    fn field(max: u32) -> impl Strategy<Value = u32> {
+        (0u32..4, 0..=max).prop_map(move |(pick, any)| match pick {
+            0 => 0,
+            1 => max,
+            _ => any,
+        })
+    }
+
+    proptest! {
+        /// Every event survives the queue's two-word form, whatever
+        /// its fields hold, and no two events share a packed form.
+        #[test]
+        fn packed_events_round_trip(
+            (variant, x, handle) in (0u32..13, field(u32::MAX), field(u32::MAX)),
+            (port, vl, blocks) in (field(u16::MAX as u32), field(15), field(u32::MAX)),
+            xoff: bool,
+            other in (0u32..13, field(u32::MAX), field(u32::MAX)),
+        ) {
+            let event = |variant: u32, x: u32, lo: u32| {
+                let (port, vl, h) = (port as u16, vl as Vl, PktHandle::from_bits(lo));
+                match variant {
+                    0 => Event::SwArrive { ch: x, h },
+                    1 => Event::HcaArrive { ch: x, h },
+                    2 => Event::SwTxDone { sw: x, port },
+                    3 => Event::SwTryArb { sw: x, port },
+                    4 => Event::SwCredit { sw: x, port, vl, blocks },
+                    5 => Event::HcaTxDone { hca: x },
+                    6 => Event::HcaTrySend { hca: x },
+                    7 => Event::HcaCredit { hca: x, vl, blocks },
+                    8 => Event::SinkDone { hca: x },
+                    9 => Event::CctiTick { hca: x },
+                    10 => Event::Fault { idx: x },
+                    11 => Event::PfcSw { sw: x, port, vl, xoff },
+                    _ => Event::PfcHca { hca: x, vl, xoff },
+                }
+            };
+            let ev = event(variant, x, handle);
+            prop_assert_eq!(Ev::pack(ev).unpack(), ev);
+            let ev2 = event(other.0, other.1, other.2);
+            prop_assert_eq!(Ev::pack(ev) == Ev::pack(ev2), ev == ev2);
+        }
+    }
 
     /// The 8-node fat tree under uniform traffic, CC on.
     fn fat8_cc_on() -> Network {
@@ -1677,8 +1816,8 @@ mod tests {
             batches += 1;
             for (seq, ev) in batch.drain(..) {
                 plain.queue.note_dispatched(at, seq);
-                by_bin[Network::subsystem_of(&ev) as usize] += 1;
-                plain.dispatch(at, ev);
+                by_bin[Network::subsystem_of(&ev.unpack()) as usize] += 1;
+                plain.dispatch(at, ev.unpack());
             }
         }
         assert!(batches > 1_000, "the run did real work");

@@ -42,6 +42,18 @@ impl PktHandle {
     pub fn generation(self) -> u8 {
         (self.0 >> SLOT_BITS) as u8
     }
+
+    /// The handle as the word a packed event carries.
+    #[inline]
+    pub(crate) fn bits(self) -> u32 {
+        self.0
+    }
+
+    /// The handle [`Self::bits`] came from.
+    #[inline]
+    pub(crate) fn from_bits(bits: u32) -> Self {
+        PktHandle(bits)
+    }
 }
 
 /// Free-list arena of [`Packet`]s. One per [`crate::Network`].

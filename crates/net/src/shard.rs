@@ -79,7 +79,7 @@
 //!   drift) is per-device or consulted lazily by time and shards
 //!   cleanly.
 
-use crate::network::{Dev, Event, Network};
+use crate::network::{Dev, Ev, Event, Network};
 use crate::profile::{EngineProfiler, Subsystem};
 use crate::state::EventState;
 use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
@@ -206,14 +206,14 @@ pub(crate) struct ShardRoute {
     /// Window-local events due *inside* the current window (provisional
     /// keys): these can pop before the barrier, so they need a real
     /// priority queue.
-    pub win: EventQueue<Event>,
+    pub win: EventQueue<Ev>,
     /// Window-local events due *after* the current window end: they
     /// cannot pop before the barrier, so they skip the queue and wait
     /// here for relabelling — one Vec push instead of a queue insert
     /// and drain, and it is most of the event traffic (anything a link
     /// latency or more out lands past the window by construction).
     /// `(at, provisional index, at − dispatch time, event)`.
-    pub later: Vec<(Time, u64, u64, Event)>,
+    pub later: Vec<(Time, u64, u64, Ev)>,
     /// End of the window currently running, the `win`/`later` boundary.
     pub w_end: Time,
     /// Timestamp of the batch currently dispatching, pinned by
@@ -485,6 +485,7 @@ impl Network {
         let mut per: Vec<Vec<(Time, u64, EventState)>> = Vec::new();
         per.resize_with(ex.n, Vec::new);
         for &(at, seq, ev) in &snap.entries {
+            let ev = ev.unpack();
             let owner = ex.owners.owner_of(&ev) as usize;
             let es = EventState::capture(ev, &self.pool);
             if let Event::SwArrive { h, .. } | Event::HcaArrive { h, .. } = ev {
@@ -522,9 +523,9 @@ impl Network {
                 .map(|t| Tracer::for_flows(t.flows().iter().copied()));
             sh.obs_buf = self.telemetry.as_ref().map(|_| Box::new(ObsBuf::new()));
             sh.prof = self.prof.as_ref().map(|p| Box::new(p.fork()));
-            let installed: Vec<(Time, u64, Event)> = entries
+            let installed: Vec<(Time, u64, Ev)> = entries
                 .into_iter()
-                .map(|(at, seq, es)| (at, seq, es.install(&mut sh.pool)))
+                .map(|(at, seq, es)| (at, seq, Ev::pack(es.install(&mut sh.pool))))
                 .collect();
             sh.queue = EventQueue::from_snapshot(QueueSnapshot {
                 now: snap.now,
@@ -597,6 +598,7 @@ impl Network {
             }
             let snap = sh.queue.snapshot();
             for &(at, seq, ev) in &snap.entries {
+                let ev = ev.unpack();
                 let es = EventState::capture(ev, &sh.pool);
                 if let Event::SwArrive { h, .. } | Event::HcaArrive { h, .. } = ev {
                     sh.pool.release(h);
@@ -645,9 +647,9 @@ impl Network {
             }
         }
         entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        let installed: Vec<(Time, u64, Event)> = entries
+        let installed: Vec<(Time, u64, Ev)> = entries
             .into_iter()
-            .map(|(at, seq, es)| (at, seq, es.install(&mut self.pool)))
+            .map(|(at, seq, es)| (at, seq, Ev::pack(es.install(&mut self.pool))))
             .collect();
         if let Some(m) = self.prof.as_deref_mut() {
             m.absorb_queue(self.queue.lane_stats());
@@ -693,7 +695,7 @@ impl Network {
             self.queue.schedule_keyed_hint(at, true_seq, delta, ev);
         }
         for (at, seq, hint, es) in r.inbox.drain(..) {
-            let ev = es.install(&mut self.pool);
+            let ev = Ev::pack(es.install(&mut self.pool));
             self.queue.schedule_keyed_hint(at, seq, hint, ev);
         }
         r.map.clear();
@@ -707,7 +709,7 @@ impl Network {
     /// interleaving the main queue (true keys) and the window queue
     /// (provisional keys) exactly as the serial engine would order
     /// them, and logging each dispatch for the coordinator's replay.
-    pub(crate) fn run_window(&mut self, w_end: Time, batch: &mut Vec<(u64, Event)>) {
+    pub(crate) fn run_window(&mut self, w_end: Time, batch: &mut Vec<(u64, Ev)>) {
         self.shard_route
             .as_mut()
             .expect("windows run on shards")
@@ -808,7 +810,7 @@ fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) 
     // the host selects).
     let single = std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
     if single {
-        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
+        let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
         let mut cursors = vec![0usize; n];
         while let Some(w_end) =
             coordinate_timed(&ex.nets, &mut cursors, &owners, lookahead_ps, t, flow, obs)
@@ -829,7 +831,7 @@ fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) 
         for worker_net in nets.iter().skip(1) {
             let (barrier, stop, w_end_ps) = (&barrier, &stop, &w_end_ps);
             scope.spawn(move || {
-                let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
+                let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
                 loop {
                     barrier.wait();
                     if stop.load(Ordering::Acquire) {
@@ -844,7 +846,7 @@ fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) 
                 }
             });
         }
-        let mut batch: Vec<(u64, Event)> = Vec::with_capacity(64);
+        let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
         let mut cursors = vec![0usize; n];
         loop {
             // Coordination phase: every worker is parked at the round

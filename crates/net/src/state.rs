@@ -30,7 +30,7 @@
 
 use crate::audit::NetAuditState;
 use crate::hca::HcaState;
-use crate::network::{Event, Network};
+use crate::network::{Ev, Event, Network};
 use crate::pool::PacketPool;
 use crate::switch::SwitchState;
 use crate::telemetry::NetTelemetryState;
@@ -215,7 +215,7 @@ impl Network {
             events: snap
                 .entries
                 .iter()
-                .map(|&(t, q, ev)| (t, q, EventState::capture(ev, &self.pool)))
+                .map(|&(t, q, ev)| (t, q, EventState::capture(ev.unpack(), &self.pool)))
                 .collect(),
             switches: self.switches.iter().map(|s| s.state(&self.pool)).collect(),
             hcas: self.hcas.iter().map(|h| h.state(&self.pool)).collect(),
@@ -315,7 +315,7 @@ impl Network {
             entries: s
                 .events
                 .iter()
-                .map(|(t, q, es)| (*t, *q, es.install(&mut self.pool)))
+                .map(|(t, q, es)| (*t, *q, Ev::pack(es.install(&mut self.pool))))
                 .collect(),
         });
         self.primed = s.primed;

@@ -6,16 +6,20 @@
 //! This plays the role of the `Switch`/`SwitchPort` compound modules
 //! (`ibuf`, `obuf`, `vlarb`, `ccmgr`) of the paper's OMNeT++ model.
 //!
-//! Hot state lives in flat structure-of-arrays form on the [`Switch`]
-//! itself — credits, transmitter deadlines, round-robin cursors,
-//! congestion detectors and the VoQs — indexed by `(port, vl)` so an
-//! arbitration round touches a handful of contiguous cache lines
-//! instead of hopping through per-port structs. Queued packets are
-//! [`PktHandle`]s into the network's arena pool; each queue entry
-//! caches the byte size so the candidate scan never dereferences the
-//! pool. Per-`(out, vl)` occupancy bitmasks let the input scan skip
-//! empty queues in O(popcount) instead of O(radix).
+//! Data layout follows what one event touches. An arbitration round
+//! that grants nothing — transmitter busy, nothing queued, or no
+//! credits: most rounds — reads one cache line, the output's
+//! [`HotPort`]: its transmitter deadline, its cable, and per VL the
+//! occupancy mask over inputs, the credits and the round-robin cursor.
+//! A round that finds a candidate reads one more, the candidate queue's
+//! head in the flat [`Voqs`] array, which caches the byte size so the
+//! scan never dereferences the packet pool. Queued packets are
+//! [`PktHandle`]s into the network's arena pool. Everything else — the
+//! congestion detectors, the VL arbiter's cursors, the forwarding
+//! counters, the cabling as the audit reads it — is touched only on a
+//! grant or by observers and stays in per-port vectors of its own.
 
+use crate::network::{Channel, Dev};
 use crate::pool::{PacketPool, PktHandle};
 use crate::types::{blocks_for, Packet, Vl};
 use crate::vlarb::{VlArbState, VlArbTable, VlArbiter};
@@ -35,16 +39,155 @@ pub struct Desc {
 }
 
 /// In-memory queue entry: pool handle plus the two fields the
-/// arbitration scan reads (16 bytes, vs a 40-byte inline packet).
+/// arbitration scan reads (16 bytes, vs a 40-byte inline packet). The
+/// top two bits of `meta` are [`Voqs`]'s, and clear outside it.
 #[derive(Clone, Copy, Debug)]
 struct HDesc {
     h: PktHandle,
-    bytes: u32,
+    /// Packet size in bytes, under [`OCCUPIED`] and [`MORE`].
+    meta: u32,
     ready_at: Time,
 }
 
-/// Per-port wiring and cold statistics. Everything the arbitration hot
-/// path touches lives in the flat arrays on [`Switch`] instead.
+/// `meta` bit of a [`Voqs`] head slot: the queue is non-empty and this
+/// slot is its front.
+const OCCUPIED: u32 = 1 << 31;
+/// `meta` bit of a [`Voqs`] head slot: more packets stand behind this
+/// one, in the queue's remainder deque.
+const MORE: u32 = 1 << 30;
+
+impl HDesc {
+    fn new(h: PktHandle, bytes: u32, ready_at: Time) -> Self {
+        assert!(
+            bytes < MORE,
+            "a {bytes}-byte packet overflows the size field"
+        );
+        HDesc {
+            h,
+            meta: bytes,
+            ready_at,
+        }
+    }
+
+    #[inline]
+    fn bytes(&self) -> u32 {
+        self.meta & (MORE - 1)
+    }
+}
+
+/// The virtual output queues of one switch, `radix² · n_vls` FIFOs
+/// indexed `q = (out * n_vls + vl) * radix + in`: output-major, so one
+/// arbitration round's candidate scan walks contiguous heads.
+///
+/// A queue is almost always empty or one deep, so its front lives
+/// inline in the flat `heads` array — one load decides a candidate —
+/// and only what stands behind the front goes to a deque, which a
+/// queue that never gets deeper than one never allocates or touches.
+///
+/// Invariants, per queue `q`:
+/// - `heads[q]` carries [`OCCUPIED`] iff the queue is non-empty, and is
+///   then its front;
+/// - `heads[q]` carries [`MORE`] iff `rest[q]` is non-empty; `rest[q]`
+///   is the queue behind its front, in order, flags clear.
+#[derive(Clone, Debug)]
+struct Voqs {
+    heads: Vec<HDesc>,
+    rest: Vec<VecDeque<HDesc>>,
+}
+
+impl Voqs {
+    fn new(queues: usize) -> Self {
+        let empty = HDesc {
+            h: PktHandle::from_bits(0),
+            meta: 0,
+            ready_at: Time::ZERO,
+        };
+        Voqs {
+            heads: vec![empty; queues],
+            rest: (0..queues).map(|_| VecDeque::new()).collect(),
+        }
+    }
+
+    /// The front of queue `q`, if it has one.
+    #[inline]
+    fn front(&self, q: usize) -> Option<&HDesc> {
+        let head = &self.heads[q];
+        (head.meta & OCCUPIED != 0).then_some(head)
+    }
+
+    /// Append `d` to queue `q`; true if the queue was empty.
+    #[inline]
+    fn push(&mut self, q: usize, d: HDesc) -> bool {
+        let head = &mut self.heads[q];
+        let was_empty = head.meta & OCCUPIED == 0;
+        if was_empty {
+            *head = HDesc {
+                meta: d.meta | OCCUPIED,
+                ..d
+            };
+        } else {
+            head.meta |= MORE;
+            self.rest[q].push_back(d);
+        }
+        was_empty
+    }
+
+    /// Take the front of queue `q`, promoting the next packet (if any)
+    /// into the head slot.
+    #[inline]
+    fn pop(&mut self, q: usize) -> Option<HDesc> {
+        let head = self.heads[q];
+        if head.meta & OCCUPIED == 0 {
+            return None;
+        }
+        if head.meta & MORE != 0 {
+            let rest = &mut self.rest[q];
+            let next = rest.pop_front().expect("MORE on an empty remainder");
+            let more = if rest.is_empty() { 0 } else { MORE };
+            self.heads[q] = HDesc {
+                meta: next.meta | OCCUPIED | more,
+                ..next
+            };
+        } else {
+            self.heads[q].meta = 0;
+        }
+        Some(HDesc {
+            meta: head.bytes(),
+            ..head
+        })
+    }
+
+    fn len(&self, q: usize) -> usize {
+        self.front(q).map_or(0, |_| 1 + self.rest[q].len())
+    }
+
+    /// Queue `q` front to back.
+    fn iter(&self, q: usize) -> impl Iterator<Item = &HDesc> {
+        self.front(q).into_iter().chain(&self.rest[q])
+    }
+
+    /// Total packets over all queues.
+    fn total(&self) -> usize {
+        (0..self.heads.len()).map(|q| self.len(q)).sum()
+    }
+
+    /// Every queued packet's handle, for rewriting in place.
+    fn handles_mut(&mut self) -> impl Iterator<Item = &mut PktHandle> {
+        let heads = self.heads.iter_mut().filter(|d| d.meta & OCCUPIED != 0);
+        heads
+            .chain(self.rest.iter_mut().flatten())
+            .map(|d| &mut d.h)
+    }
+
+    /// Empty queue `q`.
+    fn clear(&mut self, q: usize) {
+        self.heads[q].meta = 0;
+        self.rest[q].clear();
+    }
+}
+
+/// Per-port cabling as observers read it, and cold statistics.
+/// Everything the arbitration hot path touches lives in [`HotPort`].
 #[derive(Clone, Debug)]
 pub struct SwPort {
     /// Channel arriving at this port (None if uncabled).
@@ -60,6 +203,55 @@ pub struct SwPort {
     /// `PortXmitWait` counter a fabric manager reads from real switches.
     pub xmit_wait: u64,
 }
+
+/// A cabled port's two channels and the device at the far end, resolved
+/// once from the network's channel table ([`Switch::wire`]) so that a
+/// grant reads its consequences — where the packet goes, where its
+/// credits return to — from the two ports involved.
+#[derive(Clone, Copy, Debug)]
+pub struct PortLink {
+    /// Channel leaving this port toward `peer`; also the reverse of
+    /// `in_ch`, the way credits for arrivals on it return.
+    pub out_ch: u32,
+    /// Channel arriving at this port from `peer`.
+    pub in_ch: u32,
+    /// The device at the far end of the cable, and its port there.
+    pub peer: (Dev, u16),
+    /// Propagation delay of `out_ch`.
+    pub delay: TimeDelta,
+}
+
+/// What one output `(port, VL)` contributes to an arbitration round.
+#[derive(Clone, Copy, Debug, Default)]
+struct Lane {
+    /// Bit `in` set iff the queue from input `in` toward this
+    /// `(out, vl)` is non-empty; the input scan visits set bits only.
+    /// Kept for radix ≤ 64 (any real InfiniBand crossbar); a wider
+    /// switch scans the head slots themselves.
+    waiting: u64,
+    /// Downstream credits (64-byte blocks).
+    credits: u32,
+    /// Round-robin cursor over input ports.
+    rr_in: u32,
+}
+
+/// The hot state of one port, one cache line: all an arbitration round
+/// on this output reads unless it finds a candidate, and (as `link`)
+/// all a grant needs to know about this port as the packet's input.
+#[derive(Clone, Debug)]
+#[repr(align(64))]
+struct HotPort {
+    /// Transmitter occupied until this instant.
+    busy_until: Time,
+    /// `None` if uncabled.
+    link: Option<PortLink>,
+    /// VL 0's lane, inline: the paper's fabric runs one data VL. Higher
+    /// VLs are in [`Switch::lanes_hi`].
+    lane0: Lane,
+}
+
+const _: () = assert!(std::mem::size_of::<HotPort>() == 64);
+const _: () = assert!(std::mem::size_of::<HDesc>() == 16);
 
 /// The decision produced by one successful arbitration round.
 #[derive(Debug)]
@@ -84,22 +276,10 @@ pub struct Switch {
     /// configuration, never mutated by the simulation.
     pub lft: Arc<Vec<u16>>,
     n_vls: u8,
-    /// `voq[(out * n_vls + vl) * radix + in]` — packets buffered at
-    /// input `in` waiting for `(out, vl)`. Output-major so one
-    /// arbitration round's candidate scan walks contiguous queues.
-    voq: Vec<VecDeque<HDesc>>,
-    /// Occupancy bitmasks: bit `in` of word `(out*n_vls+vl)*mask_words
-    /// + in/64` set iff `voq[(out*n_vls+vl)*radix + in]` is non-empty.
-    waiting: Vec<u64>,
-    /// Words per `(out, vl)` mask row: `radix.div_ceil(64)` (1 for any
-    /// real InfiniBand radix).
-    mask_words: usize,
-    /// Downstream credits (64-byte blocks), `[port * n_vls + vl]`.
-    credits: Vec<u32>,
-    /// Transmitter occupied until this instant, `[port]`.
-    busy_until: Vec<Time>,
-    /// Per-VL round-robin cursor over input ports, `[port * n_vls + vl]`.
-    rr_in: Vec<usize>,
+    hot: Vec<HotPort>,
+    /// Lanes of VLs 1.., `[port * (n_vls - 1) + vl - 1]`.
+    lanes_hi: Vec<Lane>,
+    voqs: Voqs,
     /// VL arbitration cursors, `[port]` (table shared via `Arc`).
     varb: Vec<VlArbiter>,
     /// Congestion detectors for each *output* `(port, vl)`,
@@ -143,7 +323,6 @@ impl Switch {
     ) -> Self {
         let nv = n_vls as usize;
         let arb = Arc::new(arb);
-        let mask_words = radix.div_ceil(64);
         let ports = (0..radix)
             .map(|_| SwPort {
                 in_channel: None,
@@ -153,16 +332,18 @@ impl Switch {
                 xmit_wait: 0,
             })
             .collect();
+        let hot = HotPort {
+            busy_until: Time::ZERO,
+            link: None,
+            lane0: Lane::default(),
+        };
         Switch {
             ports,
             lft: lft.into(),
             n_vls,
-            voq: (0..radix * nv * radix).map(|_| VecDeque::new()).collect(),
-            waiting: vec![0; radix * nv * mask_words],
-            mask_words,
-            credits: vec![0; radix * nv],
-            busy_until: vec![Time::ZERO; radix],
-            rr_in: vec![0; radix * nv],
+            hot: vec![hot; radix],
+            lanes_hi: vec![Lane::default(); radix * (nv - 1)],
+            voqs: Voqs::new(radix * nv * radix),
             varb: (0..radix).map(|_| VlArbiter::new(arb.clone())).collect(),
             cong: (0..radix * nv)
                 .map(|_| PortVlCongestion::disabled())
@@ -184,6 +365,60 @@ impl Switch {
         port * self.n_vls as usize + vl
     }
 
+    #[inline]
+    fn lane(&self, port: usize, vl: usize) -> &Lane {
+        match vl.checked_sub(1) {
+            None => &self.hot[port].lane0,
+            Some(hi) => &self.lanes_hi[port * (self.n_vls as usize - 1) + hi],
+        }
+    }
+
+    #[inline]
+    fn lane_mut(&mut self, port: usize, vl: usize) -> &mut Lane {
+        match vl.checked_sub(1) {
+            None => &mut self.hot[port].lane0,
+            Some(hi) => &mut self.lanes_hi[port * (self.n_vls as usize - 1) + hi],
+        }
+    }
+
+    /// Note in output `(out, vl)`'s occupancy mask whether input `inp`
+    /// has anything queued toward it.
+    #[inline]
+    fn set_waiting(&mut self, out: usize, vl: usize, inp: usize, waiting: bool) {
+        if self.ports.len() <= 64 {
+            let mask = &mut self.lane_mut(out, vl).waiting;
+            *mask = *mask & !(1 << inp) | (waiting as u64) << inp;
+        }
+    }
+
+    /// Resolve the cabling in `ports` against the network's channel
+    /// table. Called once, when the fabric is wired.
+    pub fn wire(&mut self, channels: &[Channel]) {
+        for (port, hot) in self.ports.iter().zip(&mut self.hot) {
+            hot.link = match (port.out_channel, port.in_channel) {
+                (Some(out_ch), Some(in_ch)) => {
+                    let out = &channels[out_ch as usize];
+                    assert_eq!(out.reverse, in_ch, "a port's two channels share a cable");
+                    Some(PortLink {
+                        out_ch,
+                        in_ch,
+                        peer: out.to,
+                        delay: out.delay,
+                    })
+                }
+                _ => None,
+            };
+        }
+    }
+
+    /// The resolved cabling of `port`; panics if it is uncabled.
+    #[inline]
+    pub fn link(&self, port: u16) -> PortLink {
+        self.hot[port as usize]
+            .link
+            .expect("traffic on an uncabled port")
+    }
+
     /// Output port toward `dst`.
     #[inline]
     pub fn route(&self, dst: u32) -> u16 {
@@ -193,26 +428,23 @@ impl Switch {
     /// Downstream credits available on `(out_port, vl)`.
     #[inline]
     pub fn credit(&self, port: u16, vl: Vl) -> u32 {
-        self.credits[self.pv(port as usize, vl as usize)]
+        self.lane(port as usize, vl as usize).credits
     }
 
-    /// Per-VL credit counters of `port` (length `n_vls`).
-    #[inline]
-    pub fn credits_of(&self, port: u16) -> &[u32] {
-        let nv = self.n_vls as usize;
-        &self.credits[port as usize * nv..][..nv]
+    /// Per-VL credit counters of `port`, VL 0 first.
+    pub fn credits_of(&self, port: u16) -> impl Iterator<Item = u32> + '_ {
+        (0..self.n_vls).map(move |vl| self.credit(port, vl))
     }
 
     /// Overwrite one credit counter (test setup).
     pub fn set_credit(&mut self, port: u16, vl: Vl, blocks: u32) {
-        let i = self.pv(port as usize, vl as usize);
-        self.credits[i] = blocks;
+        self.lane_mut(port as usize, vl as usize).credits = blocks;
     }
 
     /// Instant `port`'s transmitter frees up.
     #[inline]
     pub fn busy_until(&self, port: u16) -> Time {
-        self.busy_until[port as usize]
+        self.hot[port as usize].busy_until
     }
 
     /// Congestion detector for output `(port, vl)`.
@@ -236,7 +468,7 @@ impl Switch {
 
     /// Packets standing in all of this switch's VoQs.
     pub fn queued_packets(&self) -> usize {
-        self.voq.iter().map(|q| q.len()).sum()
+        self.voqs.total()
     }
 
     /// Packets standing in input port `in_port`'s VoQs, over all
@@ -245,7 +477,7 @@ impl Switch {
         let radix = self.ports.len();
         let nv = self.n_vls as usize;
         (0..radix * nv)
-            .map(|ov| self.voq[ov * radix + in_port as usize].len())
+            .map(|ov| self.voqs.len(ov * radix + in_port as usize))
             .sum()
     }
 
@@ -373,11 +605,10 @@ impl Switch {
         let nv = self.n_vls as usize;
         let inp = in_port as usize;
         for ov in 0..radix * nv {
-            let q = &mut self.voq[ov * radix + inp];
-            if let Some(d) = q.pop_front() {
-                if q.is_empty() {
-                    self.waiting[ov * self.mask_words + (inp >> 6)] &= !(1u64 << (inp & 63));
-                }
+            let q = ov * radix + inp;
+            if let Some(d) = self.voqs.pop(q) {
+                let waiting = self.voqs.front(q).is_some();
+                self.set_waiting(ov / nv, ov % nv, inp, waiting);
                 return Some(pool.release(d.h));
             }
         }
@@ -396,30 +627,22 @@ impl Switch {
     ) {
         let pkt = pool.get(h);
         let (vl, bytes) = (pkt.vl as usize, pkt.bytes);
-        let ov = self.pv(out_port as usize, vl);
-        let has_credits = self.credits[ov] > 0;
+        let (out, inp) = (out_port as usize, in_port as usize);
+        let ov = self.pv(out, vl);
+        let has_credits = self.lane(out, vl).credits > 0;
         self.cong[ov].on_enqueue(bytes as u64, has_credits);
-        let inp = in_port as usize;
-        self.voq[ov * self.ports.len() + inp].push_back(HDesc {
-            h,
-            bytes,
-            ready_at,
-        });
-        self.waiting[ov * self.mask_words + (inp >> 6)] |= 1u64 << (inp & 63);
+        let q = ov * self.ports.len() + inp;
+        if self.voqs.push(q, HDesc::new(h, bytes, ready_at)) {
+            self.set_waiting(out, vl, inp, true);
+        }
     }
 
     /// Total packets queued toward `out_port` across all inputs and VLs
     /// (diagnostics).
     pub fn queued_toward(&self, out_port: u16) -> usize {
-        let radix = self.ports.len();
-        let nv = self.n_vls as usize;
-        (0..nv)
-            .flat_map(|vl| {
-                let ov = out_port as usize * nv + vl;
-                (0..radix).map(move |inp| (ov, inp))
-            })
-            .map(|(ov, inp)| self.voq[ov * radix + inp].len())
-            .sum()
+        let per_out = self.n_vls as usize * self.ports.len();
+        let first = out_port as usize * per_out;
+        (first..first + per_out).map(|q| self.voqs.len(q)).sum()
     }
 
     /// One arbitration round for `out_port` at `now`: the VL arbiter
@@ -443,13 +666,12 @@ impl Switch {
         let o = out_port as usize;
         let nv = self.n_vls as usize;
         let radix = self.ports.len();
-        if self.busy_until[o] > now {
+        if self.hot[o].busy_until > now {
             return None;
         }
         // Per-VL candidate: the first input (round robin from this
         // VL's cursor) whose head packet is past its routing latency,
-        // with whole-packet downstream credits available. The occupancy
-        // bitmask narrows the scan to non-empty queues.
+        // with whole-packet downstream credits available.
         let mut sizes = [None::<u32>; 16];
         let mut cand_input = [0usize; 16];
         let mut credit_blocked = false;
@@ -462,54 +684,51 @@ impl Switch {
                     continue;
                 }
             }
-            let start = self.rr_in[ov];
-            let credits = self.credits[ov];
-            let qbase = ov * radix;
-            let mut consider = |inp: usize,
-                                voq: &[VecDeque<HDesc>],
-                                credit_blocked: &mut bool|
-             -> bool {
-                let head = voq[qbase + inp].front().expect("occupancy bit set");
-                if head.ready_at <= now {
-                    if credits >= blocks_for(head.bytes) {
-                        sizes[vl] = Some(head.bytes);
+            let Lane {
+                waiting,
+                credits,
+                rr_in,
+            } = *self.lane(o, vl);
+            let heads = &self.voqs.heads[ov * radix..][..radix];
+            let mut consider = |inp: usize| -> bool {
+                let head = &heads[inp];
+                if head.meta & OCCUPIED != 0 && head.ready_at <= now {
+                    if credits >= blocks_for(head.bytes()) {
+                        sizes[vl] = Some(head.bytes());
                         cand_input[vl] = inp;
                         return true;
                     }
-                    *credit_blocked = true;
+                    credit_blocked = true;
                 }
                 false
             };
-            if self.mask_words == 1 {
-                let mask = self.waiting[ov];
-                // Round-robin order: bits start.. then 0..start.
-                let rotate = !0u64 << (start & 63);
-                'scan: for mut m in [mask & rotate, mask & !rotate] {
+            let start = rr_in as usize;
+            if radix <= 64 {
+                // Round-robin order over the occupied inputs only:
+                // bits start.. then 0..start.
+                let rotate = !0u64 << start;
+                'scan: for mut m in [waiting & rotate, waiting & !rotate] {
                     while m != 0 {
                         let inp = m.trailing_zeros() as usize;
                         m &= m - 1;
-                        if consider(inp, &self.voq, &mut credit_blocked) {
+                        if consider(inp) {
                             break 'scan;
                         }
                     }
                 }
             } else {
-                let wbase = ov * self.mask_words;
-                let mut inp = start;
-                for _ in 0..radix {
-                    let occupied =
-                        self.waiting[wbase + (inp >> 6)] & (1u64 << (inp & 63)) != 0;
-                    if occupied && consider(inp, &self.voq, &mut credit_blocked) {
-                        break;
-                    }
-                    inp += 1;
-                    if inp == radix {
-                        inp = 0;
-                    }
-                }
+                (start..radix).chain(0..start).any(consider);
             }
         }
-        let Some(vl) = self.varb[o].pick_sized(&sizes[..nv]) else {
+        // With no candidate the VL arbiter would pick nothing and keep
+        // its cursors; its state is left untouched, unread.
+        let sizes = &sizes[..nv];
+        let picked = if sizes.iter().any(Option::is_some) {
+            self.varb[o].pick_sized(sizes)
+        } else {
+            None
+        };
+        let Some(vl) = picked else {
             if credit_blocked {
                 // Data stood ready but downstream buffer space alone
                 // held the output idle: one stalled arbitration round.
@@ -520,23 +739,25 @@ impl Switch {
         let vl = vl as usize;
         let inp = cand_input[vl];
         let ov = o * nv + vl;
-        self.rr_in[ov] = (inp + 1) % radix;
-        let q = &mut self.voq[ov * radix + inp];
-        let hd = q.pop_front().expect("candidate head vanished");
-        if q.is_empty() {
-            self.waiting[ov * self.mask_words + (inp >> 6)] &= !(1u64 << (inp & 63));
-        }
-        let blocks = blocks_for(hd.bytes);
-        let ser = link_tx(hd.bytes);
+        let q = ov * radix + inp;
+        let hd = self.voqs.pop(q).expect("candidate head vanished");
+        let bytes = hd.bytes();
+        let blocks = blocks_for(bytes);
+        let ser = link_tx(bytes);
 
-        self.credits[ov] -= blocks;
-        let has_credits = self.credits[ov] > 0;
+        if self.voqs.front(q).is_none() {
+            self.set_waiting(o, vl, inp, false);
+        }
+        let lane = self.lane_mut(o, vl);
+        lane.rr_in = ((inp + 1) % radix) as u32;
+        lane.credits -= blocks;
+        let has_credits = lane.credits > 0;
         // FECN decision uses the congestion state *including* this
         // packet, then the occupancy drops (fused hook).
         let fecn = match cc {
-            Some(params) => self.cong[ov].on_forward(hd.bytes, has_credits, params),
+            Some(params) => self.cong[ov].on_forward(bytes, has_credits, params),
             None => {
-                self.cong[ov].on_dequeue(hd.bytes as u64, has_credits);
+                self.cong[ov].on_dequeue(bytes as u64, has_credits);
                 false
             }
         };
@@ -547,10 +768,10 @@ impl Switch {
             }
             *p
         };
-        self.busy_until[o] = now + ser;
+        self.hot[o].busy_until = now + ser;
         let op = &mut self.ports[o];
         op.forwarded_packets += 1;
-        op.forwarded_bytes += hd.bytes as u64;
+        op.forwarded_bytes += bytes as u64;
 
         Some(Grant {
             pkt,
@@ -569,8 +790,8 @@ impl Switch {
         let nv = self.n_vls as usize;
         (0..radix)
             .map(|o| o * nv + vl as usize)
-            .flat_map(|ov| self.voq[ov * radix + in_port as usize].iter())
-            .map(|d| blocks_for(d.bytes) as u64)
+            .flat_map(|ov| self.voqs.iter(ov * radix + in_port as usize))
+            .map(|d| blocks_for(d.bytes()) as u64)
             .sum()
     }
 
@@ -581,8 +802,8 @@ impl Switch {
         let radix = self.ports.len();
         let ov = self.pv(out_port as usize, vl as usize);
         (0..radix)
-            .flat_map(|inp| self.voq[ov * radix + inp].iter())
-            .map(|d| d.bytes as u64)
+            .flat_map(|inp| self.voqs.iter(ov * radix + inp))
+            .map(|d| d.bytes() as u64)
             .sum()
     }
 
@@ -594,15 +815,16 @@ impl Switch {
     /// Always compiled so integration tests can prove the oracle stays
     /// armed while sanctioned faults are active.
     pub fn leak_credits_for_test(&mut self, out_port: u16, vl: Vl, blocks: u32) {
-        let i = self.pv(out_port as usize, vl as usize);
-        self.credits[i] = self.credits[i].saturating_sub(blocks);
+        let credits = &mut self.lane_mut(out_port as usize, vl as usize).credits;
+        *credits = credits.saturating_sub(blocks);
     }
 
     /// Credit update from downstream for `out_port`.
     pub fn add_credits(&mut self, out_port: u16, vl: Vl, blocks: u32) {
+        let lane = self.lane_mut(out_port as usize, vl as usize);
+        lane.credits += blocks;
+        let has = lane.credits > 0;
         let i = self.pv(out_port as usize, vl as usize);
-        self.credits[i] += blocks;
-        let has = self.credits[i] > 0;
         self.cong[i].on_credit_change(has);
     }
 
@@ -616,10 +838,8 @@ impl Switch {
     /// between the master network and a shard carries the VoQ contents
     /// into the destination's arena.
     pub(crate) fn remap_pool(&mut self, src: &mut PacketPool, dst: &mut PacketPool) {
-        for q in self.voq.iter_mut() {
-            for d in q.iter_mut() {
-                d.h = dst.alloc(src.release(d.h));
-            }
+        for h in self.voqs.handles_mut() {
+            *h = dst.alloc(src.release(*h));
         }
     }
 
@@ -637,8 +857,8 @@ impl Switch {
                 .map(|p| SwPortState {
                     voq: (0..radix * nv)
                         .map(|ov| {
-                            self.voq[ov * radix + p]
-                                .iter()
+                            self.voqs
+                                .iter(ov * radix + p)
                                 .map(|d| Desc {
                                     pkt: *pool.get(d.h),
                                     ready_at: d.ready_at,
@@ -646,13 +866,10 @@ impl Switch {
                                 .collect()
                         })
                         .collect(),
-                    busy_until: self.busy_until[p],
-                    credits: self.credits[p * nv..][..nv].to_vec(),
+                    busy_until: self.hot[p].busy_until,
+                    credits: self.credits_of(p as u16).collect(),
                     varb: self.varb[p].state(),
-                    rr_in: self.rr_in[p * nv..][..nv]
-                        .iter()
-                        .map(|&i| i as u32)
-                        .collect(),
+                    rr_in: (0..nv).map(|vl| self.lane(p, vl).rr_in).collect(),
                     cong: self.cong[p * nv..][..nv].iter().map(|c| c.state()).collect(),
                     forwarded_packets: self.ports[p].forwarded_packets,
                     forwarded_bytes: self.ports[p].forwarded_bytes,
@@ -695,31 +912,27 @@ impl Switch {
             if ps.credits.len() != nv || ps.cong.len() != nv || ps.rr_in.len() != nv {
                 return Err(format!("port {i}: per-VL table width mismatch"));
             }
+            if ps.rr_in.iter().any(|&inp| inp as usize >= radix) {
+                return Err(format!("port {i}: round-robin cursor past the last input"));
+            }
         }
-        self.waiting.fill(0);
         for (p, ps) in s.ports.iter().enumerate() {
             for (ov, qs) in ps.voq.iter().enumerate() {
-                let q = &mut self.voq[ov * radix + p];
-                q.clear();
+                let q = ov * radix + p;
+                self.voqs.clear(q);
                 for d in qs {
-                    q.push_back(HDesc {
-                        h: pool.alloc(d.pkt),
-                        bytes: d.pkt.bytes,
-                        ready_at: d.ready_at,
-                    });
+                    let h = pool.alloc(d.pkt);
+                    self.voqs.push(q, HDesc::new(h, d.pkt.bytes, d.ready_at));
                 }
-                if !q.is_empty() {
-                    self.waiting[ov * self.mask_words + (p >> 6)] |= 1u64 << (p & 63);
-                }
+                self.set_waiting(ov / nv, ov % nv, p, !qs.is_empty());
             }
-            self.busy_until[p] = ps.busy_until;
-            self.credits[p * nv..][..nv].copy_from_slice(&ps.credits);
+            self.hot[p].busy_until = ps.busy_until;
             self.varb[p].restore_state(&ps.varb);
-            for (vl, &i) in ps.rr_in.iter().enumerate() {
-                self.rr_in[p * nv + vl] = i as usize;
-            }
-            for (vl, cs) in ps.cong.iter().enumerate() {
-                self.cong[p * nv + vl].restore_state(cs);
+            for vl in 0..nv {
+                let lane = self.lane_mut(p, vl);
+                lane.credits = ps.credits[vl];
+                lane.rr_in = ps.rr_in[vl];
+                self.cong[p * nv + vl].restore_state(&ps.cong[vl]);
             }
             self.ports[p].forwarded_packets = ps.forwarded_packets;
             self.ports[p].forwarded_bytes = ps.forwarded_bytes;
@@ -823,6 +1036,7 @@ mod tests {
     use super::*;
     use crate::types::PacketKind;
     use ibsim_engine::time::Bandwidth;
+    use proptest::prelude::*;
 
     const BW: Bandwidth = Bandwidth::from_gbps(20);
 
@@ -1194,6 +1408,157 @@ mod tests {
         assert_eq!(pool.live(), 0);
         assert_eq!(s.queued_packets(), 0);
         assert!(s.drop_queued_for_test(0, &mut pool).is_none());
+    }
+
+    #[test]
+    fn wide_switch_scans_heads_round_robin() {
+        // 70 ports: no occupancy mask, the scan reads the head slots.
+        let mut s = Switch::new(70, 1, (0..70).collect::<Vec<u16>>());
+        s.set_credit(1, 0, 128);
+        let mut pool = PacketPool::new();
+        for inp in [0u16, 65, 69, 65] {
+            enq(&mut s, &mut pool, inp, 1, pkt(1, 64), 0);
+        }
+        let mut order = vec![];
+        while let Some(g) = s.arbitrate(1, s.busy_until(1), |_| TimeDelta(1), None, &mut pool) {
+            order.push(g.in_port);
+        }
+        assert_eq!(order, [0, 65, 69, 65]);
+        assert_eq!(s.queued_packets(), 0);
+    }
+
+    /// One step of the differential test below.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        Enqueue {
+            inp: u16,
+            out: u16,
+            vl: Vl,
+            bytes: u32,
+        },
+        Arbitrate {
+            out: u16,
+        },
+        Drop {
+            inp: u16,
+        },
+        /// `state` into a fresh switch and pool, which take over.
+        Checkpoint,
+        /// `remap_pool` into a fresh pool, which takes over.
+        Remap,
+    }
+
+    /// Ports and VLs are drawn without knowing the switch; the test
+    /// folds them into its geometry.
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        let op = (0u32..12, 0u16..1000, 0u16..1000, 0u8..16, 1u32..5000).prop_map(
+            |(kind, a, b, vl, bytes)| match kind {
+                // Enqueues outnumber grants, so queues get deep, and
+                // one queue draws a third of them.
+                0..=3 => Op::Enqueue {
+                    inp: a,
+                    out: b,
+                    vl,
+                    bytes,
+                },
+                4..=5 => Op::Enqueue {
+                    inp: 0,
+                    out: 1,
+                    vl: 0,
+                    bytes,
+                },
+                6..=8 => Op::Arbitrate { out: a },
+                9 => Op::Drop { inp: a },
+                10 => Op::Checkpoint,
+                _ => Op::Remap,
+            },
+        );
+        prop::collection::vec(op, 1..120)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The switch's queues against the obvious model, one
+        /// `VecDeque` of packets per (output, VL, input): whatever is
+        /// enqueued, granted, dropped, checkpointed into a fresh switch
+        /// or moved to another pool, every queue holds the model's
+        /// packets in the model's order, a grant takes a model queue's
+        /// front, and an idle output is one the model has nothing for.
+        #[test]
+        fn queues_match_a_deque_model(
+            (radix, n_vls, wide) in (2u16..5, 1u8..3, 0u32..4),
+            script in ops(),
+        ) {
+            // One switch in four is too wide for occupancy masks.
+            let radix = if wide == 0 { radix + 64 } else { radix };
+            let (r, nv) = (radix as usize, n_vls as usize);
+            let fresh = || {
+                let mut s = Switch::new(r, n_vls, (0..radix).collect::<Vec<u16>>());
+                for p in 0..radix {
+                    for vl in 0..n_vls {
+                        s.set_credit(p, vl, u32::MAX);
+                    }
+                }
+                s
+            };
+            let (mut sw, mut pool) = (fresh(), PacketPool::new());
+            let mut model: Vec<VecDeque<Desc>> = vec![VecDeque::new(); r * nv * r];
+            let mut now = Time(0);
+            let mut seq = 0;
+            for op in script {
+                now += TimeDelta(2);
+                match op {
+                    Op::Enqueue { inp, out, vl, bytes } => {
+                        let (inp, out, vl) = (inp % radix, out % radix, vl % n_vls);
+                        seq += 1;
+                        let p = Packet { vl, seq, ..pkt(out as u32, bytes) };
+                        enq(&mut sw, &mut pool, inp, out, p, now.0);
+                        let q = (out as usize * nv + vl as usize) * r + inp as usize;
+                        model[q].push_back(Desc { pkt: p, ready_at: now });
+                    }
+                    Op::Arbitrate { out } => {
+                        let out = out % radix;
+                        let toward = out as usize * nv * r..(out as usize + 1) * nv * r;
+                        match sw.arbitrate(out, now, |_| TimeDelta(1), None, &mut pool) {
+                            Some(g) => {
+                                let q = toward.start + g.pkt.vl as usize * r + g.in_port as usize;
+                                let want = model[q].pop_front();
+                                prop_assert_eq!(want.map(|d| d.pkt), Some(pool.release(g.h)));
+                            }
+                            None => prop_assert!(model[toward].iter().all(|q| q.is_empty())),
+                        }
+                    }
+                    Op::Drop { inp } => {
+                        let inp = inp % radix;
+                        let first = (0..r * nv).find_map(|ov| model[ov * r + inp as usize].pop_front());
+                        let got = sw.drop_queued_for_test(inp, &mut pool);
+                        prop_assert_eq!(got, first.map(|d| d.pkt));
+                    }
+                    Op::Checkpoint => {
+                        let (mut sw2, mut pool2) = (fresh(), PacketPool::new());
+                        sw2.restore_state(&sw.state(&pool), &mut pool2).unwrap();
+                        (sw, pool) = (sw2, pool2);
+                    }
+                    Op::Remap => {
+                        let mut pool2 = PacketPool::new();
+                        sw.remap_pool(&mut pool, &mut pool2);
+                        prop_assert_eq!(pool.live(), 0);
+                        pool = pool2;
+                    }
+                }
+                let st = sw.state(&pool);
+                for (q, want) in model.iter().enumerate() {
+                    let got = &st.ports[q % r].voq[q / r];
+                    prop_assert_eq!(got, &Vec::from(want.clone()), "queue {}", q);
+                    prop_assert_eq!(sw.voqs.len(q), want.len());
+                    prop_assert_eq!(sw.voqs.front(q).map(|d| d.h), sw.voqs.iter(q).next().map(|d| d.h));
+                }
+                let total: usize = model.iter().map(VecDeque::len).sum();
+                prop_assert_eq!(sw.queued_packets(), total);
+                prop_assert_eq!(pool.live(), total);
+            }
+        }
     }
 
     #[test]

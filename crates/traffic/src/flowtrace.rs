@@ -197,7 +197,7 @@ impl<W: Write> TraceWriter<W> {
             format!("self-flow at node {}", rec.src),
         )?;
         check(
-            (rec.src as u32) < self.nodes && (rec.dst as u32) < self.nodes,
+            rec.src < self.nodes && rec.dst < self.nodes,
             format!(
                 "node out of range: found src {} dst {}, expected < {}",
                 rec.src, rec.dst, self.nodes

@@ -158,16 +158,15 @@ impl Scenario {
     pub fn hotspot_fairness(&self, net: &Network) -> Option<f64> {
         let mut indices = Vec::new();
         for &hs in &self.assignment.hotspots {
-            let by_src = &net.hcas[hs as usize].rx_by_src;
+            let by_src = net.hcas[hs as usize].rx_by_src();
             // Restrict to this hotspot's contributors (uniform-traffic
             // drive-by deliveries would dilute the index). The table is
             // dense per source; zero entries mean "no bytes received"
             // and stay out of the index, exactly like absent map keys.
             let xs: Vec<f64> = by_src
-                .iter()
                 .enumerate()
-                .filter(|&(src, &b)| b > 0 && self.assignment.roles[src].is_contributor())
-                .map(|(_, &b)| b as f64)
+                .filter(|&(src, b)| b > 0 && self.assignment.roles[src].is_contributor())
+                .map(|(_, b)| b as f64)
                 .collect();
             if xs.is_empty() {
                 continue;

@@ -340,7 +340,7 @@ fn install_incast(
             ("senders".into(), senders.clone()),
         ],
         last_release: Some(Time(
-            stagger_ns * (senders.len() as u64 - 1).max(0) * PS_PER_NS,
+            stagger_ns * (senders.len() as u64).saturating_sub(1) * PS_PER_NS,
         )),
         offered_bytes: senders.len() as u64 * messages * bytes as u64,
         feeder: None,
@@ -380,7 +380,7 @@ fn install_event_builder(
     Workload {
         spec: spec.clone(),
         categories: vec![("builders".into(), (0..n).collect())],
-        last_release: Some(Time((shifts as u64 - 1).max(0) * slot)),
+        last_release: Some(Time((shifts as u64).saturating_sub(1) * slot)),
         offered_bytes: n as u64 * shifts as u64 * fanin as u64 * fragment as u64,
         feeder: None,
     }

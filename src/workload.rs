@@ -146,7 +146,7 @@ impl RunOptions {
             }
             ck.run_until(&mut net, next);
             s = next;
-            let fed_done = wl.feeder.as_ref().map_or(true, |f| f.done());
+            let fed_done = wl.feeder.as_ref().is_none_or(|f| f.done());
             if drained_at.is_none() && fed_done && net.workload_drained() {
                 drained_at = Some(s);
                 if s >= t_end {
