@@ -2,8 +2,8 @@
 //!
 //! Each paper table/figure has a matching bench that runs a scaled-down
 //! cell of that experiment (8–72 nodes, sub-millisecond windows) so the
-//! entire suite completes in minutes; the experiment binaries in
-//! `ibsim-experiments` regenerate the full results.
+//! entire suite completes in minutes; the `ibsim` subcommands
+//! (`cargo run --release -- <command>`) regenerate the full results.
 
 use ibsim::prelude::*;
 

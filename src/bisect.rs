@@ -156,19 +156,27 @@ pub fn bisect_divergence(
 }
 
 /// Apply a named single-parameter perturbation to a `CcParams` — the
-/// "one build differs by one knob" setup the `bisect` binary drives.
-pub fn perturb_cc(params: &mut CcParams, key: &str, value: u64) {
-    match key {
-        "threshold" => params.threshold = value as u8,
-        "packet_size" => params.packet_size = value as u32,
-        "marking_rate" => params.marking_rate = value as u16,
-        "ccti_increase" => params.ccti_increase = value as u16,
-        "ccti_limit" => params.ccti_limit = value as u16,
-        "ccti_min" => params.ccti_min = value as u16,
-        "ccti_timer" => params.ccti_timer = value as u16,
-        other => panic!(
-            "unknown CC parameter {other:?}; one of threshold, packet_size, \
-             marking_rate, ccti_increase, ccti_limit, ccti_min, ccti_timer"
-        ),
+/// "one build differs by one knob" setup `ibsim bisect` drives. An
+/// unknown key or a value the field cannot hold is refused, never
+/// truncated.
+pub fn perturb_cc(params: &mut CcParams, key: &str, value: u64) -> Result<(), String> {
+    fn fit<T: TryFrom<u64>>(key: &str, value: u64) -> Result<T, String> {
+        T::try_from(value).map_err(|_| format!("{key}={value} is out of range"))
     }
+    match key {
+        "threshold" => params.threshold = fit(key, value)?,
+        "packet_size" => params.packet_size = fit(key, value)?,
+        "marking_rate" => params.marking_rate = fit(key, value)?,
+        "ccti_increase" => params.ccti_increase = fit(key, value)?,
+        "ccti_limit" => params.ccti_limit = fit(key, value)?,
+        "ccti_min" => params.ccti_min = fit(key, value)?,
+        "ccti_timer" => params.ccti_timer = fit(key, value)?,
+        other => {
+            return Err(format!(
+                "unknown CC parameter {other:?}; one of threshold, packet_size, \
+                 marking_rate, ccti_increase, ccti_limit, ccti_min, ccti_timer"
+            ))
+        }
+    }
+    Ok(())
 }

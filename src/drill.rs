@@ -81,8 +81,8 @@ impl RunOptions {
     /// contract an unsanctioned audit violation has.
     ///
     /// The per-bin meter restarts are not checkpointable state, so a
-    /// drill ignores `checkpoint_at` / `resume_from`; the `faults`
-    /// binary refuses them by name.
+    /// drill ignores `checkpoint_at` / `resume_from`; `ibsim faults`
+    /// refuses them by name.
     #[allow(clippy::too_many_arguments)]
     pub fn run_drill(
         &self,

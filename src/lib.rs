@@ -14,7 +14,7 @@
 //! | [`ibsim_topo`] | fat trees (incl. the 648-node Sun DCS 648), meshes/tori, LFT routing |
 //! | [`ibsim_net`] | lossless network model: credits, VoQ switches, HCAs, the FECN/BECN loop |
 //! | [`ibsim_traffic`] | the paper's workloads: V/C/B roles, hotspot forests, moving hotspots |
-//! | `ibsim` (this crate) | experiment runners, presets, parallel sweeps, reporting |
+//! | `ibsim` (this crate) | experiment runners, presets, parallel sweeps, reporting, and the `ibsim` binary's subcommands ([`cli`]) |
 //!
 //! ## Quickstart
 //!
@@ -43,6 +43,7 @@
 
 pub mod bisect;
 pub mod checkpoint;
+pub mod cli;
 pub mod drill;
 pub mod experiment;
 pub mod figures;
@@ -50,6 +51,7 @@ pub mod options;
 pub mod preset;
 pub mod replicas;
 pub mod report;
+pub mod spec;
 pub mod sweep;
 pub mod workload;
 

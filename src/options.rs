@@ -52,11 +52,6 @@ pub const KEYS: [&str; 11] = [
     "resume_from",
 ];
 
-/// The CI audit leg's spelling of `audit=<n>`: retunes the cadence of
-/// an oracle that is on, does nothing to one that is off. Not a value
-/// of its own — `audit=20000` says both at once.
-const AUDIT_EVERY_ALIAS: &str = "audit_every";
-
 /// What `trace_flows` asked for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FlowSpec {
@@ -235,10 +230,6 @@ impl RunOptions {
                     )?),
                 }
             }
-            AUDIT_EVERY_ALIAS => {
-                let every = count(u64::MAX, "wants the events between passes")?;
-                self.audit = self.audit.map(|_| every);
-            }
             "cc_backend" => {
                 let b = CcBackend::parse(&v.to_ascii_lowercase())
                     .ok_or_else(|| bad("wants ibcc|dcqcn"))?;
@@ -282,7 +273,7 @@ impl RunOptions {
         mut self,
         lookup: impl Fn(&str) -> Option<String>,
     ) -> Result<Self, OptionsError> {
-        for key in KEYS.into_iter().chain([AUDIT_EVERY_ALIAS]) {
+        for key in KEYS {
             if let Some(v) = lookup(key) {
                 self.set(key, &v)?;
             }

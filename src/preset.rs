@@ -1,11 +1,11 @@
 //! Experiment presets: the paper-exact setup and a scaled-down one.
 //!
 //! The paper simulates the 648-node Sun DCS 648 over 0.1 s timeslots.
-//! That is hours of wall-clock per figure on one machine, so every
-//! experiment binary also offers a `quick` preset: the same two-level
-//! folded Clos at radix 12 (72 nodes, identical structure and
-//! oversubscription) over shorter windows. EXPERIMENTS.md records which
-//! preset produced each number.
+//! At 0.071–1.24 host-s per simulated ms that is 9–150 s per cell on
+//! one core, so every `ibsim` experiment also offers a `quick` preset:
+//! the same two-level folded Clos at radix 12 (72 nodes, identical
+//! structure and oversubscription) over shorter windows. EXPERIMENTS.md
+//! records which preset produced each number.
 
 use crate::experiment::RunDurations;
 use ibsim_engine::time::TimeDelta;

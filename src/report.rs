@@ -1,4 +1,4 @@
-//! Human- and machine-readable output for the experiment binaries:
+//! Human- and machine-readable output for the `ibsim` experiments:
 //! aligned text tables, CSV files, JSON dumps and a small ASCII line
 //! plot for eyeballing figure shapes in a terminal.
 

@@ -1,0 +1,313 @@
+//! The `ibsim` command line from the outside: hostile input is refused
+//! with an error naming the flag and the value — never a panic, never a
+//! silent default — and the binary exits 2 for it.
+
+use ibsim::cli::{parse, ArgError, Args, COMMANDS};
+use ibsim_traffic::{TraceGenSpec, TracePattern};
+use proptest::prelude::*;
+use std::process::Command;
+
+fn argv(line: &str) -> Vec<String> {
+    line.split_whitespace().map(String::from).collect()
+}
+
+fn refused(line: &str) -> ArgError {
+    match parse(&argv(line)) {
+        Ok(_) => panic!("`{line}` was accepted"),
+        Err(e) => e,
+    }
+}
+
+fn args(cmd: &str, line: &str) -> Args {
+    let cmd = COMMANDS.iter().find(|c| c.name == cmd).unwrap();
+    Args::parse(cmd, &argv(line)).unwrap()
+}
+
+/// The inputs that used to panic (exit 101) or silently run something
+/// else: each is an `ArgError` naming the flag and the value.
+#[test]
+fn hostile_command_lines_are_refused_by_name() {
+    for (line, flag, value) in [
+        ("table2 --preset quickk", "--preset", "quickk"),
+        ("windy --x abc", "--x", "abc"),
+        ("windy --x 101", "--x", "101"),
+        ("workloads --workload bogus", "--workload", "bogus"),
+        ("ablation --param nope", "--param", "nope"),
+        ("tracegen", "<out.ibtr>", ""),
+        ("moving --faults nonsense", "--faults", "nonsense"),
+        ("faults --bin-us 0", "--bin-us", "0"),
+        // Used to run x = 25: an undeclared flag was ignored …
+        ("windy --xx 50", "--xx", "50"),
+        // … and a u32 was truncated.
+        ("windy --x 4294967321", "--x", "4294967321"),
+        ("tracegen --shards 2 t.ibtr", "--shards", "2"),
+        ("table2 quick", "ibsim table2", "quick"),
+        ("bisect --perturb threshold", "--perturb", "threshold"),
+        ("bisect --perturb threshold=x", "--perturb", "threshold=x"),
+        ("bisect --perturb threshold=15", "--perturb", "threshold=15"),
+        (
+            "bisect --perturb threshold=300",
+            "--perturb",
+            "threshold=300",
+        ),
+        ("bisect --perturb nosuch=3", "--perturb", "nosuch=3"),
+        ("bisect --resolution-us 0", "--resolution-us", "0"),
+        ("moving --b maybe", "--b", "maybe"),
+        ("tabel2", "command", "tabel2"),
+    ] {
+        let e = refused(line);
+        let ArgError::Arg {
+            arg, value: got, ..
+        } = &e
+        else {
+            panic!("`{line}`: {e}");
+        };
+        assert_eq!((arg.as_str(), got.as_str()), (flag, value), "`{line}`");
+        let text = e.to_string();
+        assert!(text.contains(flag) && text.contains(value), "{text}");
+    }
+    // Run options go through the one `RunOptions` parser.
+    let ArgError::RunOption(e) = refused("table2 --shards 0") else {
+        panic!("--shards 0 is a run-option error");
+    };
+    assert_eq!((e.key.as_str(), e.value.as_str()), ("shards", "0"));
+    let ArgError::RunOption(e) = refused("latency --resume-from ckpts") else {
+        panic!("latency refuses resume_from");
+    };
+    assert_eq!(e.key, "resume_from");
+}
+
+/// `--key value`, `--key=value`, a bare `--key`; a value that looks
+/// like a flag is not eaten; defaults come from the command table.
+#[test]
+fn spellings_and_declared_defaults() {
+    let a = args("moving", "--v=60 --b --p 30 --seed 7");
+    assert_eq!(a.num("v", 0..=100u32), Ok(60));
+    assert_eq!(a.switch("b"), Ok(true));
+    assert_eq!(a.num("p", 0..=100u32), Ok(30));
+    assert!(a.given("seed") && !a.given("threads"));
+    assert_eq!(a.num("threads", 0..=usize::MAX), Ok(0));
+    assert_eq!(a.preset().map(|p| p.name()), Ok("quick"));
+    let a = args("simulate", "spec.json --json --shards 2");
+    assert_eq!((a.operand(), a.switch("json")), (Ok("spec.json"), Ok(true)));
+    // Every declared default parses for the commands that need no
+    // operand, and the seed is the paper configuration's.
+    for cmd in COMMANDS.iter().filter(|c| c.operand.is_empty()) {
+        let all = if cmd.name == "workloads" {
+            " --all"
+        } else {
+            ""
+        };
+        assert!(
+            parse(&argv(&format!("{}{all}", cmd.name))).is_ok(),
+            "{}",
+            cmd.name
+        );
+    }
+    let seed = args("table2", "").num("seed", 0..=u64::MAX);
+    assert_eq!(seed, Ok(ibsim_net::NetConfig::paper().seed));
+}
+
+fn trace(nodes: u32, name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("ibsim_cli_{}_{name}", std::process::id()));
+    let spec = TraceGenSpec {
+        nodes,
+        flows: 16,
+        bytes: 4096,
+        mean_gap_ns: 1000,
+        pattern: TracePattern::Uniform,
+        seed: 1,
+    };
+    ibsim_traffic::flowtrace::synthesize_to(&spec, &path).unwrap();
+    path.to_string_lossy().into_owned()
+}
+
+/// A trace cut for another fabric is refused naming the file and both
+/// node counts (it used to panic inside the run); `--preset` picks the
+/// fabric the trace is checked against.
+#[test]
+fn a_trace_must_fit_the_fabric() {
+    let t72 = trace(72, "t72.ibtr");
+    let e = refused(&format!("workloads --workload trace:{t72}")).to_string();
+    assert!(
+        e.contains(&t72) && e.contains("72 nodes, fabric has 8"),
+        "{e}"
+    );
+    assert!(parse(&argv(&format!(
+        "workloads --preset quick --workload trace:{t72}"
+    )))
+    .is_ok());
+    let e = refused(&format!(
+        "workloads --preset quick --fabric fat8 --workload trace:{t72}"
+    ));
+    assert!(e.to_string().contains("fabric has 8"), "{e}");
+    let e = refused("workloads --workload trace:/nonexistent/x.ibtr").to_string();
+    assert!(e.contains("opening trace /nonexistent/x.ibtr"), "{e}");
+    // The install checks run before anything does (this used to panic
+    // inside the run).
+    let e = refused("workloads --workload incast:dst=0,fanin=32").to_string();
+    assert!(e.contains("fanin 32") && e.contains("--workload"), "{e}");
+    std::fs::remove_file(t72).ok();
+}
+
+fn ibsim(line: &str, out: &std::path::Path) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_ibsim"))
+        .args(argv(line))
+        .arg("--out")
+        .arg(out)
+        .output()
+        .unwrap()
+}
+
+/// `workloads --preset` takes the preset's fabric and windows unless
+/// `--fabric`, `--warmup-us` or `--measure-us` say otherwise; without
+/// it the defaults stay fat8, 100/400 µs.
+#[test]
+fn workloads_preset_selects_fabric_and_windows() {
+    let out = std::env::temp_dir().join(format!("ibsim_cli_wl_{}", std::process::id()));
+    let wl = "--workload incast:dst=0,fanin=2,bytes=4096,msgs=1";
+    for (flags, nodes, windows) in [
+        ("", 8, "warmup 100000000ps measure 400000000ps"),
+        (
+            "--preset quick",
+            72,
+            "warmup 2000000000ps measure 4000000000ps",
+        ),
+        (
+            "--preset quick --fabric fat8 --measure-us 300",
+            8,
+            "warmup 2000000000ps measure 300000000ps",
+        ),
+    ] {
+        let run = ibsim(&format!("workloads {wl} {flags}"), &out);
+        assert!(run.status.success(), "{flags}: {run:?}");
+        let stdout = String::from_utf8_lossy(&run.stdout);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stdout.contains(&format!(" on {nodes} nodes:")), "{stdout}");
+        assert!(stderr.contains(windows), "{flags}: {stderr}");
+    }
+    std::fs::remove_dir_all(out).ok();
+}
+
+/// Through the real binary: a refused command line exits 2, not 101,
+/// and says `error:` instead of panicking; `help` exits 0.
+#[test]
+fn the_binary_exits_2_on_a_bad_command_line() {
+    let out = std::env::temp_dir().join(format!("ibsim_cli_bin_{}", std::process::id()));
+    for line in [
+        "windy --x 101",
+        "faults --bin-us 0",
+        "table2 --shards 0",
+        "nope",
+    ] {
+        let run = ibsim(line, &out);
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert_eq!(run.status.code(), Some(2), "{line}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ") && !stderr.contains("panicked"),
+            "{stderr}"
+        );
+    }
+    let help = Command::new(env!("CARGO_BIN_EXE_ibsim"))
+        .arg("help")
+        .output()
+        .unwrap();
+    assert!(help.status.success());
+    let listing = String::from_utf8_lossy(&help.stdout);
+    assert!(
+        COMMANDS.iter().all(|c| listing.contains(c.name)),
+        "{listing}"
+    );
+    assert!(!out.exists(), "a refused command line writes nothing");
+}
+
+/// Tokens a command line is made of: every command and flag name,
+/// valid and hostile values, and the shapes that have broken parsers.
+fn vocabulary() -> Vec<String> {
+    let mut v: Vec<String> = ["help", "--help", "-h", "--", "--=", "=", "", " "]
+        .map(String::from)
+        .into();
+    for c in &COMMANDS {
+        v.push(c.name.into());
+        for f in c.flags {
+            v.push(format!("--{}", f.name));
+            v.push(format!("--{}={}", f.name, f.default));
+        }
+    }
+    for key in ibsim::options::KEYS {
+        v.push(format!("--{}", key.replace('_', "-")));
+    }
+    let values = [
+        "0",
+        "1",
+        "-1",
+        "2",
+        "7",
+        "25",
+        "100",
+        "101",
+        "250",
+        "4294967296",
+        "4294967321",
+        "18446744073709551616",
+        "1e3",
+        "0x10",
+        "NaN",
+        "inf",
+        "true",
+        "false",
+        "maybe",
+        "quick",
+        "medium",
+        "quickk",
+        "fat8",
+        "fat3-54",
+        "fat9",
+        "threshold",
+        "threshold=7",
+        "threshold=",
+        "=7",
+        "nosuch=3",
+        "incast:dst=0,fanin=2",
+        "incast:dst=x",
+        "eb:",
+        "collective:algo=zz",
+        "trace:",
+        "trace:/nonexistent",
+        "flap:link=hca:1,at=3ms",
+        "becnloss:p=2",
+        "nonsense",
+        "configs/silent_forest.json",
+        "/nonexistent.json",
+        "Cargo.toml",
+        "٤",
+        "\0",
+        "--x",
+    ];
+    v.extend(values.map(String::from));
+    v
+}
+
+proptest! {
+    /// Arbitrary token sequences over that vocabulary, plus noise,
+    /// mostly after a real command name: the parse-and-check step
+    /// returns a job or a non-empty error, and never unwinds. Nothing
+    /// runs (a job is never called here).
+    #[test]
+    fn arbitrary_command_lines_never_panic(
+        cmd in 0usize..COMMANDS.len() + 2,
+        picks in prop::collection::vec(0usize..10_000, 0..7),
+        noise in prop::collection::vec(any::<u8>(), 0..6),
+        at in 0usize..8,
+    ) {
+        let vocab = vocabulary();
+        let mut line: Vec<String> = COMMANDS.get(cmd).map(|c| c.name.to_string()).into_iter().collect();
+        line.extend(picks.iter().map(|&i| vocab[i % vocab.len()].clone()));
+        if at < line.len() {
+            line[at].push_str(&String::from_utf8_lossy(&noise));
+        }
+        if let Err(e) = parse(&line) {
+            prop_assert!(!e.to_string().is_empty());
+        }
+    }
+}

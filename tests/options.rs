@@ -18,7 +18,6 @@ fn set_all(pairs: &[(&str, &str)]) -> Result<RunOptions, OptionsError> {
 fn one_parser_for_every_key() {
     let o = set_all(&[
         ("audit", "1"),
-        ("audit_every", "20000"),
         ("cc_backend", "dcqcn"),
         ("shards", "4"),
         ("telemetry", "true"),
@@ -31,7 +30,7 @@ fn one_parser_for_every_key() {
         ("resume_from", "c"),
     ])
     .unwrap();
-    assert_eq!(o.audit, Some(20_000));
+    assert_eq!(o.audit, Some(ibsim::options::DEFAULT_AUDIT_EVERY));
     assert_eq!(o.cc_backend, Some(ibsim_cc::CcBackend::Dcqcn));
     assert_eq!(
         (o.shards, o.telemetry, o.telemetry_det),
@@ -42,7 +41,6 @@ fn one_parser_for_every_key() {
     // A serialised value reads back as itself through the parser.
     assert_eq!(RunOptions::from_value(&o.to_value()).unwrap(), o);
     assert_eq!(set_all(&[("audit", "20000")]).unwrap().audit, Some(20_000));
-    assert_eq!(set_all(&[("audit_every", "7")]).unwrap().audit, None);
     assert_eq!(
         set_all(&[("trace_flows", "hotspots")]).unwrap().trace_flows,
         Some(FlowSpec::Hotspots)
@@ -218,14 +216,14 @@ const SEEDS: &[&str] = &[
 ];
 
 proptest! {
-    /// For every key in the table (and the alias, and a key that does
-    /// not exist), arbitrary strings and mutated valid values through
+    /// For every key in the table (and a key that does not exist),
+    /// arbitrary strings and mutated valid values through
     /// `set` — and through the layered `overlay` path the environment
     /// and the flags take — come back `Ok` or as an error naming key
     /// and value. A panic anywhere fails the case.
     #[test]
     fn hostile_values_are_refused_by_name_and_never_unwind(
-        key_pick in 0usize..KEYS.len() + 2,
+        key_pick in 0usize..KEYS.len() + 1,
         seed_pick in 0usize..SEEDS.len(),
         noise in prop::collection::vec(any::<u8>(), 0..12),
         shape in 0u8..4,
@@ -233,7 +231,7 @@ proptest! {
         let key = KEYS
             .get(key_pick)
             .copied()
-            .unwrap_or(if key_pick == KEYS.len() { "audit_every" } else { "shardz" });
+            .unwrap_or("shardz");
         let noise = String::from_utf8_lossy(&noise).into_owned();
         let value = match shape {
             0 => SEEDS[seed_pick].to_string(),
