@@ -1107,6 +1107,7 @@ impl Network {
                     if at > r.w_end {
                         // Cannot pop before the barrier: skip the queue,
                         // wait for relabelling as a plain list entry.
+                        r.later_min = r.later_min.min(at);
                         r.later.push((at, prov, delta, Ev::pack(ev)));
                     } else {
                         let key = crate::shard::PROV_BASE + prov;

@@ -27,14 +27,20 @@
 //!   equal times provisional events pop after all pre-window events —
 //!   exactly where the serial engine's higher sequence numbers would
 //!   have put them.
-//! * Every dispatch is logged as `(time, key, n_sched)`. At the
-//!   barrier the coordinator **replays** the per-shard logs in global
+//! * Dispatches are logged as `(time, key, n_sched)`. At the barrier
+//!   the coordinator **replays** the per-shard logs in global
 //!   `(time, true-key)` order — a deterministic merge that depends
-//!   only on the logs, never on thread timing — assigning each
-//!   provisional event the true sequence number the serial engine
-//!   would have used, and stepping the audit cadence event-exactly.
-//! * Each shard then relabels its window-local events with the agreed
-//!   keys and installs cross-shard arrivals before the next window.
+//!   only on the logs, never on thread timing — and steps the audit
+//!   cadence event-exactly. Its output is a few [`Run`]s per shard:
+//!   a dispatch's provisional index `p` numbers `gseq₀ + p + F`, where
+//!   `F` (what the other shards scheduled before it) only changes when
+//!   the merge switches shard ([`Replay`]). A dispatch that scheduled
+//!   nothing moves no `F`, so it is only logged while the audit cadence
+//!   or an observer needs every event in order.
+//! * Each shard then relabels its window-local events from the runs
+//!   and installs cross-shard arrivals before the next window.
+//! * A panic on any thread poisons the window barrier, which releases
+//!   the other threads; the drive re-raises the original panic.
 //!
 //! At [`Network::run_until`]'s end the shards merge back into the
 //! master: devices swap home, per-shard packet arenas drain into the
@@ -90,6 +96,8 @@ use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
 use ibsim_faults::{FaultAction, FaultStats};
 use ibsim_topo::{partition_leaf_groups, Topology};
+use std::any::Any;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -212,8 +220,12 @@ pub(crate) struct ShardRoute {
     /// here for relabelling — one Vec push instead of a queue insert
     /// and drain, and it is most of the event traffic (anything a link
     /// latency or more out lands past the window by construction).
-    /// `(at, provisional index, at − dispatch time, event)`.
+    /// `(at, provisional index, at − dispatch time, event)`, in
+    /// provisional-index order.
     pub later: Vec<(Time, u64, u64, Ev)>,
+    /// Earliest `at` in `later` (`Time::MAX` while it is empty), kept on
+    /// push so the coordinator's `gmin` needs no scan.
+    pub later_min: Time,
     /// End of the window currently running, the `win`/`later` boundary.
     pub w_end: Time,
     /// Timestamp of the batch currently dispatching, pinned by
@@ -224,11 +236,21 @@ pub(crate) struct ShardRoute {
     pub now: Time,
     /// Next provisional index (reset every window).
     pub prov: u64,
+    /// Cross-shard events.
     pub outbox: Vec<OutMsg>,
+    /// The window's dispatches that scheduled events — all of them
+    /// under `log_all`.
     pub log: Vec<DispatchRec>,
-    /// Provisional index → true sequence number, written by the
-    /// coordinator's replay of this window's logs.
-    pub map: Vec<u64>,
+    /// Log every dispatch: set while the audit cadence can fire or an
+    /// observer is armed, since the replay then steps them in order.
+    pub log_all: bool,
+    /// Dispatches this window, logged or not.
+    pub dispatched: u64,
+    /// `(time, key)` of the window's last dispatch.
+    pub last: (Time, u64),
+    /// Provisional index → true sequence number for the window just
+    /// replayed, as [`Run`]s written by the coordinator.
+    pub runs: Vec<Run>,
     /// Cross-shard arrivals `(at, true key, lane hint, event)`,
     /// installed at the next window prologue.
     pub inbox: Vec<(Time, u64, u64, EventState)>,
@@ -245,6 +267,59 @@ impl ShardRoute {
     #[inline]
     pub(crate) fn owner_of(&self, ev: &Event) -> u32 {
         self.owners.owner_of(ev)
+    }
+}
+
+/// One stretch of a shard's provisional indices that share a relabel
+/// offset: every `p` from `p0` up to the next run's `p0` has true
+/// sequence number `p + off`. The replay starts a run each time it
+/// switches to the shard (see [`Replay`]), so a window needs a few
+/// runs per shard where a map would need one entry per event.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Run {
+    pub p0: u64,
+    pub off: u64,
+}
+
+/// True sequence number of provisional index `p`, for lookups in no
+/// particular order. `runs` must cover `p` (its first run starts at 0).
+fn resolve(runs: &[Run], p: u64) -> u64 {
+    let k = runs.partition_point(|r| r.p0 <= p);
+    p + runs[k - 1].off
+}
+
+/// True key of a logged key: itself if it is a sequence number,
+/// resolved through `runs` if it is provisional.
+fn true_key(runs: &[Run], key: u64) -> u64 {
+    if key < PROV_BASE {
+        key
+    } else {
+        resolve(runs, key - PROV_BASE)
+    }
+}
+
+/// [`resolve`] for dense lookups in nondecreasing `p` — `later` is
+/// filled in allocation order, so one forward cursor serves it.
+struct Relabel<'a> {
+    runs: &'a [Run],
+    k: usize,
+}
+
+impl<'a> Relabel<'a> {
+    fn new(runs: &'a [Run]) -> Self {
+        Relabel { runs, k: 0 }
+    }
+
+    #[inline]
+    fn seq(&mut self, p: u64) -> u64 {
+        // Mostly zero or one run lies between consecutive lookups: take
+        // that step without a branch, loop only past several.
+        let next = self.runs.get(self.k + 1).map_or(u64::MAX, |r| r.p0);
+        self.k += usize::from(next <= p);
+        while self.runs.get(self.k + 1).is_some_and(|r| r.p0 <= p) {
+            self.k += 1;
+        }
+        p + self.runs[self.k].off
     }
 }
 
@@ -280,7 +355,10 @@ struct Flow {
     /// Audit cadence position, stepped exactly as `Audit::due` would.
     next_at: u64,
     checks0: u64,
-    audit_on: bool,
+    /// The audit is on and its cadence can fire: `processed` stays
+    /// below `gseq < PROV_BASE`, so a `next_at` at or past `PROV_BASE`
+    /// never comes due.
+    audit_live: bool,
     /// Cadence boundaries crossed during the windows.
     crossings: u64,
     /// `(last_pop, processed)` at the most recent crossing — what the
@@ -295,11 +373,20 @@ struct Flow {
 
 /// A sense-reversing spin barrier: windows are short (one lookahead of
 /// simulated time), so parking on a futex every round would dominate.
+///
+/// A participant that dies never arrives, so the barrier also carries
+/// a poison flag: each thread body holds a [`PoisonOnUnwind`] guard,
+/// and a waiter that sees the flag panics with [`POISONED`] instead of
+/// spinning forever.
 struct SpinBarrier {
     n: usize,
     count: AtomicUsize,
     generation: AtomicU64,
+    poisoned: AtomicBool,
 }
+
+/// The panic a barrier waiter raises when another participant died.
+const POISONED: &str = "shard thread panicked";
 
 impl SpinBarrier {
     fn new(n: usize) -> Self {
@@ -307,6 +394,7 @@ impl SpinBarrier {
             n,
             count: AtomicUsize::new(0),
             generation: AtomicU64::new(0),
+            poisoned: AtomicBool::new(false),
         }
     }
 
@@ -318,6 +406,10 @@ impl SpinBarrier {
         } else {
             let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
+                // The flag publishes nothing but itself: Relaxed.
+                if self.poisoned.load(Ordering::Relaxed) {
+                    std::panic::panic_any(POISONED);
+                }
                 spins += 1;
                 if spins < 10_000 {
                     std::hint::spin_loop();
@@ -327,6 +419,28 @@ impl SpinBarrier {
             }
         }
     }
+}
+
+/// Poisons the barrier if the thread holding it unwinds.
+struct PoisonOnUnwind<'a>(&'a SpinBarrier);
+
+impl Drop for PoisonOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Of the panics a drive's threads ended with, the one that started it:
+/// the others are waiters released by the poison flag.
+fn first_cause(
+    panics: impl IntoIterator<Item = Box<dyn Any + Send>>,
+) -> Option<Box<dyn Any + Send>> {
+    let (released, causes): (Vec<_>, Vec<_>) = panics
+        .into_iter()
+        .partition(|p| p.downcast_ref::<&str>() == Some(&POISONED));
+    causes.into_iter().chain(released).next()
 }
 
 impl Network {
@@ -416,12 +530,16 @@ impl Network {
                 owners: owners.clone(),
                 win: EventQueue::with_capacity(256),
                 later: Vec::new(),
+                later_min: Time::MAX,
                 w_end: Time(0),
                 now: Time(0),
                 prov: 0,
                 outbox: Vec::new(),
                 log: Vec::new(),
-                map: Vec::new(),
+                log_all: false,
+                dispatched: 0,
+                last: (Time(0), 0),
+                runs: Vec::new(),
                 inbox: Vec::new(),
             }));
             nets.push(Mutex::new(sh));
@@ -465,7 +583,7 @@ impl Network {
                 trc: trc.as_mut(),
                 prof: prof.as_deref_mut(),
             };
-            drive(&mut ex, t, &mut flow, &mut obs);
+            drive(&ex, t, &mut flow, &mut obs);
         }
         // Profiler first: the merge folds the shard bins into it.
         self.prof = prof;
@@ -493,6 +611,9 @@ impl Network {
             }
             per[owner].push((at, seq, es));
         }
+        let (next_at, checks0) = self.audit.as_ref().map_or((u64::MAX, 0), |a| a.position());
+        let audit_live = self.audit.is_some() && next_at < PROV_BASE;
+        let log_all = audit_live || self.tracer.is_some() || self.telemetry.is_some();
         let (n_channels, n_vls) = (self.channels.len(), self.cfg.n_vls as usize);
         for (s, entries) in per.into_iter().enumerate() {
             let sh = ex.nets[s].get_mut().expect("no poisoned shard");
@@ -537,11 +658,14 @@ impl Network {
             let r = sh.shard_route.as_mut().expect("shards carry a route");
             r.win.reset();
             r.later.clear();
+            r.later_min = Time::MAX;
             r.w_end = Time(0);
             r.prov = 0;
             r.outbox.clear();
             r.log.clear();
-            r.map.clear();
+            r.log_all = log_all;
+            r.dispatched = 0;
+            r.runs.clear();
             r.inbox.clear();
         }
         assert_eq!(
@@ -550,10 +674,6 @@ impl Network {
             "split left {} live packet(s) behind in the master arena",
             self.pool.live()
         );
-        let (next_at, checks0) = self
-            .audit
-            .as_ref()
-            .map_or((u64::MAX, 0), |a| a.position());
         Flow {
             gseq: snap.seq,
             processed: snap.processed,
@@ -563,7 +683,7 @@ impl Network {
             audit_every: self.audit.as_ref().map_or(u64::MAX, |a| a.interval()),
             next_at,
             checks0,
-            audit_on: self.audit.is_some(),
+            audit_live,
             crossings: 0,
             cross_marks: (None, 0),
             sanction0: self.audit.as_ref().map_or(0, |a| a.sanctioned_packets()),
@@ -685,22 +805,25 @@ impl Network {
     /// install cross-shard arrivals, and reset the window counters.
     pub(crate) fn window_prologue(&mut self) {
         let mut r = self.shard_route.take().expect("prologue runs on shards");
-        let map = &r.map;
+        let runs = &r.runs;
         r.win.drain(|at, key, ev| {
-            let true_seq = map[(key - PROV_BASE) as usize];
-            self.queue.schedule_keyed(at, true_seq, ev);
+            self.queue
+                .schedule_keyed(at, resolve(runs, key - PROV_BASE), ev);
         });
+        let mut relabel = Relabel::new(runs);
         for (at, prov, delta, ev) in r.later.drain(..) {
-            let true_seq = map[prov as usize];
-            self.queue.schedule_keyed_hint(at, true_seq, delta, ev);
+            self.queue
+                .schedule_keyed_hint(at, relabel.seq(prov), delta, ev);
         }
         for (at, seq, hint, es) in r.inbox.drain(..) {
             let ev = Ev::pack(es.install(&mut self.pool));
             self.queue.schedule_keyed_hint(at, seq, hint, ev);
         }
-        r.map.clear();
-        r.log.clear();
+        r.runs.clear();
+        r.later_min = Time::MAX;
         r.prov = 0;
+        r.dispatched = 0;
+        debug_assert!(r.log.is_empty(), "coordinator must consume the log");
         debug_assert!(r.outbox.is_empty(), "coordinator must drain the outbox");
         self.shard_route = Some(r);
     }
@@ -714,6 +837,7 @@ impl Network {
             .as_mut()
             .expect("windows run on shards")
             .w_end = w_end;
+        let log_all = self.shard_route.as_ref().expect("shard").log_all;
         self.profiling(EngineProfiler::run_begin);
         loop {
             let tm = self.queue.peek_time();
@@ -764,13 +888,22 @@ impl Network {
                 let tr1 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
                 let fl1 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 let r = self.shard_route.as_mut().expect("shard");
+                r.dispatched += 1;
+                r.last = (t, key);
                 r.log.push(DispatchRec {
                     at: t,
                     key,
-                    n_sched: (r.prov - before) as u32,
-                    n_trace: (tr1 - tr0) as u16,
-                    n_flight: (fl1 - fl0) as u16,
+                    n_sched: u32::try_from(r.prov - before)
+                        .expect("one dispatch schedules fewer than 2^32 events"),
+                    n_trace: u16::try_from(tr1 - tr0)
+                        .expect("one dispatch captures fewer than 2^16 trace records"),
+                    n_flight: u16::try_from(fl1 - fl0)
+                        .expect("one dispatch notes fewer than 2^16 flight events"),
                 });
+                // Half the dispatches schedule nothing: drop those again
+                // unless every dispatch is logged (no branch to mispredict).
+                let keep = r.prov > before || log_all;
+                r.log.truncate(r.log.len() - usize::from(!keep));
             }
         }
         self.profiling(EngineProfiler::run_end);
@@ -797,11 +930,9 @@ fn add_stats_delta(merged: &mut FaultStats, shard: &FaultStats, base: &FaultStat
 /// outboxes and choosing each window's end between rounds. One
 /// sense-reversing barrier, crossed twice per window, alternates the
 /// two phases; the replay depends only on the per-shard logs, so the
-/// outcome is independent of thread scheduling.
-fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
-    let n = ex.n;
-    let lookahead_ps = ex.lookahead_ps;
-    let owners = ex.owners.clone();
+/// outcome is independent of thread scheduling. A panic on any thread
+/// poisons the barrier, releases the others, and is re-raised here.
+fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
     // On a single hardware thread, n spinning workers just timeshare
     // one core; run the identical window/replay cycle inline instead.
     // Same prologue, same run_window, same coordinate — the driver loop
@@ -810,11 +941,9 @@ fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) 
     // the host selects).
     let single = std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
     if single {
+        let mut coord = Coord::new(ex);
         let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
-        let mut cursors = vec![0usize; n];
-        while let Some(w_end) =
-            coordinate_timed(&ex.nets, &mut cursors, &owners, lookahead_ps, t, flow, obs)
-        {
+        while let Some(w_end) = coord.step(t, flow, obs) {
             for net in &ex.nets {
                 let mut net = net.lock().expect("no poisoned shard");
                 net.window_prologue();
@@ -825,281 +954,487 @@ fn drive(ex: &mut ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) 
     }
     let stop = AtomicBool::new(false);
     let w_end_ps = AtomicU64::new(0);
-    let barrier = SpinBarrier::new(n);
+    let barrier = SpinBarrier::new(ex.n);
     let nets = &ex.nets;
-    std::thread::scope(|scope| {
-        for worker_net in nets.iter().skip(1) {
-            let (barrier, stop, w_end_ps) = (&barrier, &stop, &w_end_ps);
-            scope.spawn(move || {
-                let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
-                loop {
-                    barrier.wait();
-                    if stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let w_end = Time(w_end_ps.load(Ordering::Acquire));
-                    let mut net = worker_net.lock().expect("no poisoned shard");
-                    net.window_prologue();
-                    net.run_window(w_end, &mut batch);
-                    drop(net);
-                    barrier.wait();
-                }
-            });
-        }
-        let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
-        let mut cursors = vec![0usize; n];
-        loop {
-            // Coordination phase: every worker is parked at the round
-            // barrier, so the locks are free.
-            let next = coordinate_timed(nets, &mut cursors, &owners, lookahead_ps, t, flow, obs);
-            match next {
-                Some(w_end) => {
-                    w_end_ps.store(w_end.as_ps(), Ordering::Release);
-                    barrier.wait();
-                    {
-                        let mut net = nets[0].lock().expect("no poisoned shard");
+    let panics: Vec<_> = std::thread::scope(|scope| {
+        let workers: Vec<_> = nets
+            .iter()
+            .skip(1)
+            .map(|worker_net| {
+                let (barrier, stop, w_end_ps) = (&barrier, &stop, &w_end_ps);
+                scope.spawn(move || {
+                    let _poison = PoisonOnUnwind(barrier);
+                    let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
+                    loop {
+                        barrier.wait();
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let w_end = Time(w_end_ps.load(Ordering::Acquire));
+                        let mut net = worker_net.lock().expect("no poisoned shard");
                         net.window_prologue();
                         net.run_window(w_end, &mut batch);
+                        drop(net);
+                        barrier.wait();
                     }
-                    barrier.wait();
+                })
+            })
+            .collect();
+        let coordinator = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            let _poison = PoisonOnUnwind(&barrier);
+            let mut coord = Coord::new(ex);
+            let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
+            // Coordination phase: every worker is parked at the round
+            // barrier, so the locks are free.
+            while let Some(w_end) = coord.step(t, flow, obs) {
+                w_end_ps.store(w_end.as_ps(), Ordering::Release);
+                barrier.wait();
+                {
+                    let mut net = nets[0].lock().expect("no poisoned shard");
+                    net.window_prologue();
+                    net.run_window(w_end, &mut batch);
                 }
-                None => {
-                    stop.store(true, Ordering::Release);
-                    barrier.wait();
-                    break;
-                }
+                barrier.wait();
             }
-        }
+            stop.store(true, Ordering::Release);
+            barrier.wait();
+        }));
+        coordinator
+            .err()
+            .into_iter()
+            .chain(workers.into_iter().filter_map(|w| w.join().err()))
+            .collect()
     });
+    if let Some(cause) = first_cause(panics) {
+        std::panic::resume_unwind(cause);
+    }
 }
 
-/// [`coordinate`], attributed to [`Subsystem::Barrier`] when profiling
-/// (the coordinator's own work is the sharded executor's overhead).
-#[allow(clippy::too_many_arguments)]
-fn coordinate_timed(
-    nets: &[Mutex<Network>],
-    cursors: &mut [usize],
-    owners: &OwnerMap,
-    lookahead_ps: u64,
-    t: Time,
-    flow: &mut Flow,
-    obs: &mut MasterObs<'_>,
-) -> Option<Time> {
-    let t0 = obs.prof.as_mut().map(|p| p.start());
-    let next = coordinate(nets, cursors, owners, lookahead_ps, t, flow, obs);
-    if let (Some(t0), Some(p)) = (t0, obs.prof.as_mut()) {
-        p.stop(Subsystem::Barrier, t0);
-    }
-    next
+/// The coordinator of one drive. Its buffers are reused from window to
+/// window, so a coordination step allocates nothing in steady state.
+struct Coord<'a> {
+    ex: &'a ShardExec,
+    /// Every shard's lock, held for one coordination step.
+    guards: Vec<MutexGuard<'a, Network>>,
+    /// The window's dispatch logs and the runs the replay writes,
+    /// swapped out of (and back into) the shard routes.
+    logs: Vec<Vec<DispatchRec>>,
+    runs: Vec<Vec<Run>>,
+    heads: Vec<Head>,
+    /// Per shard: trace records and flight notes copied so far.
+    copied: Vec<(usize, usize)>,
+    /// The outbox being routed, swapped out of its shard.
+    out: Vec<OutMsg>,
 }
 
-/// One coordination step: replay the previous window's logs into true
-/// sequence numbers (stepping the audit cadence event-exactly and
-/// merging shard-captured trace/flight records into the master streams
-/// in replayed order), route the outboxes, sample any due telemetry
-/// boundaries against the barrier-consistent global state, and pick
-/// the next window end — or `None` when nothing at or before `t`
-/// remains anywhere.
-#[allow(clippy::too_many_arguments)]
-fn coordinate(
-    nets: &[Mutex<Network>],
-    cursors: &mut [usize],
-    owners: &OwnerMap,
-    lookahead_ps: u64,
-    t: Time,
-    flow: &mut Flow,
+impl<'a> Coord<'a> {
+    fn new(ex: &'a ShardExec) -> Self {
+        let n = ex.n;
+        Coord {
+            ex,
+            guards: Vec::with_capacity(n),
+            logs: vec![Vec::new(); n],
+            runs: vec![Vec::new(); n],
+            heads: vec![Head::default(); n],
+            copied: vec![(0, 0); n],
+            out: Vec::new(),
+        }
+    }
+
+    /// [`Coord::coordinate`], attributed to [`Subsystem::Barrier`] when
+    /// profiling (the coordinator's own work is the sharded executor's
+    /// overhead).
+    fn step(&mut self, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) -> Option<Time> {
+        let t0 = obs.prof.as_mut().map(|p| p.start());
+        let next = self.coordinate(t, flow, obs);
+        if let (Some(t0), Some(p)) = (t0, obs.prof.as_mut()) {
+            p.stop(Subsystem::Barrier, t0);
+        }
+        next
+    }
+
+    /// One coordination step: replay the previous window's logs into
+    /// true sequence numbers (stepping the audit cadence event-exactly
+    /// and merging shard-captured trace/flight records into the master
+    /// streams in replayed order), route the outboxes, sample any due
+    /// telemetry boundaries against the barrier-consistent global
+    /// state, and pick the next window end — or `None` when nothing at
+    /// or before `t` remains anywhere.
+    fn coordinate(&mut self, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) -> Option<Time> {
+        self.guards.extend(
+            self.ex
+                .nets
+                .iter()
+                .map(|m| m.lock().expect("no poisoned shard")),
+        );
+        let mut window_events = 0;
+        for (g, log) in self.guards.iter_mut().zip(&mut self.logs) {
+            let r = g.shard_route.as_mut().expect("shards carry a route");
+            std::mem::swap(log, &mut r.log);
+            window_events += r.prov;
+        }
+        // Provisional keys sort after true ones only while every true
+        // sequence number stays below PROV_BASE (2^62: 146 years at 10^9
+        // events per second, so this never fires in practice).
+        assert!(
+            flow.gseq + window_events < PROV_BASE,
+            "sequence numbers reached the provisional key space"
+        );
+        self.replay(flow, obs);
+
+        // Route the outboxes now that every provisional key has its
+        // true identity. Shard-index order keeps delivery deterministic
+        // (the keys, not arrival order, decide everything downstream).
+        // The next window starts at gmin, the earliest event pending
+        // anywhere: routed arrivals, main queues, window-local events.
+        let mut gmin: Option<Time> = None;
+        let mut see = |c: Time| gmin = Some(gmin.map_or(c, |m| m.min(c)));
+        for s in 0..self.guards.len() {
+            let r = self.guards[s].shard_route.as_mut().expect("shard");
+            std::mem::swap(&mut self.out, &mut r.outbox);
+            // A shard sends far fewer events than it opens runs, so a
+            // forward cursor would cross several runs per lookup.
+            let runs = &self.runs[s];
+            for m in self.out.drain(..) {
+                see(m.at);
+                let seq = resolve(runs, m.prov);
+                let to = self.guards[m.target as usize]
+                    .shard_route
+                    .as_mut()
+                    .expect("shard");
+                to.inbox.push((m.at, seq, foreign_hint(m.delta, s), m.ev));
+            }
+            let r = self.guards[s].shard_route.as_mut().expect("shard");
+            std::mem::swap(&mut self.out, &mut r.outbox);
+        }
+        for ((g, log), runs) in self
+            .guards
+            .iter_mut()
+            .zip(&mut self.logs)
+            .zip(&mut self.runs)
+        {
+            let queued = g.queue.peek_time();
+            let r = g.shard_route.as_mut().expect("shard");
+            log.clear();
+            std::mem::swap(log, &mut r.log);
+            std::mem::swap(runs, &mut r.runs);
+            let later = (!r.later.is_empty()).then_some(r.later_min);
+            for c in [queued, r.win.peek_time(), later].into_iter().flatten() {
+                see(c);
+            }
+        }
+        let next = self.next_window(gmin, t, flow, obs);
+        self.guards.clear();
+        next
+    }
+
+    /// Replay the window: merge the logs, advancing the serial engine's
+    /// counters. Trace and flight copying and the audit cadence run only
+    /// when armed — and then every dispatch is logged — in the order
+    /// the serial loop would have run them.
+    fn replay(&mut self, flow: &mut Flow, obs: &mut MasterObs<'_>) {
+        let observed = obs.trc.is_some() || obs.tel.is_some();
+        if observed {
+            self.copied.fill((0, 0));
+        }
+        let mut rp = Replay::new(&self.logs, &mut self.runs, &mut self.heads, flow.gseq);
+        let mut processed = flow.processed;
+        while let Some((s, i)) = rp.next() {
+            if !(observed || flow.audit_live) {
+                continue;
+            }
+            processed += 1;
+            let rec = self.logs[s][i];
+            if observed {
+                // The replay position IS the serial capture order, so
+                // record sequence numbers come out identical.
+                copy_observations(&mut self.guards[s], rec, &mut self.copied[s], obs);
+            }
+            // Audit::due, replicated: the serial loop consults it after
+            // every dispatched event.
+            if flow.audit_live && processed >= flow.next_at {
+                flow.next_at = processed + flow.audit_every;
+                flow.crossings += 1;
+                flow.cross_marks = (Some((rec.at, rp.key(s, i))), processed);
+                // The serial pass here recorded a clean AuditPass note
+                // (violations would have panicked the run; the merge's
+                // deferred full pass re-checks that). Sanctioned drops
+                // are constant during a drive — BECN-loss declines
+                // sharding.
+                if let Some(tel) = obs.tel.as_mut() {
+                    tel.flight.record(
+                        rec.at,
+                        FlightKind::AuditPass,
+                        "audit",
+                        format!("clean; sanctioned drops {}", flow.sanction0),
+                    );
+                }
+            }
+        }
+        flow.gseq = rp.gseq;
+        // The window's last dispatch is the latest of the shards' last
+        // ones; every dispatch counts, logged or not.
+        let mut last: Option<(Time, u64)> = None;
+        for (s, g) in self.guards.iter().enumerate() {
+            let r = g.shard_route.as_ref().expect("shard");
+            if r.dispatched > 0 {
+                let pop = (r.last.0, true_key(&self.runs[s], r.last.1));
+                last = last.max(Some(pop));
+            }
+            flow.processed += r.dispatched;
+        }
+        debug_assert!(
+            !(observed || flow.audit_live) || processed == flow.processed,
+            "an armed replay places every dispatch"
+        );
+        if let Some(pop) = last {
+            flow.last_pop = Some(pop);
+            flow.now = pop.0;
+        }
+        if observed {
+            // Every logged dispatch replayed exactly once, so the shard-
+            // side capture buffers are fully consumed; reset them for
+            // the next window.
+            for (g, &(tr, fl)) in self.guards.iter_mut().zip(&self.copied) {
+                if let Some(st) = g.tracer.as_mut() {
+                    debug_assert_eq!(tr, st.records().len(), "unreplayed trace records");
+                    st.drain_records();
+                }
+                if let Some(b) = g.obs_buf.as_mut() {
+                    debug_assert_eq!(fl, b.flight.len(), "unreplayed flight notes");
+                    b.flight.clear();
+                }
+            }
+        }
+    }
+
+    /// Sample the telemetry boundaries the serial loop would have
+    /// sampled before the event at `gmin`, and pick the next window end.
+    fn next_window(
+        &self,
+        gmin: Option<Time>,
+        t: Time,
+        flow: &Flow,
+        obs: &mut MasterObs<'_>,
+    ) -> Option<Time> {
+        match gmin {
+            Some(gmin) if gmin <= t => {
+                // Boundaries strictly before the next event: the serial
+                // loop samples them lazily when the batch at gmin pops,
+                // right after extracting its head event — so the reading
+                // shows one more processed event and one less pending.
+                if let Some(tel) = obs.tel.as_mut() {
+                    if tel.due_before(gmin) {
+                        let pend = total_pending(&self.guards);
+                        let view =
+                            build_view(&self.guards, &self.ex.owners, flow.processed + 1, pend - 1);
+                        while tel.due_before(gmin) {
+                            let b = tel.pop_boundary();
+                            tel.sample(b, &view);
+                        }
+                    }
+                }
+                // Cross-shard events generated in (w₀, w₁] land at
+                // ≥ gmin + L, so w₁ = gmin + L − 1 is the widest window
+                // that cannot miss one. With telemetry on, the window
+                // also stops at the next unconsumed boundary: no shard
+                // may dispatch an event past a boundary before it is
+                // sampled. (After the loop above, next_boundary ≥ gmin,
+                // so the cap never stalls the window.)
+                let mut w1 = Time(gmin.as_ps().saturating_add(self.ex.lookahead_ps - 1)).min(t);
+                if let Some(tel) = obs.tel.as_ref() {
+                    w1 = w1.min(tel.next_boundary());
+                }
+                Some(w1)
+            }
+            _ => {
+                // Nothing left at or before t: flush boundaries up to
+                // and including t with the final counters, exactly like
+                // the serial epilogue's inclusive sample.
+                if let Some(tel) = obs.tel.as_mut() {
+                    if tel.due_at(t) {
+                        let pend = total_pending(&self.guards);
+                        let view = build_view(&self.guards, &self.ex.owners, flow.processed, pend);
+                        while tel.due_at(t) {
+                            let b = tel.pop_boundary();
+                            tel.sample(b, &view);
+                        }
+                    }
+                }
+                None
+            }
+        }
+    }
+}
+
+/// Copy the trace records and flight notes one of shard `g`'s
+/// dispatches captured into the master streams; `copied` is how far the
+/// shard's buffers have been read.
+fn copy_observations(
+    g: &mut Network,
+    rec: DispatchRec,
+    copied: &mut (usize, usize),
     obs: &mut MasterObs<'_>,
-) -> Option<Time> {
-    let mut guards: Vec<_> = nets
-        .iter()
-        .map(|m| m.lock().expect("no poisoned shard"))
-        .collect();
-    let n = guards.len();
-    cursors.fill(0);
-    let mut tcur = vec![0usize; n];
-    let mut fcur = vec![0usize; n];
-
-    // Replay: merge the per-shard dispatch logs in global (time, true
-    // key) order. A provisional head key always resolves — the
-    // dispatch that allocated it precedes it in the same shard's log.
-    loop {
-        let mut best: Option<(Time, u64, usize)> = None;
-        for (s, g) in guards.iter().enumerate() {
-            let r = g.shard_route.as_ref().expect("shards carry a route");
-            if cursors[s] < r.log.len() {
-                let rec = r.log[cursors[s]];
-                let true_key = if rec.key < PROV_BASE {
-                    rec.key
-                } else {
-                    r.map[(rec.key - PROV_BASE) as usize]
-                };
-                if best.is_none_or(|(bt, bk, _)| (rec.at, true_key) < (bt, bk)) {
-                    best = Some((rec.at, true_key, s));
-                }
+) {
+    if rec.n_trace > 0 {
+        let end = copied.0 + usize::from(rec.n_trace);
+        if let Some(mt) = obs.trc.as_mut() {
+            let st = g.tracer.as_ref().expect("shards trace iff the master does");
+            for &r in &st.records()[copied.0..end] {
+                mt.push(r);
             }
         }
-        let Some((at, true_key, s)) = best else { break };
-        let rec = {
-            let r = guards[s].shard_route.as_mut().expect("shard");
-            let rec = r.log[cursors[s]];
-            cursors[s] += 1;
-            for j in 0..rec.n_sched as u64 {
-                r.map.push(flow.gseq + j);
-            }
-            rec
-        };
-        // This dispatch's captured observability records enter the
-        // master streams here — the replay position IS the serial
-        // capture order, so record sequence numbers come out identical.
-        if rec.n_trace > 0 {
-            let end = tcur[s] + rec.n_trace as usize;
-            if let Some(mt) = obs.trc.as_mut() {
-                let st = guards[s]
-                    .tracer
-                    .as_ref()
-                    .expect("shards trace iff the master does");
-                for i in tcur[s]..end {
-                    mt.push(st.records()[i]);
-                }
-            }
-            tcur[s] = end;
-        }
-        if rec.n_flight > 0 {
-            let end = fcur[s] + rec.n_flight as usize;
-            if let Some(tel) = obs.tel.as_mut() {
-                for i in fcur[s]..end {
-                    let (fat, kind, subject, detail) = {
-                        let b = guards[s]
-                            .obs_buf
-                            .as_ref()
-                            .expect("shards buffer flight iff telemetry is on");
-                        let e = &b.flight[i];
-                        (e.0, e.1, e.2.clone(), e.3.clone())
-                    };
-                    tel.flight.record(fat, kind, subject, detail);
-                }
-            }
-            fcur[s] = end;
-        }
-        flow.gseq += rec.n_sched as u64;
-        flow.processed += 1;
-        flow.last_pop = Some((at, true_key));
-        flow.now = at;
-        // Audit::due, replicated: the serial loop consults it after
-        // every dispatched event.
-        if flow.audit_on && flow.processed >= flow.next_at {
-            flow.next_at = flow.processed + flow.audit_every;
-            flow.crossings += 1;
-            flow.cross_marks = (flow.last_pop, flow.processed);
-            // The serial pass here recorded a clean AuditPass note
-            // (violations would have panicked the run; the merge's
-            // deferred full pass re-checks that). Sanctioned drops are
-            // constant during a drive — BECN-loss declines sharding.
-            if let Some(tel) = obs.tel.as_mut() {
-                tel.flight.record(
-                    at,
-                    FlightKind::AuditPass,
-                    "audit",
-                    format!("clean; sanctioned drops {}", flow.sanction0),
-                );
-            }
-        }
+        copied.0 = end;
     }
-
-    // Every logged dispatch replayed exactly once, so the shard-side
-    // capture buffers must now be fully consumed; reset them for the
-    // next window.
-    for (s, g) in guards.iter_mut().enumerate() {
-        if let Some(tr) = g.tracer.as_mut() {
-            debug_assert_eq!(tcur[s], tr.records().len(), "unreplayed trace records");
-            tr.drain_records();
-        }
-        if let Some(b) = g.obs_buf.as_mut() {
-            debug_assert_eq!(fcur[s], b.flight.len(), "unreplayed flight notes");
-            b.flight.clear();
-        }
-    }
-
-    // Route the outboxes now that every provisional key has its true
-    // identity. Shard-index order keeps delivery deterministic (the
-    // keys, not arrival order, decide everything downstream anyway).
-    for s in 0..n {
-        let msgs = {
-            let r = guards[s].shard_route.as_mut().expect("shard");
-            std::mem::take(&mut r.outbox)
-        };
-        for m in msgs {
-            let seq = guards[s].shard_route.as_ref().expect("shard").map[m.prov as usize];
-            let tgt = m.target as usize;
-            guards[tgt]
-                .shard_route
+    if rec.n_flight > 0 {
+        let end = copied.1 + usize::from(rec.n_flight);
+        if let Some(tel) = obs.tel.as_mut() {
+            let b = g
+                .obs_buf
                 .as_mut()
-                .expect("shard")
-                .inbox
-                .push((m.at, seq, foreign_hint(m.delta, s), m.ev));
+                .expect("shards buffer flight iff telemetry is on");
+            for (at, kind, subject, detail) in &mut b.flight[copied.1..end] {
+                let (subject, detail) = (std::mem::take(subject), std::mem::take(detail));
+                tel.flight.record(*at, *kind, subject, detail);
+            }
+        }
+        copied.1 = end;
+    }
+}
+
+/// Where one shard's log stands in the replay.
+#[derive(Clone, Copy, Default)]
+struct Head {
+    /// Time of record `i` and of the record after it (`Time::MAX` past
+    /// the end): the merge compares the first and moves on to the
+    /// second without waiting for a load.
+    at: Time,
+    next_at: Time,
+    /// Next record to replay.
+    i: usize,
+    /// Provisional indices the records before it allocated.
+    p: u64,
+}
+
+impl Head {
+    fn at(log: &[DispatchRec], i: usize) -> Time {
+        log.get(i).map_or(Time::MAX, |r| r.at)
+    }
+}
+
+/// The replay of one window: a merge of the per-shard dispatch logs in
+/// global `(time, true key)` order — the serial dispatch order, since
+/// each log is already in that order (pre-window keys are below every
+/// provisional one, and provisional indices number in dispatch order).
+///
+/// Keys come from one identity. Let dispatch `d` of shard `s` allocate
+/// provisional index `p`. The serial engine numbers that event
+/// `gseq₀ + p + F(d)`, where `F(d)` sums `n_sched` over the *other*
+/// shards' dispatches replayed before `d`. `F` changes only when the
+/// merge switches shard, so each switch opens one [`Run`]
+/// `(p, gseq − p)` that numbers everything the shard allocates until
+/// the next switch. The merge compares times first and resolves keys
+/// only when two heads share a time; a provisional head always
+/// resolves, because the dispatch that allocated it came earlier in
+/// the same log. Dispatches that allocate nothing move no `F`, so the
+/// logs may leave them out.
+struct Replay<'a> {
+    logs: &'a [Vec<DispatchRec>],
+    runs: &'a mut [Vec<Run>],
+    heads: &'a mut [Head],
+    /// Next true sequence number: `gseq₀` plus every `n_sched` so far.
+    gseq: u64,
+    /// Shard of the previous record (`usize::MAX` before the first).
+    prev: usize,
+    /// Records not yet replayed.
+    left: usize,
+}
+
+impl<'a> Replay<'a> {
+    fn new(
+        logs: &'a [Vec<DispatchRec>],
+        runs: &'a mut [Vec<Run>],
+        heads: &'a mut [Head],
+        gseq: u64,
+    ) -> Self {
+        let mut left = 0;
+        for ((log, head), runs) in logs.iter().zip(heads.iter_mut()).zip(runs.iter_mut()) {
+            *head = Head {
+                at: Head::at(log, 0),
+                next_at: Head::at(log, 1),
+                i: 0,
+                p: 0,
+            };
+            runs.clear();
+            left += log.len();
+        }
+        Replay {
+            logs,
+            runs,
+            heads,
+            gseq,
+            prev: usize::MAX,
+            left,
         }
     }
 
-    // Next window: everything pending anywhere — main queues, not-yet-
-    // relabelled window queues, undelivered inboxes — bounds gmin.
-    let mut gmin: Option<Time> = None;
-    for g in guards.iter() {
-        let r = g.shard_route.as_ref().expect("shard");
-        let candidates = [
-            g.queue.peek_time(),
-            r.win.peek_time(),
-            r.later.iter().map(|e| e.0).min(),
-            r.inbox.iter().map(|e| e.0).min(),
-        ];
-        for c in candidates.into_iter().flatten() {
-            gmin = Some(gmin.map_or(c, |m| m.min(c)));
-        }
+    /// True key of record `i` of shard `s`, once replayed up to it.
+    fn key(&self, s: usize, i: usize) -> u64 {
+        true_key(&self.runs[s], self.logs[s][i].key)
     }
-    match gmin {
-        Some(gmin) if gmin <= t => {
-            // Boundaries strictly before the next event: the serial
-            // loop samples them lazily when the batch at gmin pops,
-            // right after extracting its head event — so the reading
-            // shows one more processed event and one less pending.
-            if let Some(tel) = obs.tel.as_mut() {
-                if tel.due_before(gmin) {
-                    let pend = total_pending(&guards);
-                    let view = build_view(&guards, owners, flow.processed + 1, pend - 1);
-                    while tel.due_before(gmin) {
-                        let b = tel.pop_boundary();
-                        tel.sample(b, &view);
-                    }
+
+    /// Of the heads at time `t`, the one with the smallest true key.
+    #[cold]
+    fn tie(&self, t: Time) -> usize {
+        let mut best: Option<(u64, usize)> = None;
+        for (s, h) in self.heads.iter().enumerate() {
+            if h.at == t && h.i < self.logs[s].len() {
+                let key = self.key(s, h.i);
+                if best.is_none_or(|(k, _)| key < k) {
+                    best = Some((key, s));
                 }
             }
-            // Cross-shard events generated in (w₀, w₁] land at
-            // ≥ gmin + L, so w₁ = gmin + L − 1 is the widest window
-            // that cannot miss one. With telemetry on, the window also
-            // stops at the next unconsumed boundary: no shard may
-            // dispatch an event past a boundary before it is sampled.
-            // (After the loop above, next_boundary ≥ gmin, so the cap
-            // never stalls the window.)
-            let mut w1 = Time(gmin.as_ps().saturating_add(lookahead_ps - 1)).min(t);
-            if let Some(tel) = obs.tel.as_ref() {
-                w1 = w1.min(tel.next_boundary());
-            }
-            Some(w1)
         }
-        _ => {
-            // Nothing left at or before t: flush boundaries up to and
-            // including t with the final counters, exactly like the
-            // serial epilogue's inclusive sample.
-            if let Some(tel) = obs.tel.as_mut() {
-                if tel.due_at(t) {
-                    let pend = total_pending(&guards);
-                    let view = build_view(&guards, owners, flow.processed, pend);
-                    while tel.due_at(t) {
-                        let b = tel.pop_boundary();
-                        tel.sample(b, &view);
-                    }
-                }
-            }
-            None
+        best.expect("a head at the earliest time").1
+    }
+
+    /// The next dispatch in serial order, as `(shard, log index)`.
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        if self.left == 0 {
+            return None;
         }
+        self.left -= 1;
+        // Earliest head by time, branch-free; a shared time is rare and
+        // goes to the key comparison.
+        let (mut s, mut t) = (0, self.heads[0].at);
+        for (x, h) in self.heads.iter().enumerate().skip(1) {
+            let earlier = h.at < t;
+            s = if earlier { x } else { s };
+            t = if earlier { h.at } else { t };
+        }
+        if self.heads.iter().filter(|h| h.at == t).count() > 1 {
+            s = self.tie(t);
+        }
+        let h = self.heads[s];
+        // A switch opens a run: push one per record, keep it on a switch.
+        let runs = &mut self.runs[s];
+        runs.push(Run {
+            p0: h.p,
+            off: self.gseq - h.p,
+        });
+        runs.truncate(runs.len() - usize::from(s == self.prev));
+        self.prev = s;
+        let log = &self.logs[s];
+        let n = u64::from(log[h.i].n_sched);
+        self.gseq += n;
+        self.heads[s] = Head {
+            at: h.next_at,
+            next_at: Head::at(log, h.i + 2),
+            i: h.i + 1,
+            p: h.p + n,
+        };
+        Some((s, h.i))
     }
 }
 
@@ -1141,5 +1476,233 @@ fn build_view<'a>(
             .collect(),
         events_processed,
         queue_depth,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    use std::time::Duration;
+
+    fn rec(at: u64, key: u64, n_sched: u32) -> DispatchRec {
+        DispatchRec {
+            at: Time(at),
+            key,
+            n_sched,
+            n_trace: 0,
+            n_flight: 0,
+        }
+    }
+
+    /// The replay the runs replaced: a min-select over every head that
+    /// resolves each provisional key through a per-event map, filled as
+    /// dispatches replay. Returns the order and the map.
+    #[allow(clippy::type_complexity)]
+    fn brute_force(logs: &[Vec<DispatchRec>], gseq0: u64) -> (Vec<(usize, usize)>, Vec<Vec<u64>>) {
+        let mut cur = vec![0; logs.len()];
+        let mut map = vec![Vec::new(); logs.len()];
+        let (mut gseq, mut order) = (gseq0, Vec::new());
+        loop {
+            let head = (0..logs.len())
+                .filter(|&s| cur[s] < logs[s].len())
+                .min_by_key(|&s| {
+                    let r = logs[s][cur[s]];
+                    let key = if r.key < PROV_BASE {
+                        r.key
+                    } else {
+                        map[s][(r.key - PROV_BASE) as usize]
+                    };
+                    (r.at, key)
+                });
+            let Some(s) = head else { break };
+            let n = u64::from(logs[s][cur[s]].n_sched);
+            order.push((s, cur[s]));
+            cur[s] += 1;
+            map[s].extend(gseq..gseq + n);
+            gseq += n;
+        }
+        (order, map)
+    }
+
+    /// The replay under test: order, runs, final sequence number.
+    fn replay(logs: &[Vec<DispatchRec>], gseq0: u64) -> (Vec<(usize, usize)>, Vec<Vec<Run>>, u64) {
+        let mut runs = vec![Vec::new(); logs.len()];
+        let mut heads = vec![Head::default(); logs.len()];
+        let mut rp = Replay::new(logs, &mut runs, &mut heads, gseq0);
+        let order = std::iter::from_fn(|| rp.next()).collect();
+        let gseq = rp.gseq;
+        (order, runs, gseq)
+    }
+
+    /// Replay equals the brute force: same order, same final sequence
+    /// number, and every provisional index relabels to the same true
+    /// key — by binary search and by the forward cursor.
+    fn assert_replays(logs: &[Vec<DispatchRec>], gseq0: u64) {
+        let (want_order, map) = brute_force(logs, gseq0);
+        let (order, runs, gseq) = replay(logs, gseq0);
+        assert_eq!(order, want_order, "replay order");
+        let sched: u64 = logs.iter().flatten().map(|r| u64::from(r.n_sched)).sum();
+        assert_eq!(gseq, gseq0 + sched);
+        for (s, (map, runs)) in map.iter().zip(&runs).enumerate() {
+            let mut cursor = Relabel::new(runs);
+            for (p, &want) in map.iter().enumerate() {
+                assert_eq!(resolve(runs, p as u64), want, "shard {s} p {p}");
+                assert_eq!(cursor.seq(p as u64), want, "shard {s} p {p} (cursor)");
+            }
+        }
+        // Dispatches that allocate nothing move no offset: a log without
+        // them relabels every provisional index the same way.
+        let short: Vec<Vec<DispatchRec>> = logs
+            .iter()
+            .map(|l| l.iter().copied().filter(|r| r.n_sched > 0).collect())
+            .collect();
+        let (_, short_runs, _) = replay(&short, gseq0);
+        for (s, (map, runs)) in map.iter().zip(&short_runs).enumerate() {
+            for (p, &want) in map.iter().enumerate() {
+                assert_eq!(resolve(runs, p as u64), want, "short log: shard {s} p {p}");
+            }
+        }
+    }
+
+    const P: u64 = PROV_BASE;
+
+    /// Two shards whose heads share a time on provisional keys that
+    /// only their resolved values order: shard 0's index 1 numbers
+    /// before shard 1's index 0.
+    #[test]
+    fn equal_time_heads_order_by_resolved_keys_on_two_shards() {
+        let logs = vec![
+            vec![rec(10, 5, 2), rec(20, P + 1, 0), rec(30, P, 0)],
+            vec![rec(10, 7, 1), rec(20, P, 0)],
+        ];
+        assert_replays(&logs, 100);
+        // t=10: key 5 numbers shard 0's indices 100 and 101, then key 7
+        // numbers shard 1's index 0 as 102; at t=20, 101 goes first.
+        let (order, runs, _) = replay(&logs, 100);
+        assert_eq!(order, vec![(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]);
+        assert_eq!([resolve(&runs[0], 1), resolve(&runs[1], 0)], [101, 102]);
+    }
+
+    /// Three shards tied at one time on provisional keys allocated in
+    /// interleaved order, so the raw indices say nothing.
+    #[test]
+    fn equal_time_heads_order_by_resolved_keys_on_three_shards() {
+        let logs = vec![
+            vec![rec(3, 30, 1), rec(9, P, 0)],
+            vec![rec(1, 10, 1), rec(2, 20, 1), rec(9, P, 0), rec(9, P + 1, 0)],
+            vec![rec(2, 15, 2), rec(9, P, 0), rec(9, P + 1, 0)],
+        ];
+        assert_replays(&logs, 1_000);
+        // Numbered: shard 1's p0 = 1000 (t=1), shard 2's p0, p1 = 1001,
+        // 1002 (t=2, key 15), shard 1's p1 = 1003 (t=2, key 20), shard
+        // 0's p0 = 1004 (t=3). At t=9 they dispatch in that order.
+        let (order, _, _) = replay(&logs, 1_000);
+        assert_eq!(order[4..], [(1, 2), (2, 1), (2, 2), (1, 3), (0, 1)]);
+    }
+
+    /// One window as shards would log it: pre-window events with
+    /// distinct true keys below `gseq0`, dispatched per shard in `(time,
+    /// key)` order; each dispatch schedules 0–3 events a few picoseconds
+    /// out under provisional keys, dispatched in the window when they
+    /// fall inside it. Times are coarse, so heads tie often.
+    fn window(seed: u64, shards: usize, gseq0: u64) -> Vec<Vec<DispatchRec>> {
+        let mut x = seed | 1;
+        let mut rng = move |m: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % m
+        };
+        let mut queues = vec![BinaryHeap::new(); shards];
+        for key in 0..(8 * shards as u64).min(gseq0) {
+            queues[rng(shards as u64) as usize].push(Reverse((rng(4), key)));
+        }
+        queues
+            .into_iter()
+            .map(|mut q| {
+                let (mut log, mut prov) = (Vec::new(), 0);
+                while let Some(Reverse((at, key))) = q.pop() {
+                    let n = rng(4) as u32;
+                    for _ in 0..n {
+                        let due = at + rng(3);
+                        if due <= 6 {
+                            q.push(Reverse((due, P + prov)));
+                        }
+                        prov += 1;
+                    }
+                    log.push(rec(at, key, n));
+                }
+                log
+            })
+            .collect()
+    }
+
+    #[test]
+    fn replay_matches_brute_force_on_generated_windows() {
+        let mut ties = 0;
+        for seed in 1..400u64 {
+            for shards in [2, 3, 5] {
+                let logs = window(seed * 7919, shards, 64);
+                assert_replays(&logs, 64);
+                let (order, _, _) = replay(&logs, 64);
+                ties += order
+                    .windows(2)
+                    .filter(|w| {
+                        let (a, b) = (logs[w[0].0][w[0].1], logs[w[1].0][w[1].1]);
+                        w[0].0 != w[1].0 && a.at == b.at && a.key >= P && b.key >= P
+                    })
+                    .count();
+            }
+        }
+        assert!(
+            ties > 1_000,
+            "the windows must tie on provisional keys ({ties})"
+        );
+    }
+
+    /// Sequence numbers are assigned one per scheduled event and the
+    /// coordinator asserts every window stays below `PROV_BASE`. At 10^9
+    /// events per second that bound is 146 years of wall time away.
+    #[test]
+    fn key_space_outlasts_146_years_at_a_billion_events_per_second() {
+        let years = PROV_BASE as f64 / 1e9 / (365.25 * 86_400.0);
+        assert!(years > 146.0, "{years:.1} years");
+    }
+
+    /// A 2-party barrier whose other party dies before arriving releases
+    /// the waiter with the poison panic instead of spinning forever.
+    #[test]
+    fn a_dead_party_releases_the_barrier() {
+        let barrier = Arc::new(SpinBarrier::new(2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Not scoped: if the barrier regresses, the waiter spins forever
+        // and the timeout below must still end the test.
+        let waiter = Arc::clone(&barrier);
+        let waiter = std::thread::spawn(move || {
+            let waited = std::panic::catch_unwind(AssertUnwindSafe(|| waiter.wait()));
+            let _ = tx.send(waited.map_err(|p| p.downcast_ref::<&str>().copied()));
+        });
+        let dead = Arc::clone(&barrier);
+        let died = std::thread::spawn(move || {
+            let _poison = PoisonOnUnwind(&dead);
+            panic!("party died before the barrier");
+        })
+        .join();
+        assert!(died.is_err());
+        let waited = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the waiter was released, not left spinning");
+        assert_eq!(waited, Err(Some(POISONED)));
+        waiter.join().expect("the released waiter ends normally");
+    }
+
+    #[test]
+    fn the_first_cause_outranks_released_waiters() {
+        let panics: Vec<Box<dyn Any + Send>> = vec![Box::new(POISONED), Box::new("boom")];
+        let cause = first_cause(panics).expect("a panic");
+        assert_eq!(cause.downcast_ref::<&str>(), Some(&"boom"));
+        assert!(first_cause(Vec::new()).is_none());
     }
 }

@@ -422,6 +422,64 @@ fn sharded_profile_report_accounts_subsystems() {
     }
 }
 
+/// The threaded stress case: the 54-node 3-level Clos with the audit,
+/// every flow traced and telemetry every 5 µs, so windows are short and
+/// every barrier carries trace records, flight notes and audit
+/// crossings through the replay. At N = 8 three shards own only spines.
+/// Checkpoint, telemetry CSV, flight JSON and trace CSV must equal the
+/// serial run's at every capture. On a multi-core host this drives real
+/// shard threads (`--features pool-paranoid` keeps the arena's
+/// double-free check on for them in release builds).
+#[test]
+fn fat3_many_short_windows_match_serial_on_threads() {
+    let topo = FatTree3Spec::QUICK_54.build();
+    let captures = [us(25), us(60)];
+    let run = |n: usize| {
+        let mut net = loaded_net(&topo, 0x5EED_F354, true, None, true);
+        let mut cfg = TelemetryConfig::every(TimeDelta::from_us(5));
+        cfg.deterministic_wall = true;
+        net.enable_telemetry(cfg);
+        let hcas = topo.num_hcas as u32;
+        net.enable_trace((0..hcas).flat_map(|s| (0..hcas).map(move |d| (s, d))));
+        if n > 1 {
+            net.set_shards(&topo, n);
+            assert_eq!(net.shard_count(), n);
+        }
+        captures
+            .iter()
+            .map(|&t| {
+                net.run_until(t);
+                (observations(&net), net.checkpoint())
+            })
+            .collect::<Vec<_>>()
+    };
+    let want = run(1);
+    let ((tel, flight, trace), _) = &want[1];
+    assert!(tel.lines().count() > 10, "a sample row every 5 µs");
+    assert!(flight.contains("AuditPass"), "audit passes were noted");
+    assert!(trace.lines().count() > 100, "the flows traced");
+    for n in [3, 5, 8] {
+        for (i, (got, want)) in run(n).iter().zip(&want).enumerate() {
+            let ((tel, flight, trace), state) = got;
+            let ((wtel, wflight, wtrace), wstate) = want;
+            let t = captures[i];
+            assert_eq!(tel, wtel, "shards={n} telemetry CSV diverged at t={t:?}");
+            assert_eq!(
+                flight, wflight,
+                "shards={n} flight JSON diverged at t={t:?}"
+            );
+            assert_eq!(trace, wtrace, "shards={n} trace CSV diverged at t={t:?}");
+            if state != wstate {
+                let diffs = diff_values(&wstate.to_value(), &state.to_value(), 10);
+                panic!(
+                    "shards={n} state diverged at t={t:?}:\n{}",
+                    ibsim_state::render_diff(&diffs)
+                );
+            }
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Uniform traffic: every shard hears from every other, and the event
 // queue's lanes carry it.
