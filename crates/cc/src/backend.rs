@@ -2,8 +2,8 @@
 //!
 //! The paper's mechanism — FECN marking at switches, BECN echo, CCT/CCTI
 //! rate delay at sources — is one point in a design space. This module
-//! makes the source-side response function *pluggable* behind the
-//! [`CongestionControl`] trait and a closed dispatch enum, [`SourceCc`]:
+//! makes the source-side response function *pluggable* behind one seam,
+//! the closed dispatch enum [`SourceCc`]:
 //!
 //! * [`SourceCc::Ib`] wraps the existing [`HcaCc`] agent unchanged — a
 //!   network built on it is byte-for-byte the pre-refactor simulator
@@ -18,9 +18,12 @@
 //!   and the lossless-fallback layer (PFC pause frames, owned by the
 //!   network crate) differ.
 //!
-//! The hot path dispatches through [`SourceCc`]'s inherent methods (a
-//! two-variant match, not a vtable); the trait exists as the documented
-//! contract and for tests that drive either backend generically.
+//! Every backend fulfils one contract, written down as [`SourceCc`]'s
+//! inherent methods: notifications arrive (BECN or CNP — one call either
+//! way), a periodic timer drives recovery, and the injection hot path
+//! asks when a flow's next packet may start. The network calls them
+//! directly — a two-variant match, not a vtable — and a new backend is a
+//! new variant plus one arm per method.
 //!
 //! All DCQCN arithmetic is integer (rates in parts-per-million of line
 //! rate, `alpha` in ppm of 1), so the state machine is bit-deterministic
@@ -139,54 +142,6 @@ impl DcqcnParams {
             ));
         }
         Ok(())
-    }
-}
-
-/// The contract every source-side backend fulfils: notifications arrive
-/// (BECN or CNP — one call either way), a periodic timer drives
-/// recovery, and the injection hot path asks when a flow's next packet
-/// may start. Implemented by [`HcaCc`] and [`DcqcnCc`]; the network
-/// dispatches through [`SourceCc`] rather than a trait object.
-pub trait CongestionControl {
-    /// A congestion notification for `key` arrived at the source.
-    fn on_notification(&mut self, key: FlowKey);
-    /// Recovery-timer expiry. Returns the number of still-throttled flows.
-    fn on_timer(&mut self) -> usize;
-    /// Earliest instant the next packet of `key` may start serialising.
-    fn next_allowed(&self, key: FlowKey) -> Time;
-    /// A packet of `key` (`bytes` long, occupying the line for
-    /// `pkt_time`) finished serialising at `tx_end`.
-    fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta, bytes: u64);
-    /// Flows currently throttled below full rate.
-    fn throttled_flows(&self) -> usize;
-    /// Notifications processed since construction.
-    fn notifications_received(&self) -> u64;
-    /// Check the backend's own invariants (rate bounds, counter
-    /// consistency); the fabric oracle delegates here.
-    fn audit(&self) -> Result<(), String>;
-}
-
-impl CongestionControl for HcaCc {
-    fn on_notification(&mut self, key: FlowKey) {
-        self.on_becn(key);
-    }
-    fn on_timer(&mut self) -> usize {
-        HcaCc::on_timer(self)
-    }
-    fn next_allowed(&self, key: FlowKey) -> Time {
-        HcaCc::next_allowed(self, key)
-    }
-    fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta, _bytes: u64) {
-        HcaCc::note_packet_sent(self, key, tx_end, pkt_time);
-    }
-    fn throttled_flows(&self) -> usize {
-        HcaCc::throttled_flows(self)
-    }
-    fn notifications_received(&self) -> u64 {
-        self.becns_received()
-    }
-    fn audit(&self) -> Result<(), String> {
-        HcaCc::audit(self)
     }
 }
 
@@ -551,30 +506,6 @@ impl DcqcnCc {
         self.paused = s.paused.clone();
         self.cnps_received = s.cnps_received;
         self.rate_cuts = s.rate_cuts;
-    }
-}
-
-impl CongestionControl for DcqcnCc {
-    fn on_notification(&mut self, key: FlowKey) {
-        self.on_cnp(key);
-    }
-    fn on_timer(&mut self) -> usize {
-        DcqcnCc::on_timer(self)
-    }
-    fn next_allowed(&self, key: FlowKey) -> Time {
-        DcqcnCc::next_allowed(self, key)
-    }
-    fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta, bytes: u64) {
-        DcqcnCc::note_packet_sent(self, key, tx_end, pkt_time, bytes);
-    }
-    fn throttled_flows(&self) -> usize {
-        DcqcnCc::throttled_flows(self)
-    }
-    fn notifications_received(&self) -> u64 {
-        self.cnps_received
-    }
-    fn audit(&self) -> Result<(), String> {
-        DcqcnCc::audit(self)
     }
 }
 
@@ -985,18 +916,18 @@ mod tests {
     }
 
     #[test]
-    fn trait_object_drives_either_backend() {
-        let mut agents: Vec<Box<dyn CongestionControl>> = vec![
-            Box::new(HcaCc::new(Arc::new(CcParams::paper_table1()))),
-            Box::new(dc()),
+    fn source_cc_drives_either_backend() {
+        let mut agents = [
+            SourceCc::Ib(HcaCc::new(Arc::new(CcParams::paper_table1()))),
+            SourceCc::Dcqcn(dc()),
         ];
         for a in &mut agents {
-            a.on_notification(1);
-            a.on_notification(1);
+            a.on_becn(1);
+            a.on_becn(1);
             a.on_timer();
             a.note_packet_sent(1, Time::from_ns(1000), TimeDelta::from_ns(800), 2048);
             assert!(a.throttled_flows() >= 1);
-            assert_eq!(a.notifications_received(), 2);
+            assert_eq!(a.becns_received(), 2);
             assert!(a.next_allowed(1) > Time::from_ns(1000), "both gates engage");
             a.audit().unwrap();
         }

@@ -25,8 +25,8 @@ pub mod params;
 pub mod switch_cc;
 
 pub use backend::{
-    CcBackend, CongestionControl, DcqcnCc, DcqcnCcState, DcqcnFlowState, DcqcnParams, SourceCc,
-    SourceCcState, LINE_RATE_PPM,
+    CcBackend, DcqcnCc, DcqcnCcState, DcqcnFlowState, DcqcnParams, SourceCc, SourceCcState,
+    LINE_RATE_PPM,
 };
 pub use cct::{Cct, CctShape};
 pub use hca_cc::{FlowCcState, FlowKey, HcaCc, HcaCcState};

@@ -245,13 +245,6 @@ impl Audit {
         }
     }
 
-    /// The default cadence: frequent enough to localise a corruption to
-    /// a window a human can bisect, rare enough to keep audited runs
-    /// within ~2x of unaudited wall-clock.
-    pub fn default_cadence() -> Self {
-        Self::every(50_000)
-    }
-
     /// True when a periodic pass is due at `events_processed`; advances
     /// the schedule so the pass runs once.
     #[inline]

@@ -24,8 +24,5 @@ pub mod time;
 
 pub use queue::{EventQueue, LaneStats, QueueSnapshot};
 pub use rng::Rng;
-pub use stats::{
-    Histogram, HistogramState, RateMeter, RateMeterState, RunLap, RunMeter, Series,
-    TimeWeightedGauge,
-};
+pub use stats::{Histogram, HistogramState, RateMeter, RateMeterState, RunLap, RunMeter};
 pub use time::{rate_gbps, Bandwidth, Time, TimeDelta};

@@ -2,23 +2,22 @@
 //!
 //! Two implementations of the same deterministic future-event list:
 //!
-//! - [`LaneQueue`] (the default [`EventQueue`]): a small fixed array of
-//!   FIFO *lanes* in front of one binary heap. A fabric model is built
-//!   from a handful of constant delays (link, switch pipeline, credit
-//!   return, the serialisation time of an MTU or a CNP, the CCTI
-//!   timer), and events scheduled `now + d` for one fixed `d` arrive in
-//!   non-decreasing `(time, seq)` order: a lane keyed by `d` is sorted
-//!   by construction, so its insert is a `push_back` and its minimum is
-//!   its front. Whatever fits no lane — a delay not seen before, an
-//!   insert that would break its lane's order, more hot delays than
-//!   lanes — goes to the heap. A pop takes the `(time, seq)` minimum
-//!   over the lane fronts and the heap top, so pop order never depends
-//!   on which lane, if any, an event waited in.
+//! - [`LaneQueue`], the [`EventQueue`] the simulator runs on: a small
+//!   fixed array of FIFO *lanes* in front of one binary heap. A fabric
+//!   model is built from a handful of constant delays (link, switch
+//!   pipeline, credit return, the serialisation time of an MTU or a
+//!   CNP, the CCTI timer), and events scheduled `now + d` for one fixed
+//!   `d` arrive in non-decreasing `(time, seq)` order: a lane keyed by
+//!   `d` is sorted by construction, so its insert is a `push_back` and
+//!   its minimum is its front. Whatever fits no lane — a delay not seen
+//!   before, an insert that would break its lane's order, more hot
+//!   delays than lanes — goes to the heap. A pop takes the `(time, seq)`
+//!   minimum over the lane fronts and the heap top, so pop order never
+//!   depends on which lane, if any, an event waited in.
 //! - [`HeapQueue`]: the classic binary-heap queue, kept as the reference
-//!   implementation. A differential property test (tests/prop.rs) pins
-//!   the two to byte-identical pop streams; building with
-//!   `RUSTFLAGS="--cfg ibsim_heap_queue"` swaps it in globally (the two
-//!   must — and do — produce identical simulation results).
+//!   implementation. A differential property test (tests/prop.rs) drives
+//!   both through every method the engine calls and pins them to
+//!   identical observables after every operation.
 //!
 //! Both order events by `(time, sequence)`: the monotone sequence number
 //! makes simultaneous events pop in insertion order, which is what makes
@@ -32,11 +31,7 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// The event-queue implementation the simulator runs on.
-#[cfg(not(ibsim_heap_queue))]
 pub type EventQueue<E> = LaneQueue<E>;
-/// The event-queue implementation the simulator runs on.
-#[cfg(ibsim_heap_queue)]
-pub type EventQueue<E> = HeapQueue<E>;
 
 /// The name the queue had while it was a calendar wheel; the benchmark
 /// driver's queue kernel still builds against it.
@@ -240,7 +235,7 @@ macro_rules! ledger_api {
 }
 
 /// Where a queue's inserts went (exact counts since construction or
-/// [`LaneQueue::reset`]). [`HeapQueue`] has no lanes and reports zeros.
+/// [`LaneQueue::reset`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize)]
 pub struct LaneStats {
     /// Inserts appended to a lane.
@@ -672,11 +667,6 @@ impl<E> HeapQueue<E> {
 
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// No lanes, nothing counted.
-    pub fn lane_stats(&self) -> LaneStats {
-        LaneStats::default()
     }
 
     #[inline]

@@ -1,11 +1,9 @@
 //! Measurement primitives.
 //!
-//! Simulations measure three kinds of quantities:
+//! Simulations measure two kinds of quantities:
 //!
 //! * event counts and byte counts over a *measurement window* (warmup
 //!   excluded) — [`RateMeter`];
-//! * time-weighted averages of instantaneous state such as buffer
-//!   occupancy — [`TimeWeightedGauge`];
 //! * distributions of per-packet quantities such as end-to-end latency —
 //!   [`Histogram`] (log-spaced bins).
 
@@ -122,83 +120,6 @@ impl RateMeter {
     }
 }
 
-/// Time-weighted average of a piecewise-constant quantity (e.g. queue
-/// depth in bytes). Call [`set`](Self::set) whenever the value changes.
-#[derive(Clone, Debug)]
-pub struct TimeWeightedGauge {
-    value: u64,
-    last_change: Time,
-    weighted_sum: u128,
-    since: Time,
-    max: u64,
-}
-
-impl Default for TimeWeightedGauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimeWeightedGauge {
-    pub fn new() -> Self {
-        TimeWeightedGauge {
-            value: 0,
-            last_change: Time::ZERO,
-            weighted_sum: 0,
-            since: Time::ZERO,
-            max: 0,
-        }
-    }
-
-    #[inline]
-    fn accumulate(&mut self, now: Time) {
-        let dt = now.saturating_since(self.last_change).as_ps() as u128;
-        self.weighted_sum += dt * self.value as u128;
-        self.last_change = now;
-    }
-
-    /// Record that the value becomes `v` at time `now`.
-    #[inline]
-    pub fn set(&mut self, now: Time, v: u64) {
-        self.accumulate(now);
-        self.value = v;
-        self.max = self.max.max(v);
-    }
-
-    #[inline]
-    pub fn add(&mut self, now: Time, delta: i64) {
-        let v = (self.value as i64 + delta).max(0) as u64;
-        self.set(now, v);
-    }
-
-    pub fn current(&self) -> u64 {
-        self.value
-    }
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// Reset averaging at `now` (e.g. at warmup end), keeping the value.
-    pub fn reset_window(&mut self, now: Time) {
-        self.weighted_sum = 0;
-        self.since = now;
-        self.last_change = now;
-        self.max = self.value;
-    }
-
-    /// Time-weighted mean over the averaging window ending at `now`.
-    pub fn mean(&self, now: Time) -> f64 {
-        let dt_tail = now.saturating_since(self.last_change).as_ps() as u128;
-        let total = self.weighted_sum + dt_tail * self.value as u128;
-        let span = now.saturating_since(self.since).as_ps() as u128;
-        if span == 0 {
-            self.value as f64
-        } else {
-            total as f64 / span as f64
-        }
-    }
-}
-
 /// Log₂-spaced histogram of u64 samples (e.g. latency in picoseconds).
 ///
 /// Bin `i` covers `[2^i, 2^(i+1))`; bin 0 also absorbs the value 0.
@@ -311,34 +232,6 @@ impl Histogram {
         if other.count > 0 {
             self.min = self.min.min(other.min);
             self.max = self.max.max(other.max);
-        }
-    }
-}
-
-/// A sampled time series (e.g. throughput per millisecond) for plots.
-#[derive(Clone, Debug, Default)]
-pub struct Series {
-    pub points: Vec<(Time, f64)>,
-}
-
-impl Series {
-    pub fn new() -> Self {
-        Self::default()
-    }
-    pub fn push(&mut self, t: Time, v: f64) {
-        self.points.push((t, v));
-    }
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            0.0
-        } else {
-            self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
         }
     }
 }
@@ -464,36 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_time_weighted_mean() {
-        let mut g = TimeWeightedGauge::new();
-        g.set(Time(0), 10); // 10 during [0, 100)
-        g.set(Time(100), 30); // 30 during [100, 200)
-        let mean = g.mean(Time(200));
-        assert!((mean - 20.0).abs() < 1e-9, "{mean}");
-        assert_eq!(g.max(), 30);
-        assert_eq!(g.current(), 30);
-    }
-
-    #[test]
-    fn gauge_reset_window() {
-        let mut g = TimeWeightedGauge::new();
-        g.set(Time(0), 100);
-        g.reset_window(Time(1000));
-        g.set(Time(1500), 0);
-        // value 100 for [1000,1500), 0 for [1500,2000) => mean 50.
-        let mean = g.mean(Time(2000));
-        assert!((mean - 50.0).abs() < 1e-9, "{mean}");
-    }
-
-    #[test]
-    fn gauge_add_saturates_at_zero() {
-        let mut g = TimeWeightedGauge::new();
-        g.add(Time(0), 5);
-        g.add(Time(10), -100);
-        assert_eq!(g.current(), 0);
-    }
-
-    #[test]
     fn histogram_basics() {
         let mut h = Histogram::new();
         for v in [1u64, 2, 3, 4, 1000, 0] {
@@ -529,16 +392,5 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(5));
         assert_eq!(a.max(), Some(500));
-    }
-
-    #[test]
-    fn series_mean() {
-        let mut s = Series::new();
-        s.push(Time(0), 1.0);
-        s.push(Time(1), 3.0);
-        assert_eq!(s.mean(), 2.0);
-        assert_eq!(s.len(), 2);
-        assert!(!s.is_empty());
-        assert_eq!(Series::new().mean(), 0.0);
     }
 }

@@ -347,12 +347,6 @@ impl Hca {
         pkt
     }
 
-    /// Packets the generator still wants to emit right now (pending
-    /// CNPs or a half-sent message) — used by drain-to-idle tests.
-    pub fn has_urgent_backlog(&self) -> bool {
-        !self.cnp_queue.is_empty() || self.classes.iter().any(|c| c.mid_message())
-    }
-
     /// Fault injection: stop sinking. The drain in flight (if any)
     /// completes; nothing new starts until [`Hca::resume_sink`].
     pub fn pause_sink(&mut self) {

@@ -21,7 +21,6 @@
 
 pub mod audit;
 pub mod config;
-pub mod diag;
 pub mod gen;
 pub mod hca;
 pub mod network;
@@ -41,7 +40,6 @@ pub use ibsim_faults::{
     parse_spec, FaultDecl, FaultRuntimeState, FaultSchedule, FaultStats, LinkSel,
 };
 pub use config::NetConfig;
-pub use diag::NetworkSnapshot;
 pub use gen::{ClassState, DestPattern, Script, ScriptSend, TrafficClass, PAPER_MSG_BYTES};
 pub use hca::{Hca, HcaState};
 pub use network::{Dev, Ev, Event, Network};

@@ -7,7 +7,7 @@ use crate::hca::{Hca, NextSend};
 use crate::pool::{PacketPool, PktHandle};
 use crate::profile::{EngineProfiler, ProfileReport, Subsystem};
 use crate::switch::{Grant, Switch};
-use crate::telemetry::{FabricView, FlightKind, NetTelemetry, TelemetryConfig};
+use crate::telemetry::{self, FabricView, FlightKind, NetTelemetry, TelemetryConfig};
 use crate::trace::{TraceCtx, TracePoint, Tracer};
 use crate::types::{NodeId, Packet, Vl};
 use ibsim_cc::{CcBackend, DcqcnCc, HcaCc, SourceCc};
@@ -759,15 +759,7 @@ impl Network {
     }
     /// Total PFC pause frames emitted across all switches (0 under ibcc).
     pub fn total_pfc_pauses(&self) -> u64 {
-        self.switches.iter().map(|s| s.pfc_pauses_total()).sum()
-    }
-    /// HCA egress priorities currently pause-gated, across the fabric.
-    pub fn hca_vls_paused(&self) -> usize {
-        let nv = self.cfg.n_vls as usize;
-        self.hcas
-            .iter()
-            .map(|h| (0..nv).filter(|&vl| h.cc.tx_paused(vl)).count())
-            .sum()
+        telemetry::total_pfc_pauses(self.switches.iter())
     }
     /// Fault-injection hook for oracle tests: silently discard the head
     /// packet queued from `in_port` on switch `sw` (see
@@ -1024,11 +1016,6 @@ impl Network {
         }
     }
 
-    /// The open (or closed) measurement window, if any.
-    pub fn measurement_window(&self) -> Option<(Time, Option<Time>)> {
-        self.measuring_since.map(|s| (s, self.measured_until))
-    }
-
     /// True while a measurement window is open and not yet closed.
     /// A resumed run uses this to skip re-opening a window the
     /// checkpointed segment already opened.
@@ -1063,17 +1050,17 @@ impl Network {
 
     /// Total FECN marks applied across all switches.
     pub fn total_fecn_marks(&self) -> u64 {
-        self.switches.iter().map(|s| s.marked_packets()).sum()
+        telemetry::total_fecn_marks(self.switches.iter())
     }
 
     /// Total BECNs (CNPs) received across all HCAs.
     pub fn total_becns(&self) -> u64 {
-        self.hcas.iter().map(|h| h.cc.becns_received()).sum()
+        telemetry::total_becns(self.hcas.iter())
     }
 
     /// Highest CCTI across all HCAs right now.
     pub fn max_ccti(&self) -> u16 {
-        self.hcas.iter().map(|h| h.cc.max_ccti()).max().unwrap_or(0)
+        telemetry::max_ccti(self.hcas.iter())
     }
 
     pub fn total_injected_packets(&self) -> u64 {

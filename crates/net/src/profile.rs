@@ -460,7 +460,7 @@ pub struct ProfileReport {
     /// (a sharded run files an event twice: window list, then the
     /// shard's queue): how many were appended to a FIFO lane, how many
     /// took the fallback heap, and the most lanes any one queue had
-    /// claimed. All zero under `--cfg ibsim_heap_queue`.
+    /// claimed.
     pub queue: LaneStats,
 }
 

@@ -459,13 +459,6 @@ impl Switch {
         &mut self.cong[i]
     }
 
-    /// The VL arbiter's round-robin cursors for `port` — the scheduling
-    /// state that decides who transmits next even when the queues look
-    /// identical.
-    pub fn vlarb_cursor(&self, port: u16) -> VlArbState {
-        self.varb[port as usize].state()
-    }
-
     /// Packets standing in all of this switch's VoQs.
     pub fn queued_packets(&self) -> usize {
         self.voqs.total()

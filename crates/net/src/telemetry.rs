@@ -58,19 +58,25 @@ pub(crate) struct FabricView<'a> {
     pub queue_depth: usize,
 }
 
-impl FabricView<'_> {
-    fn total_fecn_marks(&self) -> u64 {
-        self.switches.iter().map(|s| s.marked_packets()).sum()
-    }
-    fn total_becns(&self) -> u64 {
-        self.hcas.iter().map(|h| h.cc.becns_received()).sum()
-    }
-    fn max_ccti(&self) -> u16 {
-        self.hcas.iter().map(|h| h.cc.max_ccti()).max().unwrap_or(0)
-    }
-    fn total_pfc_pauses(&self) -> u64 {
-        self.switches.iter().map(|s| s.pfc_pauses_total()).sum()
-    }
+// The fabric totals, defined once over any walk of the devices:
+// `Network`'s methods of the same names pass its own tables, the
+// sampler a `FabricView`'s.
+
+/// FECN marks applied across `switches`.
+pub(crate) fn total_fecn_marks<'a>(switches: impl Iterator<Item = &'a Switch>) -> u64 {
+    switches.map(Switch::marked_packets).sum()
+}
+/// BECNs (CNPs) received across `hcas`.
+pub(crate) fn total_becns<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u64 {
+    hcas.map(|h| h.cc.becns_received()).sum()
+}
+/// Highest CCTI across `hcas` (0 with none).
+pub(crate) fn max_ccti<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u16 {
+    hcas.map(|h| h.cc.max_ccti()).max().unwrap_or(0)
+}
+/// PFC pause frames emitted across `switches`.
+pub(crate) fn total_pfc_pauses<'a>(switches: impl Iterator<Item = &'a Switch>) -> u64 {
+    switches.map(Switch::pfc_pauses_total).sum()
 }
 
 /// All telemetry state of one network. Constructed against the wired
@@ -266,8 +272,8 @@ impl NetTelemetry {
         }
         self.reg.record_hist(self.occ_hist, total_occ);
 
-        let fecn = net.total_fecn_marks();
-        let becn = net.total_becns();
+        let fecn = total_fecn_marks(net.switches.iter().copied());
+        let becn = total_becns(net.hcas.iter().copied());
         let cnp: u64 = net.hcas.iter().map(|h| h.cnps_sent).sum();
         self.reg
             .set(self.fab_fecn, (fecn - self.prev_fecn) as f64 / dt_us);
@@ -278,7 +284,8 @@ impl NetTelemetry {
         self.prev_fecn = fecn;
         self.prev_becn = becn;
         self.prev_cnp = cnp;
-        self.reg.set(self.fab_max_ccti, net.max_ccti() as f64);
+        self.reg
+            .set(self.fab_max_ccti, max_ccti(net.hcas.iter().copied()) as f64);
         let throttled: usize = net.hcas.iter().map(|h| h.cc.throttled_flows()).sum();
         self.reg.set(self.fab_throttled, throttled as f64);
 
@@ -289,7 +296,10 @@ impl NetTelemetry {
             }
         }
         if let Some(pauses) = self.fab_pfc_pauses {
-            self.reg.set(pauses, net.total_pfc_pauses() as f64);
+            self.reg.set(
+                pauses,
+                total_pfc_pauses(net.switches.iter().copied()) as f64,
+            );
         }
 
         let lap = self.run_meter.lap(net.events_processed, at);

@@ -2,7 +2,7 @@
 //! switches, credits, arbitration and the CC loop.
 
 use ibsim_engine::time::{Bandwidth, Time, TimeDelta};
-use ibsim_net::{DestPattern, NetConfig, Network, TrafficClass};
+use ibsim_net::{DestPattern, EventState, NetConfig, Network, TrafficClass};
 use ibsim_topo::{single_switch, FatTreeSpec};
 
 fn msg_class(dst: u32, messages: u64) -> TrafficClass {
@@ -459,4 +459,44 @@ fn drain_rate_is_the_hotspot_ceiling() {
             "drain {drain}: rx {rx:.2} should pin at {ceiling}"
         );
     }
+}
+
+/// `run_to_idle` is `run_until` its own end, but for one thing: once the
+/// workload has drained it drops the perpetual CCTI timer instead of
+/// dispatching it, so the queue empties and the loop stops.
+#[test]
+fn run_to_idle_is_run_until_but_for_the_idle_timer() {
+    let build = |cfg: NetConfig| {
+        let topo = single_switch(4, 3);
+        let mut net = Network::new(&topo, cfg);
+        net.set_classes(0, vec![msg_class(1, 8)]);
+        net.set_classes(2, vec![msg_class(1, 8)]);
+        net
+    };
+    // CC off schedules no timer: state for state the same run.
+    let mut idle = build(NetConfig::paper_no_cc());
+    let end = idle.run_to_idle(1_000_000);
+    let mut until = build(NetConfig::paper_no_cc());
+    until.run_until(end);
+    assert!(
+        idle.checkpoint() == until.checkpoint(),
+        "CC off: runs diverged"
+    );
+    // CC on: the same deliveries by the same instant; run_until leaves
+    // the timers pending, run_to_idle has dropped them.
+    let mut idle = build(NetConfig::paper());
+    let end = idle.run_to_idle(1_000_000);
+    let mut until = build(NetConfig::paper());
+    until.run_until(end);
+    assert_eq!(idle.total_delivered_packets(), 32);
+    assert_eq!(
+        idle.total_delivered_packets(),
+        until.total_delivered_packets()
+    );
+    assert!(idle.checkpoint().events.is_empty());
+    let pending = until.checkpoint().events;
+    assert!(!pending.is_empty());
+    assert!(pending
+        .iter()
+        .all(|(_, _, ev)| matches!(ev, EventState::CctiTick { .. })));
 }

@@ -12,7 +12,7 @@ use ibsim_net::{
 use ibsim_topo::single_switch;
 
 /// Three senders into one drain-limited sink on an 8-port switch — the
-/// same congested fabric the audit and diag tests use.
+/// same congested fabric the audit and hotspot-counter tests use.
 fn congested_net(cc: bool) -> Network {
     let topo = single_switch(8, 4);
     let cfg = if cc {

@@ -30,7 +30,7 @@
 //! shifts bleeding into each other.
 
 use crate::flowtrace::{TraceError, TraceReader};
-use ibsim_engine::time::{Time, TimeDelta, PS_PER_NS, PS_PER_US};
+use ibsim_engine::time::{Time, PS_PER_NS, PS_PER_US};
 use ibsim_net::{DestPattern, Network, NodeId, ScriptSend, TrafficClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -585,13 +585,6 @@ impl TraceFeeder {
             self.closed = true;
         }
         Ok(exhausted)
-    }
-
-    /// Feed cadence that keeps one window of look-ahead installed:
-    /// returns the horizon to pass for a segment ending at `seg_end`
-    /// with feed interval `step`.
-    pub fn horizon_for(seg_end: Time, step: TimeDelta) -> Time {
-        seg_end + step
     }
 }
 

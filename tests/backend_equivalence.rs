@@ -1,8 +1,8 @@
 //! The congestion-control backend differential layer.
 //!
-//! The `CongestionControl` refactor moved the IB CC machinery behind
-//! `ibsim_cc::SourceCc` and added a backend override
-//! (`RunOptions::cc_backend`). These tests prove the refactor is
+//! The IB CC machinery sits behind one seam, the dispatch enum
+//! `ibsim_cc::SourceCc`, beside a backend override
+//! (`RunOptions::cc_backend`). These tests prove the seam is
 //! invisible: `--cc-backend ibcc` — and the flag's absence — reproduce the
 //! pre-refactor byte streams exactly (the same literal CSV pin
 //! `tests/determinism.rs` guards), across seeds, fabrics, fault

@@ -15,7 +15,7 @@
 //! `IBSIM_BLESS=1 cargo test`).
 
 use ibsim::prelude::*;
-use ibsim_net::{NetworkSnapshot, NetworkState};
+use ibsim_net::NetworkState;
 use ibsim_state::{
     diff_values, CheckpointHeader, StateError, TopoDigest, FORMAT_VERSION,
     FORMAT_VERSION_DCQCN, MAGIC,
@@ -97,11 +97,6 @@ fn assert_roundtrip(seed: u64, cc: bool, faults: bool, ck_at_ps: u64, horizon_ps
     resumed.run_until(horizon);
     let got = resumed.checkpoint();
 
-    assert_eq!(
-        NetworkSnapshot::capture(&resumed),
-        NetworkSnapshot::capture(&straight),
-        "diag snapshots diverged after resume (seed={seed} cc={cc} faults={faults} ck={ck_at_ps})"
-    );
     if want != got {
         let diffs = diff_values(&want.to_value(), &got.to_value(), 10);
         panic!(

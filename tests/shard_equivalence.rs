@@ -546,19 +546,15 @@ fn uniform_traffic_matches_serial_and_rides_the_lanes() {
                 );
             }
         }
-        if !cfg!(ibsim_heap_queue) {
-            // Each of a run's queues (per shard and segment, one for
-            // the windows and one behind them) pays SIGHTINGS misses a
-            // hint before it lanes, which at four shards is a visible
-            // share of so short a run.
-            let floor = if n == 2 { 0.95 } else { 0.90 };
-            assert!(queue.coverage() >= floor, "shards={n}: {queue:?}");
-            assert!(queue.lanes_live >= 8, "shards={n}: {queue:?}");
-        }
+        // Each of a run's queues (per shard and segment, one for the
+        // windows and one behind them) pays SIGHTINGS misses a hint
+        // before it lanes, which at four shards is a visible share of
+        // so short a run.
+        let floor = if n == 2 { 0.95 } else { 0.90 };
+        assert!(queue.coverage() >= floor, "shards={n}: {queue:?}");
+        assert!(queue.lanes_live >= 8, "shards={n}: {queue:?}");
     }
-    if !cfg!(ibsim_heap_queue) {
-        assert!(serial_queue.coverage() >= 0.95, "serial: {serial_queue:?}");
-    }
+    assert!(serial_queue.coverage() >= 0.95, "serial: {serial_queue:?}");
 }
 
 // ---------------------------------------------------------------------
