@@ -8,6 +8,10 @@
 //! orchestration overhead). Unlike the criterion benches this takes a
 //! few seconds total, so CI's parallel leg can afford it.
 //!
+//! The last line is `peak_rss_mb=<MiB>`, the process's peak resident
+//! set (`VmHWM`). Run one shard count per process to read the memory a
+//! run at that count needs: CI compares `20 1` against `20 8`.
+//!
 //! Usage: cargo run --release -p ibsim-bench --example shard_smoke \
 //!            [sim_us [shards...]]
 //!
@@ -35,6 +39,17 @@ fn run(shards: usize, sim_us: u64) -> (u64, f64) {
     (net.events_processed(), net.events_processed() as f64 / dt)
 }
 
+/// Peak resident set of this process in MiB (`VmHWM` in
+/// `/proc/self/status`; 0 where there is no such file).
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let sim_us: u64 = args.next().map_or(20, |a| a.parse().expect("sim_us"));
@@ -59,4 +74,5 @@ fn main() {
             _ => println!("shards={n}: {ev} events, {rate:.0} ev/s"),
         }
     }
+    println!("peak_rss_mb={:.1}", peak_rss_mb());
 }

@@ -46,9 +46,11 @@ pub struct HcaCc {
     params: Arc<CcParams>,
     /// Dense flow table indexed by `FlowKey`; grown on first touch.
     flows: Vec<FlowCc>,
-    /// Number of flows with CCTI above CCTI_Min — lets the recovery
-    /// timer tick become a no-op when everything has recovered.
-    throttled: usize,
+    /// Keys of the flows with CCTI above CCTI_Min, in no particular
+    /// order. The recovery timer walks these instead of the whole
+    /// table — a few flows per HCA are throttled at a time, out of one
+    /// slot per destination — and is a no-op when there are none.
+    throttled: Vec<FlowKey>,
     // ---- statistics ----------------------------------------------------
     becns_received: u64,
     /// BECNs that actually moved a CCTI upward (a BECN against a flow
@@ -62,7 +64,7 @@ impl HcaCc {
         HcaCc {
             params,
             flows: Vec::new(),
-            throttled: 0,
+            throttled: Vec::new(),
             becns_received: 0,
             ccti_raises: 0,
         }
@@ -84,8 +86,8 @@ impl HcaCc {
     /// Swap in new CC parameters mid-run (firmware re-tune / parameter
     /// drift). Existing flow state is kept but re-clamped to the new
     /// table: CCTIs above the new `ccti_limit` come down to it, CCTIs
-    /// below the new `ccti_min` are lifted to it, and the throttled-flow
-    /// counter is recomputed so `audit()` stays clean across the swap.
+    /// below the new `ccti_min` are lifted to it, and the throttled
+    /// flows are recollected so `audit()` stays clean across the swap.
     pub fn set_params(&mut self, params: Arc<CcParams>) {
         self.params = params;
         let (min, limit) = (self.params.ccti_min, self.params.ccti_limit);
@@ -94,11 +96,16 @@ impl HcaCc {
                 f.ccti = f.ccti.clamp(min, limit);
             }
         }
-        self.throttled = self
-            .flows
-            .iter()
-            .filter(|f| f.ccti > min)
-            .count();
+        self.collect_throttled();
+    }
+
+    /// Rebuild the throttled-key list from the table, after the table or
+    /// its floor changed wholesale.
+    fn collect_throttled(&mut self) {
+        let (flows, min) = (&self.flows, self.params.ccti_min);
+        self.throttled.clear();
+        self.throttled
+            .extend((0..flows.len() as FlowKey).filter(|&k| flows[k as usize].ccti > min));
     }
 
     /// Map (destination, service level) to the throttling key per mode.
@@ -137,26 +144,20 @@ impl HcaCc {
             self.ccti_raises += 1;
         }
         if was_min && after > min {
-            self.throttled += 1;
+            self.throttled.push(key);
         }
     }
 
-    /// Recovery-timer expiry: decrement every flow's CCTI by one.
-    /// Returns the number of flows still throttled.
+    /// Recovery-timer expiry: decrement every throttled flow's CCTI by
+    /// one. Returns the number of flows still throttled.
     pub fn on_timer(&mut self) -> usize {
-        if self.throttled == 0 {
-            return 0;
-        }
-        let min = self.params.ccti_min;
-        for f in &mut self.flows {
-            if f.ccti > min {
-                f.ccti -= 1;
-                if f.ccti == min {
-                    self.throttled -= 1;
-                }
-            }
-        }
-        self.throttled
+        let (flows, min) = (&mut self.flows, self.params.ccti_min);
+        self.throttled.retain(|&k| {
+            let f = &mut flows[k as usize];
+            f.ccti -= 1;
+            f.ccti > min
+        });
+        self.throttled.len()
     }
 
     /// Current CCTI of a flow (CCTI_Min if never throttled).
@@ -198,7 +199,7 @@ impl HcaCc {
 
     /// Number of flows currently above CCTI_Min.
     pub fn throttled_flows(&self) -> usize {
-        self.throttled
+        self.throttled.len()
     }
 
     pub fn becns_received(&self) -> u64 {
@@ -225,10 +226,11 @@ impl HcaCc {
             }
         }
         let recount = self.flows.iter().filter(|f| f.ccti > p.ccti_min).count();
-        if recount != self.throttled {
+        if recount != self.throttled.len() {
             return Err(format!(
                 "throttled-flow counter {} but recount {}",
-                self.throttled, recount
+                self.throttled.len(),
+                recount
             ));
         }
         if self.ccti_raises > self.becns_received {
@@ -280,13 +282,14 @@ impl HcaCc {
                     next_allowed: f.next_allowed,
                 })
                 .collect(),
-            throttled: self.throttled as u64,
+            throttled: self.throttled.len() as u64,
             becns_received: self.becns_received,
             ccti_raises: self.ccti_raises,
         }
     }
 
     /// Overwrite this agent with a previously captured [`HcaCcState`].
+    /// The throttled flows are recollected from the restored table.
     pub fn restore_state(&mut self, s: &HcaCcState) {
         self.params = Arc::new(s.params.clone());
         self.flows = s
@@ -298,7 +301,7 @@ impl HcaCc {
                 next_allowed: f.next_allowed,
             })
             .collect();
-        self.throttled = s.throttled as usize;
+        self.collect_throttled();
         self.becns_received = s.becns_received;
         self.ccti_raises = s.ccti_raises;
     }
@@ -357,6 +360,34 @@ mod tests {
         assert_eq!(c.on_timer(), 0);
         assert_eq!(c.ccti(1), 0);
         assert_eq!(c.on_timer(), 0, "no-op once recovered");
+    }
+
+    /// The throttled-key list is rebuilt, not carried, across a re-tune
+    /// and a checkpoint restore: both copies recover tick for tick with
+    /// the original, and all three stay audit-clean.
+    #[test]
+    fn retuned_and_restored_agents_recover_like_the_original() {
+        let mut c = HcaCc::with_flow_capacity(Arc::new(CcParams::paper_table1()), 64);
+        for k in [3u32, 40, 3, 7, 3] {
+            c.on_becn(k);
+        }
+        let mut restored = cc();
+        restored.restore_state(&c.state());
+        let mut retuned = c.clone();
+        retuned.set_params(Arc::new(CcParams::paper_table1()));
+        for _ in 0..4 {
+            let left = c.on_timer();
+            assert_eq!(restored.on_timer(), left);
+            assert_eq!(retuned.on_timer(), left);
+            for k in [3, 7, 40] {
+                assert_eq!(restored.ccti(k), c.ccti(k));
+                assert_eq!(retuned.ccti(k), c.ccti(k));
+            }
+            for a in [&c, &restored, &retuned] {
+                a.audit().unwrap();
+            }
+        }
+        assert_eq!(c.throttled_flows(), 0);
     }
 
     #[test]

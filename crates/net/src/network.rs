@@ -377,6 +377,56 @@ impl Network {
         }
     }
 
+    /// A shard network built from this master: its configuration,
+    /// channels and CC parameters, a fresh queue and pool, `route`, and
+    /// a placeholder in every device slot — a radix-0 switch sharing
+    /// the master's forwarding table, an HCA with an empty per-peer
+    /// table and a zero-capacity CC agent. The split swaps each shard's
+    /// own devices in, so the devices of a sharded run exist once
+    /// whatever the shard count; a placeholder reached by mistake
+    /// panics on its first per-peer lookup.
+    pub(crate) fn shard_shell(&self, route: Box<crate::shard::ShardRoute>) -> Network {
+        let n_vls = self.cfg.n_vls;
+        let params = self
+            .cc_params
+            .clone()
+            .unwrap_or_else(|| Arc::new(ibsim_cc::CcParams::paper_table1()));
+        let pending_hint = self.channels.len() + self.hcas.len() * 2;
+        Network {
+            cfg: self.cfg.clone(),
+            // Replaced by the split's snapshot before the first window.
+            queue: EventQueue::with_capacity(0),
+            pool: PacketPool::with_capacity(pending_hint),
+            batch: Vec::with_capacity(64),
+            batch_undispatched: 0,
+            switches: self
+                .switches
+                .iter()
+                .map(|sw| Switch::new(0, n_vls, sw.lft.clone()))
+                .collect(),
+            hcas: self
+                .hcas
+                .iter()
+                .map(|h| Hca::new(h.id, 0, n_vls, SourceCc::Ib(HcaCc::new(params.clone()))))
+                .collect(),
+            channels: self.channels.clone(),
+            cc_params: self.cc_params.clone(),
+            tracer: None,
+            prof: None,
+            obs_buf: None,
+            audit: None,
+            faults: None,
+            telemetry: None,
+            // Shards never prime: the master's queue is authoritative,
+            // and its entries arrive at the split.
+            primed: true,
+            measuring_since: None,
+            measured_until: None,
+            shards: None,
+            shard_route: Some(route),
+        }
+    }
+
     // ---- configuration before running ----------------------------------
 
     /// Install traffic classes on `node`, deriving each class's random

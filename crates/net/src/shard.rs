@@ -519,31 +519,27 @@ impl Network {
             ch: Arc::new(ch_owner),
             fault: Arc::new(fault_owner),
         };
-        let mut nets = Vec::with_capacity(part.n);
-        for s in 0..part.n {
-            let mut sh = Network::new(topo, self.cfg.clone());
-            // Shards never prime: the master's queue is authoritative,
-            // and its entries arrive at the split.
-            sh.primed = true;
-            sh.shard_route = Some(Box::new(ShardRoute {
-                my: s as u32,
-                owners: owners.clone(),
-                win: EventQueue::with_capacity(256),
-                later: Vec::new(),
-                later_min: Time::MAX,
-                w_end: Time(0),
-                now: Time(0),
-                prov: 0,
-                outbox: Vec::new(),
-                log: Vec::new(),
-                log_all: false,
-                dispatched: 0,
-                last: (Time(0), 0),
-                runs: Vec::new(),
-                inbox: Vec::new(),
-            }));
-            nets.push(Mutex::new(sh));
-        }
+        let nets = (0..part.n)
+            .map(|s| {
+                Mutex::new(self.shard_shell(Box::new(ShardRoute {
+                    my: s as u32,
+                    owners: owners.clone(),
+                    win: EventQueue::with_capacity(256),
+                    later: Vec::new(),
+                    later_min: Time::MAX,
+                    w_end: Time(0),
+                    now: Time(0),
+                    prov: 0,
+                    outbox: Vec::new(),
+                    log: Vec::new(),
+                    log_all: false,
+                    dispatched: 0,
+                    last: (Time(0), 0),
+                    runs: Vec::new(),
+                    inbox: Vec::new(),
+                })))
+            })
+            .collect();
         self.shards = Some(Box::new(ShardExec {
             n: part.n,
             nets,
@@ -594,7 +590,8 @@ impl Network {
     }
 
     /// Move every piece of runtime state to its owning shard: devices
-    /// swap out (the master keeps pristine placeholders), pending
+    /// swap out (the master keeps the shard's placeholders in their
+    /// slots until the merge swaps them back), pending
     /// events travel by value to their dispatch shard, fault state is
     /// cloned (deltas merge back), and each shard gets a zero audit
     /// ledger to accumulate its window updates into.
@@ -1453,8 +1450,9 @@ fn total_pending(guards: &[MutexGuard<'_, Network>]) -> usize {
 }
 
 /// Assemble the sampler's whole-fabric view across the shard guards,
-/// in global device-id order (each shard network holds full-size
-/// device vectors; the owner map says which slot is live where).
+/// in global device-id order (each shard network has a slot for every
+/// device, a placeholder in all but its own; the owner map says which
+/// slot is live where).
 fn build_view<'a>(
     guards: &'a [MutexGuard<'_, Network>],
     owners: &OwnerMap,
@@ -1482,6 +1480,7 @@ fn build_view<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gen::{DestPattern, TrafficClass};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     use std::time::Duration;
@@ -1696,6 +1695,55 @@ mod tests {
             .expect("the waiter was released, not left spinning");
         assert_eq!(waited, Err(Some(POISONED)));
         waiter.join().expect("the released waiter ends normally");
+    }
+
+    /// Every shard slot a placeholder, every master slot a full device.
+    fn assert_one_copy(net: &Network, when: &str) {
+        let n_hcas = net.hcas.len();
+        assert!(
+            net.switches.iter().all(|sw| sw.radix() > 0),
+            "{when}: the master holds a placeholder switch"
+        );
+        assert!(
+            net.hcas.iter().all(|h| h.rx_by_src().count() == n_hcas),
+            "{when}: the master holds a placeholder HCA"
+        );
+        let ex = net.shards.as_ref().expect("the run is sharded");
+        for (s, sh) in ex.nets.iter().enumerate() {
+            let sh = sh.lock().expect("no poisoned shard");
+            assert_eq!(sh.switches.len(), net.switches.len());
+            assert_eq!(sh.hcas.len(), n_hcas);
+            assert!(
+                sh.switches.iter().all(|sw| sw.radix() == 0),
+                "{when}: shard {s} holds a switch outside a run"
+            );
+            assert!(
+                sh.hcas.iter().all(|h| h.rx_by_src().count() == 0),
+                "{when}: shard {s} holds an HCA outside a run"
+            );
+        }
+    }
+
+    /// The devices of a sharded run exist once, whatever the shard
+    /// count: shard networks hold placeholders, and the devices only
+    /// visit them for the length of a `run_until`.
+    #[test]
+    fn shards_hold_placeholders_and_the_master_the_fabric() {
+        let topo = ibsim_topo::FatTreeSpec::QUICK_72.build();
+        for n in [2, 4, 8] {
+            let mut net = Network::new(&topo, crate::NetConfig::paper());
+            for h in 0..topo.num_hcas as u32 {
+                let class = TrafficClass::new(100, DestPattern::UniformExceptSelf, 4096);
+                net.set_classes(h, vec![class]);
+            }
+            net.set_shards(&topo, n);
+            assert_eq!(net.shard_count(), n);
+            assert_one_copy(&net, &format!("{n} shards, after set_shards"));
+            net.run_until(Time::from_us(5));
+            assert_one_copy(&net, &format!("{n} shards, between segments"));
+            net.run_until(Time::from_us(10));
+            assert!(net.total_delivered_packets() > 0, "{n} shards: no traffic");
+        }
     }
 
     #[test]
