@@ -210,17 +210,19 @@ impl Histogram {
     }
 
     /// Rebuild a histogram from an exported state. The bin layout is
-    /// structural (64 log₂ bins); a state with a different bin count is
-    /// from an incompatible build and is rejected by the caller's
-    /// version check before it reaches here.
-    pub fn from_state(s: HistogramState) -> Self {
-        Histogram {
+    /// structural (64 log₂ bins): a state with any other bin count is
+    /// corrupt, and would index out of bounds on the next `record`.
+    pub fn from_state(s: HistogramState) -> Result<Self, String> {
+        if s.bins.len() != 64 {
+            return Err(format!("histogram has {} bins, expected 64", s.bins.len()));
+        }
+        Ok(Histogram {
             bins: s.bins,
             count: s.count,
             sum: s.sum,
             min: s.min,
             max: s.max,
-        }
+        })
     }
 
     pub fn merge(&mut self, other: &Histogram) {
@@ -392,5 +394,17 @@ mod tests {
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(5));
         assert_eq!(a.max(), Some(500));
+    }
+
+    #[test]
+    fn histogram_state_round_trips_and_rejects_bad_bins() {
+        let mut h = Histogram::new();
+        h.record(77);
+        let back = Histogram::from_state(h.state()).unwrap();
+        assert_eq!(back.state(), h.state());
+        let mut s = h.state();
+        s.bins.truncate(3);
+        let err = Histogram::from_state(s).unwrap_err();
+        assert!(err.contains("3 bins"), "{err}");
     }
 }

@@ -493,7 +493,8 @@ impl Hca {
         self.sink_paused = s.sink_paused;
         self.rx_meter = ibsim_engine::RateMeter::from_state(s.rx_meter.clone());
         self.tx_meter = ibsim_engine::RateMeter::from_state(s.tx_meter.clone());
-        self.latency = ibsim_engine::Histogram::from_state(s.latency.clone());
+        self.latency = ibsim_engine::Histogram::from_state(s.latency.clone())
+            .map_err(|e| format!("hca {} latency: {e}", self.id))?;
         self.injected_packets = s.injected_packets;
         self.delivered_packets = s.delivered_packets;
         self.cnps_sent = s.cnps_sent;

@@ -47,7 +47,8 @@ pub use pool::{PacketPool, PktHandle};
 pub use state::{EventState, NetworkState};
 pub use switch::{SwPortState, Switch, SwitchState};
 pub use telemetry::{
-    FlightDump, FlightEvent, FlightKind, NetTelemetry, NetTelemetryState, TelemetryConfig,
+    FlightDump, FlightEvent, FlightKind, NetTelemetry, NetTelemetryState, SampleTable,
+    TelemetryConfig,
 };
 pub use profile::{EngineProfiler, ProfileReport, Subsystem};
 pub use span::{causal_chains, chrome_trace_json, records_csv, CausalChain};

@@ -539,7 +539,7 @@ impl Network {
             let at = b.now;
             b.flight.push((at, kind, subject.into(), detail.into()));
         } else if let Some(t) = &mut self.telemetry {
-            t.flight.record(self.queue.now(), kind, subject, detail);
+            t.record_flight(self.queue.now(), kind, subject, detail);
         }
     }
 

@@ -1159,7 +1159,7 @@ impl<'a> Coord<'a> {
                 // are constant during a drive — BECN-loss declines
                 // sharding.
                 if let Some(tel) = obs.tel.as_mut() {
-                    tel.flight.record(
+                    tel.record_flight(
                         rec.at,
                         FlightKind::AuditPass,
                         "audit",
@@ -1292,7 +1292,7 @@ fn copy_observations(
                 .expect("shards buffer flight iff telemetry is on");
             for (at, kind, subject, detail) in &mut b.flight[copied.1..end] {
                 let (subject, detail) = (std::mem::take(subject), std::mem::take(detail));
-                tel.flight.record(*at, *kind, subject, detail);
+                tel.record_flight(*at, *kind, subject, detail);
             }
         }
         copied.1 = end;

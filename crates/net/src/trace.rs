@@ -23,7 +23,7 @@
 use crate::types::{NodeId, Vl};
 use ibsim_engine::time::Time;
 use serde::Serialize;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// `src`/`dst` value for fabric-scoped records ([`TracePoint::Pfc`])
 /// that belong to no single flow.
@@ -114,9 +114,7 @@ impl TraceRecord {
 /// Collects records for an explicit set of (src, dst) flows.
 ///
 /// Records live in one append-only vector (capture order == the
-/// deterministic event order), with a side index from packet key to
-/// record positions so [`Tracer::packet`] is O(hits) even on
-/// million-record traces.
+/// deterministic event order).
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     flows: HashSet<(NodeId, NodeId)>,
@@ -127,7 +125,6 @@ pub struct Tracer {
     /// hashed on the hot path. Rebuilt whenever `flows` changes.
     by_dst: Vec<(NodeId, Vec<NodeId>)>,
     records: Vec<TraceRecord>,
-    by_packet: HashMap<(NodeId, NodeId, u32), Vec<u32>>,
 }
 
 impl Tracer {
@@ -226,24 +223,17 @@ impl Tracer {
         });
     }
 
-    /// Append an already-filtered record, keeping the index current.
-    /// The sharded executor merges per-shard buffers through here in
-    /// replayed `(time, true-key)` order, which reproduces exactly the
-    /// capture order the serial engine would have produced.
+    /// Append an already-filtered record. The sharded executor merges
+    /// per-shard buffers through here in replayed `(time, true-key)`
+    /// order, which reproduces exactly the capture order the serial
+    /// engine would have produced.
     pub fn push(&mut self, rec: TraceRecord) {
-        if rec.point.packet_scoped() {
-            self.by_packet
-                .entry(rec.key())
-                .or_default()
-                .push(self.records.len() as u32);
-        }
         self.records.push(rec);
     }
 
-    /// Drain collected records (and the index), keeping the flow set.
+    /// Drain collected records, keeping the flow set.
     /// Shard-side buffers are emptied through here at every barrier.
     pub fn drain_records(&mut self) -> Vec<TraceRecord> {
-        self.by_packet.clear();
         std::mem::take(&mut self.records)
     }
 
@@ -251,13 +241,14 @@ impl Tracer {
         &self.records
     }
 
-    /// Records of one specific packet, in capture order. O(hits) via
-    /// the key index, not a scan of the whole trace.
+    /// Records of one specific packet, in capture order: a scan of the
+    /// whole trace, so a query, not a hot-path call.
     pub fn packet(&self, src: NodeId, dst: NodeId, seq: u32) -> Vec<TraceRecord> {
-        match self.by_packet.get(&(src, dst, seq)) {
-            Some(ix) => ix.iter().map(|&i| self.records[i as usize]).collect(),
-            None => Vec::new(),
-        }
+        self.records
+            .iter()
+            .filter(|r| r.point.packet_scoped() && r.key() == (src, dst, seq))
+            .copied()
+            .collect()
     }
 
     /// The switch sequence a packet was forwarded through.
@@ -368,9 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn packet_query_preserves_capture_order_and_is_indexed() {
+    fn packet_query_preserves_capture_order() {
         // Interleave three packets' records; per-packet order must be
-        // exactly capture order even though the index answers the query.
+        // exactly capture order.
         let mut t = Tracer::for_flows([(0, 5), (5, 0)]);
         for step in 0u64..30 {
             let seq = (step % 3) as u32 + 1;
@@ -395,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn fabric_scoped_pfc_records_skip_the_packet_index() {
+    fn fabric_scoped_pfc_records_belong_to_no_packet() {
         let mut t = Tracer::for_flows([(0, 5)]);
         t.record_cc(
             Time(2),

@@ -6,7 +6,7 @@
 //! when hotspots ignite and the post-recovery return once CC brakes
 //! the contributors.
 
-use ibsim_telemetry::SampleTable;
+use ibsim_net::SampleTable;
 use serde::Serialize;
 use std::fmt::Write as _;
 
@@ -107,7 +107,6 @@ impl FigureSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ibsim_telemetry::MetricKind;
 
     fn table() -> SampleTable {
         let names = vec![
@@ -117,8 +116,7 @@ mod tests {
             "fabric.max_ccti".to_string(),
             "fabric.throttled_flows".to_string(),
         ];
-        let kinds = vec![MetricKind::Counter; 5];
-        let mut t = SampleTable::new(names, kinds, 16);
+        let mut t = SampleTable::new(names);
         t.push(0, &[10.0, 4.0, 6.0, 0.0, 0.0]);
         t.push(100_000_000, &[12.0, 2.0, 4.0, 8.0, 3.0]);
         t
@@ -151,7 +149,7 @@ mod tests {
 
     #[test]
     fn empty_groups_do_not_panic() {
-        let t = SampleTable::new(vec!["x".into()], vec![MetricKind::Gauge], 4);
+        let t = SampleTable::new(vec!["x".into()]);
         let fig = FigureSeries::from_table(&t, &[0]);
         assert!(fig.rows.is_empty());
     }

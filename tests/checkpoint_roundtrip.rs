@@ -15,12 +15,11 @@
 //! `IBSIM_BLESS=1 cargo test`).
 
 use ibsim::prelude::*;
-use ibsim_net::NetworkState;
+use ibsim_net::{NetworkState, TelemetryConfig};
 use ibsim_state::{
     diff_values, CheckpointHeader, StateError, TopoDigest, FORMAT_VERSION,
     FORMAT_VERSION_DCQCN, MAGIC,
 };
-use ibsim_telemetry::TelemetryConfig;
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -361,6 +360,65 @@ fn corrupt_telemetry_cadence_is_rejected() {
     let mut net = loaded_net(3, true, true);
     let err = net.restore(&state).expect_err("off-cadence restore must fail");
     assert!(err.contains("cadence"), "unhelpful error: {err}");
+}
+
+/// Restore `state` after `corrupt` onto a fresh loaded fabric; the
+/// error it must come back with.
+fn corrupt_restore_error(corrupt: impl FnOnce(&mut NetworkState)) -> String {
+    let (_header, mut state, _net) = tiny_checkpoint();
+    corrupt(&mut state);
+    let mut net = loaded_net(3, true, true);
+    net.restore(&state)
+        .expect_err("corrupt checkpoint must be rejected")
+}
+
+#[test]
+fn corrupt_telemetry_windows_are_rejected() {
+    // A ring window larger than its lifetime push count, or larger
+    // than the ring itself, cannot come from a real run.
+    let (_header, state, _net) = tiny_checkpoint();
+    let tel = state.telemetry.as_ref().expect("telemetry armed");
+    assert!(!tel.rows.is_empty() && !tel.flight_events.is_empty());
+    let corruptions: [fn(&mut NetworkState); 4] = [
+        |s| s.telemetry.as_mut().unwrap().rows_pushed = 0,
+        |s| s.telemetry.as_mut().unwrap().flight_recorded = 0,
+        |s| {
+            let tel = s.telemetry.as_mut().unwrap();
+            let row = tel.rows[0].clone();
+            tel.rows = vec![row; 5000];
+            tel.rows_pushed = 5000;
+        },
+        |s| {
+            let tel = s.telemetry.as_mut().unwrap();
+            let ev = tel.flight_events[0].clone();
+            tel.flight_events = vec![ev; 2000];
+            tel.flight_recorded = 2000;
+        },
+    ];
+    for corrupt in corruptions {
+        let err = corrupt_restore_error(corrupt);
+        assert!(err.contains("telemetry"), "unhelpful error: {err}");
+    }
+}
+
+#[test]
+fn corrupt_occupancy_histogram_is_rejected() {
+    let err = corrupt_restore_error(|s| {
+        s.telemetry.as_mut().unwrap().occ_hist.bins.truncate(3);
+    });
+    assert!(
+        err.contains("telemetry") && err.contains("3 bins"),
+        "unhelpful error: {err}"
+    );
+}
+
+#[test]
+fn corrupt_latency_histogram_is_rejected() {
+    let err = corrupt_restore_error(|s| s.hcas[2].latency.bins.truncate(3));
+    assert!(
+        err.contains("hca 2") && err.contains("3 bins"),
+        "unhelpful error: {err}"
+    );
 }
 
 // ---------------------------------------------------------------------
