@@ -64,6 +64,17 @@ pub struct RoleSpec {
 }
 
 impl RoleSpec {
+    /// A silent forest: no B nodes, 80 % of the rest contributing.
+    pub const fn silent(num_nodes: usize, num_hotspots: usize) -> Self {
+        RoleSpec {
+            num_nodes,
+            num_hotspots,
+            b_pct: 0,
+            b_p: 0,
+            c_pct_of_rest: 80,
+        }
+    }
+
     /// Draw a placement. Every contributor gets a group; a contributor
     /// is never asked to send to itself (group membership is rotated
     /// away from its own hotspot).
@@ -181,13 +192,7 @@ mod tests {
     use super::*;
 
     fn spec() -> RoleSpec {
-        RoleSpec {
-            num_nodes: 648,
-            num_hotspots: 8,
-            b_pct: 0,
-            b_p: 0,
-            c_pct_of_rest: 80,
-        }
+        RoleSpec::silent(648, 8)
     }
 
     #[test]

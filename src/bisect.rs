@@ -17,9 +17,10 @@
 //! they never re-converge (the differing state feeds every later
 //! event). That monotonicity is what makes bisection sound.
 
+use crate::options::RunOptions;
 use ibsim_cc::CcParams;
 use ibsim_engine::time::{Time, TimeDelta};
-use ibsim_net::{NetConfig, Network};
+use ibsim_net::NetConfig;
 use ibsim_state::{diff_values, DiffEntry};
 use ibsim_topo::Topology;
 use ibsim_traffic::{RoleSpec, Scenario};
@@ -66,25 +67,10 @@ impl Divergence {
 /// as a JSON value. Hotspots stay fixed; the bisector compares fabrics
 /// under steady congestion, where CC behaviour differences surface.
 pub fn state_value_at(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, t: Time) -> Value {
-    let mut net = Network::new(topo, cfg.clone());
+    let mut net = RunOptions::default().network(topo, cfg.clone(), None);
     let _sc = Scenario::install_opts(roles, &mut net, ibsim_net::PAPER_MSG_BYTES, true);
     net.run_until(t);
     net.checkpoint().to_value()
-}
-
-fn probe(
-    topo: &Topology,
-    cfg_a: &NetConfig,
-    cfg_b: &NetConfig,
-    roles: RoleSpec,
-    t: Time,
-    ignore: &[&str],
-) -> Vec<DiffEntry> {
-    let a = state_value_at(topo, cfg_a, roles, t);
-    let b = state_value_at(topo, cfg_b, roles, t);
-    let mut diffs = diff_values(&a, &b, 4096);
-    diffs.retain(|d| !ignore.iter().any(|pat| d.path.contains(pat)));
-    diffs
 }
 
 /// Binary-search `[0, horizon]` for the first window (of width at most
@@ -106,7 +92,11 @@ pub fn bisect_divergence(
     let mut probes = 0u32;
     let mut run = |t: Time| {
         probes += 1;
-        probe(topo, cfg_a, cfg_b, roles, t, ignore)
+        let a = state_value_at(topo, cfg_a, roles, t);
+        let b = state_value_at(topo, cfg_b, roles, t);
+        let mut diffs = diff_values(&a, &b, 4096);
+        diffs.retain(|d| !ignore.iter().any(|pat| d.path.contains(pat)));
+        diffs
     };
 
     let mut hi_diffs = run(horizon);
@@ -179,4 +169,53 @@ pub fn perturb_cc(params: &mut CcParams, key: &str, value: u64) -> Result<(), St
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ibsim_topo::FatTreeSpec;
+
+    /// The silent forest on the 8-node fat tree, and the bisection grid.
+    fn setup() -> (Topology, RoleSpec, Time, TimeDelta) {
+        let topo = FatTreeSpec::TEST_8.build();
+        let roles = RoleSpec::silent(topo.num_hcas, 1);
+        (topo, roles, Time::from_us(1000), TimeDelta::from_us(50))
+    }
+
+    #[test]
+    fn identical_configs_do_not_diverge() {
+        let (topo, roles, horizon, res) = setup();
+        let cfg = NetConfig::paper();
+        let found = bisect_divergence(&topo, &cfg, &cfg, roles, horizon, res, DEFAULT_IGNORE);
+        assert!(found.is_none(), "{found:?}");
+    }
+
+    #[test]
+    fn a_threshold_perturbation_is_localised() {
+        let (topo, roles, horizon, res) = setup();
+        let cfg = NetConfig::paper();
+        let mut perturbed = cfg.clone();
+        let cc = perturbed.cc.as_mut().expect("the paper config runs CC");
+        perturb_cc(cc, "threshold", 7).unwrap();
+        let d = bisect_divergence(&topo, &cfg, &perturbed, roles, horizon, res, DEFAULT_IGNORE)
+            .expect("threshold=7 changes marking within the horizon");
+        let (clean, diverged) = (d.clean_at.as_ps(), d.diverged_at.as_ps());
+        assert!(diverged <= horizon.as_ps(), "{d:?}");
+        assert!(
+            (clean < diverged && diverged - clean <= res.as_ps()) || diverged == 0,
+            "window ({clean}, {diverged}] ps wider than {res:?}"
+        );
+        let field = d.first_field().expect("a differing field");
+        assert!(
+            field.starts_with("/switches") || field.starts_with("/hcas"),
+            "{field}"
+        );
+        let steps = (horizon.as_ps() as f64 / res.as_ps() as f64).log2().ceil() as u32;
+        assert!(
+            d.probes <= 2 + steps,
+            "{} probes for {steps} halvings",
+            d.probes
+        );
+    }
 }

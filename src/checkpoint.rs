@@ -1,8 +1,9 @@
 //! Naming, saving and loading the checkpoint files of experiment runs.
 //!
 //! *Whether* a run checkpoints or resumes is decided by its
-//! [`RunOptions`] (`checkpoint_at`, `checkpoint_dir`, `resume_from`);
-//! this module only names and moves the files.
+//! [`RunOptions`] (`checkpoint_at`, `checkpoint_dir`, `resume_from`)
+//! and *when* by the run driver; this module names, moves and restores
+//! the files.
 //!
 //! One file per run: the name encodes the topology digest (switch /
 //! HCA / channel counts, VLs, seed, CC on/off) *and* a workload label
@@ -137,51 +138,22 @@ pub fn load_from(dir: &Path, net: &Network, label: &str) -> Option<(Time, Networ
     Some((Time(header.at_ps), state))
 }
 
-/// One run's checkpoint plumbing: resume on entry, then split each
-/// `run_until` segment at the pending capture time, if one falls
-/// inside it — run to the capture instant, save, finish the segment.
-/// Capture therefore happens *before* boundary actions (starting
-/// measurement, moving hotspots, feeding a trace) at the same instant,
-/// and the resume path re-executes those actions.
-pub(crate) struct CkptHook<'a> {
-    opts: &'a RunOptions,
-    label: String,
-    pending: Option<Time>,
-}
-
-impl<'a> CkptHook<'a> {
-    /// The hook for the run `label` names, plus the clock and state to
-    /// restore when `resume_from` holds that run's checkpoint. A
-    /// resumed run never re-saves a capture point it is at or beyond —
-    /// the file it came from already holds that state.
+impl RunOptions {
+    /// Restore the run `label` names when `resume_from` holds its
+    /// checkpoint, returning the saved clock. `replay` runs first, on
+    /// the fresh fabric: configuration the capture does not carry
+    /// (hotspot retargets) is re-applied there, before the restore.
     pub(crate) fn resume(
-        opts: &'a RunOptions,
-        net: &Network,
-        label: String,
-    ) -> (Self, Option<(Time, NetworkState)>) {
-        let resumed = opts
-            .resume_from
-            .as_deref()
-            .and_then(|dir| load_from(dir, net, &label));
-        let pending = opts
-            .checkpoint_at
-            .map(Time::from_us)
-            .filter(|&at| resumed.as_ref().is_none_or(|(r, _)| at > *r));
-        let hook = CkptHook {
-            opts,
-            label,
-            pending,
-        };
-        (hook, resumed)
-    }
-
-    pub(crate) fn run_until(&mut self, net: &mut Network, to: Time) {
-        if let Some(at) = self.pending.filter(|&at| at <= to) {
-            net.run_until(at);
-            save_in(&self.opts.checkpoint_dir, net, &self.label);
-            self.pending = None;
-        }
-        net.run_until(to);
+        &self,
+        net: &mut Network,
+        label: &str,
+        replay: impl FnOnce(&mut Network, Time),
+    ) -> Option<Time> {
+        let (at, state) = load_from(self.resume_from.as_deref()?, net, label)?;
+        replay(net, at);
+        net.restore(&state)
+            .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
+        Some(at)
     }
 }
 

@@ -8,7 +8,7 @@
 //! the residual CC marking costs at each load level.
 
 use super::{csv, f2, sweep, table, threads, with_cc, ArgError, Args, Ctx, Job, MAX_US};
-use crate::options::RunOptions;
+use crate::options::{ClockPlan, RunOptions};
 use crate::report::ascii_table;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{DestPattern, NetConfig, Network, TrafficClass, PAPER_MSG_BYTES};
@@ -44,12 +44,16 @@ fn run_point(
     measure: TimeDelta,
 ) -> (f64, f64, f64) {
     let mut net = point_network(opts, topo, cfg, p);
-    net.run_until(Time::ZERO + measure); // warmup = one window
-    net.start_measurement();
-    net.run_until(Time::ZERO + measure + measure);
-    net.stop_measurement();
-    let hint = if p.cc { "cc_on" } else { "cc_off" };
-    opts.finish(&mut net, hint, &[]).audit.raise();
+    let end = Time::ZERO + measure + measure;
+    let plan = ClockPlan {
+        open: Some(Time::ZERO + measure), // warmup = one window
+        close: Some(end),
+        end,
+        ..ClockPlan::default()
+    };
+    opts.drive(&mut net, plan, None, Vec::new, |_, _| true)
+        .audit
+        .raise();
     let lat = net.latency_histogram();
     let rx: f64 = (0..topo.num_hcas as u32)
         .map(|n| net.rx_gbps(n))

@@ -22,12 +22,12 @@ mod workloads;
 
 pub use args::{ArgError, Args};
 
+use crate::experiment::MAX_US;
 use crate::options::{RunOptions, KEYS};
 use crate::preset::Preset;
 use crate::report::{ascii_plot, write_csv, write_json, PlotSeries};
 use crate::sweep::{parallel_map, parallel_map_progress};
 use ibsim_cc::CcBackend;
-use ibsim_engine::time::PS_PER_US;
 use ibsim_net::NetConfig;
 use ibsim_topo::Topology;
 use ibsim_traffic::RoleSpec;
@@ -291,11 +291,6 @@ fn show(text: String) -> Job {
         Ok(())
     })
 }
-
-/// Durations in µs from the command line, bounded so that windows
-/// summed and quintupled (a workload's drain cap) still fit the
-/// picosecond clock.
-const MAX_US: u64 = u64::MAX / PS_PER_US / 16;
 
 /// The common ground of the preset-driven commands: resolved run
 /// options, the preset's fabric, and its configuration under the seed.

@@ -4,7 +4,7 @@
 //! floor, CCTI decay) via [`ibsim_faults::RecoveryMetrics`].
 
 use crate::experiment::RunDurations;
-use crate::options::RunOptions;
+use crate::options::{ClockPlan, RunOptions};
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_faults::{FaultStats, RecoveryMetrics, Sample};
 use ibsim_net::{FaultSchedule, FlightKind, NetConfig};
@@ -39,33 +39,6 @@ pub struct DrillReport {
     pub floor_breaches: usize,
 }
 
-/// Run a fault drill under the ambient options (see
-/// [`RunOptions::run_drill`]) with no victim-throughput floor.
-pub fn run_drill(
-    topo: &Topology,
-    cfg: NetConfig,
-    roles: RoleSpec,
-    dur: RunDurations,
-    bin: TimeDelta,
-    schedule: &FaultSchedule,
-) -> (DrillReport, ibsim_check::AuditReport) {
-    run_drill_floor(topo, cfg, roles, dur, bin, schedule, None)
-}
-
-/// As [`run_drill`], with an optional victim-throughput floor.
-#[allow(clippy::too_many_arguments)]
-pub fn run_drill_floor(
-    topo: &Topology,
-    cfg: NetConfig,
-    roles: RoleSpec,
-    dur: RunDurations,
-    bin: TimeDelta,
-    schedule: &FaultSchedule,
-    floor_gbps: Option<f64>,
-) -> (DrillReport, ibsim_check::AuditReport) {
-    RunOptions::ambient().run_drill(topo, cfg, roles, dur, bin, schedule, floor_gbps)
-}
-
 impl RunOptions {
     /// Run `roles` on `topo` for `dur.total()`, with `schedule`
     /// installed, sampling the non-hotspot receive rate every `bin`.
@@ -94,57 +67,58 @@ impl RunOptions {
         schedule: &FaultSchedule,
         floor_gbps: Option<f64>,
     ) -> (DrillReport, ibsim_check::AuditReport) {
-        assert!(!bin.is_zero(), "drill bin must be positive");
         let mut net = self.network(topo, cfg, Some(schedule));
         let sc = Scenario::install_opts(roles, &mut net, ibsim_net::PAPER_MSG_BYTES, true);
         self.trace_hotspots(&mut net, &sc.assignment.hotspots);
 
+        // Every bin is its own measurement window: the step callback
+        // closes it, samples, and opens the next.
         let t_end = Time::ZERO + dur.total();
+        let plan = ClockPlan {
+            step: Some(bin),
+            end: t_end,
+            ..ClockPlan::default()
+        };
         let mut samples: Vec<Sample> = Vec::new();
         let mut floor_breaches = 0usize;
-        let mut t = Time::ZERO;
-        while t < t_end {
-            let stop = (t + bin).min(t_end);
-            net.start_measurement();
-            net.run_until(stop);
-            net.stop_measurement();
-            let s = Sample {
-                t_us: stop.as_ps() as f64 / 1e6,
-                gbps: sc.non_hotspot_avg_rx(&net),
-                max_ccti: net.max_ccti(),
-            };
-            if floor_gbps.is_some_and(|floor| s.gbps < floor) {
-                floor_breaches += 1;
-                net.flight_note(
-                    FlightKind::FloorBreach,
-                    "drill",
-                    format!(
-                        "bin ending {:.0}µs: victims {:.3} Gbit/s < floor {:.3}",
-                        s.t_us,
-                        s.gbps,
-                        floor_gbps.unwrap()
-                    ),
-                );
-                if floor_breaches == 1 {
-                    if let Some(doc) = net.flight_dump_json("drill floor breach") {
-                        std::fs::create_dir_all(&self.out).expect("create out dir");
-                        std::fs::write(self.out.join("flight_breach_drill.json"), doc)
-                            .expect("write breach dump");
+        net.start_measurement();
+        let hotspots = || sc.assignment.hotspots.clone();
+        let audit = self
+            .drive(&mut net, plan, Some("drill"), hotspots, |net, t| {
+                net.stop_measurement();
+                let s = Sample {
+                    t_us: t.as_ps() as f64 / 1e6,
+                    gbps: sc.non_hotspot_avg_rx(net),
+                    max_ccti: net.max_ccti(),
+                };
+                if let Some(floor) = floor_gbps.filter(|&floor| s.gbps < floor) {
+                    floor_breaches += 1;
+                    let (t_us, gbps) = (s.t_us, s.gbps);
+                    let note = format!(
+                        "bin ending {t_us:.0}µs: victims {gbps:.3} Gbit/s < floor {floor:.3}"
+                    );
+                    net.flight_note(FlightKind::FloorBreach, "drill", note);
+                    if floor_breaches == 1 {
+                        if let Some(doc) = net.flight_dump_json("drill floor breach") {
+                            std::fs::create_dir_all(&self.out).expect("create out dir");
+                            std::fs::write(self.out.join("flight_breach_drill.json"), doc)
+                                .expect("write breach dump");
+                        }
                     }
                 }
-            }
-            samples.push(s);
-            t = stop;
-        }
+                samples.push(s);
+                if t < t_end {
+                    net.start_measurement();
+                }
+                true
+            })
+            .audit;
 
         let (start, clear) = schedule
             .span()
             .map(|(s, c)| (s.as_ps() as f64 / 1e6, c.as_ps() as f64 / 1e6))
             .unwrap_or((0.0, 0.0));
         let recovery = RecoveryMetrics::compute(&samples, start, clear);
-        let audit = self
-            .finish(&mut net, "drill", &sc.assignment.hotspots)
-            .audit;
         let report = DrillReport {
             cc_backend: net.cc_backend().name().to_string(),
             fault_start_us: start,
@@ -166,29 +140,20 @@ mod tests {
     use super::*;
     use ibsim_topo::FatTreeSpec;
 
-    fn drill_roles(n: usize) -> RoleSpec {
-        RoleSpec {
-            num_nodes: n,
-            num_hotspots: 1,
-            b_pct: 0,
-            b_p: 0,
-            c_pct_of_rest: 80,
-        }
-    }
-
     #[test]
     fn drill_samples_cover_the_run_and_metrics_emerge() {
         let topo = FatTreeSpec::TEST_8.build();
         let schedule =
             FaultSchedule::from_spec("flap:link=hca:2,at=1500us,dur=500us,factor=stall", 7)
                 .unwrap();
-        let (report, _) = run_drill(
+        let (report, _) = RunOptions::ambient().run_drill(
             &topo,
             NetConfig::paper(),
-            drill_roles(8),
+            RoleSpec::silent(8, 1),
             RunDurations::new_ms(1, 3),
             TimeDelta::from_us(250),
             &schedule,
+            None,
         );
         assert_eq!(report.samples.len(), 16, "4 ms / 250 us bins");
         assert!(report.samples.windows(2).all(|w| w[0].t_us < w[1].t_us));
@@ -211,10 +176,10 @@ mod tests {
         let schedule =
             FaultSchedule::from_spec("flap:link=hca:2,at=400us,dur=200us,factor=stall", 7)
                 .unwrap();
-        let (report, _) = run_drill_floor(
+        let (report, _) = RunOptions::ambient().run_drill(
             &topo,
             NetConfig::paper(),
-            drill_roles(8),
+            RoleSpec::silent(8, 1),
             RunDurations::new_ms(0, 1),
             TimeDelta::from_us(250),
             &schedule,
@@ -222,10 +187,10 @@ mod tests {
         );
         assert_eq!(report.floor_gbps, Some(1e6));
         assert_eq!(report.floor_breaches, report.samples.len());
-        let (report, _) = run_drill_floor(
+        let (report, _) = RunOptions::ambient().run_drill(
             &topo,
             NetConfig::paper(),
-            drill_roles(8),
+            RoleSpec::silent(8, 1),
             RunDurations::new_ms(0, 1),
             TimeDelta::from_us(250),
             &schedule,
@@ -240,13 +205,14 @@ mod tests {
         let schedule =
             FaultSchedule::from_spec("flap:link=hca:2,at=1000us,dur=300us,factor=stall", 7)
                 .unwrap();
-        let (report, _) = run_drill(
+        let (report, _) = RunOptions::ambient().run_drill(
             &topo,
             NetConfig::paper(),
-            drill_roles(8),
+            RoleSpec::silent(8, 1),
             RunDurations::new_ms(1, 4),
             TimeDelta::from_us(200),
             &schedule,
+            None,
         );
         let r = report.recovery.expect("pre-fault bins exist");
         let ttr = r

@@ -2,13 +2,19 @@
 //! warm up, measure, and summarise — the common skeleton of every
 //! table and figure in the paper.
 
-use crate::checkpoint::CkptHook;
-use crate::options::RunOptions;
-use ibsim_engine::time::{Time, TimeDelta};
-use ibsim_net::{FaultSchedule, NetConfig, Network};
+use crate::checkpoint::run_label;
+use crate::options::{ClockPlan, RunOptions};
+use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
+use ibsim_net::{FaultSchedule, NetConfig, PAPER_MSG_BYTES};
 use ibsim_topo::Topology;
 use ibsim_traffic::{RoleSpec, Scenario};
 use serde::Serialize;
+use std::cell::RefCell;
+
+/// The longest duration in µs a run takes from its input, so that
+/// windows summed and quintupled (a workload's drain cap) still fit the
+/// picosecond clock.
+pub(crate) const MAX_US: u64 = u64::MAX / PS_PER_US / 16;
 
 /// Warmup and measurement durations of one run.
 #[derive(Clone, Copy, Debug)]
@@ -121,92 +127,40 @@ impl RunOptions {
     ) -> ScenarioResult {
         let inj = cfg.inj_rate;
         let mut net = self.network(topo, cfg, faults);
-        let mut sc = Scenario::install_opts(
-            roles,
-            &mut net,
-            ibsim_net::PAPER_MSG_BYTES,
-            contributors_active,
-        );
+        let mut sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, contributors_active);
         self.trace_hotspots(&mut net, &sc.assignment.hotspots);
+
+        // A resumed run first replays the moves made before the capture:
+        // the checkpoint does not carry class configuration.
+        let label = run_label(&roles, &dur, hotspot_lifetime, contributors_active, faults);
+        let resumed = self.resume(&mut net, &label, |net, at| {
+            let moves = hotspot_lifetime.map_or(0, |l| at.as_ps().saturating_sub(1) / l.as_ps());
+            for _ in 0..moves {
+                sc.move_hotspots(net);
+            }
+        });
         let t_end = Time::ZERO + dur.total();
-
-        // Optional resume: fast-forward the freshly configured (but not yet
-        // primed) fabric from this run's checkpoint, if one exists. Hotspot
-        // moves the saved run performed before the capture are replayed
-        // first — retargeting rewires class *configuration*, which the
-        // checkpoint deliberately does not carry. The move scheduled at the
-        // capture instant itself (if any) fired after the save, so it is
-        // left to the resumed epoch loop below.
-        let label = crate::checkpoint::run_label(
-            &roles,
-            &dur,
-            hotspot_lifetime,
-            contributors_active,
-            faults,
-        );
-        let (mut ck, resumed) = CkptHook::resume(self, &net, label);
-        let resumed_at = resumed.as_ref().map(|(at, _)| *at);
-        if let Some((at, state)) = resumed {
-            if let Some(life) = hotspot_lifetime {
-                let mut m = Time::ZERO + life;
-                while m < at {
-                    sc.move_hotspots(&mut net);
-                    m += life;
-                }
+        let plan = ClockPlan {
+            open: Some(Time::ZERO + dur.warmup),
+            close: Some(t_end),
+            step: hotspot_lifetime,
+            end: t_end,
+            label: Some(label),
+            resumed,
+        };
+        // The finish groups the figure series by the final hotspot set.
+        let sc = RefCell::new(sc);
+        let hotspots = || sc.borrow().assignment.hotspots.clone();
+        let artifacts = self.drive(&mut net, plan, None, hotspots, |net, t| {
+            if t < t_end {
+                sc.borrow_mut().move_hotspots(net);
             }
-            net.restore(&state)
-                .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
-        }
-
-        match hotspot_lifetime {
-            None => {
-                ck.run_until(&mut net, Time::ZERO + dur.warmup);
-                if !net.is_measuring() {
-                    net.start_measurement();
-                }
-                ck.run_until(&mut net, t_end);
-            }
-            Some(life) => {
-                assert!(!life.is_zero(), "hotspot lifetime must be positive");
-                let mut t = Time::ZERO;
-                if let Some(at) = resumed_at {
-                    // Re-enter the epoch loop at the last boundary strictly
-                    // before the capture, so a move scheduled exactly at the
-                    // capture instant still fires.
-                    while t + life < at {
-                        t += life;
-                    }
-                }
-                let mut measuring = net.is_measuring();
-                while t < t_end {
-                    let next_move = t + life;
-                    let warmup_end = Time::ZERO + dur.warmup;
-                    if !measuring && warmup_end <= next_move.min(t_end) {
-                        ck.run_until(&mut net, warmup_end);
-                        if !net.is_measuring() {
-                            net.start_measurement();
-                        }
-                        measuring = true;
-                    }
-                    let stop = next_move.min(t_end);
-                    ck.run_until(&mut net, stop);
-                    t = stop;
-                    if t < t_end {
-                        sc.move_hotspots(&mut net);
-                    }
-                }
-                if !measuring && !net.is_measuring() {
-                    net.start_measurement();
-                }
-            }
-        }
-        net.stop_measurement();
+            true
+        });
         // A broken ledger fails the run rather than reporting corrupt
         // numbers (a no-op pass when auditing is off).
-        let hint = cc_hint(&net);
-        self.finish(&mut net, hint, &sc.assignment.hotspots)
-            .audit
-            .raise();
+        artifacts.audit.raise();
+        let sc = sc.into_inner();
 
         let lat = net.latency_histogram();
         let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);
@@ -256,19 +210,7 @@ pub fn run_cc_pair(
     dur: RunDurations,
     hotspot_lifetime: Option<TimeDelta>,
 ) -> CcComparison {
-    run_cc_pair_faults(topo, base_cfg, roles, dur, hotspot_lifetime, None)
-}
-
-/// As [`run_cc_pair`], injecting the same fault schedule into both runs.
-pub fn run_cc_pair_faults(
-    topo: &Topology,
-    base_cfg: &NetConfig,
-    roles: RoleSpec,
-    dur: RunDurations,
-    hotspot_lifetime: Option<TimeDelta>,
-    faults: Option<&FaultSchedule>,
-) -> CcComparison {
-    RunOptions::ambient().run_cc_pair(topo, base_cfg, roles, dur, hotspot_lifetime, faults)
+    RunOptions::ambient().run_cc_pair(topo, base_cfg, roles, dur, hotspot_lifetime, None)
 }
 
 impl RunOptions {
@@ -294,14 +236,5 @@ impl RunOptions {
             off: self.run_scenario(topo, cfg_off, roles, dur, hotspot_lifetime, true, faults),
             on: self.run_scenario(topo, cfg_on, roles, dur, hotspot_lifetime, true, faults),
         }
-    }
-}
-
-/// The artifact-label hint of a finished run: which half of a CC pair.
-pub(crate) fn cc_hint(net: &Network) -> &'static str {
-    if net.cc_enabled() {
-        "cc_on"
-    } else {
-        "cc_off"
     }
 }

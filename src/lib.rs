@@ -56,11 +56,10 @@ pub mod sweep;
 pub mod workload;
 
 pub use bisect::{bisect_divergence, perturb_cc, Divergence};
-pub use drill::{run_drill, run_drill_floor, DrillReport};
+pub use drill::DrillReport;
 pub use figures::{FigureRow, FigureSeries};
 pub use experiment::{
-    run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_opts, CcComparison, RunDurations,
-    ScenarioResult,
+    run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
 };
 pub use options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
 pub use preset::Preset;
@@ -70,11 +69,10 @@ pub use workload::{run_workload, WorkloadResult};
 
 /// One-stop imports for examples and binaries.
 pub mod prelude {
-    pub use crate::drill::{run_drill, run_drill_floor, DrillReport};
+    pub use crate::drill::DrillReport;
     pub use crate::figures::{FigureRow, FigureSeries};
     pub use crate::experiment::{
-        run_cc_pair, run_cc_pair_faults, run_scenario, run_scenario_opts, CcComparison,
-        RunDurations, ScenarioResult,
+        run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
     };
     pub use crate::options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
     pub use crate::preset::Preset;

@@ -11,6 +11,8 @@
 //!   then `--<key>`, and validated before any network is built;
 //! * **one arm** — [`RunOptions::network`] builds the [`Network`] and
 //!   applies the options in a fixed order;
+//! * **one driver** — `RunOptions::drive` runs a run's clock plan
+//!   (window, step grid, checkpoint capture, resume re-entry);
 //! * **one finish** — [`RunOptions::finish`] draws one run label,
 //!   writes every artifact under it and runs the end-of-run audit.
 //!
@@ -19,9 +21,10 @@
 //! value by reference; nothing here is a process-wide toggle, so two
 //! threads can run differently configured cells side by side.
 
+use crate::checkpoint::save_in;
 use ibsim_cc::CcBackend;
 use ibsim_check::AuditReport;
-use ibsim_engine::time::{TimeDelta, PS_PER_US};
+use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
 use ibsim_net::{
     chrome_trace_json, records_csv, FaultSchedule, NetConfig, Network, NodeId, TelemetryConfig,
 };
@@ -185,6 +188,23 @@ pub struct RunArtifacts {
     pub files: Vec<PathBuf>,
     /// The end-of-run oracle pass (clean and empty when audit is off).
     pub audit: AuditReport,
+}
+
+/// A run's clock, run by [`RunOptions::drive`]. Its edges are `open`,
+/// `close`, every `step` from 0, and `end`.
+#[derive(Default)]
+pub(crate) struct ClockPlan {
+    /// The measurement window's edges; `None` leaves them to the caller.
+    pub open: Option<Time>,
+    pub close: Option<Time>,
+    /// The caller's grid: hotspot epochs, workload segments, drill bins.
+    pub step: Option<TimeDelta>,
+    /// The last edge, unless the caller ends the run first.
+    pub end: Time,
+    /// The checkpoint file label (`None`: neither save nor resume) and
+    /// the clock [`RunOptions::resume`] restored.
+    pub label: Option<String>,
+    pub resumed: Option<Time>,
 }
 
 impl RunOptions {
@@ -358,6 +378,59 @@ impl RunOptions {
             net.set_shards(topo, self.shards);
         }
         net
+    }
+
+    /// The one driver: run `plan` on an armed, installed `net`, then
+    /// [`RunOptions::finish`] it under `hint` (`None`: `cc_on` or
+    /// `cc_off`). At each edge, in order: run to it, first to a pending
+    /// `checkpoint_at` capture at or before it and save there; open or
+    /// close the window; on a step edge or at `end`, after 0, call
+    /// `at_step`, whose `false` ends the run. A stepped plan of no
+    /// length never runs, not even to 0. A resumed run re-enters at the
+    /// last edge strictly before the restored clock.
+    pub(crate) fn drive(
+        &self,
+        net: &mut Network,
+        plan: ClockPlan,
+        hint: Option<&str>,
+        hotspots: impl FnOnce() -> Vec<NodeId>,
+        mut at_step: impl FnMut(&mut Network, Time) -> bool,
+    ) -> RunArtifacts {
+        let (open, close, step, end) = (plan.open, plan.close, plan.step, plan.end);
+        assert!(step.is_none_or(|s| s.as_ps() > 0), "zero clock step");
+        // A resumed run never re-saves a capture its file already holds.
+        let capture_at = self.checkpoint_at.map(Time::from_us);
+        let capture_at = capture_at.filter(|&at| plan.resumed.is_none_or(|r| at > r));
+        let mut capture = plan.label.zip(capture_at);
+        let runs = step.is_none() || end > Time::ZERO;
+        let next = |from: Time| {
+            let grid = step.map(|s| Time(from.as_ps().div_ceil(s.as_ps()).max(1) * s.as_ps()));
+            let edges = [open, close, grid, Some(end)].into_iter().flatten();
+            edges.filter(|&e| from <= e && e <= end).min()
+        };
+        let mut from = plan.resumed.unwrap_or(Time::ZERO);
+        while let Some(t) = next(from) {
+            if let Some((label, at)) = capture.take_if(|(_, at)| runs && *at <= t) {
+                net.run_until(at);
+                save_in(&self.checkpoint_dir, net, &label);
+            }
+            if runs {
+                net.run_until(t);
+            }
+            if open == Some(t) && !net.is_measuring() {
+                net.start_measurement();
+            }
+            if close == Some(t) && net.is_measuring() {
+                net.stop_measurement();
+            }
+            let on_step = t == end || step.is_some_and(|s| t.as_ps() % s.as_ps() == 0);
+            if t > Time::ZERO && on_step && !at_step(net, t) {
+                break;
+            }
+            from = Time(t.as_ps() + 1);
+        }
+        let cc_half = if net.cc_enabled() { "cc_on" } else { "cc_off" };
+        self.finish(net, hint.unwrap_or(cc_half), &hotspots())
     }
 
     /// Resolve the `hotspots` trace keyword against a drawn role

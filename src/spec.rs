@@ -2,6 +2,7 @@
 //! JSON file, no recompilation — the role the OMNeT++ `.ini` files play
 //! for the paper's simulator.
 
+use crate::experiment::MAX_US;
 use crate::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -108,6 +109,18 @@ impl SimSpec {
             ));
         }
         self.net.validate()?;
+        if self.hotspot_lifetime_us == Some(0) {
+            return Err("hotspot_lifetime_us must be positive".into());
+        }
+        // Windows fit the clock summed and quintupled, as on the command line.
+        let windows = [
+            ("warmup_ms", self.warmup_ms.saturating_mul(1000)),
+            ("measure_ms", self.measure_ms.saturating_mul(1000)),
+            ("hotspot_lifetime_us", self.hotspot_lifetime_us.unwrap_or(0)),
+        ];
+        if let Some((key, _)) = windows.iter().find(|(_, us)| *us > MAX_US) {
+            return Err(format!("{key} is past the clock's range ({MAX_US} µs)"));
+        }
         Ok((topo, roles))
     }
 
@@ -193,6 +206,30 @@ mod tests {
         }"#;
         let spec = SimSpec::from_json(json).unwrap();
         assert!(spec.run().unwrap_err().contains("num_nodes"));
+    }
+
+    #[test]
+    fn zero_hotspot_lifetime_rejected() {
+        let mut spec = SimSpec::from_json(MINIMAL).unwrap();
+        spec.hotspot_lifetime_us = Some(0);
+        let err = spec.check().unwrap_err();
+        assert!(err.contains("lifetime_us must be positive"), "{err}");
+    }
+
+    #[test]
+    fn windows_past_the_clock_rejected() {
+        let base = SimSpec::from_json(MINIMAL).unwrap();
+        let huge = u64::MAX / 1000;
+        for key in ["warmup_ms", "measure_ms", "hotspot_lifetime_us"] {
+            let mut spec = base.clone();
+            match key {
+                "warmup_ms" => spec.warmup_ms = huge,
+                "measure_ms" => spec.measure_ms = huge,
+                _ => spec.hotspot_lifetime_us = Some(huge),
+            }
+            let err = spec.check().unwrap_err();
+            assert!(err.contains(key) && err.contains("clock"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -4,16 +4,15 @@
 //! [`RunOptions::run_scenario`], under the same [`RunOptions`] (audit,
 //! telemetry, trace, profile, CC backend, shards, checkpoint/resume).
 //!
-//! The run is segmented on a fixed 100 µs clock. Segment boundaries are
+//! The run's step grid is a fixed 100 µs clock. Segment edges are
 //! where the trace feeder installs the next look-ahead window of
 //! records and where drain is detected — *deterministic* instants,
 //! independent of sharding and of where a checkpoint fell, which is
 //! what keeps `--shards N` and `--resume-from` byte-identical for every
 //! generator.
 
-use crate::checkpoint::CkptHook;
-use crate::experiment::{cc_hint, RunDurations};
-use crate::options::RunOptions;
+use crate::experiment::RunDurations;
+use crate::options::{ClockPlan, RunOptions};
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{NetConfig, Network};
 use ibsim_topo::Topology;
@@ -86,111 +85,79 @@ impl RunOptions {
             .install(&mut net)
             .unwrap_or_else(|e| panic!("workload install: {e}"));
 
-        // Optional resume: restore runtime state, then fast-forward the
-        // trace reader past the records the restored scripts already carry.
+        // A resumed run's restored scripts already carry the records fed
+        // before the capture: the trace reader skips past them.
         let label = crate::checkpoint::workload_label(spec, &dur);
-        let (mut ck, resumed) = CkptHook::resume(self, &net, label);
-        let resumed_at = resumed.as_ref().map(|(at, _)| *at);
-        if let Some((_, state)) = resumed {
-            net.restore(&state)
-                .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
-            if let Some(feeder) = wl.feeder.as_mut() {
-                let fed: u64 = (0..feeder.nodes()).map(|v| net.script_fed(v, 0)).sum();
-                feeder
-                    .skip_fed(fed)
-                    .unwrap_or_else(|e| panic!("resume: trace re-read failed: {e}"));
-            }
+        let resumed = self.resume(&mut net, &label, |_, _| {});
+        if let (Some(_), Some(feeder)) = (resumed, wl.feeder.as_mut()) {
+            let fed: u64 = (0..feeder.nodes()).map(|v| net.script_fed(v, 0)).sum();
+            feeder
+                .skip_fed(fed)
+                .unwrap_or_else(|e| panic!("resume: trace re-read failed: {e}"));
         }
 
-        let warmup_end = Time::ZERO + dur.warmup;
         let t_end = Time::ZERO + dur.total();
         // CC-throttled workloads (incast especially) drain far slower than
         // the offered-bytes arithmetic suggests — sources back off under
         // BECN. Allow four extra run-lengths before giving up.
         let drain_cap = t_end + TimeDelta(4 * dur.total().0);
-
-        // Segment cursor. A resumed run re-enters at the boundary its
-        // capture segment started on; the feeder's `skip_fed` makes the
-        // replayed boundary feeds no-ops, so the schedule every class sees
-        // is identical to the uninterrupted run.
-        let mut s = Time::ZERO;
-        if let Some(at) = resumed_at {
-            while s + SEGMENT <= at {
-                s += SEGMENT;
+        // At each segment edge the feeder installs the records of the
+        // next segment and one more. After a resume the first feed only
+        // re-reads the trace's end, if it was reached before the capture.
+        let feed = |wl: &mut Workload, net: &mut Network, t: Time| {
+            if let Some(feeder) = wl.feeder.as_mut() {
+                feeder
+                    .feed_until(net, (t + SEGMENT).min(drain_cap) + SEGMENT)
+                    .unwrap_or_else(|e| panic!("trace feed: {e}"));
             }
-        }
-        if warmup_end == Time::ZERO && resumed_at.is_none() && !net.is_measuring() {
+        };
+        feed(&mut wl, &mut net, Time::ZERO);
+        let plan = ClockPlan {
+            open: (!dur.warmup.is_zero()).then_some(Time::ZERO + dur.warmup),
+            close: Some(t_end),
+            step: Some(SEGMENT),
+            end: drain_cap,
+            label: Some(label),
+            resumed,
+        };
+        // A window from the start opens before the first event, with no
+        // run to 0.
+        if plan.open.is_none() && resumed.is_none() {
             net.start_measurement();
         }
         let mut drained_at = None;
-        while s < drain_cap {
-            let next = (s + SEGMENT).min(drain_cap);
-            if let Some(feeder) = wl.feeder.as_mut() {
-                feeder
-                    .feed_until(&mut net, next + SEGMENT)
-                    .unwrap_or_else(|e| panic!("trace feed: {e}"));
-            }
-            // Measurement edges may fall inside a segment; split the run
-            // there so the window opens and closes exactly where `dur`
-            // says. (`run_until` leaves the clock at the last event, so
-            // the toggles key off the segment plan, never off `now()`.)
-            for edge in [warmup_end, t_end] {
-                if s < edge && edge <= next {
-                    ck.run_until(&mut net, edge);
-                    if edge == warmup_end && !net.is_measuring() {
-                        net.start_measurement();
-                    } else if edge == t_end && net.is_measuring() {
-                        net.stop_measurement();
-                    }
-                }
-            }
-            ck.run_until(&mut net, next);
-            s = next;
+        let artifacts = self.drive(&mut net, plan, None, Vec::new, |net, t| {
             let fed_done = wl.feeder.as_ref().is_none_or(|f| f.done());
             if drained_at.is_none() && fed_done && net.workload_drained() {
-                drained_at = Some(s);
-                if s >= t_end {
-                    break;
-                }
+                drained_at = Some(t);
             }
-            if s >= t_end && drained_at.is_some() {
-                break;
+            if t >= t_end && drained_at.is_some() {
+                return false;
             }
+            if t < drain_cap {
+                feed(&mut wl, net, t);
+            }
+            true
+        });
+        artifacts.audit.raise();
+
+        let lat = net.latency_histogram();
+        let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);
+        WorkloadResult {
+            workload: wl.spec.to_string(),
+            cc: net.cc_enabled(),
+            category_rx: wl.category_rates(&net),
+            total_rx: net.total_rx_gbps(),
+            latency_p50_us: to_us(lat.quantile(0.5)),
+            latency_p99_us: to_us(lat.quantile(0.99)),
+            fecn_marks: net.total_fecn_marks(),
+            becns: net.total_becns(),
+            max_ccti: net.max_ccti(),
+            drained: drained_at.is_some(),
+            drained_at_us: drained_at.map_or(0.0, |t| t.as_us_f64()),
+            offered_bytes: wl.offered_bytes,
+            records_fed: wl.feeder.as_ref().map_or(0, |f| f.records_fed()),
+            events: net.events_processed(),
         }
-        if net.is_measuring() {
-            net.stop_measurement();
-        }
-
-        let hint = cc_hint(&net);
-        self.finish(&mut net, hint, &[]).audit.raise();
-
-        let records_fed = wl.feeder.as_ref().map_or(0, |f| f.records_fed());
-        summarize(&net, &wl, drained_at, records_fed)
-    }
-}
-
-fn summarize(
-    net: &Network,
-    wl: &Workload,
-    drained_at: Option<Time>,
-    records_fed: u64,
-) -> WorkloadResult {
-    let lat = net.latency_histogram();
-    let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);
-    WorkloadResult {
-        workload: wl.spec.to_string(),
-        cc: net.cc_enabled(),
-        category_rx: wl.category_rates(net),
-        total_rx: net.total_rx_gbps(),
-        latency_p50_us: to_us(lat.quantile(0.5)),
-        latency_p99_us: to_us(lat.quantile(0.99)),
-        fecn_marks: net.total_fecn_marks(),
-        becns: net.total_becns(),
-        max_ccti: net.max_ccti(),
-        drained: drained_at.is_some(),
-        drained_at_us: drained_at.map_or(0.0, |t| t.as_us_f64()),
-        offered_bytes: wl.offered_bytes,
-        records_fed,
-        events: net.events_processed(),
     }
 }

@@ -23,33 +23,20 @@ use ibsim_state::{
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
 
+/// The silent forest on TEST_8's eight nodes, with one hotspot.
+const SILENT_8: RoleSpec = RoleSpec::silent(8, 1);
+
 const FAULT_SPEC: &str = "becnloss:link=hcas,p=0.5;flap:link=hca:1,at=300us,dur=100us,factor=stall";
 
 /// A fully loaded tiny fabric: TEST_8 fat-tree, one hotspot, CC as
 /// requested, fault schedule with an open flap window mid-run, audit
 /// and telemetry armed. Deterministic: two calls build identical nets.
 fn loaded_net(seed: u64, cc: bool, faults: bool) -> Network {
-    let topo = FatTreeSpec::TEST_8.build();
     let mut cfg = NetConfig::paper().with_seed(seed);
     if !cc {
         cfg.cc = None;
     }
-    let mut net = Network::new(&topo, cfg);
-    net.enable_audit(20_000);
-    net.enable_telemetry(TelemetryConfig::every(TimeDelta::from_us(50)));
-    if faults {
-        let schedule = FaultSchedule::from_spec(FAULT_SPEC, seed).expect("valid fault spec");
-        net.install_faults(schedule);
-    }
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 1,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
-    let _sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
-    net
+    loaded(cfg, faults)
 }
 
 /// The dcqcn twin of [`loaded_net`]: same fabric, scenario and overlays,
@@ -57,23 +44,19 @@ fn loaded_net(seed: u64, cc: bool, faults: bool) -> Network {
 /// state on every HCA, pause state on every switch port — all of which
 /// the v2 checkpoint must carry).
 fn loaded_dcqcn_net(seed: u64, faults: bool) -> Network {
-    let topo = FatTreeSpec::TEST_8.build();
-    let cfg = NetConfig::paper_dcqcn().with_seed(seed);
-    let mut net = Network::new(&topo, cfg);
+    loaded(NetConfig::paper_dcqcn().with_seed(seed), faults)
+}
+
+fn loaded(cfg: NetConfig, faults: bool) -> Network {
+    let seed = cfg.seed;
+    let mut net = Network::new(&FatTreeSpec::TEST_8.build(), cfg);
     net.enable_audit(20_000);
     net.enable_telemetry(TelemetryConfig::every(TimeDelta::from_us(50)));
     if faults {
         let schedule = FaultSchedule::from_spec(FAULT_SPEC, seed).expect("valid fault spec");
         net.install_faults(schedule);
     }
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 1,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
-    let _sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
+    let _sc = Scenario::install_opts(SILENT_8, &mut net, PAPER_MSG_BYTES, true);
     net
 }
 
@@ -422,53 +405,25 @@ fn corrupt_latency_histogram_is_rejected() {
 }
 
 // ---------------------------------------------------------------------
-// Harness-level resume: `RunOptions::run_scenario` saves at
-// `checkpoint_at` and resumes from `resume_from` with byte-identical
-// results, across plain, measured and moving-hotspot runs.
+// Harness-level resume: `RunOptions::run_scenario` and
+// `RunOptions::run_workload` save at `checkpoint_at` and resume from
+// `resume_from` with byte-identical results, across plain, measured,
+// moving-hotspot and workload runs, including captures on the edges
+// where the measurement window opens or closes.
 // ---------------------------------------------------------------------
 
-fn tiny_roles(topo: &Topology) -> RoleSpec {
-    RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 1,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    }
-}
-
-fn tiny_dur() -> RunDurations {
-    RunDurations {
-        warmup: TimeDelta::from_us(200),
-        measure: TimeDelta::from_us(500),
-    }
-}
-
-fn scenario_json(
-    opts: &RunOptions,
-    lifetime: Option<TimeDelta>,
-    faults: Option<&FaultSchedule>,
-) -> String {
-    let topo = FatTreeSpec::TEST_8.build();
-    let r = opts.run_scenario(
-        &topo,
-        NetConfig::paper(),
-        tiny_roles(&topo),
-        tiny_dur(),
-        lifetime,
-        true,
-        faults,
-    );
-    serde_json::to_string(&r).expect("serialise result")
-}
-
-fn assert_harness_resume(ck_us: u64, lifetime: Option<TimeDelta>, faults: Option<&FaultSchedule>) {
-    let dir = std::env::temp_dir().join(format!(
-        "ibsim_ckpt_rt_{}_{ck_us}_{}",
-        std::process::id(),
-        lifetime.map_or(0, |l| l.as_ps()),
-    ));
-    std::fs::remove_dir_all(&dir).ok();
+/// Save a checkpoint at `ck_us` through a runner and resume from it:
+/// both passes must reproduce the cold run's result, and the resumed
+/// run must capture the cold run's full state 100 µs after the capture.
+/// `run` serialises one run's result under the given options.
+fn assert_runner_resume(tag: &str, ck_us: u64, run: impl Fn(&RunOptions) -> String) {
+    let dir = |pass: &str| {
+        let name = format!("ibsim_ckpt_rt_{}_{tag}_{pass}", std::process::id());
+        let dir = std::env::temp_dir().join(name);
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    };
+    let (at, cold_later, resumed_later) = (dir("at"), dir("cold"), dir("resumed"));
 
     // Follow the CI legs (audit, shards) but pin the checkpoint keys.
     let cold = RunOptions {
@@ -476,60 +431,200 @@ fn assert_harness_resume(ck_us: u64, lifetime: Option<TimeDelta>, faults: Option
         resume_from: None,
         ..RunOptions::ambient().clone()
     };
-    let baseline = scenario_json(&cold, lifetime, faults);
-
-    // Pass 1: save a checkpoint mid-run (the save must not perturb).
-    let save = RunOptions {
-        checkpoint_at: Some(ck_us),
+    let baseline = run(&cold);
+    let saving = |us: u64, dir: &std::path::PathBuf| RunOptions {
+        checkpoint_at: Some(us),
         checkpoint_dir: dir.clone(),
         ..cold.clone()
     };
-    let saving = scenario_json(&save, lifetime, faults);
-    assert_eq!(saving, baseline, "saving a checkpoint perturbed the run");
+
+    // Pass 1: save a checkpoint mid-run (the save must not perturb).
+    let saved = run(&saving(ck_us, &at));
+    assert_eq!(saved, baseline, "saving a checkpoint perturbed the run");
     assert_eq!(
-        std::fs::read_dir(&dir).expect("checkpoint dir").count(),
+        std::fs::read_dir(&at).expect("checkpoint dir").count(),
         1,
         "expected exactly one checkpoint file"
     );
 
-    // Pass 2: resume from it.
+    // Pass 2: resume from it. It and a cold run both capture again
+    // 100 µs later, and the two captures must be the same bytes.
+    run(&saving(ck_us + 100, &cold_later));
     let resume = RunOptions {
-        resume_from: Some(dir.clone()),
-        ..cold
+        resume_from: Some(at.clone()),
+        ..saving(ck_us + 100, &resumed_later)
     };
-    let resumed = scenario_json(&resume, lifetime, faults);
-    assert_eq!(resumed, baseline, "resumed run diverged from baseline");
+    assert_eq!(run(&resume), baseline, "resumed run diverged from baseline");
+    let capture = |dir: &std::path::PathBuf| {
+        let file = std::fs::read_dir(dir).expect("later capture").next();
+        std::fs::read(file.expect("a file").unwrap().path()).expect("capture reads")
+    };
+    let same = capture(&cold_later) == capture(&resumed_later);
+    assert!(same, "resumed state diverged 100 µs after the capture");
 
-    std::fs::remove_dir_all(&dir).ok();
+    for dir in [at, cold_later, resumed_later] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+fn dur_us(warmup_us: u64, measure_us: u64) -> RunDurations {
+    RunDurations {
+        warmup: TimeDelta::from_us(warmup_us),
+        measure: TimeDelta::from_us(measure_us),
+    }
+}
+
+/// The TEST_8 hotspot run the scenario resume tests share, 500 µs
+/// measured after `warmup_us`, as JSON.
+fn harness_run(
+    opts: &RunOptions,
+    warmup_us: u64,
+    lifetime: Option<TimeDelta>,
+    faults: Option<&FaultSchedule>,
+) -> String {
+    let topo = FatTreeSpec::TEST_8.build();
+    let dur = dur_us(warmup_us, 500);
+    let cfg = NetConfig::paper();
+    let r = opts.run_scenario(&topo, cfg, SILENT_8, dur, lifetime, true, faults);
+    serde_json::to_string(&r).expect("serialise result")
+}
+
+fn assert_harness_resume(
+    ck_us: u64,
+    warmup_us: u64,
+    lifetime: Option<TimeDelta>,
+    faults: Option<&FaultSchedule>,
+) {
+    let tag = format!("{ck_us}_{warmup_us}_{}", lifetime.map_or(0, |l| l.as_ps()));
+    assert_runner_resume(&tag, ck_us, |opts| {
+        harness_run(opts, warmup_us, lifetime, faults)
+    });
 }
 
 #[test]
 fn harness_resume_mid_warmup() {
-    assert_harness_resume(100, None, None);
+    assert_harness_resume(100, 200, None, None);
 }
 
 #[test]
 fn harness_resume_mid_measurement() {
-    assert_harness_resume(450, None, None);
+    assert_harness_resume(450, 200, None, None);
 }
 
 #[test]
 fn harness_resume_moving_hotspots_mid_epoch() {
     // 150 µs epochs; 475 µs is mid-epoch, past warmup, after 3 moves.
-    assert_harness_resume(475, Some(TimeDelta::from_us(150)), None);
+    assert_harness_resume(475, 200, Some(TimeDelta::from_us(150)), None);
 }
 
 #[test]
 fn harness_resume_moving_hotspots_at_epoch_boundary() {
     // 450 µs is exactly an epoch boundary: the capture lands before the
     // move at 450 µs, which the resumed run must re-execute.
-    assert_harness_resume(450, Some(TimeDelta::from_us(150)), None);
+    assert_harness_resume(450, 200, Some(TimeDelta::from_us(150)), None);
+}
+
+#[test]
+fn harness_resume_moving_hotspots_zero_warmup() {
+    // The window opens at 0, where no move falls; 325 µs is mid-epoch
+    // after the moves at 150 and 300 µs.
+    assert_harness_resume(325, 0, Some(TimeDelta::from_us(150)), None);
+}
+
+/// Hotspots first move one lifetime in, also when the window opens at
+/// 0: a lifetime past the run's end never moves them, so the run is
+/// the fixed-hotspot run.
+#[test]
+fn lifetime_past_the_run_never_moves_hotspots() {
+    let opts = RunOptions::ambient();
+    let moving = harness_run(opts, 0, Some(TimeDelta::from_us(600)), None);
+    assert_eq!(moving, harness_run(opts, 0, None, None));
 }
 
 #[test]
 fn harness_resume_under_faults() {
     let schedule = FaultSchedule::from_spec(FAULT_SPEC, 0x1B51_C0DE).expect("valid spec");
-    assert_harness_resume(350, None, Some(&schedule));
+    assert_harness_resume(350, 200, None, Some(&schedule));
+}
+
+/// `RunOptions::run_workload` through a capture and a resume, with the
+/// runner's 100 µs feed segments.
+fn assert_workload_resume(spec: &str, ck_us: u64, warmup_us: u64, measure_us: u64) {
+    let topo = FatTreeSpec::TEST_8.build();
+    let spec = WorkloadSpec::parse(spec).expect("valid workload spec");
+    let dur = dur_us(warmup_us, measure_us);
+    let tag = format!("wl{}_{ck_us}_{warmup_us}", spec.name());
+    assert_runner_resume(&tag, ck_us, |opts| {
+        let r = opts.run_workload(&topo, NetConfig::paper(), &spec, dur);
+        serde_json::to_string(&r).expect("serialise result")
+    });
+}
+
+/// The event builder on 40 µs slots: shifts mid-flight at 150 µs, and
+/// segment edges on the measurement edges at 200 µs.
+const EB: &str = "eb:frag=4096,fanin=8,shifts=8,slot_us=40";
+
+#[test]
+fn harness_resume_workload_mid_segment() {
+    assert_workload_resume(EB, 150, 200, 400);
+}
+
+#[test]
+fn harness_resume_workload_at_warmup_edge() {
+    // The capture lands on the segment edge where the window opens,
+    // before it opens: the resumed run must still open it.
+    assert_workload_resume(EB, 200, 200, 400);
+}
+
+#[test]
+fn harness_resume_workload_at_measure_end() {
+    // The capture lands on the segment edge where the window closes.
+    assert_workload_resume(EB, 200, 0, 200);
+}
+
+/// Mid-stream trace replay resumes exactly: the restored scripts carry
+/// `fed` cursors, `skip_fed` fast-forwards a fresh reader past the
+/// records the checkpoint already absorbed, and the driver re-enters
+/// the segment grid before the capture.
+#[test]
+fn harness_resume_workload_trace_mid_segment() {
+    let gen = ibsim_traffic::TraceGenSpec {
+        nodes: 8,
+        flows: 20_000,
+        bytes: 2048,
+        mean_gap_ns: 100,
+        pattern: ibsim_traffic::TracePattern::Uniform,
+        seed: 0xC4A1,
+    };
+    let path = std::env::temp_dir().join(format!("ibsim_ckpt_rt_{}.ibtr", std::process::id()));
+    ibsim_traffic::flowtrace::synthesize_to(&gen, &path).unwrap();
+    let spec = format!("trace:{}", path.display());
+    let fed = trace_fed_at(&spec, 250, 100, 400);
+    assert!(fed > 0, "250us into the stream, records must have been fed");
+    assert_workload_resume(&spec, 250, 100, 400);
+    std::fs::remove_file(&path).ok();
+}
+
+/// The trace records a runner's capture at `ck_us` holds as fed: one
+/// before the first feed would leave `skip_fed` nothing to skip.
+fn trace_fed_at(spec: &str, ck_us: u64, warmup_us: u64, measure_us: u64) -> u64 {
+    let dir = std::env::temp_dir().join(format!("ibsim_ckpt_rt_{}_fed", std::process::id()));
+    let opts = RunOptions {
+        checkpoint_at: Some(ck_us),
+        checkpoint_dir: dir.clone(),
+        ..RunOptions::default()
+    };
+    let dur = dur_us(warmup_us, measure_us);
+    let wl_spec = WorkloadSpec::parse(spec).expect("valid workload spec");
+    let topo = FatTreeSpec::TEST_8.build();
+    opts.run_workload(&topo, NetConfig::paper(), &wl_spec, dur);
+    let (mut net, wl) = workload_net(spec, NetConfig::paper().seed);
+    let label = ibsim::checkpoint::workload_label(&wl_spec, &dur);
+    let (_, state) = ibsim::checkpoint::load_from(&dir, &net, &label).expect("saved capture");
+    std::fs::remove_dir_all(&dir).ok();
+    net.restore(&state).expect("restore trace fabric");
+    let nodes = wl.feeder.expect("trace workload has a feeder").nodes();
+    (0..nodes).map(|v| net.script_fed(v, 0)).sum()
 }
 
 // ---------------------------------------------------------------------
@@ -663,13 +758,7 @@ fn golden_quick_checkpoint_is_stable() {
     let topo = preset.topology();
     let cfg = preset.net_config();
     let mut net = Network::new(&topo, cfg);
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: preset.num_hotspots(),
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
+    let roles = RoleSpec::silent(topo.num_hcas, preset.num_hotspots());
     let _sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
     net.run_until(Time::from_ms(3));
     let header = CheckpointHeader::new(
@@ -717,13 +806,7 @@ fn golden_quick_checkpoint_is_stable_under_shards() {
         ibsim_state::decode(&golden_text).expect("committed golden checkpoint decodes");
     for n in [2, 4, 8] {
         let mut net = Network::new(&topo, preset.net_config());
-        let roles = RoleSpec {
-            num_nodes: topo.num_hcas,
-            num_hotspots: preset.num_hotspots(),
-            b_pct: 0,
-            b_p: 0,
-            c_pct_of_rest: 80,
-        };
+        let roles = RoleSpec::silent(topo.num_hcas, preset.num_hotspots());
         let _sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
         net.set_shards(&topo, n);
         assert!(net.shard_count() > 1, "quick cell must shard genuinely");
@@ -757,9 +840,6 @@ const _MAGIC: &str = MAGIC;
 // ---------------------------------------------------------------------
 // Production-workload round trips: generator cursors in ClassState.
 // ---------------------------------------------------------------------
-
-/// Mirror of `ibsim::workload::SEGMENT` for the trace-feeding cadence.
-const WL_SEG: u64 = 100 * ibsim_engine::time::PS_PER_US;
 
 /// Build a fabric with a workload installed, exactly as the runner does.
 fn workload_net(spec: &str, seed: u64) -> (Network, ibsim_traffic::Workload) {
@@ -820,88 +900,6 @@ fn workload_roundtrip_mid_collective_phase() {
         Time::from_us(45),
         Time::from_us(500),
     );
-}
-
-/// Run `net` through the fixed segment grid from boundary `from` to
-/// `horizon`, feeding the trace one segment ahead; optionally split one
-/// segment at `ck_at` and return the checkpoint taken there.
-fn run_trace_segments(
-    net: &mut Network,
-    feeder: &mut ibsim_traffic::TraceFeeder,
-    from: u64,
-    horizon: u64,
-    ck_at: Option<u64>,
-) -> Option<NetworkState> {
-    let mut saved = None;
-    let mut s = from;
-    while s < horizon {
-        let next = (s + WL_SEG).min(horizon);
-        feeder.feed_until(net, Time(next + WL_SEG)).expect("feed");
-        if let Some(at) = ck_at {
-            if s < at && at <= next && saved.is_none() {
-                net.run_until(Time(at));
-                saved = Some(net.checkpoint());
-            }
-        }
-        net.run_until(Time(next));
-        s = next;
-    }
-    saved
-}
-
-/// Mid-stream trace replay resumes exactly: the restored scripts carry
-/// `fed` cursors, `skip_fed` fast-forwards a fresh reader past the
-/// records the checkpoint already absorbed, and the re-entered segment
-/// grid feeds the remainder on the same cadence — so the resumed run
-/// rejoins the uninterrupted one byte for byte.
-#[test]
-fn workload_roundtrip_mid_trace_stream() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let gen = ibsim_traffic::TraceGenSpec {
-        nodes: topo.num_hcas as u32,
-        flows: 20_000,
-        bytes: 2048,
-        mean_gap_ns: 100,
-        pattern: ibsim_traffic::TracePattern::Uniform,
-        seed: 0xC4A1,
-    };
-    let path = std::env::temp_dir().join("ibsim_ckpt_trace_roundtrip.ibtr");
-    ibsim_traffic::flowtrace::synthesize_to(&gen, &path).unwrap();
-    let spec = ibsim_traffic::WorkloadSpec::parse(&format!("trace:{}", path.display())).unwrap();
-
-    let ck_at = 250 * ibsim_engine::time::PS_PER_US;
-    let horizon = 600 * ibsim_engine::time::PS_PER_US;
-
-    let mk = || {
-        let mut net = Network::new(&topo, NetConfig::paper().with_seed(3));
-        let wl = spec.install(&mut net).expect("install trace workload");
-        (net, wl.feeder.expect("trace workload has a feeder"))
-    };
-
-    let (mut straight, mut feed_a) = mk();
-    let saved = run_trace_segments(&mut straight, &mut feed_a, 0, horizon, Some(ck_at))
-        .expect("checkpoint instant inside the run");
-    let want = straight.checkpoint();
-
-    let (mut resumed, mut feed_b) = mk();
-    resumed.restore(&saved).expect("restore trace fabric");
-    let fed: u64 = (0..feed_b.nodes())
-        .map(|v| resumed.script_fed(v, 0))
-        .sum();
-    assert!(fed > 0, "250us into the stream, records must have been fed");
-    feed_b.skip_fed(fed).expect("re-read to the resume cursor");
-    // Re-enter at the boundary the capture segment started on; the
-    // replayed boundary feed is a no-op thanks to `skip_fed`.
-    let reenter = ck_at / WL_SEG * WL_SEG;
-    run_trace_segments(&mut resumed, &mut feed_b, reenter, horizon, None);
-    let got = resumed.checkpoint();
-    if want != got {
-        let diffs = diff_values(&want.to_value(), &got.to_value(), 10);
-        panic!(
-            "trace replay resumed mid-stream diverged:\n{}",
-            ibsim_state::render_diff(&diffs)
-        );
-    }
 }
 
 /// Committed workload golden: an event builder caught mid-shift, script
