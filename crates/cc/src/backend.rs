@@ -427,10 +427,6 @@ impl DcqcnCc {
         self.paused.get(vl).copied().unwrap_or(false)
     }
 
-    pub fn any_tx_paused(&self) -> bool {
-        self.paused.iter().any(|&p| p)
-    }
-
     pub fn audit(&self) -> Result<(), String> {
         let p = &self.dcqcn;
         for (key, f) in self.flows.iter().enumerate() {
@@ -864,13 +860,12 @@ mod tests {
     #[test]
     fn pause_flags_per_vl() {
         let mut c = dc();
-        assert!(!c.any_tx_paused());
+        assert!(!c.tx_paused(1));
         c.set_tx_paused(1, true);
         assert!(c.tx_paused(1));
         assert!(!c.tx_paused(0));
-        assert!(c.any_tx_paused());
         c.set_tx_paused(1, false);
-        assert!(!c.any_tx_paused());
+        assert!(!c.tx_paused(1));
     }
 
     #[test]

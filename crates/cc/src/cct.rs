@@ -52,12 +52,6 @@ impl Cct {
         Cct { entries }
     }
 
-    /// Build from explicit entries (e.g. loaded from a config file).
-    pub fn from_entries(entries: Vec<u32>) -> Self {
-        assert!(!entries.is_empty(), "CCT must have at least one entry");
-        Cct { entries }
-    }
-
     pub fn len(&self) -> usize {
         self.entries.len()
     }
@@ -142,18 +136,5 @@ mod tests {
         assert_eq!(t.ird_delay(5, pkt), TimeDelta::from_ns(4000));
         // Relative to packet length: half the packet, half the delay.
         assert_eq!(t.ird_delay(5, pkt / 2), TimeDelta::from_ns(2000));
-    }
-
-    #[test]
-    fn from_entries_roundtrip() {
-        let t = Cct::from_entries(vec![0, 3, 9]);
-        assert_eq!(t.entries(), &[0, 3, 9]);
-        assert_eq!(t.multiplier(2), 9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_table_panics() {
-        Cct::from_entries(vec![]);
     }
 }

@@ -101,13 +101,6 @@ impl Rng {
         (m >> 64) as u64
     }
 
-    /// Uniform in the inclusive range `[lo, hi]`.
-    #[inline]
-    pub fn next_range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.next_below(hi - lo + 1)
-    }
-
     /// Uniform `f64` in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
@@ -118,18 +111,6 @@ impl Rng {
     #[inline]
     pub fn next_bool(&mut self, p: f64) -> bool {
         self.next_f64() < p
-    }
-
-    /// Geometric number of failures before the first success with success
-    /// probability `p`; used for the FECN `Marking_Rate` spacing.
-    /// Returns 0 when `p >= 1`.
-    pub fn next_geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        assert!(p > 0.0, "geometric with p <= 0");
-        let u = self.next_f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
     }
 
     /// Pick a uniformly random element of a non-empty slice.
@@ -223,20 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn next_range_inclusive() {
-        let mut rng = Rng::new(3);
-        let mut saw_lo = false;
-        let mut saw_hi = false;
-        for _ in 0..10_000 {
-            let v = rng.next_range(5, 8);
-            assert!((5..=8).contains(&v));
-            saw_lo |= v == 5;
-            saw_hi |= v == 8;
-        }
-        assert!(saw_lo && saw_hi);
-    }
-
-    #[test]
     fn next_f64_in_unit_interval() {
         let mut rng = Rng::new(9);
         for _ in 0..10_000 {
@@ -252,18 +219,6 @@ mod tests {
         let hits = (0..n).filter(|_| rng.next_bool(0.3)).count();
         let freq = hits as f64 / n as f64;
         assert!((freq - 0.3).abs() < 0.01, "{freq}");
-    }
-
-    #[test]
-    fn geometric_mean_matches() {
-        let mut rng = Rng::new(13);
-        let p = 0.25;
-        let n = 50_000;
-        let total: u64 = (0..n).map(|_| rng.next_geometric(p)).sum();
-        let mean = total as f64 / n as f64;
-        // E[failures before success] = (1-p)/p = 3.
-        assert!((mean - 3.0).abs() < 0.15, "{mean}");
-        assert_eq!(Rng::new(1).next_geometric(1.0), 0);
     }
 
     #[test]

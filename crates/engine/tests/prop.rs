@@ -46,9 +46,9 @@ const BIASES: [Bias; 5] = [
         unit: 1,
     },
     // (e) The measured delay mix of a 648-node fabric run, in
-    // picoseconds (`FABRIC_MIX` in crates/bench/benches/engine.rs; its
-    // sixteenth entry, an arbitrary wake-up, is the arbitrary-distance
-    // operation below).
+    // picoseconds (counted from the inserts of the benchmark driver's
+    // `silent648`; its sixteenth entry, an arbitrary wake-up, is the
+    // arbitrary-distance operation below).
     Bias {
         deltas: &[
             50_000,

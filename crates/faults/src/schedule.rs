@@ -367,12 +367,6 @@ impl FaultState {
         }
     }
 
-    /// Does any fault family ever touch channel `ch`? Lets callers skip
-    /// per-packet checks on unaffected links.
-    pub fn touches_channel(&self, ch: u32) -> bool {
-        !self.flap[ch as usize].is_empty() || !self.becn[ch as usize].is_empty()
-    }
-
     /// When should a credit scheduled for release at `at` on channel
     /// `ch` actually be released? `base_tx` is the serialisation time of
     /// the blocks being credited at the link's healthy rate.
@@ -650,12 +644,12 @@ mod tests {
     }
 
     #[test]
-    fn touches_channel_is_selective() {
+    fn flap_lands_on_its_channels_only() {
         let st = state("flap:link=hca:1,at=1ms,dur=1ms,factor=2", 0);
         // hca:1 resolves to channels 2 and 3 under the test resolver.
-        assert!(st.touches_channel(2));
-        assert!(st.touches_channel(3));
-        assert!(!st.touches_channel(0));
+        let flapped = |ch: usize| !st.flap[ch].is_empty();
+        assert!(flapped(2) && flapped(3));
+        assert!(!flapped(0));
     }
 }
 

@@ -373,12 +373,6 @@ impl TrafficClass {
         self.committed.is_some()
     }
 
-    /// Restart budget accounting from `now` (measurement epochs).
-    pub fn rebase_budget(&mut self, now: Time) {
-        self.budget_from = now;
-        self.sent_bytes = 0;
-    }
-
     /// Export the class's mutable state (checkpoint). The destination
     /// pattern travels too: `Fixed` targets retarget under moving
     /// hotspots and `Sequence` rotates as it serves.
@@ -663,17 +657,5 @@ mod tests {
     fn append_after_close_panics() {
         let mut c = TrafficClass::scripted(vec![send(0, 1, 512)]);
         c.append_script(&[send(1, 2, 512)]);
-    }
-
-    #[test]
-    fn rebase_budget_restarts_accounting() {
-        let mut c = TrafficClass::new(100, DestPattern::Fixed(1), 2048);
-        let (_, b) = c.peek(Time::from_ms(1), 0, 4, R, 2048).unwrap();
-        c.take(b);
-        c.rebase_budget(Time::from_ms(2));
-        assert_eq!(c.sent_bytes(), 0);
-        // Immediately after a rebase the budget is zero again.
-        let err = c.peek(Time::from_ms(2), 0, 4, R, 2048).unwrap_err();
-        assert!(err > Time::from_ms(2));
     }
 }

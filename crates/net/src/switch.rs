@@ -453,25 +453,9 @@ impl Switch {
         &self.cong[self.pv(port as usize, vl as usize)]
     }
 
-    /// Mutable detector access (tests).
-    pub fn cong_mut(&mut self, port: u16, vl: Vl) -> &mut PortVlCongestion {
-        let i = self.pv(port as usize, vl as usize);
-        &mut self.cong[i]
-    }
-
     /// Packets standing in all of this switch's VoQs.
     pub fn queued_packets(&self) -> usize {
         self.voqs.total()
-    }
-
-    /// Packets standing in input port `in_port`'s VoQs, over all
-    /// outputs and VLs.
-    pub fn queued_packets_at(&self, in_port: u16) -> usize {
-        let radix = self.ports.len();
-        let nv = self.n_vls as usize;
-        (0..radix * nv)
-            .map(|ov| self.voqs.len(ov * radix + in_port as usize))
-            .sum()
     }
 
     /// Install congestion detectors (CC on) for every cabled output.
@@ -1234,7 +1218,8 @@ mod tests {
         let params = CcParams::paper_table1();
         s.install_cc(&params, 1024, &[false; 4]);
         // Port 3 is uncabled; its detector stays disabled.
-        s.cong_mut(3, 0).on_enqueue(1 << 20, true);
+        let i = s.pv(3, 0);
+        s.cong[i].on_enqueue(1 << 20, true);
         assert!(!s.cong(3, 0).in_congestion());
     }
 
@@ -1287,9 +1272,6 @@ mod tests {
         assert_eq!(s.buffered_blocks(1, 0), 0);
         assert_eq!(s.queued_bytes_toward(1, 0), 2048 + 64);
         assert_eq!(s.queued_bytes_toward(2, 0), 0);
-        assert_eq!(s.queued_packets_at(0), 1);
-        let total: usize = (0..4).map(|p| s.queued_packets_at(p)).sum();
-        assert_eq!(total, s.queued_toward(1));
     }
 
     #[test]

@@ -47,21 +47,6 @@ impl VlArbTable {
         }
     }
 
-    /// A strict-priority lane on top of round-robin bulk lanes.
-    pub fn with_priority_vl(priority_vl: Vl, n_vls: u8) -> Self {
-        VlArbTable {
-            high: vec![VlWeight {
-                vl: priority_vl,
-                weight: 255,
-            }],
-            low: (0..n_vls)
-                .filter(|&vl| vl != priority_vl)
-                .map(|vl| VlWeight { vl, weight: 16 })
-                .collect(),
-            limit_of_high_priority: 255,
-        }
-    }
-
     /// Sanity checks mirroring the spec's constraints.
     pub fn validate(&self, n_vls: u8) -> Result<(), String> {
         if self.high.is_empty() && self.low.is_empty() {
@@ -344,7 +329,11 @@ mod tests {
 
     #[test]
     fn high_priority_preempts_low() {
-        let t = VlArbTable::with_priority_vl(1, 2);
+        let t = VlArbTable {
+            high: vec![VlWeight { vl: 1, weight: 255 }],
+            low: vec![VlWeight { vl: 0, weight: 16 }],
+            limit_of_high_priority: 255,
+        };
         let mut a = VlArbiter::new(t);
         // Both eligible: VL1 (high) always wins.
         for _ in 0..20 {

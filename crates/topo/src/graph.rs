@@ -83,20 +83,6 @@ impl Topology {
         })
     }
 
-    /// What is cabled to `switch`'s `port`, if anything.
-    pub fn peer_of(&self, switch: usize, port: usize) -> Option<Endpoint> {
-        let me = Endpoint::SwitchPort { switch, port };
-        self.links.iter().find_map(|l| {
-            if l.a == me {
-                Some(l.b)
-            } else if l.b == me {
-                Some(l.a)
-            } else {
-                None
-            }
-        })
-    }
-
     /// Build a lookup index for fast repeated routing queries.
     pub fn index(&self) -> RoutingIndex {
         let mut peers = std::collections::HashMap::new();
@@ -261,8 +247,6 @@ mod tests {
         assert_eq!(t.route_path(0, 0), Some(vec![]));
         assert_eq!(t.hop_count(0, 1), Some(1));
         assert_eq!(t.hca_attachment(1), Some((0, 1)));
-        assert_eq!(t.peer_of(0, 0), Some(Endpoint::Hca(0)),);
-        assert_eq!(t.peer_of(0, 3), None);
     }
 
     #[test]

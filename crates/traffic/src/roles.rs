@@ -75,16 +75,34 @@ impl RoleSpec {
         }
     }
 
+    /// Can a placement be drawn? The error names the offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.num_hotspots == 0 {
+            return Err("roles.num_hotspots must be at least 1".into());
+        }
+        if self.num_hotspots >= self.num_nodes {
+            return Err(format!(
+                "roles.num_hotspots {} needs more nodes than hotspots ({} nodes)",
+                self.num_hotspots, self.num_nodes
+            ));
+        }
+        let pcts = [
+            ("b_pct", self.b_pct),
+            ("b_p", self.b_p),
+            ("c_pct_of_rest", self.c_pct_of_rest),
+        ];
+        match pcts.iter().find(|(_, pct)| *pct > 100) {
+            Some((key, pct)) => Err(format!("roles.{key} {pct} is not a percentage (0..=100)")),
+            None => Ok(()),
+        }
+    }
+
     /// Draw a placement. Every contributor gets a group; a contributor
     /// is never asked to send to itself (group membership is rotated
-    /// away from its own hotspot).
+    /// away from its own hotspot). Panics where [`RoleSpec::check`]
+    /// fails.
     pub fn assign(&self, rng: &mut Rng) -> RoleAssignment {
-        assert!(self.num_hotspots >= 1, "need at least one hotspot");
-        assert!(
-            self.num_nodes > self.num_hotspots,
-            "need more nodes than hotspots"
-        );
-        assert!(self.b_pct <= 100 && self.b_p <= 100 && self.c_pct_of_rest <= 100);
+        self.check().unwrap_or_else(|e| panic!("{e}"));
 
         // Hotspot locations: distinct random nodes.
         let hotspots: Vec<NodeId> = rng

@@ -51,9 +51,8 @@ fn run_point(
         end,
         ..ClockPlan::default()
     };
-    opts.drive(&mut net, plan, None, Vec::new, |_, _| true)
-        .audit
-        .raise();
+    opts.drive(&mut net, plan, |_, _| true);
+    opts.finish(&mut net, None, &[]).audit.raise();
     let lat = net.latency_histogram();
     let rx: f64 = (0..topo.num_hcas as u32)
         .map(|n| net.rx_gbps(n))

@@ -82,37 +82,35 @@ impl RunOptions {
         let mut samples: Vec<Sample> = Vec::new();
         let mut floor_breaches = 0usize;
         net.start_measurement();
-        let hotspots = || sc.assignment.hotspots.clone();
-        let audit = self
-            .drive(&mut net, plan, Some("drill"), hotspots, |net, t| {
-                net.stop_measurement();
-                let s = Sample {
-                    t_us: t.as_ps() as f64 / 1e6,
-                    gbps: sc.non_hotspot_avg_rx(net),
-                    max_ccti: net.max_ccti(),
-                };
-                if let Some(floor) = floor_gbps.filter(|&floor| s.gbps < floor) {
-                    floor_breaches += 1;
-                    let (t_us, gbps) = (s.t_us, s.gbps);
-                    let note = format!(
-                        "bin ending {t_us:.0}µs: victims {gbps:.3} Gbit/s < floor {floor:.3}"
-                    );
-                    net.flight_note(FlightKind::FloorBreach, "drill", note);
-                    if floor_breaches == 1 {
-                        if let Some(doc) = net.flight_dump_json("drill floor breach") {
-                            std::fs::create_dir_all(&self.out).expect("create out dir");
-                            std::fs::write(self.out.join("flight_breach_drill.json"), doc)
-                                .expect("write breach dump");
-                        }
+        self.drive(&mut net, plan, |net, t| {
+            net.stop_measurement();
+            let s = Sample {
+                t_us: t.as_ps() as f64 / 1e6,
+                gbps: sc.non_hotspot_avg_rx(net),
+                max_ccti: net.max_ccti(),
+            };
+            if let Some(floor) = floor_gbps.filter(|&floor| s.gbps < floor) {
+                floor_breaches += 1;
+                let (t_us, gbps) = (s.t_us, s.gbps);
+                let note = format!(
+                    "bin ending {t_us:.0}µs: victims {gbps:.3} Gbit/s < floor {floor:.3}"
+                );
+                net.flight_note(FlightKind::FloorBreach, "drill", note);
+                if floor_breaches == 1 {
+                    if let Some(doc) = net.flight_dump_json("drill floor breach") {
+                        std::fs::create_dir_all(&self.out).expect("create out dir");
+                        std::fs::write(self.out.join("flight_breach_drill.json"), doc)
+                            .expect("write breach dump");
                     }
                 }
-                samples.push(s);
-                if t < t_end {
-                    net.start_measurement();
-                }
-                true
-            })
-            .audit;
+            }
+            samples.push(s);
+            if t < t_end {
+                net.start_measurement();
+            }
+            true
+        });
+        let audit = self.finish(&mut net, Some("drill"), &sc.assignment.hotspots).audit;
 
         let (start, clear) = schedule
             .span()

@@ -9,7 +9,6 @@ use ibsim_net::{FaultSchedule, NetConfig, PAPER_MSG_BYTES};
 use ibsim_topo::Topology;
 use ibsim_traffic::{RoleSpec, Scenario};
 use serde::Serialize;
-use std::cell::RefCell;
 
 /// The longest duration in µs a run takes from its input, so that
 /// windows summed and quintupled (a workload's drain cap) still fit the
@@ -148,19 +147,16 @@ impl RunOptions {
             label: Some(label),
             resumed,
         };
-        // The finish groups the figure series by the final hotspot set.
-        let sc = RefCell::new(sc);
-        let hotspots = || sc.borrow().assignment.hotspots.clone();
-        let artifacts = self.drive(&mut net, plan, None, hotspots, |net, t| {
+        self.drive(&mut net, plan, |net, t| {
             if t < t_end {
-                sc.borrow_mut().move_hotspots(net);
+                sc.move_hotspots(net);
             }
             true
         });
+        // The finish groups the figure series by the final hotspot set.
         // A broken ledger fails the run rather than reporting corrupt
         // numbers (a no-op pass when auditing is off).
-        artifacts.audit.raise();
-        let sc = sc.into_inner();
+        self.finish(&mut net, None, &sc.assignment.hotspots).audit.raise();
 
         let lat = net.latency_histogram();
         let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);

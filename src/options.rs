@@ -380,9 +380,9 @@ impl RunOptions {
         net
     }
 
-    /// The one driver: run `plan` on an armed, installed `net`, then
-    /// [`RunOptions::finish`] it under `hint` (`None`: `cc_on` or
-    /// `cc_off`). At each edge, in order: run to it, first to a pending
+    /// The one driver: run `plan` on an armed, installed `net`; the
+    /// caller then [`RunOptions::finish`]es it. At each edge, in order:
+    /// run to it, first to a pending
     /// `checkpoint_at` capture at or before it and save there; open or
     /// close the window; on a step edge or at `end`, after 0, call
     /// `at_step`, whose `false` ends the run. A stepped plan of no
@@ -392,10 +392,8 @@ impl RunOptions {
         &self,
         net: &mut Network,
         plan: ClockPlan,
-        hint: Option<&str>,
-        hotspots: impl FnOnce() -> Vec<NodeId>,
         mut at_step: impl FnMut(&mut Network, Time) -> bool,
-    ) -> RunArtifacts {
+    ) {
         let (open, close, step, end) = (plan.open, plan.close, plan.step, plan.end);
         assert!(step.is_none_or(|s| s.as_ps() > 0), "zero clock step");
         // A resumed run never re-saves a capture its file already holds.
@@ -429,8 +427,6 @@ impl RunOptions {
             }
             from = Time(t.as_ps() + 1);
         }
-        let cc_half = if net.cc_enabled() { "cc_on" } else { "cc_off" };
-        self.finish(net, hint.unwrap_or(cc_half), &hotspots())
     }
 
     /// Resolve the `hotspots` trace keyword against a drawn role
@@ -446,15 +442,22 @@ impl RunOptions {
         }
     }
 
-    /// The one finish: draw one `runNNN_<hint>` label, write every
-    /// armed observer's artifacts under it into `out`, then run the
+    /// The one finish: draw one `runNNN_<hint>` label (`None`: `cc_on`
+    /// or `cc_off`), write every armed observer's artifacts under it
+    /// into `out`, then run the
     /// end-of-run oracle pass. Artifacts go to disk *before* the audit
     /// so they survive the caller raising on a broken ledger.
     /// `hotspots` groups the `figure_*.csv` series.
-    pub fn finish(&self, net: &mut Network, hint: &str, hotspots: &[NodeId]) -> RunArtifacts {
+    pub fn finish(
+        &self,
+        net: &mut Network,
+        hint: Option<&str>,
+        hotspots: &[NodeId],
+    ) -> RunArtifacts {
         /// Per-process run counter: parallel sweeps never clobber each
         /// other's artifacts, and all files of one run share a label.
         static RUN_SEQ: AtomicUsize = AtomicUsize::new(0);
+        let hint = hint.unwrap_or(if net.cc_enabled() { "cc_on" } else { "cc_off" });
         let armed = net.telemetry_enabled() || net.tracer().is_some() || net.profile_enabled();
         let label =
             armed.then(|| format!("run{:03}_{hint}", RUN_SEQ.fetch_add(1, Ordering::Relaxed)));

@@ -49,11 +49,6 @@ impl Estimate {
         Estimate { mean, std, ci95, n }
     }
 
-    /// Does `other`'s mean fall outside this estimate's 95 % interval?
-    pub fn differs_from(&self, other: &Estimate) -> bool {
-        (self.mean - other.mean).abs() > self.ci95 + other.ci95
-    }
-
     pub fn display(&self) -> String {
         format!("{:.3} ± {:.3}", self.mean, self.ci95)
     }
@@ -126,15 +121,6 @@ mod tests {
         let one = Estimate::from_samples(&[7.0]);
         assert_eq!(one.mean, 7.0);
         assert_eq!(one.ci95, 0.0);
-    }
-
-    #[test]
-    fn differs_from_detects_separation() {
-        let a = Estimate::from_samples(&[1.0, 1.1, 0.9]);
-        let b = Estimate::from_samples(&[5.0, 5.1, 4.9]);
-        assert!(a.differs_from(&b));
-        let c = Estimate::from_samples(&[1.0, 1.2, 0.8]);
-        assert!(!a.differs_from(&c));
     }
 
     #[test]

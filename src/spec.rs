@@ -102,11 +102,14 @@ impl SimSpec {
         if roles.num_nodes == 0 {
             roles.num_nodes = topo.num_hcas;
         }
-        if self.workload.is_none() && roles.num_nodes != topo.num_hcas {
-            return Err(format!(
-                "roles.num_nodes {} != topology nodes {}",
-                roles.num_nodes, topo.num_hcas
-            ));
+        if self.workload.is_none() {
+            if roles.num_nodes != topo.num_hcas {
+                return Err(format!(
+                    "roles.num_nodes {} != topology nodes {}",
+                    roles.num_nodes, topo.num_hcas
+                ));
+            }
+            roles.check()?;
         }
         self.net.validate()?;
         if self.hotspot_lifetime_us == Some(0) {
@@ -206,6 +209,78 @@ mod tests {
         }"#;
         let spec = SimSpec::from_json(json).unwrap();
         assert!(spec.run().unwrap_err().contains("num_nodes"));
+    }
+
+    /// `check`'s error on MINIMAL (8 nodes) after `edit` to its roles.
+    fn roles_error(edit: impl FnOnce(&mut RoleSpec)) -> String {
+        let mut spec = SimSpec::from_json(MINIMAL).unwrap();
+        edit(&mut spec.roles);
+        spec.check().unwrap_err()
+    }
+
+    #[test]
+    fn zero_hotspots_rejected() {
+        let err = roles_error(|r| r.num_hotspots = 0);
+        assert!(err.contains("roles.num_hotspots "), "{err}");
+    }
+
+    #[test]
+    fn more_hotspots_than_nodes_rejected() {
+        let err = roles_error(|r| r.num_hotspots = 99);
+        assert!(err.contains("roles.num_hotspots 99"), "{err}");
+    }
+
+    #[test]
+    fn b_pct_past_100_rejected() {
+        let err = roles_error(|r| r.b_pct = 500);
+        assert!(err.contains("roles.b_pct 500"), "{err}");
+    }
+
+    #[test]
+    fn b_p_past_100_rejected() {
+        let err = roles_error(|r| r.b_p = 900);
+        assert!(err.contains("roles.b_p 900"), "{err}");
+    }
+
+    #[test]
+    fn c_pct_of_rest_past_100_rejected() {
+        let err = roles_error(|r| r.c_pct_of_rest = 800);
+        assert!(err.contains("roles.c_pct_of_rest 800"), "{err}");
+    }
+
+    proptest::proptest! {
+        /// `check` and the placement agree: a roles block `check`
+        /// accepts installs without a panic, one it refuses is refused
+        /// naming a bad field. A set bit of `fold` folds that field
+        /// into its valid range, so both sides are reached.
+        #[test]
+        fn check_agrees_with_the_placement(
+            (hot, b_pct, b_p, c_pct) in (0usize..=1000, 0u32..=1000, 0u32..=1000, 0u32..=1000),
+            fold: u8,
+        ) {
+            let mut spec = SimSpec::from_json(MINIMAL).unwrap();
+            let pct = |bit: u8, v: u32| if fold & bit != 0 { v % 101 } else { v };
+            let r = &mut spec.roles;
+            r.num_hotspots = if fold & 1 != 0 { 1 + hot % 7 } else { hot };
+            (r.b_pct, r.b_p, r.c_pct_of_rest) = (pct(2, b_pct), pct(4, b_p), pct(8, c_pct));
+            let r = spec.roles;
+            let bad = [
+                ("num_hotspots", r.num_hotspots == 0 || r.num_hotspots >= 8),
+                ("b_pct", r.b_pct > 100),
+                ("b_p", r.b_p > 100),
+                ("c_pct_of_rest", r.c_pct_of_rest > 100),
+            ];
+            match spec.check() {
+                Ok((topo, roles)) => {
+                    proptest::prop_assert!(bad.iter().all(|(_, b)| !b), "{r:?} accepted");
+                    Scenario::install(roles, &mut Network::new(&topo, spec.net.clone()));
+                }
+                Err(e) => proptest::prop_assert!(
+                    bad.iter().any(|(k, b)| *b && e.contains(&format!("roles.{k} "))),
+                    "{r:?}: {e}"
+                ),
+            }
+        }
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl RunOptions {
             net.start_measurement();
         }
         let mut drained_at = None;
-        let artifacts = self.drive(&mut net, plan, None, Vec::new, |net, t| {
+        self.drive(&mut net, plan, |net, t| {
             let fed_done = wl.feeder.as_ref().is_none_or(|f| f.done());
             if drained_at.is_none() && fed_done && net.workload_drained() {
                 drained_at = Some(t);
@@ -139,7 +139,7 @@ impl RunOptions {
             }
             true
         });
-        artifacts.audit.raise();
+        self.finish(&mut net, None, &[]).audit.raise();
 
         let lat = net.latency_histogram();
         let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);

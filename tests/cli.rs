@@ -194,11 +194,18 @@ fn workloads_preset_selects_fabric_and_windows() {
 #[test]
 fn the_binary_exits_2_on_a_bad_command_line() {
     let out = std::env::temp_dir().join(format!("ibsim_cli_bin_{}", std::process::id()));
+    // Hostile roles in a spec file used to panic inside the placement.
+    let spec = std::env::temp_dir().join(format!("ibsim_cli_roles_{}.json", std::process::id()));
+    let roles = r#""num_nodes": 0, "num_hotspots": 0, "b_pct": 0, "b_p": 0, "c_pct_of_rest": 80"#;
+    let fabric = r#"{"FatTree": {"radix": 4, "leafs": 4}}"#;
+    std::fs::write(&spec, format!(r#"{{"topology": {fabric}, "roles": {{{roles}}}}}"#)).unwrap();
+    let simulate = format!("simulate {}", spec.display());
     for line in [
         "windy --x 101",
         "faults --bin-us 0",
         "table2 --shards 0",
         "nope",
+        &simulate,
     ] {
         let run = ibsim(line, &out);
         let stderr = String::from_utf8_lossy(&run.stderr);
@@ -219,6 +226,7 @@ fn the_binary_exits_2_on_a_bad_command_line() {
         "{listing}"
     );
     assert!(!out.exists(), "a refused command line writes nothing");
+    std::fs::remove_file(spec).ok();
 }
 
 /// Tokens a command line is made of: every command and flag name,

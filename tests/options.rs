@@ -138,7 +138,7 @@ fn finish_writes_one_labelled_set_and_nothing_when_unarmed() {
             net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
         }
         net.run_until(ibsim_engine::time::Time::from_us(300));
-        opts.finish(&mut net, "cc_on", &[0])
+        opts.finish(&mut net, Some("cc_on"), &[0])
     };
     let done = run(&opts);
     let label = done.label.expect("armed run draws a label");

@@ -1,126 +1,84 @@
 #!/usr/bin/env python3
-"""CI bench-regression gate.
+"""CI gate on the benchmark driver's quick72_session runs.
 
-Compares a quick-mode bench run (JSONL lines from the vendored criterion
-harness, one ``{"name", "ns_per_iter", "ns_min", "ns_max", "elements",
-"elems_per_sec"}`` object per line) against the tracked floor rates in
-``BENCH_CORE.json`` (``quick_reference.benches``). Fails (exit 1) if any
-``network_throughput/*`` bench lands more than the allowed fraction
-below its floor.
+Each input file is the standard output of one run of
 
-The floor is the minimum of several quick-mode runs on the reference
-machine, so the gate only fires when a run is slower than anything the
-bench has ever produced there — by default by a further 15 %.
+    benchmark/target/release/ibsim-benchmark \\
+        --workload quick72_session --trace 1 --seconds 8
 
-``quick_reference.ratio_gates`` adds machine-independent checks on top:
-each entry demands ``bench >= min_ratio * baseline`` *within the same
-run*, so overhead envelopes (e.g. the telemetry-on bench against the
-plain CC-on bench) hold even on hardware where the absolute floors are
-skipped. Ratio gates are NOT bypassed by ``BENCH_GATE_SKIP`` unless the
-run file itself is absent — both sides come from the same run, so
-slower hardware cancels out.
+whose second-to-last line is the run's detail document (the last is the
+contract line). The gate fails (exit 1) if any run has
+``failed_checks > 0`` — at the default seed that covers the pinned digest,
+resumed == uninterrupted and observed == unobserved — or if the median over
+the runs of a ratio in ``driver_gate.ceilings`` of ``BENCH_CORE.json`` lies
+above its ceiling. Both ratios divide two timings of the same run, so the
+gate carries across machines; the median absorbs the spread of single runs.
 
 Usage:
-    python3 tools/bench_gate.py <run.jsonl> [--baseline BENCH_CORE.json]
-                                            [--allow 0.15]
-
-Environment:
-    BENCH_GATE_SKIP=1   skip the absolute-floor comparison; for
-                        known-slower hardware where absolute rates are
-                        not comparable to the reference machine. The
-                        same-run ratio gates still apply.
+    python3 tools/bench_gate.py run1.txt run2.txt run3.txt
+                                [--baseline BENCH_CORE.json]
 """
 
 import argparse
 import json
-import os
+import statistics
 import sys
+
+
+def detail(path):
+    """The detail document of one run: its second-to-last stdout line."""
+    with open(path) as fh:
+        lines = [line for line in fh.read().splitlines() if line.strip()]
+    if len(lines) < 2:
+        raise ValueError(f"{path}: fewer than two lines of output")
+    return json.loads(lines[-2])
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("run", help="JSONL file from a BENCH_QUICK=1 run")
+    ap.add_argument("runs", nargs="+", help="stdout of one driver run each")
     ap.add_argument("--baseline", default="BENCH_CORE.json")
-    ap.add_argument(
-        "--allow",
-        type=float,
-        default=0.15,
-        help="allowed fractional drop below the floor (default 0.15)",
-    )
     args = ap.parse_args()
 
     with open(args.baseline) as fh:
-        quick_ref = json.load(fh).get("quick_reference", {})
-    floors = quick_ref.get("benches", {})
-    ratio_gates = {
-        name: spec
-        for name, spec in quick_ref.get("ratio_gates", {}).items()
-        if isinstance(spec, dict)  # skip the "comment" key
-    }
-    if not floors and not ratio_gates:
-        print(f"bench_gate: no quick_reference gates in {args.baseline}; nothing to gate")
-        return 0
-
-    measured = {}
-    with open(args.run) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            # Keep the best rate if the file holds several runs.
-            name = rec["name"]
-            measured[name] = max(measured.get(name, 0), rec["elems_per_sec"])
+        gate = json.load(fh)["driver_gate"]
+    ceilings = gate["ceilings"]
 
     failures = []
-    if os.environ.get("BENCH_GATE_SKIP") == "1":
-        print("bench_gate: BENCH_GATE_SKIP=1, skipping absolute-floor comparison")
-        floors = {}
-    for name, floor in sorted(floors.items()):
-        if not name.startswith("network_throughput/"):
+    values = {name: [] for name in ceilings}
+    for path in args.runs:
+        doc = detail(path)
+        if doc.get("workload") != gate["workload"]:
+            failures.append(f"{path}: workload {doc.get('workload')!r}, not {gate['workload']!r}")
             continue
-        got = measured.get(name)
-        if got is None:
-            failures.append(f"{name}: missing from {args.run}")
-            continue
-        limit = floor * (1.0 - args.allow)
-        verdict = "FAIL" if got < limit else "ok"
-        print(
-            f"bench_gate: {name}: {got:>12,.0f} elem/s "
-            f"(floor {floor:,.0f}, limit {limit:,.0f}) {verdict}"
-        )
-        if got < limit:
-            failures.append(
-                f"{name}: {got:,.0f} elem/s is {1 - got / floor:.0%} below the "
-                f"tracked floor {floor:,.0f} (allowance {args.allow:.0%})"
-            )
+        failed = doc.get("failed_checks", 1)
+        print(f"bench_gate: {path}: failed_checks {failed} of {doc.get('checks_total')}")
+        if failed:
+            bad = [c["name"] for c in doc.get("checks", []) if not c["ok"]]
+            failures.append(f"{path}: {failed} failed checks {bad}")
+        for name in ceilings:
+            metric = doc.get("metrics", {}).get(name)
+            if metric is None:
+                failures.append(f"{path}: no {name} (a --trace 1 run reports it)")
+            else:
+                values[name].append(metric["value"])
 
-    # Same-run overhead envelopes: bench >= min_ratio * baseline bench.
-    for name, spec in sorted(ratio_gates.items()):
-        base_name, min_ratio = spec["baseline"], spec["min_ratio"]
-        got, base = measured.get(name), measured.get(base_name)
-        if got is None or base is None:
-            missing = name if got is None else base_name
-            failures.append(f"{name} ratio gate: {missing} missing from {args.run}")
+    for name, ceiling in sorted(ceilings.items()):
+        if not values[name]:
             continue
-        ratio = got / base if base else 0.0
-        verdict = "FAIL" if ratio < min_ratio else "ok"
-        print(
-            f"bench_gate: {name}: {ratio:.2f}x of {base_name} "
-            f"(min {min_ratio:.2f}x) {verdict}"
-        )
-        if ratio < min_ratio:
-            failures.append(
-                f"{name}: {ratio:.2f}x of {base_name} is below the "
-                f"tracked overhead envelope ({min_ratio:.2f}x)"
-            )
+        median = statistics.median(values[name])
+        runs = " ".join(f"{v:.2f}" for v in values[name])
+        verdict = "FAIL" if median > ceiling else "ok"
+        print(f"bench_gate: {name}: median {median:.3f} of [{runs}] (ceiling {ceiling}) {verdict}")
+        if median > ceiling:
+            failures.append(f"{name}: median {median:.3f} is above its ceiling {ceiling}")
 
     if failures:
         print("bench_gate: REGRESSION DETECTED", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print("bench_gate: all network_throughput gates within allowance")
+    print(f"bench_gate: {len(args.runs)} runs pass")
     return 0
 
 

@@ -4,9 +4,10 @@
 For ``src/`` and each ``crates/*/src`` it prints the Rust lines of
 program code — in each file, the lines before its first
 ``#[cfg(test)]`` — and all Rust lines, then the sums of both columns,
-then the total Rust lines anywhere outside ``vendor/``. Directories
-named ``target`` and hidden directories are skipped. Informational: it
-gates nothing.
+then the total Rust lines anywhere outside ``vendor/``, the Rust lines
+under ``vendor/`` and the number of workspace members. Directories named
+``target`` and hidden directories are skipped. Informational: it gates
+nothing.
 
 Usage:
     python3 tools/loc.py [repo-root]      (default: the current directory)
@@ -14,6 +15,7 @@ Usage:
 
 import os
 import sys
+import tomllib
 
 TEST_MARK = "#[cfg(test)]"
 
@@ -64,6 +66,11 @@ def main():
     print(f"{'src + crates/*/src':<24} {sum_non_test:>9} {sum_all:>7}")
     outside = sum(count(p)[1] for p in rust_files(top, skip_vendor=True))
     print(f"Rust outside vendor/: {outside}")
+    vendored = sum(count(p)[1] for p in rust_files(os.path.join(top, "vendor")))
+    print(f"Rust under vendor/: {vendored}")
+    with open(os.path.join(top, "Cargo.toml"), "rb") as f:
+        members = tomllib.load(f)["workspace"]["members"]
+    print(f"workspace members: {len(members)}")
 
 
 if __name__ == "__main__":
