@@ -265,10 +265,7 @@ impl NetAudit {
     /// buffer, and credit returns flying back.
     fn check_credits(&self, net: &Network, r: &mut AuditReport) {
         for (id, ch) in net.channels.iter().enumerate() {
-            let capacity = match ch.to.0 {
-                Dev::Switch(_) => net.cfg.switch_ibuf_blocks,
-                Dev::Hca(_) => net.cfg.hca_ibuf_blocks,
-            } as i64;
+            let capacity = ch.capacity(&net.cfg) as i64;
             for vl in 0..self.n_vls {
                 let sender = match ch.from {
                     (Dev::Switch(s), port) => net.switches[s as usize].credit(port, vl as Vl),

@@ -9,7 +9,7 @@ use crate::profile::{EngineProfiler, ProfileReport, Subsystem};
 use crate::switch::{Grant, Switch};
 use crate::telemetry::{self, FabricView, FlightKind, NetTelemetry, TelemetryConfig};
 use crate::trace::{TraceCtx, TracePoint, Tracer};
-use crate::types::{NodeId, Packet, Vl};
+use crate::types::{blocks_for, NodeId, Packet, Vl};
 use ibsim_cc::{CcBackend, DcqcnCc, HcaCc, SourceCc};
 use ibsim_engine::queue::EventQueue;
 use ibsim_faults::{AppliedEffect, FaultSchedule, FaultState, FaultStats, LinkSel};
@@ -33,6 +33,17 @@ pub struct Channel {
     pub delay: TimeDelta,
     /// Channel id of the opposite direction (credit return path).
     pub reverse: u32,
+}
+
+impl Channel {
+    /// Blocks per VL of the input buffer this channel feeds: the credits
+    /// its sender starts with.
+    pub(crate) fn capacity(&self, cfg: &NetConfig) -> u32 {
+        match self.to.0 {
+            Dev::Switch(_) => cfg.switch_ibuf_blocks,
+            Dev::Hca(_) => cfg.hca_ibuf_blocks,
+        }
+    }
 }
 
 /// Simulation events, as the dispatch path reads them. Packet payloads
@@ -231,12 +242,20 @@ impl Network {
         let cc_params = cfg.cc.clone().map(Arc::new);
         let n_vls = cfg.n_vls;
 
+        // Backlog slab room for every input buffer full of MTU-size
+        // packets, less the one at a head: only smaller packets can
+        // make a slab grow past it, so under MTU traffic a slab never
+        // allocates once the fabric is built.
+        let behind_head = (cfg.switch_ibuf_blocks / blocks_for(cfg.mtu)).saturating_sub(1);
         let mut switches: Vec<Switch> = topo
             .switches
             .iter()
             .zip(&topo.lfts)
             .map(|(s, lft)| {
-                Switch::with_arbitration(s.ports, n_vls, lft.clone(), cfg.vl_arbitration.clone())
+                let arb = cfg.vl_arbitration.clone();
+                let mut sw = Switch::with_arbitration(s.ports, n_vls, lft.clone(), arb);
+                sw.reserve_backlog(behind_head as usize);
+                sw
             })
             .collect();
         let num_nodes = topo.num_hcas as u32;
@@ -311,10 +330,7 @@ impl Network {
 
         // Initial credits: the downstream input buffer size, per VL.
         for ch in &channels {
-            let credit = match ch.to.0 {
-                Dev::Switch(_) => cfg.switch_ibuf_blocks,
-                Dev::Hca(_) => cfg.hca_ibuf_blocks,
-            };
+            let credit = ch.capacity(&cfg);
             match ch.from.0 {
                 Dev::Switch(s) => {
                     for vl in 0..n_vls {
@@ -1008,10 +1024,7 @@ impl Network {
     /// buffer space) leaked somewhere. Returns the first violation.
     pub fn check_credits_at_rest(&self) -> Result<(), String> {
         for (id, ch) in self.channels.iter().enumerate() {
-            let expect = match ch.to.0 {
-                Dev::Switch(_) => self.cfg.switch_ibuf_blocks,
-                Dev::Hca(_) => self.cfg.hca_ibuf_blocks,
-            };
+            let expect = ch.capacity(&self.cfg);
             for vl in 0..self.cfg.n_vls {
                 let c = match ch.from {
                     (Dev::Switch(sw), port) => self.switches[sw as usize].credit(port, vl),

@@ -29,10 +29,11 @@
 //! records the captured run had already consumed.
 
 use crate::audit::NetAuditState;
+use crate::config::NetConfig;
 use crate::hca::HcaState;
-use crate::network::{Ev, Event, Network};
+use crate::network::{Channel, Ev, Event, Network};
 use crate::pool::PacketPool;
-use crate::switch::SwitchState;
+use crate::switch::{Switch, SwitchState};
 use crate::telemetry::NetTelemetryState;
 use crate::types::{Packet, Vl};
 use ibsim_engine::queue::EventQueue;
@@ -292,8 +293,9 @@ impl Network {
         // empty. Handles are never persisted; they are an in-memory
         // indexing scheme, not state.
         self.pool.clear();
-        for (sw, ss) in self.switches.iter_mut().zip(&s.switches) {
+        for (i, (sw, ss)) in self.switches.iter_mut().zip(&s.switches).enumerate() {
             sw.restore_state(ss, &mut self.pool)?;
+            check_buffers(i, sw, &self.cfg, &self.channels)?;
         }
         for (h, hs) in self.hcas.iter_mut().zip(&s.hcas) {
             h.restore_state(hs, &mut self.pool)?;
@@ -323,4 +325,35 @@ impl Network {
         self.measured_until = s.measured_until;
         Ok(())
     }
+}
+
+/// Refuse a restored switch no run can reach: an input `(port, VL)`
+/// holding more blocks than its buffer, or a credit counter above the
+/// buffer at the far end of the port's cable (an uncabled port has
+/// none). Credits bound every backlog, so this is also what bounds the
+/// backlog slab.
+fn check_buffers(
+    i: usize,
+    sw: &Switch,
+    cfg: &NetConfig,
+    channels: &[Channel],
+) -> Result<(), String> {
+    let held = cfg.switch_ibuf_blocks;
+    for (p, port) in sw.ports.iter().enumerate() {
+        let far = port
+            .out_channel
+            .map_or(0, |ch| channels[ch as usize].capacity(cfg));
+        for vl in 0..sw.n_vls() {
+            let (queued, credits) = (sw.buffered_blocks(p as u16, vl), sw.credit(p as u16, vl));
+            if queued > held as u64 {
+                let why = format!("{queued} blocks queued, its input buffer holds {held}");
+                return Err(format!("switch {i} port {p} VL {vl}: {why}"));
+            }
+            if credits > far {
+                let why = format!("{credits} credits, the buffer they stand for holds {far}");
+                return Err(format!("switch {i} port {p} VL {vl}: {why}"));
+            }
+        }
+    }
+    Ok(())
 }

@@ -26,7 +26,6 @@ use crate::vlarb::{VlArbState, VlArbTable, VlArbiter};
 use ibsim_cc::{CcParams, PortVlCongestion, PortVlCongestionState};
 use ibsim_engine::time::{Time, TimeDelta};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A queued packet descriptor as checkpoints persist it: the full
@@ -53,8 +52,10 @@ struct HDesc {
 /// slot is its front.
 const OCCUPIED: u32 = 1 << 31;
 /// `meta` bit of a [`Voqs`] head slot: more packets stand behind this
-/// one, in the queue's remainder deque.
+/// one, in the queue's backlog ring.
 const MORE: u32 = 1 << 30;
+/// No node: the end of the free list.
+const NIL: u32 = u32::MAX;
 
 impl HDesc {
     fn new(h: PktHandle, bytes: u32, ready_at: Time) -> Self {
@@ -75,24 +76,46 @@ impl HDesc {
     }
 }
 
+/// A packet waiting behind a VoQ head: one node of a switch's backlog
+/// slab, linked to the next packet of its queue (the last to the
+/// first), or to the next free node.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    d: HDesc,
+    next: u32,
+}
+
 /// The virtual output queues of one switch, `radix² · n_vls` FIFOs
 /// indexed `q = (out * n_vls + vl) * radix + in`: output-major, so one
 /// arbitration round's candidate scan walks contiguous heads.
 ///
 /// A queue is almost always empty or one deep, so its front lives
 /// inline in the flat `heads` array — one load decides a candidate —
-/// and only what stands behind the front goes to a deque, which a
-/// queue that never gets deeper than one never allocates or touches.
+/// and only what stands behind the front goes to the switch's one
+/// backlog slab, as a ring of `nodes` whose last is `tails[q]`: the
+/// tail's `next` is the first, so one index per queue serves both
+/// ends. Freed nodes go on a LIFO free list, so the next push reuses
+/// the most recently touched one; the slab grows (by doubling) only
+/// when the free list is empty. Credits bound every input's backlog,
+/// so it never needs more than `radix · n_vls · switch_ibuf_blocks`
+/// nodes.
 ///
 /// Invariants, per queue `q`:
 /// - `heads[q]` carries [`OCCUPIED`] iff the queue is non-empty, and is
 ///   then its front;
-/// - `heads[q]` carries [`MORE`] iff `rest[q]` is non-empty; `rest[q]`
-///   is the queue behind its front, in order, flags clear.
+/// - `heads[q]` carries [`MORE`] iff the queue has a backlog; `tails[q]`
+///   is then its last node (and is meaningless otherwise), and the ring
+///   from the tail's `next` round to the tail holds the queue behind its
+///   front in order, flags clear;
+/// - every node is on exactly one ring or on the free list.
 #[derive(Clone, Debug)]
 struct Voqs {
     heads: Vec<HDesc>,
-    rest: Vec<VecDeque<HDesc>>,
+    tails: Vec<u32>,
+    nodes: Vec<Node>,
+    /// The most recently freed node, heading the free list through
+    /// `next`, or [`NIL`].
+    free: u32,
 }
 
 impl Voqs {
@@ -104,7 +127,9 @@ impl Voqs {
         };
         Voqs {
             heads: vec![empty; queues],
-            rest: (0..queues).map(|_| VecDeque::new()).collect(),
+            tails: vec![0; queues],
+            nodes: Vec::new(),
+            free: NIL,
         }
     }
 
@@ -118,18 +143,36 @@ impl Voqs {
     /// Append `d` to queue `q`; true if the queue was empty.
     #[inline]
     fn push(&mut self, q: usize, d: HDesc) -> bool {
-        let head = &mut self.heads[q];
-        let was_empty = head.meta & OCCUPIED == 0;
-        if was_empty {
-            *head = HDesc {
+        let meta = self.heads[q].meta;
+        if meta & OCCUPIED == 0 {
+            self.heads[q] = HDesc {
                 meta: d.meta | OCCUPIED,
                 ..d
             };
-        } else {
-            head.meta |= MORE;
-            self.rest[q].push_back(d);
+            return true;
         }
-        was_empty
+        let node = Node { d, next: NIL };
+        let n = match self.free {
+            NIL => {
+                let n = u32::try_from(self.nodes.len()).expect("backlog slab full");
+                self.nodes.push(node);
+                n
+            }
+            n => {
+                self.free = self.nodes[n as usize].next;
+                self.nodes[n as usize] = node;
+                n
+            }
+        };
+        let tail = self.tails[q] as usize;
+        self.nodes[n as usize].next = if meta & MORE == 0 {
+            self.heads[q].meta |= MORE;
+            n
+        } else {
+            std::mem::replace(&mut self.nodes[tail].next, n)
+        };
+        self.tails[q] = n;
+        false
     }
 
     /// Take the front of queue `q`, promoting the next packet (if any)
@@ -141,12 +184,20 @@ impl Voqs {
             return None;
         }
         if head.meta & MORE != 0 {
-            let rest = &mut self.rest[q];
-            let next = rest.pop_front().expect("MORE on an empty remainder");
-            let more = if rest.is_empty() { 0 } else { MORE };
+            let tail = self.tails[q] as usize;
+            let first = self.nodes[tail].next;
+            let node = &mut self.nodes[first as usize];
+            let (next, d) = (std::mem::replace(&mut node.next, self.free), node.d);
+            self.free = first;
+            let more = if first as usize == tail {
+                0
+            } else {
+                self.nodes[tail].next = next;
+                MORE
+            };
             self.heads[q] = HDesc {
-                meta: next.meta | OCCUPIED | more,
-                ..next
+                meta: d.meta | OCCUPIED | more,
+                ..d
             };
         } else {
             self.heads[q].meta = 0;
@@ -158,12 +209,21 @@ impl Voqs {
     }
 
     fn len(&self, q: usize) -> usize {
-        self.front(q).map_or(0, |_| 1 + self.rest[q].len())
+        self.iter(q).count()
+    }
+
+    /// Queue `q`'s backlog nodes, front to back.
+    fn ring(&self, q: usize) -> impl Iterator<Item = usize> + '_ {
+        let tail = self.tails[q] as usize;
+        let first = (self.heads[q].meta & MORE != 0).then(|| self.nodes[tail].next as usize);
+        let next = move |&n: &usize| (n != tail).then(|| self.nodes[n].next as usize);
+        std::iter::successors(first, next)
     }
 
     /// Queue `q` front to back.
     fn iter(&self, q: usize) -> impl Iterator<Item = &HDesc> {
-        self.front(q).into_iter().chain(&self.rest[q])
+        let rest = self.ring(q).map(|n| &self.nodes[n].d);
+        self.front(q).into_iter().chain(rest)
     }
 
     /// Total packets over all queues.
@@ -171,18 +231,32 @@ impl Voqs {
         (0..self.heads.len()).map(|q| self.len(q)).sum()
     }
 
-    /// Every queued packet's handle, for rewriting in place.
-    fn handles_mut(&mut self) -> impl Iterator<Item = &mut PktHandle> {
-        let heads = self.heads.iter_mut().filter(|d| d.meta & OCCUPIED != 0);
-        heads
-            .chain(self.rest.iter_mut().flatten())
-            .map(|d| &mut d.h)
+    /// Rewrite every queued packet's handle in place: the heads, then
+    /// each queue's backlog.
+    fn rewrite_handles(&mut self, mut f: impl FnMut(PktHandle) -> PktHandle) {
+        for head in self.heads.iter_mut().filter(|d| d.meta & OCCUPIED != 0) {
+            head.h = f(head.h);
+        }
+        for q in (0..self.heads.len()).filter(|&q| self.heads[q].meta & MORE != 0) {
+            let tail = self.tails[q] as usize;
+            let mut n = tail;
+            loop {
+                n = self.nodes[n].next as usize;
+                self.nodes[n].d.h = f(self.nodes[n].d.h);
+                if n == tail {
+                    break;
+                }
+            }
+        }
     }
 
-    /// Empty queue `q`.
+    /// Empty queue `q`, splicing its backlog onto the free list.
     fn clear(&mut self, q: usize) {
+        if self.heads[q].meta & MORE != 0 {
+            let tail = self.tails[q] as usize;
+            self.free = std::mem::replace(&mut self.nodes[tail].next, self.free);
+        }
         self.heads[q].meta = 0;
-        self.rest[q].clear();
     }
 }
 
@@ -252,6 +326,7 @@ struct HotPort {
 
 const _: () = assert!(std::mem::size_of::<HotPort>() == 64);
 const _: () = assert!(std::mem::size_of::<HDesc>() == 16);
+const _: () = assert!(std::mem::size_of::<Node>() == 24);
 
 /// The decision produced by one successful arbitration round.
 #[derive(Debug)]
@@ -357,6 +432,13 @@ impl Switch {
     }
     pub fn n_vls(&self) -> u8 {
         self.n_vls
+    }
+
+    /// Make room in the backlog slab for `packets` per input
+    /// `(port, VL)` before it has to grow.
+    pub(crate) fn reserve_backlog(&mut self, packets: usize) {
+        let nodes = self.ports.len() * self.n_vls as usize * packets;
+        self.voqs.nodes.reserve_exact(nodes);
     }
 
     /// Flat `(port, vl)` index.
@@ -815,9 +897,7 @@ impl Switch {
     /// between the master network and a shard carries the VoQ contents
     /// into the destination's arena.
     pub(crate) fn remap_pool(&mut self, src: &mut PacketPool, dst: &mut PacketPool) {
-        for h in self.voqs.handles_mut() {
-            *h = dst.alloc(src.release(*h));
-        }
+        self.voqs.rewrite_handles(|h| dst.alloc(src.release(h)));
     }
 
     /// Export the switch's complete mutable state (checkpoint),
@@ -1014,6 +1094,7 @@ mod tests {
     use crate::types::PacketKind;
     use ibsim_engine::time::Bandwidth;
     use proptest::prelude::*;
+    use std::collections::VecDeque;
 
     const BW: Bandwidth = Bandwidth::from_gbps(20);
 
@@ -1402,6 +1483,13 @@ mod tests {
         assert_eq!(s.queued_packets(), 0);
     }
 
+    /// Slab nodes not on the free list.
+    fn live_nodes(v: &Voqs) -> usize {
+        let next = |n: u32| Some(v.nodes[n as usize].next).filter(|&n| n != NIL);
+        let free = std::iter::successors(Some(v.free).filter(|&n| n != NIL), |&n| next(n));
+        v.nodes.len() - free.count()
+    }
+
     /// One step of the differential test below.
     #[derive(Clone, Copy, Debug)]
     enum Op {
@@ -1417,8 +1505,11 @@ mod tests {
         Drop {
             inp: u16,
         },
-        /// `state` into a fresh switch and pool, which take over.
-        Checkpoint,
+        /// `state` into a fresh pool and either a fresh switch or this
+        /// one (whose queues the restore must empty), which take over.
+        Checkpoint {
+            fresh: bool,
+        },
         /// `remap_pool` into a fresh pool, which takes over.
         Remap,
     }
@@ -1444,7 +1535,7 @@ mod tests {
                 },
                 6..=8 => Op::Arbitrate { out: a },
                 9 => Op::Drop { inp: a },
-                10 => Op::Checkpoint,
+                10 => Op::Checkpoint { fresh: a % 2 == 0 },
                 _ => Op::Remap,
             },
         );
@@ -1456,10 +1547,12 @@ mod tests {
 
         /// The switch's queues against the obvious model, one
         /// `VecDeque` of packets per (output, VL, input): whatever is
-        /// enqueued, granted, dropped, checkpointed into a fresh switch
-        /// or moved to another pool, every queue holds the model's
-        /// packets in the model's order, a grant takes a model queue's
-        /// front, and an idle output is one the model has nothing for.
+        /// enqueued, granted, dropped, checkpointed into a fresh or a
+        /// used switch or moved to another pool, every queue holds the
+        /// model's packets in the model's order, a grant takes a model
+        /// queue's front, an idle output is one the model has nothing
+        /// for, and the backlog slab's live nodes are exactly the
+        /// packets standing behind a head.
         #[test]
         fn queues_match_a_deque_model(
             (radix, n_vls, wide) in (2u16..5, 1u8..3, 0u32..4),
@@ -1510,8 +1603,11 @@ mod tests {
                         let got = sw.drop_queued_for_test(inp, &mut pool);
                         prop_assert_eq!(got, first.map(|d| d.pkt));
                     }
-                    Op::Checkpoint => {
-                        let (mut sw2, mut pool2) = (fresh(), PacketPool::new());
+                    Op::Checkpoint { fresh: into_fresh } => {
+                        let (mut sw2, mut pool2) = (sw.clone(), PacketPool::new());
+                        if into_fresh {
+                            sw2 = fresh();
+                        }
                         sw2.restore_state(&sw.state(&pool), &mut pool2).unwrap();
                         (sw, pool) = (sw2, pool2);
                     }
@@ -1532,6 +1628,9 @@ mod tests {
                 let total: usize = model.iter().map(VecDeque::len).sum();
                 prop_assert_eq!(sw.queued_packets(), total);
                 prop_assert_eq!(pool.live(), total);
+                // The slab holds every packet behind a head, and no more.
+                let backlog: usize = model.iter().map(|q| q.len().saturating_sub(1)).sum();
+                prop_assert_eq!(live_nodes(&sw.voqs), backlog);
             }
         }
     }

@@ -5,9 +5,9 @@
 //! steady state, simulating more virtual time costs zero heap traffic:
 //! every packet lives in a recycled pool slot and every queue structure
 //! has plateaued at its high-water capacity. This test pins that down
-//! with a counting global allocator: warm the fat8 uniform preset up
-//! past its fill transient, then assert that a further 100 µs window
-//! performs not a single allocation.
+//! with a counting global allocator: warm the fat8 uniform preset, and
+//! then a fat8 incast, up past its fill transient, then assert that a
+//! further window performs not a single allocation.
 //!
 //! This file deliberately contains exactly one test: the counter is
 //! process-global, and a sibling test allocating on another thread
@@ -56,37 +56,62 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Run `net` to `warm_us`, then count the events and allocations of
+/// the next `window_us`.
+fn measured_window(net: &mut Network, warm_us: u64, window_us: u64) -> (u64, u64) {
+    net.run_until(Time::from_us(warm_us));
+    let before = net.events_processed();
+    ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    net.run_until(Time::from_us(warm_us + window_us));
+    ARMED.store(false, Ordering::SeqCst);
+    let allocs = ALLOCS.load(Ordering::SeqCst);
+    (net.events_processed() - before, allocs)
+}
+
+/// fat8 with every node sending `dest` at line rate.
+fn fat8(cfg: NetConfig, dest: impl Fn(u32) -> Option<DestPattern>) -> Network {
+    let topo = FatTreeSpec::TEST_8.build();
+    let mut net = Network::new(&topo, cfg);
+    for n in 0..topo.num_hcas as u32 {
+        let classes = dest(n).map(|d| TrafficClass::new(100, d, 4096));
+        net.set_classes(n, classes.into_iter().collect());
+    }
+    net
+}
+
 #[test]
 fn steady_state_window_performs_zero_allocations() {
-    // The bench preset: fat8, uniform all-to-all, CC on.
-    let topo = FatTreeSpec::TEST_8.build();
-    let mut net = Network::new(&topo, NetConfig::paper());
-    for n in 0..topo.num_hcas as u32 {
-        net.set_classes(
-            n,
-            vec![TrafficClass::new(100, DestPattern::UniformExceptSelf, 4096)],
-        );
-    }
-
+    // The bench preset: uniform all-to-all, CC on, where a VoQ is
+    // rarely more than one deep. Then an incast on node 0, CC off, where
+    // the VoQs toward it stay deep and the backlog slab recycles nodes
+    // all window long.
     // Warm-up: long enough that every growable structure — packet
-    // pool, event-queue lanes and fallback heap, dispatch batch, VoQ and
-    // sink queues — has seen its high-water mark. The run is seeded
-    // and fully deterministic, so this bound is exact, not flaky.
-    net.run_until(Time::from_us(1000));
-    let before = net.events_processed();
-
-    ARMED.store(true, Ordering::SeqCst);
-    net.run_until(Time::from_us(1100));
-    ARMED.store(false, Ordering::SeqCst);
-
-    let dispatched = net.events_processed() - before;
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    assert!(
-        dispatched > 1_000,
-        "window too quiet to be meaningful: {dispatched} events"
-    );
-    assert_eq!(
-        allocs, 0,
-        "hot path allocated {allocs} times across {dispatched} steady-state events"
-    );
+    // pool, event-queue lanes and fallback heap, dispatch batch, the
+    // backlog slab and sink queues — has seen its high-water mark. The
+    // runs are seeded and fully deterministic, so this bound is exact,
+    // not flaky.
+    let uniform = fat8(NetConfig::paper(), |_| Some(DestPattern::UniformExceptSelf));
+    let cc_off = NetConfig {
+        cc: None,
+        ..NetConfig::paper()
+    };
+    let incast = fat8(cc_off, |n| (n != 0).then_some(DestPattern::Fixed(0)));
+    // One destination drains the incast, so its window is longer.
+    for (name, mut net, window_us) in [("uniform", uniform, 100), ("incast", incast, 300)] {
+        let (dispatched, allocs) = measured_window(&mut net, 1000, window_us);
+        assert!(
+            dispatched > 1_000,
+            "{name}: window too quiet to be meaningful: {dispatched} events"
+        );
+        assert_eq!(
+            allocs, 0,
+            "{name}: hot path allocated {allocs} times across {dispatched} steady-state events"
+        );
+        // More packets toward one output than it has inputs: some VoQ
+        // there stands two deep, so its backlog is in the slab.
+        let deep = (net.switches.iter())
+            .any(|s| (0..s.radix() as u16).any(|p| s.queued_toward(p) > s.radix()));
+        assert!(name == "uniform" || deep, "{name}: no VoQ two deep");
+    }
 }

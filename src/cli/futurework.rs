@@ -18,26 +18,28 @@ use ibsim_traffic::RoleSpec;
 pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
     let opts = a.run_options(RunOptions::default())?;
     let cfg = NetConfig::paper().with_seed(a.num("seed", 0..=u64::MAX)?);
+    let torus = |wrap| {
+        TorusSpec {
+            xdim: 6,
+            ydim: 6,
+            hosts_per_switch: 2,
+            wrap,
+        }
+        .build()
+    };
+    let cases: [(&str, Topology); 4] = [
+        ("fat-tree 72 (2-level Clos)", FatTreeSpec::QUICK_72.build()),
+        (
+            "fat-tree3 54 (3-level Clos)",
+            FatTree3Spec::QUICK_54.build(),
+        ),
+        ("mesh 6x6 (2/switch)", torus(false)),
+        ("torus 6x6 (2/switch)", torus(true)),
+    ];
+    for (_, topo) in &cases {
+        opts.check_flows(topo.num_hcas)?;
+    }
     Ok(Box::new(move || {
-        let torus = |wrap| {
-            TorusSpec {
-                xdim: 6,
-                ydim: 6,
-                hosts_per_switch: 2,
-                wrap,
-            }
-            .build()
-        };
-        let cases: [(&str, Topology); 4] = [
-            ("fat-tree 72 (2-level Clos)", FatTreeSpec::QUICK_72.build()),
-            (
-                "fat-tree3 54 (3-level Clos)",
-                FatTree3Spec::QUICK_54.build(),
-            ),
-            ("mesh 6x6 (2/switch)", torus(false)),
-            ("torus 6x6 (2/switch)", torus(true)),
-        ];
-
         println!("silent forest (80% C / 20% V) on the paper's future-work topologies\n");
         let mut pairs = Vec::new();
         for (_, topo) in &cases {

@@ -306,11 +306,13 @@ impl Ctx {
     fn new(a: &Args) -> Result<Ctx, ArgError> {
         let preset = a.preset()?;
         let seed = a.num("seed", 0..=u64::MAX)?;
+        let (opts, topo) = (a.run_options(RunOptions::default())?, preset.topology());
+        opts.check_flows(topo.num_hcas)?;
         Ok(Ctx {
-            opts: a.run_options(RunOptions::default())?,
+            opts,
             preset,
             seed,
-            topo: preset.topology(),
+            topo,
             cfg: preset.net_config().with_seed(seed),
         })
     }

@@ -46,6 +46,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         Some(p) if !a.given("fabric") => p.topology(),
         _ => a.fabric()?,
     };
+    opts.check_flows(topo.num_hcas)?;
     let window = |flag: &str, of_preset: fn(RunDurations) -> TimeDelta| {
         Ok::<_, ArgError>(match preset {
             Some(p) if !a.given(flag) => of_preset(p.durations()),

@@ -326,6 +326,22 @@ impl RunOptions {
         })
     }
 
+    /// Refuse a `trace_flows` pair naming a node outside a fabric of
+    /// `nodes` end nodes: `Err` gives the flow and the node count.
+    pub fn check_flows(&self, nodes: usize) -> Result<(), OptionsError> {
+        let Some(FlowSpec::Flows(flows)) = &self.trace_flows else {
+            return Ok(());
+        };
+        match flows.iter().find(|(s, d)| *s.max(d) as usize >= nodes) {
+            None => Ok(()),
+            Some((s, d)) => Err(OptionsError {
+                key: "trace_flows".into(),
+                value: value_text(&self.trace_flows.to_value()),
+                reason: format!("flow {s}:{d} names a node outside the fabric's {nodes} nodes"),
+            }),
+        }
+    }
+
     /// Refuse options a runner cannot honour: `Err` names the first of
     /// `keys` that differs from its default.
     pub fn without(self, keys: &[&str], who: &str) -> Result<Self, OptionsError> {

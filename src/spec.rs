@@ -112,6 +112,9 @@ impl SimSpec {
             roles.check()?;
         }
         self.net.validate()?;
+        self.options
+            .check_flows(topo.num_hcas)
+            .map_err(|e| e.to_string())?;
         if self.hotspot_lifetime_us == Some(0) {
             return Err("hotspot_lifetime_us must be positive".into());
         }

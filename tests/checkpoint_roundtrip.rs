@@ -404,6 +404,33 @@ fn corrupt_latency_histogram_is_rejected() {
     );
 }
 
+#[test]
+fn overfull_switch_buffers_are_rejected() {
+    // An input holding more blocks than its buffer, or a credit counter
+    // above the buffer it stands for, cannot come from a real run.
+    let (_header, state, _net) = tiny_checkpoint();
+    let (sw, port, ov) = (state.switches.iter().enumerate())
+        .flat_map(|(s, ss)| ss.ports.iter().enumerate().map(move |(p, ps)| (s, p, ps)))
+        .find_map(|(s, p, ps)| Some((s, p, ps.voq.iter().position(|q| !q.is_empty())?)))
+        .expect("a packet stands in some switch at 200 µs");
+    let err = corrupt_restore_error(|s| {
+        let q = &mut s.switches[sw].ports[port].voq[ov];
+        let d = q[0].clone();
+        q.resize(300, d);
+    });
+    assert!(
+        err.contains(&format!("switch {sw} port {port} VL 0"))
+            && err.contains("blocks queued")
+            && err.contains("holds 256"),
+        "unhelpful error: {err}"
+    );
+    let err = corrupt_restore_error(|s| s.switches[1].ports[0].credits[0] = 100_000);
+    assert!(
+        err.contains("switch 1 port 0 VL 0: 100000 credits"),
+        "unhelpful error: {err}"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Harness-level resume: `RunOptions::run_scenario` and
 // `RunOptions::run_workload` save at `checkpoint_at` and resume from

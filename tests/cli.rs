@@ -204,6 +204,7 @@ fn the_binary_exits_2_on_a_bad_command_line() {
         "windy --x 101",
         "faults --bin-us 0",
         "table2 --shards 0",
+        "table2 --trace-flows 9999:1",
         "nope",
         &simulate,
     ] {
