@@ -581,9 +581,11 @@ impl SourceCc {
         }
     }
 
-    pub fn on_timer(&mut self) -> usize {
+    /// Recovery-timer expiry at `now`; the number of flows still
+    /// throttled.
+    pub fn on_timer(&mut self, now: Time) -> usize {
         match self {
-            SourceCc::Ib(c) => c.on_timer(),
+            SourceCc::Ib(c) => c.on_timer_at(now),
             SourceCc::Dcqcn(c) => c.on_timer(),
         }
     }
@@ -726,8 +728,7 @@ impl SourceCc {
     pub fn restore_state(&mut self, s: &SourceCcState) -> Result<(), String> {
         match (self, s) {
             (SourceCc::Ib(c), SourceCcState::Ib(st)) => {
-                c.restore_state(st);
-                Ok(())
+                c.restore_state(st).map_err(|e| e.to_string())
             }
             (SourceCc::Dcqcn(c), SourceCcState::Dcqcn(st)) => {
                 c.restore_state(st);
@@ -919,7 +920,7 @@ mod tests {
         for a in &mut agents {
             a.on_becn(1);
             a.on_becn(1);
-            a.on_timer();
+            a.on_timer(Time::ZERO);
             a.note_packet_sent(1, Time::from_ns(1000), TimeDelta::from_ns(800), 2048);
             assert!(a.throttled_flows() >= 1);
             assert_eq!(a.becns_received(), 2);

@@ -12,44 +12,180 @@
 //! queue pair (keyed by destination here — one QP per destination, as in
 //! the paper) or a whole service level.
 //!
-//! Flow state lives in a dense table indexed directly by [`FlowKey`]
-//! (destinations are dense node ids, service levels are small
-//! integers), so the per-packet IRD-gate lookup on the injection hot
-//! path is a bounds-checked array load instead of a hash probe. Slots
-//! are assigned once, on a flow's first BECN or throttled send, and the
-//! table is pre-sized from the topology via [`HcaCc::with_flow_capacity`].
+//! Flow state is held only while a flow brakes: a small open-addressing
+//! table per HCA, keyed by [`FlowKey`], gains an entry on a flow's BECN
+//! (or on a gated send when `CCTI_Min > 0`) and, when `CCTI_Min` is 0,
+//! drops it once the CCTI is back at 0 and the flow's IRD gate has
+//! passed. Such a flow reads exactly like one never touched, so the
+//! table grows with the flows CC is braking rather than with the
+//! number of destinations. With keys below `n` it never takes more
+//! than `1.5 n` slots of the dense table's 16 bytes, so even holding
+//! every flow (as it does once `CCTI_Min > 0` gates every send) it
+//! costs at most 1.5× the dense per-destination table (for `n ≥ 2`).
 
 use crate::params::{CcMode, CcParams};
 use ibsim_engine::time::{Time, TimeDelta};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
-/// Key identifying a throttled flow at an HCA. Dense: the destination
-/// node id in QP mode, the service level in SL mode.
+/// Key identifying a throttled flow at an HCA: the destination node id
+/// in QP mode, the service level in SL mode. `FlowKey::MAX` is reserved
+/// (it marks a free table slot).
 pub type FlowKey = u32;
 
-#[derive(Clone, Copy, Debug, Default)]
+const FREE: FlowKey = FlowKey::MAX;
+
+/// One slot of [`FlowTable`].
+#[derive(Clone, Copy, Debug)]
 struct FlowCc {
-    ccti: u16,
-    /// Whether this slot has ever been touched. Mirrors map presence in
-    /// the sparse representation: an untouched flow reports `ccti_min`
-    /// from [`HcaCc::ccti`] but starts throttling from 0 on its first
-    /// BECN.
-    tracked: bool,
     /// Earliest instant the next packet of this flow may start.
     next_allowed: Time,
+    /// The flow, or [`FREE`].
+    key: FlowKey,
+    ccti: u16,
+}
+
+const FREE_SLOT: FlowCc = FlowCc {
+    next_allowed: Time::ZERO,
+    key: FREE,
+    ccti: 0,
+};
+
+/// Smallest table a first insert allocates (unless fewer keys exist).
+const MIN_SLOTS: usize = 16;
+
+/// Slots needed to hold `n` keys at no more than 3/4 load.
+fn slots_for(n: usize) -> usize {
+    (n * 4).div_ceil(3)
+}
+
+/// The flows an HCA is braking: linear probing with backward-shift
+/// deletion, never more than 3/4 full. Capacity only grows, so once a
+/// run has seen its widest brake, inserts and removals allocate nothing.
+#[derive(Clone, Debug, Default)]
+struct FlowTable {
+    slots: Vec<FlowCc>,
+    len: usize,
+    /// One past the largest key ever inserted: the extent the dense
+    /// checkpoint schema and the telemetry mean are written against.
+    extent: usize,
+}
+
+impl FlowTable {
+    /// Fibonacci hash of `key`, scaled onto the capacity.
+    #[inline]
+    fn home(&self, key: FlowKey) -> usize {
+        let h = key.wrapping_mul(0x9E37_79B9) as u64;
+        ((h * self.slots.len() as u64) >> 32) as usize
+    }
+
+    #[inline]
+    fn next(&self, i: usize) -> usize {
+        if i + 1 == self.slots.len() {
+            0
+        } else {
+            i + 1
+        }
+    }
+
+    /// The slot holding `key`, if any.
+    #[inline]
+    fn find(&self, key: FlowKey) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mut i = self.home(key);
+        loop {
+            match self.slots[i].key {
+                k if k == key => return Some(i),
+                FREE => return None,
+                _ => i = self.next(i),
+            }
+        }
+    }
+
+    #[inline]
+    fn get(&self, key: FlowKey) -> Option<&FlowCc> {
+        self.find(key).map(|i| &self.slots[i])
+    }
+
+    /// Insert `key` (absent) at CCTI 0 with an open gate; its slot.
+    fn insert(&mut self, key: FlowKey) -> usize {
+        debug_assert!(key != FREE && self.find(key).is_none());
+        self.extent = self.extent.max(key as usize + 1);
+        if (self.len + 1) * 4 > self.slots.len() * 3 {
+            // Double, but never past 1.5 slots per key below the extent
+            // (which still grows by at least 1/8 when every such key is
+            // held), unless 3/4 load needs more.
+            let cap = (self.slots.len() * 2)
+                .max(MIN_SLOTS)
+                .min(self.extent * 3 / 2)
+                .max(slots_for(self.len + 1));
+            let old = std::mem::replace(&mut self.slots, vec![FREE_SLOT; cap]);
+            for f in old.into_iter().filter(|f| f.key != FREE) {
+                let i = self.free_slot(f.key);
+                self.slots[i] = f;
+            }
+        }
+        let i = self.free_slot(key);
+        self.slots[i] = FlowCc { key, ..FREE_SLOT };
+        self.len += 1;
+        i
+    }
+
+    /// The first free slot on `key`'s probe path.
+    fn free_slot(&self, key: FlowKey) -> usize {
+        let mut i = self.home(key);
+        while self.slots[i].key != FREE {
+            i = self.next(i);
+        }
+        i
+    }
+
+    /// Free slot `hole`, shifting later entries of its probe run back
+    /// so every remaining key stays reachable from its home slot.
+    fn remove_at(&mut self, mut hole: usize) {
+        self.len -= 1;
+        let mut j = hole;
+        loop {
+            j = self.next(j);
+            let key = self.slots[j].key;
+            if key == FREE {
+                break;
+            }
+            // An entry whose home lies cyclically in (hole, j] must stay.
+            let home = self.home(key);
+            let stays = if hole <= j {
+                hole < home && home <= j
+            } else {
+                hole < home || home <= j
+            };
+            if !stays {
+                self.slots[hole] = self.slots[j];
+                hole = j;
+            }
+        }
+        self.slots[hole] = FREE_SLOT;
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &FlowCc> {
+        self.slots.iter().filter(|f| f.key != FREE)
+    }
+
+    fn iter_mut(&mut self) -> impl Iterator<Item = &mut FlowCc> {
+        self.slots.iter_mut().filter(|f| f.key != FREE)
+    }
 }
 
 /// CA-side CC state for one HCA.
 #[derive(Clone, Debug)]
 pub struct HcaCc {
     params: Arc<CcParams>,
-    /// Dense flow table indexed by `FlowKey`; grown on first touch.
-    flows: Vec<FlowCc>,
+    /// The flows being braked, or whose gate is still closed.
+    flows: FlowTable,
     /// Keys of the flows with CCTI above CCTI_Min, in no particular
     /// order. The recovery timer walks these instead of the whole
-    /// table — a few flows per HCA are throttled at a time, out of one
-    /// slot per destination — and is a no-op when there are none.
+    /// table, and is a no-op when there are none.
     throttled: Vec<FlowKey>,
     // ---- statistics ----------------------------------------------------
     becns_received: u64,
@@ -63,19 +199,18 @@ impl HcaCc {
     pub fn new(params: Arc<CcParams>) -> Self {
         HcaCc {
             params,
-            flows: Vec::new(),
+            flows: FlowTable::default(),
             throttled: Vec::new(),
             becns_received: 0,
             ccti_raises: 0,
         }
     }
 
-    /// Like [`HcaCc::new`], pre-allocating the dense flow table for
-    /// `n_flows` keys (number of destinations in QP mode, number of
-    /// service levels in SL mode) so the hot path never reallocates.
+    /// Like [`HcaCc::new`], with the table sized to hold `n_flows` flows
+    /// without growing — for a caller that will brake every flow.
     pub fn with_flow_capacity(params: Arc<CcParams>, n_flows: usize) -> Self {
         let mut cc = Self::new(params);
-        cc.flows.reserve(n_flows);
+        cc.flows.slots = vec![FREE_SLOT; slots_for(n_flows)];
         cc
     }
 
@@ -84,17 +219,18 @@ impl HcaCc {
     }
 
     /// Swap in new CC parameters mid-run (firmware re-tune / parameter
-    /// drift). Existing flow state is kept but re-clamped to the new
-    /// table: CCTIs above the new `ccti_limit` come down to it, CCTIs
-    /// below the new `ccti_min` are lifted to it, and the throttled
-    /// flows are recollected so `audit()` stays clean across the swap.
+    /// drift). Held flow state is kept but re-clamped to the new table:
+    /// CCTIs above the new `ccti_limit` come down to it, CCTIs below the
+    /// new `ccti_min` are lifted to it, and the throttled flows are
+    /// recollected so `audit()` stays clean across the swap. Flows no
+    /// longer held read as untouched ones, so raising `ccti_min` from 0
+    /// lifts only the held flows; drift faults change the timer and the
+    /// increase only.
     pub fn set_params(&mut self, params: Arc<CcParams>) {
         self.params = params;
         let (min, limit) = (self.params.ccti_min, self.params.ccti_limit);
-        for f in &mut self.flows {
-            if f.tracked {
-                f.ccti = f.ccti.clamp(min, limit);
-            }
+        for f in self.flows.iter_mut() {
+            f.ccti = f.ccti.clamp(min, limit);
         }
         self.collect_throttled();
     }
@@ -102,10 +238,10 @@ impl HcaCc {
     /// Rebuild the throttled-key list from the table, after the table or
     /// its floor changed wholesale.
     fn collect_throttled(&mut self) {
-        let (flows, min) = (&self.flows, self.params.ccti_min);
+        let min = self.params.ccti_min;
         self.throttled.clear();
-        self.throttled
-            .extend((0..flows.len() as FlowKey).filter(|&k| flows[k as usize].ccti > min));
+        let held = self.flows.iter().filter(|f| f.ccti > min);
+        self.throttled.extend(held.map(|f| f.key));
     }
 
     /// Map (destination, service level) to the throttling key per mode.
@@ -117,16 +253,6 @@ impl HcaCc {
         }
     }
 
-    /// The slot for `key`, growing the table on first touch.
-    #[inline]
-    fn slot_mut(&mut self, key: FlowKey) -> &mut FlowCc {
-        let i = key as usize;
-        if i >= self.flows.len() {
-            self.flows.resize(i + 1, FlowCc::default());
-        }
-        &mut self.flows[i]
-    }
-
     /// Handle a BECN for `key`: increase the CCTI.
     pub fn on_becn(&mut self, key: FlowKey) {
         self.becns_received += 1;
@@ -134,72 +260,92 @@ impl HcaCc {
             let p = &self.params;
             (p.ccti_increase, p.ccti_limit, p.ccti_min)
         };
-        let f = self.slot_mut(key);
-        f.tracked = true;
-        let was_min = f.ccti <= min;
+        let i = self.flows.find(key).unwrap_or_else(|| self.flows.insert(key));
+        let f = &mut self.flows.slots[i];
         let before = f.ccti;
-        f.ccti = f.ccti.saturating_add(inc).min(limit);
+        f.ccti = before.saturating_add(inc).min(limit);
         let after = f.ccti;
         if after > before {
             self.ccti_raises += 1;
         }
-        if was_min && after > min {
+        if before <= min && after > min {
             self.throttled.push(key);
         }
     }
 
-    /// Recovery-timer expiry: decrement every throttled flow's CCTI by
-    /// one. Returns the number of flows still throttled.
-    pub fn on_timer(&mut self) -> usize {
+    /// Recovery-timer expiry at `now`: decrement every throttled flow's
+    /// CCTI by one, and let go of each flow that is back at CCTI 0 with
+    /// its gate passed. Returns the number of flows still throttled.
+    pub fn on_timer_at(&mut self, now: Time) -> usize {
         let (flows, min) = (&mut self.flows, self.params.ccti_min);
         self.throttled.retain(|&k| {
-            let f = &mut flows[k as usize];
+            let i = flows.find(k).expect("a throttled flow is held");
+            let f = &mut flows.slots[i];
             f.ccti -= 1;
-            f.ccti > min
+            if f.ccti > min {
+                return true;
+            }
+            // Above a zero floor the CCTI stops at the floor, never at
+            // 0, so only CCTI_Min 0 lets flows go.
+            if f.ccti == 0 && f.next_allowed <= now {
+                flows.remove_at(i);
+            }
+            false
         });
         self.throttled.len()
     }
 
-    /// Current CCTI of a flow (CCTI_Min if never throttled).
+    /// [`HcaCc::on_timer_at`] without a clock: only flows that never
+    /// had a gate are let go.
+    pub fn on_timer(&mut self) -> usize {
+        self.on_timer_at(Time::ZERO)
+    }
+
+    /// Current CCTI of a flow (CCTI_Min if not held).
     pub fn ccti(&self, key: FlowKey) -> u16 {
-        match self.flows.get(key as usize) {
-            Some(f) if f.tracked => f.ccti,
-            _ => self.params.ccti_min,
-        }
+        self.flows.get(key).map_or(self.params.ccti_min, |f| f.ccti)
     }
 
     /// Earliest time the next packet of `key` may start.
     #[inline]
     pub fn next_allowed(&self, key: FlowKey) -> Time {
-        self.flows
-            .get(key as usize)
-            .map(|f| f.next_allowed)
-            .unwrap_or(Time::ZERO)
+        self.flows.get(key).map_or(Time::ZERO, |f| f.next_allowed)
     }
 
     /// Record that a packet of `key` finished serialising at `tx_end`
     /// after occupying the line for `pkt_time`; computes and stores the
     /// IRD gate for the flow's next packet.
     pub fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta) {
-        let ccti = self.ccti(key);
+        let slot = self.flows.find(key);
+        let ccti = slot.map_or(self.params.ccti_min, |i| self.flows.slots[i].ccti);
         if ccti == 0 {
-            // No IRD; avoid creating state for unthrottled flows.
-            if let Some(f) = self.flows.get_mut(key as usize) {
-                if f.tracked {
-                    f.next_allowed = tx_end;
+            // No IRD. The transmitter is busy until `tx_end` and the
+            // next packet starts no earlier, so a gate there never
+            // closes: at CCTI_Min 0 the flow now reads like an
+            // untouched one and is let go.
+            if let Some(i) = slot {
+                if self.params.ccti_min == 0 {
+                    self.flows.remove_at(i);
+                } else {
+                    self.flows.slots[i].next_allowed = tx_end;
                 }
             }
             return;
         }
         let delay = self.params.cct.ird_delay(ccti, pkt_time);
-        let f = self.slot_mut(key);
-        f.tracked = true;
-        f.next_allowed = tx_end + delay;
+        let i = slot.unwrap_or_else(|| self.flows.insert(key));
+        self.flows.slots[i].next_allowed = tx_end + delay;
     }
 
     /// Number of flows currently above CCTI_Min.
     pub fn throttled_flows(&self) -> usize {
         self.throttled.len()
+    }
+
+    /// Flows the table holds right now: the braking ones, and those
+    /// whose gate has not yet passed.
+    pub fn held_flows(&self) -> usize {
+        self.flows.len
     }
 
     pub fn becns_received(&self) -> u64 {
@@ -214,16 +360,16 @@ impl HcaCc {
     /// Verify this agent's own invariants: every CCTI within
     /// `[0, CCTI_Limit]`, the cached throttled-flow counter equal to a
     /// recount, and CCTI raises not exceeding BECNs. Returns the first
-    /// inconsistency as a structured message.
+    /// inconsistency (the lowest offending key first) as a structured
+    /// message.
     pub fn audit(&self) -> Result<(), String> {
         let p = &self.params;
-        for (key, f) in self.flows.iter().enumerate() {
-            if f.ccti > p.ccti_limit {
-                return Err(format!(
-                    "flow {key}: CCTI {} above CCTI_Limit {}",
-                    f.ccti, p.ccti_limit
-                ));
-            }
+        let over = self.flows.iter().filter(|f| f.ccti > p.ccti_limit);
+        if let Some(f) = over.min_by_key(|f| f.key) {
+            return Err(format!(
+                "flow {}: CCTI {} above CCTI_Limit {}",
+                f.key, f.ccti, p.ccti_limit
+            ));
         }
         let recount = self.flows.iter().filter(|f| f.ccti > p.ccti_min).count();
         if recount != self.throttled.len() {
@@ -248,16 +394,17 @@ impl HcaCc {
         self.flows.iter().map(|f| f.ccti).max().unwrap_or(0)
     }
 
-    /// Sum of all tracked flows' CCTIs — divided by
+    /// Sum of all held flows' CCTIs — divided by
     /// [`HcaCc::tracked_flows`] it gives the mean brake depth, the CCTI
     /// gauge a telemetry sampler records per node.
     pub fn sum_ccti(&self) -> u64 {
         self.flows.iter().map(|f| f.ccti as u64).sum()
     }
 
-    /// Flows that have ever received a BECN (the dense table's extent).
+    /// One past the largest key ever held: the extent of the dense
+    /// per-flow view [`HcaCc::state`] writes.
     pub fn tracked_flows(&self) -> usize {
-        self.flows.len()
+        self.flows.extent
     }
 
     /// The CCT inter-packet-delay multiplier at the current worst CCTI:
@@ -270,40 +417,91 @@ impl HcaCc {
     /// Complete serialisable image of this agent (checkpointing). The
     /// parameters are included because mid-run drift faults can leave an
     /// HCA on a different table than the network-wide configuration.
+    /// Flows are written densely up to [`HcaCc::tracked_flows`], keys
+    /// ascending; a key not held is written as an untracked default.
     pub fn state(&self) -> HcaCcState {
+        let mut flows = vec![FlowCcState::UNTRACKED; self.flows.extent];
+        for f in self.flows.iter() {
+            flows[f.key as usize] = FlowCcState {
+                ccti: f.ccti,
+                tracked: true,
+                next_allowed: f.next_allowed,
+            };
+        }
         HcaCcState {
             params: (*self.params).clone(),
-            flows: self
-                .flows
-                .iter()
-                .map(|f| FlowCcState {
-                    ccti: f.ccti,
-                    tracked: f.tracked,
-                    next_allowed: f.next_allowed,
-                })
-                .collect(),
+            flows,
             throttled: self.throttled.len() as u64,
             becns_received: self.becns_received,
             ccti_raises: self.ccti_raises,
         }
     }
 
-    /// Overwrite this agent with a previously captured [`HcaCcState`].
-    /// The throttled flows are recollected from the restored table.
-    pub fn restore_state(&mut self, s: &HcaCcState) {
+    /// Overwrite this agent with a previously captured [`HcaCcState`],
+    /// holding exactly its tracked entries. The throttled flows are
+    /// recollected from the restored table. An entry the table cannot
+    /// hold — a CCTI above the captured `CCTI_Limit`, or an untracked
+    /// entry carrying a CCTI or a gate — is refused and leaves this
+    /// agent unchanged.
+    pub fn restore_state(&mut self, s: &HcaCcState) -> Result<(), FlowStateError> {
+        let mut flows = FlowTable {
+            extent: s.flows.len(),
+            ..FlowTable::default()
+        };
+        for (key, f) in s.flows.iter().enumerate() {
+            let key = key as FlowKey;
+            let refuse = |field, value, bound_name, bound| FlowStateError {
+                key,
+                field,
+                value,
+                bound_name,
+                bound,
+            };
+            if f.ccti > s.params.ccti_limit {
+                let limit = s.params.ccti_limit as u64;
+                return Err(refuse("ccti", f.ccti as u64, "CCTI_Limit", limit));
+            }
+            if !f.tracked {
+                let bound = "the untracked bound";
+                if f.ccti != 0 {
+                    return Err(refuse("ccti", f.ccti as u64, bound, 0));
+                }
+                if f.next_allowed != Time::ZERO {
+                    return Err(refuse("next_allowed", f.next_allowed.as_ps(), bound, 0));
+                }
+                continue;
+            }
+            let i = flows.insert(key);
+            flows.slots[i].ccti = f.ccti;
+            flows.slots[i].next_allowed = f.next_allowed;
+        }
         self.params = Arc::new(s.params.clone());
-        self.flows = s
-            .flows
-            .iter()
-            .map(|f| FlowCc {
-                ccti: f.ccti,
-                tracked: f.tracked,
-                next_allowed: f.next_allowed,
-            })
-            .collect();
+        self.flows = flows;
         self.collect_throttled();
         self.becns_received = s.becns_received;
         self.ccti_raises = s.ccti_raises;
+        Ok(())
+    }
+}
+
+/// A captured flow entry [`HcaCc::restore_state`] refuses: which flow,
+/// which field, its value and the bound it breaks.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct FlowStateError {
+    pub key: FlowKey,
+    pub field: &'static str,
+    pub value: u64,
+    pub bound_name: &'static str,
+    pub bound: u64,
+}
+
+impl std::fmt::Display for FlowStateError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "cc flow {}: {} {} exceeds {} {}",
+            self.key, self.field, self.value, self.bound_name, self.bound
+        )
     }
 }
 
@@ -313,6 +511,15 @@ pub struct FlowCcState {
     pub ccti: u16,
     pub tracked: bool,
     pub next_allowed: Time,
+}
+
+impl FlowCcState {
+    /// A key the table does not hold.
+    pub const UNTRACKED: FlowCcState = FlowCcState {
+        ccti: 0,
+        tracked: false,
+        next_allowed: Time::ZERO,
+    };
 }
 
 /// Complete serialisable image of one HCA's CC agent — everything
@@ -372,7 +579,7 @@ mod tests {
             c.on_becn(k);
         }
         let mut restored = cc();
-        restored.restore_state(&c.state());
+        restored.restore_state(&c.state()).unwrap();
         let mut retuned = c.clone();
         retuned.set_params(Arc::new(CcParams::paper_table1()));
         for _ in 0..4 {
@@ -577,12 +784,123 @@ mod tests {
         c.on_becn(7);
         let inc = c.params().ccti_increase as u64;
         assert_eq!(c.sum_ccti(), 3 * inc, "two raises on flow 3, one on flow 7");
-        assert_eq!(c.tracked_flows(), 8, "dense table extends to the largest key");
+        assert_eq!(c.tracked_flows(), 8, "the extent reaches the largest key");
         assert_eq!(
             c.ird_multiplier(),
             c.params().cct.multiplier(c.max_ccti()),
             "IRD gauge reads the CCT at the worst CCTI"
         );
         assert!(c.ird_multiplier() > 0, "a raised CCTI must throttle");
+    }
+
+    #[test]
+    fn a_recovered_flow_is_let_go_once_its_gate_passes() {
+        let mut c = cc();
+        let pkt = TimeDelta::from_ns(100);
+        c.on_becn(4);
+        c.on_becn(4);
+        c.note_packet_sent(4, Time::from_ns(1000), pkt); // gate at 1200
+        c.on_becn(9);
+        assert_eq!(c.held_flows(), 2);
+        c.on_timer_at(Time::from_ns(1100));
+        assert_eq!(c.held_flows(), 1, "flow 9 never had a gate");
+        c.on_timer_at(Time::from_ns(1150));
+        assert_eq!((c.ccti(4), c.held_flows()), (0, 1), "gate still closed");
+        assert_eq!(c.next_allowed(4), Time::from_ns(1200));
+        c.note_packet_sent(4, Time::from_ns(1300), pkt);
+        assert_eq!(c.held_flows(), 0, "a send at CCTI 0 lets it go");
+        assert_eq!((c.tracked_flows(), c.next_allowed(4)), (10, Time::ZERO));
+        let s = c.state();
+        assert!(s.flows.iter().all(|f| *f == FlowCcState::UNTRACKED));
+        c.audit().unwrap();
+    }
+
+    #[test]
+    fn nothing_is_let_go_above_a_zero_floor() {
+        let mut p = CcParams::paper_table1();
+        p.ccti_min = 1;
+        let mut c = HcaCc::new(Arc::new(p));
+        c.note_packet_sent(2, Time::from_ns(10), TimeDelta::from_ns(10));
+        c.on_becn(3);
+        c.on_becn(3);
+        c.on_timer_at(Time::MAX);
+        c.note_packet_sent(3, Time::from_ns(20), TimeDelta::from_ns(10));
+        assert_eq!(c.held_flows(), 2);
+    }
+
+    /// Holding every flow, the table costs at most 1.5× the dense
+    /// per-destination table it replaced (16-byte slots, one per key).
+    #[test]
+    fn a_table_holding_every_flow_stays_within_one_and_a_half_dense_tables() {
+        const DENSE_SLOT: usize = 16;
+        assert_eq!(std::mem::size_of::<FlowCc>(), DENSE_SLOT);
+        for n in [2u32, 8, 72, 648] {
+            let mut p = CcParams::paper_table1();
+            p.ccti_min = 1;
+            let mut c = HcaCc::new(Arc::new(p));
+            for k in (0..n).rev() {
+                c.note_packet_sent(k, Time::from_ns(1), TimeDelta::from_ns(1));
+            }
+            assert_eq!(c.held_flows(), n as usize);
+            let bytes = c.flows.slots.capacity() * DENSE_SLOT;
+            assert!(2 * bytes <= 3 * n as usize * DENSE_SLOT, "{n} flows: {bytes} B");
+        }
+    }
+
+    /// Deletion with wrap-around and growth keep every held key
+    /// reachable, and a table that has seen its widest brake inserts
+    /// and removes without reallocating.
+    #[test]
+    fn churn_keeps_keys_reachable_without_reallocating() {
+        let mut c = cc();
+        let t = Time::from_ns(1);
+        for round in 0..50u32 {
+            for k in 0..300u32 {
+                if (k + round) % 3 != 0 {
+                    c.on_becn(k);
+                }
+            }
+            let slots = c.flows.slots.as_ptr();
+            while c.on_timer_at(t) > 0 {}
+            assert_eq!(c.held_flows(), 0);
+            for k in 0..300u32 {
+                c.on_becn(k);
+                c.on_becn(k);
+            }
+            for k in (0..300u32).step_by(7) {
+                assert_eq!(c.ccti(k), 2);
+            }
+            c.on_timer_at(t);
+            c.on_timer_at(t);
+            assert_eq!((c.held_flows(), c.throttled_flows()), (0, 0));
+            if round > 0 {
+                assert_eq!(c.flows.slots.as_ptr(), slots, "round {round} reallocated");
+            }
+        }
+        c.audit().unwrap();
+    }
+
+    #[test]
+    fn restore_refuses_entries_the_table_cannot_hold() {
+        let mut c = cc();
+        c.on_becn(2);
+        let good = c.state();
+        let mut over = good.clone();
+        over.flows[2].ccti = 128;
+        let err = cc().restore_state(&over).unwrap_err();
+        assert_eq!(err.to_string(), "cc flow 2: ccti 128 exceeds CCTI_Limit 127");
+        let mut gated = good.clone();
+        gated.flows[0].next_allowed = Time::from_ns(1);
+        let err = cc().restore_state(&gated).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "cc flow 0: next_allowed 1000 exceeds the untracked bound 0"
+        );
+        let mut target = cc();
+        target.on_becn(5);
+        let mut braked = good;
+        braked.flows[1].ccti = 3;
+        assert!(target.restore_state(&braked).is_err());
+        assert_eq!(target.ccti(5), 1, "a refused restore changes nothing");
     }
 }

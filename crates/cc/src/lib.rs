@@ -29,6 +29,6 @@ pub use backend::{
     LINE_RATE_PPM,
 };
 pub use cct::{Cct, CctShape};
-pub use hca_cc::{FlowCcState, FlowKey, HcaCc, HcaCcState};
+pub use hca_cc::{FlowCcState, FlowKey, FlowStateError, HcaCc, HcaCcState};
 pub use params::{CcMode, CcParams};
 pub use switch_cc::{PortVlCongestion, PortVlCongestionState};

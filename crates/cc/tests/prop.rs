@@ -418,3 +418,254 @@ proptest! {
         prop_assert!(after <= LINE_RATE_PPM);
     }
 }
+
+// ---------------------------------------------------------------------------
+// HcaCc against the dense table it replaced: one slot per key up to the
+// largest ever touched, and a `tracked` flag that is never cleared. The
+// held-flow table must be indistinguishable from it through every
+// accessor the simulator reads.
+// ---------------------------------------------------------------------------
+
+use ibsim_cc::FlowCcState;
+
+#[derive(Clone, Copy, Default)]
+struct DenseFlow {
+    ccti: u16,
+    tracked: bool,
+    next_allowed: Time,
+}
+
+struct DenseCc {
+    params: Arc<CcParams>,
+    flows: Vec<DenseFlow>,
+    throttled: Vec<u32>,
+    becns: u64,
+    raises: u64,
+}
+
+impl DenseCc {
+    fn new(params: Arc<CcParams>) -> Self {
+        DenseCc {
+            params,
+            flows: Vec::new(),
+            throttled: Vec::new(),
+            becns: 0,
+            raises: 0,
+        }
+    }
+
+    fn slot(&mut self, key: u32) -> &mut DenseFlow {
+        let i = key as usize;
+        if i >= self.flows.len() {
+            self.flows.resize(i + 1, DenseFlow::default());
+        }
+        &mut self.flows[i]
+    }
+
+    fn set_params(&mut self, params: Arc<CcParams>) {
+        self.params = params;
+        let (min, limit) = (self.params.ccti_min, self.params.ccti_limit);
+        for f in self.flows.iter_mut().filter(|f| f.tracked) {
+            f.ccti = f.ccti.clamp(min, limit);
+        }
+        self.throttled = (0..self.flows.len() as u32)
+            .filter(|&k| self.flows[k as usize].ccti > min)
+            .collect();
+    }
+
+    fn on_becn(&mut self, key: u32) {
+        self.becns += 1;
+        let (inc, limit, min) = (
+            self.params.ccti_increase,
+            self.params.ccti_limit,
+            self.params.ccti_min,
+        );
+        let f = self.slot(key);
+        f.tracked = true;
+        let before = f.ccti;
+        f.ccti = before.saturating_add(inc).min(limit);
+        let after = f.ccti;
+        self.raises += (after > before) as u64;
+        if before <= min && after > min {
+            self.throttled.push(key);
+        }
+    }
+
+    fn on_timer(&mut self) -> usize {
+        let (flows, min) = (&mut self.flows, self.params.ccti_min);
+        self.throttled.retain(|&k| {
+            let f = &mut flows[k as usize];
+            f.ccti -= 1;
+            f.ccti > min
+        });
+        self.throttled.len()
+    }
+
+    fn ccti(&self, key: u32) -> u16 {
+        match self.flows.get(key as usize) {
+            Some(f) if f.tracked => f.ccti,
+            _ => self.params.ccti_min,
+        }
+    }
+
+    fn next_allowed(&self, key: u32) -> Time {
+        self.flows
+            .get(key as usize)
+            .map_or(Time::ZERO, |f| f.next_allowed)
+    }
+
+    fn note_packet_sent(&mut self, key: u32, tx_end: Time, pkt_time: TimeDelta) {
+        let ccti = self.ccti(key);
+        if ccti == 0 {
+            if let Some(f) = self.flows.get_mut(key as usize).filter(|f| f.tracked) {
+                f.next_allowed = tx_end;
+            }
+            return;
+        }
+        let delay = self.params.cct.ird_delay(ccti, pkt_time);
+        let f = self.slot(key);
+        f.tracked = true;
+        f.next_allowed = tx_end + delay;
+    }
+
+    fn audit(&self) -> Result<(), String> {
+        let p = &self.params;
+        if let Some((key, f)) = self
+            .flows
+            .iter()
+            .enumerate()
+            .find(|(_, f)| f.ccti > p.ccti_limit)
+        {
+            return Err(format!(
+                "flow {key}: CCTI {} above CCTI_Limit {}",
+                f.ccti, p.ccti_limit
+            ));
+        }
+        let recount = self.flows.iter().filter(|f| f.ccti > p.ccti_min).count();
+        if recount != self.throttled.len() {
+            return Err(format!(
+                "throttled-flow counter {} but recount {recount}",
+                self.throttled.len()
+            ));
+        }
+        if self.raises > self.becns {
+            return Err(format!(
+                "{} CCTI raises from only {} BECNs",
+                self.raises, self.becns
+            ));
+        }
+        Ok(())
+    }
+
+    fn state(&self) -> Vec<FlowCcState> {
+        let image = |f: &DenseFlow| FlowCcState {
+            ccti: f.ccti,
+            tracked: f.tracked,
+            next_allowed: f.next_allowed,
+        };
+        self.flows.iter().map(image).collect()
+    }
+}
+
+#[derive(Clone, Debug)]
+enum CcOp {
+    Becn(u32),
+    /// A recovery-timer expiry after `dt` ns.
+    Timer(u64),
+    /// Send a packet of `pkt` ns on `key` if its gate is open: the
+    /// transmitter stays busy until the packet ends.
+    Send(u32, u64),
+    /// Idle time on the line, in ns.
+    Wait(u64),
+    /// Parameter drift: a new timer and a new increase.
+    Drift(u16, u16),
+}
+
+fn cc_op() -> impl Strategy<Value = CcOp> {
+    // Keys past the 16-slot first allocation, so growth and deletion
+    // wrap-around run; weighted 3:3:4:1:1 toward sends.
+    (0u8..12, 0u32..40, 1u64..5000, 1u16..400).prop_map(|(op, key, n, timer)| match op {
+        0..=2 => CcOp::Becn(key),
+        3..=5 => CcOp::Timer(1 + n % 3000),
+        6..=9 => CcOp::Send(key, 50 + n % 2000),
+        10 => CcOp::Wait(n),
+        _ => CcOp::Drift(timer, 1 + (n % 3) as u16),
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Through any schedule a simulator can produce — sends only while
+    /// the line is free and the flow's gate open — the held-flow table
+    /// and the dense one agree on every CCTI, gate decision and gauge,
+    /// and their checkpoints differ only in flows whose gate has passed:
+    /// let go at CCTI 0 (written untracked), or let go and braked again
+    /// (written with no gate). With CCTI_Min above 0 nothing is let go
+    /// and the checkpoints are identical.
+    #[test]
+    fn held_flow_table_matches_the_dense_table(
+        min in 0u16..4,
+        ops in prop::collection::vec(cc_op(), 1..300),
+    ) {
+        let mut params = CcParams::paper_table1();
+        params.ccti_min = min;
+        let params = Arc::new(params);
+        let mut cc = HcaCc::new(params.clone());
+        let mut dense = DenseCc::new(params);
+        let mut now = Time::ZERO;
+        for op in ops {
+            match op {
+                CcOp::Becn(k) => {
+                    cc.on_becn(k);
+                    dense.on_becn(k);
+                }
+                CcOp::Timer(dt) => {
+                    now += TimeDelta::from_ns(dt);
+                    prop_assert_eq!(cc.on_timer_at(now), dense.on_timer());
+                }
+                CcOp::Send(k, pkt) => {
+                    if dense.next_allowed(k) <= now {
+                        let pkt = TimeDelta::from_ns(pkt);
+                        now += pkt;
+                        cc.note_packet_sent(k, now, pkt);
+                        dense.note_packet_sent(k, now, pkt);
+                    }
+                }
+                CcOp::Wait(dt) => now += TimeDelta::from_ns(dt),
+                CcOp::Drift(timer, inc) => {
+                    let mut p = cc.params().clone();
+                    p.ccti_timer = timer;
+                    p.ccti_increase = inc;
+                    let p = Arc::new(p);
+                    cc.set_params(p.clone());
+                    dense.set_params(p);
+                }
+            }
+            for k in 0..40 {
+                prop_assert_eq!(cc.ccti(k), dense.ccti(k), "ccti of flow {}", k);
+                prop_assert_eq!(cc.next_allowed(k) <= now, dense.next_allowed(k) <= now, "gate of flow {}", k);
+            }
+            prop_assert_eq!(cc.throttled_flows(), dense.throttled.len());
+            prop_assert_eq!(cc.max_ccti(), dense.flows.iter().map(|f| f.ccti).max().unwrap_or(0));
+            prop_assert_eq!(cc.sum_ccti(), dense.flows.iter().map(|f| f.ccti as u64).sum::<u64>());
+            prop_assert_eq!(cc.tracked_flows(), dense.flows.len());
+            prop_assert_eq!(cc.ccti_raises(), dense.raises);
+            prop_assert_eq!(cc.becns_received(), dense.becns);
+            prop_assert_eq!(cc.audit(), dense.audit());
+            let (held, all) = (cc.state().flows, dense.state());
+            for (k, (h, d)) in held.iter().zip(&all).enumerate() {
+                if h == d {
+                    continue;
+                }
+                prop_assert!(min == 0, "flow {}: {:?} != {:?} at CCTI_Min {}", k, h, d, min);
+                let let_go = !h.tracked && d.ccti == 0 && *h == FlowCcState::UNTRACKED;
+                let braked_again = h.tracked && h.ccti == d.ccti && h.next_allowed == Time::ZERO;
+                prop_assert!(
+                    (let_go || braked_again) && d.next_allowed <= now,
+                    "flow {}: {:?} != {:?} at {:?}", k, h, d, now
+                );
+            }
+        }
+    }
+}

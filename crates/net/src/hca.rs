@@ -148,7 +148,10 @@ impl Hca {
         cc_enabled: bool,
     ) -> NextSend {
         if self.busy_until > now {
-            return NextSend::Idle; // TxDone re-fires the injector
+            // TxDone re-fires the injector. So no gate is read before
+            // the last packet's end, and `HcaCc` can let go of a flow
+            // whose gate lies there.
+            return NextSend::Idle;
         }
         if self.next_inject_at > now {
             return NextSend::WaitUntil(self.next_inject_at);

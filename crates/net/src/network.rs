@@ -264,14 +264,14 @@ impl Network {
                 let params = cc_params
                     .clone()
                     .unwrap_or_else(|| Arc::new(ibsim_cc::CcParams::paper_table1()));
-                // Pre-size the dense flow table for every key the mode
-                // can produce.
+                // Pre-size DCQCN's dense flow table for every key the
+                // mode can produce.
                 let n_flows = match params.mode {
                     ibsim_cc::CcMode::QueuePair => topo.num_hcas,
                     ibsim_cc::CcMode::ServiceLevel => n_vls as usize,
                 };
                 let cc = match cfg.cc_backend {
-                    CcBackend::IbCc => SourceCc::Ib(HcaCc::with_flow_capacity(params, n_flows)),
+                    CcBackend::IbCc => SourceCc::Ib(HcaCc::new(params)),
                     CcBackend::Dcqcn => SourceCc::Dcqcn(DcqcnCc::new(
                         params,
                         cfg.dcqcn,
@@ -1245,10 +1245,10 @@ impl Network {
                     // `max_ccti` walks the whole flow table; only the
                     // ledger reads it.
                     let before = h.cc.max_ccti();
-                    h.cc.on_timer();
+                    h.cc.on_timer(now);
                     a.note_timer(hca, now, before, h.cc.max_ccti());
                 } else {
-                    h.cc.on_timer();
+                    h.cc.on_timer(now);
                 }
                 if self.cc_params.is_some() {
                     // Per-HCA period: parameter drift may have re-tuned

@@ -7,7 +7,8 @@
 //! has plateaued at its high-water capacity. This test pins that down
 //! with a counting global allocator: warm the fat8 uniform preset, and
 //! then a fat8 incast, up past its fill transient, then assert that a
-//! further window performs not a single allocation.
+//! further window performs not a single allocation — in the uniform
+//! case while BECNs arrive and CC flow entries come and go.
 //!
 //! This file deliberately contains exactly one test: the counter is
 //! process-global, and a sibling test allocating on another thread
@@ -16,6 +17,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use ibsim_cc::SourceCc;
 use ibsim_engine::time::Time;
 use ibsim_net::{DestPattern, NetConfig, Network, TrafficClass};
 use ibsim_topo::FatTreeSpec;
@@ -56,17 +58,53 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// What one measured window saw.
+struct Window {
+    dispatched: u64,
+    allocs: u64,
+    /// BECNs the HCAs received during the window.
+    becns: u64,
+    /// Fewest and most CC flows held across the fabric at the start and
+    /// after each 10 µs slice.
+    held: (usize, usize),
+}
+
+/// BECNs received and CC flows held, summed over every HCA.
+fn cc_census(net: &Network) -> (u64, usize) {
+    let ib = net.hcas.iter().filter_map(|h| match &h.cc {
+        SourceCc::Ib(c) => Some(c),
+        SourceCc::Dcqcn(_) => None,
+    });
+    ib.fold((0, 0), |(b, n), c| {
+        (b + c.becns_received(), n + c.held_flows())
+    })
+}
+
 /// Run `net` to `warm_us`, then count the events and allocations of
-/// the next `window_us`.
-fn measured_window(net: &mut Network, warm_us: u64, window_us: u64) -> (u64, u64) {
+/// the next `window_us`, run in 10 µs slices so the CC churn inside it
+/// is seen too.
+fn measured_window(net: &mut Network, warm_us: u64, window_us: u64) -> Window {
     net.run_until(Time::from_us(warm_us));
     let before = net.events_processed();
+    let (becns_before, held) = cc_census(net);
+    let mut w = Window {
+        dispatched: 0,
+        allocs: 0,
+        becns: 0,
+        held: (held, held),
+    };
     ALLOCS.store(0, Ordering::SeqCst);
     ARMED.store(true, Ordering::SeqCst);
-    net.run_until(Time::from_us(warm_us + window_us));
+    for t in (warm_us + 10..=warm_us + window_us).step_by(10) {
+        net.run_until(Time::from_us(t));
+        let (becns, held) = cc_census(net);
+        w.becns = becns - becns_before;
+        w.held = (w.held.0.min(held), w.held.1.max(held));
+    }
     ARMED.store(false, Ordering::SeqCst);
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-    (net.events_processed() - before, allocs)
+    w.allocs = ALLOCS.load(Ordering::SeqCst);
+    w.dispatched = net.events_processed() - before;
+    w
 }
 
 /// fat8 with every node sending `dest` at line rate.
@@ -99,7 +137,12 @@ fn steady_state_window_performs_zero_allocations() {
     let incast = fat8(cc_off, |n| (n != 0).then_some(DestPattern::Fixed(0)));
     // One destination drains the incast, so its window is longer.
     for (name, mut net, window_us) in [("uniform", uniform, 100), ("incast", incast, 300)] {
-        let (dispatched, allocs) = measured_window(&mut net, 1000, window_us);
+        let Window {
+            dispatched,
+            allocs,
+            becns,
+            held,
+        } = measured_window(&mut net, 1000, window_us);
         assert!(
             dispatched > 1_000,
             "{name}: window too quiet to be meaningful: {dispatched} events"
@@ -107,6 +150,12 @@ fn steady_state_window_performs_zero_allocations() {
         assert_eq!(
             allocs, 0,
             "{name}: hot path allocated {allocs} times across {dispatched} steady-state events"
+        );
+        // Under CC the window must brake and release flows, so the
+        // zero above covers the flow table's inserts and removals.
+        assert!(
+            name == "incast" || (becns > 0 && held.0 != held.1),
+            "{name}: no CC churn in the window: {becns} BECNs, {held:?} flows held"
         );
         // More packets toward one output than it has inputs: some VoQ
         // there stands two deep, so its backlog is in the slab.

@@ -177,33 +177,27 @@ impl<W: Write> TraceWriter<W> {
     /// Append one record. Records must arrive time-sorted; the on-disk
     /// form is the delta against the previous record.
     pub fn push(&mut self, rec: FlowRec) -> Result<(), TraceError> {
-        let idx = self.written;
-        let check = |ok: bool, reason: String| {
-            if ok {
-                Ok(())
-            } else {
-                Err(TraceError::BadRecord {
-                    record: idx,
-                    reason,
-                })
-            }
+        // The reason is formatted only for a record that fails.
+        let bad = |reason: String| TraceError::BadRecord {
+            record: self.written,
+            reason,
         };
-        check(
-            rec.t >= self.last_t,
-            format!("time goes backwards: {} < {}", rec.t.as_ps(), self.last_t.as_ps()),
-        )?;
-        check(
-            rec.src != rec.dst,
-            format!("self-flow at node {}", rec.src),
-        )?;
-        check(
-            rec.src < self.nodes && rec.dst < self.nodes,
-            format!(
+        if rec.t < self.last_t {
+            let (t, last) = (rec.t.as_ps(), self.last_t.as_ps());
+            return Err(bad(format!("time goes backwards: {t} < {last}")));
+        }
+        if rec.src == rec.dst {
+            return Err(bad(format!("self-flow at node {}", rec.src)));
+        }
+        if rec.src >= self.nodes || rec.dst >= self.nodes {
+            return Err(bad(format!(
                 "node out of range: found src {} dst {}, expected < {}",
                 rec.src, rec.dst, self.nodes
-            ),
-        )?;
-        check(rec.bytes > 0, "empty flow".to_string())?;
+            )));
+        }
+        if rec.bytes == 0 {
+            return Err(bad("empty flow".to_string()));
+        }
         write_varint(&mut self.w, rec.t.as_ps() - self.last_t.as_ps())?;
         write_varint(&mut self.w, rec.src as u64)?;
         write_varint(&mut self.w, rec.dst as u64)?;

@@ -15,6 +15,7 @@
 //! `IBSIM_BLESS=1 cargo test`).
 
 use ibsim::prelude::*;
+use ibsim_cc::{FlowCcState, SourceCcState};
 use ibsim_net::{NetworkState, TelemetryConfig};
 use ibsim_state::{
     diff_values, CheckpointHeader, StateError, TopoDigest, FORMAT_VERSION,
@@ -402,6 +403,42 @@ fn corrupt_latency_histogram_is_rejected() {
         err.contains("hca 2") && err.contains("3 bins"),
         "unhelpful error: {err}"
     );
+}
+
+/// HCA `hca`'s IB CC flow entries in a captured state.
+fn ib_flows(s: &mut NetworkState, hca: usize) -> &mut Vec<FlowCcState> {
+    match &mut s.hcas[hca].cc {
+        SourceCcState::Ib(c) => &mut c.flows,
+        SourceCcState::Dcqcn(_) => unreachable!("the loaded fabric runs IB CC"),
+    }
+}
+
+#[test]
+fn corrupt_cc_flow_entries_are_rejected() {
+    // A CCTI above CCTI_Limit, or an untracked entry carrying a CCTI or
+    // a gate, cannot come from a real run: restore names the HCA, the
+    // flow, the field, its value and the bound it breaks.
+    let (_header, mut state, _net) = tiny_checkpoint();
+    let (hca, key) = (0..state.hcas.len())
+        .find_map(|h| Some((h, ib_flows(&mut state, h).iter().position(|f| f.tracked)?)))
+        .expect("some flow is braked at 200 µs");
+    let over = NetConfig::paper().cc.expect("CC on").ccti_limit + 1;
+    let err = corrupt_restore_error(|s| ib_flows(s, hca)[key].ccti = over);
+    let want = format!("hca {hca}: cc flow {key}: ccti {over} exceeds CCTI_Limit {}", over - 1);
+    assert!(err.contains(&want), "unhelpful error: {err}");
+
+    let end = ib_flows(&mut state, 1).len();
+    let untracked = |ccti, ps| FlowCcState {
+        ccti,
+        tracked: false,
+        next_allowed: Time(ps),
+    };
+    let err = corrupt_restore_error(|s| ib_flows(s, 1).push(untracked(0, 1000)));
+    let want = format!("hca 1: cc flow {end}: next_allowed 1000 exceeds the untracked bound 0");
+    assert!(err.contains(&want), "unhelpful error: {err}");
+    let err = corrupt_restore_error(|s| ib_flows(s, 1).push(untracked(5, 0)));
+    let want = format!("hca 1: cc flow {end}: ccti 5 exceeds the untracked bound 0");
+    assert!(err.contains(&want), "unhelpful error: {err}");
 }
 
 #[test]
