@@ -109,8 +109,8 @@ impl FlowTable {
         self.find(key).map(|i| &self.slots[i])
     }
 
-    /// Insert `key` (absent) at CCTI 0 with an open gate; its slot.
-    fn insert(&mut self, key: FlowKey) -> usize {
+    /// Insert `key` (absent) at `ccti` with an open gate; its slot.
+    fn insert(&mut self, key: FlowKey, ccti: u16) -> usize {
         debug_assert!(key != FREE && self.find(key).is_none());
         self.extent = self.extent.max(key as usize + 1);
         if (self.len + 1) * 4 > self.slots.len() * 3 {
@@ -128,7 +128,11 @@ impl FlowTable {
             }
         }
         let i = self.free_slot(key);
-        self.slots[i] = FlowCc { key, ..FREE_SLOT };
+        self.slots[i] = FlowCc {
+            key,
+            ccti,
+            ..FREE_SLOT
+        };
         self.len += 1;
         i
     }
@@ -260,7 +264,11 @@ impl HcaCc {
             let p = &self.params;
             (p.ccti_increase, p.ccti_limit, p.ccti_min)
         };
-        let i = self.flows.find(key).unwrap_or_else(|| self.flows.insert(key));
+        // A flow not held reads CCTI_Min, and that is where it starts.
+        let i = self
+            .flows
+            .find(key)
+            .unwrap_or_else(|| self.flows.insert(key, min));
         let f = &mut self.flows.slots[i];
         let before = f.ccti;
         f.ccti = before.saturating_add(inc).min(limit);
@@ -333,7 +341,7 @@ impl HcaCc {
             return;
         }
         let delay = self.params.cct.ird_delay(ccti, pkt_time);
-        let i = slot.unwrap_or_else(|| self.flows.insert(key));
+        let i = slot.unwrap_or_else(|| self.flows.insert(key, ccti));
         self.flows.slots[i].next_allowed = tx_end + delay;
     }
 
@@ -471,8 +479,7 @@ impl HcaCc {
                 }
                 continue;
             }
-            let i = flows.insert(key);
-            flows.slots[i].ccti = f.ccti;
+            let i = flows.insert(key, f.ccti);
             flows.slots[i].next_allowed = f.next_allowed;
         }
         self.params = Arc::new(s.params.clone());
@@ -647,17 +654,22 @@ mod tests {
         let mut p = CcParams::paper_table1();
         p.ccti_min = 2;
         let mut c = HcaCc::new(Arc::new(p));
-        c.on_becn(1); // 0 -> min(0+1,...) = 1? starts at default 0
-                      // A BECN lifts it; timer may only come back down to ccti_min.
+        // A fresh flow starts at CCTI_Min: one BECN lifts it above.
+        c.on_becn(1);
+        assert_eq!((c.ccti(1), c.throttled_flows()), (3, 1));
         c.on_becn(1);
         c.on_becn(1);
-        assert_eq!(c.ccti(1), 3);
-        c.on_timer();
-        assert_eq!(c.ccti(1), 2);
-        c.on_timer();
-        assert_eq!(c.ccti(1), 2, "floored at CCTI_Min");
-        // And an untouched flow reports CCTI_Min.
+        assert_eq!(c.ccti(1), 5);
+        for want in [4, 3, 2, 2] {
+            c.on_timer();
+            assert_eq!(c.ccti(1), want, "the timer floors at CCTI_Min");
+        }
+        // An untouched flow reports CCTI_Min, and the entry its gated
+        // send creates keeps it there.
         assert_eq!(c.ccti(99), 2);
+        c.note_packet_sent(99, Time(1000), TimeDelta(100));
+        assert_eq!((c.ccti(99), c.held_flows()), (2, 2));
+        c.audit().unwrap();
     }
 
     #[test]

@@ -146,9 +146,9 @@ proptest! {
         prop_assert_eq!(t.multiplier(last_idx + over), last);
     }
 
-    /// Timer recovery floors at CCTI_Min: from any BECN burst, each
-    /// tick walks the index down by exactly one until the floor — and a
-    /// flow that never climbed above the floor is left alone.
+    /// Timer recovery floors at CCTI_Min: a fresh flow starts at the
+    /// floor, so any BECN burst lifts it above, and each tick walks the
+    /// index down by exactly one until the floor.
     #[test]
     fn timer_recovery_floors_at_ccti_min(
         min_ in 1u16..8,
@@ -166,12 +166,8 @@ proptest! {
         for _ in 0..ticks {
             cc.on_timer();
         }
-        let start = becns.saturating_mul(inc).min(limit);
-        let expect = if start > min_ {
-            start.saturating_sub(ticks).max(min_)
-        } else {
-            start // at or below the floor: the timer must not touch it
-        };
+        let start = min_.saturating_add(becns.saturating_mul(inc)).min(limit);
+        let expect = start.saturating_sub(ticks).max(min_);
         prop_assert_eq!(cc.ccti(3), expect);
         prop_assert!(cc.audit().is_ok());
     }
@@ -481,7 +477,10 @@ impl DenseCc {
             self.params.ccti_min,
         );
         let f = self.slot(key);
-        f.tracked = true;
+        if !f.tracked {
+            // A fresh flow starts at CCTI_Min, where it read.
+            (f.tracked, f.ccti) = (true, min);
+        }
         let before = f.ccti;
         f.ccti = before.saturating_add(inc).min(limit);
         let after = f.ccti;
@@ -524,7 +523,7 @@ impl DenseCc {
         }
         let delay = self.params.cct.ird_delay(ccti, pkt_time);
         let f = self.slot(key);
-        f.tracked = true;
+        (f.tracked, f.ccti) = (true, ccti);
         f.next_allowed = tx_end + delay;
     }
 

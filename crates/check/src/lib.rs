@@ -8,7 +8,8 @@
 //!
 //! * [`LedgerKind`] — the catalogue of conservation ledgers the
 //!   simulator maintains (credits, packets, the FECN→BECN→CCTI
-//!   notification chain, CCTI bounds, switch occupancy, event order);
+//!   notification chain, CCTI bounds, switch occupancy, event order,
+//!   per-pair delivery order);
 //! * [`Violation`] — one broken invariant, as a structured diff
 //!   (subject, expected, actual) rather than a bare boolean;
 //! * [`AuditReport`] — everything one audit pass found, renderable as a
@@ -48,6 +49,10 @@ pub enum LedgerKind {
     CongestionOccupancy,
     /// Event-queue pops strictly monotone in (time, seq).
     EventOrder,
+    /// Each (source, destination) pair delivers its data packets in
+    /// sequence order with none skipped: the fabric is lossless and a
+    /// pair's packets share one route and one VL, so they stay FIFO.
+    FlowOrder,
     /// PFC losslessness (DCQCN backend): pause and resume frames pair up
     /// per (port, priority) — every XOFF is eventually matched by one
     /// XON — and while an ingress is paused its buffered occupancy stays
@@ -72,6 +77,7 @@ impl LedgerKind {
             LedgerKind::CctiBounds => "ccti-bounds",
             LedgerKind::CongestionOccupancy => "congestion-occupancy",
             LedgerKind::EventOrder => "event-order",
+            LedgerKind::FlowOrder => "flow-order",
             LedgerKind::PauseLosslessness => "pause-losslessness",
             LedgerKind::SanctionedDrop => "sanctioned-drop",
         }

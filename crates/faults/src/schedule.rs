@@ -714,6 +714,7 @@ mod prop_tests {
 
         /// Compiled transitions fire in strictly increasing (time, seq)
         /// order, and every windowed open has a close strictly after it.
+        #[test]
         fn schedules_are_ordered_and_windows_close_after_open(
             raws in prop::collection::vec(
                 (0u8..=255, 0u32..1000, 0u64..20_000, 0u64..10_000, 0u32..20, 0u64..1000),
@@ -766,6 +767,7 @@ mod prop_tests {
         /// Overlapping flaps compose sanely: a release is never earlier
         /// than asked, never lands inside a stall window, and matches
         /// the largest active divisor at the resolved instant.
+        #[test]
         fn flap_composition_is_sane(
             raws in prop::collection::vec(
                 // All flaps (kind forced to 0 below) on a small channel set.
@@ -806,6 +808,7 @@ mod prop_tests {
 
         /// BECN-loss replays identically for one seed, and p=0 / p=1
         /// windows behave like constants.
+        #[test]
         fn becn_loss_is_deterministic_and_edge_exact(
             seed: u64,
             p_raw in 0u32..=100,

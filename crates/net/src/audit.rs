@@ -15,6 +15,7 @@
 //! every CCTI in [0, CCTI_Limit]; the recovery timer only decreases
 //! detector occupancy == bytes standing in the VoQs it watches
 //! event-queue pops strictly monotone in (time, seq)
+//! each (src, dst) pair delivers seq 1, 2, 3, ... in order
 //! ```
 //!
 //! The ledger updates are O(1) per event and only run when the audit is
@@ -49,6 +50,12 @@ pub struct NetAudit {
     /// unbalances the ledgers and trips the oracle.
     sanctioned_dropped_packets: Vec<u64>,
     sanctioned_dropped_blocks: Vec<u64>,
+    /// The last sequence number each receiver delivered from each
+    /// source, at `dst * n_hcas + src`: the delivery-order ledger.
+    /// Dense, so it is held only while the audit is on; the HCAs
+    /// themselves keep no such mark.
+    delivered: Vec<u32>,
+    n_hcas: usize,
     /// The (time, seq) key of the pop seen at the previous pass.
     last_seen_pop: Option<(Time, u64)>,
     seen_processed: u64,
@@ -58,7 +65,7 @@ pub struct NetAudit {
 }
 
 impl NetAudit {
-    pub fn new(channels: usize, n_vls: usize, every: u64) -> Self {
+    pub fn new(channels: usize, n_vls: usize, n_hcas: usize, every: u64) -> Self {
         NetAudit {
             cadence: Audit::every(every),
             n_vls,
@@ -67,9 +74,23 @@ impl NetAudit {
             pending_credit_blocks: vec![0; channels * n_vls],
             sanctioned_dropped_packets: vec![0; channels],
             sanctioned_dropped_blocks: vec![0; channels],
+            delivered: vec![0; n_hcas * n_hcas],
+            n_hcas,
             last_seen_pop: None,
             seen_processed: 0,
             deferred: Vec::new(),
+        }
+    }
+
+    /// A shard's audit: zero summed ledgers to accumulate a drive's
+    /// updates into, no pass cadence of its own, and this audit's
+    /// delivery marks, which only the receiver's shard advances.
+    pub(crate) fn fork(&self) -> Self {
+        let channels = self.on_wire_packets.len();
+        NetAudit {
+            delivered: self.delivered.clone(),
+            n_hcas: self.n_hcas,
+            ..NetAudit::new(channels, self.n_vls, 0, u64::MAX)
         }
     }
 
@@ -138,6 +159,36 @@ impl NetAudit {
     /// decline sharding) to replicate the serial `AuditPass` notes.
     pub(crate) fn sanctioned_packets(&self) -> u64 {
         self.sanctioned_dropped_packets.iter().sum()
+    }
+
+    /// HCA `dst` delivered data packet `seq` from `src`: it must be the
+    /// pair's next one.
+    #[inline]
+    pub(crate) fn note_delivered(&mut self, dst: u32, src: u32, seq: u32, now: Time) {
+        let last = &mut self.delivered[dst as usize * self.n_hcas + src as usize];
+        if seq != last.wrapping_add(1) {
+            let expected = format!("seq {}", last.wrapping_add(1));
+            self.deferred.push(Violation {
+                ledger: LedgerKind::FlowOrder,
+                at_ps: now.as_ps(),
+                subject: format!("hca {dst} from {src}"),
+                expected,
+                actual: format!("seq {seq}"),
+                detail: format!(
+                    "last delivered seq {last}: a pair delivers in order, none skipped"
+                ),
+            });
+        }
+        *last = (*last).max(seq);
+    }
+
+    /// Overwrite the delivery marks with each receiver's captured
+    /// `last_seq` row (checkpoint restore, rows in HCA order).
+    pub(crate) fn seed_flow_order<'a>(&mut self, rows: impl Iterator<Item = &'a [u32]>) {
+        for (d, row) in rows.enumerate() {
+            let at = d * self.n_hcas;
+            self.delivered[at..at + row.len()].copy_from_slice(row);
+        }
     }
 
     /// The CCTI recovery timer must only ever decrease table indices.
@@ -460,11 +511,16 @@ impl NetAudit {
     }
 
     /// Fold another audit's inline ledgers into this one. Every ledger
-    /// is a pure sum of O(1) per-event updates, so summing per-shard
-    /// ledgers reproduces exactly what the serial loop would have
-    /// accumulated. Deferred violations are appended in call order
-    /// (they only exist when the simulation is already broken).
+    /// but the delivery marks is a pure sum of O(1) per-event updates,
+    /// so summing per-shard ledgers reproduces exactly what the serial
+    /// loop would have accumulated; a delivery mark only grows, and
+    /// only on its receiver's shard, so the marks merge by maximum.
+    /// Deferred violations are appended in call order (they only exist
+    /// when the simulation is already broken).
     pub(crate) fn absorb(&mut self, other: &NetAudit) {
+        for (a, &b) in self.delivered.iter_mut().zip(&other.delivered) {
+            *a = (*a).max(b);
+        }
         debug_assert_eq!(self.on_wire_blocks.len(), other.on_wire_blocks.len());
         for (a, b) in self.on_wire_blocks.iter_mut().zip(&other.on_wire_blocks) {
             *a += b;
@@ -516,7 +572,8 @@ impl NetAudit {
     }
 
     /// Overlay a checkpointed audit state onto a freshly constructed
-    /// instance sized for the same fabric.
+    /// instance sized for the same fabric. The delivery marks are not
+    /// in it: `Network::restore` seeds them from the HCAs' `last_seq`.
     pub(crate) fn restore_state(&mut self, s: &NetAuditState) -> Result<(), String> {
         if s.on_wire_blocks.len() != self.on_wire_blocks.len()
             || s.on_wire_packets.len() != self.on_wire_packets.len()
@@ -638,6 +695,57 @@ mod tests {
             v.detail.contains("sender="),
             "diff must show the ledger terms: {}",
             v.detail
+        );
+    }
+
+    #[test]
+    fn swapped_deliveries_trip_the_flow_order_ledger() {
+        // CC off, so queues build toward the hotspot. Its oldest
+        // waiting packet from some source trades sequence numbers by
+        // hand with a later one of the same pair.
+        // The pair's lowest and highest live seq stay put, so the
+        // restore accepts the swap; the delivery that follows is out of
+        // order, and the ledger names the pair.
+        let mut net = loaded_net(NetConfig::paper_no_cc());
+        net.enable_audit(u64::MAX);
+        net.run_until(Time::from_us(100));
+        let mut state = net.checkpoint();
+        let sink = &mut state.hcas[0];
+        let mut toward_0: Vec<&mut crate::types::Packet> = sink
+            .draining
+            .iter_mut()
+            .chain(sink.sink_queue.iter_mut())
+            .collect();
+        let in_sink = toward_0.len();
+        let voqs = state.switches.iter_mut().flat_map(|s| s.ports.iter_mut());
+        toward_0.extend(voqs.flat_map(|p| p.voq.iter_mut().flatten().map(|d| &mut d.pkt)));
+        let (i, j) = (0..in_sink)
+            .find_map(|i| {
+                let pair = (toward_0[i].src, toward_0[i].dst);
+                let j = (i + 1..toward_0.len())
+                    .find(|&j| (toward_0[j].src, toward_0[j].dst) == pair)?;
+                Some((i, j))
+            })
+            .expect("a source has a packet in the hotspot's sink and another behind it");
+        let (src, a, b) = (toward_0[i].src, toward_0[i].seq, toward_0[j].seq);
+        (toward_0[i].seq, toward_0[j].seq) = (b, a);
+
+        let mut swapped = loaded_net(NetConfig::paper_no_cc());
+        swapped.enable_audit(u64::MAX);
+        swapped
+            .restore(&state)
+            .expect("the swap keeps the implied marks");
+        swapped.run_until(Time::from_us(200));
+        let report = swapped.audit_now();
+        let v = report
+            .violations
+            .iter()
+            .find(|v| v.ledger == LedgerKind::FlowOrder)
+            .unwrap_or_else(|| panic!("the swap must trip the ledger:\n{}", report.render()));
+        assert_eq!(v.subject, format!("hca 0 from {src}"));
+        assert_eq!(
+            (&v.expected, &v.actual),
+            (&format!("seq {a}"), &format!("seq {b}"))
         );
     }
 

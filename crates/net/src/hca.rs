@@ -32,17 +32,92 @@ pub struct PendingCnp {
 }
 
 /// What an HCA keeps about one other node, as sender to it and as
-/// receiver from it: one record, so that a send and a delivery each
-/// touch one line of the dense per-peer table.
+/// receiver from it: one 8-byte record, so that a send and a delivery
+/// each touch one line of the dense per-peer table (8·N² bytes across
+/// an N-node fabric). The last sequence number delivered from the node
+/// is not kept: the fabric implies it (see [`InFlight`]).
 #[derive(Clone, Copy, Debug, Default)]
 struct Peer {
     /// Sequence number of the last packet injected toward this node.
     tx_seq: u32,
-    /// Sequence number of the last packet delivered from this node
-    /// (ordering check).
-    last_seq: u32,
-    /// Bytes received from this node inside the measurement window.
-    rx_bytes: u64,
+    /// Bytes received from this node inside the measurement window,
+    /// low word; its carries go to [`Hca::rx_hi`].
+    rx_bytes: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<Peer>() == 8);
+
+/// The live data packets of each (src, dst) pair, as the lowest and
+/// highest `seq` among them, read off the packet arena. The arena
+/// holds every packet from injection to the end of its sink drain
+/// (queued, on the wire, draining), data is lossless and each pair
+/// runs FIFO on its one VL, so the last sequence number a receiver
+/// delivered from a source is one below the pair's lowest live one —
+/// or, with none live, the source's `tx_seq` toward it. Built per
+/// checkpoint and per restore, never on the per-event path.
+pub(crate) struct InFlight {
+    /// `((dst, src), (lowest seq, highest seq))`, sorted by key.
+    pairs: Vec<((NodeId, NodeId), (u32, u32))>,
+}
+
+impl InFlight {
+    pub(crate) fn of(pool: &PacketPool) -> Self {
+        let mut live: Vec<((NodeId, NodeId), u32)> = pool
+            .live_packets()
+            .filter(|p| !p.is_cnp())
+            .map(|p| ((p.dst, p.src), p.seq))
+            .collect();
+        live.sort_unstable();
+        let mut pairs: Vec<((NodeId, NodeId), (u32, u32))> = Vec::new();
+        for (key, seq) in live {
+            match pairs.last_mut() {
+                Some((k, (_, high))) if *k == key => *high = seq,
+                _ => pairs.push((key, (seq, seq))),
+            }
+        }
+        InFlight { pairs }
+    }
+
+    /// The last sequence number `dst` delivered from each node, by
+    /// source id (`hcas` are the senders, indexed by node id).
+    pub(crate) fn last_delivered(&self, hcas: &[Hca], dst: NodeId) -> Vec<u32> {
+        let from = self.pairs.partition_point(|e| e.0 .0 < dst);
+        let mut live = self.pairs[from..]
+            .iter()
+            .take_while(|e| e.0 .0 == dst)
+            .peekable();
+        hcas.iter()
+            .enumerate()
+            .map(|(src, h)| match live.next_if(|e| e.0 .1 as usize == src) {
+                // `check_sent` refuses a restored seq 0; a run starts at 1.
+                Some(&(_, (lowest, _))) => lowest - 1,
+                None => h.peers[dst as usize].tx_seq,
+            })
+            .collect()
+    }
+
+    /// Refuse a live data packet no send accounts for: one naming a
+    /// node outside the fabric, or carrying `seq` 0 or a `seq` above
+    /// its source's `tx_seq` toward its destination.
+    pub(crate) fn check_sent(&self, hcas: &[Hca]) -> Result<(), String> {
+        let n = hcas.len() as NodeId;
+        for &((dst, src), (lowest, highest)) in &self.pairs {
+            if src >= n || dst >= n {
+                let why = format!("the fabric has {n} nodes");
+                return Err(format!("a live packet runs {src} -> {dst}, {why}"));
+            }
+            let sent = hcas[src as usize].peers[dst as usize].tx_seq;
+            let why = if lowest == 0 {
+                "seq 0, sends start at 1".to_string()
+            } else if highest > sent {
+                format!("seq {highest}, above its tx_seq {sent}")
+            } else {
+                continue;
+            };
+            return Err(format!("hca {src}: a live packet to {dst} has {why}"));
+        }
+        Ok(())
+    }
 }
 
 /// One end node: generator, sink, and CC agent.
@@ -70,6 +145,9 @@ pub struct Hca {
     /// Per-node sequence numbers and receive accounting, indexed by
     /// node id.
     peers: Vec<Peer>,
+    /// High words of [`Peer::rx_bytes`], by source ascending: only the
+    /// sources that delivered 4 GiB or more inside this window.
+    rx_hi: Vec<(NodeId, u32)>,
     // ---- ingress --------------------------------------------------------
     /// Channel from the fabric into this HCA.
     pub in_channel: u32,
@@ -99,8 +177,21 @@ pub struct Hca {
 
 impl Hca {
     /// `num_nodes` sizes the dense per-peer table (sequence numbers,
-    /// ordering checks, per-source receive accounting).
+    /// per-source receive accounting).
     pub fn new(id: NodeId, num_nodes: u32, n_vls: u8, cc: SourceCc) -> Self {
+        let mut h = Self::placeholder(id, n_vls, cc);
+        h.peers = vec![Peer::default(); num_nodes as usize];
+        // Pre-sized so steady-state receive stays allocation-free: 64
+        // four-byte handles is past any observed high-water mark and
+        // costs 256 B per HCA.
+        h.sink_queue.reserve_exact(64);
+        h
+    }
+
+    /// What a shard network holds in the slot of an HCA it does not
+    /// own (`Network::shard_shell`): no per-peer table and no sink
+    /// reservation, so eight shards' slots stay small. Never simulated.
+    pub(crate) fn placeholder(id: NodeId, n_vls: u8, cc: SourceCc) -> Self {
         Hca {
             id,
             out_channel: u32::MAX,
@@ -112,13 +203,11 @@ impl Hca {
             classes: Vec::new(),
             rr_class: 0,
             cc,
-            peers: vec![Peer::default(); num_nodes as usize],
+            peers: Vec::new(),
+            rx_hi: Vec::new(),
             in_channel: u32::MAX,
             draining: None,
-            // Pre-sized so steady-state receive stays allocation-free:
-            // 64 four-byte handles is past any observed high-water mark
-            // and costs 256 B per HCA.
-            sink_queue: VecDeque::with_capacity(64),
+            sink_queue: VecDeque::new(),
             sink_paused: false,
             rx_meter: ibsim_engine::RateMeter::new(),
             tx_meter: ibsim_engine::RateMeter::new(),
@@ -328,23 +417,17 @@ impl Hca {
             PacketKind::Data { .. } => {
                 self.delivered_packets += 1;
                 self.rx_bytes_total += pkt.bytes as u64;
-                let from = &mut self.peers[pkt.src as usize];
                 if self.rx_meter.is_open(now) {
-                    from.rx_bytes += pkt.bytes as u64;
+                    let from = &mut self.peers[pkt.src as usize].rx_bytes;
+                    let carried;
+                    (*from, carried) = from.overflowing_add(pkt.bytes);
+                    if carried {
+                        self.carry_rx(pkt.src);
+                    }
                 }
                 self.rx_meter.record(now, pkt.bytes as u64);
                 self.latency
                     .record(now.saturating_since(pkt.injected_at).as_ps());
-                // Deterministic routing + FIFO queueing must preserve
-                // per-(src,dst) ordering.
-                debug_assert!(
-                    pkt.seq > from.last_seq,
-                    "out-of-order delivery from {}: {} after {}",
-                    pkt.src,
-                    pkt.seq,
-                    from.last_seq
-                );
-                from.last_seq = pkt.seq;
             }
         }
         pkt
@@ -366,11 +449,24 @@ impl Hca {
         self.sink_paused
     }
 
+    /// `src`'s receive count passed another multiple of 4 GiB.
+    #[cold]
+    fn carry_rx(&mut self, src: NodeId) {
+        match self.rx_hi.binary_search_by_key(&src, |e| e.0) {
+            Ok(i) => self.rx_hi[i].1 += 1,
+            Err(i) => self.rx_hi.insert(i, (src, 1)),
+        }
+    }
+
     /// Bytes received from each node inside the measurement window,
     /// by node id (zero = nothing received) — feeds per-flow fairness
     /// metrics.
     pub fn rx_by_src(&self) -> impl Iterator<Item = u64> + '_ {
-        self.peers.iter().map(|p| p.rx_bytes)
+        let mut hi = self.rx_hi.iter().peekable();
+        self.peers.iter().enumerate().map(move |(src, p)| {
+            let high = hi.next_if(|e| e.0 as usize == src).map_or(0, |e| e.1);
+            (u64::from(high) << 32) | u64::from(p.rx_bytes)
+        })
     }
 
     /// Forget the per-source receive counts (a measurement window
@@ -379,6 +475,7 @@ impl Hca {
         for p in &mut self.peers {
             p.rx_bytes = 0;
         }
+        self.rx_hi.clear();
     }
 
     pub fn pending_cnps(&self) -> usize {
@@ -409,8 +506,9 @@ impl Hca {
     /// Export the HCA's complete mutable state (checkpoint). Channel
     /// wiring and class configuration (rates, destinations, VL/SL) are
     /// rebuilt from the scenario; everything that evolves at runtime is
-    /// here.
-    pub fn state(&self, pool: &PacketPool) -> HcaState {
+    /// here. `last_seq` is what the fabric implies this HCA last
+    /// delivered from each node ([`InFlight::last_delivered`]).
+    pub(crate) fn state(&self, pool: &PacketPool, last_seq: Vec<u32>) -> HcaState {
         HcaState {
             busy_until: self.busy_until,
             next_inject_at: self.next_inject_at,
@@ -424,7 +522,7 @@ impl Hca {
             draining: self.draining.map(|h| *pool.get(h)),
             sink_queue: self.sink_queue.iter().map(|&h| *pool.get(h)).collect(),
             sink_paused: self.sink_paused,
-            last_seq: self.peers.iter().map(|p| p.last_seq).collect(),
+            last_seq,
             rx_by_src: self.rx_by_src().collect(),
             rx_meter: self.rx_meter.state(),
             tx_meter: self.tx_meter.state(),
@@ -484,12 +582,18 @@ impl Hca {
         self.cc
             .restore_state(&s.cc)
             .map_err(|e| format!("hca {}: {e}", self.id))?;
+        // `last_seq` is checked against the restored fabric by
+        // `Network::restore`; nothing here holds it.
+        self.rx_hi.clear();
         for (i, p) in self.peers.iter_mut().enumerate() {
+            let rx = s.rx_by_src[i];
             *p = Peer {
                 tx_seq: s.seqs[i],
-                last_seq: s.last_seq[i],
-                rx_bytes: s.rx_by_src[i],
+                rx_bytes: rx as u32,
             };
+            if rx >> 32 > 0 {
+                self.rx_hi.push((i as NodeId, (rx >> 32) as u32));
+            }
         }
         self.draining = s.draining.map(|p| pool.alloc(p));
         self.sink_queue = s.sink_queue.iter().map(|&p| pool.alloc(p)).collect();
@@ -545,6 +649,7 @@ mod tests {
     use crate::gen::DestPattern;
     use ibsim_cc::{CcParams, HcaCc};
     use ibsim_engine::Rng;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn hca() -> (Hca, NetConfig) {
@@ -769,57 +874,178 @@ mod tests {
         assert_eq!(pool.live(), 0);
     }
 
-    #[test]
-    #[should_panic]
-    #[cfg(debug_assertions)]
-    fn out_of_order_delivery_asserts() {
-        let (mut h, cfg) = hca();
-        let mk = |seq| Packet {
-            src: 2,
-            dst: 3,
-            bytes: 64,
-            vl: 0,
-            sl: 0,
-            kind: PacketKind::Data { class: 0 },
-            fecn: false,
-            seq,
-            injected_at: Time::ZERO,
-        };
-        let mut pool = PacketPool::new();
-        let p2 = pool.alloc(mk(2));
-        let p1 = pool.alloc(mk(1));
-        h.receive(p2, &pool, true);
-        h.receive(p1, &pool, true);
-        h.start_drain(&cfg, &pool);
-        h.finish_drain(Time::from_us(1), true, &mut pool);
-        h.start_drain(&cfg, &pool);
-        h.finish_drain(Time::from_us(2), true, &mut pool); // seq 1 after 2: assert
+    /// The per-peer record before it shrank to 8 bytes, kept beside the
+    /// new one as the reference: the last delivered seq held, the
+    /// window's bytes in a full u64.
+    #[derive(Clone, Copy, Default)]
+    struct OldPeer {
+        tx_seq: u32,
+        last_seq: u32,
+        rx_bytes: u64,
     }
 
-    /// The per-peer table against the three vectors it replaced, kept
-    /// by hand beside it: the exported state holds the same numbers,
-    /// field for field, and restores into the same table.
-    #[test]
-    fn peer_table_exports_the_three_vectors() {
-        let (mut h, cfg) = hca();
-        for dst in [7, 9] {
-            add_class(&mut h, 50, DestPattern::Fixed(dst));
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// The node's injector sends whatever its class picks.
+        Send(usize),
+        /// The oldest packet on the wire toward the node reaches its
+        /// sink.
+        Arrive(usize),
+        /// The node's sink finishes its drain (a delivery).
+        Drain(usize),
+        /// Every node opens a measurement window, clearing its counts.
+        Open,
+        /// Every node closes its window: later deliveries go uncounted.
+        Close,
+        /// Capture every node and restore it onto a fresh one, first
+        /// lifting the count (dst, src) to `k` GiB less `under` bytes,
+        /// so deliveries carry it past a multiple of 4 GiB.
+        Restore {
+            dst: usize,
+            src: usize,
+            k: u64,
+            under: u64,
+        },
+    }
+
+    const NODES: usize = 4;
+
+    /// Sends, arrivals and deliveries four times as often as the rest.
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..16, 0..NODES, 0..NODES, 0u64..13, 0u64..5000).prop_map(
+            |(kind, dst, src, k, under)| match kind {
+                0..=4 => Op::Send(dst),
+                5..=8 => Op::Arrive(dst),
+                9..=12 => Op::Drain(dst),
+                13 => Op::Open,
+                14 => Op::Close,
+                _ => Op::Restore { dst, src, k, under },
+            },
+        )
+    }
+
+    /// A node of the small fabric: uniform traffic, credits to spare.
+    fn node(id: usize, cc: &SourceCc) -> Hca {
+        let mut h = Hca::new(id as NodeId, NODES as u32, 1, cc.clone());
+        h.credits = vec![1 << 30];
+        let mut c = TrafficClass::new(100, DestPattern::UniformExceptSelf, 4096);
+        c.set_rng(Rng::derive(9, id as u64));
+        h.classes.push(c);
+        h
+    }
+
+    /// Every node's state and receive counts, through the 8-byte
+    /// record, against the old record's.
+    fn assert_same(hcas: &[Hca], pool: &PacketPool, old: &[Vec<OldPeer>]) {
+        let fifo = InFlight::of(pool);
+        assert_eq!(fifo.check_sent(hcas), Ok(()));
+        for (d, h) in hcas.iter().enumerate() {
+            let st = h.state(pool, fifo.last_delivered(hcas, d as NodeId));
+            let want = &old[d];
+            assert_eq!(st.seqs, want.iter().map(|p| p.tx_seq).collect::<Vec<_>>());
+            assert_eq!(
+                st.last_seq,
+                want.iter().map(|p| p.last_seq).collect::<Vec<_>>()
+            );
+            let rx: Vec<u64> = want.iter().map(|p| p.rx_bytes).collect();
+            assert_eq!(st.rx_by_src, rx);
+            assert_eq!(h.rx_by_src().collect::<Vec<_>>(), rx);
         }
-        let (mut seqs, mut last_seq, mut rx_by_src) =
-            (vec![0u32; 16], vec![0u32; 16], vec![0u64; 16]);
-        let mut now = Time::from_us(10);
-        for _ in 0..5 {
-            if let NextSend::Packet(p) = h.next_packet(now, 16, &cfg, false) {
-                h.note_sent(&p, now, &cfg, false);
-                seqs[p.dst as usize] = p.seq;
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The 8-byte record against the 16-byte one it replaced, over
+        /// sends, arrivals, deliveries in and out of the window, window
+        /// clears, counts carried past 4 GiB and state→restore: the
+        /// exported state and the receive counts agree after every op.
+        #[test]
+        fn peer_record_matches_the_old_record(ops in proptest::collection::vec(op(), 1..120)) {
+            let cfg = NetConfig::paper();
+            let cc = SourceCc::Ib(HcaCc::new(Arc::new(CcParams::paper_table1())));
+            let mut hcas: Vec<Hca> = (0..NODES).map(|i| node(i, &cc)).collect();
+            let mut old = vec![vec![OldPeer::default(); NODES]; NODES];
+            let mut open = false;
+            let mut pool = PacketPool::new();
+            let mut wire: Vec<VecDeque<PktHandle>> = vec![VecDeque::new(); NODES];
+            let mut now = Time::ZERO;
+            for op in ops {
+                now += TimeDelta::from_us(10);
+                match op {
+                    Op::Send(s) => {
+                        let next = hcas[s].next_packet(now, NODES as u32, &cfg, false);
+                        if let NextSend::Packet(p) = next {
+                            hcas[s].note_sent(&p, now, &cfg, false);
+                            let sent = &mut old[s][p.dst as usize].tx_seq;
+                            *sent += 1;
+                            prop_assert_eq!(p.seq, *sent);
+                            wire[p.dst as usize].push_back(pool.alloc(p));
+                        }
+                    }
+                    Op::Arrive(d) => {
+                        if let Some(h) = wire[d].pop_front() {
+                            hcas[d].receive(h, &pool, false);
+                            hcas[d].start_drain(&cfg, &pool);
+                        }
+                    }
+                    Op::Drain(d) => {
+                        if hcas[d].sink_draining() {
+                            let p = hcas[d].finish_drain(now, false, &mut pool);
+                            hcas[d].start_drain(&cfg, &pool);
+                            let from = &mut old[d][p.src as usize];
+                            if open {
+                                from.rx_bytes += p.bytes as u64;
+                            }
+                            from.last_seq = p.seq;
+                        }
+                    }
+                    Op::Open => {
+                        open = true;
+                        for (h, row) in hcas.iter_mut().zip(&mut old) {
+                            h.rx_meter.start_window(now);
+                            h.clear_rx_by_src();
+                            row.iter_mut().for_each(|p| p.rx_bytes = 0);
+                        }
+                    }
+                    Op::Close => {
+                        open = false;
+                        hcas.iter_mut().for_each(|h| h.rx_meter.end_window(now));
+                    }
+                    Op::Restore { dst, src, k, under } => {
+                        let fifo = InFlight::of(&pool);
+                        let mut states: Vec<HcaState> = (0..NODES)
+                            .map(|d| hcas[d].state(&pool, fifo.last_delivered(&hcas, d as NodeId)))
+                            .collect();
+                        let lifted = (k << 30).saturating_sub(under);
+                        states[dst].rx_by_src[src] = lifted;
+                        old[dst][src].rx_bytes = lifted;
+                        let mut fresh = PacketPool::new();
+                        for q in &mut wire {
+                            for h in q.iter_mut() {
+                                *h = fresh.alloc(*pool.get(*h));
+                            }
+                        }
+                        for (d, st) in states.iter().enumerate() {
+                            let mut h = node(d, &cc);
+                            h.classes = hcas[d].classes.clone();
+                            h.restore_state(st, &mut fresh).unwrap();
+                            hcas[d] = h;
+                        }
+                        pool = fresh;
+                    }
+                }
+                assert_same(&hcas, &pool, &old);
             }
-            now += TimeDelta::from_us(5);
         }
-        assert!(seqs[7] > 0 && seqs[9] > 0, "both classes sent");
-        // Deliveries before the window opens set the ordering mark
-        // only; inside it they are counted per source as well.
+    }
+
+    #[test]
+    fn rx_count_carries_past_4_gib() {
+        let (mut h, cfg) = hca();
         let mut pool = PacketPool::new();
-        let mut deliver = |h: &mut Hca, src: u32, seq: u32, bytes: u32, now: Time| {
+        h.rx_meter.start_window(Time::ZERO);
+        let mut deliver = |h: &mut Hca, src: u32, seq: u32, bytes: u32| {
             let pkt = Packet {
                 src,
                 dst: 3,
@@ -833,31 +1059,17 @@ mod tests {
             };
             h.receive(pool.alloc(pkt), &pool, false);
             h.start_drain(&cfg, &pool).expect("the sink was idle");
-            h.finish_drain(now, false, &mut pool);
+            h.finish_drain(Time::from_us(1), false, &mut pool);
         };
-        deliver(&mut h, 5, 1, 2048, now);
-        last_seq[5] = 1;
-        h.rx_meter.start_window(now);
-        for (src, seq, bytes) in [(5, 2, 2048), (15, 1, 64), (5, 3, 1000), (0, 4, 1)] {
-            deliver(&mut h, src, seq, bytes, now);
-            last_seq[src as usize] = seq;
-            rx_by_src[src as usize] += bytes as u64;
+        for seq in 1..=5 {
+            deliver(&mut h, 9, seq, u32::MAX);
         }
-        let state = h.state(&pool);
-        assert_eq!(
-            (&state.seqs, &state.last_seq, &state.rx_by_src),
-            (&seqs, &last_seq, &rx_by_src)
-        );
-        assert_eq!(h.rx_by_src().collect::<Vec<_>>(), rx_by_src);
-
-        let (mut h2, _) = hca();
-        h2.classes = h.classes.clone();
-        h2.restore_state(&state, &mut pool).unwrap();
-        assert_eq!(h2.state(&pool), state);
-        h2.clear_rx_by_src();
-        let cleared = h2.state(&pool);
-        assert_eq!((&cleared.seqs, &cleared.last_seq), (&seqs, &last_seq));
-        assert!(cleared.rx_by_src.iter().all(|&b| b == 0));
+        deliver(&mut h, 2, 1, 7);
+        let rx: Vec<u64> = h.rx_by_src().collect();
+        assert_eq!((rx[9], rx[2]), (5 * u32::MAX as u64, 7));
+        assert_eq!(h.rx_hi, [(9, 4)]);
+        h.clear_rx_by_src();
+        assert!(h.rx_by_src().all(|b| b == 0) && h.rx_hi.is_empty());
     }
 
     #[test]

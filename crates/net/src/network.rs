@@ -396,8 +396,8 @@ impl Network {
     /// A shard network built from this master: its configuration,
     /// channels and CC parameters, a fresh queue and pool, `route`, and
     /// a placeholder in every device slot — a radix-0 switch sharing
-    /// the master's forwarding table, an HCA with an empty per-peer
-    /// table and a zero-capacity CC agent. The split swaps each shard's
+    /// the master's forwarding table, an [`Hca::placeholder`] with a
+    /// zero-capacity CC agent. The split swaps each shard's
     /// own devices in, so the devices of a sharded run exist once
     /// whatever the shard count; a placeholder reached by mistake
     /// panics on its first per-peer lookup.
@@ -423,7 +423,7 @@ impl Network {
             hcas: self
                 .hcas
                 .iter()
-                .map(|h| Hca::new(h.id, 0, n_vls, SourceCc::Ib(HcaCc::new(params.clone()))))
+                .map(|h| Hca::placeholder(h.id, n_vls, SourceCc::Ib(HcaCc::new(params.clone()))))
                 .collect(),
             channels: self.channels.clone(),
             cc_params: self.cc_params.clone(),
@@ -503,6 +503,7 @@ impl Network {
         self.audit = Some(Box::new(NetAudit::new(
             self.channels.len(),
             self.cfg.n_vls as usize,
+            self.hcas.len(),
             every,
         )));
     }
@@ -742,6 +743,15 @@ impl Network {
     pub fn profile_report(&self) -> Option<ProfileReport> {
         let p = self.prof.as_ref()?;
         Some(p.report(self.queue.processed(), self.queue.lane_stats()))
+    }
+
+    /// Is `pkt` on a traced flow? The per-hop sites check this before
+    /// building a record's context, which can walk a switch's VoQs.
+    #[inline]
+    fn tracing(&self, pkt: &Packet) -> bool {
+        self.tracer
+            .as_ref()
+            .is_some_and(|t| t.wants_packet(pkt.src, pkt.dst, pkt.is_cnp()))
     }
 
     #[inline]
@@ -1378,7 +1388,7 @@ impl Network {
             unreachable!("SwArrive on a non-switch endpoint")
         };
         let pkt = *self.pool.get(h);
-        if self.tracer.is_some() {
+        if self.tracing(&pkt) {
             // Context at ingress: depth of the VoQ set feeding the
             // egress this packet routes to, and that egress's credits —
             // the two numbers that decide how long it will wait here.
@@ -1443,7 +1453,7 @@ impl Network {
         else {
             return;
         };
-        if self.tracer.is_some() {
+        if self.tracing(&pkt) {
             // Context at grant: what is still queued behind this packet
             // toward the same egress, and the credits left after the
             // grant consumed its blocks.
@@ -1534,7 +1544,7 @@ impl Network {
                 if let Some(a) = &mut self.audit {
                     a.note_send(out_ch, pkt.vl, pkt.blocks());
                 }
-                if self.tracer.is_some() {
+                if self.tracing(&pkt) {
                     // Context at injection: CNPs still queued ahead of
                     // data (strict priority) and link credits on the VL
                     // the packet leaves on.
@@ -1592,7 +1602,7 @@ impl Network {
         };
         let cc_on = self.cc_params.is_some();
         let pkt = *self.pool.get(h);
-        if self.tracer.is_some() {
+        if self.tracing(&pkt) {
             let hca = &self.hcas[hi as usize];
             let ctx = TraceCtx {
                 vl: pkt.vl,
@@ -1658,7 +1668,7 @@ impl Network {
             self.sched(now + dt, Event::SinkDone { hca: hi });
         }
         if had_cnp_work {
-            if self.tracer.is_some() {
+            if self.tracing(&pkt) {
                 // Causal edge: the FECN mark on this data packet just
                 // queued a CNP toward its source. Recorded under the
                 // data packet's key so the span exporter can pair
@@ -1686,7 +1696,7 @@ impl Network {
         let cnp_peek = if self.tracer.is_some() && cc_on {
             let h = &self.hcas[hi as usize];
             h.draining_packet(&self.pool)
-                .filter(|p| p.is_cnp())
+                .filter(|p| p.is_cnp() && self.tracing(p))
                 .map(|p| (p, h.cc.flow_ccti(h.cc.flow_key(p.src, p.sl))))
         } else {
             None
@@ -1697,7 +1707,10 @@ impl Network {
             let next = h.start_drain(&self.cfg, &self.pool);
             (pkt, next)
         };
-        if self.tracer.is_some() {
+        if let (Some(a), false) = (&mut self.audit, pkt.is_cnp()) {
+            a.note_delivered(hi, pkt.src, pkt.seq, now);
+        }
+        if self.tracing(&pkt) {
             let (deliver_ctx, raise) = {
                 let hca = &self.hcas[hi as usize];
                 let deliver_ctx = TraceCtx {

@@ -146,6 +146,19 @@ impl PacketPool {
         self.slots[slot]
     }
 
+    /// Every live packet, in slot order. O(capacity): checkpoint-time
+    /// only (the per-pair delivery marks are derived from it).
+    pub fn live_packets(&self) -> impl Iterator<Item = &Packet> {
+        let mut free = vec![false; self.slots.len()];
+        for &s in &self.free {
+            free[s as usize] = true;
+        }
+        self.slots
+            .iter()
+            .zip(free)
+            .filter_map(|(p, free)| (!free).then_some(p))
+    }
+
     /// Drop all live packets and reset generations. Used by
     /// checkpoint-restore, which re-allocates every persisted packet
     /// from scratch so restored handles are self-consistent.
@@ -208,6 +221,16 @@ mod tests {
         p.release(a);
         let _ = p.alloc(pkt(2));
         let _ = p.get(a);
+    }
+
+    #[test]
+    fn live_packets_skips_freed_slots() {
+        let mut p = PacketPool::new();
+        let hs: Vec<_> = (1..=4).map(|s| p.alloc(pkt(s))).collect();
+        p.release(hs[1]);
+        p.release(hs[3]);
+        let live: Vec<u32> = p.live_packets().map(|k| k.seq).collect();
+        assert_eq!(live, [1, 3]);
     }
 
     #[test]

@@ -90,7 +90,6 @@ use crate::profile::{EngineProfiler, Subsystem};
 use crate::state::EventState;
 use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
 use crate::trace::Tracer;
-use crate::NetAudit;
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
@@ -611,7 +610,6 @@ impl Network {
         let (next_at, checks0) = self.audit.as_ref().map_or((u64::MAX, 0), |a| a.position());
         let audit_live = self.audit.is_some() && next_at < PROV_BASE;
         let log_all = audit_live || self.tracer.is_some() || self.telemetry.is_some();
-        let (n_channels, n_vls) = (self.channels.len(), self.cfg.n_vls as usize);
         for (s, entries) in per.into_iter().enumerate() {
             let sh = ex.nets[s].get_mut().expect("no poisoned shard");
             for (i, &o) in ex.owners.sw.iter().enumerate() {
@@ -627,10 +625,7 @@ impl Network {
                 }
             }
             sh.faults = self.faults.clone();
-            sh.audit = self
-                .audit
-                .as_ref()
-                .map(|_| Box::new(NetAudit::new(n_channels, n_vls, u64::MAX)));
+            sh.audit = self.audit.as_ref().map(|a| Box::new(a.fork()));
             // Observability capture mirrors the master's toggles: a
             // flow-filter clone of the tracer, a flight buffer iff
             // telemetry is on, a private profiler iff profiling is on.

@@ -30,7 +30,7 @@
 
 use crate::audit::NetAuditState;
 use crate::config::NetConfig;
-use crate::hca::HcaState;
+use crate::hca::{Hca, HcaState, InFlight};
 use crate::network::{Channel, Ev, Event, Network};
 use crate::pool::PacketPool;
 use crate::switch::{Switch, SwitchState};
@@ -219,7 +219,14 @@ impl Network {
                 .map(|&(t, q, ev)| (t, q, EventState::capture(ev.unpack(), &self.pool)))
                 .collect(),
             switches: self.switches.iter().map(|s| s.state(&self.pool)).collect(),
-            hcas: self.hcas.iter().map(|h| h.state(&self.pool)).collect(),
+            hcas: {
+                let fifo = InFlight::of(&self.pool);
+                let last = |h: &Hca| fifo.last_delivered(&self.hcas, h.id);
+                self.hcas
+                    .iter()
+                    .map(|h| h.state(&self.pool, last(h)))
+                    .collect()
+            },
             primed: self.primed,
             measuring_since: self.measuring_since,
             measured_until: self.measured_until,
@@ -320,11 +327,34 @@ impl Network {
                 .map(|(t, q, es)| (*t, *q, Ev::pack(es.install(&mut self.pool))))
                 .collect(),
         });
+        check_flow_order(self, s)?;
+        if let Some(a) = self.audit.as_deref_mut() {
+            a.seed_flow_order(s.hcas.iter().map(|h| h.last_seq.as_slice()));
+        }
         self.primed = s.primed;
         self.measuring_since = s.measuring_since;
         self.measured_until = s.measured_until;
         Ok(())
     }
+}
+
+/// Refuse delivery marks the restored fabric contradicts: a live data
+/// packet no send accounts for, or a captured `last_seq` other than
+/// the one its pair's live packets and `tx_seq` imply.
+fn check_flow_order(net: &Network, s: &NetworkState) -> Result<(), String> {
+    let fifo = InFlight::of(&net.pool);
+    fifo.check_sent(&net.hcas)?;
+    for (d, hs) in s.hcas.iter().enumerate() {
+        let implied = fifo.last_delivered(&net.hcas, d as u32);
+        let bad = implied.iter().zip(&hs.last_seq).position(|(a, b)| a != b);
+        if let Some(src) = bad {
+            return Err(format!(
+                "hca {d}: last_seq from {src} is {}, the fabric implies {}",
+                hs.last_seq[src], implied[src]
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Refuse a restored switch no run can reach: an input `(port, VL)`
