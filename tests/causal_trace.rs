@@ -12,11 +12,25 @@
 //! one of those steps must land in the trace as a paired chain.
 
 use ibsim::prelude::*;
-use ibsim_net::{causal_chains, chrome_trace_json, records_csv, CausalChain, TracePoint};
+use ibsim_net::{
+    causal_chains, chrome_trace_json, records_csv, CausalChain, TracePoint, TraceRecord, Tracer,
+};
 
 /// Build the windy fabric with every contributor→hotspot flow traced,
 /// run warmup + measure, and hand back the network plus hotspot id.
 fn traced_windy_run() -> (Network, u32) {
+    let contributors = |n: u32, hotspot: u32| -> Vec<(u32, u32)> {
+        (0..n)
+            .filter(|&s| s != hotspot)
+            .map(|s| (s, hotspot))
+            .collect()
+    };
+    windy_run_tracing(contributors, 1)
+}
+
+/// The windy fabric tracing the flows `pick` chooses from the node
+/// count and the hotspot, on `shards` shards, run to 700 µs.
+fn windy_run_tracing(pick: impl Fn(u32, u32) -> Vec<(u32, u32)>, shards: usize) -> (Network, u32) {
     let topo = FatTreeSpec::TEST_8.build();
     let roles = RoleSpec {
         num_nodes: topo.num_hcas,
@@ -28,11 +42,11 @@ fn traced_windy_run() -> (Network, u32) {
     let mut net = Network::new(&topo, NetConfig::paper());
     let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
     let hotspot = sc.assignment.hotspots[0];
-    net.enable_trace(
-        (0..topo.num_hcas as u32)
-            .filter(|&n| n != hotspot)
-            .map(|n| (n, hotspot)),
-    );
+    net.enable_trace(pick(topo.num_hcas as u32, hotspot));
+    if shards > 1 {
+        net.set_shards(&topo, shards);
+        assert_eq!(net.shard_count(), shards);
+    }
     net.run_until(Time::from_us(700));
     (net, hotspot)
 }
@@ -130,4 +144,44 @@ fn windy_trace_exports_parse_and_stay_rectangular() {
     assert_eq!(rows.len(), tracer.records().len() + 1);
     let width = rows[0].split(',').count();
     assert!(rows.iter().all(|r| r.split(',').count() == width));
+}
+
+/// Tracing a few flows yields exactly the records a trace of every
+/// flow holds for them, context included: the per-hop sites skip
+/// untraced packets before building a record, and must skip no traced
+/// one, a CNP of a traced flow among them.
+fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) {
+    let every = |n: u32, _| (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).collect();
+    let victims = |n: u32, hotspot: u32| -> Vec<(u32, u32)> {
+        (0..n)
+            .filter(|&s| s != hotspot)
+            .take(2)
+            .map(|s| (s, hotspot))
+            .collect()
+    };
+    let (wide, hotspot) = windy_run_tracing(every, shards);
+    let (narrow, _) = windy_run_tracing(victims, shards);
+    let filter = Tracer::for_flows(victims(8, hotspot));
+    let want: Vec<TraceRecord> = (wide.tracer().unwrap().records().iter())
+        .filter(|r| !r.point.packet_scoped() || filter.wants_packet(r.src, r.dst, r.cnp))
+        .copied()
+        .collect();
+    let got = narrow.tracer().unwrap().records();
+    assert!(got.iter().any(|r| r.cnp), "the victims' CNPs are traced");
+    assert!(
+        records_csv(got) == records_csv(&want),
+        "{} records traced for the victims, {} of theirs in the full trace",
+        got.len(),
+        want.len()
+    );
+}
+
+#[test]
+fn narrow_trace_is_the_wide_trace_filtered() {
+    assert_narrow_trace_is_the_wide_trace_filtered(1);
+}
+
+#[test]
+fn narrow_sharded_trace_is_the_wide_trace_filtered() {
+    assert_narrow_trace_is_the_wide_trace_filtered(2);
 }
