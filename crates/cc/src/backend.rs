@@ -252,9 +252,15 @@ impl DcqcnCc {
     fn increase(f: &mut DcqcnFlow, p: &DcqcnParams) {
         let (st, sb, fr) = (f.timer_stage, f.byte_stage, p.fast_recovery_rounds);
         if st > fr && sb > fr {
-            f.target_ppm = f.target_ppm.saturating_add(p.rate_hai_ppm).min(LINE_RATE_PPM);
+            f.target_ppm = f
+                .target_ppm
+                .saturating_add(p.rate_hai_ppm)
+                .min(LINE_RATE_PPM);
         } else if st > fr || sb > fr {
-            f.target_ppm = f.target_ppm.saturating_add(p.rate_ai_ppm).min(LINE_RATE_PPM);
+            f.target_ppm = f
+                .target_ppm
+                .saturating_add(p.rate_ai_ppm)
+                .min(LINE_RATE_PPM);
         }
         // All three phases converge rate toward target by halving the
         // gap (from the target side, so integer division still closes
@@ -319,7 +325,13 @@ impl DcqcnCc {
     /// may fire increase events) and store the rate gate — a packet
     /// occupying the line for `pkt_time` at rate `r` reserves
     /// `pkt_time · (1 − r) / r` of extra quiet time after `tx_end`.
-    pub fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta, bytes: u64) {
+    pub fn note_packet_sent(
+        &mut self,
+        key: FlowKey,
+        tx_end: Time,
+        pkt_time: TimeDelta,
+        bytes: u64,
+    ) {
         let p = self.dcqcn;
         let Some(f) = self.flows.get_mut(key as usize) else {
             return;
@@ -333,8 +345,7 @@ impl DcqcnCc {
             f.byte_stage += 1;
             Self::increase(f, &p);
         }
-        let extra_ps =
-            pkt_time.as_ps() * (LINE_RATE_PPM - f.rate_ppm) as u64 / f.rate_ppm as u64;
+        let extra_ps = pkt_time.as_ps() * (LINE_RATE_PPM - f.rate_ppm) as u64 / f.rate_ppm as u64;
         f.next_allowed = tx_end + TimeDelta(extra_ps);
     }
 
@@ -598,7 +609,13 @@ impl SourceCc {
         }
     }
 
-    pub fn note_packet_sent(&mut self, key: FlowKey, tx_end: Time, pkt_time: TimeDelta, bytes: u64) {
+    pub fn note_packet_sent(
+        &mut self,
+        key: FlowKey,
+        tx_end: Time,
+        pkt_time: TimeDelta,
+        bytes: u64,
+    ) {
         match self {
             SourceCc::Ib(c) => c.note_packet_sent(key, tx_end, pkt_time),
             SourceCc::Dcqcn(c) => c.note_packet_sent(key, tx_end, pkt_time, bytes),
@@ -833,7 +850,10 @@ mod tests {
         let r0 = c.rate_ppm(1);
         let b = c.dcqcn_params().byte_counter_bytes;
         c.note_packet_sent(1, Time::from_ns(1000), TimeDelta::from_ns(800), b + 1);
-        assert!(c.rate_ppm(1) > r0, "a byte-counter rollover raises the rate");
+        assert!(
+            c.rate_ppm(1) > r0,
+            "a byte-counter rollover raises the rate"
+        );
         c.audit().unwrap();
     }
 

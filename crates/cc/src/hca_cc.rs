@@ -790,7 +790,11 @@ mod tests {
         let mut c = cc();
         assert_eq!(c.sum_ccti(), 0);
         assert_eq!(c.tracked_flows(), 0);
-        assert_eq!(c.ird_multiplier(), 0, "unthrottled flows wait 0 packet-times");
+        assert_eq!(
+            c.ird_multiplier(),
+            0,
+            "unthrottled flows wait 0 packet-times"
+        );
         c.on_becn(3);
         c.on_becn(3);
         c.on_becn(7);
@@ -855,7 +859,10 @@ mod tests {
             }
             assert_eq!(c.held_flows(), n as usize);
             let bytes = c.flows.slots.capacity() * DENSE_SLOT;
-            assert!(2 * bytes <= 3 * n as usize * DENSE_SLOT, "{n} flows: {bytes} B");
+            assert!(
+                2 * bytes <= 3 * n as usize * DENSE_SLOT,
+                "{n} flows: {bytes} B"
+            );
         }
     }
 
@@ -900,7 +907,10 @@ mod tests {
         let mut over = good.clone();
         over.flows[2].ccti = 128;
         let err = cc().restore_state(&over).unwrap_err();
-        assert_eq!(err.to_string(), "cc flow 2: ccti 128 exceeds CCTI_Limit 127");
+        assert_eq!(
+            err.to_string(),
+            "cc flow 2: ccti 128 exceeds CCTI_Limit 127"
+        );
         let mut gated = good.clone();
         gated.flows[0].next_allowed = Time::from_ns(1);
         let err = cc().restore_state(&gated).unwrap_err();

@@ -89,10 +89,7 @@ impl RecoveryMetrics {
             .collect();
         let ccti_at_clear = after.first().map_or(0, |s| s.max_ccti);
         let target = RECOVERY_FRACTION * pre_fault_gbps;
-        let recovered_at = after
-            .iter()
-            .find(|s| s.gbps >= target)
-            .map(|s| s.t_us);
+        let recovered_at = after.iter().find(|s| s.gbps >= target).map(|s| s.t_us);
         let time_to_recover_us = recovered_at.map(|t| t - fault_clear_us);
         let post: Vec<&Sample> = match recovered_at {
             Some(t) => after.iter().filter(|s| s.t_us >= t).copied().collect(),

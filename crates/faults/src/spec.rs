@@ -173,15 +173,12 @@ pub fn parse_spec(spec: &str) -> Result<Vec<FaultDecl>, String> {
                     dur: TimeDelta(dur.as_ps()),
                     factor: match get(&kvs, "factor").unwrap_or("0") {
                         "stall" => 0,
-                        f => f
-                            .parse()
-                            .map_err(|_| format!("flap: bad factor {f:?}"))?,
+                        f => f.parse().map_err(|_| format!("flap: bad factor {f:?}"))?,
                     },
                 }
             }
             "becnloss" => {
-                let kvs =
-                    parse_kvs(body, "becnloss", &["link", "p", "every", "from", "until"])?;
+                let kvs = parse_kvs(body, "becnloss", &["link", "p", "every", "from", "until"])?;
                 let p: f64 = match get(&kvs, "p") {
                     Some(s) => s
                         .parse()
@@ -223,14 +220,10 @@ pub fn parse_spec(spec: &str) -> Result<Vec<FaultDecl>, String> {
                 }
             }
             "drift" => {
-                let kvs =
-                    parse_kvs(body, "drift", &["hca", "at", "ccti_timer", "ccti_increase"])?;
+                let kvs = parse_kvs(body, "drift", &["hca", "at", "ccti_timer", "ccti_increase"])?;
                 let parse_u16 = |key: &str| -> Result<Option<u16>, String> {
                     get(&kvs, key)
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| format!("drift: bad {key} {s:?}"))
-                        })
+                        .map(|s| s.parse().map_err(|_| format!("drift: bad {key} {s:?}")))
                         .transpose()
                 };
                 let ccti_timer = parse_u16("ccti_timer")?;
@@ -323,27 +316,32 @@ mod tests {
         .unwrap();
         assert_eq!(d.len(), 3);
         assert!(matches!(d[1], FaultDecl::Pause { hca: 5, .. }));
-        assert!(
-            matches!(d[2], FaultDecl::Drift { ccti_timer: Some(15), ccti_increase: Some(4), .. })
-        );
+        assert!(matches!(
+            d[2],
+            FaultDecl::Drift {
+                ccti_timer: Some(15),
+                ccti_increase: Some(4),
+                ..
+            }
+        ));
     }
 
     #[test]
     fn rejects_malformed_specs() {
         for bad in [
-            "flap:link=hca:0,at=1ms",                     // missing dur
-            "flap:link=hca:0,at=1ms,dur=0ms",             // zero window
-            "flap:link=hca:0,at=1,dur=1ms",               // unitless time
-            "flap:link=nowhere,at=1ms,dur=1ms",           // bad selector
-            "becnloss:link=hcas,p=1.5",                   // p out of range
-            "becnloss:link=hcas,every=0",                 // zero spacing
-            "becnloss:link=hcas,from=2ms,until=1ms",      // inverted window
-            "drift:hca=1,at=1ms",                         // nothing to drift
-            "drift:hca=1,at=1ms,ccti_timer=0",            // timer would spin
-            "pause:hca=1,at=1ms,dur=1ms,extra=2",         // unknown key
-            "pause:hca=1,at=1ms,at=2ms,dur=1ms",          // duplicate key
-            "meteor:hca=1",                               // unknown kind
-            "flap",                                       // no body
+            "flap:link=hca:0,at=1ms",                // missing dur
+            "flap:link=hca:0,at=1ms,dur=0ms",        // zero window
+            "flap:link=hca:0,at=1,dur=1ms",          // unitless time
+            "flap:link=nowhere,at=1ms,dur=1ms",      // bad selector
+            "becnloss:link=hcas,p=1.5",              // p out of range
+            "becnloss:link=hcas,every=0",            // zero spacing
+            "becnloss:link=hcas,from=2ms,until=1ms", // inverted window
+            "drift:hca=1,at=1ms",                    // nothing to drift
+            "drift:hca=1,at=1ms,ccti_timer=0",       // timer would spin
+            "pause:hca=1,at=1ms,dur=1ms,extra=2",    // unknown key
+            "pause:hca=1,at=1ms,at=2ms,dur=1ms",     // duplicate key
+            "meteor:hca=1",                          // unknown kind
+            "flap",                                  // no body
         ] {
             assert!(parse_spec(bad).is_err(), "accepted {bad:?}");
         }

@@ -403,7 +403,9 @@ impl TrafficClass {
         self.dest = s.dest.clone();
         self.sent_bytes = s.sent_bytes;
         self.messages_started = s.messages_started;
-        self.committed = s.committed.map(|(dst, bytes_left)| Committed { dst, bytes_left });
+        self.committed = s
+            .committed
+            .map(|(dst, bytes_left)| Committed { dst, bytes_left });
         self.budget_from = s.budget_from;
         self.rng = Rng::from_state([s.rng.0, s.rng.1, s.rng.2, s.rng.3]);
     }
@@ -572,12 +574,18 @@ mod tests {
     fn script_releases_at_timestamps() {
         let mut c = TrafficClass::scripted(vec![send(100, 1, 2048), send(500, 2, 4096)]);
         // Before the first release: woken exactly at it.
-        assert_eq!(c.peek(Time::from_ns(10), 0, 8, R, 2048), Err(Time::from_ns(100)));
+        assert_eq!(
+            c.peek(Time::from_ns(10), 0, 8, R, 2048),
+            Err(Time::from_ns(100))
+        );
         let (d, b) = c.peek(Time::from_ns(100), 0, 8, R, 2048).unwrap();
         assert_eq!((d, b), (1, 2048));
         c.take(b);
         // Second message: 4096 bytes fragment to two MTU packets.
-        assert_eq!(c.peek(Time::from_ns(200), 0, 8, R, 2048), Err(Time::from_ns(500)));
+        assert_eq!(
+            c.peek(Time::from_ns(200), 0, 8, R, 2048),
+            Err(Time::from_ns(500))
+        );
         let (d, b) = c.peek(Time::from_ns(500), 0, 8, R, 2048).unwrap();
         assert_eq!((d, b), (2, 2048));
         c.take(b);
@@ -645,11 +653,15 @@ mod tests {
 
     #[test]
     fn staggered_start_delays_first_message() {
-        let mut c = TrafficClass::new(100, DestPattern::Fixed(1), 2048).with_start(Time::from_us(5));
+        let mut c =
+            TrafficClass::new(100, DestPattern::Fixed(1), 2048).with_start(Time::from_us(5));
         let err = c.peek(Time::from_ns(100), 0, 4, R, 2048).unwrap_err();
         // Budget accrues from the stagger point: first message once
         // 2048 bytes fit, i.e. 2048 ns past the 5 µs start.
-        assert_eq!(err, Time::from_us(5) + ibsim_engine::time::TimeDelta::from_ns(2048));
+        assert_eq!(
+            err,
+            Time::from_us(5) + ibsim_engine::time::TimeDelta::from_ns(2048)
+        );
     }
 
     #[test]

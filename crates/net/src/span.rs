@@ -83,7 +83,9 @@ pub fn causal_chains(records: &[TraceRecord]) -> Vec<CausalChain> {
 
     for r in records {
         match r.point {
-            TracePoint::Forward { switch, fecn: true, .. } if !r.cnp => {
+            TracePoint::Forward {
+                switch, fecn: true, ..
+            } if !r.cnp => {
                 marks.entry(r.key()).or_insert((r.at_ps, switch));
             }
             TracePoint::CnpQueued => {
@@ -94,10 +96,16 @@ pub fn causal_chains(records: &[TraceRecord]) -> Vec<CausalChain> {
             }
             TracePoint::Inject if r.cnp => {
                 // CNP travels d→s: the data flow is (dst, src).
-                legs.entry((r.dst, r.src)).or_default().injects.push(r.at_ps);
+                legs.entry((r.dst, r.src))
+                    .or_default()
+                    .injects
+                    .push(r.at_ps);
             }
             TracePoint::Deliver if r.cnp => {
-                legs.entry((r.dst, r.src)).or_default().delivers.push(r.at_ps);
+                legs.entry((r.dst, r.src))
+                    .or_default()
+                    .delivers
+                    .push(r.at_ps);
             }
             TracePoint::CctiRaise { before, after } => {
                 legs.entry((r.dst, r.src))
@@ -184,8 +192,14 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
             TracePoint::SwitchArrive { switch, .. } | TracePoint::Forward { switch, .. } => {
                 tracks.insert(switch_tid(switch), format!("switch {switch}"));
             }
-            TracePoint::Pfc { at_switch, node, .. } => {
-                let tid = if at_switch { switch_tid(node) } else { hca_tid(node) };
+            TracePoint::Pfc {
+                at_switch, node, ..
+            } => {
+                let tid = if at_switch {
+                    switch_tid(node)
+                } else {
+                    hca_tid(node)
+                };
                 let name = if at_switch {
                     format!("switch {node}")
                 } else {
@@ -247,7 +261,11 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 TracePoint::SwitchArrive { switch, .. } => {
                     pending_arrive.insert(switch, r);
                 }
-                TracePoint::Forward { switch, out_port, fecn } => {
+                TracePoint::Forward {
+                    switch,
+                    out_port,
+                    fecn,
+                } => {
                     if let Some(a) = pending_arrive.remove(&switch) {
                         let (in_port, voq_at_arrive) = match a.point {
                             TracePoint::SwitchArrive { in_port, .. } => (in_port, a.voq),
@@ -328,10 +346,22 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
             json!({"data_seq": ch.data_seq}),
         );
         if let Some(at) = ch.cnp_inject_at {
-            step("t", at, hca_tid(d), format!("CNP inject {d}→{s}"), json!({}));
+            step(
+                "t",
+                at,
+                hca_tid(d),
+                format!("CNP inject {d}→{s}"),
+                json!({}),
+            );
         }
         if let Some(at) = ch.cnp_deliver_at {
-            step("t", at, hca_tid(s), format!("CNP deliver @hca{s}"), json!({}));
+            step(
+                "t",
+                at,
+                hca_tid(s),
+                format!("CNP deliver @hca{s}"),
+                json!({}),
+            );
         }
         if let Some((at, before, after)) = ch.ccti_raise {
             let ph = if ch.throttle.is_some() { "t" } else { "f" };
@@ -360,8 +390,18 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
     let mut pfc_id: HashMap<(bool, u32, u16), usize> = HashMap::new();
     let mut next_pfc = 0usize;
     for r in records {
-        if let TracePoint::Pfc { at_switch, node, port, xoff } = r.point {
-            let tid = if at_switch { switch_tid(node) } else { hca_tid(node) };
+        if let TracePoint::Pfc {
+            at_switch,
+            node,
+            port,
+            xoff,
+        } = r.point
+        {
+            let tid = if at_switch {
+                switch_tid(node)
+            } else {
+                hca_tid(node)
+            };
             let key = (at_switch, node, port);
             let id = *pfc_id.entry(key).or_insert_with(|| {
                 let id = next_pfc;
@@ -394,7 +434,11 @@ pub fn records_csv(records: &[TraceRecord]) -> String {
             TracePoint::SwitchArrive { switch, in_port } => {
                 ("switch_arrive", format!("sw={switch};in={in_port}"))
             }
-            TracePoint::Forward { switch, out_port, fecn } => (
+            TracePoint::Forward {
+                switch,
+                out_port,
+                fecn,
+            } => (
                 "forward",
                 format!("sw={switch};out={out_port};fecn={}", fecn as u8),
             ),
@@ -405,7 +449,12 @@ pub fn records_csv(records: &[TraceRecord]) -> String {
                 ("ccti_raise", format!("before={before};after={after}"))
             }
             TracePoint::Throttle { delay_ps } => ("throttle", format!("delay_ps={delay_ps}")),
-            TracePoint::Pfc { at_switch, node, port, xoff } => (
+            TracePoint::Pfc {
+                at_switch,
+                node,
+                port,
+                xoff,
+            } => (
                 "pfc",
                 format!(
                     "at={};node={node};port={port};xoff={}",
@@ -431,7 +480,11 @@ mod tests {
     use ibsim_engine::time::Time;
 
     fn ctx() -> TraceCtx {
-        TraceCtx { vl: 0, voq: 1, credit: 4 }
+        TraceCtx {
+            vl: 0,
+            voq: 1,
+            credit: 4,
+        }
     }
 
     /// A synthetic but shape-correct chain: data packet 0→5 marked at
@@ -446,7 +499,10 @@ mod tests {
             5,
             3,
             false,
-            TracePoint::SwitchArrive { switch: 2, in_port: 1 },
+            TracePoint::SwitchArrive {
+                switch: 2,
+                in_port: 1,
+            },
             ctx(),
         );
         t.record(
@@ -455,7 +511,11 @@ mod tests {
             5,
             3,
             false,
-            TracePoint::Forward { switch: 2, out_port: 4, fecn: true },
+            TracePoint::Forward {
+                switch: 2,
+                out_port: 4,
+                fecn: true,
+            },
             ctx(),
         );
         t.record(Time(40), 0, 5, 3, false, TracePoint::Arrive, ctx());
@@ -468,7 +528,10 @@ mod tests {
             0,
             0,
             true,
-            TracePoint::CctiRaise { before: 0, after: 1 },
+            TracePoint::CctiRaise {
+                before: 0,
+                after: 1,
+            },
             ctx(),
         );
         t.record(
@@ -524,7 +587,10 @@ mod tests {
                 0,
                 0,
                 true,
-                TracePoint::CctiRaise { before: 0, after: 1 },
+                TracePoint::CctiRaise {
+                    before: 0,
+                    after: 1,
+                },
                 ctx(),
             );
         }
@@ -565,12 +631,22 @@ mod tests {
         let mut t = Tracer::for_flows([(0, 5)]);
         t.record_cc(
             Time(10),
-            TracePoint::Pfc { at_switch: true, node: 2, port: 3, xoff: true },
+            TracePoint::Pfc {
+                at_switch: true,
+                node: 2,
+                port: 3,
+                xoff: true,
+            },
             ctx(),
         );
         t.record_cc(
             Time(90),
-            TracePoint::Pfc { at_switch: true, node: 2, port: 3, xoff: false },
+            TracePoint::Pfc {
+                at_switch: true,
+                node: 2,
+                port: 3,
+                xoff: false,
+            },
             ctx(),
         );
         let doc = chrome_trace_json(t.records());

@@ -645,9 +645,7 @@ impl Switch {
 
     /// Total pause frames this switch has emitted (telemetry).
     pub fn pfc_pauses_total(&self) -> u64 {
-        self.pfc
-            .as_ref()
-            .map_or(0, |p| p.pauses_sent.iter().sum())
+        self.pfc.as_ref().map_or(0, |p| p.pauses_sent.iter().sum())
     }
 
     /// Fault-injection hook for oracle tests: silently discard the head
@@ -655,11 +653,7 @@ impl Switch {
     /// pool slot — the drop a buggy buffer manager could commit while
     /// the ingress is paused. Nothing ledgers it, so the
     /// `PauseLosslessness` check must flag it.
-    pub fn drop_queued_for_test(
-        &mut self,
-        in_port: u16,
-        pool: &mut PacketPool,
-    ) -> Option<Packet> {
+    pub fn drop_queued_for_test(&mut self, in_port: u16, pool: &mut PacketPool) -> Option<Packet> {
         let radix = self.ports.len();
         let nv = self.n_vls as usize;
         let inp = in_port as usize;
@@ -927,7 +921,10 @@ impl Switch {
                     credits: self.credits_of(p as u16).collect(),
                     varb: self.varb[p].state(),
                     rr_in: (0..nv).map(|vl| self.lane(p, vl).rr_in).collect(),
-                    cong: self.cong[p * nv..][..nv].iter().map(|c| c.state()).collect(),
+                    cong: self.cong[p * nv..][..nv]
+                        .iter()
+                        .map(|c| c.state())
+                        .collect(),
                     forwarded_packets: self.ports[p].forwarded_packets,
                     forwarded_bytes: self.ports[p].forwarded_bytes,
                     xmit_wait: self.ports[p].xmit_wait,
@@ -1227,7 +1224,13 @@ mod tests {
             .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
             .unwrap();
         let g2 = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         assert_eq!((g1.pkt.seq, g2.pkt.seq), (1, 2));
     }
@@ -1243,7 +1246,13 @@ mod tests {
         enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
         enq(&mut s, &mut pool, 2, 1, pkt(1, 2048), 0);
         let g = s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), Some(&params), &mut pool)
+            .arbitrate(
+                1,
+                Time(0),
+                |b| BW.tx_time(b as u64),
+                Some(&params),
+                &mut pool,
+            )
             .unwrap();
         assert!(g.pkt.fecn, "root port above threshold marks");
         assert!(pool.get(g.h).fecn, "pooled packet carries the mark too");
@@ -1262,7 +1271,13 @@ mod tests {
         enq(&mut s, &mut pool, 2, 1, pkt(1, 2048), 0);
         // After this grant the port has zero credits -> victim.
         let g = s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), Some(&params), &mut pool)
+            .arbitrate(
+                1,
+                Time(0),
+                |b| BW.tx_time(b as u64),
+                Some(&params),
+                &mut pool,
+            )
             .unwrap();
         // First grant happened while credits were available: marks.
         assert!(g.pkt.fecn);
@@ -1375,7 +1390,13 @@ mod tests {
             .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
             .unwrap();
         let g2 = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         let vls = [g1.pkt.vl, g2.pkt.vl];
         assert!(vls.contains(&0) && vls.contains(&1), "both VLs served");
@@ -1401,7 +1422,13 @@ mod tests {
         pool.release(g.h);
         assert!(!s.pfc_check_xon(g.in_port, 0), "32 > 10: stay paused");
         let g = s
-            .arbitrate(1, s.busy_until(1), |b| BW.tx_time(b as u64), None, &mut pool)
+            .arbitrate(
+                1,
+                s.busy_until(1),
+                |b| BW.tx_time(b as u64),
+                None,
+                &mut pool,
+            )
             .unwrap();
         pool.release(g.h);
         assert!(s.pfc_check_xon(g.in_port, 0));
@@ -1451,7 +1478,9 @@ mod tests {
         let plain_snap = sw().state(&PacketPool::new());
         let mut s3 = sw();
         s3.install_pfc(40, 10);
-        assert!(s3.restore_state(&plain_snap, &mut PacketPool::new()).is_err());
+        assert!(s3
+            .restore_state(&plain_snap, &mut PacketPool::new())
+            .is_err());
     }
 
     #[test]

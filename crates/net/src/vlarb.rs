@@ -376,8 +376,7 @@ mod tests {
                 counts[vl as usize] += 1;
             }
             assert_eq!(
-                counts,
-                [picks_per_lane; 4],
+                counts, [picks_per_lane; 4],
                 "unequal service in weight round {round}"
             );
         }

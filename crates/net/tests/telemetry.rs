@@ -6,9 +6,7 @@
 //! window with causal context.
 
 use ibsim_engine::time::{Time, TimeDelta};
-use ibsim_net::{
-    DestPattern, FlightKind, Network, NetConfig, TelemetryConfig, TrafficClass,
-};
+use ibsim_net::{DestPattern, FlightKind, NetConfig, Network, TelemetryConfig, TrafficClass};
 use ibsim_topo::single_switch;
 
 /// Three senders into one drain-limited sink on an 8-port switch — the
@@ -115,7 +113,10 @@ fn congestion_is_visible_in_the_series() {
     // The flight recorder saw marks and throttles along the way.
     let kinds: Vec<FlightKind> = tel.flight_events().map(|e| e.kind).collect();
     assert!(kinds.contains(&FlightKind::Mark), "no FECN mark recorded");
-    assert!(kinds.contains(&FlightKind::Throttle), "no throttle recorded");
+    assert!(
+        kinds.contains(&FlightKind::Throttle),
+        "no throttle recorded"
+    );
 }
 
 #[test]

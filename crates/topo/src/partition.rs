@@ -172,7 +172,9 @@ mod tests {
             .switches
             .iter()
             .enumerate()
-            .filter(|(s, _)| (0..topo.num_hcas).any(|h| topo.hca_attachment(h).map(|(sw, _)| sw) == Some(*s)))
+            .filter(|(s, _)| {
+                (0..topo.num_hcas).any(|h| topo.hca_attachment(h).map(|(sw, _)| sw) == Some(*s))
+            })
             .count();
         let p = partition_leaf_groups(&topo, 1000);
         assert_eq!(p.n, leaves);

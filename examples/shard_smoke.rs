@@ -66,7 +66,10 @@ fn main() {
         }
         match serial_rate {
             Some(s) if n > 1 => {
-                println!("shards={n}: {ev} events, {rate:.0} ev/s ({:.2}x serial)", rate / s)
+                println!(
+                    "shards={n}: {ev} events, {rate:.0} ev/s ({:.2}x serial)",
+                    rate / s
+                )
             }
             _ => println!("shards={n}: {ev} events, {rate:.0} ev/s"),
         }

@@ -156,7 +156,9 @@ impl RunOptions {
         // The finish groups the figure series by the final hotspot set.
         // A broken ledger fails the run rather than reporting corrupt
         // numbers (a no-op pass when auditing is off).
-        self.finish(&mut net, None, &sc.assignment.hotspots).audit.raise();
+        self.finish(&mut net, None, &sc.assignment.hotspots)
+            .audit
+            .raise();
 
         let lat = net.latency_histogram();
         let to_us = |ps: Option<u64>| ps.map_or(0.0, |v| v as f64 / 1e6);

@@ -86,8 +86,9 @@ impl FigureSeries {
 
     /// The figure CSV: one row per sample, the paper panels' columns.
     pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("t_us,hotspot_rx_gbps,victim_rx_gbps,total_rx_gbps,max_ccti,throttled_flows\n");
+        let mut out = String::from(
+            "t_us,hotspot_rx_gbps,victim_rx_gbps,total_rx_gbps,max_ccti,throttled_flows\n",
+        );
         for r in &self.rows {
             let _ = writeln!(
                 out,

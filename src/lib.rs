@@ -57,10 +57,10 @@ pub mod workload;
 
 pub use bisect::{bisect_divergence, perturb_cc, Divergence};
 pub use drill::DrillReport;
-pub use figures::{FigureRow, FigureSeries};
 pub use experiment::{
     run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
 };
+pub use figures::{FigureRow, FigureSeries};
 pub use options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
 pub use preset::Preset;
 pub use replicas::{run_scenario_replicated, Estimate, ReplicatedResult};
@@ -70,10 +70,10 @@ pub use workload::{run_workload, WorkloadResult};
 /// One-stop imports for examples and binaries.
 pub mod prelude {
     pub use crate::drill::DrillReport;
-    pub use crate::figures::{FigureRow, FigureSeries};
     pub use crate::experiment::{
         run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
     };
+    pub use crate::figures::{FigureRow, FigureSeries};
     pub use crate::options::{FlowSpec, OptionsError, RunArtifacts, RunOptions};
     pub use crate::preset::Preset;
     pub use crate::replicas::{run_scenario_replicated, Estimate, ReplicatedResult};

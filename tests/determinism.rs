@@ -98,7 +98,8 @@ fn tiny_table2_csv_is_pinned() {
         total_no_cc,30.346\n\
         total_cc,25.760\n";
     assert_eq!(
-        csv, expected,
+        csv,
+        expected,
         "tiny table2 CSV drifted — a same-seed run no longer reproduces \
          the pinned event order (hash {:#018x})",
         fnv1a(csv.as_bytes())
@@ -277,7 +278,10 @@ fn trace_on_is_byte_identical() {
     };
     let with = tiny_csv_under(&opts, &topo);
 
-    assert_eq!(with, without, "trace-on run diverged from the traced-off pin");
+    assert_eq!(
+        with, without,
+        "trace-on run diverged from the traced-off pin"
+    );
     // The runs did record: a Perfetto export per Table II cell landed.
     let n_json = std::fs::read_dir(&dir)
         .expect("trace out dir exists")

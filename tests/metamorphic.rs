@@ -33,9 +33,7 @@ fn low_load_delivery_is_cc_invariant() {
         for (src, dst) in [(0u32, 3u32), (1, 4), (2, 5)] {
             net.set_classes(
                 src,
-                vec![
-                    TrafficClass::new(30, DestPattern::Fixed(dst), 4096).with_max_messages(40),
-                ],
+                vec![TrafficClass::new(30, DestPattern::Fixed(dst), 4096).with_max_messages(40)],
             );
         }
         net.run_to_idle(10_000_000);
@@ -108,10 +106,7 @@ fn total_becn_loss_converges_to_cc_off_throughput() {
             );
         }
         for n in 2..8u32 {
-            net.set_classes(
-                n,
-                vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)],
-            );
+            net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
         }
         let key = format!("becnloss-cc{cc}-kill{kill_feedback}");
         warm::warm_until(&mut net, &key, Time::from_ms(1));
@@ -160,10 +155,7 @@ fn unreachable_pfc_and_no_cnps_converge_to_cc_off() {
         let mut net = Network::new(&topo, cfg);
         net.enable_audit(50_000);
         for n in 2..8u32 {
-            net.set_classes(
-                n,
-                vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)],
-            );
+            net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
         }
         let key = format!(
             "pfc-meta-{}-x{}",
@@ -190,7 +182,10 @@ fn unreachable_pfc_and_no_cnps_converge_to_cc_off() {
     defanged.dcqcn.pfc_xon_blocks = 999_999;
     defanged.dcqcn.cnp_enabled = false;
     let (hot_d, total_d, pauses_d, becns_d) = run(defanged);
-    assert_eq!(pauses_d, 0, "an unreachable XOFF threshold must never pause");
+    assert_eq!(
+        pauses_d, 0,
+        "an unreachable XOFF threshold must never pause"
+    );
     assert_eq!(becns_d, 0, "disabled CNP generation must notify nothing");
 
     let close = |a: f64, b: f64| (a - b).abs() / a < 0.05;
@@ -221,10 +216,7 @@ fn doubling_the_window_doubles_delivered_counts() {
     let mut net = Network::new(&topo, NetConfig::paper_no_cc());
     net.enable_audit(50_000);
     for s in 1..4u32 {
-        net.set_classes(
-            s,
-            vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)],
-        );
+        net.set_classes(s, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
     }
     warm::warm_until(&mut net, "doubling-3to0", Time::from_ms(1)); // drain-limited steady state
     let d0 = net.total_delivered_packets();
