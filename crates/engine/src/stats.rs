@@ -149,6 +149,20 @@ impl Histogram {
         }
     }
 
+    /// A histogram with no bins, for a slot that never records: it
+    /// allocates nothing, reads as empty, and panics on [`record`].
+    ///
+    /// [`record`]: Histogram::record
+    pub fn unallocated() -> Self {
+        Histogram {
+            bins: Vec::new(),
+            count: 0,
+            sum: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+
     #[inline]
     pub fn record(&mut self, v: u64) {
         let bin = 63u32.saturating_sub(v.max(1).leading_zeros()) as usize;
@@ -331,6 +345,14 @@ mod tests {
         assert_eq!(lap2.events, 0);
         assert_eq!(lap2.sim, TimeDelta(0));
         assert_eq!(lap2.wall_ms_per_sim_ms(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn an_unallocated_histogram_reads_empty_and_refuses_a_sample() {
+        let mut h = Histogram::unallocated();
+        assert_eq!((h.count(), h.quantile(0.5)), (0, None));
+        h.record(1);
     }
 
     #[test]

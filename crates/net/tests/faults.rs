@@ -3,9 +3,8 @@
 //! hold), sanctioned BECN drops are ledgered but never raised, and an
 //! unsanctioned leak is still caught with faults active.
 
-use ibsim_check::LedgerKind;
 use ibsim_engine::time::Time;
-use ibsim_net::{DestPattern, FaultSchedule, NetConfig, Network, TrafficClass};
+use ibsim_net::{DestPattern, FaultSchedule, LedgerKind, NetConfig, Network, TrafficClass};
 use ibsim_topo::{single_switch, FatTreeSpec};
 
 fn schedule(spec: &str, seed: u64) -> FaultSchedule {
@@ -19,6 +18,14 @@ fn hotspot_net(cfg: NetConfig) -> Network {
         net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
     }
     net
+}
+
+/// The library guard behind the command line's check: a selector
+/// outside the fabric panics naming it, before anything is scheduled.
+#[test]
+#[should_panic(expected = "fault selector hca=8 is outside the fabric's 8 HCAs")]
+fn a_selector_outside_the_fabric_panics_on_install() {
+    hotspot_net(NetConfig::paper()).install_faults(schedule("pause:hca=8,at=1us,dur=1us", 0));
 }
 
 /// An empty schedule must be a true no-op: same events, same clock,

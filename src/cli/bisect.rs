@@ -6,11 +6,10 @@
 //! diverging fields as JSON-pointer paths.
 
 use super::{ArgError, Args, Ctx, Job, MAX_US};
-use crate::bisect::{bisect_divergence, perturb_cc, DEFAULT_IGNORE};
+use crate::bisect::{bisect_divergence, perturb_cc, render_diff, DEFAULT_IGNORE};
 use ibsim_cc::CcParams;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::NetConfig;
-use ibsim_state::render_diff;
 
 /// What `--perturb` takes.
 pub(super) const PERTURB: &str = "KEY=VALUE, KEY one of threshold, packet_size, marking_rate, \

@@ -27,7 +27,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         .without(&["checkpoint_at", "resume_from"], "the fault drill")?;
     let spec = a.text("faults").unwrap_or_default().to_string();
     let schedule = a
-        .faults(c.seed)?
+        .faults(c.seed, &c.topo)?
         .ok_or_else(|| a.bad("faults", "wants a fault schedule"))?;
     let bin = TimeDelta::from_us(a.num("bin-us", 1..=MAX_US)?);
     // Optional victim-throughput floor: every bin below it is counted,

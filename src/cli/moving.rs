@@ -18,7 +18,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         let desc = format!("{v}% V / {}% C nodes (fig 9)", 100 - v);
         (desc, c.roles(0, 0, 100 - v), format!("moving_v{v}"))
     };
-    let faults = a.faults(c.seed)?;
+    let faults = a.faults(c.seed, &c.topo)?;
     Ok(Box::new(move || {
         let dur = c.preset.moving_durations();
         let lives = c.preset.lifetimes();

@@ -15,7 +15,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
     let c = Ctx::new(a)?;
     let threads = threads(a)?;
     let x = a.num("x", 0..=100u32)?;
-    let faults = a.faults(c.seed)?;
+    let faults = a.faults(c.seed, &c.topo)?;
     let backend_compare = a.switch("backend-compare")?;
     Ok(Box::new(move || {
         let fig = match x {

@@ -23,10 +23,10 @@
 
 use crate::checkpoint::save_in;
 use ibsim_cc::CcBackend;
-use ibsim_check::AuditReport;
 use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
 use ibsim_net::{
-    chrome_trace_json, records_csv, FaultSchedule, NetConfig, Network, NodeId, TelemetryConfig,
+    chrome_trace_json, records_csv, AuditReport, FaultSchedule, NetConfig, Network, NodeId,
+    TelemetryConfig,
 };
 use ibsim_topo::Topology;
 use serde::{Deserialize, Serialize, Value};

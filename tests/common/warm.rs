@@ -19,14 +19,13 @@
 //! Round trips are byte-identical (pinned by `checkpoint_roundtrip.rs`),
 //! so cached runs produce exactly the numbers a cold run would — as
 //! long as the cache is *fresh*. A behaviour-changing edit makes cached
-//! prefixes stale; `rm -rf target/warm-checkpoints` (or `cargo clean`)
-//! after such edits. CI always starts cold.
+//! prefixes stale, and a format-changing one makes them fail to load
+//! (the test panics naming the file); `rm -rf target/warm-checkpoints`
+//! (or `cargo clean`) after such edits. CI always starts cold.
 
 #![allow(dead_code)] // each test binary uses the half it needs
 
 use ibsim::prelude::*;
-use ibsim_state::CheckpointHeader;
-use serde::Deserialize;
 use std::path::PathBuf;
 
 pub fn warm_dir() -> PathBuf {
@@ -40,26 +39,15 @@ pub fn warm_dir() -> PathBuf {
 /// `t`) when present. `key` must distinguish everything the digest does
 /// not — the installed traffic classes in particular.
 pub fn warm_until(net: &mut Network, key: &str, t: Time) {
-    let digest = ibsim::checkpoint::digest(net);
     let label = format!("warm-{key}-{}", t.as_ps());
-    let path = warm_dir().join(ibsim::checkpoint::file_name(&digest, &label));
-
-    if let Ok(text) = std::fs::read_to_string(&path) {
-        if let Ok((header, sv)) = ibsim_state::decode(&text) {
-            if header.validate_topo(&digest).is_ok() && header.at_ps == t.as_ps() {
-                if let Ok(state) = ibsim_net::NetworkState::from_value(&sv) {
-                    if net.restore(&state).is_ok() {
-                        return;
-                    }
-                }
-            }
+    if let Some((_, state)) = ibsim::checkpoint::load_from(&warm_dir(), net, &label) {
+        if net.restore(&state).is_ok() {
+            return;
         }
-        // Unreadable or mismatched cache entry: fall through and rebuild.
+        // A cache entry this network cannot take: rebuild it.
     }
     net.run_until(t);
-    std::fs::create_dir_all(warm_dir()).ok();
-    let header = CheckpointHeader::new(t.as_ps(), net.events_processed(), digest);
-    let _ = ibsim_state::save(&path, &header, &net.checkpoint());
+    ibsim::checkpoint::save_in(&warm_dir(), net, &label);
 }
 
 /// The options the paper-shape tests run under: the ambient ones (so
