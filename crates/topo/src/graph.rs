@@ -70,6 +70,12 @@ impl RoutingIndex {
 }
 
 impl Topology {
+    /// Unidirectional channels the network layer builds: two per cable,
+    /// the pair of cable `l` being channels `2l` and `2l + 1`.
+    pub fn num_channels(&self) -> usize {
+        2 * self.links.len()
+    }
+
     /// The switch port each HCA is cabled to, or `None` if unattached.
     pub fn hca_attachment(&self, hca: usize) -> Option<(usize, usize)> {
         self.links.iter().find_map(|l| match (l.a, l.b) {
