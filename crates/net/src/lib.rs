@@ -52,6 +52,6 @@ pub use telemetry::{
     FlightDump, FlightEvent, FlightKind, NetTelemetry, NetTelemetryState, SampleTable,
     TelemetryConfig,
 };
-pub use trace::{TraceCtx, TracePoint, TraceRecord, Tracer};
+pub use trace::{TraceCtx, TracePoint, TraceRecord, TraceRecords, Tracer};
 pub use types::{blocks_for, NodeId, Packet, PacketKind, Vl, BLOCK_BYTES, CNP_BYTES};
 pub use vlarb::{VlArbState, VlArbTable, VlArbiter, VlWeight};

@@ -89,7 +89,7 @@ use crate::network::{Dev, Ev, Event, Network};
 use crate::profile::{EngineProfiler, Subsystem};
 use crate::state::EventState;
 use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
-use crate::trace::Tracer;
+use crate::trace::{TraceCursor, Tracer};
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
@@ -751,7 +751,7 @@ impl Network {
             // The last replay drained the shard-side capture buffers;
             // drop them and fold the shard's profiler bins in (pure
             // sums, so addition order does not matter).
-            debug_assert!(sh.tracer.as_ref().is_none_or(|t| t.records().is_empty()));
+            debug_assert!(sh.tracer.as_ref().is_none_or(Tracer::is_empty));
             debug_assert!(sh.obs_buf.as_ref().is_none_or(|b| b.flight.is_empty()));
             sh.tracer = None;
             sh.obs_buf = None;
@@ -878,10 +878,10 @@ impl Network {
             }
             for &(key, ev) in batch.iter() {
                 let before = self.shard_route.as_ref().expect("shard").prov;
-                let tr0 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
+                let tr0 = self.tracer.as_ref().map_or(0, Tracer::len);
                 let fl0 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 self.dispatch_profiled(t, ev);
-                let tr1 = self.tracer.as_ref().map_or(0, |tr| tr.records().len());
+                let tr1 = self.tracer.as_ref().map_or(0, Tracer::len);
                 let fl1 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 let r = self.shard_route.as_mut().expect("shard");
                 r.dispatched += 1;
@@ -1017,8 +1017,9 @@ struct Coord<'a> {
     logs: Vec<Vec<DispatchRec>>,
     runs: Vec<Vec<Run>>,
     heads: Vec<Head>,
-    /// Per shard: trace records and flight notes copied so far.
-    copied: Vec<(usize, usize)>,
+    /// Per shard: where the trace log and the flight notes have been
+    /// copied up to.
+    copied: Vec<(TraceCursor, usize)>,
     /// The outbox being routed, swapped out of its shard.
     out: Vec<OutMsg>,
 }
@@ -1032,7 +1033,7 @@ impl<'a> Coord<'a> {
             logs: vec![Vec::new(); n],
             runs: vec![Vec::new(); n],
             heads: vec![Head::default(); n],
-            copied: vec![(0, 0); n],
+            copied: vec![(TraceCursor::default(), 0); n],
             out: Vec::new(),
         }
     }
@@ -1131,7 +1132,7 @@ impl<'a> Coord<'a> {
     fn replay(&mut self, flow: &mut Flow, obs: &mut MasterObs<'_>) {
         let observed = obs.trc.is_some() || obs.tel.is_some();
         if observed {
-            self.copied.fill((0, 0));
+            self.copied.fill((TraceCursor::default(), 0));
         }
         let mut rp = Replay::new(&self.logs, &mut self.runs, &mut self.heads, flow.gseq);
         let mut processed = flow.processed;
@@ -1193,8 +1194,8 @@ impl<'a> Coord<'a> {
             // the next window.
             for (g, &(tr, fl)) in self.guards.iter_mut().zip(&self.copied) {
                 if let Some(st) = g.tracer.as_mut() {
-                    debug_assert_eq!(tr, st.records().len(), "unreplayed trace records");
-                    st.drain_records();
+                    debug_assert_eq!(tr, st.end(), "unreplayed trace records");
+                    st.clear();
                 }
                 if let Some(b) = g.obs_buf.as_mut() {
                     debug_assert_eq!(fl, b.flight.len(), "unreplayed flight notes");
@@ -1269,18 +1270,13 @@ impl<'a> Coord<'a> {
 fn copy_observations(
     g: &mut Network,
     rec: DispatchRec,
-    copied: &mut (usize, usize),
+    copied: &mut (TraceCursor, usize),
     obs: &mut MasterObs<'_>,
 ) {
     if rec.n_trace > 0 {
-        let end = copied.0 + usize::from(rec.n_trace);
-        if let Some(mt) = obs.trc.as_mut() {
-            let st = g.tracer.as_ref().expect("shards trace iff the master does");
-            for &r in &st.records()[copied.0..end] {
-                mt.push(r);
-            }
-        }
-        copied.0 = end;
+        let mt = obs.trc.as_mut().expect("shards trace iff the master does");
+        let st = g.tracer.as_ref().expect("shards trace iff the master does");
+        mt.append_from(st, &mut copied.0, usize::from(rec.n_trace));
     }
     if rec.n_flight > 0 {
         let end = copied.1 + usize::from(rec.n_flight);

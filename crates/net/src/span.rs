@@ -29,7 +29,7 @@ use crate::types::NodeId;
 use serde::Serialize;
 use serde_json::{json, Value};
 use std::collections::HashMap;
-use std::fmt::Write as _;
+use std::io::{self, BufWriter, Write};
 
 /// One FECN→BECN→CCTI→throttle causal chain, paired from the record
 /// stream. `flow` is the *data* flow (src, dst); the CNP legs travel
@@ -66,7 +66,7 @@ impl CausalChain {
 }
 
 /// Pair the causal CC chains out of a record stream (capture order).
-pub fn causal_chains(records: &[TraceRecord]) -> Vec<CausalChain> {
+pub fn causal_chains(records: impl IntoIterator<Item = TraceRecord>) -> Vec<CausalChain> {
     // First FECN-marked Forward per data packet key.
     let mut marks: HashMap<(NodeId, NodeId, u32), (u64, u32)> = HashMap::new();
     // Per data flow (s, d): CnpQueued records, CNP injects/delivers,
@@ -179,10 +179,59 @@ fn pkt_name(r: &TraceRecord) -> String {
     }
 }
 
-/// Export records as a Chrome trace-event JSON document
+/// Writes a Chrome trace-event document one event at a time, in the
+/// bytes `serde_json::to_string_pretty` gives for the whole document:
+/// only the events not yet flushed to `w` are ever held.
+struct EventSink<W: Write> {
+    w: W,
+    buf: String,
+    events: usize,
+}
+
+impl<W: Write> EventSink<W> {
+    fn new(w: W) -> Self {
+        let buf = String::from("{\n  \"traceEvents\": [");
+        EventSink { w, buf, events: 0 }
+    }
+
+    /// Append one element of `traceEvents`.
+    fn push(&mut self, event: Value) -> io::Result<()> {
+        self.buf.push_str(if self.events == 0 {
+            "\n    "
+        } else {
+            ",\n    "
+        });
+        serde_json::push_pretty(&event, 2, &mut self.buf);
+        self.events += 1;
+        if self.buf.len() >= 1 << 16 {
+            self.w.write_all(self.buf.as_bytes())?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    /// Close `traceEvents` and write the document's tail.
+    fn finish(mut self) -> io::Result<()> {
+        self.buf
+            .push_str(if self.events == 0 { "]," } else { "\n  ]," });
+        self.buf.push_str(concat!(
+            "\n  \"displayTimeUnit\": \"ns\",",
+            "\n  \"metadata\": {",
+            "\n    \"tool\": \"ibsim causal tracer\",",
+            "\n    \"time_unit\": \"us (from ps)\"",
+            "\n  }\n}",
+        ));
+        self.w.write_all(self.buf.as_bytes())?;
+        self.w.flush()
+    }
+}
+
+/// Write records as a pretty-printed Chrome trace-event JSON document
 /// (`{"traceEvents": [...]}`), viewable in Perfetto / chrome://tracing.
-pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
-    let mut events: Vec<Value> = Vec::new();
+/// Events are printed as they are built, so the document never exists
+/// in memory as a whole.
+pub fn chrome_trace_json(records: &[TraceRecord], w: impl Write) -> io::Result<()> {
+    let mut events = EventSink::new(w);
     let pid = 1u64;
 
     // Track naming metadata. Collect every tid we will emit on.
@@ -221,7 +270,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
         events.push(json!({
             "ph": "M", "pid": pid, "tid": tid, "name": "thread_name",
             "args": {"name": name},
-        }));
+        }))?;
     }
 
     // Group packet-scoped records by key, preserving capture order.
@@ -249,11 +298,11 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
             "ph": "b", "cat": "packet", "id": span_id, "pid": pid,
             "tid": hca_tid(first.src), "ts": us(first.at_ps), "name": name,
             "args": {"vl": first.vl, "seq": first.seq, "cnp": first.cnp},
-        }));
+        }))?;
         events.push(json!({
             "ph": "e", "cat": "packet", "id": span_id, "pid": pid,
             "tid": hca_tid(first.src), "ts": us(last.at_ps), "name": name,
-        }));
+        }))?;
         // Per-hop child slices: switch ingress → arbiter grant.
         let mut pending_arrive: HashMap<u32, &TraceRecord> = HashMap::new();
         for r in recs.iter() {
@@ -284,7 +333,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                                 "voq_at_grant": r.voq,
                                 "credit_at_grant": r.credit,
                             },
-                        }));
+                        }))?;
                     }
                 }
                 TracePoint::Inject => {
@@ -293,7 +342,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                         "tid": hca_tid(r.src), "ts": us(r.at_ps), "dur": 0.001,
                         "name": format!("inject {name}"),
                         "args": {"vl": r.vl, "queue": r.voq, "credit": r.credit},
-                    }));
+                    }))?;
                 }
                 TracePoint::Arrive | TracePoint::Deliver => {
                     events.push(json!({
@@ -304,7 +353,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                             if r.point == TracePoint::Arrive { "arrive" } else { "deliver" }
                         ),
                         "args": {"vl": r.vl, "queue": r.voq},
-                    }));
+                    }))?;
                 }
                 _ => {}
             }
@@ -312,7 +361,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
     }
 
     // Causal chain slices + flow arrows.
-    for (ci, ch) in causal_chains(records).iter().enumerate() {
+    for (ci, ch) in causal_chains(records.iter().copied()).iter().enumerate() {
         let (s, d) = ch.flow;
         let flow_id = format!("cc{ci}");
         let mut step = |ph: &str, ts_ps: u64, tid: u64, name: String, args: Value| {
@@ -321,11 +370,11 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
             events.push(json!({
                 "ph": "X", "cat": "cc", "pid": pid, "tid": tid,
                 "ts": us(ts_ps), "dur": 0.001, "name": name, "args": args,
-            }));
+            }))?;
             events.push(json!({
                 "ph": ph, "cat": "cc-causal", "pid": pid, "tid": tid,
                 "ts": us(ts_ps), "id": flow_id, "name": format!("chain {s}→{d}"),
-            }));
+            }))
         };
         let mut first = true;
         if let Some((at, sw)) = ch.mark {
@@ -335,7 +384,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 switch_tid(sw),
                 format!("FECN mark {s}→{d} #{}", ch.data_seq),
                 json!({"switch": sw}),
-            );
+            )?;
             first = false;
         }
         step(
@@ -344,7 +393,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
             hca_tid(d),
             format!("CNP queued {d}→{s}"),
             json!({"data_seq": ch.data_seq}),
-        );
+        )?;
         if let Some(at) = ch.cnp_inject_at {
             step(
                 "t",
@@ -352,7 +401,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 hca_tid(d),
                 format!("CNP inject {d}→{s}"),
                 json!({}),
-            );
+            )?;
         }
         if let Some(at) = ch.cnp_deliver_at {
             step(
@@ -361,7 +410,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 hca_tid(s),
                 format!("CNP deliver @hca{s}"),
                 json!({}),
-            );
+            )?;
         }
         if let Some((at, before, after)) = ch.ccti_raise {
             let ph = if ch.throttle.is_some() { "t" } else { "f" };
@@ -371,7 +420,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 hca_tid(s),
                 format!("CCTI raise {before}→{after}"),
                 json!({"before": before, "after": after}),
-            );
+            )?;
         }
         if let Some((at, delay_ps)) = ch.throttle {
             step(
@@ -380,7 +429,7 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 hca_tid(s),
                 format!("throttle {delay_ps} ps"),
                 json!({"delay_ps": delay_ps}),
-            );
+            )?;
         }
     }
 
@@ -414,62 +463,65 @@ pub fn chrome_trace_json(records: &[TraceRecord]) -> Value {
                 "tid": tid, "ts": us(r.at_ps),
                 "name": format!("PFC pause port {port} vl {}", r.vl),
                 "args": {"vl": r.vl, "voq": r.voq},
-            }));
+            }))?;
         }
     }
-
-    json!({
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "metadata": {"tool": "ibsim causal tracer", "time_unit": "us (from ps)"},
-    })
+    events.finish()
 }
 
-/// Flat CSV export: one row per record, capture order, stable columns.
-pub fn records_csv(records: &[TraceRecord]) -> String {
-    let mut out = String::from("at_ps,src,dst,seq,cnp,point,vl,voq,credit,detail\n");
+/// Write records as a flat CSV: one row per record, capture order,
+/// stable columns.
+pub fn records_csv(
+    records: impl IntoIterator<Item = TraceRecord>,
+    w: impl Write,
+) -> io::Result<()> {
+    let mut w = BufWriter::new(w);
+    w.write_all(b"at_ps,src,dst,seq,cnp,point,vl,voq,credit,detail\n")?;
     for r in records {
-        let (point, detail) = match r.point {
-            TracePoint::Inject => ("inject", String::new()),
+        let point = match r.point {
+            TracePoint::Inject => "inject",
+            TracePoint::SwitchArrive { .. } => "switch_arrive",
+            TracePoint::Forward { .. } => "forward",
+            TracePoint::Arrive => "arrive",
+            TracePoint::Deliver => "deliver",
+            TracePoint::CnpQueued => "cnp_queued",
+            TracePoint::CctiRaise { .. } => "ccti_raise",
+            TracePoint::Throttle { .. } => "throttle",
+            TracePoint::Pfc { .. } => "pfc",
+        };
+        write!(
+            w,
+            "{},{},{},{},{},{point},{},{},{},",
+            r.at_ps, r.src, r.dst, r.seq, r.cnp as u8, r.vl, r.voq, r.credit
+        )?;
+        match r.point {
             TracePoint::SwitchArrive { switch, in_port } => {
-                ("switch_arrive", format!("sw={switch};in={in_port}"))
+                writeln!(w, "sw={switch};in={in_port}")
             }
             TracePoint::Forward {
                 switch,
                 out_port,
                 fecn,
-            } => (
-                "forward",
-                format!("sw={switch};out={out_port};fecn={}", fecn as u8),
-            ),
-            TracePoint::Arrive => ("arrive", String::new()),
-            TracePoint::Deliver => ("deliver", String::new()),
-            TracePoint::CnpQueued => ("cnp_queued", String::new()),
+            } => writeln!(w, "sw={switch};out={out_port};fecn={}", fecn as u8),
             TracePoint::CctiRaise { before, after } => {
-                ("ccti_raise", format!("before={before};after={after}"))
+                writeln!(w, "before={before};after={after}")
             }
-            TracePoint::Throttle { delay_ps } => ("throttle", format!("delay_ps={delay_ps}")),
+            TracePoint::Throttle { delay_ps } => writeln!(w, "delay_ps={delay_ps}"),
             TracePoint::Pfc {
                 at_switch,
                 node,
                 port,
                 xoff,
-            } => (
-                "pfc",
-                format!(
-                    "at={};node={node};port={port};xoff={}",
-                    if at_switch { "switch" } else { "hca" },
-                    xoff as u8
-                ),
+            } => writeln!(
+                w,
+                "at={};node={node};port={port};xoff={}",
+                if at_switch { "switch" } else { "hca" },
+                xoff as u8
             ),
-        };
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{},{},{}",
-            r.at_ps, r.src, r.dst, r.seq, r.cnp as u8, point, r.vl, r.voq, r.credit, detail
-        );
+            _ => writeln!(w),
+        }?;
     }
-    out
+    w.flush()
 }
 
 #[cfg(test)]
@@ -543,12 +595,25 @@ mod tests {
             TracePoint::Throttle { delay_ps: 900 },
             ctx(),
         );
-        t.records().to_vec()
+        t.records().collect()
+    }
+
+    /// The Chrome document `chrome_trace_json` writes, read back.
+    fn chrome_doc(records: &[TraceRecord]) -> Value {
+        let mut bytes = Vec::new();
+        chrome_trace_json(records, &mut bytes).unwrap();
+        serde_json::from_str(std::str::from_utf8(&bytes).unwrap()).unwrap()
+    }
+
+    fn csv_text(records: &[TraceRecord]) -> String {
+        let mut bytes = Vec::new();
+        records_csv(records.iter().copied(), &mut bytes).unwrap();
+        String::from_utf8(bytes).unwrap()
     }
 
     #[test]
     fn chains_pair_every_link() {
-        let chains = causal_chains(&chain_records());
+        let chains = causal_chains(chain_records());
         assert_eq!(chains.len(), 1);
         let c = &chains[0];
         assert_eq!(c.flow, (0, 5));
@@ -567,7 +632,7 @@ mod tests {
         let mut recs = chain_records();
         // Drop the CNP deliver + raise + throttle (a CNP-loss fault).
         recs.truncate(6);
-        let chains = causal_chains(&recs);
+        let chains = causal_chains(recs);
         assert_eq!(chains.len(), 1);
         assert!(chains[0].cnp_inject_at.is_some());
         assert!(chains[0].cnp_deliver_at.is_none());
@@ -611,7 +676,7 @@ mod tests {
 
     #[test]
     fn chrome_json_has_spans_slices_and_flow_arrows() {
-        let doc = chrome_trace_json(&chain_records());
+        let doc = chrome_doc(&chain_records());
         let events = doc["traceEvents"].as_array().unwrap();
         let count = |ph: &str| events.iter().filter(|e| e["ph"] == ph).count();
         assert!(count("b") >= 2, "lifecycle spans for data pkt + cnp");
@@ -620,10 +685,21 @@ mod tests {
         assert_eq!(count("s"), 1, "one chain start");
         assert_eq!(count("f"), 1, "one chain finish");
         assert!(count("t") >= 3, "intermediate chain steps");
-        // Round-trips through serde_json.
-        let text = serde_json::to_string(&doc).unwrap();
-        let back: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(back["traceEvents"].as_array().unwrap().len(), events.len());
+    }
+
+    #[test]
+    fn chrome_json_is_the_pretty_printed_document() {
+        // Written event by event, the document is byte for byte what
+        // the pretty printer gives for it as a whole, empty or not.
+        for records in [Vec::new(), chain_records()] {
+            let mut bytes = Vec::new();
+            chrome_trace_json(&records, &mut bytes).unwrap();
+            let doc = chrome_doc(&records);
+            assert_eq!(
+                String::from_utf8(bytes).unwrap(),
+                serde_json::to_string_pretty(&doc).unwrap()
+            );
+        }
     }
 
     #[test]
@@ -649,7 +725,7 @@ mod tests {
             },
             ctx(),
         );
-        let doc = chrome_trace_json(t.records());
+        let doc = chrome_doc(&t.records().collect::<Vec<_>>());
         let events = doc["traceEvents"].as_array().unwrap();
         let pfc: Vec<_> = events.iter().filter(|e| e["cat"] == "pfc").collect();
         assert_eq!(pfc.len(), 2);
@@ -660,7 +736,7 @@ mod tests {
 
     #[test]
     fn csv_is_rectangular_and_in_capture_order() {
-        let csv = records_csv(&chain_records());
+        let csv = csv_text(&chain_records());
         let rows: Vec<&str> = csv.lines().collect();
         assert_eq!(rows.len(), 1 + 9);
         let width = rows[0].split(',').count();

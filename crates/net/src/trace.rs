@@ -89,7 +89,7 @@ pub struct TraceCtx {
 /// One trace record. Data packets are identified by
 /// `(src, dst, seq)` — unique per flow by construction. CNPs carry
 /// their own (reversed) `src`/`dst` with `seq = 0` and `cnp = true`.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize)]
 pub struct TraceRecord {
     pub at_ps: u64,
     pub src: NodeId,
@@ -113,8 +113,16 @@ impl TraceRecord {
 
 /// Collects records for an explicit set of (src, dst) flows.
 ///
-/// Records live in one append-only vector (capture order == the
-/// deterministic event order).
+/// Records live in one append-only byte log, in capture order (the
+/// deterministic event order). Each record is one header byte — the
+/// point's tag in bits 0–3, `cnp` in bit 4, the point's flag (`fecn`,
+/// `xoff`) in bit 5 and PFC's `at_switch` in bit 6 — then LEB128
+/// varints: `at_ps` as a wrapping delta from the previous record,
+/// `src + 1` and `dst + 1` (so [`CC_SCOPE`] takes one byte), `seq`,
+/// `vl`, `voq`, `credit`, and the point's payload fields in
+/// declaration order. A hop record of a 72-node fabric takes about
+/// 12 bytes against the 48 of a [`TraceRecord`]; [`Tracer::records`]
+/// decodes them back.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     flows: HashSet<(NodeId, NodeId)>,
@@ -124,7 +132,18 @@ pub struct Tracer {
     /// leave after a short search over the few that are; nothing is
     /// hashed on the hot path. Rebuilt whenever `flows` changes.
     by_dst: Vec<(NodeId, Vec<NodeId>)>,
-    records: Vec<TraceRecord>,
+    log: Vec<u8>,
+    len: usize,
+    /// `at_ps` of the last record: the next one's delta is taken from it.
+    last_at: u64,
+}
+
+/// A position in a [`Tracer`]'s log: a byte offset and the `at_ps` of
+/// the record before it, which the next record's delta is taken from.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TraceCursor {
+    pos: usize,
+    at_ps: u64,
 }
 
 impl Tracer {
@@ -223,31 +242,106 @@ impl Tracer {
         });
     }
 
-    /// Append an already-filtered record. The sharded executor merges
-    /// per-shard buffers through here in replayed `(time, true-key)`
-    /// order, which reproduces exactly the capture order the serial
-    /// engine would have produced.
+    /// Append an already-filtered record.
     pub fn push(&mut self, rec: TraceRecord) {
-        self.records.push(rec);
+        use TracePoint::*;
+        let (head, payload, n): (u8, [u64; 2], usize) = match rec.point {
+            Inject => (0, [0; 2], 0),
+            SwitchArrive { switch, in_port } => (1, [switch.into(), in_port.into()], 2),
+            Forward {
+                switch,
+                out_port,
+                fecn,
+            } => (2 | flag(fecn, FLAG), [switch.into(), out_port.into()], 2),
+            Arrive => (3, [0; 2], 0),
+            Deliver => (4, [0; 2], 0),
+            CnpQueued => (5, [0; 2], 0),
+            CctiRaise { before, after } => (6, [before.into(), after.into()], 2),
+            Throttle { delay_ps } => (7, [delay_ps, 0], 1),
+            Pfc {
+                at_switch,
+                node,
+                port,
+                xoff,
+            } => (
+                8 | flag(xoff, FLAG) | flag(at_switch, AT_SWITCH),
+                [node.into(), port.into()],
+                2,
+            ),
+        };
+        let log = &mut self.log;
+        log.push(head | flag(rec.cnp, CNP));
+        put_varint(log, rec.at_ps.wrapping_sub(self.last_at));
+        let (src, dst) = (rec.src.wrapping_add(1), rec.dst.wrapping_add(1));
+        let fields = [src, dst, rec.seq, rec.vl.into(), rec.voq, rec.credit];
+        for v in fields.map(u64::from).iter().chain(&payload[..n]) {
+            put_varint(log, *v);
+        }
+        self.len += 1;
+        self.last_at = rec.at_ps;
     }
 
-    /// Drain collected records, keeping the flow set.
-    /// Shard-side buffers are emptied through here at every barrier.
-    pub fn drain_records(&mut self) -> Vec<TraceRecord> {
-        std::mem::take(&mut self.records)
+    /// Append the `n` records of `src` that start at `from`, and move
+    /// `from` past them. The sharded executor merges each dispatch's
+    /// records through here in replayed `(time, true-key)` order, which
+    /// reproduces exactly the capture order the serial engine would
+    /// have produced.
+    pub(crate) fn append_from(&mut self, src: &Tracer, from: &mut TraceCursor, n: usize) {
+        let mut it = TraceRecords {
+            log: &src.log,
+            at: *from,
+            left: n,
+        };
+        for rec in it.by_ref() {
+            self.push(rec);
+        }
+        *from = it.at;
     }
 
-    pub fn records(&self) -> &[TraceRecord] {
-        &self.records
+    /// Forget every record, keeping the flow set. Shard-side logs are
+    /// emptied through here at every barrier.
+    pub(crate) fn clear(&mut self) {
+        self.log.clear();
+        self.len = 0;
+        self.last_at = 0;
+    }
+
+    /// Number of records held.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Bytes the encoded records take.
+    pub fn log_bytes(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Where the next record will start (the end of the log).
+    pub(crate) fn end(&self) -> TraceCursor {
+        TraceCursor {
+            pos: self.log.len(),
+            at_ps: self.last_at,
+        }
+    }
+
+    /// Every record, decoded in capture order.
+    pub fn records(&self) -> TraceRecords<'_> {
+        TraceRecords {
+            log: &self.log,
+            at: TraceCursor::default(),
+            left: self.len,
+        }
     }
 
     /// Records of one specific packet, in capture order: a scan of the
     /// whole trace, so a query, not a hot-path call.
     pub fn packet(&self, src: NodeId, dst: NodeId, seq: u32) -> Vec<TraceRecord> {
-        self.records
-            .iter()
+        self.records()
             .filter(|r| r.point.packet_scoped() && r.key() == (src, dst, seq))
-            .copied()
             .collect()
     }
 
@@ -262,6 +356,126 @@ impl Tracer {
             .collect()
     }
 }
+
+/// Header-byte bits above the point tag.
+const CNP: u8 = 1 << 4;
+const FLAG: u8 = 1 << 5;
+const AT_SWITCH: u8 = 1 << 6;
+
+fn flag(on: bool, bit: u8) -> u8 {
+    if on {
+        bit
+    } else {
+        0
+    }
+}
+
+fn put_varint(log: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        log.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    log.push(v as u8);
+}
+
+/// Decoding iterator over a [`Tracer`]'s records ([`Tracer::records`]).
+#[derive(Clone, Debug)]
+pub struct TraceRecords<'a> {
+    log: &'a [u8],
+    at: TraceCursor,
+    left: usize,
+}
+
+impl TraceRecords<'_> {
+    fn byte(&mut self) -> u8 {
+        let b = self.log[self.at.pos];
+        self.at.pos += 1;
+        b
+    }
+
+    fn varint(&mut self) -> u64 {
+        let (mut v, mut shift) = (0u64, 0);
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+impl Iterator for TraceRecords<'_> {
+    type Item = TraceRecord;
+
+    fn next(&mut self) -> Option<TraceRecord> {
+        if self.left == 0 {
+            return None;
+        }
+        self.left -= 1;
+        // Every field was encoded from its own type, so the narrowing
+        // casts below give back exactly what was pushed.
+        let head = self.byte();
+        let at_ps = self.at.at_ps.wrapping_add(self.varint());
+        let src = (self.varint() as NodeId).wrapping_sub(1);
+        let dst = (self.varint() as NodeId).wrapping_sub(1);
+        let seq = self.varint() as u32;
+        let (vl, voq, credit) = (
+            self.varint() as Vl,
+            self.varint() as u32,
+            self.varint() as u32,
+        );
+        let flag = head & FLAG != 0;
+        let point = match head & 0x0f {
+            0 => TracePoint::Inject,
+            1 => TracePoint::SwitchArrive {
+                switch: self.varint() as u32,
+                in_port: self.varint() as u16,
+            },
+            2 => TracePoint::Forward {
+                switch: self.varint() as u32,
+                out_port: self.varint() as u16,
+                fecn: flag,
+            },
+            3 => TracePoint::Arrive,
+            4 => TracePoint::Deliver,
+            5 => TracePoint::CnpQueued,
+            6 => TracePoint::CctiRaise {
+                before: self.varint() as u16,
+                after: self.varint() as u16,
+            },
+            7 => TracePoint::Throttle {
+                delay_ps: self.varint(),
+            },
+            8 => TracePoint::Pfc {
+                at_switch: head & AT_SWITCH != 0,
+                node: self.varint() as u32,
+                port: self.varint() as u16,
+                xoff: flag,
+            },
+            tag => unreachable!("trace log tag {tag}: the log is only written by push"),
+        };
+        self.at.at_ps = at_ps;
+        Some(TraceRecord {
+            at_ps,
+            src,
+            dst,
+            seq,
+            cnp: head & CNP != 0,
+            vl,
+            voq,
+            credit,
+            point,
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for TraceRecords<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -280,9 +494,8 @@ mod tests {
         assert!(t.wants(1, 2));
         assert!(!t.wants(2, 1), "direction matters");
         // Context fields ride along untouched.
-        assert_eq!(t.records()[0].vl, 0);
-        assert_eq!(t.records()[0].voq, 3);
-        assert_eq!(t.records()[0].credit, 8);
+        let r = t.records().next().unwrap();
+        assert_eq!((r.vl, r.voq, r.credit), (0, 3, 8));
     }
 
     #[test]
@@ -315,7 +528,7 @@ mod tests {
         // A data packet 2→1 is a different (untraced) flow.
         assert!(!t.record(Time(6), 2, 1, 3, false, TracePoint::Inject, ctx(0, 0, 1)));
         assert_eq!(t.records().len(), 1);
-        assert!(t.records()[0].cnp);
+        assert!(t.records().next().unwrap().cnp);
     }
 
     #[test]
@@ -409,24 +622,32 @@ mod tests {
             ctx(0, 0, 0),
         );
         assert_eq!(t.records().len(), 2);
-        assert_eq!(t.records()[0].src, CC_SCOPE);
+        assert!(t.records().all(|r| r.src == CC_SCOPE));
         assert!(t.packet(CC_SCOPE, CC_SCOPE, 0).is_empty());
     }
 
     #[test]
-    fn merged_push_reproduces_record_order() {
-        // The barrier-merge path: records pushed raw must land in the
-        // same order and answer the same queries as direct recording.
-        let mut direct = Tracer::for_flows([(0, 5)]);
-        direct.record(Time(1), 0, 5, 1, false, TracePoint::Inject, ctx(0, 0, 4));
-        direct.record(Time(2), 0, 5, 1, false, TracePoint::Deliver, ctx(0, 0, 0));
-
-        let mut merged = Tracer::for_flows([(0, 5)]);
-        for rec in direct.records().to_vec() {
-            merged.push(rec);
+    fn appending_from_a_cursor_reproduces_the_records() {
+        // The barrier-merge path: a shard's log copied a few records at
+        // a time, behind records the master already holds (so every
+        // time delta is re-based), decodes to the shard's records.
+        let mut shard = Tracer::for_flows([(0, 5)]);
+        for (seq, at) in [(1, 7), (1, 2), (2, 9), (1, u64::MAX)] {
+            shard.record(Time(at), 0, 5, seq, false, TracePoint::Inject, ctx(0, 1, 4));
         }
-        assert_eq!(merged.records().len(), 2);
-        assert_eq!(merged.packet(0, 5, 1).len(), 2);
-        assert_eq!(merged.path_of(0, 5, 1), direct.path_of(0, 5, 1));
+        let mut master = Tracer::for_flows([(0, 5)]);
+        master.record(Time(100), 0, 5, 3, false, TracePoint::Deliver, ctx(0, 0, 0));
+        let mut from = TraceCursor::default();
+        master.append_from(&shard, &mut from, 1);
+        master.append_from(&shard, &mut from, 3);
+        assert_eq!(
+            from,
+            shard.end(),
+            "the cursor ends where the shard log does"
+        );
+        assert_eq!(master.len(), 5);
+        let copied: Vec<TraceRecord> = master.records().skip(1).collect();
+        assert_eq!(copied, shard.records().collect::<Vec<_>>());
+        assert_eq!(master.path_of(0, 5, 1), shard.path_of(0, 5, 1));
     }
 }

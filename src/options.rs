@@ -26,10 +26,12 @@ use ibsim_cc::CcBackend;
 use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
 use ibsim_net::{
     chrome_trace_json, records_csv, AuditReport, FaultSchedule, NetConfig, Network, NodeId,
-    TelemetryConfig,
+    TelemetryConfig, TraceRecord,
 };
 use ibsim_topo::Topology;
 use serde::{Deserialize, Serialize, Value};
+use std::fs::File;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -478,33 +480,36 @@ impl RunOptions {
         let label =
             armed.then(|| format!("run{:03}_{hint}", RUN_SEQ.fetch_add(1, Ordering::Relaxed)));
         let mut files = Vec::new();
-        let mut put = |kind: &str, ext: &str, body: String| {
+        let mut put = |kind: &str, ext: &str, write: &dyn Fn(File) -> std::io::Result<()>| {
             let label = label.as_deref().expect("an observer is armed");
             let path = self.out.join(format!("{kind}_{label}.{ext}"));
-            std::fs::write(&path, body)
+            File::create(&path)
+                .and_then(write)
                 .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
             files.push(path);
         };
+        let text = |body: String| move |mut f: File| f.write_all(body.as_bytes());
         if armed {
             std::fs::create_dir_all(&self.out)
                 .unwrap_or_else(|e| panic!("cannot create {}: {e}", self.out.display()));
         }
         if let Some(tel) = net.telemetry() {
-            put("telemetry", "csv", tel.table().to_csv());
+            put("telemetry", "csv", &text(tel.table().to_csv()));
             let flight = net.flight_dump_json("end of run");
-            put("flight", "json", flight.expect("telemetry is armed"));
+            put("flight", "json", &text(flight.expect("telemetry is armed")));
             let figure = crate::figures::FigureSeries::from_table(tel.table(), hotspots);
-            put("figure", "csv", figure.to_csv());
+            put("figure", "csv", &text(figure.to_csv()));
         }
         if let Some(tracer) = net.tracer() {
-            let doc = chrome_trace_json(tracer.records());
-            let json = serde_json::to_string_pretty(&doc).expect("trace doc serialises");
-            put("trace", "json", json);
-            put("trace", "csv", records_csv(tracer.records()));
+            // Decoded once for the JSON, whose packet spans group records
+            // out of capture order; the CSV streams straight off the log.
+            let records: Vec<TraceRecord> = tracer.records().collect();
+            put("trace", "json", &|f| chrome_trace_json(&records, f));
+            put("trace", "csv", &|f| records_csv(tracer.records(), f));
         }
         if let Some(report) = net.profile_report() {
             let json = serde_json::to_string_pretty(&report).expect("profile report serialises");
-            put("profile", "json", json);
+            put("profile", "json", &text(json));
         }
         RunArtifacts {
             label,

@@ -340,10 +340,12 @@ fn observed_net(topo: &Topology, n: usize) -> Network {
 /// The three observation streams a run exposes, serialised.
 fn observations(net: &Network) -> (String, String, String) {
     let tel = net.telemetry().expect("telemetry is on");
+    let mut trace = Vec::new();
+    records_csv(net.tracer().expect("tracing is on").records(), &mut trace).unwrap();
     (
         tel.table().to_csv(),
         net.flight_dump_json("obs equivalence pin").unwrap(),
-        records_csv(net.tracer().expect("tracing is on").records()),
+        String::from_utf8(trace).unwrap(),
     )
 }
 
@@ -701,15 +703,15 @@ proptest! {
             let (mut seen, mut lagging) = (0, false);
             for &t in &stops {
                 net.run_until(us(t));
-                let records = net.tracer().expect("tracing is on").records();
-                for r in &records[seen..] {
+                let tracer = net.tracer().expect("tracing is on");
+                for r in tracer.records().skip(seen) {
                     if r.point == TracePoint::Deliver && !r.cnp {
                         let last = &mut shadow[r.dst as usize][r.src as usize];
                         prop_assert_eq!(r.seq, *last + 1, "{}->{} out of order", r.src, r.dst);
                         *last = r.seq;
                     }
                 }
-                seen = records.len();
+                seen = tracer.len();
                 let st = net.checkpoint();
                 // Some pair has sent past what it delivered: the marks
                 // come from live packets, not just from `tx_seq`.
