@@ -5,9 +5,9 @@
 use super::Command;
 use crate::options::{OptionsError, RunOptions};
 use crate::preset::Preset;
-use ibsim_net::{FaultSchedule, NetConfig, Network};
+use ibsim_net::FaultSchedule;
 use ibsim_topo::{FatTree3Spec, FatTreeSpec, Topology};
-use ibsim_traffic::{WorkloadKind, WorkloadSpec};
+use ibsim_traffic::WorkloadSpec;
 use std::collections::HashMap;
 use std::fmt::Display;
 use std::ops::RangeInclusive;
@@ -187,25 +187,15 @@ impl Args {
     }
 
     /// `--workload SPEC` (`WorkloadSpec::parse` has the grammar) for
-    /// `topo`; `None` when absent. The spec is installed on a bare
-    /// fabric to run its checks (incast target and fan-in, the trace
-    /// file) before anything runs, and a trace must have been cut for
-    /// exactly this fabric.
+    /// `topo`, checked by [`crate::workload::check`]; `None` when
+    /// absent.
     pub fn workload(&self, topo: &Topology) -> Result<Option<WorkloadSpec>, ArgError> {
         let Some(text) = self.text("workload") else {
             return Ok(None);
         };
         let bad = |why: String| self.bad("workload", why);
         let spec = WorkloadSpec::parse(text).map_err(bad)?;
-        let installed = spec.install(&mut Network::new(topo, NetConfig::paper()));
-        let feeder = installed.map_err(bad)?.feeder;
-        if let (Some(trace), WorkloadKind::TraceReplay { path }) = (feeder, &spec.kind) {
-            let (cut, nodes) = (trace.nodes(), topo.num_hcas);
-            if cut as usize != nodes {
-                let why = format!("trace {path} was cut for {cut} nodes, fabric has {nodes}");
-                return Err(bad(why));
-            }
-        }
+        crate::workload::check(&spec, topo).map_err(bad)?;
         Ok(Some(spec))
     }
 

@@ -92,9 +92,9 @@ impl SimSpec {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// Build and validate the topology, the roles and the network
-    /// configuration — every error [`SimSpec::run`] returns, found
-    /// before anything runs.
+    /// Build and validate the topology, the roles (or the workload)
+    /// and the network configuration — every error [`SimSpec::run`]
+    /// returns, found before anything runs.
     pub fn check(&self) -> Result<(Topology, RoleSpec), String> {
         let topo = self.topology.build();
         topo.validate()?;
@@ -102,7 +102,9 @@ impl SimSpec {
         if roles.num_nodes == 0 {
             roles.num_nodes = topo.num_hcas;
         }
-        if self.workload.is_none() {
+        if let Some(wl) = &self.workload {
+            crate::workload::check(wl, &topo).map_err(|e| format!("workload: {e}"))?;
+        } else {
             if roles.num_nodes != topo.num_hcas {
                 return Err(format!(
                     "roles.num_nodes {} != topology nodes {}",

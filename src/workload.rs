@@ -16,7 +16,7 @@ use crate::options::{ClockPlan, RunOptions};
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{NetConfig, Network};
 use ibsim_topo::Topology;
-use ibsim_traffic::{Workload, WorkloadSpec};
+use ibsim_traffic::{TraceError, TraceReader, Workload, WorkloadKind, WorkloadSpec};
 use serde::Serialize;
 
 /// Feed/drain segment length. Also the trace feeder's look-ahead
@@ -55,6 +55,30 @@ pub struct WorkloadResult {
     pub records_fed: u64,
     /// Events processed (simulator work, not a paper metric).
     pub events: u64,
+}
+
+/// Refuse a workload `topo` cannot run, before anything runs: `spec`
+/// is installed on a bare fabric (incast target and fan-in, the send
+/// limit, the trace header), and a trace must have been cut for exactly
+/// this fabric and decode to its end. The `--workload` flag and a spec
+/// file's `workload` both go through here.
+pub fn check(spec: &WorkloadSpec, topo: &Topology) -> Result<(), String> {
+    spec.install(&mut Network::new(topo, NetConfig::paper()))?;
+    if let WorkloadKind::TraceReplay { path } = &spec.kind {
+        // A run streams its trace and cannot refuse a bad record half
+        // way through, so every record is decoded here first (one
+        // record in memory at a time).
+        let bad = |e: TraceError| format!("trace {path}: {e}");
+        let mut reader = TraceReader::open(path).map_err(bad)?;
+        let (cut, nodes) = (reader.nodes(), topo.num_hcas);
+        if cut as usize != nodes {
+            return Err(format!(
+                "trace {path} was cut for {cut} nodes, fabric has {nodes}"
+            ));
+        }
+        while reader.next_record().map_err(bad)?.is_some() {}
+    }
+    Ok(())
 }
 
 /// Run one workload on `topo` under the ambient options (see

@@ -223,6 +223,26 @@ fn the_binary_exits_2_on_a_bad_command_line() {
     )
     .unwrap();
     let simulate = format!("simulate {}", spec.display());
+    // So did a spec file's workload: an incast onto a node outside the
+    // fabric, or of empty messages.
+    let incast = |name: &str, fields: &str| {
+        let path =
+            std::env::temp_dir().join(format!("ibsim_cli_{name}_{}.json", std::process::id()));
+        let incast =
+            format!(r#"{{"kind": {{"Incast": {{{fields}, "messages": 4, "stagger_ns": 500}}}}}}"#);
+        std::fs::write(
+            &path,
+            format!(r#"{{"topology": {fabric}, "roles": {{{roles}}}, "workload": {incast}}}"#),
+        )
+        .unwrap();
+        path
+    };
+    let far = incast("far_incast", r#""dst": 99, "fanin": 3, "bytes": 8192"#);
+    let empty = incast("empty_incast", r#""dst": 0, "fanin": 3, "bytes": 0"#);
+    let (simulate_far, simulate_empty) = (
+        format!("simulate {}", far.display()),
+        format!("simulate {}", empty.display()),
+    );
     // Each line, and what its error must name besides `error: `.
     for (line, names) in [
         ("windy --x 101", &[][..]),
@@ -231,6 +251,8 @@ fn the_binary_exits_2_on_a_bad_command_line() {
         ("table2 --trace-flows 9999:1", &[]),
         ("nope", &[]),
         (&simulate, &[]),
+        (&simulate_far, &["workload", "dst 99", "8 end nodes"]),
+        (&simulate_empty, &["workload", "bytes"]),
         (
             "windy --faults pause:hca=9999,at=1us,dur=1us",
             &["--faults", "hca=9999", "72 HCAs"],
@@ -268,7 +290,9 @@ fn the_binary_exits_2_on_a_bad_command_line() {
         "{listing}"
     );
     assert!(!out.exists(), "a refused command line writes nothing");
-    std::fs::remove_file(spec).ok();
+    for path in [spec, far, empty] {
+        std::fs::remove_file(path).ok();
+    }
 }
 
 /// Tokens a command line is made of: every command and flag name,
