@@ -533,14 +533,7 @@ fn install_collective(
 }
 
 fn install_trace(spec: &WorkloadSpec, net: &mut Network, path: &str) -> Result<Workload, String> {
-    let feeder = TraceFeeder::open(path).map_err(|e| format!("opening trace {path}: {e}"))?;
-    let n = net.hcas.len() as u32;
-    if feeder.nodes() > n {
-        return Err(format!(
-            "trace {path} was cut for {} nodes, fabric has {n}",
-            feeder.nodes()
-        ));
-    }
+    let feeder = TraceFeeder::open(path, net.hcas.len() as u32)?;
     // Every potential source gets one open script class; the feeder
     // appends records as simulated time approaches them.
     for i in 0..feeder.nodes() {
@@ -570,13 +563,22 @@ pub struct TraceFeeder {
 }
 
 impl TraceFeeder {
-    pub fn open(path: &str) -> Result<Self, TraceError> {
-        let reader = TraceReader::open(path)?;
-        let nodes = reader.nodes() as usize;
+    /// Open `path` for a fabric of `fabric_nodes` end nodes. A trace cut
+    /// for more nodes is refused before anything is sized: the staging
+    /// table has one entry per fabric node, never one per node the
+    /// header claims.
+    pub fn open(path: &str, fabric_nodes: u32) -> Result<Self, String> {
+        let reader = TraceReader::open(path).map_err(|e| format!("opening trace {path}: {e}"))?;
+        if reader.nodes() > fabric_nodes {
+            return Err(format!(
+                "trace {path} was cut for {} nodes, fabric has {fabric_nodes}",
+                reader.nodes()
+            ));
+        }
         Ok(TraceFeeder {
             reader,
             pending: None,
-            staging: vec![Vec::new(); nodes],
+            staging: vec![Vec::new(); fabric_nodes as usize],
             closed: false,
             records_fed: 0,
         })

@@ -214,3 +214,94 @@ fn records_stay_compact() {
     );
     assert_eq!(buf[..4], MAGIC);
 }
+
+/// A small valid TEST_8 trace: 40 uniform flows.
+fn test8_trace() -> Vec<u8> {
+    let mut buf = Vec::new();
+    let spec = TraceGenSpec::uniform_load(8, 40, 2048, 13.5, 50);
+    flowtrace::synthesize(&spec, &mut buf).unwrap();
+    buf
+}
+
+/// Hostile bytes end in `Ok` or a named error at every layer that
+/// reads them, never in an unwind: the reader, the workload check
+/// (which installs the workload on a bare TEST_8 fabric and decodes the
+/// whole trace), and — for what the check accepts — a short run.
+fn hostile_trace_is_refused_or_runs(bytes: &[u8]) -> Result<(), TestCaseError> {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    if let Err(e) = decode_all(bytes) {
+        prop_assert!(!e.to_string().is_empty());
+    }
+    let path = std::env::temp_dir().join(format!(
+        "ibsim_hostile_{}_{}.ibtr",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::write(&path, bytes).unwrap();
+    let spec = WorkloadSpec::parse(&format!("trace:{}", path.display())).unwrap();
+    let topo = FatTreeSpec::TEST_8.build();
+    let checked = ibsim::workload::check(&spec, &topo);
+    if checked.is_ok() {
+        let dur = RunDurations {
+            warmup: TimeDelta::from_us(10),
+            measure: TimeDelta::from_us(40),
+        };
+        let r = run_workload(&topo, NetConfig::paper(), &spec, dur);
+        prop_assert!(r.records_fed <= 40, "{} records fed", r.records_fed);
+    }
+    std::fs::remove_file(&path).ok();
+    if let Err(e) = checked {
+        prop_assert!(e.contains("trace"), "{}", e);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes, half of them behind a valid magic and version
+    /// so they reach the header and record decoders.
+    #[test]
+    fn arbitrary_bytes_never_unwind(
+        framed in any::<bool>(),
+        tail in prop::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let mut bytes = Vec::new();
+        if framed {
+            bytes.extend_from_slice(&MAGIC);
+            bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        }
+        bytes.extend_from_slice(&tail);
+        hostile_trace_is_refused_or_runs(&bytes)?;
+    }
+
+    /// Every single-byte flip of a valid trace.
+    #[test]
+    fn flipped_bytes_never_unwind(at in any::<usize>(), val in any::<u8>()) {
+        let mut bytes = test8_trace();
+        let at = at % bytes.len();
+        bytes[at] ^= val | 1;
+        hostile_trace_is_refused_or_runs(&bytes)?;
+    }
+
+    /// Headers that lie about the node count (up to `u32::MAX`, which
+    /// once sized a staging table of 2^32 entries before the count was
+    /// compared with the fabric) or the record count.
+    #[test]
+    fn lying_headers_never_unwind(
+        any_nodes in any::<u32>(),
+        pick in 0usize..6,
+        records in any::<u64>(),
+        lie_about_records in any::<bool>(),
+    ) {
+        let mut bytes = test8_trace();
+        let nodes = [0, 1, 7, 9, u32::MAX, any_nodes][pick];
+        if lie_about_records {
+            bytes[12..20].copy_from_slice(&(records % 80).to_le_bytes());
+        } else {
+            bytes[8..12].copy_from_slice(&nodes.to_le_bytes());
+        }
+        hostile_trace_is_refused_or_runs(&bytes)?;
+    }
+}

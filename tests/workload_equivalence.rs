@@ -173,7 +173,7 @@ fn trace_replay_of_uniform_matches_native_uniform() {
     for v in 0..n {
         replay.set_classes(v, vec![TrafficClass::script()]);
     }
-    let mut feeder = Some(TraceFeeder::open(path.to_str().unwrap()).unwrap());
+    let mut feeder = Some(TraceFeeder::open(path.to_str().unwrap(), n).unwrap());
     trace_states(&mut replay, &mut feeder, &[us(200)]);
     replay.start_measurement();
     trace_states(&mut replay, &mut feeder, &[us(1200)]);
