@@ -18,16 +18,11 @@
 //! The network crate (`ibsim-net`) drives these from its event loop; the
 //! logic here is synchronous and fully unit-testable in isolation.
 
-pub mod backend;
 pub mod cct;
 pub mod hca_cc;
 pub mod params;
 pub mod switch_cc;
 
-pub use backend::{
-    CcBackend, DcqcnCc, DcqcnCcState, DcqcnFlowState, DcqcnParams, SourceCc, SourceCcState,
-    LINE_RATE_PPM,
-};
 pub use cct::{Cct, CctShape};
 pub use hca_cc::{FlowCcState, FlowKey, FlowStateError, HcaCc, HcaCcState};
 pub use params::{CcMode, CcParams};

@@ -256,166 +256,6 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// DCQCN rate state machine (mirrors the HcaCc CCT boundary properties
-// above: the same adversarial-schedule shape, applied to the ppm rate
-// machine instead of the CCTI table).
-// ---------------------------------------------------------------------------
-
-use ibsim_cc::{DcqcnCc, DcqcnParams, LINE_RATE_PPM};
-
-fn dcqcn(p: DcqcnParams) -> DcqcnCc {
-    DcqcnCc::new(Arc::new(CcParams::paper_table1()), p, 8, 4)
-}
-
-proptest! {
-    /// Under any interleaving of CNPs, timer ticks and byte-counter
-    /// advances, every tracked flow's rate stays within
-    /// [min_rate_ppm, LINE_RATE_PPM] and the agent's own audit holds.
-    #[test]
-    fn dcqcn_rate_bounded_under_any_schedule(
-        min_rate in 1_000u32..100_000,
-        ai in 1_000u32..20_000,
-        hai in 20_000u32..100_000,
-        fr in 1u32..8,
-        ops in prop::collection::vec((0u32..4, 0u8..3, 1u64..100_000), 1..300),
-    ) {
-        let p = DcqcnParams {
-            min_rate_ppm: min_rate,
-            rate_ai_ppm: ai,
-            rate_hai_ppm: hai,
-            fast_recovery_rounds: fr,
-            ..DcqcnParams::default()
-        };
-        prop_assert!(p.validate().is_ok());
-        let mut cc = dcqcn(p);
-        let mut t = Time::ZERO;
-        for (key, op, bytes) in ops {
-            match op {
-                0 => cc.on_cnp(key),
-                1 => { cc.on_timer(); }
-                _ => {
-                    t += TimeDelta::from_ns(1000);
-                    cc.note_packet_sent(key, t, TimeDelta::from_ns(100), bytes);
-                }
-            }
-            for k in 0..4u32 {
-                let r = cc.rate_ppm(k);
-                prop_assert!(r <= LINE_RATE_PPM, "flow {k} rate {r} above line rate");
-                prop_assert!(
-                    r >= min_rate,
-                    "flow {k} rate {r} below the {min_rate} ppm floor"
-                );
-            }
-            prop_assert!(cc.audit().is_ok(), "{:?}", cc.audit());
-        }
-        prop_assert!(cc.cnps_received() >= cc.rate_cuts());
-    }
-
-    /// Between CNPs the machine only recovers: timer ticks and byte
-    /// advances never decrease a flow's rate. A CNP never increases it.
-    #[test]
-    fn dcqcn_monotone_between_cnps(
-        cnps in 1usize..20,
-        recovery in prop::collection::vec(prop::bool::ANY, 1..200),
-    ) {
-        let mut cc = dcqcn(DcqcnParams::default());
-        for _ in 0..cnps {
-            let before = cc.rate_ppm(0);
-            cc.on_cnp(0);
-            prop_assert!(cc.rate_ppm(0) <= before, "a CNP must never raise the rate");
-        }
-        let mut prev = cc.rate_ppm(0);
-        let mut t = Time::ZERO;
-        for timer_tick in recovery {
-            if timer_tick {
-                cc.on_timer();
-            } else {
-                t += TimeDelta::from_ns(1000);
-                cc.note_packet_sent(0, t, TimeDelta::from_ns(100), 64 * 1024);
-            }
-            let now = cc.rate_ppm(0);
-            prop_assert!(
-                now >= prev,
-                "recovery decreased the rate: {prev} -> {now} ppm"
-            );
-            prev = now;
-        }
-    }
-
-    /// Enough recovery events always return a cut flow to line rate,
-    /// and once there the flow leaves the throttled count (the analogue
-    /// of `timer_always_recovers` for the CCTI machine).
-    #[test]
-    fn dcqcn_timer_always_recovers(cnps in 1usize..30) {
-        let mut cc = dcqcn(DcqcnParams::default());
-        for _ in 0..cnps {
-            cc.on_cnp(0);
-        }
-        prop_assert!(cc.rate_ppm(0) < LINE_RATE_PPM);
-        prop_assert_eq!(cc.throttled_flows(), 1);
-        let mut ticks = 0u32;
-        while cc.on_timer() > 0 {
-            ticks += 1;
-            prop_assert!(ticks < 1_000_000, "rate never recovered to line rate");
-        }
-        prop_assert_eq!(cc.rate_ppm(0), LINE_RATE_PPM);
-        prop_assert_eq!(cc.throttled_flows(), 0);
-    }
-
-    /// Stage transitions: during fast recovery (both counters at or
-    /// below F) the target is frozen, so the rate converges toward the
-    /// pre-cut rate and never overshoots it; once the timer counter
-    /// passes F with the byte counter still below, each event adds
-    /// exactly `rate_ai_ppm` to the target (additive increase); with
-    /// both past F it adds `rate_hai_ppm` (hyper increase).
-    #[test]
-    fn dcqcn_stage_transitions(fr in 1u32..6, extra in 1u32..10) {
-        let p = DcqcnParams { fast_recovery_rounds: fr, ..DcqcnParams::default() };
-        let mut cc = dcqcn(p);
-        cc.on_cnp(0);
-        let target = cc.rate_ppm(0) * 2; // alpha=1 halves the fresh flow
-        prop_assert_eq!(target, LINE_RATE_PPM);
-
-        // Fast recovery: timer events 1..=F never overshoot the target.
-        for _ in 0..fr {
-            cc.on_timer();
-            prop_assert!(cc.rate_ppm(0) <= target);
-        }
-        // Additive increase: each further timer event raises the
-        // reachable ceiling by exactly rate_ai_ppm (capped at line
-        // rate), and the rate tracks it from below.
-        let mut ceiling = target as u64;
-        for _ in 0..extra {
-            cc.on_timer();
-            ceiling = (ceiling + p.rate_ai_ppm as u64).min(LINE_RATE_PPM as u64);
-            prop_assert!(cc.rate_ppm(0) as u64 <= ceiling);
-        }
-
-        // Hyper increase needs both counters past F: drive the byte
-        // counter through F+1 rollovers on a fresh cut flow, then one
-        // more joint event must grow the target by rate_hai_ppm.
-        let mut cc = dcqcn(p);
-        cc.on_cnp(1);
-        let mut t = Time::ZERO;
-        for _ in 0..=fr {
-            t += TimeDelta::from_ns(1000);
-            cc.note_packet_sent(1, t, TimeDelta::from_ns(100), p.byte_counter_bytes);
-        }
-        for _ in 0..=fr {
-            cc.on_timer();
-        }
-        let before = cc.rate_ppm(1);
-        cc.on_timer(); // both stages now past F: hyper increase
-        let after = cc.rate_ppm(1);
-        prop_assert!(
-            after >= before,
-            "hyper-increase event decreased the rate: {before} -> {after}"
-        );
-        prop_assert!(after <= LINE_RATE_PPM);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // HcaCc against the dense table it replaced: one slot per key up to the
 // largest ever touched, and a `tracked` flag that is never cleared. The
 // held-flow table must be indistinguishable from it through every

@@ -61,13 +61,6 @@ pub enum LedgerKind {
     /// sequence order with none skipped: the fabric is lossless and a
     /// pair's packets share one route and one VL, so they stay FIFO.
     FlowOrder,
-    /// PFC losslessness (DCQCN backend): pause and resume frames pair up
-    /// per (port, priority) — every XOFF is eventually matched by one
-    /// XON — and while an ingress is paused its buffered occupancy stays
-    /// above the XON threshold (a packet silently leaving a paused
-    /// ingress without a resume is a drop the pause was meant to
-    /// prevent).
-    PauseLosslessness,
     /// A loss the fault-injection layer was *told* to cause (e.g. a CNP
     /// dropped by a BECN-loss window). Ledgered so the audit artifact
     /// shows exactly what was sacrificed, but sanctioned: it never
@@ -86,7 +79,6 @@ impl LedgerKind {
             LedgerKind::CongestionOccupancy => "congestion-occupancy",
             LedgerKind::EventOrder => "event-order",
             LedgerKind::FlowOrder => "flow-order",
-            LedgerKind::PauseLosslessness => "pause-losslessness",
             LedgerKind::SanctionedDrop => "sanctioned-drop",
         }
     }
@@ -450,58 +442,8 @@ impl NetAudit {
         self.check_notification_chain(net, &mut r);
         self.check_ccti_bounds(net, &mut r);
         self.check_congestion_occupancy(net, &mut r);
-        self.check_pause_losslessness(net, &mut r);
         self.report_sanctioned_drops(&mut r);
         r
-    }
-
-    /// PFC losslessness, recomputed from switch PFC state at pass time.
-    /// Two laws per cabled (ingress port, priority): every pause frame
-    /// sent is eventually matched by a resume (`pauses == resumes`
-    /// once the pause clears, `resumes + 1` while it is standing), and
-    /// a standing pause implies the ingress occupancy is still above
-    /// the XON threshold — a packet vanishing from a paused ingress
-    /// (the only way occupancy drops without crossing XON through
-    /// [`Switch::pfc_check_xon`]) breaks the implication and is named
-    /// here by switch, port and VL.
-    fn check_pause_losslessness(&self, net: &Network, r: &mut AuditReport) {
-        for (si, sw) in net.switches.iter().enumerate() {
-            if !sw.pfc_enabled() {
-                continue;
-            }
-            let (_, xon) = sw.pfc_thresholds().unwrap();
-            for p in 0..sw.radix() as u16 {
-                if sw.ports[p as usize].in_channel.is_none() {
-                    continue;
-                }
-                for vl in 0..sw.n_vls() {
-                    let (pauses, resumes) = sw.pfc_pause_counts(p, vl);
-                    let standing = u64::from(sw.rx_paused(p, vl));
-                    if pauses != resumes + standing {
-                        r.violate(
-                            LedgerKind::PauseLosslessness,
-                            format!("switch {si} port {p} VL {vl}"),
-                            format!("{pauses} pauses paired with resumes"),
-                            format!("{resumes} resumes, {standing} standing"),
-                            "every XOFF must be matched by exactly one XON",
-                        );
-                    }
-                    if standing == 1 {
-                        let occ = sw.buffered_blocks(p, vl);
-                        if occ <= xon as u64 {
-                            r.violate(
-                                LedgerKind::PauseLosslessness,
-                                format!("switch {si} port {p} VL {vl}"),
-                                format!("occupancy > {xon} blocks while paused"),
-                                occ,
-                                "ingress drained below XON without a resume: \
-                                 a packet was lost while its ingress was paused",
-                            );
-                        }
-                    }
-                }
-            }
-        }
     }
 
     /// Ledger every sanctioned loss as a non-failing `SanctionedDrop`

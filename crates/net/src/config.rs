@@ -1,9 +1,15 @@
 //! Network model configuration.
 
 use crate::vlarb::VlArbTable;
-use ibsim_cc::{CcBackend, CcParams, DcqcnParams};
-use ibsim_engine::time::{Bandwidth, TimeDelta};
+use ibsim_cc::CcParams;
+use ibsim_engine::time::{Bandwidth, TimeDelta, PS_PER_S};
 use serde::{Deserialize, Serialize};
+
+/// Ceiling on each fixed delay (`link_delay`, `switch_latency`,
+/// `credit_latency`): one second, a million times the paper's. Far
+/// enough below the picosecond clock's range that `Time + TimeDelta`
+/// cannot wrap.
+pub const MAX_DELAY: TimeDelta = TimeDelta(PS_PER_S);
 
 /// Every tunable of the network model. [`NetConfig::paper`] reproduces
 /// the setup of §IV of the paper: 4x DDR links (20 Gbit/s), 2048-byte
@@ -40,13 +46,6 @@ pub struct NetConfig {
     /// Congestion-control parameters; `None` disables CC entirely
     /// (the paper's "CC off" runs).
     pub cc: Option<CcParams>,
-    /// Which congestion-control backend interprets the notification
-    /// pipeline: the paper's IB CC (FECN/BECN/CCTI) or DCQCN/PFC
-    /// (RoCEv2-style CNP rate control plus pause frames). Ignored when
-    /// `cc` is `None` for rate control, but `dcqcn` still arms PFC.
-    pub cc_backend: CcBackend,
-    /// DCQCN/PFC tunables; only read when `cc_backend` is `Dcqcn`.
-    pub dcqcn: DcqcnParams,
     /// Reference buffer-pool size (bytes) the CC threshold weight is a
     /// fraction of; see DESIGN.md "Congestion detection point".
     pub cc_detect_capacity: u64,
@@ -75,8 +74,6 @@ impl NetConfig {
             inj_rate: Bandwidth::from_gbps_f64(13.5),
             drain_rate: Bandwidth::from_gbps_f64(13.6),
             cc: Some(CcParams::paper_table1()),
-            cc_backend: CcBackend::IbCc,
-            dcqcn: DcqcnParams::default(),
             cc_detect_capacity: 256 * 1024,
             seed: 0x1B51_C0DE,
         }
@@ -86,15 +83,6 @@ impl NetConfig {
     pub fn paper_no_cc() -> Self {
         NetConfig {
             cc: None,
-            ..Self::paper()
-        }
-    }
-
-    /// Same model with the DCQCN/PFC backend in place of IB CC. The
-    /// detector (`cc`) stays armed — DCQCN reuses it as its ECN marker.
-    pub fn paper_dcqcn() -> Self {
-        NetConfig {
-            cc_backend: CcBackend::Dcqcn,
             ..Self::paper()
         }
     }
@@ -134,15 +122,17 @@ impl NetConfig {
         if self.inj_rate > self.link_bw {
             return Err("injection rate above link rate".into());
         }
-        if self.cc_backend == CcBackend::Dcqcn {
-            self.dcqcn.validate()?;
-            if self.cc.is_none() {
-                return Err(
-                    "dcqcn backend requires cc params (the marking detector and CC timer \
-                     are shared infrastructure); use cc: Some(..) with dcqcn"
-                        .into(),
-                );
-            }
+        let delays = [
+            ("link_delay", self.link_delay),
+            ("switch_latency", self.switch_latency),
+            ("credit_latency", self.credit_latency),
+        ];
+        if let Some((name, d)) = delays.iter().find(|(_, d)| *d > MAX_DELAY) {
+            return Err(format!(
+                "{name} {} ps is past the clock-safe ceiling of {} ps (1 s)",
+                d.as_ps(),
+                MAX_DELAY.as_ps()
+            ));
         }
         if let Some(cc) = &self.cc {
             cc.validate()?;
@@ -176,21 +166,8 @@ mod tests {
     fn paper_config_is_valid() {
         NetConfig::paper().validate().unwrap();
         NetConfig::paper_no_cc().validate().unwrap();
-        NetConfig::paper_dcqcn().validate().unwrap();
         assert!(NetConfig::paper().cc_enabled());
         assert!(!NetConfig::paper_no_cc().cc_enabled());
-        assert_eq!(NetConfig::paper().cc_backend, CcBackend::IbCc);
-        assert_eq!(NetConfig::paper_dcqcn().cc_backend, CcBackend::Dcqcn);
-    }
-
-    #[test]
-    fn dcqcn_backend_requires_detector_params() {
-        let mut c = NetConfig::paper_dcqcn();
-        c.cc = None;
-        assert!(c.validate().is_err());
-        let mut c = NetConfig::paper_dcqcn();
-        c.dcqcn.pfc_xon_blocks = c.dcqcn.pfc_xoff_blocks; // XON must sit below XOFF
-        assert!(c.validate().is_err());
     }
 
     #[test]

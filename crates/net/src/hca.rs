@@ -5,7 +5,7 @@
 use crate::gen::{ClassState, TrafficClass};
 use crate::pool::{PacketPool, PktHandle};
 use crate::types::{NodeId, Packet, PacketKind, Vl, CNP_BYTES};
-use ibsim_cc::{SourceCc, SourceCcState};
+use ibsim_cc::{HcaCc, HcaCcState};
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_engine::{HistogramState, RateMeterState};
 use serde::{Deserialize, Serialize};
@@ -140,8 +140,8 @@ pub struct Hca {
     cnp_queue: VecDeque<PendingCnp>,
     pub classes: Vec<TrafficClass>,
     rr_class: usize,
-    /// CA-side congestion control state (IB CC or DCQCN, per backend).
-    pub cc: SourceCc,
+    /// CA-side congestion control state.
+    pub cc: HcaCc,
     /// Per-node sequence numbers and receive accounting, indexed by
     /// node id.
     peers: Vec<Peer>,
@@ -178,7 +178,7 @@ pub struct Hca {
 impl Hca {
     /// `num_nodes` sizes the dense per-peer table (sequence numbers,
     /// per-source receive accounting).
-    pub fn new(id: NodeId, num_nodes: u32, n_vls: u8, cc: SourceCc) -> Self {
+    pub fn new(id: NodeId, num_nodes: u32, n_vls: u8, cc: HcaCc) -> Self {
         let mut h = Self::placeholder(id, n_vls, cc);
         h.peers = vec![Peer::default(); num_nodes as usize];
         h.latency = ibsim_engine::Histogram::new();
@@ -193,7 +193,7 @@ impl Hca {
     /// own (`Network::shard_shell`): no per-peer table, no sink
     /// reservation and no latency bins, so eight shards' slots stay
     /// small. Never simulated.
-    pub(crate) fn placeholder(id: NodeId, n_vls: u8, cc: SourceCc) -> Self {
+    pub(crate) fn placeholder(id: NodeId, n_vls: u8, cc: HcaCc) -> Self {
         Hca {
             id,
             out_channel: u32::MAX,
@@ -250,7 +250,7 @@ impl Hca {
 
         // CNPs first.
         if let Some(&cnp) = self.cnp_queue.front() {
-            if self.credits[cnp.vl as usize] >= 1 && !self.cc.tx_paused(cnp.vl as usize) {
+            if self.credits[cnp.vl as usize] >= 1 {
                 self.cnp_queue.pop_front();
                 return NextSend::Packet(Packet {
                     src: self.id,
@@ -297,11 +297,6 @@ impl Hca {
             let vl = class.vl as usize;
             if self.credits[vl] < crate::types::blocks_for(bytes) {
                 continue; // a credit event re-fires the injector
-            }
-            // PFC: a paused priority transmits nothing; the resume
-            // frame re-fires the injector.
-            if self.cc.tx_paused(vl) {
-                continue;
             }
             class.take(bytes);
             let sl = class.sl;
@@ -353,8 +348,7 @@ impl Hca {
             self.tx_meter.record(now, pkt.bytes as u64);
             if cc_enabled {
                 let key = self.cc.flow_key(pkt.dst, pkt.sl);
-                self.cc
-                    .note_packet_sent(key, self.busy_until, ser, pkt.bytes as u64);
+                self.cc.note_packet_sent(key, self.busy_until, ser);
             }
         }
         ser
@@ -366,7 +360,7 @@ impl Hca {
     /// sink was idle and a drain should start.
     pub fn receive(&mut self, h: PktHandle, pool: &PacketPool, cc_enabled: bool) -> bool {
         let pkt = pool.get(h);
-        if pkt.fecn && cc_enabled && !pkt.is_cnp() && self.cc.cnp_on() {
+        if pkt.fecn && cc_enabled && !pkt.is_cnp() {
             self.cnp_queue.push_back(PendingCnp {
                 dst: pkt.src,
                 vl: pkt.vl,
@@ -629,7 +623,7 @@ pub struct HcaState {
     /// Runtime cursors of each installed traffic class, in order.
     pub classes: Vec<ClassState>,
     pub rr_class: u32,
-    pub cc: SourceCcState,
+    pub cc: HcaCcState,
     pub seqs: Vec<u32>,
     pub draining: Option<Packet>,
     pub sink_queue: Vec<Packet>,
@@ -652,14 +646,14 @@ mod tests {
     use super::*;
     use crate::config::NetConfig;
     use crate::gen::DestPattern;
-    use ibsim_cc::{CcParams, HcaCc};
+    use ibsim_cc::CcParams;
     use ibsim_engine::Rng;
     use proptest::prelude::*;
     use std::sync::Arc;
 
     fn hca() -> (Hca, NetConfig) {
         let cfg = NetConfig::paper();
-        let cc = SourceCc::Ib(HcaCc::new(Arc::new(CcParams::paper_table1())));
+        let cc = HcaCc::new(Arc::new(CcParams::paper_table1()));
         let mut h = Hca::new(3, 16, 1, cc);
         h.credits = vec![128];
         (h, cfg)
@@ -814,7 +808,7 @@ mod tests {
         }
         let t = Time::from_us(10);
         // Prime flow 7's gate by "sending" one packet.
-        h.cc.note_packet_sent(7, t, TimeDelta::from_ns(820), 2048);
+        h.cc.note_packet_sent(7, t, TimeDelta::from_ns(820));
         // 50 BECNs → CCTI 50 → gate = t + 50*820ns, far in the future.
         match h.next_packet(t, 16, &cfg, true) {
             NextSend::Packet(p) => assert_eq!(p.dst, 9, "unthrottled class proceeds"),
@@ -930,7 +924,7 @@ mod tests {
     }
 
     /// A node of the small fabric: uniform traffic, credits to spare.
-    fn node(id: usize, cc: &SourceCc) -> Hca {
+    fn node(id: usize, cc: &HcaCc) -> Hca {
         let mut h = Hca::new(id as NodeId, NODES as u32, 1, cc.clone());
         h.credits = vec![1 << 30];
         let mut c = TrafficClass::new(100, DestPattern::UniformExceptSelf, 4096);
@@ -968,7 +962,7 @@ mod tests {
         #[test]
         fn peer_record_matches_the_old_record(ops in proptest::collection::vec(op(), 1..120)) {
             let cfg = NetConfig::paper();
-            let cc = SourceCc::Ib(HcaCc::new(Arc::new(CcParams::paper_table1())));
+            let cc = HcaCc::new(Arc::new(CcParams::paper_table1()));
             let mut hcas: Vec<Hca> = (0..NODES).map(|i| node(i, &cc)).collect();
             let mut old = vec![vec![OldPeer::default(); NODES]; NODES];
             let mut open = false;

@@ -10,7 +10,7 @@ use crate::switch::{Grant, Switch};
 use crate::telemetry::{self, FabricView, FlightKind, NetTelemetry, TelemetryConfig};
 use crate::trace::{TraceCtx, TracePoint, Tracer};
 use crate::types::{blocks_for, NodeId, Packet, Vl};
-use ibsim_cc::{CcBackend, DcqcnCc, HcaCc, SourceCc};
+use ibsim_cc::HcaCc;
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::rng::Rng;
 use ibsim_engine::time::{Time, TimeDelta};
@@ -81,24 +81,13 @@ pub enum Event {
     /// A scheduled fault transition fires (index into the installed
     /// [`FaultSchedule`]'s transition list).
     Fault { idx: u32 },
-    /// PFC pause (`xoff`) or resume frame reaching a switch egress
-    /// `(sw, port)` for priority `vl` (dcqcn backend only).
-    PfcSw {
-        sw: u32,
-        port: u16,
-        vl: Vl,
-        xoff: bool,
-    },
-    /// PFC pause/resume frame reaching an HCA's transmitter for
-    /// priority `vl` (dcqcn backend only).
-    PfcHca { hca: u32, vl: Vl, xoff: bool },
 }
 
 /// An [`Event`] as every queue holds it — the main queue, the dispatch
 /// batch, a shard's window queue and a [`QueueSnapshot`]'s entries:
 /// two words, `tag | x << 32` (`x` the event's channel, device or fault
 /// index) and `lo | hi << 32` (`lo` a packet handle or `port | vl << 16
-/// | xoff << 24`, `hi` a credit's blocks).
+/// `, `hi` a credit's blocks).
 ///
 /// Two words rather than the enum because of how each is written. The
 /// enum is stored field by field — a one-byte tag, a two-byte port, a
@@ -122,27 +111,24 @@ impl Ev {
         let w = |tag: u64, x: u32, lo: u32, hi: u32| {
             Ev(tag | (x as u64) << 32, lo as u64 | (hi as u64) << 32)
         };
-        let sub =
-            |port: u16, vl: Vl, xoff: bool| port as u32 | (vl as u32) << 16 | (xoff as u32) << 24;
+        let sub = |port: u16, vl: Vl| port as u32 | (vl as u32) << 16;
         match ev {
             Event::SwArrive { ch, h } => w(0, ch, h.bits(), 0),
             Event::HcaArrive { ch, h } => w(1, ch, h.bits(), 0),
-            Event::SwTxDone { sw, port } => w(2, sw, sub(port, 0, false), 0),
-            Event::SwTryArb { sw, port } => w(3, sw, sub(port, 0, false), 0),
+            Event::SwTxDone { sw, port } => w(2, sw, sub(port, 0), 0),
+            Event::SwTryArb { sw, port } => w(3, sw, sub(port, 0), 0),
             Event::SwCredit {
                 sw,
                 port,
                 vl,
                 blocks,
-            } => w(4, sw, sub(port, vl, false), blocks),
+            } => w(4, sw, sub(port, vl), blocks),
             Event::HcaTxDone { hca } => w(5, hca, 0, 0),
             Event::HcaTrySend { hca } => w(6, hca, 0, 0),
-            Event::HcaCredit { hca, vl, blocks } => w(7, hca, sub(0, vl, false), blocks),
+            Event::HcaCredit { hca, vl, blocks } => w(7, hca, sub(0, vl), blocks),
             Event::SinkDone { hca } => w(8, hca, 0, 0),
             Event::CctiTick { hca } => w(9, hca, 0, 0),
             Event::Fault { idx } => w(10, idx, 0, 0),
-            Event::PfcSw { sw, port, vl, xoff } => w(11, sw, sub(port, vl, xoff), 0),
-            Event::PfcHca { hca, vl, xoff } => w(12, hca, sub(0, vl, xoff), 0),
         }
     }
 
@@ -151,7 +137,7 @@ impl Ev {
         let x = (self.0 >> 32) as u32;
         let (lo, blocks) = (self.1 as u32, (self.1 >> 32) as u32);
         let h = PktHandle::from_bits(lo);
-        let (port, vl, xoff) = (lo as u16, (lo >> 16) as Vl, lo >> 24 != 0);
+        let (port, vl) = (lo as u16, (lo >> 16) as Vl);
         match self.0 as u32 {
             0 => Event::SwArrive { ch: x, h },
             1 => Event::HcaArrive { ch: x, h },
@@ -169,13 +155,6 @@ impl Ev {
             8 => Event::SinkDone { hca: x },
             9 => Event::CctiTick { hca: x },
             10 => Event::Fault { idx: x },
-            11 => Event::PfcSw {
-                sw: x,
-                port,
-                vl,
-                xoff,
-            },
-            12 => Event::PfcHca { hca: x, vl, xoff },
             tag => unreachable!("packed event with tag {tag}"),
         }
     }
@@ -264,19 +243,7 @@ impl Network {
                 let params = cc_params
                     .clone()
                     .unwrap_or_else(|| Arc::new(ibsim_cc::CcParams::paper_table1()));
-                // Pre-size DCQCN's dense flow table for every key the
-                // mode can produce.
-                let n_flows = match params.mode {
-                    ibsim_cc::CcMode::QueuePair => topo.num_hcas,
-                    ibsim_cc::CcMode::ServiceLevel => n_vls as usize,
-                };
-                let cc = match cfg.cc_backend {
-                    CcBackend::IbCc => SourceCc::Ib(HcaCc::new(params)),
-                    CcBackend::Dcqcn => {
-                        SourceCc::Dcqcn(DcqcnCc::new(params, cfg.dcqcn, n_flows, n_vls as usize))
-                    }
-                };
-                Hca::new(i as NodeId, num_nodes, n_vls, cc)
+                Hca::new(i as NodeId, num_nodes, n_vls, HcaCc::new(params))
             })
             .collect();
 
@@ -355,13 +322,6 @@ impl Network {
             }
         }
 
-        // PFC pause machinery on every switch (dcqcn backend only).
-        if cfg.cc_backend == CcBackend::Dcqcn {
-            for sw in switches.iter_mut() {
-                sw.install_pfc(cfg.dcqcn.pfc_xoff_blocks, cfg.dcqcn.pfc_xon_blocks);
-            }
-        }
-
         // Pending events scale with the wired port count: roughly one
         // in-flight packet or credit per unidirectional channel plus a
         // couple of self-events (wakeup, timer) per HCA.
@@ -420,7 +380,7 @@ impl Network {
             hcas: self
                 .hcas
                 .iter()
-                .map(|h| Hca::placeholder(h.id, n_vls, SourceCc::Ib(HcaCc::new(params.clone()))))
+                .map(|h| Hca::placeholder(h.id, n_vls, HcaCc::new(params.clone())))
                 .collect(),
             channels: self.channels.clone(),
             cc_params: self.cc_params.clone(),
@@ -734,14 +694,6 @@ impl Network {
         }
     }
 
-    /// Record a fabric-scoped CC point (PFC pause edges); unfiltered.
-    #[inline]
-    fn trace_cc(&mut self, at: Time, point: TracePoint, ctx: TraceCtx) {
-        if let Some(t) = &mut self.tracer {
-            t.record_cc(at, point, ctx);
-        }
-    }
-
     /// Should dispatch paths format flight-recorder notes? True with
     /// telemetry on (serial / master) or with a shard-side buffer
     /// installed (sharded run whose master samples telemetry).
@@ -801,14 +753,6 @@ impl Network {
     }
     pub fn cc_enabled(&self) -> bool {
         self.cc_params.is_some()
-    }
-    /// The congestion-control backend this network was built with.
-    pub fn cc_backend(&self) -> CcBackend {
-        self.cfg.cc_backend
-    }
-    /// Total PFC pause frames emitted across all switches (0 under ibcc).
-    pub fn total_pfc_pauses(&self) -> u64 {
-        telemetry::total_pfc_pauses(self.switches.iter())
     }
     /// Fault-injection hook for oracle tests: silently discard the head
     /// packet queued from `in_port` on switch `sw` (see
@@ -1179,7 +1123,6 @@ impl Network {
             Event::HcaArrive { .. } | Event::SinkDone { .. } => Subsystem::Sink,
             Event::CctiTick { .. } => Subsystem::Cc,
             Event::Fault { .. } => Subsystem::Fault,
-            Event::PfcSw { .. } | Event::PfcHca { .. } => Subsystem::Pfc,
         }
     }
 
@@ -1228,10 +1171,10 @@ impl Network {
                     // `max_ccti` walks the whole flow table; only the
                     // ledger reads it.
                     let before = h.cc.max_ccti();
-                    h.cc.on_timer(now);
+                    h.cc.on_timer_at(now);
                     a.note_timer(hca, now, before, h.cc.max_ccti());
                 } else {
-                    h.cc.on_timer(now);
+                    h.cc.on_timer_at(now);
                 }
                 if self.cc_params.is_some() {
                     // Per-HCA period: parameter drift may have re-tuned
@@ -1241,71 +1184,6 @@ impl Network {
                 }
             }
             Event::Fault { idx } => self.on_fault(now, idx),
-            Event::PfcSw { sw, port, vl, xoff } => {
-                self.trace_cc(
-                    now,
-                    TracePoint::Pfc {
-                        at_switch: true,
-                        node: sw,
-                        port,
-                        xoff,
-                    },
-                    TraceCtx {
-                        vl,
-                        ..TraceCtx::default()
-                    },
-                );
-                self.switches[sw as usize].set_tx_paused(port, vl, xoff);
-                if !xoff {
-                    // Resume: whatever queued behind the pause gets an
-                    // arbitration round immediately.
-                    self.sw_arbitrate(now, sw, port);
-                }
-            }
-            Event::PfcHca { hca, vl, xoff } => {
-                self.trace_cc(
-                    now,
-                    TracePoint::Pfc {
-                        at_switch: false,
-                        node: hca,
-                        port: 0,
-                        xoff,
-                    },
-                    TraceCtx {
-                        vl,
-                        ..TraceCtx::default()
-                    },
-                );
-                self.hcas[hca as usize].cc.set_tx_paused(vl as usize, xoff);
-                if !xoff {
-                    self.schedule_hca_wakeup(hca, now);
-                }
-            }
-        }
-    }
-
-    /// Put a PFC pause (`xoff`) or resume frame on the wire from switch
-    /// `si`'s ingress `in_port` toward the upstream transmitter feeding
-    /// it. The frame rides the reverse channel of the data link, like a
-    /// credit update but without the credit-processing latency — PFC
-    /// frames are handled in the MAC, ahead of the buffer bookkeeping.
-    fn send_pfc(&mut self, now: Time, si: u32, in_port: u16, vl: Vl, xoff: bool) {
-        let in_ch = self.switches[si as usize].ports[in_port as usize]
-            .in_channel
-            .expect("pfc on uncabled port");
-        let rev = self.channels[self.channels[in_ch as usize].reverse as usize];
-        let at = now + rev.delay;
-        match self.channels[in_ch as usize].from {
-            (Dev::Switch(up), up_port) => self.sched(
-                at,
-                Event::PfcSw {
-                    sw: up,
-                    port: up_port,
-                    vl,
-                    xoff,
-                },
-            ),
-            (Dev::Hca(h), _) => self.sched(at, Event::PfcHca { hca: h, vl, xoff }),
         }
     }
 
@@ -1394,11 +1272,6 @@ impl Network {
         // pending SwTxDone re-arbitrates; otherwise schedule a trigger.
         if busy_until <= ready_at {
             self.sched(ready_at, Event::SwTryArb { sw: si, port: out });
-        }
-        // PFC: this arrival may push the ingress past its XOFF
-        // threshold (no-op under the IB backend).
-        if self.switches[si as usize].pfc_check_xoff(in_port, pkt.vl) {
-            self.send_pfc(now, si, in_port, pkt.vl, true);
         }
     }
 
@@ -1493,11 +1366,6 @@ impl Network {
                 },
             ),
             (Dev::Hca(h), _) => self.sched(at, Event::HcaCredit { hca: h, vl, blocks }),
-        }
-        // PFC: the grant drained the ingress; it may now sit at or
-        // below XON (no-op under the IB backend).
-        if self.switches[si as usize].pfc_check_xon(in_port, vl) {
-            self.send_pfc(now, si, in_port, vl, false);
         }
     }
 
@@ -1670,7 +1538,7 @@ impl Network {
             let h = &self.hcas[hi as usize];
             h.draining_packet(&self.pool)
                 .filter(|p| p.is_cnp() && self.tracing(p))
-                .map(|p| (p, h.cc.flow_ccti(h.cc.flow_key(p.src, p.sl))))
+                .map(|p| (p, h.cc.ccti(h.cc.flow_key(p.src, p.sl))))
         } else {
             None
         };
@@ -1693,13 +1561,12 @@ impl Network {
                 };
                 let raise = cnp_peek.map(|(cnp, before)| {
                     let key = hca.cc.flow_key(cnp.src, cnp.sl);
-                    let after = hca.cc.flow_ccti(key);
+                    let after = hca.cc.ccti(key);
                     // Would the raised CCTI delay a full-MTU packet
                     // right now? That is the IRD throttle the paper's
-                    // mechanism exists to apply (rate cut under dcqcn).
-                    let delay = hca
-                        .cc
-                        .inject_delay(key, self.cfg.link_bw.tx_time(self.cfg.mtu as u64));
+                    // mechanism exists to apply.
+                    let mtu_time = self.cfg.link_bw.tx_time(self.cfg.mtu as u64);
+                    let delay = hca.cc.params().cct.ird_delay(after, mtu_time);
                     (cnp, before, after, delay)
                 });
                 (deliver_ctx, raise)
@@ -1788,10 +1655,9 @@ mod tests {
         /// its fields hold, and no two events share a packed form.
         #[test]
         fn packed_events_round_trip(
-            (variant, x, handle) in (0u32..13, field(u32::MAX), field(u32::MAX)),
+            (variant, x, handle) in (0u32..11, field(u32::MAX), field(u32::MAX)),
             (port, vl, blocks) in (field(u16::MAX as u32), field(15), field(u32::MAX)),
-            xoff: bool,
-            other in (0u32..13, field(u32::MAX), field(u32::MAX)),
+            other in (0u32..11, field(u32::MAX), field(u32::MAX)),
         ) {
             let event = |variant: u32, x: u32, lo: u32| {
                 let (port, vl, h) = (port as u16, vl as Vl, PktHandle::from_bits(lo));
@@ -1806,9 +1672,7 @@ mod tests {
                     7 => Event::HcaCredit { hca: x, vl, blocks },
                     8 => Event::SinkDone { hca: x },
                     9 => Event::CctiTick { hca: x },
-                    10 => Event::Fault { idx: x },
-                    11 => Event::PfcSw { sw: x, port, vl, xoff },
-                    _ => Event::PfcHca { hca: x, vl, xoff },
+                    _ => Event::Fault { idx: x },
                 }
             };
             let ev = event(variant, x, handle);

@@ -3,7 +3,7 @@
 //!
 //! Each dispatched event is binned by the subsystem its event kind
 //! belongs to (routing, VL arbitration, injection, sink, CC timers,
-//! faults, PFC), plus the queue-pop, telemetry-sampling, audit and
+//! faults), plus the queue-pop, telemetry-sampling, audit and
 //! shard-barrier paths that run between events.
 //!
 //! **Counts are exact, timing is sampled.** Every pop and every
@@ -77,8 +77,6 @@ pub enum Subsystem {
     Cc,
     /// Fault-schedule transitions (`Fault`).
     Fault,
-    /// PFC pause/resume application (`PfcSw`, `PfcHca`).
-    Pfc,
     /// Telemetry boundary sampling.
     Telemetry,
     /// Invariant-oracle passes.
@@ -87,7 +85,7 @@ pub enum Subsystem {
     Barrier,
 }
 
-pub const N_SUBSYSTEMS: usize = 11;
+pub const N_SUBSYSTEMS: usize = 10;
 
 /// One batch in this many is timed. Prime, so the stride cannot lock
 /// onto a power-of-two or decimal period in the event stream.
@@ -102,7 +100,6 @@ impl Subsystem {
         Subsystem::Sink,
         Subsystem::Cc,
         Subsystem::Fault,
-        Subsystem::Pfc,
         Subsystem::Telemetry,
         Subsystem::Audit,
         Subsystem::Barrier,
@@ -126,7 +123,6 @@ impl Subsystem {
             Subsystem::Sink => "sink",
             Subsystem::Cc => "cc",
             Subsystem::Fault => "fault",
-            Subsystem::Pfc => "pfc",
             Subsystem::Telemetry => "telemetry",
             Subsystem::Audit => "audit",
             Subsystem::Barrier => "barrier",

@@ -132,11 +132,6 @@ impl OwnerMap {
             | Event::SinkDone { hca }
             | Event::CctiTick { hca } => self.hca[hca as usize],
             Event::Fault { idx } => self.fault[idx as usize],
-            // PFC frames are ordinary events: they cross shard
-            // boundaries through the same outbox/replay machinery as
-            // packets and credits.
-            Event::PfcSw { sw, .. } => self.sw[sw as usize],
-            Event::PfcHca { hca, .. } => self.hca[hca as usize],
         }
     }
 }

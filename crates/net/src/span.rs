@@ -7,8 +7,7 @@
 //!    track per device (ingress → grant, carrying VL / VoQ depth /
 //!    credit args), and `s`/`t`/`f` flow arrows stitching each causal
 //!    FECN mark → CNP queued → CNP inject → CNP deliver → CCTI raise →
-//!    throttle chain. PFC pause windows land as async spans keyed by
-//!    `(node, port)`.
+//!    throttle chain.
 //! 2. **Flat CSV**: one row per record, stable column order, for
 //!    grep/pandas consumption.
 //! 3. **[`causal_chains`]**: the paired chain structures themselves,
@@ -24,7 +23,7 @@
 //! are recorded by the same drain event). Chains are truncated at the
 //! first missing link (e.g. a CNP lost to a fault window).
 
-use crate::trace::{TracePoint, TraceRecord, CC_SCOPE};
+use crate::trace::{TracePoint, TraceRecord};
 use crate::types::NodeId;
 use serde::Serialize;
 use serde_json::{json, Value};
@@ -241,26 +240,9 @@ pub fn chrome_trace_json(records: &[TraceRecord], w: impl Write) -> io::Result<(
             TracePoint::SwitchArrive { switch, .. } | TracePoint::Forward { switch, .. } => {
                 tracks.insert(switch_tid(switch), format!("switch {switch}"));
             }
-            TracePoint::Pfc {
-                at_switch, node, ..
-            } => {
-                let tid = if at_switch {
-                    switch_tid(node)
-                } else {
-                    hca_tid(node)
-                };
-                let name = if at_switch {
-                    format!("switch {node}")
-                } else {
-                    format!("hca {node}")
-                };
-                tracks.insert(tid, name);
-            }
             _ => {
-                if r.src != CC_SCOPE {
-                    tracks.insert(hca_tid(r.src), format!("hca {}", r.src));
-                    tracks.insert(hca_tid(r.dst), format!("hca {}", r.dst));
-                }
+                tracks.insert(hca_tid(r.src), format!("hca {}", r.src));
+                tracks.insert(hca_tid(r.dst), format!("hca {}", r.dst));
             }
         }
     }
@@ -273,13 +255,10 @@ pub fn chrome_trace_json(records: &[TraceRecord], w: impl Write) -> io::Result<(
         }))?;
     }
 
-    // Group packet-scoped records by key, preserving capture order.
+    // Group records by key, preserving capture order.
     let mut order: Vec<(NodeId, NodeId, u32, bool)> = Vec::new();
     let mut groups: HashMap<(NodeId, NodeId, u32, bool), Vec<&TraceRecord>> = HashMap::new();
     for r in records {
-        if !r.point.packet_scoped() || r.src == CC_SCOPE {
-            continue;
-        }
         let k = (r.src, r.dst, r.seq, r.cnp);
         groups.entry(k).or_insert_with(|| {
             order.push(k);
@@ -433,39 +412,6 @@ pub fn chrome_trace_json(records: &[TraceRecord], w: impl Write) -> io::Result<(
         }
     }
 
-    // PFC pause windows: async spans per (node, port), XOFF begins,
-    // XON ends. An XOFF still open at export close stays open — the
-    // viewer renders it to the end of the trace.
-    let mut pfc_id: HashMap<(bool, u32, u16), usize> = HashMap::new();
-    let mut next_pfc = 0usize;
-    for r in records {
-        if let TracePoint::Pfc {
-            at_switch,
-            node,
-            port,
-            xoff,
-        } = r.point
-        {
-            let tid = if at_switch {
-                switch_tid(node)
-            } else {
-                hca_tid(node)
-            };
-            let key = (at_switch, node, port);
-            let id = *pfc_id.entry(key).or_insert_with(|| {
-                let id = next_pfc;
-                next_pfc += 1;
-                id
-            });
-            events.push(json!({
-                "ph": if xoff { "b" } else { "e" },
-                "cat": "pfc", "id": format!("pfc{id}"), "pid": pid,
-                "tid": tid, "ts": us(r.at_ps),
-                "name": format!("PFC pause port {port} vl {}", r.vl),
-                "args": {"vl": r.vl, "voq": r.voq},
-            }))?;
-        }
-    }
     events.finish()
 }
 
@@ -487,7 +433,6 @@ pub fn records_csv(
             TracePoint::CnpQueued => "cnp_queued",
             TracePoint::CctiRaise { .. } => "ccti_raise",
             TracePoint::Throttle { .. } => "throttle",
-            TracePoint::Pfc { .. } => "pfc",
         };
         write!(
             w,
@@ -507,17 +452,6 @@ pub fn records_csv(
                 writeln!(w, "before={before};after={after}")
             }
             TracePoint::Throttle { delay_ps } => writeln!(w, "delay_ps={delay_ps}"),
-            TracePoint::Pfc {
-                at_switch,
-                node,
-                port,
-                xoff,
-            } => writeln!(
-                w,
-                "at={};node={node};port={port};xoff={}",
-                if at_switch { "switch" } else { "hca" },
-                xoff as u8
-            ),
             _ => writeln!(w),
         }?;
     }
@@ -700,38 +634,6 @@ mod tests {
                 serde_json::to_string_pretty(&doc).unwrap()
             );
         }
-    }
-
-    #[test]
-    fn pfc_pairs_become_async_spans() {
-        let mut t = Tracer::for_flows([(0, 5)]);
-        t.record_cc(
-            Time(10),
-            TracePoint::Pfc {
-                at_switch: true,
-                node: 2,
-                port: 3,
-                xoff: true,
-            },
-            ctx(),
-        );
-        t.record_cc(
-            Time(90),
-            TracePoint::Pfc {
-                at_switch: true,
-                node: 2,
-                port: 3,
-                xoff: false,
-            },
-            ctx(),
-        );
-        let doc = chrome_doc(&t.records().collect::<Vec<_>>());
-        let events = doc["traceEvents"].as_array().unwrap();
-        let pfc: Vec<_> = events.iter().filter(|e| e["cat"] == "pfc").collect();
-        assert_eq!(pfc.len(), 2);
-        assert_eq!(pfc[0]["ph"], "b");
-        assert_eq!(pfc[1]["ph"], "e");
-        assert_eq!(pfc[0]["id"], pfc[1]["id"]);
     }
 
     #[test]

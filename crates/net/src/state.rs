@@ -90,17 +90,6 @@ pub enum EventState {
     Fault {
         idx: u32,
     },
-    PfcSw {
-        sw: u32,
-        port: u16,
-        vl: Vl,
-        xoff: bool,
-    },
-    PfcHca {
-        hca: u32,
-        vl: Vl,
-        xoff: bool,
-    },
 }
 
 impl EventState {
@@ -137,8 +126,6 @@ impl EventState {
             Event::SinkDone { hca } => EventState::SinkDone { hca },
             Event::CctiTick { hca } => EventState::CctiTick { hca },
             Event::Fault { idx } => EventState::Fault { idx },
-            Event::PfcSw { sw, port, vl, xoff } => EventState::PfcSw { sw, port, vl, xoff },
-            Event::PfcHca { hca, vl, xoff } => EventState::PfcHca { hca, vl, xoff },
         }
     }
 
@@ -173,8 +160,6 @@ impl EventState {
             EventState::SinkDone { hca } => Event::SinkDone { hca },
             EventState::CctiTick { hca } => Event::CctiTick { hca },
             EventState::Fault { idx } => Event::Fault { idx },
-            EventState::PfcSw { sw, port, vl, xoff } => Event::PfcSw { sw, port, vl, xoff },
-            EventState::PfcHca { hca, vl, xoff } => Event::PfcHca { hca, vl, xoff },
         }
     }
 }

@@ -360,28 +360,6 @@ pub struct Switch {
     /// Congestion detectors for each *output* `(port, vl)`,
     /// `[port * n_vls + vl]`.
     cong: Vec<PortVlCongestion>,
-    /// PFC pause state (dcqcn backend); `None` under IB CC, where
-    /// losslessness comes from credits alone.
-    pfc: Option<PfcSw>,
-}
-
-/// Per-switch PFC pause machinery: ingress-occupancy XOFF/XON
-/// thresholds plus the pause flags in both directions. All vectors are
-/// `[port * n_vls + vl]` — ingress-port-major for the rx side,
-/// egress-port-major for the tx side.
-#[derive(Clone, Debug)]
-struct PfcSw {
-    xoff_blocks: u32,
-    xon_blocks: u32,
-    /// We have told our upstream to stop sending on this ingress
-    /// `(port, vl)` and not yet resumed it.
-    rx_paused: Vec<bool>,
-    /// Our downstream has told this egress `(port, vl)` to stop.
-    tx_paused: Vec<bool>,
-    /// Pause frames emitted per ingress `(port, vl)`.
-    pauses_sent: Vec<u64>,
-    /// Resume frames emitted per ingress `(port, vl)`.
-    resumes_sent: Vec<u64>,
 }
 
 impl Switch {
@@ -423,7 +401,6 @@ impl Switch {
             cong: (0..radix * nv)
                 .map(|_| PortVlCongestion::disabled())
                 .collect(),
-            pfc: None,
         }
     }
 
@@ -553,106 +530,10 @@ impl Switch {
         }
     }
 
-    /// Arm PFC (dcqcn backend): pause the upstream of an ingress
-    /// `(port, VL)` when its buffered occupancy reaches `xoff_blocks`,
-    /// resume once it drains back to `xon_blocks` (64-byte blocks).
-    pub fn install_pfc(&mut self, xoff_blocks: u32, xon_blocks: u32) {
-        let n = self.ports.len() * self.n_vls as usize;
-        self.pfc = Some(PfcSw {
-            xoff_blocks,
-            xon_blocks,
-            rx_paused: vec![false; n],
-            tx_paused: vec![false; n],
-            pauses_sent: vec![0; n],
-            resumes_sent: vec![0; n],
-        });
-    }
-
-    pub fn pfc_enabled(&self) -> bool {
-        self.pfc.is_some()
-    }
-
-    /// The armed `(xoff, xon)` thresholds, if PFC is installed.
-    pub fn pfc_thresholds(&self) -> Option<(u32, u32)> {
-        self.pfc.as_ref().map(|p| (p.xoff_blocks, p.xon_blocks))
-    }
-
-    /// Called after every enqueue at `in_port`: crossing the XOFF
-    /// threshold latches the pause flag and asks the caller to put a
-    /// pause frame on the wire toward the upstream device.
-    pub fn pfc_check_xoff(&mut self, in_port: u16, vl: Vl) -> bool {
-        if self.pfc.is_none() {
-            return false;
-        }
-        let occ = self.buffered_blocks(in_port, vl);
-        let i = self.pv(in_port as usize, vl as usize);
-        let pfc = self.pfc.as_mut().expect("checked above");
-        if !pfc.rx_paused[i] && occ >= pfc.xoff_blocks as u64 {
-            pfc.rx_paused[i] = true;
-            pfc.pauses_sent[i] += 1;
-            return true;
-        }
-        false
-    }
-
-    /// Called after a grant drained `in_port`: dropping back to the XON
-    /// threshold clears the pause flag and asks the caller to put a
-    /// resume frame on the wire.
-    pub fn pfc_check_xon(&mut self, in_port: u16, vl: Vl) -> bool {
-        if self.pfc.is_none() {
-            return false;
-        }
-        let occ = self.buffered_blocks(in_port, vl);
-        let i = self.pv(in_port as usize, vl as usize);
-        let pfc = self.pfc.as_mut().expect("checked above");
-        if pfc.rx_paused[i] && occ <= pfc.xon_blocks as u64 {
-            pfc.rx_paused[i] = false;
-            pfc.resumes_sent[i] += 1;
-            return true;
-        }
-        false
-    }
-
-    /// A pause (`on`) or resume (`!on`) frame arrived from the device
-    /// downstream of `out_port`.
-    pub fn set_tx_paused(&mut self, out_port: u16, vl: Vl, on: bool) {
-        let i = self.pv(out_port as usize, vl as usize);
-        if let Some(pfc) = &mut self.pfc {
-            pfc.tx_paused[i] = on;
-        }
-    }
-
-    /// Is egress `(out_port, vl)` currently pause-gated?
-    pub fn tx_paused(&self, out_port: u16, vl: Vl) -> bool {
-        let i = self.pv(out_port as usize, vl as usize);
-        self.pfc.as_ref().is_some_and(|p| p.tx_paused[i])
-    }
-
-    /// Have we paused the upstream of ingress `(in_port, vl)`?
-    pub fn rx_paused(&self, in_port: u16, vl: Vl) -> bool {
-        let i = self.pv(in_port as usize, vl as usize);
-        self.pfc.as_ref().is_some_and(|p| p.rx_paused[i])
-    }
-
-    /// `(pauses_sent, resumes_sent)` for ingress `(in_port, vl)`.
-    pub fn pfc_pause_counts(&self, in_port: u16, vl: Vl) -> (u64, u64) {
-        let i = self.pv(in_port as usize, vl as usize);
-        match &self.pfc {
-            Some(p) => (p.pauses_sent[i], p.resumes_sent[i]),
-            None => (0, 0),
-        }
-    }
-
-    /// Total pause frames this switch has emitted (telemetry).
-    pub fn pfc_pauses_total(&self) -> u64 {
-        self.pfc.as_ref().map_or(0, |p| p.pauses_sent.iter().sum())
-    }
-
     /// Fault-injection hook for oracle tests: silently discard the head
     /// packet of the first non-empty VoQ fed by `in_port`, releasing its
-    /// pool slot — the drop a buggy buffer manager could commit while
-    /// the ingress is paused. Nothing ledgers it, so the
-    /// `PauseLosslessness` check must flag it.
+    /// pool slot — the drop a buggy buffer manager could commit.
+    /// Nothing ledgers it, so the conservation check must flag it.
     pub fn drop_queued_for_test(&mut self, in_port: u16, pool: &mut PacketPool) -> Option<Packet> {
         let radix = self.ports.len();
         let nv = self.n_vls as usize;
@@ -730,13 +611,6 @@ impl Switch {
         let mut credit_blocked = false;
         for vl in 0..nv {
             let ov = o * nv + vl;
-            // PFC: a pause-gated egress priority fields no candidate
-            // (and is not a credit stall — the resume frame re-arms it).
-            if let Some(pfc) = &self.pfc {
-                if pfc.tx_paused[ov] {
-                    continue;
-                }
-            }
             let Lane {
                 waiting,
                 credits,
@@ -930,14 +804,6 @@ impl Switch {
                     xmit_wait: self.ports[p].xmit_wait,
                 })
                 .collect(),
-            pfc: self.pfc.as_ref().map(|f| PfcSwState {
-                xoff_blocks: f.xoff_blocks,
-                xon_blocks: f.xon_blocks,
-                rx_paused: f.rx_paused.clone(),
-                tx_paused: f.tx_paused.clone(),
-                pauses_sent: f.pauses_sent.clone(),
-                resumes_sent: f.resumes_sent.clone(),
-            }),
         }
     }
 
@@ -992,44 +858,8 @@ impl Switch {
             self.ports[p].forwarded_bytes = ps.forwarded_bytes;
             self.ports[p].xmit_wait = ps.xmit_wait;
         }
-        match (&mut self.pfc, &s.pfc) {
-            (None, None) => {}
-            (Some(live), Some(st)) => {
-                let n = radix * nv;
-                if st.rx_paused.len() != n
-                    || st.tx_paused.len() != n
-                    || st.pauses_sent.len() != n
-                    || st.resumes_sent.len() != n
-                {
-                    return Err("pfc state table width mismatch".to_string());
-                }
-                live.xoff_blocks = st.xoff_blocks;
-                live.xon_blocks = st.xon_blocks;
-                live.rx_paused = st.rx_paused.clone();
-                live.tx_paused = st.tx_paused.clone();
-                live.pauses_sent = st.pauses_sent.clone();
-                live.resumes_sent = st.resumes_sent.clone();
-            }
-            (Some(_), None) => {
-                return Err("switch state lacks the pfc section the live switch carries".into())
-            }
-            (None, Some(_)) => {
-                return Err("switch state carries a pfc section the live switch lacks".into())
-            }
-        }
         Ok(())
     }
-}
-
-/// Serializable image of a switch's PFC pause machinery.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct PfcSwState {
-    pub xoff_blocks: u32,
-    pub xon_blocks: u32,
-    pub rx_paused: Vec<bool>,
-    pub tx_paused: Vec<bool>,
-    pub pauses_sent: Vec<u64>,
-    pub resumes_sent: Vec<u64>,
 }
 
 /// Serializable image of one [`SwPort`]'s mutable state.
@@ -1050,39 +880,9 @@ pub struct SwPortState {
 }
 
 /// Serializable image of a [`Switch`]'s mutable state.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SwitchState {
     pub ports: Vec<SwPortState>,
-    /// PFC pause state; present only under the dcqcn backend.
-    pub pfc: Option<PfcSwState>,
-}
-
-// Hand-written serde: the `pfc` key is omitted when absent, so every
-// ibcc checkpoint — including the committed v1 goldens — keeps its
-// exact pre-PFC shape.
-impl Serialize for SwitchState {
-    fn to_value(&self) -> serde::Value {
-        let mut pairs = vec![("ports".to_string(), self.ports.to_value())];
-        if let Some(pfc) = &self.pfc {
-            pairs.push(("pfc".to_string(), pfc.to_value()));
-        }
-        serde::Value::Object(pairs)
-    }
-}
-
-impl Deserialize for SwitchState {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let ports = v
-            .get("ports")
-            .ok_or_else(|| serde::Error::custom("missing field `ports` in SwitchState"))?;
-        Ok(SwitchState {
-            ports: Vec::<SwPortState>::from_value(ports)?,
-            pfc: match v.get("pfc") {
-                None | Some(serde::Value::Null) => None,
-                Some(x) => Some(PfcSwState::from_value(x)?),
-            },
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1400,87 +1200,6 @@ mod tests {
             .unwrap();
         let vls = [g1.pkt.vl, g2.pkt.vl];
         assert!(vls.contains(&0) && vls.contains(&1), "both VLs served");
-    }
-
-    #[test]
-    fn pfc_xoff_xon_cycle() {
-        let mut s = sw();
-        s.install_pfc(40, 10);
-        let mut pool = PacketPool::new();
-        // 2048 B = 32 blocks: the first enqueue sits below XOFF, the
-        // second crosses it.
-        enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
-        assert!(!s.pfc_check_xoff(0, 0));
-        enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
-        assert!(s.pfc_check_xoff(0, 0), "64 blocks >= 40: pause upstream");
-        assert!(s.rx_paused(0, 0));
-        assert!(!s.pfc_check_xoff(0, 0), "already paused: no duplicate");
-        // Drain: 32 blocks left (> XON, stay paused), then 0 (resume).
-        let g = s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
-            .unwrap();
-        pool.release(g.h);
-        assert!(!s.pfc_check_xon(g.in_port, 0), "32 > 10: stay paused");
-        let g = s
-            .arbitrate(
-                1,
-                s.busy_until(1),
-                |b| BW.tx_time(b as u64),
-                None,
-                &mut pool,
-            )
-            .unwrap();
-        pool.release(g.h);
-        assert!(s.pfc_check_xon(g.in_port, 0));
-        assert!(!s.rx_paused(0, 0));
-        assert_eq!(s.pfc_pause_counts(0, 0), (1, 1));
-    }
-
-    #[test]
-    fn pfc_tx_pause_gates_arbitration() {
-        let mut s = sw();
-        s.install_pfc(1000, 10);
-        let mut pool = PacketPool::new();
-        enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
-        s.set_tx_paused(1, 0, true);
-        assert!(s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
-            .is_none());
-        assert_eq!(s.ports[1].xmit_wait, 0, "pause is not a credit stall");
-        s.set_tx_paused(1, 0, false);
-        assert!(s
-            .arbitrate(1, Time(0), |b| BW.tx_time(b as u64), None, &mut pool)
-            .is_some());
-    }
-
-    #[test]
-    fn pfc_state_roundtrips_and_refuses_mismatch() {
-        let mut s = sw();
-        s.install_pfc(40, 10);
-        let mut pool = PacketPool::new();
-        enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
-        enq(&mut s, &mut pool, 0, 1, pkt(1, 2048), 0);
-        s.pfc_check_xoff(0, 0);
-        s.set_tx_paused(2, 0, true);
-        let snap = s.state(&pool);
-        assert!(snap.pfc.is_some());
-        let mut s2 = sw();
-        s2.install_pfc(40, 10);
-        let mut pool2 = PacketPool::new();
-        s2.restore_state(&snap, &mut pool2).unwrap();
-        assert!(s2.rx_paused(0, 0));
-        assert!(s2.tx_paused(2, 0));
-        assert_eq!(s2.state(&pool2), snap);
-        // A PFC-less switch must refuse a PFC-bearing state and vice versa.
-        let mut plain = sw();
-        let mut pool3 = PacketPool::new();
-        assert!(plain.restore_state(&snap, &mut pool3).is_err());
-        let plain_snap = sw().state(&PacketPool::new());
-        let mut s3 = sw();
-        s3.install_pfc(40, 10);
-        assert!(s3
-            .restore_state(&plain_snap, &mut PacketPool::new())
-            .is_err());
     }
 
     #[test]

@@ -22,7 +22,6 @@
 use crate::hca::Hca;
 use crate::network::Network;
 use crate::switch::Switch;
-use ibsim_cc::CcBackend;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_engine::{Histogram, HistogramState, RunMeter};
 use serde::{Deserialize, Serialize};
@@ -303,20 +302,13 @@ pub(crate) fn total_becns<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u64 {
 pub(crate) fn max_ccti<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u16 {
     hcas.map(|h| h.cc.max_ccti()).max().unwrap_or(0)
 }
-/// PFC pause frames emitted across `switches`.
-pub(crate) fn total_pfc_pauses<'a>(switches: impl Iterator<Item = &'a Switch>) -> u64 {
-    switches.map(Switch::pfc_pauses_total).sum()
-}
 
 /// All telemetry state of one network. Constructed against the wired
 /// fabric (the row is sized from it) before the first event.
 ///
 /// The row's columns, in order: the seven `HCA_COLS` blocks of
 /// `n_hcas` columns; one occupancy and one stall block of one column
-/// per flat (switch, port); the `SCALAR_COLS`; and under the DCQCN
-/// backend only, a per-HCA paused-VL block and the fabric-wide pause
-/// total, so the ibcc layout (and every ibcc checkpoint) carries no
-/// DCQCN columns.
+/// per flat (switch, port); and the `SCALAR_COLS`.
 pub struct NetTelemetry {
     /// Simulated time between samples.
     every: TimeDelta,
@@ -338,8 +330,6 @@ pub struct NetTelemetry {
     port_occ: usize,
     port_stall: usize,
     scalars: usize,
-    /// The DCQCN paused-VL block; the pause total follows it.
-    dcqcn: Option<usize>,
     /// Base into the flat port blocks, per switch.
     port_start: Vec<usize>,
     // -- previous cumulative counters (for per-interval deltas) -----------
@@ -371,12 +361,6 @@ impl NetTelemetry {
         names.extend(ports.iter().map(|p| format!("{p}.stalls")));
         let scalars = names.len();
         names.extend(SCALAR_COLS.map(String::from));
-        let dcqcn = (net.cc_backend() == CcBackend::Dcqcn).then(|| {
-            let base = names.len();
-            names.extend((0..n).map(|i| format!("hca{i}.vls_paused")));
-            names.push("fabric.pfc_pauses_total".into());
-            base
-        });
         NetTelemetry {
             every: cfg.every,
             next: Time::ZERO,
@@ -390,7 +374,6 @@ impl NetTelemetry {
             port_occ,
             port_stall,
             scalars,
-            dcqcn,
             port_start,
             prev_rx: vec![0; n],
             prev_tx: vec![0; n],
@@ -529,16 +512,6 @@ impl NetTelemetry {
         self.prev_fecn = fecn;
         self.prev_becn = becn;
         self.prev_cnp = cnp;
-
-        if let Some(paused) = self.dcqcn {
-            for (i, h) in net.hcas.iter().enumerate() {
-                let vls = (0..h.credits.len())
-                    .filter(|&vl| h.cc.tx_paused(vl))
-                    .count();
-                v[paused + i] = vls as f64;
-            }
-            v[paused + n] = total_pfc_pauses(net.switches.iter().copied()) as f64;
-        }
 
         self.table.push(at.as_ps(), &self.values);
     }

@@ -8,10 +8,9 @@
 //! a CNP queued at the destination ([`TracePoint::CnpQueued`]), whose
 //! delivery raises the source's CCTI ([`TracePoint::CctiRaise`]) and —
 //! when the injection-rate delay is live — throttles the next packet
-//! ([`TracePoint::Throttle`]). Under the dcqcn backend, PFC pause
-//! windows land as [`TracePoint::Pfc`] XOFF/XON pairs. CNPs travel
-//! dst→src, so a flow's CNP records are captured under the *reversed*
-//! key; [`Tracer::wants_packet`] handles the reversal.
+//! ([`TracePoint::Throttle`]). CNPs travel dst→src, so a flow's CNP
+//! records are captured under the *reversed* key;
+//! [`Tracer::wants_packet`] handles the reversal.
 //!
 //! Every record carries the VL it was observed on, the instantaneous
 //! VoQ depth at the recording device, and the credit state of the
@@ -24,10 +23,6 @@ use crate::types::{NodeId, Vl};
 use ibsim_engine::time::Time;
 use serde::Serialize;
 use std::collections::HashSet;
-
-/// `src`/`dst` value for fabric-scoped records ([`TracePoint::Pfc`])
-/// that belong to no single flow.
-pub const CC_SCOPE: NodeId = NodeId::MAX;
 
 /// Where in a packet's life a record was taken.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
@@ -56,24 +51,6 @@ pub enum TracePoint {
     /// next packet is gated for `delay_ps`. Recorded right after the
     /// [`TracePoint::CctiRaise`] that caused it.
     Throttle { delay_ps: u64 },
-    /// A PFC pause frame took effect (`xoff = true`) or was released
-    /// (`xoff = false`) at a transmitter. `at_switch` tells whether
-    /// `node` is a switch index or an HCA id. Fabric-scoped: recorded
-    /// with `src = dst = CC_SCOPE`.
-    Pfc {
-        at_switch: bool,
-        node: u32,
-        port: u16,
-        xoff: bool,
-    },
-}
-
-impl TracePoint {
-    /// Whether records of this point belong to a specific packet key
-    /// (and hence the `(src, dst, seq)` index) rather than the fabric.
-    pub fn packet_scoped(&self) -> bool {
-        !matches!(self, TracePoint::Pfc { .. })
-    }
 }
 
 /// Instantaneous context captured alongside a record: the VL the
@@ -115,10 +92,9 @@ impl TraceRecord {
 ///
 /// Records live in one append-only byte log, in capture order (the
 /// deterministic event order). Each record is one header byte — the
-/// point's tag in bits 0–3, `cnp` in bit 4, the point's flag (`fecn`,
-/// `xoff`) in bit 5 and PFC's `at_switch` in bit 6 — then LEB128
-/// varints: `at_ps` as a wrapping delta from the previous record,
-/// `src + 1` and `dst + 1` (so [`CC_SCOPE`] takes one byte), `seq`,
+/// point's tag in bits 0–3, `cnp` in bit 4, `Forward`'s `fecn` in bit 5 —
+/// then LEB128 varints: `at_ps` as a wrapping delta from the previous
+/// record, `src`, `dst`, `seq`,
 /// `vl`, `voq`, `credit`, and the point's payload fields in
 /// declaration order. A hop record of a 72-node fabric takes about
 /// 12 bytes against the 48 of a [`TraceRecord`]; [`Tracer::records`]
@@ -224,24 +200,6 @@ impl Tracer {
         true
     }
 
-    /// Record a fabric-scoped CC point (PFC pause edges). Not filtered
-    /// by flow: pause state gates every traced flow through the port.
-    #[inline]
-    pub fn record_cc(&mut self, at: Time, point: TracePoint, ctx: TraceCtx) {
-        debug_assert!(!point.packet_scoped());
-        self.push(TraceRecord {
-            at_ps: at.as_ps(),
-            src: CC_SCOPE,
-            dst: CC_SCOPE,
-            seq: 0,
-            cnp: false,
-            vl: ctx.vl,
-            voq: ctx.voq,
-            credit: ctx.credit,
-            point,
-        });
-    }
-
     /// Append an already-filtered record.
     pub fn push(&mut self, rec: TraceRecord) {
         use TracePoint::*;
@@ -258,22 +216,18 @@ impl Tracer {
             CnpQueued => (5, [0; 2], 0),
             CctiRaise { before, after } => (6, [before.into(), after.into()], 2),
             Throttle { delay_ps } => (7, [delay_ps, 0], 1),
-            Pfc {
-                at_switch,
-                node,
-                port,
-                xoff,
-            } => (
-                8 | flag(xoff, FLAG) | flag(at_switch, AT_SWITCH),
-                [node.into(), port.into()],
-                2,
-            ),
         };
         let log = &mut self.log;
         log.push(head | flag(rec.cnp, CNP));
         put_varint(log, rec.at_ps.wrapping_sub(self.last_at));
-        let (src, dst) = (rec.src.wrapping_add(1), rec.dst.wrapping_add(1));
-        let fields = [src, dst, rec.seq, rec.vl.into(), rec.voq, rec.credit];
+        let fields = [
+            rec.src,
+            rec.dst,
+            rec.seq,
+            rec.vl.into(),
+            rec.voq,
+            rec.credit,
+        ];
         for v in fields.map(u64::from).iter().chain(&payload[..n]) {
             put_varint(log, *v);
         }
@@ -341,7 +295,7 @@ impl Tracer {
     /// whole trace, so a query, not a hot-path call.
     pub fn packet(&self, src: NodeId, dst: NodeId, seq: u32) -> Vec<TraceRecord> {
         self.records()
-            .filter(|r| r.point.packet_scoped() && r.key() == (src, dst, seq))
+            .filter(|r| r.key() == (src, dst, seq))
             .collect()
     }
 
@@ -360,7 +314,6 @@ impl Tracer {
 /// Header-byte bits above the point tag.
 const CNP: u8 = 1 << 4;
 const FLAG: u8 = 1 << 5;
-const AT_SWITCH: u8 = 1 << 6;
 
 fn flag(on: bool, bit: u8) -> u8 {
     if on {
@@ -418,15 +371,14 @@ impl Iterator for TraceRecords<'_> {
         // casts below give back exactly what was pushed.
         let head = self.byte();
         let at_ps = self.at.at_ps.wrapping_add(self.varint());
-        let src = (self.varint() as NodeId).wrapping_sub(1);
-        let dst = (self.varint() as NodeId).wrapping_sub(1);
+        let src = self.varint() as NodeId;
+        let dst = self.varint() as NodeId;
         let seq = self.varint() as u32;
         let (vl, voq, credit) = (
             self.varint() as Vl,
             self.varint() as u32,
             self.varint() as u32,
         );
-        let flag = head & FLAG != 0;
         let point = match head & 0x0f {
             0 => TracePoint::Inject,
             1 => TracePoint::SwitchArrive {
@@ -436,7 +388,7 @@ impl Iterator for TraceRecords<'_> {
             2 => TracePoint::Forward {
                 switch: self.varint() as u32,
                 out_port: self.varint() as u16,
-                fecn: flag,
+                fecn: head & FLAG != 0,
             },
             3 => TracePoint::Arrive,
             4 => TracePoint::Deliver,
@@ -447,12 +399,6 @@ impl Iterator for TraceRecords<'_> {
             },
             7 => TracePoint::Throttle {
                 delay_ps: self.varint(),
-            },
-            8 => TracePoint::Pfc {
-                at_switch: head & AT_SWITCH != 0,
-                node: self.varint() as u32,
-                port: self.varint() as u16,
-                xoff: flag,
             },
             tag => unreachable!("trace log tag {tag}: the log is only written by push"),
         };
@@ -596,34 +542,6 @@ mod tests {
             assert_eq!(recs[9].point, TracePoint::Deliver);
         }
         assert!(t.packet(0, 5, 9).is_empty());
-    }
-
-    #[test]
-    fn fabric_scoped_pfc_records_belong_to_no_packet() {
-        let mut t = Tracer::for_flows([(0, 5)]);
-        t.record_cc(
-            Time(2),
-            TracePoint::Pfc {
-                at_switch: true,
-                node: 1,
-                port: 2,
-                xoff: true,
-            },
-            ctx(0, 7, 0),
-        );
-        t.record_cc(
-            Time(4),
-            TracePoint::Pfc {
-                at_switch: true,
-                node: 1,
-                port: 2,
-                xoff: false,
-            },
-            ctx(0, 0, 0),
-        );
-        assert_eq!(t.records().len(), 2);
-        assert!(t.records().all(|r| r.src == CC_SCOPE));
-        assert!(t.packet(CC_SCOPE, CC_SCOPE, 0).is_empty());
     }
 
     #[test]

@@ -4,7 +4,6 @@
 //! answers exactly what the vector does.
 
 use ibsim_engine::rng::Rng;
-use ibsim_net::trace::CC_SCOPE;
 use ibsim_net::{TracePoint, TraceRecord, Tracer};
 use proptest::prelude::*;
 
@@ -19,12 +18,12 @@ fn pick(rng: &mut Rng, max: u64) -> u64 {
 }
 
 /// One record drawn from `seed`, after a record at `prev_at`: every
-/// point kind, every field at its extremes, `CC_SCOPE` endpoints, and
+/// point kind, every field at its extremes, and
 /// time that may stand still, step forward or go backwards.
 fn record(seed: u64, prev_at: u64) -> TraceRecord {
     let mut rng = Rng::new(seed);
     let node = |rng: &mut Rng| match rng.next_below(4) {
-        0 => CC_SCOPE,
+        0 => u32::MAX,
         1 => rng.next_below(4) as u32,
         _ => pick(rng, u32::MAX.into()) as u32,
     };
@@ -39,7 +38,7 @@ fn record(seed: u64, prev_at: u64) -> TraceRecord {
     let (seq, voq, credit) = (u32_(&mut rng), u32_(&mut rng), u32_(&mut rng));
     let (sw, port) = (u32_(&mut rng), pick(&mut rng, u16::MAX.into()) as u16);
     let bit = |rng: &mut Rng| rng.next_below(2) == 1;
-    let point = match rng.next_below(9) {
+    let point = match rng.next_below(8) {
         0 => TracePoint::Inject,
         1 => TracePoint::SwitchArrive {
             switch: sw,
@@ -57,14 +56,8 @@ fn record(seed: u64, prev_at: u64) -> TraceRecord {
             before: port,
             after: pick(&mut rng, u16::MAX.into()) as u16,
         },
-        7 => TracePoint::Throttle {
+        _ => TracePoint::Throttle {
             delay_ps: pick(&mut rng, u64::MAX),
-        },
-        _ => TracePoint::Pfc {
-            at_switch: bit(&mut rng),
-            node: sw,
-            port,
-            xoff: bit(&mut rng),
         },
     };
     TraceRecord {
@@ -99,11 +92,11 @@ proptest! {
         prop_assert_eq!(log.records().len(), want.len());
         prop_assert_eq!(&log.records().collect::<Vec<_>>(), &want);
         // Every key the records carry, and one none of them does.
-        let keys = want.iter().map(TraceRecord::key).chain([(CC_SCOPE, 7, 7)]);
+        let keys = want.iter().map(TraceRecord::key).chain([(u32::MAX, 7, 7)]);
         for (src, dst, seq) in keys {
             let packet: Vec<TraceRecord> = want
                 .iter()
-                .filter(|r| r.point.packet_scoped() && r.key() == (src, dst, seq))
+                .filter(|r| r.key() == (src, dst, seq))
                 .copied()
                 .collect();
             let path: Vec<u32> = packet

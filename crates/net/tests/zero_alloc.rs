@@ -17,7 +17,6 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-use ibsim_cc::SourceCc;
 use ibsim_engine::time::Time;
 use ibsim_net::{DestPattern, NetConfig, Network, TrafficClass};
 use ibsim_topo::FatTreeSpec;
@@ -71,12 +70,8 @@ struct Window {
 
 /// BECNs received and CC flows held, summed over every HCA.
 fn cc_census(net: &Network) -> (u64, usize) {
-    let ib = net.hcas.iter().filter_map(|h| match &h.cc {
-        SourceCc::Ib(c) => Some(c),
-        SourceCc::Dcqcn(_) => None,
-    });
-    ib.fold((0, 0), |(b, n), c| {
-        (b + c.becns_received(), n + c.held_flows())
+    net.hcas.iter().fold((0, 0), |(b, n), h| {
+        (b + h.cc.becns_received(), n + h.cc.held_flows())
     })
 }
 

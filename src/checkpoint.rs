@@ -34,23 +34,13 @@ use std::sync::Mutex;
 use crate::experiment::RunDurations;
 use crate::options::RunOptions;
 
-/// Checkpoint format version of IB CC (`ibcc` backend) state trees —
-/// unchanged since the format landed, so every previously written
-/// checkpoint still restores. Bump on any incompatible change to the
-/// state tree's schema; restore refuses unknown versions with
-/// [`StateError::VersionMismatch`].
+/// Checkpoint format version — unchanged since the format landed, so
+/// every previously written checkpoint still restores. Bump on any
+/// incompatible change to the state tree's schema; restore refuses
+/// every other version with [`StateError::VersionMismatch`]. Version 2
+/// was the form of a since-retired second congestion-control backend,
+/// so the next bump takes 3.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Format version of `dcqcn`-backend checkpoints: the state tree gains
-/// backend-tagged per-HCA CC sections and per-switch PFC sections, so
-/// the version is bumped rather than silently reusing v1.
-pub const FORMAT_VERSION_DCQCN: u32 = 2;
-
-/// Highest format version this build understands.
-pub const FORMAT_VERSION_MAX: u32 = FORMAT_VERSION_DCQCN;
-
-/// The default backend tag (the one whose digests predate the field).
-pub const BACKEND_IBCC: &str = "ibcc";
 
 /// Leading magic string; guards against feeding arbitrary JSON (or a
 /// telemetry CSV) to the restore path.
@@ -60,7 +50,7 @@ pub const MAGIC: &str = "ibsim-checkpoint";
 /// Restore validates it against the live network before touching any
 /// state: applying a 72-node checkpoint to an 8-node fabric must fail
 /// loudly, not scribble.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TopoDigest {
     pub switches: u64,
     pub hcas: u64,
@@ -70,62 +60,6 @@ pub struct TopoDigest {
     /// Congestion control armed? (A CC-on checkpoint carries per-flow
     /// tables a CC-off network has no home for.)
     pub cc: bool,
-    /// Congestion-control backend tag (`"ibcc"` or `"dcqcn"`). An `ibcc`
-    /// checkpoint carries CCT/CCTI state; a `dcqcn` one carries rate and
-    /// PFC state — restoring across backends would scribble, so the
-    /// digest refuses the mix before any state is decoded.
-    pub backend: String,
-}
-
-// Hand-written serde: the `backend` key is omitted when it holds the
-// default (`"ibcc"`), so every digest written before the field existed —
-// including the committed golden checkpoints — stays byte-identical and
-// still decodes.
-impl Serialize for TopoDigest {
-    fn to_value(&self) -> Value {
-        let mut pairs = vec![
-            ("switches".to_string(), self.switches.to_value()),
-            ("hcas".to_string(), self.hcas.to_value()),
-            ("channels".to_string(), self.channels.to_value()),
-            ("n_vls".to_string(), self.n_vls.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("cc".to_string(), self.cc.to_value()),
-        ];
-        if self.backend != BACKEND_IBCC {
-            pairs.push(("backend".to_string(), self.backend.to_value()));
-        }
-        Value::Object(pairs)
-    }
-}
-
-impl Deserialize for TopoDigest {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        let field = |k: &str| {
-            v.get(k)
-                .ok_or_else(|| serde::Error::custom(format!("missing field `{k}` in TopoDigest")))
-        };
-        Ok(TopoDigest {
-            switches: u64::from_value(field("switches")?)?,
-            hcas: u64::from_value(field("hcas")?)?,
-            channels: u64::from_value(field("channels")?)?,
-            n_vls: u64::from_value(field("n_vls")?)?,
-            seed: u64::from_value(field("seed")?)?,
-            cc: bool::from_value(field("cc")?)?,
-            backend: match v.get("backend") {
-                Some(b) => String::from_value(b)?,
-                None => BACKEND_IBCC.to_string(),
-            },
-        })
-    }
-}
-
-/// The format version a checkpoint from the given backend must carry.
-pub fn expected_version(backend: &str) -> u32 {
-    if backend == BACKEND_IBCC {
-        FORMAT_VERSION
-    } else {
-        FORMAT_VERSION_DCQCN
-    }
 }
 
 /// The envelope every checkpoint starts with.
@@ -142,31 +76,26 @@ pub struct CheckpointHeader {
 
 impl CheckpointHeader {
     pub fn new(at_ps: u64, events_processed: u64, topo: TopoDigest) -> Self {
-        let version = expected_version(&topo.backend);
         CheckpointHeader {
             magic: MAGIC.to_string(),
-            version,
+            version: FORMAT_VERSION,
             at_ps,
             events_processed,
             topo,
         }
     }
 
-    /// Check magic and version — the first gate of every restore. The
-    /// version must be the one the digest's backend writes: an `ibcc`
-    /// header claiming v2 (or a v3 from a future build) is refused with
-    /// the version this build expects for that backend.
+    /// Check magic and version — the first gate of every restore.
     pub fn validate_format(&self) -> Result<(), StateError> {
         if self.magic != MAGIC {
             return Err(StateError::BadMagic {
                 found: self.magic.clone(),
             });
         }
-        let expected = expected_version(&self.topo.backend);
-        if self.version != expected {
+        if self.version != FORMAT_VERSION {
             return Err(StateError::VersionMismatch {
                 found: self.version,
-                expected,
+                expected: FORMAT_VERSION,
             });
         }
         Ok(())
@@ -183,7 +112,6 @@ impl CheckpointHeader {
             ("n_vls", num(t.n_vls), num(live.n_vls)),
             ("seed", num(t.seed), num(live.seed)),
             ("cc", t.cc.to_string(), live.cc.to_string()),
-            ("backend", t.backend.clone(), live.backend.clone()),
         ];
         match fields.into_iter().find(|(_, found, live)| found != live) {
             None => Ok(()),
@@ -294,7 +222,6 @@ pub fn digest(net: &Network) -> TopoDigest {
         n_vls: net.cfg.n_vls as u64,
         seed: net.cfg.seed,
         cc: net.cc_enabled(),
-        backend: net.cc_backend().name().to_string(),
     }
 }
 
@@ -338,18 +265,11 @@ pub fn workload_label(spec: &ibsim_traffic::WorkloadSpec, dur: &RunDurations) ->
     format!("wl-{}_w{}m{}", s, dur.warmup.as_ps(), dur.measure.as_ps())
 }
 
-/// Deterministic checkpoint file name for one run. The backend tag is
-/// only spliced in for non-default backends, so every ibcc checkpoint
-/// keeps its pre-backend-refactor name.
+/// Deterministic checkpoint file name for one run.
 pub fn file_name(d: &TopoDigest, label: &str) -> String {
-    let backend = if d.backend == BACKEND_IBCC {
-        String::new()
-    } else {
-        format!("_{}", d.backend)
-    };
     format!(
-        "ckpt_s{}h{}c{}v{}_seed{:x}_cc{}{}_{}.json",
-        d.switches, d.hcas, d.channels, d.n_vls, d.seed, d.cc as u8, backend, label
+        "ckpt_s{}h{}c{}v{}_seed{:x}_cc{}_{}.json",
+        d.switches, d.hcas, d.channels, d.n_vls, d.seed, d.cc as u8, label
     )
 }
 
@@ -465,27 +385,16 @@ mod tests {
             n_vls: 1,
             seed: 7,
             cc: true,
-            backend: BACKEND_IBCC.to_string(),
-        }
-    }
-
-    fn dcqcn_digest() -> TopoDigest {
-        TopoDigest {
-            backend: "dcqcn".to_string(),
-            ..digest()
         }
     }
 
     #[test]
     fn version_bump_is_refused_with_structured_error() {
-        // A version beyond anything this build writes is refused, naming
-        // the one the backend writes.
-        let mut h = CheckpointHeader::new(0, 0, dcqcn_digest());
-        h.version = FORMAT_VERSION_MAX + 1;
+        let mut h = CheckpointHeader::new(0, 0, digest());
+        h.version = FORMAT_VERSION + 1;
         match decode(&encode(&h, &Value::Null)) {
             Err(StateError::VersionMismatch { found, expected }) => {
-                assert_eq!(found, FORMAT_VERSION_MAX + 1);
-                assert_eq!(expected, FORMAT_VERSION_DCQCN);
+                assert_eq!((found, expected), (FORMAT_VERSION + 1, FORMAT_VERSION));
             }
             other => panic!("want VersionMismatch, got {other:?}"),
         }
@@ -493,15 +402,15 @@ mod tests {
 
     #[test]
     fn ibcc_digest_serialization_omits_the_backend_key() {
-        // Byte-compat guard: digests written before the backend field
-        // existed must re-encode identically, and decode with the
-        // default backend filled in.
+        // Byte-compat guard: every committed digest has exactly these
+        // keys in this order, and decodes back to itself.
         let text = serde_json::to_string(&digest().to_value()).unwrap();
-        assert!(!text.contains("backend"), "{text}");
+        assert_eq!(
+            text,
+            r#"{"switches":1,"hcas":8,"channels":16,"n_vls":1,"seed":7,"cc":true}"#
+        );
         let back = TopoDigest::from_value(&serde_json::from_str(&text).unwrap()).unwrap();
-        assert_eq!(back.backend, BACKEND_IBCC);
-        let dc = serde_json::to_string(&dcqcn_digest().to_value()).unwrap();
-        assert!(dc.contains("\"backend\":\"dcqcn\""), "{dc}");
+        assert_eq!(back, digest());
     }
 
     #[test]
@@ -515,7 +424,6 @@ mod tests {
             (TopoDigest { n_vls: 4, ..d() }, ["n_vls", "1", "4"]),
             (TopoDigest { seed: 9, ..d() }, ["seed", "7", "9"]),
             (TopoDigest { cc: false, ..d() }, ["cc", "true", "false"]),
-            (dcqcn_digest(), ["backend", "ibcc", "dcqcn"]),
         ] {
             match h.validate_topo(&live) {
                 Err(StateError::TopologyMismatch {

@@ -26,8 +26,7 @@ use crate::experiment::MAX_US;
 use crate::options::{RunOptions, KEYS};
 use crate::preset::Preset;
 use crate::report::{ascii_plot, write_csv, write_json, PlotSeries};
-use crate::sweep::{parallel_map, parallel_map_progress};
-use ibsim_cc::CcBackend;
+use crate::sweep::parallel_map_progress;
 use ibsim_net::NetConfig;
 use ibsim_topo::Topology;
 use ibsim_traffic::RoleSpec;
@@ -61,7 +60,7 @@ pub struct Command {
     pub summary: &'static str,
     /// The one positional argument, e.g. `<spec.json>`; empty for none.
     pub operand: &'static str,
-    /// Whether the eleven run options (`--audit`, `--shards`, …) apply.
+    /// Whether the ten run options (`--audit`, `--shards`, …) apply.
     pub run_options: bool,
     pub flags: &'static [Flag],
     plan: fn(&Args) -> Result<Job, ArgError>,
@@ -127,7 +126,6 @@ const THREADS: Flag = flag("threads", "0", "cells run in parallel (0 = one per c
 const FAULTS: Flag = flag("faults", "", "fault schedule kind:key=val,…;… (README.md)");
 const HOTSPOTS: Flag = flag("hotspots", "", "hotspot count (default: the preset's)");
 const REPLICAS: Flag = flag("replicas", "1", "seeds per hotspot cell; > 1 adds a 95% CI");
-const COMPARE: Flag = flag("backend-compare", "false", "also under ibcc and dcqcn");
 const X: Flag = flag("x", "25", "B-node percentage: 25/50/75/100 = fig 5/6/7/8");
 const V: Flag = flag("v", "20", "V-node percentage, the rest C nodes (fig 9)");
 const B: Flag = flag("b", "false", "100% B nodes instead (fig 10)");
@@ -159,13 +157,13 @@ pub static COMMANDS: [Command; 12] = [
     cmd(
         "table2",
         "Table II: the silent forest, CC off and on, with and without hotspots",
-        &[PRESET, SEED, THREADS, HOTSPOTS, REPLICAS, COMPARE],
+        &[PRESET, SEED, THREADS, HOTSPOTS, REPLICAS],
         table2::plan,
     ),
     cmd(
         "windy",
         "Fig. 5-8: windy forests at x% B nodes, sweeping the hotspot share p",
-        &[PRESET, SEED, THREADS, X, FAULTS, COMPARE],
+        &[PRESET, SEED, THREADS, X, FAULTS],
         windy::plan,
     ),
     cmd(
@@ -360,29 +358,6 @@ fn threads(a: &Args) -> Result<usize, ArgError> {
 /// stderr.
 fn sweep<T: Sync, R: Send>(threads: usize, cells: &[T], f: impl Fn(&T) -> R + Sync) -> Vec<R> {
     parallel_map_progress(cells, threads, f, |d, t| eprintln!("  cell {d}/{t}"))
-}
-
-/// `--backend-compare`: each cell once under each CC backend, all in
-/// one parallel map (the backend is a field of the options a cell is
-/// handed). Backend-major order.
-fn per_backend<T: Sync, R: Send>(
-    opts: &RunOptions,
-    threads: usize,
-    cells: &[T],
-    run: impl Fn(&RunOptions, &T) -> R + Sync,
-) -> Vec<(CcBackend, R)> {
-    let jobs: Vec<(CcBackend, &T)> = [CcBackend::IbCc, CcBackend::Dcqcn]
-        .into_iter()
-        .flat_map(|b| cells.iter().map(move |c| (b, c)))
-        .collect();
-    let results = parallel_map(&jobs, threads, |&(b, cell)| {
-        let opts = RunOptions {
-            cc_backend: Some(b),
-            ..opts.clone()
-        };
-        run(&opts, cell)
-    });
-    jobs.iter().map(|&(b, _)| b).zip(results).collect()
 }
 
 /// A report column: its header and the cell it shows for row `i`.

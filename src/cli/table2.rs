@@ -8,9 +8,8 @@
 //! 4. hotspots active, CC on — the recovery
 //! 5. total network throughput with and without CC
 
-use super::{csv, f2, f3, json, per_backend, sweep, table, threads, with_cc};
+use super::{csv, f2, f3, json, sweep, threads, with_cc};
 use super::{ArgError, Args, Ctx, Job};
-use crate::experiment::ScenarioResult;
 use crate::replicas::run_scenario_replicated;
 use crate::report::ascii_table;
 use ibsim_traffic::RoleSpec;
@@ -24,7 +23,6 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         c.preset.num_hotspots()
     };
     let replicas = a.num("replicas", 1..=1000u64)?;
-    let backend_compare = a.switch("backend-compare")?;
     Ok(Box::new(move || {
         let roles = RoleSpec {
             num_hotspots,
@@ -134,30 +132,6 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         csv(out, "table2.csv", &["metric", "gbps"], &csv_rows)?;
         json(out, "table2.json", &results)?;
 
-        // The hotspot CC-on cell under each backend, against the shared
-        // CC-off baseline above.
-        if backend_compare {
-            let cells = per_backend(&c.opts, threads, &[()], |opts, ()| {
-                opts.run_scenario(&c.topo, c.cfg.clone(), roles, dur, None, true, None)
-            });
-            let backends: Vec<(&str, &ScenarioResult)> = [("none", hs_off)]
-                .into_iter()
-                .chain(cells.iter().map(|(b, r)| (b.name(), r)))
-                .collect();
-            let (header, rows) = table(
-                &[
-                    ("backend", &|i| backends[i].0.into()),
-                    ("hs_rx", &|i| f3(backends[i].1.hotspot_rx)),
-                    ("nonhs_rx", &|i| f3(backends[i].1.non_hotspot_rx)),
-                    ("total_rx", &|i| f3(backends[i].1.total_rx)),
-                    ("improvement", &|i| {
-                        f2(backends[i].1.total_rx / hs_off.total_rx)
-                    }),
-                ],
-                backends.len(),
-            );
-            csv(out, "table2_backend_compare.csv", &header, &rows)?;
-        }
         Ok(())
     }))
 }

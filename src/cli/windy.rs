@@ -6,9 +6,8 @@
 //!   (b) average receive rate of the hotspots (CC off / CC on),
 //!   (c) total-network-throughput improvement factor from enabling CC.
 
-use super::{csv, f2, f3, json, per_backend, plot, sweep, table, threads};
+use super::{csv, f2, f3, json, plot, sweep, table, threads};
 use super::{ArgError, Args, Ctx, Job};
-use crate::options::RunOptions;
 use crate::report::ascii_table;
 
 pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
@@ -16,7 +15,6 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
     let threads = threads(a)?;
     let x = a.num("x", 0..=100u32)?;
     let faults = a.faults(c.seed, &c.topo)?;
-    let backend_compare = a.switch("backend-compare")?;
     Ok(Box::new(move || {
         let fig = match x {
             25 => "fig5",
@@ -27,11 +25,11 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         };
         let ps = c.preset.p_values();
         c.banner("windy", format_args!("{fig} x={x}% B, p in {ps:?}"));
-        let run_pair = |opts: &RunOptions, &p: &u32| {
+        let pairs = sweep(threads, &ps, |&p| {
             let (roles, dur) = (c.roles(x, p, 80), c.preset.durations());
-            opts.run_cc_pair(&c.topo, &c.cfg, roles, dur, None, faults.as_ref())
-        };
-        let pairs = sweep(threads, &ps, |p| run_pair(&c.opts, p));
+            c.opts
+                .run_cc_pair(&c.topo, &c.cfg, roles, dur, None, faults.as_ref())
+        });
         let n = ps.len();
 
         let (header, rows) = table(
@@ -99,26 +97,6 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         csv(out, &format!("windy_x{x}.csv"), &header, &rows)?;
         json(out, &format!("windy_x{x}.json"), &pairs)?;
 
-        // The same p ladder under each backend, one long-format CSV.
-        if backend_compare {
-            let cells = per_backend(&c.opts, threads, &ps, run_pair);
-            let (header, rows) = table(
-                &[
-                    ("p", &|i| ps[i % n].to_string()),
-                    ("backend", &|i| cells[i].0.name().into()),
-                    ("nonhs_rx_off", &|i| f3(cells[i].1.off.non_hotspot_rx)),
-                    ("nonhs_rx_on", &|i| f3(cells[i].1.on.non_hotspot_rx)),
-                    ("hs_rx_off", &|i| f3(cells[i].1.off.hotspot_rx)),
-                    ("hs_rx_on", &|i| f3(cells[i].1.on.hotspot_rx)),
-                    ("total_off", &|i| f3(cells[i].1.off.total_rx)),
-                    ("total_on", &|i| f3(cells[i].1.on.total_rx)),
-                    ("improvement", &|i| f3(cells[i].1.improvement())),
-                ],
-                cells.len(),
-            );
-            let name = format!("windy_x{x}_backend_compare.csv");
-            csv(out, &name, &header, &rows)?;
-        }
         Ok(())
     }))
 }

@@ -15,8 +15,6 @@ use serde::Serialize;
 /// Everything one drill run reports — serialised as the CI artifact.
 #[derive(Clone, Debug, Serialize)]
 pub struct DrillReport {
-    /// The CC backend the drill ran under (`ibcc` / `dcqcn`).
-    pub cc_backend: String,
     /// Spec echo: when the first transition fires / the last clears, µs.
     pub fault_start_us: f64,
     pub fault_clear_us: f64,
@@ -119,7 +117,6 @@ impl RunOptions {
             .unwrap_or((0.0, 0.0));
         let recovery = RecoveryMetrics::compute(&samples, start, clear);
         let report = DrillReport {
-            cc_backend: net.cc_backend().name().to_string(),
             fault_start_us: start,
             fault_clear_us: clear,
             samples,

@@ -1,7 +1,7 @@
 //! One value configures a run: [`RunOptions`].
 //!
 //! Everything that shapes *how* a scenario is executed and observed —
-//! the invariant oracle, the CC backend override, sharding, telemetry,
+//! the invariant oracle, sharding, telemetry,
 //! flow tracing, profiling, the artifact directory and
 //! checkpoint/resume — is a field of this struct, and there is exactly
 //! one of each mechanism around it:
@@ -22,7 +22,6 @@
 //! threads can run differently configured cells side by side.
 
 use crate::checkpoint::save_in;
-use ibsim_cc::CcBackend;
 use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
 use ibsim_net::{
     chrome_trace_json, records_csv, AuditReport, FaultSchedule, NetConfig, Network, NodeId,
@@ -43,9 +42,8 @@ pub const DEFAULT_TELEMETRY_US: u64 = 100;
 
 /// The key table: every run option, spelt as the spec-file field. The
 /// flag is `--<key>` with `-` for `_`, the variable `IBSIM_<KEY>`.
-pub const KEYS: [&str; 11] = [
+pub const KEYS: [&str; 10] = [
     "audit",
-    "cc_backend",
     "shards",
     "telemetry",
     "telemetry_det",
@@ -135,10 +133,6 @@ impl std::error::Error for OptionsError {}
 pub struct RunOptions {
     /// Invariant oracle: events between periodic passes (`None` = off).
     pub audit: Option<u64>,
-    /// Run CC-on configurations under this backend instead of the one
-    /// their `NetConfig` names. CC-off configurations are left alone:
-    /// they are the baseline both backends are compared against.
-    pub cc_backend: Option<CcBackend>,
     /// Parallel shards (1 = the serial engine). Byte-invisible.
     pub shards: usize,
     /// Telemetry sampling period in µs (`None` = off). Writes
@@ -158,7 +152,8 @@ pub struct RunOptions {
     /// Where checkpoints are written.
     pub checkpoint_dir: PathBuf,
     /// Fast-forward each run from its matching checkpoint in this
-    /// directory; runs with no matching file start cold.
+    /// directory, which must exist; runs with no matching file start
+    /// cold.
     pub resume_from: Option<PathBuf>,
 }
 
@@ -166,7 +161,6 @@ impl Default for RunOptions {
     fn default() -> Self {
         RunOptions {
             audit: None,
-            cc_backend: None,
             shards: 1,
             telemetry: None,
             telemetry_det: false,
@@ -252,11 +246,6 @@ impl RunOptions {
                     )?),
                 }
             }
-            "cc_backend" => {
-                let b = CcBackend::parse(&v.to_ascii_lowercase())
-                    .ok_or_else(|| bad("wants ibcc|dcqcn"))?;
-                self.cc_backend = Some(b);
-            }
             "shards" => {
                 self.shards = count(u32::MAX as u64, "wants a positive shard count")? as usize;
             }
@@ -278,7 +267,13 @@ impl RunOptions {
             "out" => self.out = dir()?,
             "checkpoint_at" => self.checkpoint_at = Some(micros()?),
             "checkpoint_dir" => self.checkpoint_dir = dir()?,
-            "resume_from" => self.resume_from = Some(dir()?),
+            "resume_from" => {
+                let d = dir()?;
+                if !d.is_dir() {
+                    return Err(bad("is not an existing directory"));
+                }
+                self.resume_from = Some(d);
+            }
             _ => {
                 return Err(bad(&format!(
                     "unknown option; the keys are {}",
@@ -359,19 +354,16 @@ impl RunOptions {
     }
 
     /// The one arm: build the network for `cfg` and apply the options.
-    /// The order — backend, `Network::new`, audit, telemetry, trace,
+    /// The order — `Network::new`, audit, telemetry, trace,
     /// profile, faults, shards — is part of the byte-identity contract
     /// (the oracle and sampler must see an empty fabric, the shard
     /// split must see the installed fault schedule).
     pub fn network(
         &self,
         topo: &Topology,
-        mut cfg: NetConfig,
+        cfg: NetConfig,
         faults: Option<&FaultSchedule>,
     ) -> Network {
-        if let (Some(backend), true) = (self.cc_backend, cfg.cc.is_some()) {
-            cfg.cc_backend = backend;
-        }
         let mut net = Network::new(topo, cfg);
         if let Some(every) = self.audit {
             net.enable_audit(every);

@@ -4,7 +4,7 @@
 
 use crate::experiment::MAX_US;
 use crate::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Which topology to build.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -88,8 +88,27 @@ fn default_measure_ms() -> u64 {
 }
 
 impl SimSpec {
+    /// Parse a spec, refusing by name any key that is not a field at
+    /// the top level or inside `net` — a misspelt key would otherwise
+    /// run the default silently.
     pub fn from_json(s: &str) -> Result<SimSpec, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+        let given: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        let spec = SimSpec::from_value(&given).map_err(|e| e.to_string())?;
+        let known = spec.to_value();
+        fn keys(v: &Value) -> Vec<&str> {
+            let pairs = v.as_object().unwrap_or(&[]);
+            pairs.iter().map(|(k, _)| k.as_str()).collect()
+        }
+        for (at, given, known) in [("", &given, &known), ("net.", &given["net"], &known["net"])] {
+            let fields = keys(known);
+            if let Some(key) = keys(given).into_iter().find(|k| !fields.contains(k)) {
+                return Err(format!(
+                    "unknown key `{at}{key}`; the keys are {}",
+                    fields.join(", ")
+                ));
+            }
+        }
+        Ok(spec)
     }
 
     /// Build and validate the topology, the roles (or the workload)
@@ -300,12 +319,30 @@ mod tests {
     fn windows_past_the_clock_rejected() {
         let base = SimSpec::from_json(MINIMAL).unwrap();
         let huge = u64::MAX / 1000;
-        for key in ["warmup_ms", "measure_ms", "hotspot_lifetime_us"] {
+        // The fixed delays stop at 1 s: one past it is refused, 1 s runs.
+        let delay = |spec: &mut SimSpec, key: &str, d: TimeDelta| match key {
+            "link_delay" => spec.net.link_delay = d,
+            "switch_latency" => spec.net.switch_latency = d,
+            _ => spec.net.credit_latency = d,
+        };
+        for key in [
+            "warmup_ms",
+            "measure_ms",
+            "hotspot_lifetime_us",
+            "link_delay",
+            "switch_latency",
+            "credit_latency",
+        ] {
             let mut spec = base.clone();
             match key {
                 "warmup_ms" => spec.warmup_ms = huge,
                 "measure_ms" => spec.measure_ms = huge,
-                _ => spec.hotspot_lifetime_us = Some(huge),
+                "hotspot_lifetime_us" => spec.hotspot_lifetime_us = Some(huge),
+                _ => {
+                    delay(&mut spec, key, ibsim_net::config::MAX_DELAY);
+                    assert!(spec.check().is_ok(), "{key} at the ceiling");
+                    delay(&mut spec, key, TimeDelta(u64::MAX - 1000));
+                }
             }
             let err = spec.check().unwrap_err();
             assert!(err.contains(key) && err.contains("clock"), "{key}: {err}");

@@ -2,7 +2,7 @@
 //! network, install a [`WorkloadSpec`], stream its trace (if any),
 //! measure, drain, and summarise per category — the workload twin of
 //! [`RunOptions::run_scenario`], under the same [`RunOptions`] (audit,
-//! telemetry, trace, profile, CC backend, shards, checkpoint/resume).
+//! telemetry, trace, profile, shards, checkpoint/resume).
 //!
 //! The run's step grid is a fixed 100 µs clock. Segment edges are
 //! where the trace feeder installs the next look-ahead window of

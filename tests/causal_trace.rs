@@ -171,7 +171,7 @@ fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) {
     let (narrow, _) = windy_run_tracing(victims, shards);
     let filter = Tracer::for_flows(victims(8, hotspot));
     let want: Vec<TraceRecord> = (wide.tracer().unwrap().records())
-        .filter(|r| !r.point.packet_scoped() || filter.wants_packet(r.src, r.dst, r.cnp))
+        .filter(|r| filter.wants_packet(r.src, r.dst, r.cnp))
         .collect();
     let got: Vec<TraceRecord> = narrow.tracer().unwrap().records().collect();
     assert!(got.iter().any(|r| r.cnp), "the victims' CNPs are traced");
@@ -201,16 +201,12 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// The trace files `RunOptions::finish` writes for one traced QUICK_72
-/// silent cell (every flow into the two hotspots traced, CC on under
-/// `backend`, 300 µs + 300 µs), read back as `(csv, json)`.
-fn traced_quick_cell_files(backend: ibsim_cc::CcBackend, shards: usize) -> (Vec<u8>, Vec<u8>) {
+/// silent cell (every flow into the two hotspots traced, CC on,
+/// 300 µs + 300 µs), read back as `(csv, json)`.
+fn traced_quick_cell_files(shards: usize) -> (Vec<u8>, Vec<u8>) {
     let topo = FatTreeSpec::QUICK_72.build();
-    let out = std::env::temp_dir().join(format!(
-        "ibsim_trace_pin_{}_{backend:?}_{shards}",
-        std::process::id()
-    ));
+    let out = std::env::temp_dir().join(format!("ibsim_trace_pin_{}_{shards}", std::process::id()));
     let opts = RunOptions {
-        cc_backend: Some(backend),
         shards,
         trace_flows: Some(FlowSpec::Hotspots),
         out: out.clone(),
@@ -244,43 +240,27 @@ fn traced_quick_cell_files(backend: ibsim_cc::CcBackend, shards: usize) -> (Vec<
 
 /// The trace artifacts themselves are pinned, not only serial ≡
 /// sharded: byte length and FNV-1a of the CSV and the Chrome JSON of a
-/// traced IB CC cell (injects through throttles) and a traced DCQCN
-/// cell (PFC pause edges), serially and on two shards. Between them
-/// the two cells produce every `TracePoint` kind.
+/// traced IB CC cell (injects through throttles), serially and on two
+/// shards. The cell produces every `TracePoint` kind.
 #[test]
 fn trace_artifacts_are_pinned_byte_for_byte() {
-    use ibsim_cc::CcBackend;
-    // (backend, (csv bytes, csv fnv), (json bytes, json fnv))
-    let pins = [
-        (
-            CcBackend::IbCc,
-            (957_017, 0x54b2_5367_265f_ac9e),
-            (6_243_168, 0xff64_18c6_4612_9e3f),
-        ),
-        (
-            CcBackend::Dcqcn,
-            (854_857, 0x381d_1d3a_3a6d_363f),
-            (5_286_641, 0xd8a3_d64d_80b3_d286),
-        ),
-    ];
+    // (csv bytes, csv fnv), (json bytes, json fnv)
+    let (csv_pin, json_pin) = (
+        (957_017, 0x54b2_5367_265f_ac9e),
+        (6_243_168, 0xff64_18c6_4612_9e3f),
+    );
     let mut kinds = std::collections::BTreeSet::new();
-    for (backend, csv_pin, json_pin) in pins {
-        for shards in [1, 2] {
-            let (csv, json) = traced_quick_cell_files(backend, shards);
-            let got = |b: &[u8]| (b.len(), fnv1a(b));
-            assert_eq!(got(&csv), csv_pin, "{backend:?} CSV on {shards} shard(s)");
-            assert_eq!(
-                got(&json),
-                json_pin,
-                "{backend:?} JSON on {shards} shard(s)"
-            );
-            let text = String::from_utf8(csv).unwrap();
-            kinds.extend(
-                text.lines()
-                    .skip(1)
-                    .map(|r| r.split(',').nth(5).unwrap().to_string()),
-            );
-        }
+    for shards in [1, 2] {
+        let (csv, json) = traced_quick_cell_files(shards);
+        let got = |b: &[u8]| (b.len(), fnv1a(b));
+        assert_eq!(got(&csv), csv_pin, "CSV on {shards} shard(s)");
+        assert_eq!(got(&json), json_pin, "JSON on {shards} shard(s)");
+        let text = String::from_utf8(csv).unwrap();
+        kinds.extend(
+            text.lines()
+                .skip(1)
+                .map(|r| r.split(',').nth(5).unwrap().to_string()),
+        );
     }
     let all = [
         "inject",
@@ -291,7 +271,6 @@ fn trace_artifacts_are_pinned_byte_for_byte() {
         "cnp_queued",
         "ccti_raise",
         "throttle",
-        "pfc",
     ];
     assert_eq!(kinds, all.map(String::from).into(), "every TracePoint kind");
 }

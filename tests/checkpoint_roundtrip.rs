@@ -15,11 +15,9 @@
 //! `IBSIM_BLESS=1 cargo test`).
 
 use ibsim::bisect::{diff_values, render_diff};
-use ibsim::checkpoint::{
-    decode, encode, CheckpointHeader, StateError, FORMAT_VERSION, FORMAT_VERSION_DCQCN,
-};
+use ibsim::checkpoint::{decode, encode, CheckpointHeader, StateError, FORMAT_VERSION};
 use ibsim::prelude::*;
-use ibsim_cc::{FlowCcState, SourceCcState};
+use ibsim_cc::FlowCcState;
 use ibsim_net::{NetworkState, TelemetryConfig};
 use proptest::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -38,14 +36,6 @@ fn loaded_net(seed: u64, cc: bool, faults: bool) -> Network {
         cfg.cc = None;
     }
     loaded(cfg, faults)
-}
-
-/// The dcqcn twin of [`loaded_net`]: same fabric, scenario and overlays,
-/// but the congestion control runs the DCQCN/PFC backend (rate machine
-/// state on every HCA, pause state on every switch port — all of which
-/// the v2 checkpoint must carry).
-fn loaded_dcqcn_net(seed: u64, faults: bool) -> Network {
-    loaded(NetConfig::paper_dcqcn().with_seed(seed), faults)
 }
 
 fn loaded(cfg: NetConfig, faults: bool) -> Network {
@@ -117,46 +107,6 @@ fn roundtrip_at_zero_and_at_horizon() {
     assert_roundtrip(7, true, true, 400_000_000, 400_000_000);
 }
 
-/// The dcqcn identity check: a v2 checkpoint mid-run — rate machines in
-/// every increase stage, standing pauses, queued CNPs — restores onto a
-/// fresh dcqcn fabric and reaches byte-identical state at the horizon.
-fn assert_dcqcn_roundtrip(seed: u64, faults: bool, ck_at_ps: u64, horizon_ps: u64) {
-    let ck_at = Time(ck_at_ps);
-    let horizon = Time(horizon_ps);
-
-    let mut straight = loaded_dcqcn_net(seed, faults);
-    straight.run_until(ck_at);
-    let saved = straight.checkpoint();
-    straight.run_until(horizon);
-    let want = straight.checkpoint();
-
-    let mut resumed = loaded_dcqcn_net(seed, faults);
-    resumed
-        .restore(&saved)
-        .expect("restore onto an identically configured dcqcn fabric");
-    resumed.run_until(horizon);
-    let got = resumed.checkpoint();
-
-    if want != got {
-        let diffs = diff_values(&want.to_value(), &got.to_value(), 10);
-        panic!(
-            "resumed dcqcn state diverged (seed={seed} faults={faults} ck={ck_at_ps}):\n{}",
-            render_diff(&diffs)
-        );
-    }
-}
-
-#[test]
-fn roundtrip_dcqcn_inside_fault_window() {
-    // 350 µs: the flap window is open and CNP-loss coin flips are live.
-    assert_dcqcn_roundtrip(0x1B51_C0DE, true, 350_000_000, 700_000_000);
-}
-
-#[test]
-fn roundtrip_dcqcn_no_faults() {
-    assert_dcqcn_roundtrip(0x1B51_C0DE, false, 250_000_000, 700_000_000);
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -186,15 +136,18 @@ fn tiny_checkpoint() -> (CheckpointHeader, NetworkState, Network) {
 
 #[test]
 fn bumped_version_is_rejected_with_both_versions_named() {
+    // 0 was never written; 2 is the retired second backend's form; 3
+    // is the next bump's.
     let (mut header, state, _net) = tiny_checkpoint();
-    header.version = FORMAT_VERSION + 1;
-    let text = encode(&header, &state);
-    match decode(&text) {
-        Err(StateError::VersionMismatch { found, expected }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(expected, FORMAT_VERSION);
+    for version in [0, 2, 3] {
+        header.version = version;
+        let text = encode(&header, &state);
+        match decode(&text) {
+            Err(StateError::VersionMismatch { found, expected }) => {
+                assert_eq!((found, expected), (version, FORMAT_VERSION));
+            }
+            other => panic!("v{version}: expected VersionMismatch, got {other:?}"),
         }
-        other => panic!("expected VersionMismatch, got {other:?}"),
     }
 }
 
@@ -300,65 +253,6 @@ fn checkpoint_from_different_fabric_is_rejected_naming_the_field() {
 }
 
 #[test]
-fn dcqcn_checkpoint_into_ibcc_fabric_is_refused_naming_backends() {
-    // Header gate: the topology digest carries the backend tag, and a
-    // dcqcn checkpoint offered to an ibcc fabric is refused *before*
-    // any state is decoded, naming both tags.
-    let mut dc = loaded_dcqcn_net(3, true);
-    dc.run_until(Time::from_us(200));
-    let header = ibsim::checkpoint::header(&dc);
-    assert_eq!(header.topo.backend, "dcqcn");
-    assert_eq!(header.version, FORMAT_VERSION_DCQCN);
-
-    let ib = loaded_net(3, true, true);
-    match header.validate_topo(&ibsim::checkpoint::digest(&ib)) {
-        Err(StateError::TopologyMismatch {
-            field,
-            found,
-            expected,
-        }) => {
-            assert_eq!(field, "backend");
-            assert_eq!(found, "dcqcn");
-            assert_eq!(expected, "ibcc");
-        }
-        other => panic!("expected TopologyMismatch on backend, got {other:?}"),
-    }
-
-    // State gate: even a bare state-tree restore (no header in the
-    // path) refuses the mix. The switch guard fires first — a dcqcn
-    // tree carries PFC sections an ibcc switch has no home for; the
-    // per-HCA cc guard behind it names both backends (pinned by
-    // `restore_refuses_a_backend_mismatch` in `ibsim-cc`).
-    let mut ib = ib;
-    let err = ib
-        .restore(&dc.checkpoint())
-        .expect_err("cross-backend restore must fail");
-    assert!(
-        err.contains("pfc") || err.contains("backend mismatch"),
-        "unhelpful error: {err}"
-    );
-}
-
-#[test]
-fn dcqcn_header_claiming_v1_is_rejected() {
-    // The version gate is backend-aware: a dcqcn digest must carry v2,
-    // so a header claiming the ibcc version is refused with the version
-    // dcqcn checkpoints are written at.
-    let mut dc = loaded_dcqcn_net(3, false);
-    dc.run_until(Time::from_us(100));
-    let mut header = ibsim::checkpoint::header(&dc);
-    header.version = FORMAT_VERSION;
-    let text = encode(&header, &dc.checkpoint());
-    match decode(&text) {
-        Err(StateError::VersionMismatch { found, expected }) => {
-            assert_eq!(found, FORMAT_VERSION);
-            assert_eq!(expected, FORMAT_VERSION_DCQCN);
-        }
-        other => panic!("expected VersionMismatch, got {other:?}"),
-    }
-}
-
-#[test]
 fn overlay_mismatch_is_rejected() {
     // Checkpoint without faults, restore into a fabric with a schedule
     // installed (and vice versa): both directions are structured errors.
@@ -454,12 +348,9 @@ fn corrupt_latency_histogram_is_rejected() {
     );
 }
 
-/// HCA `hca`'s IB CC flow entries in a captured state.
+/// HCA `hca`'s CC flow entries in a captured state.
 fn ib_flows(s: &mut NetworkState, hca: usize) -> &mut Vec<FlowCcState> {
-    match &mut s.hcas[hca].cc {
-        SourceCcState::Ib(c) => &mut c.flows,
-        SourceCcState::Dcqcn(_) => unreachable!("the loaded fabric runs IB CC"),
-    }
+    &mut s.hcas[hca].cc.flows
 }
 
 #[test]
@@ -1022,21 +913,6 @@ fn golden_tiny_checkpoint_is_stable() {
     net.run_until(Time::from_us(350));
     let fresh = loaded_net(0x1B51_C0DE, true, true);
     assert_matches_golden("tiny_test8.ckpt.json", "serial", &net, Some(fresh));
-}
-
-/// Format-v2 golden: the dcqcn twin of the tiny golden, capturing rate
-/// machines, PFC pause state and queued CNPs at the same instant. The
-/// committed file pins the v2 schema itself — any drift in the
-/// backend-tagged state tree fails here naming the field.
-#[test]
-fn golden_tiny_dcqcn_checkpoint_is_stable() {
-    let mut net = loaded_dcqcn_net(0x1B51_C0DE, true);
-    net.run_until(Time::from_us(350));
-    let header = ibsim::checkpoint::header(&net);
-    assert_eq!(header.version, FORMAT_VERSION_DCQCN);
-    assert_eq!(header.topo.backend, "dcqcn");
-    let fresh = loaded_dcqcn_net(0x1B51_C0DE, true);
-    assert_matches_golden("tiny_test8_dcqcn.ckpt.json", "serial", &net, Some(fresh));
 }
 
 /// The committed tiny golden, reproduced under every shard count. The

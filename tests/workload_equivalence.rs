@@ -4,7 +4,7 @@
 //! equivalences* — parameter corners where two different generators
 //! must produce the same traffic — and by the absolute sharding
 //! contract (serial vs `set_shards(n)` byte-identical on the full
-//! [`NetworkState`] tree, across seeds, fabrics and CC backends).
+//! [`NetworkState`] tree, across seeds and fabrics).
 //!
 //! The load-bearing corners:
 //!
@@ -37,18 +37,8 @@ const SEG_PS: u64 = 100 * PS_PER_US;
 /// Build a fabric with a workload installed. For trace replay the
 /// returned feeder streams the synthesized trace; scripted workloads
 /// return `None`.
-fn wl_net(
-    topo: &Topology,
-    seed: u64,
-    dcqcn: bool,
-    spec: &WorkloadSpec,
-) -> (Network, Option<TraceFeeder>) {
-    let cfg = if dcqcn {
-        NetConfig::paper_dcqcn().with_seed(seed)
-    } else {
-        NetConfig::paper().with_seed(seed)
-    };
-    let mut net = Network::new(topo, cfg);
+fn wl_net(topo: &Topology, seed: u64, spec: &WorkloadSpec) -> (Network, Option<TraceFeeder>) {
+    let mut net = Network::new(topo, NetConfig::paper().with_seed(seed));
     let wl = spec.install(&mut net).expect("workload install");
     (net, wl.feeder)
 }
@@ -102,7 +92,7 @@ fn incast_n1_is_byte_identical_to_fixed_class() {
     let topo = FatTreeSpec::TEST_8.build();
     let captures = [us(50), us(200), us(600)];
     let spec = WorkloadSpec::parse("incast:dst=3,fanin=1,bytes=2048,msgs=64,stagger_ns=0").unwrap();
-    let (mut a, _) = wl_net(&topo, 0x1B51_C0DE, false, &spec);
+    let (mut a, _) = wl_net(&topo, 0x1B51_C0DE, &spec);
     let want = trace_states(&mut a, &mut None, &captures);
 
     // The incast sender set is "first `fanin` nodes, skipping dst" —
@@ -125,9 +115,9 @@ fn one_shift_event_builder_equals_all_to_all() {
     let captures = [us(40), us(150), us(500)];
     let eb = WorkloadSpec::parse("eb:frag=4096,fanin=7,shifts=1,slot_us=40").unwrap();
     let a2a = WorkloadSpec::parse("collective:algo=a2a,bytes=4096,rounds=1,slot_us=40").unwrap();
-    let (mut a, _) = wl_net(&topo, 0xFEED, false, &eb);
+    let (mut a, _) = wl_net(&topo, 0xFEED, &eb);
     let want = trace_states(&mut a, &mut None, &captures);
-    let (mut b, _) = wl_net(&topo, 0xFEED, false, &a2a);
+    let (mut b, _) = wl_net(&topo, 0xFEED, &a2a);
     let got = trace_states(&mut b, &mut None, &captures);
     assert_states_equal(&want, &got, "one-shift EB vs all-to-all");
 }
@@ -239,16 +229,15 @@ fn resolve_spec(topo: &Topology, seed: u64, spec_str: &str) -> WorkloadSpec {
 fn assert_workload_shards_equal(
     topo: &Topology,
     seed: u64,
-    dcqcn: bool,
     shards: usize,
     spec_str: &str,
     captures: &[Time],
 ) {
     let spec = resolve_spec(topo, seed, spec_str);
-    let (mut serial, mut feed_a) = wl_net(topo, seed, dcqcn, &spec);
+    let (mut serial, mut feed_a) = wl_net(topo, seed, &spec);
     let want = trace_states(&mut serial, &mut feed_a, captures);
 
-    let (mut sharded, mut feed_b) = wl_net(topo, seed, dcqcn, &spec);
+    let (mut sharded, mut feed_b) = wl_net(topo, seed, &spec);
     sharded.set_shards(topo, shards);
     let got = trace_states(&mut sharded, &mut feed_b, captures);
 
@@ -256,7 +245,7 @@ fn assert_workload_shards_equal(
         if w != g {
             let diffs = diff_values(&w.to_value(), &g.to_value(), 10);
             panic!(
-                "workload {spec_str:?} shards={shards} seed={seed:#x} dcqcn={dcqcn} \
+                "workload {spec_str:?} shards={shards} seed={seed:#x} \
                  diverged from serial at capture {} of {}:\n{}",
                 i + 1,
                 captures.len(),
@@ -274,7 +263,7 @@ fn generators_match_serial_on_fat8() {
     let captures = [us(130), us(400)];
     for spec in GENERATORS {
         for shards in [2, 4] {
-            assert_workload_shards_equal(&topo, 0x1B51_C0DE, false, shards, spec, &captures);
+            assert_workload_shards_equal(&topo, 0x1B51_C0DE, shards, spec, &captures);
         }
     }
 }
@@ -287,21 +276,20 @@ fn generators_match_serial_on_fattree3() {
     let topo = FatTree3Spec::TEST_8.build();
     let captures = [us(130), us(400)];
     for spec in GENERATORS {
-        assert_workload_shards_equal(&topo, 0xB0B0, false, 2, spec, &captures);
+        assert_workload_shards_equal(&topo, 0xB0B0, 2, spec, &captures);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The randomized slice: seeds × fabric × CC backend × shard count
+    /// The randomized slice: seeds × fabric × shard count
     /// × generator, serial vs sharded byte-identical. Six cases per run
     /// keeps `cargo test` fast; the space is re-drawn every run.
     #[test]
     fn sharded_workloads_equal_serial(
         seed in any::<u64>(),
         fat3 in proptest::bool::ANY,
-        dcqcn in proptest::bool::ANY,
         shards in 2usize..5,
         which in 0usize..GENERATORS.len(),
     ) {
@@ -310,8 +298,6 @@ proptest! {
         } else {
             FatTreeSpec::TEST_8.build()
         };
-        assert_workload_shards_equal(
-            &topo, seed, dcqcn, shards, GENERATORS[which], &[us(250)],
-        );
+        assert_workload_shards_equal(&topo, seed, shards, GENERATORS[which], &[us(250)]);
     }
 }
