@@ -365,8 +365,14 @@ struct Flow {
     sanction0: u64,
 }
 
-/// A sense-reversing spin barrier: windows are short (one lookahead of
-/// simulated time), so parking on a futex every round would dominate.
+/// A sense-reversing barrier whose waiters poll and yield their time
+/// slice between polls. Windows are short (one lookahead of simulated
+/// time), and parking on a condvar cost 21 % of `uniform648_s2`'s
+/// `run_s` (median 1.79 against 1.49 s on a 2-vCPU VM). Spinning
+/// between polls wastes the slice of the thread a waiter waits for
+/// whenever threads outnumber free cores (parallel tests, sweep cells
+/// that each run shards): quick `table2 --shards 2` on the same VM took
+/// 1.1–2.0 s with a 10 000-poll spin phase and 0.8–0.9 s without.
 ///
 /// A participant that dies never arrives, so the barrier also carries
 /// a poison flag: each thread body holds a [`PoisonOnUnwind`] guard,
@@ -398,18 +404,12 @@ impl SpinBarrier {
             self.count.store(0, Ordering::Relaxed);
             self.generation.store(gen + 1, Ordering::Release);
         } else {
-            let mut spins = 0u32;
             while self.generation.load(Ordering::Acquire) == gen {
                 // The flag publishes nothing but itself: Relaxed.
                 if self.poisoned.load(Ordering::Relaxed) {
                     std::panic::panic_any(POISONED);
                 }
-                spins += 1;
-                if spins < 10_000 {
-                    std::hint::spin_loop();
-                } else {
-                    std::thread::yield_now();
-                }
+                std::thread::yield_now();
             }
         }
     }
@@ -916,42 +916,32 @@ fn add_stats_delta(merged: &mut FaultStats, shard: &FaultStats, base: &FaultStat
     merged.resumes += shard.resumes - base.resumes;
 }
 
-/// Run windows to `t` across all shards: workers on their own threads,
-/// the coordinator (who also runs shard 0) replaying logs, routing
+/// Run windows to `t` across all shards on T = min(shards, cores)
+/// threads: thread k runs shards k, k + T, k + 2T, … in index order
+/// each window, and thread 0 also coordinates — replaying logs, routing
 /// outboxes and choosing each window's end between rounds. One
 /// sense-reversing barrier, crossed twice per window, alternates the
 /// two phases; the replay depends only on the per-shard logs, so the
-/// outcome is independent of thread scheduling. A panic on any thread
-/// poisons the barrier, releases the others, and is re-raised here.
+/// outcome is independent of the thread count and of scheduling. A
+/// panic on any thread poisons the barrier, releases the others, and
+/// is re-raised here.
 fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
-    // On a single hardware thread, n spinning workers just timeshare
-    // one core; run the identical window/replay cycle inline instead.
-    // Same prologue, same run_window, same coordinate — the driver loop
-    // is the only difference, so both paths are byte-identical by
-    // construction (and the equivalence suite exercises whichever one
-    // the host selects).
-    let single = std::thread::available_parallelism().map_or(1, |p| p.get()) == 1;
-    if single {
-        let mut coord = Coord::new(ex);
-        let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
-        while let Some(w_end) = coord.step(t, flow, obs) {
-            for net in &ex.nets {
-                let mut net = net.lock().expect("no poisoned shard");
-                net.window_prologue();
-                net.run_window(w_end, &mut batch);
-            }
-        }
-        return;
-    }
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(ex.n);
     let stop = AtomicBool::new(false);
     let w_end_ps = AtomicU64::new(0);
-    let barrier = SpinBarrier::new(ex.n);
-    let nets = &ex.nets;
+    let barrier = SpinBarrier::new(threads);
+    let run_shards = |k: usize, w_end: Time, batch: &mut Vec<(u64, Ev)>| {
+        for net in ex.nets.iter().skip(k).step_by(threads) {
+            let mut net = net.lock().expect("no poisoned shard");
+            net.window_prologue();
+            net.run_window(w_end, batch);
+        }
+    };
     let panics: Vec<_> = std::thread::scope(|scope| {
-        let workers: Vec<_> = nets
-            .iter()
-            .skip(1)
-            .map(|worker_net| {
+        let workers: Vec<_> = (1..threads)
+            .map(|k| {
                 let (barrier, stop, w_end_ps) = (&barrier, &stop, &w_end_ps);
                 scope.spawn(move || {
                     let _poison = PoisonOnUnwind(barrier);
@@ -961,11 +951,7 @@ fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
                         if stop.load(Ordering::Acquire) {
                             break;
                         }
-                        let w_end = Time(w_end_ps.load(Ordering::Acquire));
-                        let mut net = worker_net.lock().expect("no poisoned shard");
-                        net.window_prologue();
-                        net.run_window(w_end, &mut batch);
-                        drop(net);
+                        run_shards(k, Time(w_end_ps.load(Ordering::Acquire)), &mut batch);
                         barrier.wait();
                     }
                 })
@@ -980,11 +966,7 @@ fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
             while let Some(w_end) = coord.step(t, flow, obs) {
                 w_end_ps.store(w_end.as_ps(), Ordering::Release);
                 barrier.wait();
-                {
-                    let mut net = nets[0].lock().expect("no poisoned shard");
-                    net.window_prologue();
-                    net.run_window(w_end, &mut batch);
-                }
+                run_shards(0, w_end, &mut batch);
                 barrier.wait();
             }
             stop.store(true, Ordering::Release);

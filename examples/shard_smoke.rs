@@ -4,9 +4,9 @@
 //!
 //! Because sharded runs are byte-identical to serial ones, the event
 //! count is the same at every shard count and the events/s ratio *is*
-//! the parallel speedup (or, on a single hardware thread, the
-//! orchestration overhead). It takes a few seconds, so CI's sharded
-//! leg can afford it.
+//! the parallel speedup (or, where the shard count exceeds the cores
+//! and the shards share threads, the orchestration overhead). It takes
+//! a few seconds, so CI's sharded leg can afford it.
 //!
 //! The last line is `peak_rss_mb=<MiB>`, the process's peak resident
 //! set (`VmHWM`). Run one shard count per process to read the memory a

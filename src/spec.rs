@@ -80,6 +80,27 @@ impl Serialize for SimResult {
     }
 }
 
+/// Walk `given` against its own re-serialisation `known`, through
+/// objects and array elements, and name by dotted path (`at` is the
+/// prefix so far) the first key that `known` lacks.
+fn unknown_key(given: &Value, known: &Value, at: &str) -> Result<(), String> {
+    match (given, known) {
+        (Value::Object(given), Value::Object(known)) => given.iter().try_for_each(|(key, g)| {
+            let Some((_, k)) = known.iter().find(|(name, _)| name == key) else {
+                let fields: Vec<&str> = known.iter().map(|(name, _)| name.as_str()).collect();
+                return Err(format!(
+                    "unknown key `{at}{key}`; the keys are {}",
+                    fields.join(", ")
+                ));
+            };
+            unknown_key(g, k, &format!("{at}{key}."))
+        }),
+        (Value::Array(given), Value::Array(known)) => (given.iter().zip(known).enumerate())
+            .try_for_each(|(i, (g, k))| unknown_key(g, k, &format!("{at}{i}."))),
+        _ => Ok(()),
+    }
+}
+
 fn default_warmup_ms() -> u64 {
     2
 }
@@ -88,26 +109,12 @@ fn default_measure_ms() -> u64 {
 }
 
 impl SimSpec {
-    /// Parse a spec, refusing by name any key that is not a field at
-    /// the top level or inside `net` — a misspelt key would otherwise
-    /// run the default silently.
+    /// Parse a spec, refusing by name any key it does not read, at any
+    /// depth — a misspelt key would otherwise run the default silently.
     pub fn from_json(s: &str) -> Result<SimSpec, String> {
         let given: Value = serde_json::from_str(s).map_err(|e| e.to_string())?;
         let spec = SimSpec::from_value(&given).map_err(|e| e.to_string())?;
-        let known = spec.to_value();
-        fn keys(v: &Value) -> Vec<&str> {
-            let pairs = v.as_object().unwrap_or(&[]);
-            pairs.iter().map(|(k, _)| k.as_str()).collect()
-        }
-        for (at, given, known) in [("", &given, &known), ("net.", &given["net"], &known["net"])] {
-            let fields = keys(known);
-            if let Some(key) = keys(given).into_iter().find(|k| !fields.contains(k)) {
-                return Err(format!(
-                    "unknown key `{at}{key}`; the keys are {}",
-                    fields.join(", ")
-                ));
-            }
-        }
+        unknown_key(&given, &spec.to_value(), "")?;
         Ok(spec)
     }
 

@@ -87,7 +87,7 @@ fn workload_spec_runs_through_the_same_entry() {
 
 /// Options in the spec are the flags, spelt as fields: the same
 /// run, byte for byte — and a misspelt key is rejected by name, in
-/// `options`, at the top level and inside `net`.
+/// `options`, at the top level and at any depth below it.
 #[test]
 fn spec_options_equal_flags_and_unknown_keys_are_named() {
     let with = MINIMAL.replacen('{', r#"{ "options": { "shards": 2, "audit": 20000 },"#, 1);
@@ -121,5 +121,24 @@ fn spec_options_equal_flags_and_unknown_keys_are_named() {
         let typo = MINIMAL.replacen('{', &format!("{{ {field},"), 1);
         let err = SimSpec::from_json(&typo).unwrap_err();
         assert!(err.contains(name), "{field}: {err}");
+    }
+    // Deeper down too, inside an enum variant and an optional struct,
+    // each named by its dotted path.
+    for (before, typo, name) in [
+        (
+            "\"c_pct_of_rest\"",
+            "\"c_pct_of_rset\": 10,",
+            "`roles.c_pct_of_rset`",
+        ),
+        ("\"leafs\"", "\"lefs\": 3,", "`topology.FatTree.lefs`"),
+        (
+            "\"warmup_ms\"",
+            r#""net": { "cc": { "ccti_limt": 100 } },"#,
+            "`net.cc.ccti_limt`",
+        ),
+    ] {
+        let json = MINIMAL.replacen(before, &format!("{typo} {before}"), 1);
+        let err = SimSpec::from_json(&json).unwrap_err();
+        assert!(err.contains(name), "{typo}: {err}");
     }
 }
