@@ -359,15 +359,6 @@ impl NetAudit {
         self.sanctioned_dropped_blocks[ch as usize] += blocks as u64;
     }
 
-    /// Total sanctioned packet drops ledgered so far — what
-    /// [`AuditReport::sanctioned_drops`] would report right now. The
-    /// sharded coordinator reads this once at split (it cannot change
-    /// during a drive: only BECN-loss windows sanction drops, and they
-    /// decline sharding) to replicate the serial `AuditPass` notes.
-    pub(crate) fn sanctioned_packets(&self) -> u64 {
-        self.sanctioned_dropped_packets.iter().sum()
-    }
-
     /// HCA `dst` delivered data packet `seq` from `src`: it must be the
     /// pair's next one.
     #[inline]

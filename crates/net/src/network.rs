@@ -7,7 +7,7 @@ use crate::hca::{Hca, NextSend};
 use crate::pool::{PacketPool, PktHandle};
 use crate::profile::{EngineProfiler, ProfileReport, Subsystem};
 use crate::switch::{Grant, Switch};
-use crate::telemetry::{self, FabricView, FlightKind, NetTelemetry, TelemetryConfig};
+use crate::telemetry::{FlightKind, NetTelemetry, TelemetryConfig};
 use crate::trace::{TraceCtx, TracePoint, Tracer};
 use crate::types::{blocks_for, NodeId, Packet, Vl};
 use ibsim_cc::HcaCc;
@@ -187,11 +187,6 @@ pub struct Network {
     /// around work that already happens and never touches simulation
     /// state.
     pub(crate) prof: Option<Box<EngineProfiler>>,
-    /// Shard-side observability buffer: present only on *shard*
-    /// networks while the master samples telemetry. Flight events land
-    /// here in dispatch order and merge into the master recorder at the
-    /// window barrier, in replayed `(time, true-key)` order.
-    pub(crate) obs_buf: Option<Box<crate::shard::ObsBuf>>,
     /// The invariant oracle; `None` costs one branch per event.
     pub(crate) audit: Option<Box<NetAudit>>,
     /// The fault-injection state machine; `None` (the default, and any
@@ -338,7 +333,6 @@ impl Network {
             cc_params,
             tracer: None,
             prof: None,
-            obs_buf: None,
             audit: None,
             faults: None,
             telemetry: None,
@@ -386,7 +380,6 @@ impl Network {
             cc_params: self.cc_params.clone(),
             tracer: None,
             prof: None,
-            obs_buf: None,
             audit: None,
             faults: None,
             telemetry: None,
@@ -473,12 +466,14 @@ impl Network {
     /// before the first event is dispatched so the cumulative counters
     /// the sampler differences start from an empty fabric. Sampling
     /// never schedules events or draws randomness: a telemetry-on run
-    /// is bit-identical to a telemetry-off run.
+    /// is bit-identical to a telemetry-off run. The sampler runs on the
+    /// serial loop only: arming it drops any shard split.
     pub fn enable_telemetry(&mut self, cfg: TelemetryConfig) {
         assert!(
             self.queue.processed() == 0,
             "enable_telemetry after events were dispatched"
         );
+        self.shards = None;
         self.telemetry = Some(Box::new(NetTelemetry::new(self, cfg)));
     }
 
@@ -506,13 +501,7 @@ impl Network {
         subject: impl Into<String>,
         detail: impl Into<String>,
     ) {
-        if let Some(b) = &mut self.obs_buf {
-            // Shard-side: buffer under the dispatch timestamp (the
-            // shard's main-queue clock is stale for window-queue pops);
-            // the coordinator replays these into the master recorder.
-            let at = b.now;
-            b.flight.push((at, kind, subject.into(), detail.into()));
-        } else if let Some(t) = &mut self.telemetry {
+        if let Some(t) = &mut self.telemetry {
             t.record_flight(self.queue.now(), kind, subject, detail);
         }
     }
@@ -644,8 +633,11 @@ impl Network {
     /// second call (in any order relative to `enable_audit` /
     /// `install_faults` / `enable_telemetry`) widens the flow set and
     /// keeps records already collected, rather than silently dropping
-    /// the earlier tracer.
+    /// the earlier tracer. The tracer runs on the serial loop only:
+    /// arming it drops any shard split, whether or not `set_shards`
+    /// came first.
     pub fn enable_trace(&mut self, flows: impl IntoIterator<Item = (NodeId, NodeId)>) {
+        self.shards = None;
         match &mut self.tracer {
             Some(t) => t.add_flows(flows),
             None => self.tracer = Some(Tracer::for_flows(flows)),
@@ -692,14 +684,6 @@ impl Network {
         if let Some(t) = &mut self.tracer {
             t.record(at, pkt.src, pkt.dst, pkt.seq, pkt.is_cnp(), point, ctx);
         }
-    }
-
-    /// Should dispatch paths format flight-recorder notes? True with
-    /// telemetry on (serial / master) or with a shard-side buffer
-    /// installed (sharded run whose master samples telemetry).
-    #[inline]
-    fn flight_on(&self) -> bool {
-        self.telemetry.is_some() || self.obs_buf.is_some()
     }
 
     /// Schedule the initial events. Call once, before `run_until`.
@@ -774,13 +758,9 @@ impl Network {
     /// next batch at that time.
     pub fn run_until(&mut self, t: Time) {
         // The sharded executor replicates the serial event stream
-        // exactly — and the serial *observation* stream with it:
-        // telemetry boundaries cap the conservative windows so every
-        // sample reads barrier-consistent global state, and trace/
-        // flight records buffered on the shards merge at the barrier in
-        // replayed (time, true-key) order. Only BECN-loss faults still
-        // force serial (shared RNG stream in global CNP-arrival order);
-        // that is decided once in `set_shards`.
+        // exactly. Observers (telemetry, tracer) and BECN-loss faults
+        // keep a run serial: `set_shards` declines them, and arming an
+        // observer afterwards drops the split.
         if self.shards.is_some() {
             self.profiling(EngineProfiler::wall_begin);
             self.run_until_sharded(t);
@@ -820,16 +800,6 @@ impl Network {
         self.profiling(EngineProfiler::run_end);
     }
 
-    /// The sampler's read-only view of this network (serial path).
-    pub(crate) fn fabric_view(&self) -> FabricView<'_> {
-        FabricView {
-            hcas: self.hcas.iter().collect(),
-            switches: self.switches.iter().collect(),
-            events_processed: self.queue.processed(),
-            queue_depth: self.queue_depth(),
-        }
-    }
-
     /// Take/restore dance around `&mut telemetry` + `&self` sampling.
     /// Samples boundaries `< at` (or `≤ at` when `inclusive`).
     fn telemetry_sample(&mut self, at: Time, inclusive: bool) {
@@ -841,7 +811,7 @@ impl Network {
                     tel.due_before(at)
                 } {
                     let b = tel.pop_boundary();
-                    tel.sample(b, &net.fabric_view());
+                    tel.sample(b, net);
                 }
                 net.telemetry = Some(tel);
             }
@@ -1040,17 +1010,17 @@ impl Network {
 
     /// Total FECN marks applied across all switches.
     pub fn total_fecn_marks(&self) -> u64 {
-        telemetry::total_fecn_marks(self.switches.iter())
+        self.switches.iter().map(Switch::marked_packets).sum()
     }
 
     /// Total BECNs (CNPs) received across all HCAs.
     pub fn total_becns(&self) -> u64 {
-        telemetry::total_becns(self.hcas.iter())
+        self.hcas.iter().map(|h| h.cc.becns_received()).sum()
     }
 
     /// Highest CCTI across all HCAs right now.
     pub fn max_ccti(&self) -> u16 {
-        telemetry::max_ccti(self.hcas.iter())
+        self.hcas.iter().map(|h| h.cc.max_ccti()).max().unwrap_or(0)
     }
 
     pub fn total_injected_packets(&self) -> u64 {
@@ -1193,7 +1163,7 @@ impl Network {
             Some(f) => f.apply(idx as usize),
             None => unreachable!("Fault event without an installed schedule"),
         };
-        if self.flight_on() {
+        if self.telemetry.is_some() {
             self.flight_note(
                 FlightKind::FaultTransition,
                 format!("fault{idx}"),
@@ -1320,7 +1290,7 @@ impl Network {
                 ctx,
             );
         }
-        if pkt.fecn && self.flight_on() {
+        if pkt.fecn && self.telemetry.is_some() {
             self.flight_note(
                 FlightKind::Mark,
                 format!("sw{si}.p{port}"),
@@ -1591,7 +1561,7 @@ impl Network {
                 }
             }
         }
-        if pkt.is_cnp() && self.flight_on() {
+        if pkt.is_cnp() && self.telemetry.is_some() {
             let ccti = self.hcas[hi as usize].cc.max_ccti();
             self.flight_note(
                 FlightKind::Throttle,

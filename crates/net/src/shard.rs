@@ -36,7 +36,7 @@
 //!   `F` (what the other shards scheduled before it) only changes when
 //!   the merge switches shard ([`Replay`]). A dispatch that scheduled
 //!   nothing moves no `F`, so it is only logged while the audit cadence
-//!   or an observer needs every event in order.
+//!   needs every event in order.
 //! * Each shard then relabels its window-local events from the runs
 //!   and installs cross-shard arrivals before the next window.
 //! * A panic on any thread poisons the window barrier, which releases
@@ -52,30 +52,16 @@
 //! [`Network::checkpoint`] is byte-identical to the serial engine's at
 //! every window boundary.
 //!
-//! # How the serial *observation* stream is reproduced exactly
+//! # Observers
 //!
-//! Telemetry, tracing and profiling all ride the same replay:
-//!
-//! * **Trace records and flight notes** are captured on the shards
-//!   (each shard carries a flow-filter clone of the master tracer and
-//!   a plain [`ObsBuf`] for flight tuples) and tagged per dispatch by
-//!   [`DispatchRec::n_trace`]/[`DispatchRec::n_flight`]. The replay
-//!   copies them into the master streams in global `(time, true-key)`
-//!   order — the exact order the serial loop would have captured them
-//!   in — and synthesizes the serial loop's per-audit-pass flight note
-//!   at each cadence crossing.
-//! * **Telemetry samples** read barrier-consistent global state. The
-//!   serial loop samples a boundary `b` lazily, when the first batch
-//!   with time `> b` pops: the coordinator reproduces that by capping
-//!   every window at the next unconsumed boundary and sampling due
-//!   boundaries between windows through a [`FabricView`] assembled
-//!   across the shard guards (same counters: `events + 1` and
-//!   `depth − 1` mid-run for the already-extracted head event, plain
-//!   totals at the final flush).
-//! * **Profiler bins** are pure sums: each shard records into its own
-//!   [`EngineProfiler`] and the bins fold into the master's at the
-//!   merge, with coordination itself attributed to
-//!   [`Subsystem::Barrier`].
+//! Telemetry and the tracer run on the serial loop only: a sample reads
+//! the whole fabric at one instant, and trace records and flight notes
+//! follow serial capture order, neither of which a shard sees. Arming
+//! either keeps the run serial (see below). The audit and the profiler
+//! do shard: the replay steps the audit cadence event-exactly, and each
+//! shard's [`EngineProfiler`] bins — pure sums — fold into the master's
+//! at the merge, with coordination itself attributed to
+//! [`Subsystem::Barrier`].
 //!
 //! # What falls back to the serial loop
 //!
@@ -84,12 +70,12 @@
 //!   declines to install). Every other fault family (flap, pause,
 //!   drift) is per-device or consulted lazily by time and shards
 //!   cleanly.
+//! * **Telemetry and tracing** — `set_shards` declines while either is
+//!   armed, and arming one afterwards drops the split.
 
 use crate::network::{Dev, Ev, Event, Network};
 use crate::profile::{EngineProfiler, Subsystem};
 use crate::state::EventState;
-use crate::telemetry::{FabricView, FlightKind, NetTelemetry};
-use crate::trace::{TraceCursor, Tracer};
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
@@ -161,42 +147,6 @@ pub(crate) struct DispatchRec {
     /// allocated contiguously, so the replay can assign their true
     /// sequence numbers without recording each one).
     pub n_sched: u32,
-    /// Trace records this dispatch appended to the shard tracer — the
-    /// replay copies exactly this many into the master tracer when it
-    /// reaches this dispatch, reproducing serial capture order.
-    pub n_trace: u16,
-    /// Flight notes this dispatch appended to the shard's [`ObsBuf`].
-    pub n_flight: u16,
-}
-
-/// Shard-side flight-note buffer: dispatch-order tuples the replay
-/// copies into the master [`NetTelemetry`]'s recorder under their true
-/// global order. Exists iff the master has telemetry on.
-pub(crate) struct ObsBuf {
-    /// Timestamp of the batch currently dispatching. The shard's main
-    /// queue clock goes stale for window-queue pops, so
-    /// [`Network::run_window`] pins this per batch and
-    /// [`Network::flight_note`] stamps notes with it.
-    pub now: Time,
-    pub flight: Vec<(Time, FlightKind, String, String)>,
-}
-
-impl ObsBuf {
-    pub(crate) fn new() -> Self {
-        ObsBuf {
-            now: Time(0),
-            flight: Vec::new(),
-        }
-    }
-}
-
-/// The master's instruments, taken out of the network for the duration
-/// of a sharded drive: the coordinator samples and merges into them at
-/// every window barrier, while holding all shard locks.
-pub(crate) struct MasterObs<'a> {
-    pub tel: Option<&'a mut NetTelemetry>,
-    pub trc: Option<&'a mut Tracer>,
-    pub prof: Option<&'a mut EngineProfiler>,
 }
 
 /// Event-routing overlay installed on each *shard* network. While
@@ -223,7 +173,8 @@ pub(crate) struct ShardRoute {
     /// End of the window currently running, the `win`/`later` boundary.
     pub w_end: Time,
     /// Timestamp of the batch currently dispatching, pinned by
-    /// [`Network::run_window`] like [`ObsBuf::now`]. An event's distance
+    /// [`Network::run_window`] (the shard's main-queue clock goes stale
+    /// for window-queue pops). An event's distance
     /// from it is the model delay that produced the event, and travels
     /// with the provisional key as the lane hint: by the time the true
     /// key is known the queue's own clock says nothing about it.
@@ -233,11 +184,11 @@ pub(crate) struct ShardRoute {
     /// Cross-shard events.
     pub outbox: Vec<OutMsg>,
     /// The window's dispatches that scheduled events — all of them
-    /// under `log_all`.
+    /// under `audit_live`.
     pub log: Vec<DispatchRec>,
-    /// Log every dispatch: set while the audit cadence can fire or an
-    /// observer is armed, since the replay then steps them in order.
-    pub log_all: bool,
+    /// Log every dispatch: set while the audit cadence can fire, since
+    /// the replay then steps them in order.
+    pub audit_live: bool,
     /// Dispatches this window, logged or not.
     pub dispatched: u64,
     /// `(time, key)` of the window's last dispatch.
@@ -358,11 +309,6 @@ struct Flow {
     /// `(last_pop, processed)` at the most recent crossing — what the
     /// serial engine's last periodic pass recorded.
     cross_marks: (Option<(Time, u64)>, u64),
-    /// Sanctioned-drop count at split. Sanctioned drops only accrue
-    /// under BECN-loss faults, which decline sharding, so the count is
-    /// constant across the drive — the replay echoes it in the
-    /// `AuditPass` flight note it synthesizes at each cadence crossing.
-    sanction0: u64,
 }
 
 /// A sense-reversing barrier whose waiters poll and yield their time
@@ -445,13 +391,15 @@ impl Network {
     /// Must be called before the first event is dispatched (the split
     /// assumes it sees the whole initial state). A no-op — the run
     /// stays serial — when `n <= 1`, when the fabric has too few leaf
-    /// switches to cut, when a cross-shard cable has zero latency, or
-    /// when the installed fault schedule contains BECN-loss windows
-    /// (their shared RNG stream draws in global CNP-arrival order).
+    /// switches to cut, when a cross-shard cable has zero latency, when
+    /// the installed fault schedule contains BECN-loss windows (their
+    /// shared RNG stream draws in global CNP-arrival order), or when
+    /// telemetry or a tracer is armed (observers run serial; arming one
+    /// after this call drops the split too).
     pub fn set_shards(&mut self, topo: &Topology, n: usize) {
         assert!(!self.primed, "set_shards after the first event");
         self.shards = None;
-        if n <= 1 {
+        if n <= 1 || self.telemetry.is_some() || self.tracer.is_some() {
             return;
         }
         if let Some(f) = &self.faults {
@@ -526,7 +474,7 @@ impl Network {
                     prov: 0,
                     outbox: Vec::new(),
                     log: Vec::new(),
-                    log_all: false,
+                    audit_live: false,
                     dispatched: 0,
                     last: (Time(0), 0),
                     runs: Vec::new(),
@@ -553,33 +501,22 @@ impl Network {
     /// which point every observable is byte-identical to what the
     /// serial loop would hold.
     pub(crate) fn run_until_sharded(&mut self, t: Time) {
+        debug_assert!(
+            self.telemetry.is_none() && self.tracer.is_none(),
+            "observers keep a run serial"
+        );
         if !self.primed {
             self.prime();
         }
         let mut ex = self.shards.take().expect("gated on shards.is_some()");
         let mut flow = self.split(&mut ex);
-        // The master's instruments leave the network for the drive: the
-        // coordinator samples and merges into them at every barrier
-        // while holding all shard locks. Telemetry and tracer stay out
-        // until after the merge — its final audit pass must not record
-        // a flight note the serial loop never produced (the serial
-        // cadence notes were already synthesized during replay).
-        let mut tel = self.telemetry.take();
-        let mut trc = self.tracer.take();
+        // The master's profiler leaves the network for the drive: the
+        // coordinator times its barriers into it, and the merge folds
+        // the shard bins in.
         let mut prof = self.prof.take();
-        {
-            let mut obs = MasterObs {
-                tel: tel.as_deref_mut(),
-                trc: trc.as_mut(),
-                prof: prof.as_deref_mut(),
-            };
-            drive(&ex, t, &mut flow, &mut obs);
-        }
-        // Profiler first: the merge folds the shard bins into it.
+        drive(&ex, t, &mut flow, prof.as_deref_mut());
         self.prof = prof;
         self.merge(&mut ex, &flow);
-        self.telemetry = tel;
-        self.tracer = trc;
         self.shards = Some(ex);
     }
 
@@ -607,7 +544,6 @@ impl Network {
             .as_ref()
             .map_or((u64::MAX, 0), |a| (a.next_at, a.checks_run));
         let audit_live = self.audit.is_some() && next_at < PROV_BASE;
-        let log_all = audit_live || self.tracer.is_some() || self.telemetry.is_some();
         for (s, entries) in per.into_iter().enumerate() {
             let sh = ex.nets[s].get_mut().expect("no poisoned shard");
             for (i, &o) in ex.owners.sw.iter().enumerate() {
@@ -624,15 +560,8 @@ impl Network {
             }
             sh.faults = self.faults.clone();
             sh.audit = self.audit.as_ref().map(|a| Box::new(a.fork()));
-            // Observability capture mirrors the master's toggles: a
-            // flow-filter clone of the tracer, a flight buffer iff
-            // telemetry is on, a private profiler iff profiling is on.
-            // All three merge into the master streams at the barriers.
-            sh.tracer = self
-                .tracer
-                .as_ref()
-                .map(|t| Tracer::for_flows(t.flows().iter().copied()));
-            sh.obs_buf = self.telemetry.as_ref().map(|_| Box::new(ObsBuf::new()));
+            // A private profiler iff profiling is on; its bins fold into
+            // the master's at the merge.
             sh.prof = self.prof.as_ref().map(|p| Box::new(p.fork()));
             let installed: Vec<(Time, u64, Ev)> = entries
                 .into_iter()
@@ -653,7 +582,7 @@ impl Network {
             r.prov = 0;
             r.outbox.clear();
             r.log.clear();
-            r.log_all = log_all;
+            r.audit_live = audit_live;
             r.dispatched = 0;
             r.runs.clear();
             r.inbox.clear();
@@ -676,7 +605,6 @@ impl Network {
             audit_live,
             crossings: 0,
             cross_marks: (None, 0),
-            sanction0: self.audit.as_ref().map_or(0, |a| a.sanctioned_packets()),
         }
     }
 
@@ -743,13 +671,8 @@ impl Network {
                     .expect("shard audits exist iff the master's does")
                     .absorb(&a);
             }
-            // The last replay drained the shard-side capture buffers;
-            // drop them and fold the shard's profiler bins in (pure
-            // sums, so addition order does not matter).
-            debug_assert!(sh.tracer.as_ref().is_none_or(Tracer::is_empty));
-            debug_assert!(sh.obs_buf.as_ref().is_none_or(|b| b.flight.is_empty()));
-            sh.tracer = None;
-            sh.obs_buf = None;
+            // Fold the shard's profiler bins in (pure sums, so addition
+            // order does not matter).
             if let Some(p) = sh.prof.take() {
                 if let Some(m) = self.prof.as_deref_mut() {
                     m.merge(&p);
@@ -828,7 +751,7 @@ impl Network {
             .as_mut()
             .expect("windows run on shards")
             .w_end = w_end;
-        let log_all = self.shard_route.as_ref().expect("shard").log_all;
+        let audit_live = self.shard_route.as_ref().expect("shard").audit_live;
         self.profiling(EngineProfiler::run_begin);
         loop {
             let tm = self.queue.peek_time();
@@ -864,20 +787,13 @@ impl Network {
                     .pop_batch_until(t, batch);
             }
             self.profiling(|p| p.lap(Subsystem::QueuePop));
-            // What these dispatches schedule and note is measured from
-            // and stamped with the batch time — the shard's main-queue
-            // clock is stale for window-queue pops.
+            // What these dispatches schedule is measured from the batch
+            // time — the shard's main-queue clock is stale for
+            // window-queue pops.
             self.shard_route.as_mut().expect("checked above").now = t;
-            if let Some(b) = self.obs_buf.as_deref_mut() {
-                b.now = t;
-            }
             for &(key, ev) in batch.iter() {
                 let before = self.shard_route.as_ref().expect("shard").prov;
-                let tr0 = self.tracer.as_ref().map_or(0, Tracer::len);
-                let fl0 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 self.dispatch_profiled(t, ev);
-                let tr1 = self.tracer.as_ref().map_or(0, Tracer::len);
-                let fl1 = self.obs_buf.as_ref().map_or(0, |b| b.flight.len());
                 let r = self.shard_route.as_mut().expect("shard");
                 r.dispatched += 1;
                 r.last = (t, key);
@@ -886,14 +802,10 @@ impl Network {
                     key,
                     n_sched: u32::try_from(r.prov - before)
                         .expect("one dispatch schedules fewer than 2^32 events"),
-                    n_trace: u16::try_from(tr1 - tr0)
-                        .expect("one dispatch captures fewer than 2^16 trace records"),
-                    n_flight: u16::try_from(fl1 - fl0)
-                        .expect("one dispatch notes fewer than 2^16 flight events"),
                 });
                 // Half the dispatches schedule nothing: drop those again
                 // unless every dispatch is logged (no branch to mispredict).
-                let keep = r.prov > before || log_all;
+                let keep = r.prov > before || audit_live;
                 r.log.truncate(r.log.len() - usize::from(!keep));
             }
         }
@@ -925,7 +837,7 @@ fn add_stats_delta(merged: &mut FaultStats, shard: &FaultStats, base: &FaultStat
 /// outcome is independent of the thread count and of scheduling. A
 /// panic on any thread poisons the barrier, releases the others, and
 /// is re-raised here.
-fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
+fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, mut prof: Option<&mut EngineProfiler>) {
     let threads = std::thread::available_parallelism()
         .map_or(1, |p| p.get())
         .min(ex.n);
@@ -963,7 +875,7 @@ fn drive(ex: &ShardExec, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) {
             let mut batch: Vec<(u64, Ev)> = Vec::with_capacity(64);
             // Coordination phase: every worker is parked at the round
             // barrier, so the locks are free.
-            while let Some(w_end) = coord.step(t, flow, obs) {
+            while let Some(w_end) = coord.step(t, flow, prof.as_deref_mut()) {
                 w_end_ps.store(w_end.as_ps(), Ordering::Release);
                 barrier.wait();
                 run_shards(0, w_end, &mut batch);
@@ -994,9 +906,6 @@ struct Coord<'a> {
     logs: Vec<Vec<DispatchRec>>,
     runs: Vec<Vec<Run>>,
     heads: Vec<Head>,
-    /// Per shard: where the trace log and the flight notes have been
-    /// copied up to.
-    copied: Vec<(TraceCursor, usize)>,
     /// The outbox being routed, swapped out of its shard.
     out: Vec<OutMsg>,
 }
@@ -1010,7 +919,6 @@ impl<'a> Coord<'a> {
             logs: vec![Vec::new(); n],
             runs: vec![Vec::new(); n],
             heads: vec![Head::default(); n],
-            copied: vec![(TraceCursor::default(), 0); n],
             out: Vec::new(),
         }
     }
@@ -1018,23 +926,26 @@ impl<'a> Coord<'a> {
     /// [`Coord::coordinate`], attributed to [`Subsystem::Barrier`] when
     /// profiling (the coordinator's own work is the sharded executor's
     /// overhead).
-    fn step(&mut self, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) -> Option<Time> {
-        let t0 = obs.prof.as_mut().map(|p| p.start());
-        let next = self.coordinate(t, flow, obs);
-        if let (Some(t0), Some(p)) = (t0, obs.prof.as_mut()) {
-            p.stop(Subsystem::Barrier, t0);
-        }
+    fn step(
+        &mut self,
+        t: Time,
+        flow: &mut Flow,
+        prof: Option<&mut EngineProfiler>,
+    ) -> Option<Time> {
+        let Some(p) = prof else {
+            return self.coordinate(t, flow);
+        };
+        let t0 = p.start();
+        let next = self.coordinate(t, flow);
+        p.stop(Subsystem::Barrier, t0);
         next
     }
 
     /// One coordination step: replay the previous window's logs into
-    /// true sequence numbers (stepping the audit cadence event-exactly
-    /// and merging shard-captured trace/flight records into the master
-    /// streams in replayed order), route the outboxes, sample any due
-    /// telemetry boundaries against the barrier-consistent global
-    /// state, and pick the next window end — or `None` when nothing at
-    /// or before `t` remains anywhere.
-    fn coordinate(&mut self, t: Time, flow: &mut Flow, obs: &mut MasterObs<'_>) -> Option<Time> {
+    /// true sequence numbers (stepping the audit cadence event-exactly),
+    /// route the outboxes, and pick the next window end — or `None`
+    /// when nothing at or before `t` remains anywhere.
+    fn coordinate(&mut self, t: Time, flow: &mut Flow) -> Option<Time> {
         self.guards.extend(
             self.ex
                 .nets
@@ -1054,7 +965,7 @@ impl<'a> Coord<'a> {
             flow.gseq + window_events < PROV_BASE,
             "sequence numbers reached the provisional key space"
         );
-        self.replay(flow, obs);
+        self.replay(flow);
 
         // Route the outboxes now that every provisional key has its
         // true identity. Shard-index order keeps delivery deterministic
@@ -1097,52 +1008,31 @@ impl<'a> Coord<'a> {
                 see(c);
             }
         }
-        let next = self.next_window(gmin, t, flow, obs);
         self.guards.clear();
-        next
+        // Cross-shard events generated in (w₀, w₁] land at ≥ gmin + L,
+        // so w₁ = gmin + L − 1 is the widest window that cannot miss one.
+        let gmin = gmin.filter(|&g| g <= t)?;
+        Some(Time(gmin.as_ps().saturating_add(self.ex.lookahead_ps - 1)).min(t))
     }
 
     /// Replay the window: merge the logs, advancing the serial engine's
-    /// counters. Trace and flight copying and the audit cadence run only
-    /// when armed — and then every dispatch is logged — in the order
-    /// the serial loop would have run them.
-    fn replay(&mut self, flow: &mut Flow, obs: &mut MasterObs<'_>) {
-        let observed = obs.trc.is_some() || obs.tel.is_some();
-        if observed {
-            self.copied.fill((TraceCursor::default(), 0));
-        }
+    /// counters. The audit cadence runs only when armed — and then every
+    /// dispatch is logged — in the order the serial loop would have run
+    /// it.
+    fn replay(&mut self, flow: &mut Flow) {
         let mut rp = Replay::new(&self.logs, &mut self.runs, &mut self.heads, flow.gseq);
         let mut processed = flow.processed;
         while let Some((s, i)) = rp.next() {
-            if !(observed || flow.audit_live) {
+            if !flow.audit_live {
                 continue;
             }
             processed += 1;
-            let rec = self.logs[s][i];
-            if observed {
-                // The replay position IS the serial capture order, so
-                // record sequence numbers come out identical.
-                copy_observations(&mut self.guards[s], rec, &mut self.copied[s], obs);
-            }
             // NetAudit::due, replicated: the serial loop consults it after
             // every dispatched event.
-            if flow.audit_live && processed >= flow.next_at {
+            if processed >= flow.next_at {
                 flow.next_at = processed + flow.audit_every;
                 flow.crossings += 1;
-                flow.cross_marks = (Some((rec.at, rp.key(s, i))), processed);
-                // The serial pass here recorded a clean AuditPass note
-                // (violations would have panicked the run; the merge's
-                // deferred full pass re-checks that). Sanctioned drops
-                // are constant during a drive — BECN-loss declines
-                // sharding.
-                if let Some(tel) = obs.tel.as_mut() {
-                    tel.record_flight(
-                        rec.at,
-                        FlightKind::AuditPass,
-                        "audit",
-                        format!("clean; sanctioned drops {}", flow.sanction0),
-                    );
-                }
+                flow.cross_marks = (Some((self.logs[s][i].at, rp.key(s, i))), processed);
             }
         }
         flow.gseq = rp.gseq;
@@ -1158,116 +1048,13 @@ impl<'a> Coord<'a> {
             flow.processed += r.dispatched;
         }
         debug_assert!(
-            !(observed || flow.audit_live) || processed == flow.processed,
+            !flow.audit_live || processed == flow.processed,
             "an armed replay places every dispatch"
         );
         if let Some(pop) = last {
             flow.last_pop = Some(pop);
             flow.now = pop.0;
         }
-        if observed {
-            // Every logged dispatch replayed exactly once, so the shard-
-            // side capture buffers are fully consumed; reset them for
-            // the next window.
-            for (g, &(tr, fl)) in self.guards.iter_mut().zip(&self.copied) {
-                if let Some(st) = g.tracer.as_mut() {
-                    debug_assert_eq!(tr, st.end(), "unreplayed trace records");
-                    st.clear();
-                }
-                if let Some(b) = g.obs_buf.as_mut() {
-                    debug_assert_eq!(fl, b.flight.len(), "unreplayed flight notes");
-                    b.flight.clear();
-                }
-            }
-        }
-    }
-
-    /// Sample the telemetry boundaries the serial loop would have
-    /// sampled before the event at `gmin`, and pick the next window end.
-    fn next_window(
-        &self,
-        gmin: Option<Time>,
-        t: Time,
-        flow: &Flow,
-        obs: &mut MasterObs<'_>,
-    ) -> Option<Time> {
-        match gmin {
-            Some(gmin) if gmin <= t => {
-                // Boundaries strictly before the next event: the serial
-                // loop samples them lazily when the batch at gmin pops,
-                // right after extracting its head event — so the reading
-                // shows one more processed event and one less pending.
-                if let Some(tel) = obs.tel.as_mut() {
-                    if tel.due_before(gmin) {
-                        let pend = total_pending(&self.guards);
-                        let view =
-                            build_view(&self.guards, &self.ex.owners, flow.processed + 1, pend - 1);
-                        while tel.due_before(gmin) {
-                            let b = tel.pop_boundary();
-                            tel.sample(b, &view);
-                        }
-                    }
-                }
-                // Cross-shard events generated in (w₀, w₁] land at
-                // ≥ gmin + L, so w₁ = gmin + L − 1 is the widest window
-                // that cannot miss one. With telemetry on, the window
-                // also stops at the next unconsumed boundary: no shard
-                // may dispatch an event past a boundary before it is
-                // sampled. (After the loop above, next_boundary ≥ gmin,
-                // so the cap never stalls the window.)
-                let mut w1 = Time(gmin.as_ps().saturating_add(self.ex.lookahead_ps - 1)).min(t);
-                if let Some(tel) = obs.tel.as_ref() {
-                    w1 = w1.min(tel.next_boundary());
-                }
-                Some(w1)
-            }
-            _ => {
-                // Nothing left at or before t: flush boundaries up to
-                // and including t with the final counters, exactly like
-                // the serial epilogue's inclusive sample.
-                if let Some(tel) = obs.tel.as_mut() {
-                    if tel.due_at(t) {
-                        let pend = total_pending(&self.guards);
-                        let view = build_view(&self.guards, &self.ex.owners, flow.processed, pend);
-                        while tel.due_at(t) {
-                            let b = tel.pop_boundary();
-                            tel.sample(b, &view);
-                        }
-                    }
-                }
-                None
-            }
-        }
-    }
-}
-
-/// Copy the trace records and flight notes one of shard `g`'s
-/// dispatches captured into the master streams; `copied` is how far the
-/// shard's buffers have been read.
-fn copy_observations(
-    g: &mut Network,
-    rec: DispatchRec,
-    copied: &mut (TraceCursor, usize),
-    obs: &mut MasterObs<'_>,
-) {
-    if rec.n_trace > 0 {
-        let mt = obs.trc.as_mut().expect("shards trace iff the master does");
-        let st = g.tracer.as_ref().expect("shards trace iff the master does");
-        mt.append_from(st, &mut copied.0, usize::from(rec.n_trace));
-    }
-    if rec.n_flight > 0 {
-        let end = copied.1 + usize::from(rec.n_flight);
-        if let Some(tel) = obs.tel.as_mut() {
-            let b = g
-                .obs_buf
-                .as_mut()
-                .expect("shards buffer flight iff telemetry is on");
-            for (at, kind, subject, detail) in &mut b.flight[copied.1..end] {
-                let (subject, detail) = (std::mem::take(subject), std::mem::take(detail));
-                tel.record_flight(*at, *kind, subject, detail);
-            }
-        }
-        copied.1 = end;
     }
 }
 
@@ -1407,48 +1194,6 @@ impl<'a> Replay<'a> {
     }
 }
 
-/// Global pending-event count across the shards — main queues plus
-/// every not-yet-requeued window-local, later and inbox event. At a
-/// barrier this equals the serial engine's `pending()` exactly: the
-/// windows drained every event with time < gmin, and nothing else.
-fn total_pending(guards: &[MutexGuard<'_, Network>]) -> usize {
-    guards
-        .iter()
-        .map(|g| {
-            let r = g.shard_route.as_ref().expect("shard");
-            g.queue.pending() + r.win.pending() + r.later.len() + r.inbox.len()
-        })
-        .sum()
-}
-
-/// Assemble the sampler's whole-fabric view across the shard guards,
-/// in global device-id order (each shard network has a slot for every
-/// device, a placeholder in all but its own; the owner map says which
-/// slot is live where).
-fn build_view<'a>(
-    guards: &'a [MutexGuard<'_, Network>],
-    owners: &OwnerMap,
-    events_processed: u64,
-    queue_depth: usize,
-) -> FabricView<'a> {
-    FabricView {
-        hcas: owners
-            .hca
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| &guards[o as usize].hcas[i])
-            .collect(),
-        switches: owners
-            .sw
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| &guards[o as usize].switches[i])
-            .collect(),
-        events_processed,
-        queue_depth,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1462,8 +1207,6 @@ mod tests {
             at: Time(at),
             key,
             n_sched,
-            n_trace: 0,
-            n_flight: 0,
         }
     }
 

@@ -19,9 +19,7 @@
 //! workspace determinism pins), and a run over horizon `H` yields
 //! exactly `floor(H / every) + 1` samples however it is segmented.
 
-use crate::hca::Hca;
 use crate::network::Network;
-use crate::switch::Switch;
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_engine::{Histogram, HistogramState, RunMeter};
 use serde::{Deserialize, Serialize};
@@ -268,41 +266,6 @@ const SCALAR_COLS: [&str; 9] = [
     "engine.wall_ms_per_sim_ms",
 ];
 
-/// A read-only view of the whole fabric at a sample boundary: device
-/// references in global id order plus the engine counters the sampler
-/// needs. The serial loop builds it from `&Network` directly
-/// ([`Network::fabric_view`]); the sharded coordinator assembles it
-/// *across* shard guards at a window barrier, indexing each device in
-/// whichever shard owns it — so one `sample` implementation serves
-/// both, reading identical state in identical order.
-pub(crate) struct FabricView<'a> {
-    pub hcas: Vec<&'a Hca>,
-    pub switches: Vec<&'a Switch>,
-    /// What `queue.processed()` read at the serial sample point (the
-    /// sharded path reconstructs the exact serial value, including the
-    /// first already-popped event of the batch past the boundary).
-    pub events_processed: u64,
-    /// What `Network::queue_depth` read at the serial sample point.
-    pub queue_depth: usize,
-}
-
-// The fabric totals, defined once over any walk of the devices:
-// `Network`'s methods of the same names pass its own tables, the
-// sampler a `FabricView`'s.
-
-/// FECN marks applied across `switches`.
-pub(crate) fn total_fecn_marks<'a>(switches: impl Iterator<Item = &'a Switch>) -> u64 {
-    switches.map(Switch::marked_packets).sum()
-}
-/// BECNs (CNPs) received across `hcas`.
-pub(crate) fn total_becns<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u64 {
-    hcas.map(|h| h.cc.becns_received()).sum()
-}
-/// Highest CCTI across `hcas` (0 with none).
-pub(crate) fn max_ccti<'a>(hcas: impl Iterator<Item = &'a Hca>) -> u16 {
-    hcas.map(|h| h.cc.max_ccti()).max().unwrap_or(0)
-}
-
 /// All telemetry state of one network. Constructed against the wired
 /// fabric (the row is sized from it) before the first event.
 ///
@@ -406,13 +369,6 @@ impl NetTelemetry {
         t
     }
 
-    /// The next unconsumed boundary. The sharded coordinator caps its
-    /// windows here so no window dispatches past a boundary before it
-    /// is sampled.
-    pub(crate) fn next_boundary(&self) -> Time {
-        self.next
-    }
-
     /// Append a structured event to the flight window.
     pub(crate) fn record_flight(
         &mut self,
@@ -433,7 +389,7 @@ impl NetTelemetry {
 
     /// Record every column at boundary `at` into the ring. Read-only
     /// with respect to the fabric.
-    pub(crate) fn sample(&mut self, at: Time, net: &FabricView<'_>) {
+    pub(crate) fn sample(&mut self, at: Time, net: &Network) {
         let every_ps = self.every.as_ps() as f64;
         let dt_us = every_ps / 1e6;
         // bytes over one interval → Gbit/s: bits / ps · 10³.
@@ -482,11 +438,11 @@ impl NetTelemetry {
         }
         self.occ_hist.record(total_occ);
 
-        let fecn = total_fecn_marks(net.switches.iter().copied());
-        let becn = total_becns(net.hcas.iter().copied());
+        let fecn = net.total_fecn_marks();
+        let becn = net.total_becns();
         let cnp: u64 = net.hcas.iter().map(|h| h.cnps_sent).sum();
         let throttled: usize = net.hcas.iter().map(|h| h.cc.throttled_flows()).sum();
-        let lap = self.run_meter.lap(net.events_processed, at);
+        let lap = self.run_meter.lap(net.events_processed(), at);
         // Deterministic mode: the two wall-clock self-metrics are the
         // only columns that are not a pure function of simulated
         // history; pinning them to zero makes the whole table
@@ -501,10 +457,10 @@ impl NetTelemetry {
             (fecn - self.prev_fecn) as f64 / dt_us,
             (becn - self.prev_becn) as f64 / dt_us,
             (cnp - self.prev_cnp) as f64 / dt_us,
-            max_ccti(net.hcas.iter().copied()) as f64,
+            net.max_ccti() as f64,
             throttled as f64,
             lap.events as f64,
-            net.queue_depth as f64,
+            net.queue_depth() as f64,
             eps,
             wall,
         ];

@@ -22,7 +22,6 @@
 use crate::types::{NodeId, Vl};
 use ibsim_engine::time::Time;
 use serde::Serialize;
-use std::collections::HashSet;
 
 /// Where in a packet's life a record was taken.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
@@ -101,12 +100,11 @@ impl TraceRecord {
 /// decodes them back.
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
-    flows: HashSet<(NodeId, NodeId)>,
-    /// `flows` as the per-hop filter reads it: the traced destinations
-    /// in ascending order, each with its traced sources in ascending
-    /// order. Most packets are bound for no traced destination and
-    /// leave after a short search over the few that are; nothing is
-    /// hashed on the hot path. Rebuilt whenever `flows` changes.
+    /// The traced flows, as the per-hop filter reads them: the traced
+    /// destinations in ascending order, each with its traced sources in
+    /// ascending order, no duplicates. Most packets are bound for no
+    /// traced destination and leave after a short search over the few
+    /// that are; nothing is hashed on the hot path.
     by_dst: Vec<(NodeId, Vec<NodeId>)>,
     log: Vec<u8>,
     len: usize,
@@ -116,7 +114,7 @@ pub struct Tracer {
 
 /// A position in a [`Tracer`]'s log: a byte offset and the `at_ps` of
 /// the record before it, which the next record's delta is taken from.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct TraceCursor {
     pos: usize,
     at_ps: u64,
@@ -133,21 +131,20 @@ impl Tracer {
     /// `Network::enable_trace` merges through here so enable order
     /// relative to other `enable_*`/`install_*` calls never matters.
     pub fn add_flows(&mut self, flows: impl IntoIterator<Item = (NodeId, NodeId)>) {
-        self.flows.extend(flows);
-        let mut pairs: Vec<(NodeId, NodeId)> = self.flows.iter().map(|&(s, d)| (d, s)).collect();
+        let held = self
+            .by_dst
+            .drain(..)
+            .flat_map(|(d, srcs)| srcs.into_iter().map(move |s| (d, s)));
+        let mut pairs: Vec<(NodeId, NodeId)> =
+            held.chain(flows.into_iter().map(|(s, d)| (d, s))).collect();
         pairs.sort_unstable();
-        self.by_dst.clear();
+        pairs.dedup();
         for (d, s) in pairs {
             match self.by_dst.last_mut() {
                 Some((last, srcs)) if *last == d => srcs.push(s),
                 _ => self.by_dst.push((d, vec![s])),
             }
         }
-    }
-
-    /// The traced (src, dst) set, for cloning a filter onto shards.
-    pub fn flows(&self) -> &HashSet<(NodeId, NodeId)> {
-        &self.flows
     }
 
     #[inline]
@@ -168,8 +165,7 @@ impl Tracer {
         }
     }
 
-    /// Record a packet-scoped point. Returns whether it was kept, so
-    /// callers that tag records (the sharded executor) know to tag.
+    /// Record a packet-scoped point. Returns whether it was kept.
     // The arguments mirror the TraceRecord fields one-to-one.
     #[allow(clippy::too_many_arguments)]
     #[inline]
@@ -235,31 +231,6 @@ impl Tracer {
         self.last_at = rec.at_ps;
     }
 
-    /// Append the `n` records of `src` that start at `from`, and move
-    /// `from` past them. The sharded executor merges each dispatch's
-    /// records through here in replayed `(time, true-key)` order, which
-    /// reproduces exactly the capture order the serial engine would
-    /// have produced.
-    pub(crate) fn append_from(&mut self, src: &Tracer, from: &mut TraceCursor, n: usize) {
-        let mut it = TraceRecords {
-            log: &src.log,
-            at: *from,
-            left: n,
-        };
-        for rec in it.by_ref() {
-            self.push(rec);
-        }
-        *from = it.at;
-    }
-
-    /// Forget every record, keeping the flow set. Shard-side logs are
-    /// emptied through here at every barrier.
-    pub(crate) fn clear(&mut self) {
-        self.log.clear();
-        self.len = 0;
-        self.last_at = 0;
-    }
-
     /// Number of records held.
     pub fn len(&self) -> usize {
         self.len
@@ -272,14 +243,6 @@ impl Tracer {
     /// Bytes the encoded records take.
     pub fn log_bytes(&self) -> usize {
         self.log.len()
-    }
-
-    /// Where the next record will start (the end of the log).
-    pub(crate) fn end(&self) -> TraceCursor {
-        TraceCursor {
-            pos: self.log.len(),
-            at_ps: self.last_at,
-        }
     }
 
     /// Every record, decoded in capture order.
@@ -426,6 +389,7 @@ impl ExactSizeIterator for TraceRecords<'_> {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn ctx(vl: Vl, voq: u32, credit: u32) -> TraceCtx {
         TraceCtx { vl, voq, credit }
@@ -455,10 +419,13 @@ mod tests {
         t.add_flows(second);
         let mut u = Tracer::for_flows(second);
         u.add_flows(first);
-        assert_eq!(t.flows().len(), 6, "duplicates collapse");
+        let set: HashSet<(NodeId, NodeId)> = first.into_iter().chain(second).collect();
+        assert_eq!(set.len(), 6, "duplicates collapse");
+        let held: usize = t.by_dst.iter().map(|(_, srcs)| srcs.len()).sum();
+        assert_eq!(held, set.len(), "the index holds each flow once");
         for src in 0..12 {
             for dst in 0..12 {
-                let want = t.flows().contains(&(src, dst));
+                let want = set.contains(&(src, dst));
                 assert_eq!(t.wants(src, dst), want, "({src}, {dst})");
                 assert_eq!(u.wants(src, dst), want, "order-irrelevant ({src}, {dst})");
             }
@@ -542,30 +509,5 @@ mod tests {
             assert_eq!(recs[9].point, TracePoint::Deliver);
         }
         assert!(t.packet(0, 5, 9).is_empty());
-    }
-
-    #[test]
-    fn appending_from_a_cursor_reproduces_the_records() {
-        // The barrier-merge path: a shard's log copied a few records at
-        // a time, behind records the master already holds (so every
-        // time delta is re-based), decodes to the shard's records.
-        let mut shard = Tracer::for_flows([(0, 5)]);
-        for (seq, at) in [(1, 7), (1, 2), (2, 9), (1, u64::MAX)] {
-            shard.record(Time(at), 0, 5, seq, false, TracePoint::Inject, ctx(0, 1, 4));
-        }
-        let mut master = Tracer::for_flows([(0, 5)]);
-        master.record(Time(100), 0, 5, 3, false, TracePoint::Deliver, ctx(0, 0, 0));
-        let mut from = TraceCursor::default();
-        master.append_from(&shard, &mut from, 1);
-        master.append_from(&shard, &mut from, 3);
-        assert_eq!(
-            from,
-            shard.end(),
-            "the cursor ends where the shard log does"
-        );
-        assert_eq!(master.len(), 5);
-        let copied: Vec<TraceRecord> = master.records().skip(1).collect();
-        assert_eq!(copied, shard.records().collect::<Vec<_>>());
-        assert_eq!(master.path_of(0, 5, 1), shard.path_of(0, 5, 1));
     }
 }

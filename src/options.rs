@@ -134,12 +134,13 @@ pub struct RunOptions {
     /// Invariant oracle: events between periodic passes (`None` = off).
     pub audit: Option<u64>,
     /// Parallel shards (1 = the serial engine). Byte-invisible.
+    /// Telemetry and tracing keep a run serial.
     pub shards: usize,
     /// Telemetry sampling period in µs (`None` = off). Writes
     /// `telemetry_*.csv`, `flight_*.json`, `figure_*.csv`.
     pub telemetry: Option<u64>,
-    /// Zero the two wall-clock telemetry columns, so sharded CSVs can
-    /// be diffed against serial ones.
+    /// Zero the two wall-clock telemetry columns, so telemetry CSVs of
+    /// two runs can be diffed.
     pub telemetry_det: bool,
     /// Flows to trace hop by hop. Writes `trace_*.json` / `trace_*.csv`.
     pub trace_flows: Option<FlowSpec>,
@@ -357,7 +358,9 @@ impl RunOptions {
     /// The order — `Network::new`, audit, telemetry, trace,
     /// profile, faults, shards — is part of the byte-identity contract
     /// (the oracle and sampler must see an empty fabric, the shard
-    /// split must see the installed fault schedule).
+    /// split must see the installed fault schedule). Telemetry and
+    /// tracing run serial: with either armed — here, or by
+    /// [`RunOptions::trace_hotspots`] later — the run does not shard.
     pub fn network(
         &self,
         topo: &Topology,
@@ -383,8 +386,9 @@ impl RunOptions {
             net.install_faults(schedule.clone());
         }
         if self.shards > 1 {
-            // Fabrics or schedules the executor cannot split (one leaf
-            // group, BECN-loss faults) silently stay serial.
+            // Fabrics, schedules or observers the executor cannot split
+            // (one leaf group, BECN-loss faults, telemetry, tracing)
+            // silently stay serial.
             net.set_shards(topo, self.shards);
         }
         net

@@ -29,8 +29,18 @@ fn traced_windy_run() -> (Network, u32) {
 }
 
 /// The windy fabric tracing the flows `pick` chooses from the node
-/// count and the hotspot, on `shards` shards, run to 700 µs.
+/// count and the hotspot, with `shards` shards asked for before the
+/// tracer is armed (which keeps the run serial), run to 700 µs.
 fn windy_run_tracing(pick: impl Fn(u32, u32) -> Vec<(u32, u32)>, shards: usize) -> (Network, u32) {
+    let (mut net, hotspot) = windy_net(shards);
+    net.enable_trace(pick(net.hcas.len() as u32, hotspot));
+    assert_eq!(net.shard_count(), 1, "a tracer keeps the run serial");
+    net.run_until(Time::from_us(700));
+    (net, hotspot)
+}
+
+/// The windy fabric on `shards` shards, not yet run, and its hotspot.
+fn windy_net(shards: usize) -> (Network, u32) {
     let topo = FatTreeSpec::TEST_8.build();
     let roles = RoleSpec {
         num_nodes: topo.num_hcas,
@@ -41,14 +51,9 @@ fn windy_run_tracing(pick: impl Fn(u32, u32) -> Vec<(u32, u32)>, shards: usize) 
     };
     let mut net = Network::new(&topo, NetConfig::paper());
     let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
-    let hotspot = sc.assignment.hotspots[0];
-    net.enable_trace(pick(topo.num_hcas as u32, hotspot));
-    if shards > 1 {
-        net.set_shards(&topo, shards);
-        assert_eq!(net.shard_count(), shards);
-    }
-    net.run_until(Time::from_us(700));
-    (net, hotspot)
+    net.set_shards(&topo, shards);
+    assert_eq!(net.shard_count(), shards);
+    (net, sc.assignment.hotspots[0])
 }
 
 #[test]
@@ -158,7 +163,8 @@ fn csv_text(records: impl IntoIterator<Item = TraceRecord>) -> String {
 /// flow holds for them, context included: the per-hop sites skip
 /// untraced packets before building a record, and must skip no traced
 /// one, a CNP of a traced flow among them.
-fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) {
+/// Returns the traced run of every flow.
+fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) -> Network {
     let every = |n: u32, _| (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).collect();
     let victims = |n: u32, hotspot: u32| -> Vec<(u32, u32)> {
         (0..n)
@@ -181,6 +187,7 @@ fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) {
         got.len(),
         want.len()
     );
+    wide
 }
 
 #[test]
@@ -188,9 +195,15 @@ fn narrow_trace_is_the_wide_trace_filtered() {
     assert_narrow_trace_is_the_wide_trace_filtered(1);
 }
 
+/// Traces asked for on two shards run serial and filter the same way;
+/// the untraced cell on two shards, genuinely split, ends in the traced
+/// run's state.
 #[test]
 fn narrow_sharded_trace_is_the_wide_trace_filtered() {
-    assert_narrow_trace_is_the_wide_trace_filtered(2);
+    let wide = assert_narrow_trace_is_the_wide_trace_filtered(2);
+    let (mut sharded, _) = windy_net(2);
+    sharded.run_until(Time::from_us(700));
+    assert!(sharded.checkpoint() == wide.checkpoint());
 }
 
 /// 64-bit FNV-1a: the fingerprint the trace pins compare.

@@ -108,11 +108,19 @@ fn network_arms_what_the_options_say_and_nothing_else() {
     .unwrap();
     let net = opts.network(&topo, NetConfig::paper(), None);
     assert!(net.audit_enabled() && net.telemetry_enabled() && net.profile_enabled());
-    assert!(net.tracer().is_some() && net.shard_count() > 1);
+    // Observers run serial.
+    assert!(net.tracer().is_some() && net.shard_count() == 1);
+    // Without them the same shards, audit and profile split the fabric.
+    let unobserved = set_all(&[("audit", "true"), ("shards", "4"), ("profile", "true")]).unwrap();
+    let net = unobserved.network(&topo, NetConfig::paper(), None);
+    assert!(net.audit_enabled() && net.profile_enabled());
+    assert!(!net.telemetry_enabled() && net.tracer().is_none());
+    assert!(net.shard_count() > 1);
     // One leaf group stays serial.
     let single = single_switch(4, 2);
     assert_eq!(
-        opts.network(&single, NetConfig::paper(), None)
+        unobserved
+            .network(&single, NetConfig::paper(), None)
             .shard_count(),
         1
     );

@@ -10,7 +10,8 @@
 //! field via `ibsim::bisect::diff_values`.
 //!
 //! Also here: the serial-fallback boundaries (single leaf group,
-//! BECN-loss schedules), cross-shard packet-arena conservation (the
+//! BECN-loss schedules, armed observers), cross-shard packet-arena
+//! conservation (the
 //! merge asserts every shard arena drains; `--features pool-paranoid`
 //! keeps the double-free generation check in release builds), and a
 //! 20-repetition same-seed run asserting thread-schedule jitter never
@@ -73,6 +74,23 @@ fn trace(net: &mut Network, captures: &[Time]) -> Vec<NetworkState> {
             net.checkpoint()
         })
         .collect()
+}
+
+/// `want == got`, or a panic naming `what` and the first diverging
+/// fields.
+fn assert_same_state(want: &NetworkState, got: &NetworkState, what: &str) {
+    if want != got {
+        let diffs = diff_values(&want.to_value(), &got.to_value(), 10);
+        panic!("{what}:\n{}", render_diff(&diffs));
+    }
+}
+
+/// A checkpoint as an unobserved run holds it: observers run serial,
+/// so a sharded run is compared against an observed serial one with
+/// the telemetry state left out.
+fn unobserved(mut state: NetworkState) -> NetworkState {
+    state.telemetry = None;
+    state
 }
 
 /// The core differential: a serial run and an `n`-shard run of the same
@@ -243,6 +261,83 @@ fn becn_loss_schedule_declines_to_shard() {
     assert_equivalent(&topo, 3, true, Some(spec), false, 4, &[us(400)]);
 }
 
+/// Telemetry and the tracer run on the serial loop only: arming either
+/// keeps the run serial, whichever comes first — telemetry before
+/// `set_shards`, a tracer after it, and the options' own arming order,
+/// where `trace_hotspots` arms the tracer once roles exist. A
+/// `run_scenario` that traces hotspots times no barrier; the same run
+/// untraced does.
+#[test]
+fn observation_declines_to_shard() {
+    let topo = FatTreeSpec::TEST_8.build();
+    let mut net = loaded_net(&topo, 3, true, None, true);
+    net.enable_telemetry(TelemetryConfig::every(TimeDelta::from_us(50)));
+    net.set_shards(&topo, 4);
+    assert_eq!(net.shard_count(), 1, "telemetry armed before set_shards");
+
+    let mut net = loaded_net(&topo, 3, true, None, true);
+    net.set_shards(&topo, 4);
+    assert_eq!(net.shard_count(), 4);
+    net.enable_trace([(1, 0)]);
+    assert_eq!(net.shard_count(), 1, "a tracer armed after set_shards");
+
+    let out = std::env::temp_dir().join(format!("ibsim_decline_{}", std::process::id()));
+    let traced = RunOptions {
+        shards: 4,
+        trace_flows: Some(FlowSpec::Hotspots),
+        profile: true,
+        out: out.clone(),
+        ..RunOptions::default()
+    };
+    let roles = RoleSpec {
+        num_nodes: topo.num_hcas,
+        num_hotspots: 1,
+        b_pct: 0,
+        b_p: 0,
+        c_pct_of_rest: 80,
+    };
+    let mut net = traced.network(&topo, NetConfig::paper(), None);
+    let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
+    traced.trace_hotspots(&mut net, &sc.assignment.hotspots);
+    assert!(net.tracer().is_some());
+    assert_eq!(net.shard_count(), 1, "hotspot tracing through RunOptions");
+
+    let dur = RunDurations {
+        warmup: TimeDelta::from_us(50),
+        measure: TimeDelta::from_us(50),
+    };
+    let barrier_calls = |opts: &RunOptions| {
+        std::fs::remove_dir_all(&out).ok();
+        opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true, None);
+        let profile = std::fs::read_dir(&out)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("profile_")
+            })
+            .expect("a profile_*.json");
+        let report: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(profile).unwrap()).unwrap();
+        let bins = report["bins"].as_array().expect("profile bins");
+        let barrier = bins.iter().find(|b| b["subsystem"] == "barrier");
+        barrier.expect("a barrier bin")["calls"].as_u64().unwrap()
+    };
+    let untraced = RunOptions {
+        trace_flows: None,
+        ..traced.clone()
+    };
+    assert!(barrier_calls(&untraced) > 0, "the untraced run shards");
+    assert_eq!(
+        barrier_calls(&traced),
+        0,
+        "the traced run_scenario is serial"
+    );
+    std::fs::remove_dir_all(&out).ok();
+}
+
 /// `set_shards` with n=1 (or on an already-serial net) is a no-op.
 #[test]
 fn one_shard_is_serial() {
@@ -254,16 +349,15 @@ fn one_shard_is_serial() {
 }
 
 // ---------------------------------------------------------------------
-// Observability byte-identity: telemetry, flight window, trace records.
+// Observed serial runs against unobserved sharded ones.
 // ---------------------------------------------------------------------
 
-/// Build the fully-instrumented fabric: audit (so `AuditPass` flight
-/// notes land at every cadence crossing), telemetry in deterministic-
-/// wall mode (the two wall-clock self-metrics are zeroed; every other
-/// column is a pure function of simulated history), every HCA pair
-/// traced, and the self-profiler on (strictly observational — it must
-/// not perturb a single byte).
-fn observed_net(topo: &Topology, n: usize) -> Network {
+/// Build the fully-instrumented serial fabric: audit (so `AuditPass`
+/// flight notes land at every cadence crossing), telemetry in
+/// deterministic-wall mode, every HCA pair traced, and the
+/// self-profiler on (strictly observational — it must not perturb a
+/// single byte).
+fn observed_net(topo: &Topology) -> Network {
     let mut net = loaded_net(topo, 0x1B51_C0DE, true, None, true);
     let mut cfg = TelemetryConfig::every(TimeDelta::from_us(50));
     cfg.deterministic_wall = true;
@@ -271,14 +365,16 @@ fn observed_net(topo: &Topology, n: usize) -> Network {
     let hcas = topo.num_hcas as u32;
     net.enable_trace((0..hcas).flat_map(|s| (0..hcas).map(move |d| (s, d))));
     net.enable_profile();
-    if n > 1 {
-        net.set_shards(topo, n);
-        assert!(
-            net.shard_count() > 1,
-            "the observed run must shard genuinely — the serial \
-             fallback for telemetry/tracing is supposed to be gone"
-        );
-    }
+    net
+}
+
+/// [`observed_net`] without its observers — audit and profiler only —
+/// on `n` shards, genuinely.
+fn audited_net(topo: &Topology, n: usize) -> Network {
+    let mut net = loaded_net(topo, 0x1B51_C0DE, true, None, true);
+    net.enable_profile();
+    net.set_shards(topo, n);
+    assert!(net.shard_count() > 1, "the audited run shards genuinely");
     net
 }
 
@@ -294,67 +390,6 @@ fn observations(net: &Network) -> (String, String, String) {
     )
 }
 
-/// The headline pin of this PR: with telemetry + tracing + audit +
-/// profiling all on, the sharded executor reproduces the serial
-/// engine's *observation* streams byte for byte at every capture
-/// instant and every shard count — sample rows in the same order with
-/// the same values, flight events (including replayed shard-side notes
-/// and synthesised `AuditPass` entries) identical, trace records in
-/// the exact serial capture order. Fabric state is compared too, so
-/// observation work cannot have perturbed the simulation.
-#[test]
-fn observation_streams_match_serial_across_shard_counts() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let captures = [us(150), us(350), us(500)];
-
-    let mut serial = observed_net(&topo, 1);
-    let want: Vec<_> = captures
-        .iter()
-        .map(|&t| {
-            serial.run_until(t);
-            (observations(&serial), serial.checkpoint())
-        })
-        .collect();
-    // The pin must bite: telemetry sampled rows, the audit cadence
-    // produced flight events, and the tracer saw the congestion tree.
-    let (tel, flight, trace) = &want.last().unwrap().0;
-    assert!(tel.lines().count() > 3, "several sample rows recorded");
-    assert!(flight.contains("AuditPass"), "audit passes were noted");
-    assert!(trace.lines().count() > 100, "the hotspot flows traced");
-
-    for n in [2, 4, 8] {
-        let mut net = observed_net(&topo, n);
-        for (i, &t) in captures.iter().enumerate() {
-            net.run_until(t);
-            let (tel, flight, trace) = observations(&net);
-            let ((wtel, wflight, wtrace), wstate) = &want[i];
-            assert_eq!(
-                &tel, wtel,
-                "shards={n} telemetry CSV diverged from serial at t={t:?}"
-            );
-            assert_eq!(
-                &flight, wflight,
-                "shards={n} flight window diverged from serial at t={t:?}"
-            );
-            assert_eq!(
-                &trace, wtrace,
-                "shards={n} trace records diverged from serial at t={t:?}"
-            );
-            let state = net.checkpoint();
-            if &state != wstate {
-                let diffs = diff_values(&wstate.to_value(), &state.to_value(), 10);
-                panic!(
-                    "shards={n} observation work perturbed fabric state \
-                     at t={t:?} (capture {} of {}):\n{}",
-                    i + 1,
-                    captures.len(),
-                    render_diff(&diffs)
-                );
-            }
-        }
-    }
-}
-
 /// The self-profiler under sharding: per-shard bins fold into the
 /// master at merge, and because the profiler counts every call (only
 /// the timing is sampled), the counts are a pin, not a smoke test.
@@ -363,8 +398,10 @@ fn observation_streams_match_serial_across_shard_counts() {
 /// The remaining bins count what the executor physically did, which is
 /// its own shape: shards pop their own batches (two shards holding
 /// events for the same instant pop twice where the serial loop pops
-/// once), and the coordinator samples telemetry and steps the audit
-/// cadence inside its barriers, so those land in the barrier bin.
+/// once), and the coordinator steps the audit cadence inside its
+/// barriers, so that lands in the barrier bin. The serial side is fully
+/// observed, the sharded side audited and profiled only: the state at
+/// the end is the same.
 #[test]
 fn sharded_profile_report_accounts_subsystems() {
     let dispatch_bins: Vec<&str> = Subsystem::ALL
@@ -374,9 +411,14 @@ fn sharded_profile_report_accounts_subsystems() {
         .collect();
     let topo = FatTreeSpec::TEST_8.build();
     let report_at = |n: usize| {
-        let mut net = observed_net(&topo, n);
+        let mut net = if n > 1 {
+            audited_net(&topo, n)
+        } else {
+            observed_net(&topo)
+        };
         net.run_until(us(400));
-        net.profile_report().expect("profiling is on")
+        let report = net.profile_report().expect("profiling is on");
+        (report, unobserved(net.checkpoint()))
     };
     let calls = |report: &ProfileReport, name: &str| {
         report
@@ -387,7 +429,7 @@ fn sharded_profile_report_accounts_subsystems() {
             .calls
     };
 
-    let serial = report_at(1);
+    let (serial, want) = report_at(1);
     assert!(serial.events > 0);
     let dispatched: u64 = dispatch_bins.iter().map(|b| calls(&serial, b)).sum();
     assert_eq!(dispatched, serial.events, "every event is in a bin");
@@ -395,7 +437,12 @@ fn sharded_profile_report_accounts_subsystems() {
     assert_eq!(calls(&serial, "barrier"), 0);
 
     for n in [2, 4] {
-        let sharded = report_at(n);
+        let (sharded, state) = report_at(n);
+        assert_same_state(
+            &want,
+            &state,
+            &format!("shards={n} state diverged at 400 µs"),
+        );
         assert_eq!(sharded.events, serial.events);
         for &name in &dispatch_bins {
             assert_eq!(
@@ -416,60 +463,43 @@ fn sharded_profile_report_accounts_subsystems() {
     }
 }
 
-/// The threaded stress case: the 54-node 3-level Clos with the audit,
-/// every flow traced and telemetry every 5 µs, so windows are short and
-/// every barrier carries trace records, flight notes and audit
-/// crossings through the replay. At N = 8 three shards own only spines.
-/// Checkpoint, telemetry CSV, flight JSON and trace CSV must equal the
-/// serial run's at every capture. On a multi-core host this drives real
-/// shard threads (`--features pool-paranoid` keeps the arena's
-/// double-free check on for them in release builds).
+/// The threaded stress case: the 54-node 3-level Clos with the audit
+/// every 10 000 events, so every barrier carries audit crossings
+/// through the replay. At N = 8 three shards own only spines. The
+/// serial side also samples telemetry every 5 µs and traces every
+/// flow; the sharded side runs unobserved, and its checkpoint must
+/// equal the serial run's at every capture. On a multi-core host this
+/// drives real shard threads (`--features pool-paranoid` keeps the
+/// arena's double-free check on for them in release builds).
 #[test]
 fn fat3_many_short_windows_match_serial_on_threads() {
     let topo = FatTree3Spec::QUICK_54.build();
     let captures = [us(25), us(60)];
-    let run = |n: usize| {
-        let mut net = loaded_net(&topo, 0x5EED_F354, true, None, true);
-        let mut cfg = TelemetryConfig::every(TimeDelta::from_us(5));
-        cfg.deterministic_wall = true;
-        net.enable_telemetry(cfg);
-        let hcas = topo.num_hcas as u32;
-        net.enable_trace((0..hcas).flat_map(|s| (0..hcas).map(move |d| (s, d))));
-        if n > 1 {
-            net.set_shards(&topo, n);
-            assert_eq!(net.shard_count(), n);
-        }
-        captures
-            .iter()
-            .map(|&t| {
-                net.run_until(t);
-                (observations(&net), net.checkpoint())
-            })
-            .collect::<Vec<_>>()
-    };
-    let want = run(1);
-    let ((tel, flight, trace), _) = &want[1];
+    let mut serial = loaded_net(&topo, 0x5EED_F354, true, None, true);
+    let mut cfg = TelemetryConfig::every(TimeDelta::from_us(5));
+    cfg.deterministic_wall = true;
+    serial.enable_telemetry(cfg);
+    let hcas = topo.num_hcas as u32;
+    serial.enable_trace((0..hcas).flat_map(|s| (0..hcas).map(move |d| (s, d))));
+    let want: Vec<_> = captures
+        .iter()
+        .map(|&t| {
+            serial.run_until(t);
+            (observations(&serial), unobserved(serial.checkpoint()))
+        })
+        .collect();
+    let (tel, flight, trace) = &want[1].0;
     assert!(tel.lines().count() > 10, "a sample row every 5 µs");
     assert!(flight.contains("AuditPass"), "audit passes were noted");
     assert!(trace.lines().count() > 100, "the flows traced");
     for n in [3, 5, 8] {
-        for (i, (got, want)) in run(n).iter().zip(&want).enumerate() {
-            let ((tel, flight, trace), state) = got;
-            let ((wtel, wflight, wtrace), wstate) = want;
-            let t = captures[i];
-            assert_eq!(tel, wtel, "shards={n} telemetry CSV diverged at t={t:?}");
-            assert_eq!(
-                flight, wflight,
-                "shards={n} flight JSON diverged at t={t:?}"
-            );
-            assert_eq!(trace, wtrace, "shards={n} trace CSV diverged at t={t:?}");
-            if state != wstate {
-                let diffs = diff_values(&wstate.to_value(), &state.to_value(), 10);
-                panic!(
-                    "shards={n} state diverged at t={t:?}:\n{}",
-                    render_diff(&diffs)
-                );
-            }
+        let mut net = loaded_net(&topo, 0x5EED_F354, true, None, true);
+        net.set_shards(&topo, n);
+        assert_eq!(net.shard_count(), n);
+        for (&t, (_, wstate)) in captures.iter().zip(&want) {
+            net.run_until(t);
+            let what = format!("shards={n} state diverged at t={t:?}");
+            assert_same_state(wstate, &net.checkpoint(), &what);
         }
     }
 }
@@ -480,15 +510,18 @@ fn fat3_many_short_windows_match_serial_on_threads() {
 // ---------------------------------------------------------------------
 
 /// Un-congested all-to-all traffic on every HCA of the fat-8 fabric,
-/// instrumented like [`observed_net`]. With one leaf per shard at
-/// `n = 4`, each shard's inbox interleaves arrivals from three senders
-/// in every window — streams of equal delay that must not share a lane.
+/// audited and profiled; the serial run (`n = 1`) also samples
+/// telemetry. With one leaf per shard at `n = 4`, each shard's inbox
+/// interleaves arrivals from three senders in every window — streams of
+/// equal delay that must not share a lane.
 fn uniform_net(topo: &Topology, n: usize) -> Network {
     let mut net = Network::new(topo, NetConfig::paper().with_seed(0x1B51_C0DE));
     net.enable_audit(10_000);
-    let mut cfg = TelemetryConfig::every(TimeDelta::from_us(50));
-    cfg.deterministic_wall = true;
-    net.enable_telemetry(cfg);
+    if n == 1 {
+        let mut cfg = TelemetryConfig::every(TimeDelta::from_us(50));
+        cfg.deterministic_wall = true;
+        net.enable_telemetry(cfg);
+    }
     net.enable_profile();
     for node in 0..topo.num_hcas as u32 {
         let class = TrafficClass::new(100, DestPattern::UniformExceptSelf, PAPER_MSG_BYTES);
@@ -499,9 +532,10 @@ fn uniform_net(topo: &Topology, n: usize) -> Network {
     net
 }
 
-/// Serial ≡ sharded under telemetry on the uniform fabric — state,
-/// sample table and flight window at every capture, shard counts 2 and
-/// 4 — and the lane-coverage vacuity guard: nearly every insert of
+/// Serial ≡ sharded on the uniform fabric — the observed serial run's
+/// state against the unobserved sharded runs' at every capture, shard
+/// counts 2 and 4 — and the lane-coverage vacuity guard: nearly every
+/// insert of
 /// these runs has a model constant for its delay, so nearly every one
 /// must land in a lane, serial and sharded (where the delay travels
 /// with the provisional key across the barrier). A change that quietly
@@ -517,28 +551,18 @@ fn uniform_traffic_matches_serial_and_rides_the_lanes() {
             .iter()
             .map(|&t| {
                 net.run_until(t);
-                let tel = net.telemetry().expect("telemetry is on").table().to_csv();
-                let flight = net.flight_dump_json("uniform pin").unwrap();
-                (tel, flight, net.checkpoint())
+                unobserved(net.checkpoint())
             })
             .collect();
         (seen, net.profile_report().expect("profiling is on").queue)
     };
     let (want, serial_queue) = run(1);
-    let events = want[1].2.events_processed;
+    let events = want[1].events_processed;
     assert!(events > 20_000, "a loaded fabric, not {events} events");
     for n in [2, 4] {
         let (got, queue) = run(n);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(g.0, w.0, "shards={n} telemetry diverged at capture {i}");
-            assert_eq!(g.1, w.1, "shards={n} flight window diverged at capture {i}");
-            if g.2 != w.2 {
-                let diffs = diff_values(&w.2.to_value(), &g.2.to_value(), 10);
-                panic!(
-                    "shards={n} state diverged at capture {i}:\n{}",
-                    render_diff(&diffs)
-                );
-            }
+            assert_same_state(w, g, &format!("shards={n} state diverged at capture {i}"));
         }
         // Each of a run's queues (per shard and segment, one for the
         // windows and one behind them) pays SIGHTINGS misses a hint
@@ -629,8 +653,10 @@ proptest! {
     /// The `last_seq` a checkpoint derives from the live packets and
     /// the senders' `tx_seq` equals a shadow table of the last data
     /// packet each pair delivered, kept from the tracer's deliveries:
-    /// TEST_8, CC on, sink pauses, audited, at random instants, serial
-    /// and on two shards. The flow-order ledger stays clean throughout.
+    /// TEST_8, CC on, sink pauses, audited, at random instants. The
+    /// traced run is serial; an untraced run on two shards holds the
+    /// same state at every instant. The flow-order ledger stays clean
+    /// throughout.
     #[test]
     fn derived_delivery_marks_match_a_shadow_table(
         mut stops in prop::collection::vec(1u64..700, 4..8),
@@ -638,41 +664,44 @@ proptest! {
         stops.sort_unstable();
         let topo = FatTreeSpec::TEST_8.build();
         let n = topo.num_hcas;
-        for shards in [1, 2] {
-            let mut net = loaded_net(&topo, 0x5EED, true, Some(SINK_PAUSES), true);
-            let all = n as u32;
-            net.enable_trace((0..all).flat_map(|s| (0..all).map(move |d| (s, d))));
-            net.set_shards(&topo, shards);
-            prop_assert_eq!(net.shard_count(), shards);
-            let mut shadow = vec![vec![0u32; n]; n];
-            let (mut seen, mut lagging) = (0, false);
-            for &t in &stops {
-                net.run_until(us(t));
-                let tracer = net.tracer().expect("tracing is on");
-                for r in tracer.records().skip(seen) {
-                    if r.point == TracePoint::Deliver && !r.cnp {
-                        let last = &mut shadow[r.dst as usize][r.src as usize];
-                        prop_assert_eq!(r.seq, *last + 1, "{}->{} out of order", r.src, r.dst);
-                        *last = r.seq;
-                    }
-                }
-                seen = tracer.len();
-                let st = net.checkpoint();
-                // Some pair has sent past what it delivered: the marks
-                // come from live packets, not just from `tx_seq`.
-                let behind = |d: usize, s: usize| st.hcas[d].last_seq[s] < st.hcas[s].seqs[d];
-                lagging |= (0..n).any(|d| (0..n).any(|s| behind(d, s)));
-                for (d, h) in st.hcas.iter().enumerate() {
-                    prop_assert_eq!(
-                        &h.last_seq,
-                        &shadow[d],
-                        "hca {} at {} us, {} shard(s): derived {:?}, delivered {:?}",
-                        d, t, shards, h.last_seq, shadow[d]
-                    );
+        let mut net = loaded_net(&topo, 0x5EED, true, Some(SINK_PAUSES), true);
+        let all = n as u32;
+        net.enable_trace((0..all).flat_map(|s| (0..all).map(move |d| (s, d))));
+        let mut sharded = loaded_net(&topo, 0x5EED, true, Some(SINK_PAUSES), true);
+        sharded.set_shards(&topo, 2);
+        prop_assert_eq!(sharded.shard_count(), 2);
+        let mut shadow = vec![vec![0u32; n]; n];
+        let (mut seen, mut lagging) = (0, false);
+        for &t in &stops {
+            net.run_until(us(t));
+            let tracer = net.tracer().expect("tracing is on");
+            for r in tracer.records().skip(seen) {
+                if r.point == TracePoint::Deliver && !r.cnp {
+                    let last = &mut shadow[r.dst as usize][r.src as usize];
+                    prop_assert_eq!(r.seq, *last + 1, "{}->{} out of order", r.src, r.dst);
+                    *last = r.seq;
                 }
             }
-            prop_assert!(lagging, "no packet was in flight at any stop");
-            let report = net.audit_now();
+            seen = tracer.len();
+            let st = net.checkpoint();
+            // Some pair has sent past what it delivered: the marks
+            // come from live packets, not just from `tx_seq`.
+            let behind = |d: usize, s: usize| st.hcas[d].last_seq[s] < st.hcas[s].seqs[d];
+            lagging |= (0..n).any(|d| (0..n).any(|s| behind(d, s)));
+            for (d, h) in st.hcas.iter().enumerate() {
+                prop_assert_eq!(
+                    &h.last_seq,
+                    &shadow[d],
+                    "hca {} at {} us: derived {:?}, delivered {:?}",
+                    d, t, h.last_seq, shadow[d]
+                );
+            }
+            sharded.run_until(us(t));
+            assert_same_state(&st, &sharded.checkpoint(), &format!("2 shards diverged at {t} us"));
+        }
+        prop_assert!(lagging, "no packet was in flight at any stop");
+        for run in [&mut net, &mut sharded] {
+            let report = run.audit_now();
             prop_assert!(report.is_clean(), "{}", report.render());
         }
     }
