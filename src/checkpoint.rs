@@ -17,17 +17,22 @@
 //!
 //! The file is a versioned JSON document: a [`CheckpointHeader`]
 //! (magic, format version, [`TopoDigest`]), checked before any state is
-//! decoded, then the plain state tree `Network::checkpoint()` produces,
-//! which two captures can be diffed on (`bisect::diff_values`) without
-//! the producing build. Every way a document can be wrong is a
-//! [`StateError`] naming the mismatch; [`load_from`] turns it into a
-//! panic naming the file.
+//! parsed, then the plain state `Network::checkpoint()` produces, whose
+//! `to_value()` trees two captures can be diffed on
+//! (`bisect::diff_values`). The codec streams: [`encode`] writes the
+//! document one pending event, switch and HCA at a time, and [`decode`]
+//! reads it back the same way, so neither holds a tree of the whole
+//! document. Every way a document can be wrong is a [`StateError`]
+//! naming the mismatch; [`load_from`] turns it into a panic naming the
+//! file.
 
 use ibsim_engine::time::{Time, TimeDelta};
 use ibsim_net::{FaultSchedule, Network, NetworkState};
 use ibsim_traffic::RoleSpec;
 use serde::{Deserialize, Serialize, Value};
+use serde_json::Reader;
 use std::fmt;
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -172,44 +177,165 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-/// Assemble the complete checkpoint document as JSON text.
-pub fn encode<T: Serialize>(header: &CheckpointHeader, state: &T) -> String {
-    let doc = Value::Object(vec![
-        ("header".to_string(), header.to_value()),
-        ("state".to_string(), state.to_value()),
-    ]);
-    serde_json::to_string(&doc).expect("Value serialization is infallible")
+impl From<serde_json::Error> for StateError {
+    /// A parse that ran off the end of the text is a truncation;
+    /// anything else is corruption.
+    fn from(e: serde_json::Error) -> Self {
+        let detail = e.to_string();
+        if e.is_eof() {
+            StateError::Truncated { detail }
+        } else {
+            StateError::Corrupt { detail }
+        }
+    }
+}
+
+fn corrupt(detail: String) -> StateError {
+    StateError::Corrupt { detail }
+}
+
+/// Write the checkpoint document of `state` to `w`: the header, then
+/// the state's fields in declaration order, with each pending event,
+/// switch and HCA turned into text on its own and dropped before the
+/// next. No tree of the whole document is built; the bytes are those
+/// of `serde_json::to_string` on `{"header": .., "state": ..}`.
+pub fn encode(
+    w: &mut impl Write,
+    header: &CheckpointHeader,
+    state: &NetworkState,
+) -> io::Result<()> {
+    // Listed without `..`, so a new field fails to compile here.
+    let NetworkState {
+        now,
+        queue_seq,
+        events_processed,
+        last_pop,
+        events,
+        switches,
+        hcas,
+        primed,
+        measuring_since,
+        measured_until,
+        faults,
+        audit,
+        telemetry,
+    } = state;
+    w.write_all(b"{\"header\":")?;
+    put(w, header)?;
+    w.write_all(b",\"state\":{\"now\":")?;
+    put(w, now)?;
+    field(w, "queue_seq", queue_seq)?;
+    field(w, "events_processed", events_processed)?;
+    field(w, "last_pop", last_pop)?;
+    each(w, "events", events)?;
+    each(w, "switches", switches)?;
+    each(w, "hcas", hcas)?;
+    field(w, "primed", primed)?;
+    field(w, "measuring_since", measuring_since)?;
+    field(w, "measured_until", measured_until)?;
+    field(w, "faults", faults)?;
+    field(w, "audit", audit)?;
+    field(w, "telemetry", telemetry)?;
+    w.write_all(b"}}")
+}
+
+fn put(w: &mut impl Write, v: &impl Serialize) -> io::Result<()> {
+    w.write_all(serde_json::to_string(v)?.as_bytes())
+}
+
+fn field(w: &mut impl Write, key: &str, v: &impl Serialize) -> io::Result<()> {
+    write!(w, ",\"{key}\":")?;
+    put(w, v)
+}
+
+fn each<T: Serialize>(w: &mut impl Write, key: &str, xs: &[T]) -> io::Result<()> {
+    write!(w, ",\"{key}\":[")?;
+    for (i, x) in xs.iter().enumerate() {
+        if i > 0 {
+            w.write_all(b",")?;
+        }
+        put(w, x)?;
+    }
+    w.write_all(b"]")
 }
 
 /// Parse and gate a checkpoint document: magic and version are checked
-/// here, before the caller decodes (or topology-checks) the state tree.
-pub fn decode(text: &str) -> Result<(CheckpointHeader, Value), StateError> {
-    let doc: Value = serde_json::from_str(text).map_err(|e| classify_parse_error(text, e))?;
-    let corrupt = |detail: String| StateError::Corrupt { detail };
-    let field = |k: &str| {
-        doc.get(k)
-            .ok_or_else(|| corrupt(format!("missing `{k}` object")))
-    };
-    let header = CheckpointHeader::from_value(field("header")?)
+/// before any state is parsed, and the state is then decoded one
+/// pending event, switch and HCA at a time. The topology is left to the
+/// caller ([`CheckpointHeader::validate_topo`]).
+pub fn decode(text: &str) -> Result<(CheckpointHeader, NetworkState), StateError> {
+    let mut r = Reader::new(text);
+    r.expect(b'{')?;
+    want_key(&mut r, "header")?;
+    let header = CheckpointHeader::from_value(&r.value()?)
         .map_err(|e| corrupt(format!("bad header: {e}")))?;
     header.validate_format()?;
-    Ok((header, field("state")?.clone()))
+    r.expect(b',')?;
+    want_key(&mut r, "state")?;
+    let state = decode_state(&mut r)?;
+    r.expect(b'}')?;
+    r.end()?;
+    Ok((header, state))
 }
 
-/// A JSON parse failure is a truncation when the parser ran off the end
-/// of the input; anything else is corruption.
-fn classify_parse_error(text: &str, e: serde_json::Error) -> StateError {
-    let detail = e.to_string();
-    let at_end = detail
-        .rsplit("at byte ")
-        .next()
-        .and_then(|n| n.trim().parse::<usize>().ok())
-        .is_some_and(|pos| pos >= text.len());
-    if at_end {
-        StateError::Truncated { detail }
-    } else {
-        StateError::Corrupt { detail }
+fn want_key(r: &mut Reader, want: &str) -> Result<(), StateError> {
+    match r.key()? {
+        k if k == want => Ok(()),
+        k => Err(corrupt(format!("expected `{want}`, found `{k}`"))),
     }
+}
+
+/// The `state` object. The device arrays are read element by element;
+/// the other fields are few and small, and decode through the derive as
+/// one object in which each device array stands empty, so a missing
+/// key is named just as the derive names it.
+fn decode_state(r: &mut Reader) -> Result<NetworkState, StateError> {
+    let (mut events, mut switches, mut hcas) = (Vec::new(), Vec::new(), Vec::new());
+    let mut rest: Vec<(String, Value)> = Vec::new();
+    r.expect(b'{')?;
+    loop {
+        let k = r.key()?;
+        if rest.iter().any(|(seen, _)| *seen == k) {
+            return Err(corrupt(format!("duplicate key `{k}` in state")));
+        }
+        let v = match k.as_str() {
+            "events" => elements(r, &k, &mut events)?,
+            "switches" => elements(r, &k, &mut switches)?,
+            "hcas" => elements(r, &k, &mut hcas)?,
+            _ => r.value()?,
+        };
+        rest.push((k, v));
+        if !r.next_is(b',') {
+            break;
+        }
+    }
+    r.expect(b'}')?;
+    let mut state = NetworkState::from_value(&Value::Object(rest))
+        .map_err(|e| corrupt(format!("bad state: {e}")))?;
+    (state.events, state.switches, state.hcas) = (events, switches, hcas);
+    Ok(state)
+}
+
+/// Read the array `key` holds into `out`, one element at a time; the
+/// empty array that stands for it in the scalar object.
+fn elements<T: Deserialize>(
+    r: &mut Reader,
+    key: &str,
+    out: &mut Vec<T>,
+) -> Result<Value, StateError> {
+    r.expect(b'[')?;
+    if !r.next_is(b']') {
+        loop {
+            let x = T::from_value(&r.value()?)
+                .map_err(|e| corrupt(format!("bad {key}[{}]: {e}", out.len())))?;
+            out.push(x);
+            if !r.next_is(b',') {
+                break;
+            }
+        }
+        r.expect(b']')?;
+    }
+    Ok(Value::Array(Vec::new()))
 }
 
 /// The live fabric's identity, embedded in every checkpoint header and
@@ -281,7 +407,12 @@ pub fn save_in(dir: &Path, net: &Network, label: &str) -> PathBuf {
     std::fs::create_dir_all(dir)
         .unwrap_or_else(|e| panic!("checkpoint: cannot create {}: {e}", dir.display()));
     let path = dir.join(file_name(&header.topo, label));
-    std::fs::write(&path, encode(&header, &net.checkpoint()))
+    std::fs::File::create(&path)
+        .and_then(|f| {
+            let mut w = BufWriter::new(f);
+            encode(&mut w, &header, &net.checkpoint())?;
+            w.flush()
+        })
         .unwrap_or_else(|e| panic!("checkpoint: cannot write {}: {e}", path.display()));
     eprintln!(
         "checkpoint: saved {} at t={:.1} us ({} events)",
@@ -305,14 +436,11 @@ pub fn load_from(dir: &Path, net: &Network, label: &str) -> Option<(Time, Networ
     }
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("resume {}: cannot read: {e}", path.display()));
-    let (header, state) =
-        decode(&text).unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
-    drop(text); // the parsed tree is all the rest reads: free the text first
-    header
-        .validate_topo(&d)
-        .unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
-    let state = NetworkState::from_value(&state)
-        .unwrap_or_else(|e| panic!("resume {}: corrupt state: {e}", path.display()));
+    let decoded = decode(&text).and_then(|(header, state)| {
+        header.validate_topo(&d)?;
+        Ok((header, state))
+    });
+    let (header, state) = decoded.unwrap_or_else(|e| panic!("resume {}: {e}", path.display()));
     eprintln!(
         "checkpoint: resuming {} from t={:.1} us ({} events)",
         path.display(),
@@ -324,16 +452,25 @@ pub fn load_from(dir: &Path, net: &Network, label: &str) -> Option<(Time, Networ
 
 impl RunOptions {
     /// Restore the run `label` names when `resume_from` holds its
-    /// checkpoint, returning the saved clock. `replay` runs first, on
-    /// the fresh fabric: configuration the capture does not carry
-    /// (hotspot retargets) is re-applied there, before the restore.
+    /// checkpoint, returning the saved clock; when it does not, say on
+    /// stderr that the run starts cold. `replay` runs first, on the
+    /// fresh fabric: configuration the capture does not carry (hotspot
+    /// retargets) is re-applied there, before the restore.
     pub(crate) fn resume(
         &self,
         net: &mut Network,
         label: &str,
         replay: impl FnOnce(&mut Network, Time),
     ) -> Option<Time> {
-        let (at, state) = load_from(self.resume_from.as_deref()?, net, label)?;
+        let dir = self.resume_from.as_deref()?;
+        let Some((at, state)) = load_from(dir, net, label) else {
+            eprintln!(
+                "checkpoint: no {} in {}; the run starts cold",
+                file_name(&digest(net), label),
+                dir.display()
+            );
+            return None;
+        };
         replay(net, at);
         net.restore(&state)
             .unwrap_or_else(|e| panic!("checkpoint restore failed: {e}"));
@@ -388,11 +525,33 @@ mod tests {
         }
     }
 
+    /// The document of a fabric-less state under `h`.
+    fn text(h: &CheckpointHeader) -> String {
+        let state = NetworkState {
+            now: Time(5),
+            queue_seq: 0,
+            events_processed: 0,
+            last_pop: None,
+            events: Vec::new(),
+            switches: Vec::new(),
+            hcas: Vec::new(),
+            primed: false,
+            measuring_since: None,
+            measured_until: None,
+            faults: None,
+            audit: None,
+            telemetry: None,
+        };
+        let mut out = Vec::new();
+        encode(&mut out, h, &state).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
     #[test]
     fn version_bump_is_refused_with_structured_error() {
         let mut h = CheckpointHeader::new(0, 0, digest());
         h.version = FORMAT_VERSION + 1;
-        match decode(&encode(&h, &Value::Null)) {
+        match decode(&text(&h)) {
             Err(StateError::VersionMismatch { found, expected }) => {
                 assert_eq!((found, expected), (FORMAT_VERSION + 1, FORMAT_VERSION));
             }
@@ -439,7 +598,7 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_classified() {
-        let text = encode(&CheckpointHeader::new(0, 0, digest()), &Value::U64(1));
+        let text = text(&CheckpointHeader::new(0, 0, digest()));
         let cut = &text[..text.len() - 5];
         match decode(cut) {
             Err(StateError::Truncated { .. }) => {}

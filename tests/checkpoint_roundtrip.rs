@@ -20,7 +20,7 @@ use ibsim::prelude::*;
 use ibsim_cc::FlowCcState;
 use ibsim_net::{NetworkState, TelemetryConfig};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The silent forest on TEST_8's eight nodes, with one hotspot.
 const SILENT_8: RoleSpec = RoleSpec::silent(8, 1);
@@ -134,6 +134,13 @@ fn tiny_checkpoint() -> (CheckpointHeader, NetworkState, Network) {
     (ibsim::checkpoint::header(&net), net.checkpoint(), net)
 }
 
+/// The checkpoint document `encode` streams for `state`.
+fn encoded(header: &CheckpointHeader, state: &NetworkState) -> String {
+    let mut out = Vec::new();
+    encode(&mut out, header, state).expect("writing to memory cannot fail");
+    String::from_utf8(out).expect("the encoder writes UTF-8")
+}
+
 #[test]
 fn bumped_version_is_rejected_with_both_versions_named() {
     // 0 was never written; 2 is the retired second backend's form; 3
@@ -141,7 +148,7 @@ fn bumped_version_is_rejected_with_both_versions_named() {
     let (mut header, state, _net) = tiny_checkpoint();
     for version in [0, 2, 3] {
         header.version = version;
-        let text = encode(&header, &state);
+        let text = encoded(&header, &state);
         match decode(&text) {
             Err(StateError::VersionMismatch { found, expected }) => {
                 assert_eq!((found, expected), (version, FORMAT_VERSION));
@@ -155,7 +162,7 @@ fn bumped_version_is_rejected_with_both_versions_named() {
 fn wrong_magic_is_rejected() {
     let (mut header, state, _net) = tiny_checkpoint();
     header.magic = "telemetry-csv".into();
-    let text = encode(&header, &state);
+    let text = encoded(&header, &state);
     match decode(&text) {
         Err(StateError::BadMagic { found }) => assert_eq!(found, "telemetry-csv"),
         other => panic!("expected BadMagic, got {other:?}"),
@@ -164,8 +171,8 @@ fn wrong_magic_is_rejected() {
 
 #[test]
 fn truncated_payload_is_rejected_not_panicking() {
-    let (header, state, _net) = tiny_checkpoint();
-    let text = encode(&header, &state);
+    let tiny = tiny_checkpoint_text();
+    let text = &tiny.text;
     // Chop at several depths: mid-header, mid-state, last byte.
     for cut in [text.len() / 50, text.len() / 2, text.len() - 1] {
         let err = decode(&text[..cut]).expect_err("truncated text must not decode");
@@ -179,33 +186,110 @@ fn truncated_payload_is_rejected_not_panicking() {
         );
         assert!(!msg.is_empty());
     }
+    // Cut exactly between two devices, before and after the comma: a
+    // streaming reader that took the short array would pass these.
+    for ends in [&tiny.switch_ends, &tiny.hca_ends] {
+        let end = ends[ends.len() / 2];
+        for cut in [end, end + 1] {
+            match decode(&text[..cut]) {
+                Err(StateError::Truncated { .. }) => {}
+                other => panic!("cut at {cut}: want Truncated, got {other:?}"),
+            }
+        }
+    }
 }
 
-/// The text of `tiny_checkpoint`, encoded once.
-fn tiny_checkpoint_text() -> &'static str {
-    static TEXT: std::sync::OnceLock<String> = std::sync::OnceLock::new();
+/// `tiny_checkpoint`'s text, encoded once, and the byte offset just
+/// past each switch and each HCA in it.
+struct TinyText {
+    text: String,
+    switch_ends: Vec<usize>,
+    hca_ends: Vec<usize>,
+}
+
+fn tiny_checkpoint_text() -> &'static TinyText {
+    static TEXT: std::sync::OnceLock<TinyText> = std::sync::OnceLock::new();
     TEXT.get_or_init(|| {
         let (header, state, _net) = tiny_checkpoint();
-        encode(&header, &state)
+        let text = encoded(&header, &state);
+        TinyText {
+            switch_ends: element_ends(&text, "switches", &state.switches),
+            hca_ends: element_ends(&text, "hcas", &state.hcas),
+            text,
+        }
     })
+}
+
+/// The offset just past each element of the array `key` holds in
+/// `text`, whose elements are `xs`.
+fn element_ends<T: Serialize>(text: &str, key: &str, xs: &[T]) -> Vec<usize> {
+    let open = format!("\"{key}\":[");
+    let start = text.find(&open).expect("the key is in the text");
+    assert_eq!(text.rfind(&open), Some(start), "`{key}` appears once");
+    let mut at = start + open.len() - 1; // the byte before element 0
+    let ends: Vec<usize> = xs
+        .iter()
+        .map(|x| {
+            at += 1 + serde_json::to_string(x).unwrap().len();
+            at
+        })
+        .collect();
+    assert_eq!(&text[at..=at], "]", "`{key}` ends where its elements do");
+    assert!(ends.len() >= 2, "`{key}` has two elements to cut between");
+    ends
+}
+
+/// The tiny text reshaped: `hcas` removed, a key repeated, bytes after
+/// the document. Each is a `Corrupt` naming what is wrong.
+fn malformed_tiny_texts() -> [(String, &'static str); 4] {
+    let TinyText { text, hca_ends, .. } = tiny_checkpoint_text();
+    let hcas_at = text.find(",\"hcas\":[").unwrap();
+    let hcas_end = hca_ends.last().unwrap() + 1;
+    let hcas = &text[hcas_at..hcas_end];
+    [
+        (text.replacen(hcas, "", 1), "missing field `hcas`"),
+        (
+            text.replacen(hcas, &hcas.repeat(2), 1),
+            "duplicate key `hcas`",
+        ),
+        (
+            text.replacen(",\"primed\":", ",\"primed\":true,\"primed\":", 1),
+            "duplicate key `primed`",
+        ),
+        (format!("{text}{{}}"), "trailing characters"),
+    ]
+}
+
+#[test]
+fn malformed_documents_are_corrupt_naming_the_fault() {
+    for (text, want) in malformed_tiny_texts() {
+        match decode(&text) {
+            Err(StateError::Corrupt { detail }) => {
+                assert!(detail.contains(want), "want {want:?}, got {detail:?}")
+            }
+            other => panic!("{want}: want Corrupt, got {other:?}"),
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Arbitrary bytes, deep nesting, and truncations and single-byte
-    /// flips of a valid TEST_8 capture: `decode` gives a `StateError`
-    /// or a header that decodes, and a decoded state tree goes through
-    /// `NetworkState::from_value` to a value or an error. Never a panic.
+    /// Arbitrary bytes, deep nesting, truncations (anywhere, or
+    /// between two switches or two HCAs), single-byte flips and the
+    /// malformed reshapes of a valid TEST_8 capture: the streaming
+    /// `decode` gives a state or a named `StateError`. Never a panic.
     #[test]
     fn hostile_checkpoint_text_never_unwinds(
-        shape in 0u8..4,
+        shape in 0u8..7,
         at in 0.0f64..1.0,
         flip in 1u8..=255,
         noise in prop::collection::vec(any::<u8>(), 0..64),
     ) {
-        let valid = tiny_checkpoint_text().as_bytes();
+        let tiny = tiny_checkpoint_text();
+        let valid = tiny.text.as_bytes();
         let i = (at * valid.len() as f64) as usize;
+        let pick = |xs: &[usize]| xs[(at * xs.len() as f64) as usize];
         let bytes = match shape {
             0 => noise,
             1 => valid[..i].to_vec(),
@@ -214,15 +298,16 @@ proptest! {
                 b[i] ^= flip;
                 b
             }
-            _ => "[".repeat(i).into_bytes(),
-        };
-        match decode(&String::from_utf8_lossy(&bytes)) {
-            Err(e) => prop_assert!(!e.to_string().is_empty()),
-            Ok((_, tree)) => {
-                if let Err(e) = NetworkState::from_value(&tree) {
-                    prop_assert!(!e.to_string().is_empty());
-                }
+            3 => "[".repeat(i).into_bytes(),
+            4 => valid[..pick(&tiny.switch_ends) + (flip & 1) as usize].to_vec(),
+            5 => valid[..pick(&tiny.hca_ends) + (flip & 1) as usize].to_vec(),
+            _ => {
+                let texts = malformed_tiny_texts();
+                texts[flip as usize % texts.len()].0.clone().into_bytes()
             }
+        };
+        if let Err(e) = decode(&String::from_utf8_lossy(&bytes)) {
+            prop_assert!(!e.to_string().is_empty());
         }
     }
 }
@@ -881,9 +966,16 @@ fn golden_path(name: &str) -> std::path::PathBuf {
 fn assert_matches_golden(name: &str, run: &str, net: &Network, restore_into: Option<Network>) {
     let path = golden_path(name);
     let (header, state) = (ibsim::checkpoint::header(net), net.checkpoint());
+    // The streamed bytes are those of the whole document as one tree.
+    let text = encoded(&header, &state);
+    let doc = serde_json::json!({ "header": header, "state": state });
+    assert!(
+        text == serde_json::to_string(&doc).unwrap(),
+        "streamed text differs from the tree's ({name}, {run})"
+    );
     if run == "serial" && std::env::var("IBSIM_BLESS").is_ok() {
         std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, encode(&header, &state)).unwrap();
+        std::fs::write(&path, text).unwrap();
         eprintln!("blessed {}", path.display());
         return;
     }
@@ -899,7 +991,7 @@ fn assert_matches_golden(name: &str, run: &str, net: &Network, restore_into: Opt
         golden_header, header,
         "golden checkpoint header drifted ({name}, {run})"
     );
-    let diffs = diff_values(&golden_state, &state.to_value(), 25);
+    let diffs = diff_values(&golden_state.to_value(), &state.to_value(), 25);
     assert!(
         diffs.is_empty(),
         "simulator state at the golden capture point drifted ({name}, {run}):\n{}",
@@ -907,8 +999,7 @@ fn assert_matches_golden(name: &str, run: &str, net: &Network, restore_into: Opt
     );
     // And the golden file still restores and runs on a live fabric.
     if let Some(mut live) = restore_into {
-        let decoded = NetworkState::from_value(&golden_state).expect("golden state decodes");
-        live.restore(&decoded).expect("golden state restores");
+        live.restore(&golden_state).expect("golden state restores");
         live.run_until(Time::from_us(700));
     }
 }

@@ -216,6 +216,32 @@ fn workloads_preset_selects_fabric_and_windows() {
     std::fs::remove_dir_all(out).ok();
 }
 
+/// `--resume-from` a directory without the run's file: the run starts
+/// cold and says so, naming the file it looked for and where.
+#[test]
+fn a_resume_that_finds_nothing_says_so() {
+    let tmp = std::env::temp_dir();
+    let (out, dir) = (
+        tmp.join(format!("ibsim_cli_cold_{}", std::process::id())),
+        tmp.join(format!("ibsim_cli_no_ckpt_{}", std::process::id())),
+    );
+    std::fs::create_dir_all(&dir).unwrap();
+    let line = format!(
+        "workloads --workload incast:dst=0,fanin=2,bytes=4096,msgs=1 --resume-from {}",
+        dir.display()
+    );
+    let run = ibsim(&line, &out);
+    assert!(run.status.success(), "{run:?}");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    let want = format!("in {}; the run starts cold", dir.display());
+    let said = stderr
+        .lines()
+        .find(|l| l.starts_with("checkpoint: no ckpt_") && l.ends_with(&want));
+    assert!(said.is_some(), "{stderr}");
+    std::fs::remove_dir_all(out).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
 /// Through the real binary: a refused command line exits 2, not 101,
 /// and says `error:` instead of panicking; `help` exits 0.
 #[test]
