@@ -175,10 +175,6 @@ impl FlowTable {
     fn iter(&self) -> impl Iterator<Item = &FlowCc> {
         self.slots.iter().filter(|f| f.key != FREE)
     }
-
-    fn iter_mut(&mut self) -> impl Iterator<Item = &mut FlowCc> {
-        self.slots.iter_mut().filter(|f| f.key != FREE)
-    }
 }
 
 /// CA-side CC state for one HCA.
@@ -222,25 +218,8 @@ impl HcaCc {
         &self.params
     }
 
-    /// Swap in new CC parameters mid-run (firmware re-tune / parameter
-    /// drift). Held flow state is kept but re-clamped to the new table:
-    /// CCTIs above the new `ccti_limit` come down to it, CCTIs below the
-    /// new `ccti_min` are lifted to it, and the throttled flows are
-    /// recollected so `audit()` stays clean across the swap. Flows no
-    /// longer held read as untouched ones, so raising `ccti_min` from 0
-    /// lifts only the held flows; drift faults change the timer and the
-    /// increase only.
-    pub fn set_params(&mut self, params: Arc<CcParams>) {
-        self.params = params;
-        let (min, limit) = (self.params.ccti_min, self.params.ccti_limit);
-        for f in self.flows.iter_mut() {
-            f.ccti = f.ccti.clamp(min, limit);
-        }
-        self.collect_throttled();
-    }
-
-    /// Rebuild the throttled-key list from the table, after the table or
-    /// its floor changed wholesale.
+    /// Rebuild the throttled-key list from the table, after the table
+    /// changed wholesale.
     fn collect_throttled(&mut self) {
         let min = self.params.ccti_min;
         self.throttled.clear();
@@ -422,9 +401,8 @@ impl HcaCc {
         self.params.cct.multiplier(self.max_ccti())
     }
 
-    /// Complete serialisable image of this agent (checkpointing). The
-    /// parameters are included because mid-run drift faults can leave an
-    /// HCA on a different table than the network-wide configuration.
+    /// Complete serialisable image of this agent (checkpointing),
+    /// parameters included.
     /// Flows are written densely up to [`HcaCc::tracked_flows`], keys
     /// ascending; a key not held is written as an untracked default.
     pub fn state(&self) -> HcaCcState {
@@ -576,28 +554,24 @@ mod tests {
         assert_eq!(c.on_timer(), 0, "no-op once recovered");
     }
 
-    /// The throttled-key list is rebuilt, not carried, across a re-tune
-    /// and a checkpoint restore: both copies recover tick for tick with
-    /// the original, and all three stay audit-clean.
+    /// The throttled-key list is rebuilt, not carried, across a
+    /// checkpoint restore: the copy recovers tick for tick with the
+    /// original, and both stay audit-clean.
     #[test]
-    fn retuned_and_restored_agents_recover_like_the_original() {
+    fn restored_agent_recovers_like_the_original() {
         let mut c = HcaCc::with_flow_capacity(Arc::new(CcParams::paper_table1()), 64);
         for k in [3u32, 40, 3, 7, 3] {
             c.on_becn(k);
         }
         let mut restored = cc();
         restored.restore_state(&c.state()).unwrap();
-        let mut retuned = c.clone();
-        retuned.set_params(Arc::new(CcParams::paper_table1()));
         for _ in 0..4 {
             let left = c.on_timer();
             assert_eq!(restored.on_timer(), left);
-            assert_eq!(retuned.on_timer(), left);
             for k in [3, 7, 40] {
                 assert_eq!(restored.ccti(k), c.ccti(k));
-                assert_eq!(retuned.ccti(k), c.ccti(k));
             }
-            for a in [&c, &restored, &retuned] {
+            for a in [&c, &restored] {
                 a.audit().unwrap();
             }
         }
@@ -729,45 +703,6 @@ mod tests {
         // ccti_min > 0 means the send is gated, which (as with the map)
         // creates state for the flow from a starting CCTI of 0.
         assert!(c.next_allowed(3) > Time::from_ns(500));
-    }
-
-    #[test]
-    fn set_params_clamps_existing_state_to_the_new_table() {
-        let mut c = cc();
-        for _ in 0..50 {
-            c.on_becn(3);
-        }
-        c.on_becn(8);
-        assert_eq!(c.ccti(3), 50);
-        // Drift to a much tighter limit: flow 3 must come down to it.
-        let mut p = CcParams::paper_table1();
-        p.ccti_limit = 20;
-        c.set_params(Arc::new(p));
-        assert_eq!(c.ccti(3), 20);
-        assert_eq!(c.ccti(8), 1, "in-range flows untouched");
-        assert_eq!(c.throttled_flows(), 2);
-        c.audit().unwrap();
-        // Further BECNs respect the drifted increase and limit.
-        let mut p2 = CcParams::paper_table1();
-        p2.ccti_limit = 20;
-        p2.ccti_increase = 7;
-        c.set_params(Arc::new(p2));
-        c.on_becn(8);
-        assert_eq!(c.ccti(8), 8);
-        c.audit().unwrap();
-    }
-
-    #[test]
-    fn set_params_raised_min_lifts_tracked_flows() {
-        let mut c = cc();
-        c.on_becn(1); // tracked at CCTI 1
-        let mut p = CcParams::paper_table1();
-        p.ccti_min = 4;
-        c.set_params(Arc::new(p));
-        assert_eq!(c.ccti(1), 4, "tracked flow lifted to the new floor");
-        assert_eq!(c.ccti(9), 4, "untouched flows report the new min");
-        assert_eq!(c.throttled_flows(), 0, "at the floor is not throttled");
-        c.audit().unwrap();
     }
 
     #[test]

@@ -61,12 +61,6 @@ pub enum LedgerKind {
     /// sequence order with none skipped: the fabric is lossless and a
     /// pair's packets share one route and one VL, so they stay FIFO.
     FlowOrder,
-    /// A loss the fault-injection layer was *told* to cause (e.g. a CNP
-    /// dropped by a BECN-loss window). Ledgered so the audit artifact
-    /// shows exactly what was sacrificed, but sanctioned: it never
-    /// fails a run. Any loss the faults layer did not sanction still
-    /// trips the ledgers above.
-    SanctionedDrop,
 }
 
 impl LedgerKind {
@@ -79,14 +73,7 @@ impl LedgerKind {
             LedgerKind::CongestionOccupancy => "congestion-occupancy",
             LedgerKind::EventOrder => "event-order",
             LedgerKind::FlowOrder => "flow-order",
-            LedgerKind::SanctionedDrop => "sanctioned-drop",
         }
-    }
-
-    /// Sanctioned entries are bookkeeping, not failures: [`AuditReport::raise`]
-    /// ignores them when deciding whether to panic.
-    pub fn is_sanctioned(&self) -> bool {
-        matches!(self, LedgerKind::SanctionedDrop)
     }
 }
 
@@ -137,31 +124,12 @@ pub struct AuditReport {
     pub events_processed: u64,
     /// Full audit passes performed so far on this network.
     pub checks_run: u64,
-    /// Total losses the fault-injection layer sanctioned (e.g. CNPs
-    /// dropped by BECN-loss windows); mirrored as per-channel
-    /// [`LedgerKind::SanctionedDrop`] entries in `violations`.
-    pub sanctioned_drops: u64,
     pub violations: Vec<Violation>,
 }
 
 impl AuditReport {
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// Violations that actually fail a run: everything except
-    /// sanctioned-drop bookkeeping entries.
-    pub fn unsanctioned(&self) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(|v| !v.ledger.is_sanctioned())
-    }
-
-    pub fn has_unsanctioned(&self) -> bool {
-        self.unsanctioned().next().is_some()
-    }
-
-    /// Sanctioned-drop bookkeeping entries (fault-injection losses).
-    pub fn sanctioned(&self) -> impl Iterator<Item = &Violation> {
-        self.violations.iter().filter(|v| v.ledger.is_sanctioned())
     }
 
     /// Record one broken invariant.
@@ -187,12 +155,10 @@ impl AuditReport {
     pub fn render(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
-        let sanctioned = self.sanctioned().count();
         let _ = writeln!(
             out,
-            "invariant audit: {} violation(s) ({} sanctioned) at t={}ps after {} events ({} passes)",
+            "invariant audit: {} violation(s) at t={}ps after {} events ({} passes)",
             self.violations.len(),
-            sanctioned,
             self.at_ps,
             self.events_processed,
             self.checks_run
@@ -203,11 +169,8 @@ impl AuditReport {
         out
     }
 
-    /// Panic with the structured diff if any ledger failed to balance
-    /// for a reason the fault layer did not sanction. Sanctioned-drop
-    /// entries are still serialised (so the artifact records what was
-    /// sacrificed) but never panic on their own. When the
-    /// `IBSIM_AUDIT_REPORT` environment variable names a path, the
+    /// Panic with the structured diff if any ledger failed to balance.
+    /// When the `IBSIM_AUDIT_REPORT` environment variable names a path, the
     /// report is first serialised there so CI can upload it.
     pub fn raise(&self) {
         if self.is_clean() {
@@ -220,9 +183,7 @@ impl AuditReport {
                 let _ = std::fs::write(&path, json);
             }
         }
-        if self.has_unsanctioned() {
-            panic!("{}", self.render());
-        }
+        panic!("{}", self.render());
     }
 }
 
@@ -245,14 +206,6 @@ pub struct NetAudit {
     /// Credit-return blocks scheduled upstream but not yet applied,
     /// per `channel * n_vls + vl` (the channel whose sender gets them).
     pending_credit_blocks: Vec<i64>,
-    /// Sanctioned drops (fault-injection CNP losses) per channel, and
-    /// the blocks they carried. These are *bookkeeping*: each audit
-    /// pass reports them as `SanctionedDrop` entries and adds them to
-    /// the packet ledger, but they never fail a run. Any loss that does
-    /// not pass through [`NetAudit::note_sanctioned_drop`] still
-    /// unbalances the ledgers and trips the oracle.
-    sanctioned_dropped_packets: Vec<u64>,
-    sanctioned_dropped_blocks: Vec<u64>,
     /// The last sequence number each receiver delivered from each
     /// source, at `dst * n_hcas + src`: the delivery-order ledger.
     /// Dense, so it is held only while the audit is on; the HCAs
@@ -279,8 +232,6 @@ impl NetAudit {
             on_wire_blocks: vec![0; channels * n_vls],
             on_wire_packets: vec![0; channels],
             pending_credit_blocks: vec![0; channels * n_vls],
-            sanctioned_dropped_packets: vec![0; channels],
-            sanctioned_dropped_blocks: vec![0; channels],
             delivered: vec![0; n_hcas * n_hcas],
             n_hcas,
             last_seen_pop: None,
@@ -349,16 +300,6 @@ impl NetAudit {
         self.pending_credit_blocks[slot] -= blocks as i64;
     }
 
-    /// The fault layer sanctioned the loss of one packet (a CNP in a
-    /// BECN-loss window) on `ch`. The caller separately books the
-    /// freed buffer via [`NetAudit::note_credit_pending`]; this records
-    /// the packet itself so the packet ledger can account for it.
-    #[inline]
-    pub(crate) fn note_sanctioned_drop(&mut self, ch: u32, _vl: Vl, blocks: u32) {
-        self.sanctioned_dropped_packets[ch as usize] += 1;
-        self.sanctioned_dropped_blocks[ch as usize] += blocks as u64;
-    }
-
     /// HCA `dst` delivered data packet `seq` from `src`: it must be the
     /// pair's next one.
     #[inline]
@@ -424,7 +365,6 @@ impl NetAudit {
             at_ps: net.now().as_ps(),
             events_processed: net.events_processed(),
             checks_run: self.checks_run,
-            sanctioned_drops: self.sanctioned_dropped_packets.iter().sum(),
             violations: std::mem::take(&mut self.deferred),
         };
         self.check_event_order(net, &mut r);
@@ -433,30 +373,7 @@ impl NetAudit {
         self.check_notification_chain(net, &mut r);
         self.check_ccti_bounds(net, &mut r);
         self.check_congestion_occupancy(net, &mut r);
-        self.report_sanctioned_drops(&mut r);
         r
-    }
-
-    /// Ledger every sanctioned loss as a non-failing `SanctionedDrop`
-    /// entry, one per affected channel, with the cumulative count in
-    /// `actual`. The CI artifact then records exactly what the fault
-    /// schedule sacrificed, while [`AuditReport::raise`] ignores these
-    /// when deciding whether to fail the run.
-    fn report_sanctioned_drops(&self, r: &mut AuditReport) {
-        for (ch, &n) in self.sanctioned_dropped_packets.iter().enumerate() {
-            if n > 0 {
-                r.violate(
-                    LedgerKind::SanctionedDrop,
-                    format!("channel {ch}"),
-                    "0 losses absent a fault schedule",
-                    n,
-                    format!(
-                        "{n} CNP(s), {} block(s) dropped by becn-loss windows",
-                        self.sanctioned_dropped_blocks[ch]
-                    ),
-                );
-            }
-        }
     }
 
     /// Per-(channel, VL) credit conservation. The four terms partition
@@ -518,19 +435,14 @@ impl NetAudit {
         let on_wire: i64 = self.on_wire_packets.iter().sum();
         let in_voq: usize = net.switches.iter().map(|s| s.queued_packets()).sum();
         let in_sink: usize = net.hcas.iter().map(|h| h.sink_depth()).sum();
-        let sanctioned: u64 = self.sanctioned_dropped_packets.iter().sum();
-        let accounted =
-            delivered as i64 + on_wire + in_voq as i64 + in_sink as i64 + sanctioned as i64;
+        let accounted = delivered as i64 + on_wire + in_voq as i64 + in_sink as i64;
         if accounted != injected as i64 {
             r.violate(
                 LedgerKind::Packets,
                 "fabric",
                 format!("{injected} injected packets accounted for"),
                 accounted,
-                format!(
-                    "delivered={delivered} wire={on_wire} voq={in_voq} sink={in_sink} \
-                     sanctioned_dropped={sanctioned}"
-                ),
+                format!("delivered={delivered} wire={on_wire} voq={in_voq} sink={in_sink}"),
             );
         }
     }
@@ -674,14 +586,6 @@ impl NetAudit {
             &mut self.pending_credit_blocks,
             &other.pending_credit_blocks,
         );
-        add(
-            &mut self.sanctioned_dropped_packets,
-            &other.sanctioned_dropped_packets,
-        );
-        add(
-            &mut self.sanctioned_dropped_blocks,
-            &other.sanctioned_dropped_blocks,
-        );
         self.deferred.extend(other.deferred.iter().cloned());
     }
 
@@ -695,8 +599,6 @@ impl NetAudit {
             on_wire_blocks: self.on_wire_blocks.clone(),
             on_wire_packets: self.on_wire_packets.clone(),
             pending_credit_blocks: self.pending_credit_blocks.clone(),
-            sanctioned_dropped_packets: self.sanctioned_dropped_packets.clone(),
-            sanctioned_dropped_blocks: self.sanctioned_dropped_blocks.clone(),
             last_seen_pop: self.last_seen_pop,
             seen_processed: self.seen_processed,
             deferred: self.deferred.clone(),
@@ -710,8 +612,6 @@ impl NetAudit {
         if s.on_wire_blocks.len() != self.on_wire_blocks.len()
             || s.on_wire_packets.len() != self.on_wire_packets.len()
             || s.pending_credit_blocks.len() != self.pending_credit_blocks.len()
-            || s.sanctioned_dropped_packets.len() != self.sanctioned_dropped_packets.len()
-            || s.sanctioned_dropped_blocks.len() != self.sanctioned_dropped_blocks.len()
         {
             return Err(format!(
                 "audit state ledgers sized for {} channel-VL slots, fabric has {}",
@@ -724,8 +624,6 @@ impl NetAudit {
         self.on_wire_blocks = s.on_wire_blocks.clone();
         self.on_wire_packets = s.on_wire_packets.clone();
         self.pending_credit_blocks = s.pending_credit_blocks.clone();
-        self.sanctioned_dropped_packets = s.sanctioned_dropped_packets.clone();
-        self.sanctioned_dropped_blocks = s.sanctioned_dropped_blocks.clone();
         self.last_seen_pop = s.last_seen_pop;
         self.seen_processed = s.seen_processed;
         self.deferred = s.deferred.clone();
@@ -743,8 +641,6 @@ pub struct NetAuditState {
     pub on_wire_blocks: Vec<i64>,
     pub on_wire_packets: Vec<i64>,
     pub pending_credit_blocks: Vec<i64>,
-    pub sanctioned_dropped_packets: Vec<u64>,
-    pub sanctioned_dropped_blocks: Vec<u64>,
     pub last_seen_pop: Option<(Time, u64)>,
     pub seen_processed: u64,
     pub deferred: Vec<Violation>,
@@ -811,8 +707,8 @@ mod tests {
         let mut net = loaded_net(NetConfig::paper());
         net.enable_audit(u64::MAX); // end-of-run pass only
         net.run_until(Time::from_us(100));
-        // Fault injection: eat 3 credit blocks on the switch's port 0
-        // output (toward the hotspot HCA), as a buggy arbiter would.
+        // Eat 3 credit blocks on the switch's port 0 output (toward
+        // the hotspot HCA), as a buggy arbiter would.
         net.switches[0].leak_credits_for_test(0, 0, 3);
         let report = net.audit_now();
         let v = report
@@ -826,6 +722,60 @@ mod tests {
             "diff must show the ledger terms: {}",
             v.detail
         );
+    }
+
+    /// Each ledger without an arming proof elsewhere, broken on a live
+    /// CC-on fabric by one corruption only it can see: the pass must
+    /// report that ledger and no other.
+    #[test]
+    fn each_ledger_fires_alone_on_its_own_corruption() {
+        type Break = fn(&mut Network);
+        let cases: [(LedgerKind, Break); 4] = [
+            // CNPs sent that no FECN mark asked for.
+            (LedgerKind::NotificationChain, |net| {
+                net.hcas[1].cnps_sent += 1_000_000
+            }),
+            // One CCTI raise moved from one source to another that
+            // already raised on every BECN: the fabric totals keep the
+            // chain intact, the receiving agent's own books do not.
+            (LedgerKind::CctiBounds, |net| {
+                let (to, from) = (1..4)
+                    .flat_map(|to| (1..4).map(move |from| (to, from)))
+                    .find(|&(to, from)| {
+                        let (a, b) = (&net.hcas[to].cc, &net.hcas[from].cc);
+                        to != from && a.ccti_raises() == a.becns_received() && b.ccti_raises() > 0
+                    })
+                    .expect("two braked sources");
+                for (hca, delta) in [(to, 1i64), (from, -1)] {
+                    let mut s = net.hcas[hca].cc.state();
+                    s.ccti_raises = (s.ccti_raises as i64 + delta) as u64;
+                    net.hcas[hca].cc.restore_state(&s).unwrap();
+                }
+            }),
+            // Bytes the detector counts but no VoQ holds.
+            (LedgerKind::CongestionOccupancy, |net| {
+                net.switches[0].cong_mut(0, 0).on_enqueue(2048, true)
+            }),
+            // A previous pass that saw a pop later than any to come.
+            (LedgerKind::EventOrder, |net| {
+                let a = net.audit.as_deref_mut().unwrap();
+                a.set_order_marks(Some((Time::MAX, u64::MAX)), 0)
+            }),
+        ];
+        for (want, corrupt) in cases {
+            let mut net = loaded_net(NetConfig::paper());
+            net.enable_audit(u64::MAX);
+            net.run_until(Time::from_us(100));
+            corrupt(&mut net);
+            let report = net.audit_now();
+            let fired: Vec<LedgerKind> = report.violations.iter().map(|v| v.ledger).collect();
+            assert!(!fired.is_empty(), "{want}: nothing fired");
+            assert!(
+                fired.iter().all(|&k| k == want),
+                "{want}: fired {fired:?}\n{}",
+                report.render()
+            );
+        }
     }
 
     #[test]
@@ -949,38 +899,11 @@ mod tests {
     }
 
     #[test]
-    fn sanctioned_only_report_does_not_raise() {
+    fn render_counts_violations() {
         let mut r = AuditReport::default();
-        r.violate(
-            LedgerKind::SanctionedDrop,
-            "channel 5",
-            "0 sanctioned drops",
-            "3 sanctioned drops",
-            "becn-loss window",
-        );
-        assert!(!r.is_clean(), "sanctioned entries are still recorded");
-        assert!(!r.has_unsanctioned());
-        assert_eq!(r.sanctioned().count(), 1);
-        r.raise(); // no panic: every entry is sanctioned
-    }
-
-    #[test]
-    #[should_panic(expected = "credits")]
-    fn unsanctioned_violation_still_raises_alongside_sanctioned() {
-        let mut r = AuditReport::default();
-        r.violate(LedgerKind::SanctionedDrop, "channel 5", 0, 3, "");
-        r.violate(LedgerKind::Credits, "channel 3 VL 0", 256, 255, "");
-        assert!(r.has_unsanctioned());
-        assert_eq!(r.unsanctioned().count(), 1);
-        r.raise();
-    }
-
-    #[test]
-    fn render_counts_sanctioned_entries() {
-        let mut r = AuditReport::default();
-        r.violate(LedgerKind::SanctionedDrop, "channel 1", 0, 2, "");
+        r.violate(LedgerKind::Credits, "channel 1 VL 0", 256, 254, "");
         assert!(
-            r.render().contains("1 violation(s) (1 sanctioned)"),
+            r.render().contains("1 violation(s) at t="),
             "{}",
             r.render()
         );

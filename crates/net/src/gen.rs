@@ -56,8 +56,8 @@ pub struct ScriptSend {
 pub struct Script {
     pub sends: Vec<ScriptSend>,
     /// Index of the next unstarted send. The consumed prefix is
-    /// compacted away once the vector drains, so steady-state replay
-    /// reuses one allocation.
+    /// compacted away on an append once it is half the vector, so
+    /// steady-state replay reuses one allocation.
     #[serde(default)]
     pub next: usize,
     /// Total sends ever appended (streaming-resume cursor).
@@ -224,9 +224,11 @@ impl TrafficClass {
         );
         debug_assert!(sends.iter().all(|sd| sd.bytes > 0), "empty script send");
         // Steady-state streaming reuses one allocation: once the cursor
-        // drains the vector, drop the consumed prefix before growing.
-        if s.next > 0 && s.next == s.sends.len() {
-            s.sends.clear();
+        // has passed half the vector, drop the consumed prefix before
+        // growing. A feeder keeps a segment queued ahead of the cursor,
+        // so waiting for a full drain would keep every record it fed.
+        if s.next > 0 && s.next >= s.sends.len() / 2 {
+            s.sends.drain(..s.next);
             s.next = 0;
         }
         s.sends.extend_from_slice(sends);
@@ -627,6 +629,33 @@ mod tests {
         assert_eq!(s.fed, 3, "fed counts every send ever appended");
         assert_eq!(s.remaining(), 1);
         assert_eq!(s.next, 0, "consumed prefix compacted on append");
+    }
+
+    #[test]
+    fn streamed_script_holds_only_its_look_ahead() {
+        // A feeder appends a chunk while the previous one is still
+        // queued: the cursor never drains the vector at an append, and
+        // the consumed prefix must go anyway.
+        const CHUNK: u64 = 10;
+        let mut c = TrafficClass::script();
+        for k in 0..100 {
+            let chunk: Vec<ScriptSend> = (0..CHUNK).map(|i| send(k * CHUNK + i, 1, 512)).collect();
+            c.append_script(&chunk);
+            let lagging = if k == 0 { 0 } else { CHUNK };
+            for _ in 0..lagging {
+                let (_, b) = c.peek(Time::from_ms(1), 0, 8, R, 2048).unwrap();
+                c.take(b);
+            }
+            let s = c.script_state().unwrap();
+            assert_eq!(s.remaining() as u64, CHUNK);
+            assert!(
+                s.sends.capacity() as u64 <= 4 * CHUNK,
+                "chunk {k}: {} sends held for {} unstarted",
+                s.sends.capacity(),
+                s.remaining()
+            );
+        }
+        assert_eq!(c.script_state().unwrap().fed, 100 * CHUNK);
     }
 
     #[test]

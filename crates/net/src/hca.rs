@@ -155,10 +155,6 @@ pub struct Hca {
     /// (pool handle; resolved through the network's arena).
     draining: Option<PktHandle>,
     sink_queue: VecDeque<PktHandle>,
-    /// Fault injection: a paused sink stops starting drains (the
-    /// in-flight one finishes), so arriving packets pile up in the
-    /// sink queue and backpressure the fabric through held credits.
-    sink_paused: bool,
     // ---- statistics ------------------------------------------------------
     pub rx_meter: ibsim_engine::RateMeter,
     pub tx_meter: ibsim_engine::RateMeter,
@@ -210,7 +206,6 @@ impl Hca {
             in_channel: u32::MAX,
             draining: None,
             sink_queue: VecDeque::new(),
-            sink_paused: false,
             rx_meter: ibsim_engine::RateMeter::new(),
             tx_meter: ibsim_engine::RateMeter::new(),
             latency: ibsim_engine::Histogram::unallocated(),
@@ -379,7 +374,7 @@ impl Hca {
         cfg: &crate::config::NetConfig,
         pool: &PacketPool,
     ) -> Option<TimeDelta> {
-        if self.draining.is_some() || self.sink_paused {
+        if self.draining.is_some() {
             return None;
         }
         let h = self.sink_queue.pop_front()?;
@@ -427,22 +422,6 @@ impl Hca {
             }
         }
         pkt
-    }
-
-    /// Fault injection: stop sinking. The drain in flight (if any)
-    /// completes; nothing new starts until [`Hca::resume_sink`].
-    pub fn pause_sink(&mut self) {
-        self.sink_paused = true;
-    }
-
-    /// Fault injection: resume sinking. The caller must follow up with
-    /// [`Hca::start_drain`] to restart the pipeline.
-    pub fn resume_sink(&mut self) {
-        self.sink_paused = false;
-    }
-
-    pub fn sink_paused(&self) -> bool {
-        self.sink_paused
     }
 
     /// `src`'s receive count passed another multiple of 4 GiB.
@@ -517,7 +496,6 @@ impl Hca {
             seqs: self.peers.iter().map(|p| p.tx_seq).collect(),
             draining: self.draining.map(|h| *pool.get(h)),
             sink_queue: self.sink_queue.iter().map(|&h| *pool.get(h)).collect(),
-            sink_paused: self.sink_paused,
             last_seq,
             rx_by_src: self.rx_by_src().collect(),
             rx_meter: self.rx_meter.state(),
@@ -596,7 +574,6 @@ impl Hca {
         }
         self.draining = s.draining.map(|p| pool.alloc(p));
         self.sink_queue = s.sink_queue.iter().map(|&p| pool.alloc(p)).collect();
-        self.sink_paused = s.sink_paused;
         self.rx_meter = ibsim_engine::RateMeter::from_state(s.rx_meter.clone());
         self.tx_meter = ibsim_engine::RateMeter::from_state(s.tx_meter.clone());
         self.latency = ibsim_engine::Histogram::from_state(s.latency.clone())
@@ -627,7 +604,6 @@ pub struct HcaState {
     pub seqs: Vec<u32>,
     pub draining: Option<Packet>,
     pub sink_queue: Vec<Packet>,
-    pub sink_paused: bool,
     pub last_seq: Vec<u32>,
     pub rx_by_src: Vec<u64>,
     pub rx_meter: RateMeterState,

@@ -39,9 +39,6 @@ pub use audit::{AuditReport, LedgerKind, NetAudit, NetAuditState, Violation};
 pub use config::NetConfig;
 pub use gen::{ClassState, DestPattern, Script, ScriptSend, TrafficClass, PAPER_MSG_BYTES};
 pub use hca::{Hca, HcaState};
-pub use ibsim_faults::{
-    parse_spec, FaultDecl, FaultRuntimeState, FaultSchedule, FaultStats, LinkSel,
-};
 pub use network::{Dev, Ev, Event, Network};
 pub use pool::{PacketPool, PktHandle};
 pub use profile::{EngineProfiler, ProfileReport, Subsystem};

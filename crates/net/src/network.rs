@@ -14,7 +14,6 @@ use ibsim_cc::HcaCc;
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::rng::Rng;
 use ibsim_engine::time::{Time, TimeDelta};
-use ibsim_faults::{AppliedEffect, FaultSchedule, FaultState, FaultStats, LinkSel};
 use ibsim_topo::{Endpoint, Topology};
 use std::sync::Arc;
 
@@ -78,16 +77,13 @@ pub enum Event {
     SinkDone { hca: u32 },
     /// CCTI recovery-timer expiry at an HCA.
     CctiTick { hca: u32 },
-    /// A scheduled fault transition fires (index into the installed
-    /// [`FaultSchedule`]'s transition list).
-    Fault { idx: u32 },
 }
 
 /// An [`Event`] as every queue holds it — the main queue, the dispatch
 /// batch, a shard's window queue and a [`QueueSnapshot`]'s entries:
-/// two words, `tag | x << 32` (`x` the event's channel, device or fault
-/// index) and `lo | hi << 32` (`lo` a packet handle or `port | vl << 16
-/// `, `hi` a credit's blocks).
+/// two words, `tag | x << 32` (`x` the event's channel or device) and
+/// `lo | hi << 32` (`lo` a packet handle or `port | vl << 16`, `hi` a
+/// credit's blocks).
 ///
 /// Two words rather than the enum because of how each is written. The
 /// enum is stored field by field — a one-byte tag, a two-byte port, a
@@ -128,7 +124,6 @@ impl Ev {
             Event::HcaCredit { hca, vl, blocks } => w(7, hca, sub(0, vl), blocks),
             Event::SinkDone { hca } => w(8, hca, 0, 0),
             Event::CctiTick { hca } => w(9, hca, 0, 0),
-            Event::Fault { idx } => w(10, idx, 0, 0),
         }
     }
 
@@ -154,7 +149,6 @@ impl Ev {
             7 => Event::HcaCredit { hca: x, vl, blocks },
             8 => Event::SinkDone { hca: x },
             9 => Event::CctiTick { hca: x },
-            10 => Event::Fault { idx: x },
             tag => unreachable!("packed event with tag {tag}"),
         }
     }
@@ -189,9 +183,6 @@ pub struct Network {
     pub(crate) prof: Option<Box<EngineProfiler>>,
     /// The invariant oracle; `None` costs one branch per event.
     pub(crate) audit: Option<Box<NetAudit>>,
-    /// The fault-injection state machine; `None` (the default, and any
-    /// empty schedule) costs one branch on the affected paths.
-    pub(crate) faults: Option<Box<FaultState>>,
     /// The telemetry sampler + flight recorder; `None` costs one branch
     /// per popped event.
     pub(crate) telemetry: Option<Box<NetTelemetry>>,
@@ -334,7 +325,6 @@ impl Network {
             tracer: None,
             prof: None,
             audit: None,
-            faults: None,
             telemetry: None,
             primed: false,
             measuring_since: None,
@@ -381,7 +371,6 @@ impl Network {
             tracer: None,
             prof: None,
             audit: None,
-            faults: None,
             telemetry: None,
             // Shards never prime: the master's queue is authoritative,
             // and its entries arrive at the split.
@@ -494,7 +483,7 @@ impl Network {
 
     /// Append a structured event to the flight recorder; no-op when
     /// telemetry is off. Runners use this for marks the net layer
-    /// cannot see (measurement windows, drill floor breaches).
+    /// cannot see (measurement windows).
     pub fn flight_note(
         &mut self,
         kind: FlightKind,
@@ -515,58 +504,6 @@ impl Network {
         })
     }
 
-    /// Install a compiled fault schedule, resolving its link selectors
-    /// against this fabric. Must run before [`Network::prime`] so the
-    /// transitions land on the event queue with the initial events.
-    /// An **empty** schedule installs nothing at all — the run is then
-    /// bit-identical to one that never called this.
-    ///
-    /// Panics if a selector names a device or channel the fabric does
-    /// not have: a schedule that silently misses its target would make
-    /// "the fault changed nothing" indistinguishable from "the fault
-    /// never fired".
-    pub fn install_faults(&mut self, schedule: FaultSchedule) {
-        assert!(!self.primed, "install_faults after prime");
-        if schedule.is_empty() {
-            return;
-        }
-        let n_channels = self.channels.len();
-        if let Err(why) = schedule.check_fabric(self.hcas.len(), n_channels) {
-            panic!("fault selector {why}");
-        }
-        let channels = &self.channels;
-        let hcas = &self.hcas;
-        let resolve = |sel: LinkSel| -> Vec<u32> {
-            match sel {
-                LinkSel::Channel(c) => vec![c],
-                // Both directions of the HCA's cable: data out of and
-                // into the node.
-                LinkSel::Hca(h) => vec![hcas[h as usize].out_channel, hcas[h as usize].in_channel],
-                // Every channel delivering into an HCA — the links CNPs
-                // ride on their last hop, the paper's victim links.
-                LinkSel::AllHcaLinks => (0..n_channels as u32)
-                    .filter(|&c| matches!(channels[c as usize].to.0, Dev::Hca(_)))
-                    .collect(),
-            }
-        };
-        self.faults = Some(Box::new(FaultState::new(schedule, n_channels, resolve)));
-    }
-
-    pub fn faults_installed(&self) -> bool {
-        self.faults.is_some()
-    }
-
-    /// What the installed schedule has done so far (`None` when no
-    /// faults are installed).
-    pub fn fault_stats(&self) -> Option<&FaultStats> {
-        self.faults.as_deref().map(|f| f.stats())
-    }
-
-    /// CNPs sanctioned-dropped so far (0 with no faults installed).
-    pub fn sanctioned_becn_drops(&self) -> u64 {
-        self.fault_stats().map_or(0, |s| s.becn_dropped)
-    }
-
     /// Run a full audit pass now and return the report (clean and empty
     /// when the oracle is disabled). The caller decides whether to
     /// [`AuditReport::raise`].
@@ -582,32 +519,28 @@ impl Network {
     }
 
     /// [`Network::audit_now`] plus flight-recorder context: a clean
-    /// pass records an `AuditPass`, each unsanctioned violation records
-    /// a `Violation`, and — when anything unsanctioned surfaced — the
-    /// whole flight window is dumped to `$IBSIM_FLIGHT_DUMP` (if set)
+    /// pass records an `AuditPass`, each violation records a
+    /// `Violation`, and — when anything surfaced — the whole flight
+    /// window is dumped to `$IBSIM_FLIGHT_DUMP` (if set)
     /// *before* the caller gets the chance to raise and panic.
     pub fn audit_checked(&mut self) -> AuditReport {
         let report = self.audit_now();
         if self.telemetry.is_some() && self.audit.is_some() {
-            if report.has_unsanctioned() {
-                let viols: Vec<String> = report.unsanctioned().map(|v| v.to_string()).collect();
+            if !report.is_clean() {
+                let viols: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
                 for v in &viols {
                     self.flight_note(FlightKind::Violation, "audit", v.clone());
                 }
                 if let Ok(path) = std::env::var("IBSIM_FLIGHT_DUMP") {
                     if !path.is_empty() {
                         let doc = self
-                            .flight_dump_json("unsanctioned audit violation")
+                            .flight_dump_json("audit violation")
                             .expect("telemetry is on");
                         let _ = std::fs::write(path, doc);
                     }
                 }
             } else {
-                self.flight_note(
-                    FlightKind::AuditPass,
-                    "audit",
-                    format!("clean; sanctioned drops {}", report.sanctioned_drops),
-                );
+                self.flight_note(FlightKind::AuditPass, "audit", "clean".to_string());
             }
         }
         report
@@ -631,7 +564,7 @@ impl Network {
 
     /// Trace the given (src, dst) flows hop by hop. Calls merge: a
     /// second call (in any order relative to `enable_audit` /
-    /// `install_faults` / `enable_telemetry`) widens the flow set and
+    /// `enable_telemetry`) widens the flow set and
     /// keeps records already collected, rather than silently dropping
     /// the earlier tracer. The tracer runs on the serial loop only:
     /// arming it drops any shard split, whether or not `set_shards`
@@ -710,21 +643,6 @@ impl Network {
                 }
             }
         }
-        // Fault transitions go on the same event queue as everything
-        // else: they are ordinary events, totally ordered by (time, seq).
-        if let Some(f) = &self.faults {
-            let transitions: Vec<(Time, u32)> = f
-                .schedule()
-                .faults()
-                .iter()
-                .enumerate()
-                .filter(|(_, tf)| tf.at < Time::MAX)
-                .map(|(i, tf)| (tf.at, i as u32))
-                .collect();
-            for (at, idx) in transitions {
-                self.queue.schedule(at, Ev::pack(Event::Fault { idx }));
-            }
-        }
     }
 
     // ---- running ---------------------------------------------------------
@@ -738,7 +656,7 @@ impl Network {
     pub fn cc_enabled(&self) -> bool {
         self.cc_params.is_some()
     }
-    /// Fault-injection hook for oracle tests: silently discard the head
+    /// Loss hook for oracle tests: silently discard the head
     /// packet queued from `in_port` on switch `sw` (see
     /// [`Switch::drop_queued_for_test`]). Nothing ledgers the loss.
     pub fn drop_queued_for_test(&mut self, sw: usize, in_port: u16) -> Option<Packet> {
@@ -758,9 +676,9 @@ impl Network {
     /// next batch at that time.
     pub fn run_until(&mut self, t: Time) {
         // The sharded executor replicates the serial event stream
-        // exactly. Observers (telemetry, tracer) and BECN-loss faults
-        // keep a run serial: `set_shards` declines them, and arming an
-        // observer afterwards drops the split.
+        // exactly. Observers (telemetry, tracer) keep a run serial:
+        // `set_shards` declines them, and arming an observer afterwards
+        // drops the split.
         if self.shards.is_some() {
             self.profiling(EngineProfiler::wall_begin);
             self.run_until_sharded(t);
@@ -938,8 +856,6 @@ impl Network {
     }
 
     /// Every class finished, nothing in flight, every sink empty.
-    /// Sanctioned-dropped CNPs count as leaving the fabric: they were
-    /// injected but, by design, will never be delivered.
     pub fn workload_drained(&self) -> bool {
         let delivered: u64 = self
             .hcas
@@ -948,7 +864,7 @@ impl Network {
             .sum();
         self.hcas.iter().all(|h| {
             h.sink_depth() == 0 && h.pending_cnps() == 0 && h.classes.iter().all(|c| c.finished())
-        }) && self.total_injected_packets() == delivered + self.sanctioned_becn_drops()
+        }) && self.total_injected_packets() == delivered
     }
 
     // ---- measurement -----------------------------------------------------
@@ -1092,7 +1008,6 @@ impl Network {
             }
             Event::HcaArrive { .. } | Event::SinkDone { .. } => Subsystem::Sink,
             Event::CctiTick { .. } => Subsystem::Cc,
-            Event::Fault { .. } => Subsystem::Fault,
         }
     }
 
@@ -1146,57 +1061,10 @@ impl Network {
                 } else {
                     h.cc.on_timer_at(now);
                 }
-                if self.cc_params.is_some() {
-                    // Per-HCA period: parameter drift may have re-tuned
-                    // this adapter's CCTI_Timer away from the global one.
-                    let period = self.hcas[hca as usize].cc.params().timer_period_ps();
+                if let Some(p) = &self.cc_params {
+                    let period = p.timer_period_ps();
                     self.sched(now + TimeDelta(period), Event::CctiTick { hca });
                 }
-            }
-            Event::Fault { idx } => self.on_fault(now, idx),
-        }
-    }
-
-    /// A scheduled fault transition fires.
-    fn on_fault(&mut self, now: Time, idx: u32) {
-        let effect = match &mut self.faults {
-            Some(f) => f.apply(idx as usize),
-            None => unreachable!("Fault event without an installed schedule"),
-        };
-        if self.telemetry.is_some() {
-            self.flight_note(
-                FlightKind::FaultTransition,
-                format!("fault{idx}"),
-                format!("{effect:?}"),
-            );
-        }
-        match effect {
-            AppliedEffect::None => {}
-            AppliedEffect::PauseHca(h) => self.hcas[h as usize].pause_sink(),
-            AppliedEffect::ResumeHca(h) => {
-                let hca = &mut self.hcas[h as usize];
-                hca.resume_sink();
-                // Restart the drain pipeline for whatever piled up.
-                if let Some(dt) = hca.start_drain(&self.cfg, &self.pool) {
-                    self.sched(now + dt, Event::SinkDone { hca: h });
-                }
-            }
-            AppliedEffect::Drift {
-                hca,
-                ccti_timer,
-                ccti_increase,
-            } => {
-                let h = &mut self.hcas[hca as usize];
-                let mut p = h.cc.params().clone();
-                if let Some(t) = ccti_timer {
-                    p.ccti_timer = t;
-                }
-                if let Some(i) = ccti_increase {
-                    p.ccti_increase = i;
-                }
-                // The next CctiTick for this HCA picks up the new
-                // period when it reschedules itself.
-                h.cc.set_params(Arc::new(p));
             }
         }
     }
@@ -1319,12 +1187,6 @@ impl Network {
             a.note_grant(out.out_ch, back.in_ch, vl, blocks);
         }
         let at = now + ser + back.delay + self.cfg.credit_latency;
-        // A flapped link returns its credits late (degraded rate) or at
-        // window end (stall); losslessness is preserved exactly.
-        let at = match &mut self.faults {
-            Some(f) => f.credit_release(back.in_ch, at, ser),
-            None => at,
-        };
         match back.peer {
             (Dev::Switch(up), up_port) => self.sched(
                 at,
@@ -1368,7 +1230,7 @@ impl Network {
                     self.trace(now, &pkt, TracePoint::Inject, ctx);
                 }
                 // The packet enters the arena here and leaves it at the
-                // destination sink (or a sanctioned BECN drop).
+                // destination sink.
                 let hp = self.pool.alloc(pkt);
                 let channel = self.channels[out_ch as usize];
                 self.sched(busy_until, Event::HcaTxDone { hca: hi });
@@ -1424,47 +1286,6 @@ impl Network {
         }
         if let Some(a) = &mut self.audit {
             a.note_arrive(ch, pkt.vl, pkt.blocks());
-        }
-        // Sanctioned BECN loss: a CNP whose last hop crosses an active
-        // becn-loss window vanishes here — after it left the wire,
-        // before the CA can process it. The buffer space it would have
-        // occupied is credited straight back upstream, exactly as a
-        // sink drain would have done, so the credit ledger stays
-        // balanced; the packet ledger books it as a sanctioned drop.
-        if pkt.is_cnp() {
-            let dropped = match &mut self.faults {
-                Some(f) => f.drop_becn(ch, now),
-                None => false,
-            };
-            if dropped {
-                self.pool.release(h);
-                if let Some(a) = &mut self.audit {
-                    a.note_sanctioned_drop(ch, pkt.vl, pkt.blocks());
-                    a.note_credit_pending(ch, pkt.vl, pkt.blocks());
-                }
-                let rev = self.channels[self.channels[ch as usize].reverse as usize];
-                let at = now + rev.delay + self.cfg.credit_latency;
-                let at = match &mut self.faults {
-                    Some(f) => {
-                        let base = self.cfg.link_bw.tx_time(pkt.bytes as u64);
-                        f.credit_release(ch, at, base)
-                    }
-                    None => at,
-                };
-                match self.channels[ch as usize].from {
-                    (Dev::Switch(up), up_port) => self.sched(
-                        at,
-                        Event::SwCredit {
-                            sw: up,
-                            port: up_port,
-                            vl: pkt.vl,
-                            blocks: pkt.blocks(),
-                        },
-                    ),
-                    (Dev::Hca(_), _) => unreachable!("HCA fed directly by an HCA"),
-                }
-                return;
-            }
         }
         let had_cnp_work;
         let start;
@@ -1579,13 +1400,6 @@ impl Network {
         }
         let rev = self.channels[self.channels[in_ch as usize].reverse as usize];
         let at = now + rev.delay + self.cfg.credit_latency;
-        let at = match &mut self.faults {
-            Some(f) => {
-                let base = self.cfg.link_bw.tx_time(pkt.bytes as u64);
-                f.credit_release(in_ch, at, base)
-            }
-            None => at,
-        };
         match self.channels[in_ch as usize].from {
             (Dev::Switch(up), up_port) => self.sched(
                 at,
@@ -1625,9 +1439,9 @@ mod tests {
         /// its fields hold, and no two events share a packed form.
         #[test]
         fn packed_events_round_trip(
-            (variant, x, handle) in (0u32..11, field(u32::MAX), field(u32::MAX)),
+            (variant, x, handle) in (0u32..10, field(u32::MAX), field(u32::MAX)),
             (port, vl, blocks) in (field(u16::MAX as u32), field(15), field(u32::MAX)),
-            other in (0u32..11, field(u32::MAX), field(u32::MAX)),
+            other in (0u32..10, field(u32::MAX), field(u32::MAX)),
         ) {
             let event = |variant: u32, x: u32, lo: u32| {
                 let (port, vl, h) = (port as u16, vl as Vl, PktHandle::from_bits(lo));
@@ -1641,8 +1455,7 @@ mod tests {
                     6 => Event::HcaTrySend { hca: x },
                     7 => Event::HcaCredit { hca: x, vl, blocks },
                     8 => Event::SinkDone { hca: x },
-                    9 => Event::CctiTick { hca: x },
-                    _ => Event::Fault { idx: x },
+                    _ => Event::CctiTick { hca: x },
                 }
             };
             let ev = event(variant, x, handle);

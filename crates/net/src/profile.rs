@@ -2,8 +2,8 @@
 //! wall-clock timing for the hot path, toggled by `--profile`.
 //!
 //! Each dispatched event is binned by the subsystem its event kind
-//! belongs to (routing, VL arbitration, injection, sink, CC timers,
-//! faults), plus the queue-pop, telemetry-sampling, audit and
+//! belongs to (routing, VL arbitration, injection, sink, CC timers),
+//! plus the queue-pop, telemetry-sampling, audit and
 //! shard-barrier paths that run between events.
 //!
 //! **Counts are exact, timing is sampled.** Every pop and every
@@ -75,8 +75,6 @@ pub enum Subsystem {
     Sink,
     /// CC recovery timers (`CctiTick`).
     Cc,
-    /// Fault-schedule transitions (`Fault`).
-    Fault,
     /// Telemetry boundary sampling.
     Telemetry,
     /// Invariant-oracle passes.
@@ -85,7 +83,7 @@ pub enum Subsystem {
     Barrier,
 }
 
-pub const N_SUBSYSTEMS: usize = 10;
+pub const N_SUBSYSTEMS: usize = 9;
 
 /// One batch in this many is timed. Prime, so the stride cannot lock
 /// onto a power-of-two or decimal period in the event stream.
@@ -99,7 +97,6 @@ impl Subsystem {
         Subsystem::Inject,
         Subsystem::Sink,
         Subsystem::Cc,
-        Subsystem::Fault,
         Subsystem::Telemetry,
         Subsystem::Audit,
         Subsystem::Barrier,
@@ -122,7 +119,6 @@ impl Subsystem {
             Subsystem::Inject => "inject",
             Subsystem::Sink => "sink",
             Subsystem::Cc => "cc",
-            Subsystem::Fault => "fault",
             Subsystem::Telemetry => "telemetry",
             Subsystem::Audit => "audit",
             Subsystem::Barrier => "barrier",
@@ -632,8 +628,8 @@ mod tests {
         assert!(r.bins.iter().all(|b| b.timed_calls <= b.calls));
         // An untouched bin reports zeros, not NaN; so does a profiler
         // that never ran.
-        let fault = bin(&r, "fault");
-        assert_eq!((fault.calls, fault.ns, fault.ns_per_call), (0, 0, 0.0));
+        let cc = bin(&r, "cc");
+        assert_eq!((cc.calls, cc.ns, cc.ns_per_call), (0, 0, 0.0));
         let idle = fake(5).report(0, LaneStats::default());
         assert_eq!((idle.coverage, idle.ns_per_event), (0.0, 0.0));
         // Serialises (the harness writes this as profile_{label}.json).

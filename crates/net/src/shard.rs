@@ -47,8 +47,8 @@
 //! master pool (a shard arena with a packet left over is a leak, and
 //! one freed twice trips the generation check — the `pool-paranoid`
 //! feature keeps that oracle in release builds), queues concatenate
-//! under their true keys, and fault statistics and audit ledgers —
-//! all pure per-event sums — add element-wise. The resulting
+//! under their true keys, and audit ledgers — pure per-event sums —
+//! add element-wise. The resulting
 //! [`Network::checkpoint`] is byte-identical to the serial engine's at
 //! every window boundary.
 //!
@@ -65,13 +65,8 @@
 //!
 //! # What falls back to the serial loop
 //!
-//! * **BECN-loss fault windows** — `drop_becn` draws from one shared
-//!   RNG stream in global CNP-arrival order ([`Network::set_shards`]
-//!   declines to install). Every other fault family (flap, pause,
-//!   drift) is per-device or consulted lazily by time and shards
-//!   cleanly.
-//! * **Telemetry and tracing** — `set_shards` declines while either is
-//!   armed, and arming one afterwards drops the split.
+//! Telemetry and tracing: [`Network::set_shards`] declines while
+//! either is armed, and arming one afterwards drops the split.
 
 use crate::network::{Dev, Ev, Event, Network};
 use crate::profile::{EngineProfiler, Subsystem};
@@ -79,7 +74,6 @@ use crate::state::EventState;
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
-use ibsim_faults::{FaultAction, FaultStats};
 use ibsim_topo::{partition_leaf_groups, Topology};
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
@@ -100,9 +94,6 @@ pub(crate) struct OwnerMap {
     /// Per channel: the shard of the channel's *destination* device
     /// (arrivals dispatch where the receiver lives).
     pub ch: Arc<Vec<u32>>,
-    /// Per fault-schedule transition: the affected HCA's shard for
-    /// pause/resume/drift, shard 0 for pure-bookkeeping transitions.
-    pub fault: Arc<Vec<u32>>,
 }
 
 impl OwnerMap {
@@ -117,7 +108,6 @@ impl OwnerMap {
             | Event::HcaCredit { hca, .. }
             | Event::SinkDone { hca }
             | Event::CctiTick { hca } => self.hca[hca as usize],
-            Event::Fault { idx } => self.fault[idx as usize],
         }
     }
 }
@@ -293,9 +283,6 @@ struct Flow {
     /// Timestamp of the last replayed dispatch (the serial queue's
     /// clock after `run_until`).
     now: Time,
-    /// Master fault statistics at split, the base every shard's delta
-    /// is measured against.
-    split_stats: Option<FaultStats>,
     audit_every: u64,
     /// Audit cadence position, stepped exactly as `NetAudit::due` would.
     next_at: u64,
@@ -391,27 +378,14 @@ impl Network {
     /// Must be called before the first event is dispatched (the split
     /// assumes it sees the whole initial state). A no-op — the run
     /// stays serial — when `n <= 1`, when the fabric has too few leaf
-    /// switches to cut, when a cross-shard cable has zero latency, when
-    /// the installed fault schedule contains BECN-loss windows (their
-    /// shared RNG stream draws in global CNP-arrival order), or when
-    /// telemetry or a tracer is armed (observers run serial; arming one
+    /// switches to cut, when a cross-shard cable has zero latency, or
+    /// when telemetry or a tracer is armed (observers run serial; arming one
     /// after this call drops the split too).
     pub fn set_shards(&mut self, topo: &Topology, n: usize) {
         assert!(!self.primed, "set_shards after the first event");
         self.shards = None;
         if n <= 1 || self.telemetry.is_some() || self.tracer.is_some() {
             return;
-        }
-        if let Some(f) = &self.faults {
-            let has_becn_loss = f.schedule().faults().iter().any(|tf| {
-                matches!(
-                    tf.action,
-                    FaultAction::BecnLossOpen { .. } | FaultAction::BecnLossClose { .. }
-                )
-            });
-            if has_becn_loss {
-                return;
-            }
         }
         let part = partition_leaf_groups(topo, n);
         if part.n <= 1 {
@@ -441,25 +415,10 @@ impl Network {
             // A zero-latency cut gives the windows no room to advance.
             return;
         }
-        let fault_owner: Vec<u32> = match &self.faults {
-            Some(f) => f
-                .schedule()
-                .faults()
-                .iter()
-                .map(|tf| match tf.action {
-                    FaultAction::Drift { hca, .. }
-                    | FaultAction::Pause { hca }
-                    | FaultAction::Resume { hca } => part.hca_shard[hca as usize],
-                    _ => 0,
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         let owners = OwnerMap {
             sw: Arc::new(part.switch_shard),
             hca: Arc::new(part.hca_shard),
             ch: Arc::new(ch_owner),
-            fault: Arc::new(fault_owner),
         };
         let nets = (0..part.n)
             .map(|s| {
@@ -523,8 +482,8 @@ impl Network {
     /// Move every piece of runtime state to its owning shard: devices
     /// swap out (the master keeps the shard's placeholders in their
     /// slots until the merge swaps them back), pending
-    /// events travel by value to their dispatch shard, fault state is
-    /// cloned (deltas merge back), and each shard gets a zero audit
+    /// events travel by value to their dispatch shard, and each shard
+    /// gets a zero audit
     /// ledger to accumulate its window updates into.
     fn split(&mut self, ex: &mut ShardExec) -> Flow {
         let snap = self.queue.snapshot();
@@ -558,7 +517,6 @@ impl Network {
                     sh.hcas[i].remap_pool(&mut self.pool, &mut sh.pool);
                 }
             }
-            sh.faults = self.faults.clone();
             sh.audit = self.audit.as_ref().map(|a| Box::new(a.fork()));
             // A private profiler iff profiling is on; its bins fold into
             // the master's at the merge.
@@ -598,7 +556,6 @@ impl Network {
             processed: snap.processed,
             last_pop: snap.last_pop,
             now: snap.now,
-            split_stats: self.faults.as_ref().map(|f| *f.stats()),
             audit_every: self.audit.as_ref().map_or(u64::MAX, |a| a.every),
             next_at,
             checks0,
@@ -610,12 +567,11 @@ impl Network {
 
     /// Undo the split after the windows have run: final prologues,
     /// devices home, shard arenas drained (conservation asserted),
-    /// queues concatenated under true keys, fault deltas and audit
-    /// ledgers summed, and the audit cadence patched to the position
-    /// the serial loop's periodic passes would have left it at.
+    /// queues concatenated under true keys, audit ledgers summed, and
+    /// the audit cadence patched to the position the serial loop's
+    /// periodic passes would have left it at.
     fn merge(&mut self, ex: &mut ShardExec, flow: &Flow) {
         let mut entries: Vec<(Time, u64, EventState)> = Vec::new();
-        let mut merged_stats = flow.split_stats;
         for s in 0..ex.n {
             let sh = ex.nets[s].get_mut().expect("no poisoned shard");
             // The last replay resolved this window's keys; fold the
@@ -659,12 +615,6 @@ impl Network {
                 m.absorb_queue(sh.shard_route.as_ref().expect("shard").win.lane_stats());
             }
             sh.queue.reset();
-            if let (Some(m), Some(f), Some(base)) =
-                (merged_stats.as_mut(), &sh.faults, &flow.split_stats)
-            {
-                add_stats_delta(m, f.stats(), base);
-            }
-            sh.faults = None;
             if let Some(a) = sh.audit.take() {
                 self.audit
                     .as_mut()
@@ -694,12 +644,6 @@ impl Network {
             last_pop: flow.last_pop,
             entries: installed,
         });
-        if let (Some(f), Some(stats)) = (self.faults.as_deref_mut(), merged_stats) {
-            let mut rt = f.runtime_state();
-            rt.stats = stats;
-            f.restore_runtime_state(&rt)
-                .expect("restoring onto the machine the state came from");
-        }
         if flow.crossings > 0 {
             // The serial loop ran a full pass at each cadence crossing;
             // one pass over the merged state checks the same ledgers
@@ -811,21 +755,6 @@ impl Network {
         }
         self.profiling(EngineProfiler::run_end);
     }
-}
-
-/// `merged += shard − base`, field by field: every counter is a pure
-/// sum of per-event increments, so per-shard deltas over the split
-/// snapshot add up to exactly what the serial loop would have counted.
-fn add_stats_delta(merged: &mut FaultStats, shard: &FaultStats, base: &FaultStats) {
-    merged.becn_dropped += shard.becn_dropped - base.becn_dropped;
-    merged.becn_spared += shard.becn_spared - base.becn_spared;
-    merged.credits_stalled += shard.credits_stalled - base.credits_stalled;
-    merged.credits_delayed += shard.credits_delayed - base.credits_delayed;
-    merged.flap_transitions += shard.flap_transitions - base.flap_transitions;
-    merged.becn_transitions += shard.becn_transitions - base.becn_transitions;
-    merged.drifts_applied += shard.drifts_applied - base.drifts_applied;
-    merged.pauses += shard.pauses - base.pauses;
-    merged.resumes += shard.resumes - base.resumes;
 }
 
 /// Run windows to `t` across all shards on T = min(shards, cores)

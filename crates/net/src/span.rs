@@ -21,7 +21,7 @@
 //! CNP queue is FIFO and its per-destination subsequence preserves
 //! order); the nth CNP `Deliver` pairs with the nth `CctiRaise` (they
 //! are recorded by the same drain event). Chains are truncated at the
-//! first missing link (e.g. a CNP lost to a fault window).
+//! first missing link (e.g. a CNP the trace never saw delivered).
 
 use crate::trace::{TracePoint, TraceRecord};
 use crate::types::NodeId;
@@ -564,7 +564,7 @@ mod tests {
     #[test]
     fn lost_cnp_truncates_the_chain() {
         let mut recs = chain_records();
-        // Drop the CNP deliver + raise + throttle (a CNP-loss fault).
+        // Drop the CNP deliver + raise + throttle (a lost CNP).
         recs.truncate(6);
         let chains = causal_chains(recs);
         assert_eq!(chains.len(), 1);

@@ -4,14 +4,14 @@
 //! ```text
 //! run_until(t); let s = net.checkpoint();
 //! // ... later, on a freshly built network with the same topology,
-//! // config, classes, faults, audit and telemetry ...
+//! // config, classes, audit and telemetry ...
 //! net2.restore(&s)?;  net2.run_until(h)
 //! ```
 //!
 //! produces byte-identical results to running the original network
 //! straight to `h`. The split between *configuration* (rebuilt from
 //! the topology, `NetConfig` and the scenario: wiring, LFTs,
-//! arbitration tables, class rates, fault schedules, metric layouts)
+//! arbitration tables, class rates, metric layouts)
 //! and *runtime state* (everything here) is deliberate: the checkpoint
 //! stays small and self-describing, and a restore against the wrong
 //! configuration fails loudly instead of silently diverging.
@@ -39,7 +39,6 @@ use crate::types::{Packet, Vl};
 use ibsim_engine::queue::EventQueue;
 use ibsim_engine::time::Time;
 use ibsim_engine::QueueSnapshot;
-use ibsim_faults::FaultRuntimeState;
 use serde::{Deserialize, Serialize};
 
 /// A pending event as checkpoints persist it: the in-memory [`Event`]
@@ -87,9 +86,6 @@ pub enum EventState {
     CctiTick {
         hca: u32,
     },
-    Fault {
-        idx: u32,
-    },
 }
 
 impl EventState {
@@ -125,7 +121,6 @@ impl EventState {
             Event::HcaCredit { hca, vl, blocks } => EventState::HcaCredit { hca, vl, blocks },
             Event::SinkDone { hca } => EventState::SinkDone { hca },
             Event::CctiTick { hca } => EventState::CctiTick { hca },
-            Event::Fault { idx } => EventState::Fault { idx },
         }
     }
 
@@ -159,7 +154,6 @@ impl EventState {
             EventState::HcaCredit { hca, vl, blocks } => Event::HcaCredit { hca, vl, blocks },
             EventState::SinkDone { hca } => Event::SinkDone { hca },
             EventState::CctiTick { hca } => Event::CctiTick { hca },
-            EventState::Fault { idx } => Event::Fault { idx },
         }
     }
 }
@@ -181,8 +175,6 @@ pub struct NetworkState {
     pub primed: bool,
     pub measuring_since: Option<Time>,
     pub measured_until: Option<Time>,
-    /// Fault-layer runtime overlay; present iff a schedule was installed.
-    pub faults: Option<FaultRuntimeState>,
     /// Invariant-oracle ledgers; present iff the audit was enabled.
     pub audit: Option<NetAuditState>,
     /// Telemetry sampler position and series; present iff enabled.
@@ -215,7 +207,6 @@ impl Network {
             primed: self.primed,
             measuring_since: self.measuring_since,
             measured_until: self.measured_until,
-            faults: self.faults.as_deref().map(|f| f.runtime_state()),
             audit: self.audit.as_deref().map(|a| a.state()),
             telemetry: self.telemetry.as_deref().map(|t| t.state()),
         }
@@ -225,7 +216,7 @@ impl Network {
     ///
     /// The receiver must be *configured* identically to the network the
     /// checkpoint was taken from — same topology and `NetConfig`, same
-    /// installed traffic classes, same fault schedule, audit cadence
+    /// installed traffic classes, same audit cadence
     /// and telemetry config — but not yet run (or run arbitrarily; all
     /// runtime state is overwritten). Mismatched geometry returns a
     /// structured error naming the first divergence; no panic, though a
@@ -244,20 +235,6 @@ impl Network {
                 s.hcas.len(),
                 self.hcas.len()
             ));
-        }
-        match (&s.faults, self.faults.is_some()) {
-            (Some(_), false) => {
-                return Err(
-                    "checkpoint carries fault runtime state but no schedule is installed".into(),
-                )
-            }
-            (None, true) => {
-                return Err(
-                    "a fault schedule is installed but the checkpoint carries no fault state"
-                        .into(),
-                )
-            }
-            _ => {}
         }
         match (&s.audit, self.audit.is_some()) {
             (Some(_), false) => {
@@ -291,9 +268,6 @@ impl Network {
         }
         for (h, hs) in self.hcas.iter_mut().zip(&s.hcas) {
             h.restore_state(hs, &mut self.pool)?;
-        }
-        if let (Some(f), Some(fs)) = (self.faults.as_deref_mut(), &s.faults) {
-            f.restore_runtime_state(fs)?;
         }
         if let (Some(a), Some(as_)) = (self.audit.as_deref_mut(), &s.audit) {
             a.restore_state(as_)?;

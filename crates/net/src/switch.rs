@@ -512,6 +512,14 @@ impl Switch {
         &self.cong[self.pv(port as usize, vl as usize)]
     }
 
+    /// The detector for output `(port, vl)`, writable: the audit's
+    /// arming tests desynchronise it from the VoQs.
+    #[cfg(test)]
+    pub(crate) fn cong_mut(&mut self, port: u16, vl: Vl) -> &mut PortVlCongestion {
+        let i = self.pv(port as usize, vl as usize);
+        &mut self.cong[i]
+    }
+
     /// Packets standing in all of this switch's VoQs.
     pub fn queued_packets(&self) -> usize {
         self.voqs.total()
@@ -530,7 +538,7 @@ impl Switch {
         }
     }
 
-    /// Fault-injection hook for oracle tests: silently discard the head
+    /// Loss hook for oracle tests: silently discard the head
     /// packet of the first non-empty VoQ fed by `in_port`, releasing its
     /// pool slot — the drop a buggy buffer manager could commit.
     /// Nothing ledgers it, so the conservation check must flag it.
@@ -734,13 +742,12 @@ impl Switch {
             .sum()
     }
 
-    /// Fault-injection hook for oracle tests: make `blocks` credits on
+    /// Corruption hook for oracle tests: make `blocks` credits on
     /// `out_port`/`vl` vanish without any packet movement — exactly the
-    /// corruption a refactor of the credit path could introduce. This is
-    /// an *unsanctioned* loss: unlike the scheduled faults in
-    /// `ibsim-faults`, nothing ledgers it, so the oracle must flag it.
-    /// Always compiled so integration tests can prove the oracle stays
-    /// armed while sanctioned faults are active.
+    /// corruption a refactor of the credit path could introduce.
+    /// Nothing ledgers it, so the oracle must flag it. Always compiled
+    /// so integration tests (the flight-recorder dump) can trip the
+    /// oracle too.
     pub fn leak_credits_for_test(&mut self, out_port: u16, vl: Vl, blocks: u32) {
         let credits = &mut self.lane_mut(out_port as usize, vl as usize).credits;
         *credits = credits.saturating_sub(blocks);

@@ -7,7 +7,7 @@
 //! the sampler fills and the flight ring the event hooks feed. The
 //! `Network` holds the whole thing behind `Option<Box<NetTelemetry>>`:
 //! disabled runs pay one `None` branch per event, exactly like the
-//! invariant oracle and the fault state. Every access after setup is
+//! invariant oracle. Every access after setup is
 //! plain `Vec` indexing: nothing hashes, looks up a name or allocates
 //! beyond the one row a sample pushes.
 //!
@@ -30,7 +30,7 @@ use std::fmt::Write as _;
 /// 1021 samples).
 const SAMPLE_CAPACITY: usize = 4096;
 /// Events the flight window keeps: deep enough for the causal context
-/// of a violation (marks, throttles and fault transitions of the last
+/// of a violation (marks, throttles and audit passes of the last
 /// few hundred microseconds under congestion).
 const FLIGHT_CAPACITY: usize = 1024;
 
@@ -74,14 +74,10 @@ pub enum FlightKind {
     Mark,
     /// A CNP reached its source and raised a flow's CCTI (throttle).
     Throttle,
-    /// A scheduled fault transition fired.
-    FaultTransition,
     /// A periodic or end-of-run audit pass completed.
     AuditPass,
-    /// An unsanctioned audit violation was raised.
+    /// An audit violation was raised.
     Violation,
-    /// A drill sample fell below its configured throughput floor.
-    FloorBreach,
     /// Free-form annotation from a runner (measurement marks etc.).
     Note,
 }
@@ -634,8 +630,8 @@ pub struct NetTelemetryState {
 
 /// The flight-recorder dump: the causal window of structured events
 /// plus the current metric sample — written as `flight_{run}.json`, and
-/// automatically (to `IBSIM_FLIGHT_DUMP`) when an audit raises an
-/// unsanctioned violation.
+/// automatically (to `IBSIM_FLIGHT_DUMP`) when an audit raises a
+/// violation.
 #[derive(Clone, Debug, Serialize)]
 pub struct FlightDump {
     pub at_ps: u64,

@@ -2,7 +2,7 @@
 //! purely observational (a telemetry-on run is bit-identical to a
 //! telemetry-off run), the cadence yields exactly floor(H/every)+1
 //! samples however the run is segmented, congestion is visible in the
-//! recorded series, and an unsanctioned audit violation dumps a flight
+//! recorded series, and an audit violation dumps a flight
 //! window with causal context.
 
 use ibsim_engine::time::{Time, TimeDelta};
@@ -128,12 +128,12 @@ fn violation_dump_carries_causal_context() {
 
     // A clean mid-run pass lands in the flight window.
     let clean = net.audit_checked();
-    assert!(!clean.has_unsanctioned());
+    assert!(clean.is_clean());
 
     // Sabotage the fabric: leak credits on the hot egress port.
     net.switches[0].leak_credits_for_test(0, 0, 3);
     let report = net.audit_checked();
-    assert!(report.has_unsanctioned(), "leak must be caught");
+    assert!(!report.is_clean(), "leak must be caught");
 
     let tel = net.telemetry().unwrap();
     let viol_seq = tel

@@ -2,7 +2,7 @@
 //! that dominate real InfiniBand fabrics, expressed on the same
 //! deterministic [`TrafficClass`] substrate as the paper's hotspot
 //! forests so every existing guarantee — byte-identical sharding,
-//! checkpoint/resume, fault schedules, the invariant audit — applies
+//! checkpoint/resume, the invariant audit — applies
 //! unchanged.
 //!
 //! * **Incast** — N:1 fan-in with optional request staggering, built

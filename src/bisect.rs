@@ -66,7 +66,7 @@ impl Divergence {
 /// as a JSON value. Hotspots stay fixed; the bisector compares fabrics
 /// under steady congestion, where CC behaviour differences surface.
 pub fn state_value_at(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, t: Time) -> Value {
-    let mut net = RunOptions::default().network(topo, cfg.clone(), None);
+    let mut net = RunOptions::default().network(topo, cfg.clone());
     let _sc = Scenario::install_opts(roles, &mut net, ibsim_net::PAPER_MSG_BYTES, true);
     net.run_until(t);
     net.checkpoint().to_value()

@@ -7,7 +7,7 @@
 //!
 //! One file per run: the name encodes the topology digest (switch /
 //! HCA / channel counts, VLs, seed, CC on/off) *and* a workload label
-//! (role split, durations, hotspot lifetime, fault count), because a
+//! (role split, durations, hotspot lifetime, contributors on or off), because a
 //! single binary runs many scenarios over the same fabric and seed.
 //! Runs with no matching file start from scratch, so a multi-run binary
 //! (Table II's four cells, a CC pair) resumes exactly the cells that
@@ -27,7 +27,7 @@
 //! file.
 
 use ibsim_engine::time::{Time, TimeDelta};
-use ibsim_net::{FaultSchedule, Network, NetworkState};
+use ibsim_net::{Network, NetworkState};
 use ibsim_traffic::RoleSpec;
 use serde::{Deserialize, Serialize, Value};
 use serde_json::Reader;
@@ -39,13 +39,13 @@ use std::sync::Mutex;
 use crate::experiment::RunDurations;
 use crate::options::RunOptions;
 
-/// Checkpoint format version — unchanged since the format landed, so
-/// every previously written checkpoint still restores. Bump on any
-/// incompatible change to the state tree's schema; restore refuses
-/// every other version with [`StateError::VersionMismatch`]. Version 2
-/// was the form of a since-retired second congestion-control backend,
-/// so the next bump takes 3.
-pub const FORMAT_VERSION: u32 = 1;
+/// Checkpoint format version. Bump on any incompatible change to the
+/// state tree's schema; restore refuses every other version with
+/// [`StateError::VersionMismatch`]. Version 1 carried a fault-injection
+/// overlay (a fault state per run, a sink-pause flag per HCA) that the
+/// fault-free fabric no longer has; version 2 was the form of a
+/// since-retired second congestion-control backend.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Leading magic string; guards against feeding arbitrary JSON (or a
 /// telemetry CSV) to the restore path.
@@ -216,7 +216,6 @@ pub fn encode(
         primed,
         measuring_since,
         measured_until,
-        faults,
         audit,
         telemetry,
     } = state;
@@ -233,7 +232,6 @@ pub fn encode(
     field(w, "primed", primed)?;
     field(w, "measuring_since", measuring_since)?;
     field(w, "measured_until", measured_until)?;
-    field(w, "faults", faults)?;
     field(w, "audit", audit)?;
     field(w, "telemetry", telemetry)?;
     w.write_all(b"}}")
@@ -363,10 +361,9 @@ pub fn run_label(
     dur: &RunDurations,
     hotspot_lifetime: Option<TimeDelta>,
     contributors_active: bool,
-    faults: Option<&FaultSchedule>,
 ) -> String {
     format!(
-        "r{}-{}-{}-{}-{}_w{}m{}_l{}_a{}_f{}",
+        "r{}-{}-{}-{}-{}_w{}m{}_l{}_a{}",
         roles.num_nodes,
         roles.num_hotspots,
         roles.b_pct,
@@ -376,7 +373,6 @@ pub fn run_label(
         dur.measure.as_ps(),
         hotspot_lifetime.map_or(0, |l| l.as_ps()),
         contributors_active as u8,
-        faults.map_or(0, |f| f.faults().len()),
     )
 }
 
@@ -538,7 +534,6 @@ mod tests {
             primed: false,
             measuring_since: None,
             measured_until: None,
-            faults: None,
             audit: None,
             telemetry: None,
         };
@@ -549,13 +544,18 @@ mod tests {
 
     #[test]
     fn version_bump_is_refused_with_structured_error() {
-        let mut h = CheckpointHeader::new(0, 0, digest());
-        h.version = FORMAT_VERSION + 1;
-        match decode(&text(&h)) {
-            Err(StateError::VersionMismatch { found, expected }) => {
-                assert_eq!((found, expected), (FORMAT_VERSION + 1, FORMAT_VERSION));
+        // 1 is the retired fault-overlay format, 2 the retired second
+        // backend's, 4 the next bump.
+        assert_eq!(FORMAT_VERSION, 3);
+        for version in [1, 2, FORMAT_VERSION + 1] {
+            let mut h = CheckpointHeader::new(0, 0, digest());
+            h.version = version;
+            match decode(&text(&h)) {
+                Err(StateError::VersionMismatch { found, expected }) => {
+                    assert_eq!((found, expected), (version, 3));
+                }
+                other => panic!("v{version}: want VersionMismatch, got {other:?}"),
             }
-            other => panic!("want VersionMismatch, got {other:?}"),
         }
     }
 

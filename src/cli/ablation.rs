@@ -95,7 +95,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         let (roles, dur) = (c.silent(), c.preset.durations());
         let results = sweep(threads, &cells, |(_, cfg)| {
             c.opts
-                .run_scenario(&c.topo, cfg.clone(), roles, dur, None, true, None)
+                .run_scenario(&c.topo, cfg.clone(), roles, dur, None, true)
         });
 
         let (header, rows) = table(

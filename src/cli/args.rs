@@ -5,7 +5,6 @@
 use super::Command;
 use crate::options::{OptionsError, RunOptions};
 use crate::preset::Preset;
-use ibsim_net::FaultSchedule;
 use ibsim_topo::{FatTree3Spec, FatTreeSpec, Topology};
 use ibsim_traffic::WorkloadSpec;
 use std::collections::HashMap;
@@ -169,21 +168,6 @@ impl Args {
             "fat3-54" => FatTree3Spec::QUICK_54.build(),
             _ => return Err(self.bad("fabric", "wants fat8|fat72|fat648|fat3-8|fat3-54")),
         })
-    }
-
-    /// `--faults SPEC` compiled against the run seed (see
-    /// `ibsim_faults::spec` for the grammar) with every selector inside
-    /// `topo`; `None` when absent.
-    pub fn faults(&self, seed: u64, topo: &Topology) -> Result<Option<FaultSchedule>, ArgError> {
-        let Some(spec) = self.text("faults") else {
-            return Ok(None);
-        };
-        FaultSchedule::from_spec(spec, seed)
-            .and_then(|s| {
-                s.check_fabric(topo.num_hcas, topo.num_channels())
-                    .map(|()| Some(s))
-            })
-            .map_err(|e| self.bad("faults", e))
     }
 
     /// `--workload SPEC` (`WorkloadSpec::parse` has the grammar) for

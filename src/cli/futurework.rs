@@ -52,7 +52,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
                 c_pct_of_rest: 80,
             };
             let dur = RunDurations::new_ms(2, 4);
-            pairs.push(opts.run_cc_pair(topo, &cfg, roles, dur, None, None));
+            pairs.push(opts.run_cc_pair(topo, &cfg, roles, dur, None));
         }
         let fairness = |f: Option<f64>| f.map_or_else(|| "-".into(), |f| format!("{f:.3}"));
         let (shown, rows) = table(

@@ -22,7 +22,7 @@ struct Point {
 /// One point's fabric, armed by the one arm like every other run:
 /// uniform traffic at `p.load_pct` from every node.
 fn point_network(opts: &RunOptions, topo: &Topology, cfg: &NetConfig, p: &Point) -> Network {
-    let mut net = opts.network(topo, with_cc(cfg, p.cc), None);
+    let mut net = opts.network(topo, with_cc(cfg, p.cc));
     for n in 0..topo.num_hcas as u32 {
         net.set_classes(
             n,

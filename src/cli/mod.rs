@@ -9,7 +9,6 @@
 mod ablation;
 mod args;
 mod bisect;
-mod faults;
 mod futurework;
 mod latency;
 mod moving;
@@ -33,8 +32,7 @@ use ibsim_traffic::RoleSpec;
 use std::path::Path;
 
 /// A checked command line, ready to run. `Err` is the message of a
-/// failure found while running (a file that cannot be written, a drill
-/// with unsanctioned violations).
+/// failure found while running (a file that cannot be written).
 pub type Job = Box<dyn FnOnce() -> Result<(), String>>;
 
 /// A declared flag: name, the default it takes when absent (empty when
@@ -123,7 +121,6 @@ const fn cmd(
 const PRESET: Flag = flag("preset", "quick", "quick|medium|paper (72/162/648 nodes)");
 const SEED: Flag = flag("seed", "458342622", "root seed of every random stream");
 const THREADS: Flag = flag("threads", "0", "cells run in parallel (0 = one per core)");
-const FAULTS: Flag = flag("faults", "", "fault schedule kind:key=val,…;… (README.md)");
 const HOTSPOTS: Flag = flag("hotspots", "", "hotspot count (default: the preset's)");
 const REPLICAS: Flag = flag("replicas", "1", "seeds per hotspot cell; > 1 adds a 95% CI");
 const X: Flag = flag("x", "25", "B-node percentage: 25/50/75/100 = fig 5/6/7/8");
@@ -132,9 +129,6 @@ const B: Flag = flag("b", "false", "100% B nodes instead (fig 10)");
 const P: Flag = flag("p", "60", "hotspot share of the B nodes' traffic, with --b");
 const PARAM: Flag = flag("param", "threshold", ablation::PARAMS);
 const MS: Flag = flag("ms", "2", "warmup and measure window, ms each");
-const DRILL: Flag = flag("faults", faults::DEFAULT_SPEC, "fault schedule (README.md)");
-const BIN_US: Flag = flag("bin-us", "250", "victim-throughput sampling bin, µs");
-const FLOOR: Flag = flag("floor", "", "victim Gbit/s floor to flight-record");
 const JSON: Flag = flag("json", "false", "print only the JSON result");
 const WL_PRESET: Flag = flag("preset", "", "take the preset's fabric and windows");
 const FABRIC: Flag = flag("fabric", "fat8", "fat8|fat72|fat648|fat3-8|fat3-54");
@@ -153,7 +147,7 @@ const PERTURB: Flag = flag("perturb", "threshold=7", bisect::PERTURB);
 const RESOLUTION: Flag = flag("resolution-us", "50", "stop at a window this narrow, µs");
 
 /// Every subcommand, in `ibsim help` order.
-pub static COMMANDS: [Command; 12] = [
+pub static COMMANDS: [Command; 11] = [
     cmd(
         "table2",
         "Table II: the silent forest, CC off and on, with and without hotspots",
@@ -163,13 +157,13 @@ pub static COMMANDS: [Command; 12] = [
     cmd(
         "windy",
         "Fig. 5-8: windy forests at x% B nodes, sweeping the hotspot share p",
-        &[PRESET, SEED, THREADS, X, FAULTS],
+        &[PRESET, SEED, THREADS, X],
         windy::plan,
     ),
     cmd(
         "moving",
         "Fig. 9-10: moving hotspots, sweeping their lifetime",
-        &[PRESET, SEED, THREADS, V, B, P, FAULTS],
+        &[PRESET, SEED, THREADS, V, B, P],
         moving::plan,
     ),
     cmd(
@@ -195,12 +189,6 @@ pub static COMMANDS: [Command; 12] = [
         "uniform load sweep: latency percentiles and throughput, CC off and on",
         &[PRESET, SEED, THREADS, MS],
         latency::plan,
-    ),
-    cmd(
-        "faults",
-        "fault drill: victim throughput and recovery across a fault window",
-        &[PRESET, SEED, DRILL, BIN_US, FLOOR],
-        faults::plan,
     ),
     Command {
         operand: "<spec.json>",

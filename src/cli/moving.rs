@@ -18,15 +18,12 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         let desc = format!("{v}% V / {}% C nodes (fig 9)", 100 - v);
         (desc, c.roles(0, 0, 100 - v), format!("moving_v{v}"))
     };
-    let faults = a.faults(c.seed, &c.topo)?;
     Ok(Box::new(move || {
         let dur = c.preset.moving_durations();
         let lives = c.preset.lifetimes();
         c.banner("moving", format_args!("{desc}, lifetimes={lives:?}"));
         let pairs = sweep(threads, &lives, |&life| {
-            let faults = faults.as_ref();
-            c.opts
-                .run_cc_pair(&c.topo, &c.cfg, roles, dur, Some(life), faults)
+            c.opts.run_cc_pair(&c.topo, &c.cfg, roles, dur, Some(life))
         });
 
         // Mbit/s, like the paper's axis.

@@ -37,8 +37,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         let cells = [(false, false), (true, false), (false, true), (true, true)];
         let results = sweep(threads, &cells, |&(cc, active)| {
             let cfg = with_cc(&c.cfg, cc);
-            c.opts
-                .run_scenario(&c.topo, cfg, roles, dur, None, active, None)
+            c.opts.run_scenario(&c.topo, cfg, roles, dur, None, active)
         });
         let (base_off, base_on, hs_off, hs_on) =
             (&results[0], &results[1], &results[2], &results[3]);

@@ -35,8 +35,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
             p.cct = Cct::populate(128, CctShape::Linear { step });
             let mut cfg = c.cfg.clone();
             cfg.cc = Some(p);
-            c.opts
-                .run_scenario(&c.topo, cfg, roles, dur, None, true, None)
+            c.opts.run_scenario(&c.topo, cfg, roles, dur, None, true)
         });
 
         // Pareto front over (victims ↑, hotspot ↑).

@@ -14,7 +14,6 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
     let c = Ctx::new(a)?;
     let threads = threads(a)?;
     let x = a.num("x", 0..=100u32)?;
-    let faults = a.faults(c.seed, &c.topo)?;
     Ok(Box::new(move || {
         let fig = match x {
             25 => "fig5",
@@ -27,8 +26,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         c.banner("windy", format_args!("{fig} x={x}% B, p in {ps:?}"));
         let pairs = sweep(threads, &ps, |&p| {
             let (roles, dur) = (c.roles(x, p, 80), c.preset.durations());
-            c.opts
-                .run_cc_pair(&c.topo, &c.cfg, roles, dur, None, faults.as_ref())
+            c.opts.run_cc_pair(&c.topo, &c.cfg, roles, dur, None)
         });
         let n = ps.len();
 

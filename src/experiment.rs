@@ -5,7 +5,7 @@
 use crate::checkpoint::run_label;
 use crate::options::{ClockPlan, RunOptions};
 use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
-use ibsim_net::{FaultSchedule, NetConfig, PAPER_MSG_BYTES};
+use ibsim_net::{NetConfig, PAPER_MSG_BYTES};
 use ibsim_topo::Topology;
 use ibsim_traffic::{RoleSpec, Scenario};
 use serde::Serialize;
@@ -68,16 +68,12 @@ pub struct ScenarioResult {
     /// Jain's fairness index over contributor shares at the hotspots
     /// (None when nothing reached a hotspot in the window).
     pub fairness: Option<f64>,
-    /// CNPs sanctioned-dropped by an installed fault schedule (0 when
-    /// the run had no faults).
-    pub sanctioned_becn_drops: u64,
     /// Events processed (simulator work, not a paper metric).
     pub events: u64,
 }
 
 /// Run one hotspot scenario under the ambient options (see
-/// [`RunOptions::run_scenario`]) with contributors active and no
-/// faults.
+/// [`RunOptions::run_scenario`]) with contributors active.
 pub fn run_scenario(
     topo: &Topology,
     cfg: NetConfig,
@@ -99,7 +95,7 @@ pub fn run_scenario_opts(
     contributors_active: bool,
 ) -> ScenarioResult {
     let (life, active) = (hotspot_lifetime, contributors_active);
-    RunOptions::ambient().run_scenario(topo, cfg, roles, dur, life, active, None)
+    RunOptions::ambient().run_scenario(topo, cfg, roles, dur, life, active)
 }
 
 impl RunOptions {
@@ -108,12 +104,8 @@ impl RunOptions {
     /// hotspot each `L` of simulated time (the stormy forests of §V-C),
     /// starting during warmup so the measured window sees steady-state
     /// churn. `contributors_active = false` silences the contributor
-    /// nodes (Table II's "no hotspots" rows). `faults` is installed
-    /// before the first event; `None` (or an empty schedule) is
-    /// bit-identical to a fault-free run. The end-of-run audit
-    /// tolerates sanctioned drops but fails the run on any
-    /// unsanctioned ledger violation.
-    #[allow(clippy::too_many_arguments)]
+    /// nodes (Table II's "no hotspots" rows). The end-of-run audit
+    /// fails the run on any ledger violation.
     pub fn run_scenario(
         &self,
         topo: &Topology,
@@ -122,16 +114,15 @@ impl RunOptions {
         dur: RunDurations,
         hotspot_lifetime: Option<TimeDelta>,
         contributors_active: bool,
-        faults: Option<&FaultSchedule>,
     ) -> ScenarioResult {
         let inj = cfg.inj_rate;
-        let mut net = self.network(topo, cfg, faults);
+        let mut net = self.network(topo, cfg);
         let mut sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, contributors_active);
         self.trace_hotspots(&mut net, &sc.assignment.hotspots);
 
         // A resumed run first replays the moves made before the capture:
         // the checkpoint does not carry class configuration.
-        let label = run_label(&roles, &dur, hotspot_lifetime, contributors_active, faults);
+        let label = run_label(&roles, &dur, hotspot_lifetime, contributors_active);
         let resumed = self.resume(&mut net, &label, |net, at| {
             let moves = hotspot_lifetime.map_or(0, |l| at.as_ps().saturating_sub(1) / l.as_ps());
             for _ in 0..moves {
@@ -175,7 +166,6 @@ impl RunOptions {
             latency_p50_us: to_us(lat.quantile(0.5)),
             latency_p99_us: to_us(lat.quantile(0.99)),
             fairness: sc.hotspot_fairness(&net),
-            sanctioned_becn_drops: net.sanctioned_becn_drops(),
             events: net.events_processed(),
         }
     }
@@ -208,13 +198,12 @@ pub fn run_cc_pair(
     dur: RunDurations,
     hotspot_lifetime: Option<TimeDelta>,
 ) -> CcComparison {
-    RunOptions::ambient().run_cc_pair(topo, base_cfg, roles, dur, hotspot_lifetime, None)
+    RunOptions::ambient().run_cc_pair(topo, base_cfg, roles, dur, hotspot_lifetime)
 }
 
 impl RunOptions {
-    /// Run the same scenario with CC off and on, injecting the same
-    /// fault schedule (if any) into both — so the comparison isolates
-    /// what CC buys, or costs, under identical degradation.
+    /// Run the same scenario with CC off and on over identical traffic,
+    /// so the comparison isolates what CC buys, or costs.
     pub fn run_cc_pair(
         &self,
         topo: &Topology,
@@ -222,7 +211,6 @@ impl RunOptions {
         roles: RoleSpec,
         dur: RunDurations,
         hotspot_lifetime: Option<TimeDelta>,
-        faults: Option<&FaultSchedule>,
     ) -> CcComparison {
         let mut cfg_off = base_cfg.clone();
         cfg_off.cc = None;
@@ -231,8 +219,8 @@ impl RunOptions {
             cfg_on.cc = Some(ibsim_cc::CcParams::paper_table1());
         }
         CcComparison {
-            off: self.run_scenario(topo, cfg_off, roles, dur, hotspot_lifetime, true, faults),
-            on: self.run_scenario(topo, cfg_on, roles, dur, hotspot_lifetime, true, faults),
+            off: self.run_scenario(topo, cfg_off, roles, dur, hotspot_lifetime, true),
+            on: self.run_scenario(topo, cfg_on, roles, dur, hotspot_lifetime, true),
         }
     }
 }

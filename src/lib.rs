@@ -44,7 +44,6 @@
 pub mod bisect;
 pub mod checkpoint;
 pub mod cli;
-pub mod drill;
 pub mod experiment;
 pub mod figures;
 pub mod options;
@@ -56,7 +55,6 @@ pub mod sweep;
 pub mod workload;
 
 pub use bisect::{bisect_divergence, perturb_cc, Divergence};
-pub use drill::DrillReport;
 pub use experiment::{
     run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
 };
@@ -69,7 +67,6 @@ pub use workload::{run_workload, WorkloadResult};
 
 /// One-stop imports for examples and binaries.
 pub mod prelude {
-    pub use crate::drill::DrillReport;
     pub use crate::experiment::{
         run_cc_pair, run_scenario, run_scenario_opts, CcComparison, RunDurations, ScenarioResult,
     };
@@ -82,9 +79,7 @@ pub mod prelude {
     pub use crate::workload::{run_workload, WorkloadResult};
     pub use ibsim_cc::{CcMode, CcParams, Cct, CctShape};
     pub use ibsim_engine::time::{Bandwidth, Time, TimeDelta};
-    pub use ibsim_net::{
-        parse_spec, DestPattern, FaultSchedule, NetConfig, Network, TrafficClass, PAPER_MSG_BYTES,
-    };
+    pub use ibsim_net::{DestPattern, NetConfig, Network, TrafficClass, PAPER_MSG_BYTES};
     pub use ibsim_topo::{single_switch, FatTree3Spec, FatTreeSpec, Topology, TorusSpec};
     pub use ibsim_traffic::{
         CollectiveAlgo, NodeRole, RoleAssignment, RoleSpec, Scenario, TraceGenSpec, TracePattern,

@@ -17,15 +17,15 @@
 //!   writes every artifact under it and runs the end-of-run audit.
 //!
 //! The runners ([`RunOptions::run_scenario`],
-//! [`RunOptions::run_workload`], [`RunOptions::run_drill`]) take the
+//! [`RunOptions::run_workload`]) take the
 //! value by reference; nothing here is a process-wide toggle, so two
 //! threads can run differently configured cells side by side.
 
 use crate::checkpoint::save_in;
 use ibsim_engine::time::{Time, TimeDelta, PS_PER_US};
 use ibsim_net::{
-    chrome_trace_json, records_csv, AuditReport, FaultSchedule, NetConfig, Network, NodeId,
-    TelemetryConfig, TraceRecord,
+    chrome_trace_json, records_csv, AuditReport, NetConfig, Network, NodeId, TelemetryConfig,
+    TraceRecord,
 };
 use ibsim_topo::Topology;
 use serde::{Deserialize, Serialize, Value};
@@ -194,7 +194,7 @@ pub(crate) struct ClockPlan {
     /// The measurement window's edges; `None` leaves them to the caller.
     pub open: Option<Time>,
     pub close: Option<Time>,
-    /// The caller's grid: hotspot epochs, workload segments, drill bins.
+    /// The caller's grid: hotspot epochs, workload segments.
     pub step: Option<TimeDelta>,
     /// The last edge, unless the caller ends the run first.
     pub end: Time,
@@ -356,17 +356,11 @@ impl RunOptions {
 
     /// The one arm: build the network for `cfg` and apply the options.
     /// The order — `Network::new`, audit, telemetry, trace,
-    /// profile, faults, shards — is part of the byte-identity contract
-    /// (the oracle and sampler must see an empty fabric, the shard
-    /// split must see the installed fault schedule). Telemetry and
+    /// profile, shards — is part of the byte-identity contract (the
+    /// oracle and sampler must see an empty fabric). Telemetry and
     /// tracing run serial: with either armed — here, or by
     /// [`RunOptions::trace_hotspots`] later — the run does not shard.
-    pub fn network(
-        &self,
-        topo: &Topology,
-        cfg: NetConfig,
-        faults: Option<&FaultSchedule>,
-    ) -> Network {
+    pub fn network(&self, topo: &Topology, cfg: NetConfig) -> Network {
         let mut net = Network::new(topo, cfg);
         if let Some(every) = self.audit {
             net.enable_audit(every);
@@ -382,13 +376,9 @@ impl RunOptions {
         if self.profile {
             net.enable_profile();
         }
-        if let Some(schedule) = faults {
-            net.install_faults(schedule.clone());
-        }
         if self.shards > 1 {
-            // Fabrics, schedules or observers the executor cannot split
-            // (one leaf group, BECN-loss faults, telemetry, tracing)
-            // silently stay serial.
+            // Fabrics or observers the executor cannot split (one leaf
+            // group, telemetry, tracing) silently stay serial.
             net.set_shards(topo, self.shards);
         }
         net

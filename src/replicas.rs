@@ -79,7 +79,7 @@ pub fn run_scenario_replicated(
 ) -> ReplicatedResult {
     let replicas = parallel_map(seeds, threads, |&seed| {
         let cfg = cfg.clone().with_seed(seed);
-        opts.run_scenario(topo, cfg, roles, dur, hotspot_lifetime, true, None)
+        opts.run_scenario(topo, cfg, roles, dur, hotspot_lifetime, true)
     });
     let pick = |f: fn(&ScenarioResult) -> f64| {
         Estimate::from_samples(&replicas.iter().map(f).collect::<Vec<_>>())

@@ -169,9 +169,7 @@ impl SimSpec {
         let opts = &self.options;
         let one = |cfg: NetConfig| match &self.workload {
             Some(wl) => SimResult::Workload(opts.run_workload(&topo, cfg, wl, dur)),
-            None => {
-                SimResult::Scenario(opts.run_scenario(&topo, cfg, roles, dur, life, true, None))
-            }
+            None => SimResult::Scenario(opts.run_scenario(&topo, cfg, roles, dur, life, true)),
         };
         let main = one(self.net.clone());
         let off = self.compare_cc_off.then(|| {

@@ -104,7 +104,7 @@ impl RunOptions {
         spec: &WorkloadSpec,
         dur: RunDurations,
     ) -> WorkloadResult {
-        let mut net = self.network(topo, cfg, None);
+        let mut net = self.network(topo, cfg);
         let mut wl = spec
             .install(&mut net)
             .unwrap_or_else(|e| panic!("workload install: {e}"));

@@ -236,7 +236,7 @@ fn traced_quick_cell_files() -> (Vec<u8>, Vec<u8>) {
         warmup: TimeDelta::from_us(300),
         measure: TimeDelta::from_us(300),
     };
-    opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true, None);
+    opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true);
     let read = |ext: &str| {
         let mut files: Vec<_> = std::fs::read_dir(&out)
             .unwrap()

@@ -3,7 +3,7 @@
 //! silent default — and the binary exits 2 for it.
 
 use ibsim::cli::{parse, ArgError, Args, COMMANDS};
-use ibsim::prelude::{FatTreeSpec, FaultSchedule, NetConfig, Network, WorkloadSpec};
+use ibsim::prelude::{FatTreeSpec, NetConfig, Network, WorkloadSpec};
 use ibsim_traffic::{TraceGenSpec, TracePattern};
 use proptest::prelude::*;
 use std::process::Command;
@@ -43,8 +43,9 @@ fn hostile_command_lines_are_refused_by_name() {
         ("workloads --workload bogus", "--workload", "bogus"),
         ("ablation --param nope", "--param", "nope"),
         ("tracegen", "<out.ibtr>", ""),
+        // The retired fault layer's flag and command.
         ("moving --faults nonsense", "--faults", "nonsense"),
-        ("faults --bin-us 0", "--bin-us", "0"),
+        ("faults --bin-us 0", "command", "faults"),
         // Used to run x = 25: an undeclared flag was ignored …
         ("windy --xx 50", "--xx", "50"),
         // … and a u32 was truncated.
@@ -280,21 +281,14 @@ fn the_binary_exits_2_on_a_bad_command_line() {
     // Each line, and what its error must name besides `error: `.
     for (line, names) in [
         ("windy --x 101", &[][..]),
-        ("faults --bin-us 0", &[]),
+        ("faults --bin-us 0", &["faults"]),
+        ("moving --faults nonsense", &["--faults", "nonsense"]),
         ("table2 --shards 0", &[]),
         ("table2 --trace-flows 9999:1", &[]),
         ("nope", &[]),
         (&simulate, &[]),
         (&simulate_far, &["workload", "dst 99", "8 end nodes"]),
         (&simulate_empty, &["workload", "bytes"]),
-        (
-            "windy --faults pause:hca=9999,at=1us,dur=1us",
-            &["--faults", "hca=9999", "72 HCAs"],
-        ),
-        (
-            "windy --faults flap:link=ch:999999,at=1us,dur=1us,factor=stall",
-            &["--faults", "ch:999999", "channels"],
-        ),
         (
             "workloads --workload incast:dst=0,fanin=2,bytes=0",
             &["--workload", "bytes"],
@@ -382,8 +376,6 @@ fn vocabulary() -> Vec<String> {
         "collective:algo=zz",
         "trace:",
         "trace:/nonexistent",
-        "flap:link=hca:1,at=3ms",
-        "becnloss:p=2",
         "nonsense",
         "configs/silent_forest.json",
         "/nonexistent.json",
@@ -420,12 +412,8 @@ proptest! {
     }
 }
 
-/// Valid specs of both value grammars, `--faults` and `--workload`.
-const SPECS: [&str; 8] = [
-    "flap:link=hca:1,at=3ms,dur=1ms,factor=0",
-    "becnloss:link=hcas,p=0.25,from=3ms,until=4ms;flap:link=ch:3,at=1us,dur=1us,factor=4",
-    "drift:hca=2,at=1ms,ccti_timer=100;pause:hca=3,at=2ms,dur=500us",
-    "becnloss:link=hca:7,every=3",
+/// Valid `--workload` specs.
+const SPECS: [&str; 4] = [
     "incast:dst=5,fanin=7,bytes=4096,msgs=16,stagger_ns=250",
     "eb:frag=2048,fanin=4,shifts=8,slot_us=20",
     "collective:algo=rd,bytes=65536,rounds=3,slot_us=50",
@@ -434,12 +422,11 @@ const SPECS: [&str; 8] = [
 
 proptest! {
     /// Arbitrary text, and valid specs with one value swapped, noise
-    /// spliced in or the tail cut, through both grammars: the fault
-    /// parser, and the workload parser plus `install` on an 8-node fat
-    /// tree, return `Ok` or a non-empty error and never unwind. A fault
-    /// schedule the fabric check passes installs.
+    /// spliced in or the tail cut: the workload parser plus `install`
+    /// on an 8-node fat tree return `Ok` or a non-empty error and never
+    /// unwind.
     #[test]
-    fn fault_and_workload_specs_never_unwind(
+    fn workload_specs_never_unwind(
         spec in 0usize..SPECS.len(),
         shape in 0u8..4,
         nth in 0usize..12,
@@ -448,8 +435,7 @@ proptest! {
         noise in prop::collection::vec(any::<u8>(), 0..12),
     ) {
         let valid = SPECS[spec];
-        let parses = FaultSchedule::from_spec(valid, 7).is_ok() || WorkloadSpec::parse(valid).is_ok();
-        prop_assert!(parses, "{valid} is not a valid spec");
+        prop_assert!(WorkloadSpec::parse(valid).is_ok(), "{valid} is not a valid spec");
         let noise = String::from_utf8_lossy(&noise).into_owned();
         let text = match shape {
             0 => noise,
@@ -468,14 +454,6 @@ proptest! {
             _ => valid[..nth * valid.len() / 11].to_string(),
         };
         let topo = FatTreeSpec::TEST_8.build();
-        match FaultSchedule::from_spec(&text, 7) {
-            Err(e) => prop_assert!(!e.is_empty(), "{text}"),
-            Ok(schedule) => {
-                if schedule.check_fabric(topo.num_hcas, topo.num_channels()).is_ok() {
-                    Network::new(&topo, NetConfig::paper()).install_faults(schedule);
-                }
-            }
-        }
         match WorkloadSpec::parse(&text) {
             Err(e) => prop_assert!(!e.is_empty(), "{text}"),
             Ok(wl) => {

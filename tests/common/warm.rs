@@ -3,8 +3,8 @@
 //! The expensive part of most integration tests is simulating the
 //! warmup window — identical for every invocation at the same topology,
 //! seed and workload. This fixture caches that prefix as checkpoints
-//! under `target/warm-checkpoints/` (wiped by `cargo clean`, rebuilt on
-//! a miss) in two forms:
+//! under `target/warm-checkpoints/v<FORMAT_VERSION>/` (wiped by `cargo
+//! clean`, rebuilt on a miss) in two forms:
 //!
 //! * [`warm_until`] — library-level: fast-forward a freshly configured
 //!   `Network` to `t`, restoring the cached prefix when one matches
@@ -19,9 +19,9 @@
 //! Round trips are byte-identical (pinned by `checkpoint_roundtrip.rs`),
 //! so cached runs produce exactly the numbers a cold run would — as
 //! long as the cache is *fresh*. A behaviour-changing edit makes cached
-//! prefixes stale, and a format-changing one makes them fail to load
-//! (the test panics naming the file); `rm -rf target/warm-checkpoints`
-//! (or `cargo clean`) after such edits. CI always starts cold.
+//! prefixes stale: `rm -rf target/warm-checkpoints` (or `cargo clean`)
+//! after such edits. A format version bump starts a fresh directory, so
+//! files of another version are never read. CI always starts cold.
 
 #![allow(dead_code)] // each test binary uses the half it needs
 
@@ -32,6 +32,7 @@ pub fn warm_dir() -> PathBuf {
     std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("target")
         .join("warm-checkpoints")
+        .join(format!("v{}", ibsim::checkpoint::FORMAT_VERSION))
 }
 
 /// Fast-forward `net` (freshly built, classes installed, not yet run)

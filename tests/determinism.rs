@@ -17,19 +17,16 @@ use ibsim::prelude::*;
 /// Runs under the ambient options, so the CI audit and shard legs
 /// reach every pin built on it.
 fn table2_csv(topo: &Topology, cfg: &NetConfig, roles: RoleSpec, dur: RunDurations) -> String {
-    table2_csv_under(RunOptions::ambient(), topo, cfg, roles, dur, None)
+    table2_csv_under(RunOptions::ambient(), topo, cfg, roles, dur)
 }
 
-/// As [`table2_csv`] under explicit options, threading a fault schedule
-/// into every cell — the zero-fault byte-identity pin runs the same
-/// code path the fault drills use.
+/// As [`table2_csv`] under explicit options.
 fn table2_csv_under(
     opts: &RunOptions,
     topo: &Topology,
     cfg: &NetConfig,
     roles: RoleSpec,
     dur: RunDurations,
-    faults: Option<&FaultSchedule>,
 ) -> String {
     let f3 = |x: f64| format!("{x:.3}");
     // (cc, contributors_active) — the four cells of Table II.
@@ -41,7 +38,7 @@ fn table2_csv_under(
             if !cc {
                 c.cc = None;
             }
-            opts.run_scenario(topo, c, roles, dur, None, active, faults)
+            opts.run_scenario(topo, c, roles, dur, None, active)
         })
         .collect();
     let (base_off, base_on, hs_off, hs_on) = (&results[0], &results[1], &results[2], &results[3]);
@@ -126,58 +123,7 @@ fn tiny_dur() -> RunDurations {
 /// The tiny Table II CSV under explicit options.
 fn tiny_csv_under(opts: &RunOptions, topo: &Topology) -> String {
     let (roles, dur) = (tiny_roles(topo), tiny_dur());
-    table2_csv_under(opts, topo, &NetConfig::paper(), roles, dur, None)
-}
-
-/// A compiled *zero-fault* schedule must be invisible: the run through
-/// the fault-aware entry point reproduces the pinned CSV byte for byte.
-/// An empty spec installing anything at all — an extra event, a
-/// different RNG draw — would shift the numbers and fail the exact
-/// string compare against the same pin `tiny_table2_csv_is_pinned`
-/// guards.
-#[test]
-fn zero_fault_schedule_is_byte_identical() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let empty = FaultSchedule::from_spec("", 0x1B51_C0DE).expect("empty spec");
-    assert!(empty.is_empty());
-    let with = table2_csv_under(
-        RunOptions::ambient(),
-        &topo,
-        &NetConfig::paper(),
-        tiny_roles(&topo),
-        tiny_dur(),
-        Some(&empty),
-    );
-    let without = table2_csv(&topo, &NetConfig::paper(), tiny_roles(&topo), tiny_dur());
-    assert_eq!(with, without, "an empty schedule must be a true no-op");
-}
-
-/// Same seed + same fault schedule replays identically — the fault
-/// RNG stream, window bookkeeping, and event interleaving are all
-/// deterministic. A different fault seed must change *something* (the
-/// BECN coin flips land differently).
-#[test]
-fn faulted_runs_replay_identically() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let run = |seed: u64| {
-        let schedule = FaultSchedule::from_spec(
-            "becnloss:link=hcas,p=0.5;flap:link=hca:1,at=300us,dur=100us,factor=stall",
-            seed,
-        )
-        .expect("valid spec");
-        let r = RunOptions::ambient().run_scenario(
-            &topo,
-            NetConfig::paper(),
-            tiny_roles(&topo),
-            tiny_dur(),
-            None,
-            true,
-            Some(&schedule),
-        );
-        serde_json::to_string(&r).expect("serialise result")
-    };
-    assert_eq!(run(7), run(7), "same seed+schedule must be bit-identical");
-    assert_ne!(run(7), run(8), "the fault seed must matter");
+    table2_csv_under(opts, topo, &NetConfig::paper(), roles, dur)
 }
 
 /// Telemetry is purely observational: sampling at a 100 µs cadence
@@ -234,7 +180,7 @@ fn telemetry_artifacts_are_pinned() {
         ..RunOptions::default()
     };
     let (roles, dur) = (tiny_roles(&topo), tiny_dur());
-    opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true, None);
+    opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true);
     let hash_of = |prefix: &str| -> u64 {
         let files: Vec<_> = std::fs::read_dir(&dir)
             .expect("telemetry out dir exists")
@@ -376,7 +322,7 @@ fn quick_preset_table2_csv_hash_is_pinned() {
 
 /// The quick preset again, on 4 shards, against the *same* pinned hash
 /// the serial test guards: a genuinely sharded 72-node run (no
-/// telemetry, no faults — nothing forces the serial fallback) lands on
+/// telemetry, no tracing — nothing forces the serial fallback) lands on
 /// the published numbers bit for bit.
 #[test]
 #[ignore = "simulates 24 ms of fabric time across 4 cells; run with --release -- --ignored"]
@@ -395,7 +341,7 @@ fn quick_preset_table2_csv_hash_is_pinned_sharded() {
         shards: 4,
         ..RunOptions::default()
     };
-    let csv = table2_csv_under(&opts, &topo, &cfg, roles, preset.durations(), None);
+    let csv = table2_csv_under(&opts, &topo, &cfg, roles, preset.durations());
     assert_eq!(
         fnv1a(csv.as_bytes()),
         0x9abd_45e6_1b8e_c195,

@@ -93,7 +93,7 @@ fn sources_layer_and_unsupported_keys_are_refused() {
 #[test]
 fn network_arms_what_the_options_say_and_nothing_else() {
     let topo = FatTreeSpec::TEST_8.build();
-    let plain = RunOptions::default().network(&topo, NetConfig::paper(), None);
+    let plain = RunOptions::default().network(&topo, NetConfig::paper());
     assert!(!plain.audit_enabled() && !plain.telemetry_enabled() && !plain.profile_enabled());
     assert!(plain.tracer().is_none());
     assert_eq!(plain.shard_count(), 1);
@@ -106,13 +106,13 @@ fn network_arms_what_the_options_say_and_nothing_else() {
         ("profile", "true"),
     ])
     .unwrap();
-    let net = opts.network(&topo, NetConfig::paper(), None);
+    let net = opts.network(&topo, NetConfig::paper());
     assert!(net.audit_enabled() && net.telemetry_enabled() && net.profile_enabled());
     // Observers run serial.
     assert!(net.tracer().is_some() && net.shard_count() == 1);
     // Without them the same shards, audit and profile split the fabric.
     let unobserved = set_all(&[("audit", "true"), ("shards", "4"), ("profile", "true")]).unwrap();
-    let net = unobserved.network(&topo, NetConfig::paper(), None);
+    let net = unobserved.network(&topo, NetConfig::paper());
     assert!(net.audit_enabled() && net.profile_enabled());
     assert!(!net.telemetry_enabled() && net.tracer().is_none());
     assert!(net.shard_count() > 1);
@@ -120,7 +120,7 @@ fn network_arms_what_the_options_say_and_nothing_else() {
     let single = single_switch(4, 2);
     assert_eq!(
         unobserved
-            .network(&single, NetConfig::paper(), None)
+            .network(&single, NetConfig::paper())
             .shard_count(),
         1
     );
@@ -138,7 +138,7 @@ fn finish_writes_one_labelled_set_and_nothing_when_unarmed() {
     opts.out = dir.clone();
     let topo = single_switch(8, 4);
     let run = |opts: &RunOptions| {
-        let mut net = opts.network(&topo, NetConfig::paper(), None);
+        let mut net = opts.network(&topo, NetConfig::paper());
         for n in 1..4 {
             net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
         }
@@ -305,7 +305,7 @@ fn every_label_of_a_parallel_sweep_owns_a_complete_artifact_set() {
         } else {
             NetConfig::paper_no_cc()
         };
-        opts.run_scenario(&topo, cfg, roles, dur, None, true, None)
+        opts.run_scenario(&topo, cfg, roles, dur, None, true)
     });
 
     let mut by_label: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();

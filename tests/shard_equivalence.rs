@@ -3,17 +3,16 @@
 //! The contract under test is absolute: for every shard count, running
 //! a fabric through `Network::set_shards(topo, n)` produces state
 //! **byte-identical** to the serial engine at every `run_until`
-//! boundary — same event order, same RNG draws, same fault bookkeeping,
-//! same audit cadence, same queue keys. Equality is checked on the full
+//! boundary — same event order, same RNG draws, same audit cadence,
+//! same queue keys. Equality is checked on the full
 //! [`NetworkState`] tree, which is strictly stronger than comparing
 //! end-of-run CSVs; on a mismatch the panic names the first diverging
 //! field via `ibsim::bisect::diff_values`.
 //!
-//! Also here: the serial-fallback boundaries (single leaf group,
-//! BECN-loss schedules, armed observers), cross-shard packet-arena
-//! conservation (the
-//! merge asserts every shard arena drains; `--features pool-paranoid`
-//! keeps the double-free generation check in release builds), and a
+//! Also here: the serial-fallback boundaries (single leaf group, armed
+//! observers), cross-shard packet-arena conservation (the merge
+//! asserts every shard arena drains; `--features pool-paranoid` keeps
+//! the double-free generation check in release builds), and a
 //! 20-repetition same-seed run asserting thread-schedule jitter never
 //! leaks into results.
 
@@ -23,35 +22,23 @@ use ibsim_net::{records_csv, NetworkState, ProfileReport, Subsystem, TelemetryCo
 use proptest::prelude::*;
 use serde::Serialize;
 
-/// The non-BECN fault families: flap (credit stall), drift (rate
-/// degradation), pause/resume. All shard cleanly — they are per-device
-/// or consulted lazily by time — so none of them force serial.
-const SHARDABLE_FAULTS: &str = "flap:link=hca:1,at=300us,dur=100us,factor=stall;\
-     drift:hca=2,at=150us,ccti_timer=2;pause:hca=3,at=200us,dur=150us";
-
 /// A configured fabric: fat tree, one hotspot, CC as requested,
-/// optional fault schedule, optional audit. Deterministic: two calls
-/// build identical nets.
-fn loaded_net(topo: &Topology, seed: u64, cc: bool, faults: Option<&str>, audit: bool) -> Network {
+/// optional audit. Deterministic: two calls build identical nets.
+fn loaded_net(topo: &Topology, seed: u64, cc: bool, audit: bool) -> Network {
     let mut cfg = NetConfig::paper().with_seed(seed);
     if !cc {
         cfg.cc = None;
     }
-    loaded_net_with(topo, cfg, faults, audit)
+    loaded_net_with(topo, cfg, audit)
 }
 
 /// [`loaded_net`] under a configuration of the caller's.
-fn loaded_net_with(topo: &Topology, cfg: NetConfig, faults: Option<&str>, audit: bool) -> Network {
-    let seed = cfg.seed;
+fn loaded_net_with(topo: &Topology, cfg: NetConfig, audit: bool) -> Network {
     let mut net = Network::new(topo, cfg);
     if audit {
         // Short cadence: several boundaries fall inside every window
         // sweep below, pinning the replayed `NetAudit::due` positions.
         net.enable_audit(10_000);
-    }
-    if let Some(spec) = faults {
-        let schedule = FaultSchedule::from_spec(spec, seed).expect("valid fault spec");
-        net.install_faults(schedule);
     }
     let roles = RoleSpec {
         num_nodes: topo.num_hcas,
@@ -99,15 +86,14 @@ fn assert_equivalent(
     topo: &Topology,
     seed: u64,
     cc: bool,
-    faults: Option<&str>,
     audit: bool,
     n: usize,
     captures: &[Time],
 ) {
-    let mut serial = loaded_net(topo, seed, cc, faults, audit);
+    let mut serial = loaded_net(topo, seed, cc, audit);
     let want = trace(&mut serial, captures);
 
-    let mut sharded = loaded_net(topo, seed, cc, faults, audit);
+    let mut sharded = loaded_net(topo, seed, cc, audit);
     sharded.set_shards(topo, n);
     let got = trace(&mut sharded, captures);
 
@@ -116,7 +102,7 @@ fn assert_equivalent(
             let diffs = diff_values(&w.to_value(), &g.to_value(), 10);
             panic!(
                 "shards={n} diverged from serial at capture {} of {} \
-                 (t={:?}, seed={seed} cc={cc} faults={faults:?} audit={audit}):\n{}",
+                 (t={:?}, seed={seed} cc={cc} audit={audit}):\n{}",
                 i + 1,
                 captures.len(),
                 captures[i],
@@ -143,25 +129,8 @@ fn fat8_matches_serial_across_shard_counts() {
     // The full {2,4,8} × {off,on} grid runs in the ignored release
     // sweep; the everyday matrix covers both CC modes and the extremes.
     for (n, cc) in [(2, false), (2, true), (8, false), (8, true)] {
-        assert_equivalent(&topo, 0x1B51_C0DE, cc, None, false, n, &captures);
+        assert_equivalent(&topo, 0x1B51_C0DE, cc, false, n, &captures);
     }
-}
-
-/// Flap + drift schedules shard: per-shard fault-state clones replay
-/// the same windows, and the merged statistics equal the serial count.
-#[test]
-fn fat8_with_faults_matches_serial() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let captures = [us(250), us(500)];
-    assert_equivalent(
-        &topo,
-        0x1B51_C0DE,
-        true,
-        Some(SHARDABLE_FAULTS),
-        false,
-        4,
-        &captures,
-    );
 }
 
 /// The invariant oracle's cadence and ledgers survive sharding: the
@@ -171,16 +140,8 @@ fn fat8_with_faults_matches_serial() {
 fn fat8_with_audit_matches_serial() {
     let topo = FatTreeSpec::TEST_8.build();
     let captures = [us(200), us(500)];
-    assert_equivalent(&topo, 0x1B51_C0DE, true, None, true, 2, &captures);
-    assert_equivalent(
-        &topo,
-        0x1B51_C0DE,
-        true,
-        Some(SHARDABLE_FAULTS),
-        true,
-        4,
-        &captures,
-    );
+    assert_equivalent(&topo, 0x1B51_C0DE, true, true, 2, &captures);
+    assert_equivalent(&topo, 0x1B51_C0DE, true, true, 4, &captures);
 }
 
 /// A CCTI_Min above 0 gates every send, so IB CC flow entries are made
@@ -192,7 +153,7 @@ fn fat8_with_a_ccti_floor_matches_serial() {
     let floored = |n: usize| {
         let mut cfg = NetConfig::paper().with_seed(0x1B51_C0DE);
         cfg.cc.as_mut().expect("CC on").ccti_min = 2;
-        let mut net = loaded_net_with(&topo, cfg, None, true);
+        let mut net = loaded_net_with(&topo, cfg, true);
         if n > 1 {
             net.set_shards(&topo, n);
             assert_eq!(net.shard_count(), n);
@@ -228,7 +189,7 @@ fn fat72_matches_serial() {
     let topo = FatTreeSpec::QUICK_72.build();
     let captures = [us(80), us(200)];
     for n in [2, 4] {
-        assert_equivalent(&topo, 0x1B51_C0DE, true, None, false, n, &captures);
+        assert_equivalent(&topo, 0x1B51_C0DE, true, false, n, &captures);
     }
 }
 
@@ -241,24 +202,9 @@ fn fat72_matches_serial() {
 #[test]
 fn single_switch_declines_to_shard() {
     let topo = single_switch(8, 2);
-    let mut net = loaded_net(&topo, 3, true, None, false);
+    let mut net = loaded_net(&topo, 3, true, false);
     net.set_shards(&topo, 4);
     assert_eq!(net.shard_count(), 1);
-}
-
-/// BECN-loss windows draw from one shared RNG stream in global
-/// CNP-arrival order; the executor declines rather than approximate.
-/// (The run still works — serially.)
-#[test]
-fn becn_loss_schedule_declines_to_shard() {
-    let topo = FatTreeSpec::TEST_8.build();
-    let spec = "becnloss:link=hcas,p=0.5";
-    let mut net = loaded_net(&topo, 3, true, Some(spec), false);
-    net.set_shards(&topo, 4);
-    assert_eq!(net.shard_count(), 1);
-
-    // And an equivalence run through the public path is trivially exact.
-    assert_equivalent(&topo, 3, true, Some(spec), false, 4, &[us(400)]);
 }
 
 /// Telemetry and the tracer run on the serial loop only: arming either
@@ -270,12 +216,12 @@ fn becn_loss_schedule_declines_to_shard() {
 #[test]
 fn observation_declines_to_shard() {
     let topo = FatTreeSpec::TEST_8.build();
-    let mut net = loaded_net(&topo, 3, true, None, true);
+    let mut net = loaded_net(&topo, 3, true, true);
     net.enable_telemetry(TelemetryConfig::every(TimeDelta::from_us(50)));
     net.set_shards(&topo, 4);
     assert_eq!(net.shard_count(), 1, "telemetry armed before set_shards");
 
-    let mut net = loaded_net(&topo, 3, true, None, true);
+    let mut net = loaded_net(&topo, 3, true, true);
     net.set_shards(&topo, 4);
     assert_eq!(net.shard_count(), 4);
     net.enable_trace([(1, 0)]);
@@ -296,7 +242,7 @@ fn observation_declines_to_shard() {
         b_p: 0,
         c_pct_of_rest: 80,
     };
-    let mut net = traced.network(&topo, NetConfig::paper(), None);
+    let mut net = traced.network(&topo, NetConfig::paper());
     let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
     traced.trace_hotspots(&mut net, &sc.assignment.hotspots);
     assert!(net.tracer().is_some());
@@ -308,7 +254,7 @@ fn observation_declines_to_shard() {
     };
     let barrier_calls = |opts: &RunOptions| {
         std::fs::remove_dir_all(&out).ok();
-        opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true, None);
+        opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true);
         let profile = std::fs::read_dir(&out)
             .unwrap()
             .map(|e| e.unwrap().path())
@@ -342,10 +288,10 @@ fn observation_declines_to_shard() {
 #[test]
 fn one_shard_is_serial() {
     let topo = FatTreeSpec::TEST_8.build();
-    let mut net = loaded_net(&topo, 3, true, None, false);
+    let mut net = loaded_net(&topo, 3, true, false);
     net.set_shards(&topo, 1);
     assert_eq!(net.shard_count(), 1);
-    assert_equivalent(&topo, 3, true, None, false, 1, &[us(300)]);
+    assert_equivalent(&topo, 3, true, false, 1, &[us(300)]);
 }
 
 // ---------------------------------------------------------------------
@@ -358,7 +304,7 @@ fn one_shard_is_serial() {
 /// self-profiler on (strictly observational — it must not perturb a
 /// single byte).
 fn observed_net(topo: &Topology) -> Network {
-    let mut net = loaded_net(topo, 0x1B51_C0DE, true, None, true);
+    let mut net = loaded_net(topo, 0x1B51_C0DE, true, true);
     let mut cfg = TelemetryConfig::every(TimeDelta::from_us(50));
     cfg.deterministic_wall = true;
     net.enable_telemetry(cfg);
@@ -371,7 +317,7 @@ fn observed_net(topo: &Topology) -> Network {
 /// [`observed_net`] without its observers — audit and profiler only —
 /// on `n` shards, genuinely.
 fn audited_net(topo: &Topology, n: usize) -> Network {
-    let mut net = loaded_net(topo, 0x1B51_C0DE, true, None, true);
+    let mut net = loaded_net(topo, 0x1B51_C0DE, true, true);
     net.enable_profile();
     net.set_shards(topo, n);
     assert!(net.shard_count() > 1, "the audited run shards genuinely");
@@ -475,7 +421,7 @@ fn sharded_profile_report_accounts_subsystems() {
 fn fat3_many_short_windows_match_serial_on_threads() {
     let topo = FatTree3Spec::QUICK_54.build();
     let captures = [us(25), us(60)];
-    let mut serial = loaded_net(&topo, 0x5EED_F354, true, None, true);
+    let mut serial = loaded_net(&topo, 0x5EED_F354, true, true);
     let mut cfg = TelemetryConfig::every(TimeDelta::from_us(5));
     cfg.deterministic_wall = true;
     serial.enable_telemetry(cfg);
@@ -493,7 +439,7 @@ fn fat3_many_short_windows_match_serial_on_threads() {
     assert!(flight.contains("AuditPass"), "audit passes were noted");
     assert!(trace.lines().count() > 100, "the flows traced");
     for n in [3, 5, 8] {
-        let mut net = loaded_net(&topo, 0x5EED_F354, true, None, true);
+        let mut net = loaded_net(&topo, 0x5EED_F354, true, true);
         net.set_shards(&topo, n);
         assert_eq!(net.shard_count(), n);
         for (&t, (_, wstate)) in captures.iter().zip(&want) {
@@ -587,13 +533,13 @@ fn uniform_traffic_matches_serial_and_rides_the_lanes() {
 fn same_seed_runs_are_jitter_free() {
     let topo = FatTreeSpec::TEST_8.build();
     let reference = {
-        let mut net = loaded_net(&topo, 0xD15C, true, Some(SHARDABLE_FAULTS), false);
+        let mut net = loaded_net(&topo, 0xD15C, true, false);
         net.set_shards(&topo, 4);
         net.run_until(us(500));
         serde_json::to_string(&net.checkpoint()).expect("serialise")
     };
     for rep in 0..19 {
-        let mut net = loaded_net(&topo, 0xD15C, true, Some(SHARDABLE_FAULTS), false);
+        let mut net = loaded_net(&topo, 0xD15C, true, false);
         net.set_shards(&topo, 4);
         net.run_until(us(500));
         let got = serde_json::to_string(&net.checkpoint()).expect("serialise");
@@ -608,22 +554,20 @@ fn same_seed_runs_are_jitter_free() {
 }
 
 // ---------------------------------------------------------------------
-// Property sweep: seeds × fabric × CC × faults × shard count.
+// Property sweep: seeds × fabric × CC × shard count.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Any seed, either fabric, either CC mode, any shardable fault
-    /// schedule, any shard count, two capture instants: parallel equals
-    /// serial, byte for byte.
+    /// Any seed, either fabric, either CC mode, any shard count, two
+    /// capture instants: parallel equals serial, byte for byte.
     #[test]
     #[ignore = "16 full runs incl. the 72-node fabric; run with --release -- --ignored"]
     fn sharded_equals_serial_everywhere(
         seed in 0u64..1_000,
         big in proptest::bool::ANY,
         cc in proptest::bool::ANY,
-        faulted in proptest::bool::ANY,
         n in 2usize..=8,
         mid_us in 50u64..=300,
     ) {
@@ -633,9 +577,7 @@ proptest! {
             FatTreeSpec::TEST_8.build()
         };
         let horizon = if big { 320 } else { 600 };
-        let faults = if faulted { Some(SHARDABLE_FAULTS) } else { None };
-        assert_equivalent(&topo, seed, cc, faults, false, n,
-                          &[us(mid_us), us(horizon)]);
+        assert_equivalent(&topo, seed, cc, false, n, &[us(mid_us), us(horizon)]);
     }
 }
 
@@ -643,17 +585,13 @@ proptest! {
 // Delivery marks: what a checkpoint derives against what was delivered.
 // ---------------------------------------------------------------------
 
-/// Two sink pauses, so deliveries stall while packets pile up in the
-/// paused sinks and behind them.
-const SINK_PAUSES: &str = "pause:hca=0,at=120us,dur=200us;pause:hca=5,at=260us,dur=150us";
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// The `last_seq` a checkpoint derives from the live packets and
     /// the senders' `tx_seq` equals a shadow table of the last data
     /// packet each pair delivered, kept from the tracer's deliveries:
-    /// TEST_8, CC on, sink pauses, audited, at random instants. The
+    /// TEST_8, CC on, audited, at random instants. The
     /// traced run is serial; an untraced run on two shards holds the
     /// same state at every instant. The flow-order ledger stays clean
     /// throughout.
@@ -664,10 +602,10 @@ proptest! {
         stops.sort_unstable();
         let topo = FatTreeSpec::TEST_8.build();
         let n = topo.num_hcas;
-        let mut net = loaded_net(&topo, 0x5EED, true, Some(SINK_PAUSES), true);
+        let mut net = loaded_net(&topo, 0x5EED, true, true);
         let all = n as u32;
         net.enable_trace((0..all).flat_map(|s| (0..all).map(move |d| (s, d))));
-        let mut sharded = loaded_net(&topo, 0x5EED, true, Some(SINK_PAUSES), true);
+        let mut sharded = loaded_net(&topo, 0x5EED, true, true);
         sharded.set_shards(&topo, 2);
         prop_assert_eq!(sharded.shard_count(), 2);
         let mut shadow = vec![vec![0u32; n]; n];
@@ -729,6 +667,6 @@ proptest! {
         // Stepping in small increments forces a fresh split/merge cycle
         // per step — each one a full conservation audit.
         let captures: Vec<Time> = (1..=5).map(|k| us(100 * k)).collect();
-        assert_equivalent(&topo, seed, true, None, false, n, &captures);
+        assert_equivalent(&topo, seed, true, false, n, &captures);
     }
 }
