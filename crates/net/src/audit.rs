@@ -684,25 +684,6 @@ mod tests {
     }
 
     #[test]
-    fn audit_does_not_perturb_the_simulation() {
-        let run = |audit: bool| {
-            let mut net = loaded_net(NetConfig::paper());
-            if audit {
-                net.enable_audit(500);
-            }
-            net.run_until(Time::from_us(300));
-            (
-                net.now(),
-                net.events_processed(),
-                net.total_injected_packets(),
-                net.total_delivered_packets(),
-                net.total_fecn_marks(),
-            )
-        };
-        assert_eq!(run(false), run(true), "the oracle must be observational");
-    }
-
-    #[test]
     fn injected_credit_leak_is_caught_and_named() {
         let mut net = loaded_net(NetConfig::paper());
         net.enable_audit(u64::MAX); // end-of-run pass only

@@ -18,13 +18,7 @@ struct Variant {
 fn main() {
     let preset = Preset::Quick;
     let topo = preset.topology();
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: preset.num_hotspots(),
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
+    let roles = RoleSpec::silent(topo.num_hcas, preset.num_hotspots());
     let dur = preset.durations();
 
     let table1 = CcParams::paper_table1();

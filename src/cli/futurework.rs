@@ -44,13 +44,7 @@ pub(super) fn plan(a: &Args) -> Result<Job, ArgError> {
         let mut pairs = Vec::new();
         for (_, topo) in &cases {
             topo.validate()?;
-            let roles = RoleSpec {
-                num_nodes: topo.num_hcas,
-                num_hotspots: 2,
-                b_pct: 0,
-                b_p: 0,
-                c_pct_of_rest: 80,
-            };
+            let roles = RoleSpec::silent(topo.num_hcas, 2);
             let dur = RunDurations::new_ms(2, 4);
             pairs.push(opts.run_cc_pair(topo, &cfg, roles, dur, None));
         }

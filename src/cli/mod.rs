@@ -318,7 +318,7 @@ impl Ctx {
 
     /// The silent forest: 80 % C nodes, 20 % V nodes.
     fn silent(&self) -> RoleSpec {
-        self.roles(0, 0, 80)
+        RoleSpec::silent(self.topo.num_hcas, self.preset.num_hotspots())
     }
 
     /// The stderr line a command starts with.

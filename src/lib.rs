@@ -23,13 +23,7 @@
 //!
 //! // An 8-node fat tree with one hotspot: the smallest congestion tree.
 //! let topo = FatTreeSpec::TEST_8.build();
-//! let roles = RoleSpec {
-//!     num_nodes: 8,
-//!     num_hotspots: 1,
-//!     b_pct: 0,
-//!     b_p: 0,
-//!     c_pct_of_rest: 80,
-//! };
+//! let roles = RoleSpec::silent(8, 1);
 //! let pair = run_cc_pair(
 //!     &topo,
 //!     &NetConfig::paper(),

@@ -127,13 +127,7 @@ mod tests {
     fn replication_runs_and_aggregates() {
         use crate::prelude::*;
         let topo = FatTreeSpec::TEST_8.build();
-        let roles = RoleSpec {
-            num_nodes: 8,
-            num_hotspots: 1,
-            b_pct: 0,
-            b_p: 0,
-            c_pct_of_rest: 80,
-        };
+        let roles = RoleSpec::silent(8, 1);
         let r = run_scenario_replicated(
             RunOptions::ambient(),
             &topo,

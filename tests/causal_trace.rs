@@ -16,44 +16,22 @@ use ibsim_net::{
     causal_chains, chrome_trace_json, records_csv, CausalChain, TracePoint, TraceRecord, Tracer,
 };
 
-/// Build the windy fabric with every contributor→hotspot flow traced,
-/// run warmup + measure, and hand back the network plus hotspot id.
+mod common;
+use common::{artifacts, fnv1a, scratch, trace_all, Desc};
+
+/// The windy fabric: TEST_8's silent forest at the default seed, run to
+/// 700 µs.
+fn windy() -> Desc {
+    Desc::silent(FatTreeSpec::TEST_8.build(), 1).at(&[700])
+}
+
+/// The windy run with every contributor→hotspot flow traced, and its
+/// hotspot.
 fn traced_windy_run() -> (Network, u32) {
-    let contributors = |n: u32, hotspot: u32| -> Vec<(u32, u32)> {
-        (0..n)
-            .filter(|&s| s != hotspot)
-            .map(|s| (s, hotspot))
-            .collect()
-    };
-    windy_run_tracing(contributors, 1)
-}
-
-/// The windy fabric tracing the flows `pick` chooses from the node
-/// count and the hotspot, with `shards` shards asked for before the
-/// tracer is armed (which keeps the run serial), run to 700 µs.
-fn windy_run_tracing(pick: impl Fn(u32, u32) -> Vec<(u32, u32)>, shards: usize) -> (Network, u32) {
-    let (mut net, hotspot) = windy_net(shards);
-    net.enable_trace(pick(net.hcas.len() as u32, hotspot));
-    assert_eq!(net.shard_count(), 1, "a tracer keeps the run serial");
+    let d = windy();
+    let mut net = d.build("trace_flows=hotspots");
     net.run_until(Time::from_us(700));
-    (net, hotspot)
-}
-
-/// The windy fabric on `shards` shards, not yet run, and its hotspot.
-fn windy_net(shards: usize) -> (Network, u32) {
-    let topo = FatTreeSpec::TEST_8.build();
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 1,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
-    let mut net = Network::new(&topo, NetConfig::paper());
-    let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
-    net.set_shards(&topo, shards);
-    assert_eq!(net.shard_count(), shards);
-    (net, sc.assignment.hotspots[0])
+    (net, d.hotspots()[0])
 }
 
 #[test]
@@ -162,24 +140,31 @@ fn csv_text(records: impl IntoIterator<Item = TraceRecord>) -> String {
 /// Tracing a few flows yields exactly the records a trace of every
 /// flow holds for them, context included: the per-hop sites skip
 /// untraced packets before building a record, and must skip no traced
-/// one, a CNP of a traced flow among them.
-/// Returns the traced run of every flow.
-fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) -> Network {
-    let every = |n: u32, _| (0..n).flat_map(|s| (0..n).map(move |d| (s, d))).collect();
-    let victims = |n: u32, hotspot: u32| -> Vec<(u32, u32)> {
-        (0..n)
-            .filter(|&s| s != hotspot)
-            .take(2)
-            .map(|s| (s, hotspot))
-            .collect()
-    };
-    let (wide, hotspot) = windy_run_tracing(every, shards);
-    let (narrow, _) = windy_run_tracing(victims, shards);
-    let filter = Tracer::for_flows(victims(8, hotspot));
-    let want: Vec<TraceRecord> = (wide.tracer().unwrap().records())
+/// one, a CNP of a traced flow among them. Both traced runs, asked for
+/// on `shards` shards, run serial and hold the untraced run's state, as
+/// do the `also` rows.
+fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize, also: &[&str]) {
+    let d = windy();
+    let hotspot = d.hotspots()[0];
+    let victims: Vec<(u32, u32)> = (0..8)
+        .filter(|&s| s != hotspot)
+        .take(2)
+        .map(|s| (s, hotspot))
+        .collect();
+    let narrow = victims.iter().map(|(s, d)| format!("{s}:{d}"));
+    let rows = [
+        format!("{} shards={shards}", trace_all(8)),
+        format!(
+            "trace_flows={} shards={shards}",
+            narrow.collect::<Vec<_>>().join(",")
+        ),
+    ];
+    let (_, nets) = d.check(&[&[rows[0].as_str(), &rows[1]], also].concat());
+    let filter = Tracer::for_flows(victims);
+    let want: Vec<TraceRecord> = (nets[0].tracer().unwrap().records())
         .filter(|r| filter.wants_packet(r.src, r.dst, r.cnp))
         .collect();
-    let got: Vec<TraceRecord> = narrow.tracer().unwrap().records().collect();
+    let got: Vec<TraceRecord> = nets[1].tracer().unwrap().records().collect();
     assert!(got.iter().any(|r| r.cnp), "the victims' CNPs are traced");
     assert!(
         got == want,
@@ -187,30 +172,19 @@ fn assert_narrow_trace_is_the_wide_trace_filtered(shards: usize) -> Network {
         got.len(),
         want.len()
     );
-    wide
 }
 
 #[test]
 fn narrow_trace_is_the_wide_trace_filtered() {
-    assert_narrow_trace_is_the_wide_trace_filtered(1);
+    assert_narrow_trace_is_the_wide_trace_filtered(1, &[]);
 }
 
 /// Traces asked for on two shards run serial and filter the same way;
-/// the untraced cell on two shards, genuinely split, ends in the traced
-/// run's state.
+/// the untraced cell on two shards, genuinely split, ends in the
+/// untraced serial state too.
 #[test]
 fn narrow_sharded_trace_is_the_wide_trace_filtered() {
-    let wide = assert_narrow_trace_is_the_wide_trace_filtered(2);
-    let (mut sharded, _) = windy_net(2);
-    sharded.run_until(Time::from_us(700));
-    assert!(sharded.checkpoint() == wide.checkpoint());
-}
-
-/// 64-bit FNV-1a: the fingerprint the trace pins compare.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    assert_narrow_trace_is_the_wide_trace_filtered(2, &["shards=2"]);
 }
 
 /// The trace files `RunOptions::finish` writes for one traced QUICK_72
@@ -218,33 +192,23 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// 300 µs + 300 µs, two shards asked for), read back as `(csv, json)`.
 fn traced_quick_cell_files() -> (Vec<u8>, Vec<u8>) {
     let topo = FatTreeSpec::QUICK_72.build();
-    let out = std::env::temp_dir().join(format!("ibsim_trace_pin_{}", std::process::id()));
+    let out = scratch("trace_pin");
     let opts = RunOptions {
         shards: 2,
         trace_flows: Some(FlowSpec::Hotspots),
         out: out.clone(),
         ..RunOptions::default()
     };
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 2,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
+    let roles = RoleSpec::silent(topo.num_hcas, 2);
     let dur = RunDurations {
         warmup: TimeDelta::from_us(300),
         measure: TimeDelta::from_us(300),
     };
     opts.run_scenario(&topo, NetConfig::paper(), roles, dur, None, true);
     let read = |ext: &str| {
-        let mut files: Vec<_> = std::fs::read_dir(&out)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|x| x == ext))
-            .collect();
+        let files = artifacts(&out, "trace_", ext);
         assert_eq!(files.len(), 1, "one trace_*.{ext} in {}", out.display());
-        std::fs::read(files.pop().unwrap()).unwrap()
+        std::fs::read(&files[0]).unwrap()
     };
     let files = (read("csv"), read("json"));
     std::fs::remove_dir_all(&out).ok();
@@ -291,20 +255,8 @@ fn trace_artifacts_are_pinned_byte_for_byte() {
 /// (a fixed-width record takes 48).
 #[test]
 fn trace_log_keeps_a_record_in_at_most_16_bytes() {
-    let topo = FatTreeSpec::QUICK_72.build();
-    let roles = RoleSpec {
-        num_nodes: topo.num_hcas,
-        num_hotspots: 2,
-        b_pct: 0,
-        b_p: 0,
-        c_pct_of_rest: 80,
-    };
-    let mut net = Network::new(&topo, NetConfig::paper());
-    let sc = Scenario::install_opts(roles, &mut net, PAPER_MSG_BYTES, true);
-    let n = topo.num_hcas as u32;
-    for &h in &sc.assignment.hotspots {
-        net.enable_trace((0..n).filter(|&s| s != h).map(move |s| (s, h)));
-    }
+    let d = Desc::silent(FatTreeSpec::QUICK_72.build(), 2);
+    let mut net = d.build("trace_flows=hotspots");
     net.run_until(Time::from_us(600));
     let tracer = net.tracer().unwrap();
     assert!(tracer.len() > 10_000, "{} records", tracer.len());

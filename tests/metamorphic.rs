@@ -12,8 +12,8 @@
 
 use ibsim::prelude::*;
 
-#[path = "common/warm.rs"]
-mod warm;
+mod common;
+use common::warm::{self, hotspot_window};
 
 /// Below the congestion threshold the CC mechanism must be inert:
 /// nothing gets FECN-marked, so CC-on and CC-off runs deliver the
@@ -54,21 +54,14 @@ fn low_load_delivery_is_cc_invariant() {
 #[test]
 fn relabeling_nodes_permutes_results_preserves_aggregate() {
     let run = |senders: [u32; 3], hot: u32| {
-        let topo = single_switch(8, 6);
-        let mut net = Network::new(&topo, NetConfig::paper());
-        net.enable_audit(50_000);
-        for &s in &senders {
-            net.set_classes(
-                s,
-                vec![TrafficClass::new(100, DestPattern::Fixed(hot), 4096)],
-            );
-        }
         let key = format!("relabel-{}{}{}-{hot}", senders[0], senders[1], senders[2]);
-        warm::warm_until(&mut net, &key, Time::from_ms(1));
-        net.start_measurement();
-        net.run_until(Time::from_ms(3));
-        net.stop_measurement();
-        net.audit_now().raise();
+        let net = hotspot_window(
+            &single_switch(8, 6),
+            NetConfig::paper(),
+            &senders,
+            hot,
+            &key,
+        );
         (net.rx_gbps(hot), net.total_rx_gbps())
     };
     let (hot_a, total_a) = run([1, 2, 3], 0);
@@ -95,16 +88,7 @@ fn relabeling_nodes_permutes_results_preserves_aggregate() {
 fn marking_disabled_converges_to_cc_off_throughput() {
     let run = |cfg: NetConfig, key: &str| {
         let topo = FatTreeSpec::TEST_8.build();
-        let mut net = Network::new(&topo, cfg);
-        net.enable_audit(50_000);
-        for n in 2..8u32 {
-            net.set_classes(n, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
-        }
-        warm::warm_until(&mut net, key, Time::from_ms(1));
-        net.start_measurement();
-        net.run_until(Time::from_ms(3));
-        net.stop_measurement();
-        net.audit_now().raise();
+        let net = hotspot_window(&topo, cfg, &[2, 3, 4, 5, 6, 7], 0, key);
         let rates = (net.rx_gbps(0), net.total_rx_gbps());
         (rates, net.total_fecn_marks(), net.max_ccti())
     };
@@ -158,5 +142,42 @@ fn doubling_the_window_doubles_delivered_counts() {
     assert!(
         (1.9..=2.1).contains(&ratio),
         "doubling the window scaled deliveries by {ratio}, not ~2"
+    );
+}
+
+/// The warm cache is keyed by the test build: a prefix saved under
+/// another build's key is never read, and the same file under this
+/// build's key is. The planted prefix is a run to 2 ms filed as the
+/// 1 ms one, so reading it shows in the clock: past 1 ms.
+#[test]
+fn another_builds_warm_prefix_is_never_read() {
+    let topo = single_switch(4, 2);
+    let fresh = || {
+        let mut net = Network::new(&topo, NetConfig::paper());
+        net.set_classes(1, vec![TrafficClass::new(100, DestPattern::Fixed(0), 4096)]);
+        net
+    };
+    let mut planted = fresh();
+    planted.run_until(Time::from_ms(2));
+    let (key, t) = (format!("probe-{}", std::process::id()), Time::from_ms(1));
+    let label = warm::label(&key, t);
+    let other_exe = std::env::temp_dir().join(format!("ibsim_other_build_{}", std::process::id()));
+    std::fs::write(&other_exe, b"another build").unwrap();
+    let other = warm::cache_dir(&other_exe);
+    assert_ne!(other, warm::warm_dir());
+    let warmed = |dir: &std::path::Path| {
+        let file = ibsim::checkpoint::save_in(dir, &planted, &label);
+        let mut net = fresh();
+        warm::warm_until(&mut net, &key, t);
+        std::fs::remove_file(file).unwrap();
+        net.now()
+    };
+    assert!(warmed(&other) <= t, "another build's prefix was read");
+    std::fs::remove_dir_all(&other).ok();
+    std::fs::remove_file(&other_exe).ok();
+    // `warm_until` saved the cold prefix; the planted file replaces it.
+    assert!(
+        warmed(&warm::warm_dir()) > t,
+        "this build's prefix was not read"
     );
 }

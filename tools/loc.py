@@ -4,8 +4,10 @@
 For ``src/`` and each ``crates/*/src`` it prints the Rust lines of
 program code — in each file, the lines before its first
 ``#[cfg(test)]`` — and all Rust lines, then the sums of both columns,
-then the total Rust lines anywhere outside ``vendor/``, the Rust lines
-under ``vendor/`` and the number of workspace members. Directories named
+then the Rust lines of the test and example code (``tests/``,
+``crates/*/tests`` and ``examples/``), the total Rust lines anywhere
+outside ``vendor/``, the Rust lines under ``vendor/`` and the number of
+workspace members. Directories named
 ``target`` and hidden directories are skipped. Informational: it gates
 nothing.
 
@@ -64,6 +66,11 @@ def main():
         sum_all += total
         print(f"{d:<24} {non_test:>9} {total:>7}")
     print(f"{'src + crates/*/src':<24} {sum_non_test:>9} {sum_all:>7}")
+    tests = ["tests", "examples"]
+    if os.path.isdir(crates):
+        tests[1:1] = [os.path.join("crates", c, "tests") for c in sorted(os.listdir(crates))]
+    test_lines = sum(count(p)[1] for d in tests for p in rust_files(os.path.join(top, d)))
+    print(f"tests/ + crates/*/tests + examples/: {test_lines}")
     outside = sum(count(p)[1] for p in rust_files(top, skip_vendor=True))
     print(f"Rust outside vendor/: {outside}")
     vendored = sum(count(p)[1] for p in rust_files(os.path.join(top, "vendor")))
